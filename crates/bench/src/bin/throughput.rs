@@ -1,47 +1,38 @@
-//! Invoke-throughput baseline on the real engine.
+//! Invoke throughput on the real engine, self-checking.
 //!
-//! Measures wall-clock ops/sec of the kernel hot paths (local invoke, and a
-//! mixed invoke/locate/move blend) on `RealEngine` at 1/2/4/8 nodes, then
-//! merges the numbers into `BENCH_throughput.json` under a kernel label.
-//! Every run *also* re-records the `adaptive-placement` label: the same
-//! local-invoke sweep with the traffic advisor running (pricing its
-//! bookkeeping), plus the skewed-traffic scenario at 2/4/8 nodes with the
-//! advisor off and on, so `throughput_check` can gate on how many forward
-//! hops and thread migrations adaptive placement removes. Likewise the
-//! `replica-placement` label: the read-mostly immutable scenario at 2/4/8
-//! nodes with the advisor off and on (demand replication off in both), so
-//! the gate can require advisor-driven replication to strictly reduce
-//! remote invokes. And likewise the `locate-fastpath` label: the
-//! chase-heavy control-plane scenario at 2/4/8 nodes with the locate fast
-//! path off and on, and the `scatter-rebalance` label: the hot-spawner
-//! occupancy scenario at 2/4/8 nodes with the scatter knob off and on, so
-//! the gate can require scatter to strictly lower the crowded node's
-//! resident share without slowing the local hot path. Plus plus a local-invoke sweep with the pre-fast-path
-//! protocol and the fast path paired back to back, so the gate can
-//! require the fast path to strictly cut control messages, halve forward
-//! hops at 4 nodes, and stay within 5% on already-local work.
+//! Measures wall-clock ops/sec of the kernel hot paths on `RealEngine` and
+//! prints one table per family:
+//!
+//! * local invoke with the traffic advisor off and on (paired back to back
+//!   at 1/2/4/8 nodes, so CPU frequency drift cannot bias one side), a
+//!   mixed invoke/locate/move blend, and a 2-node remote-invoke workload
+//!   under 0%/1%/5% attempt loss (`lossy_invoke_loss{0,1,5}`), pricing the
+//!   reliability sublayer and its retransmission stalls;
+//! * skewed traffic at 2/4/8 nodes, static vs. adaptive placement;
+//! * read-mostly immutable traffic at 2/4/8 nodes with demand replication
+//!   off, static vs. advisor-replicated;
+//! * the hot-spawner occupancy scenario at 2/4/8 nodes with the advisor's
+//!   scatter budget zero and nonzero.
+//!
+//! It then rewrites `BENCH_throughput.json` whole — one flat record of the
+//! tree it was built from — and runs [`failed_check`] on the points it
+//! still holds in memory: each opt-in mechanism must beat the same run
+//! without it. A failed check is named on stderr and the exit status is 1.
 //!
 //! Environment switches:
 //!
-//! * `AMBER_KERNEL_LABEL` — label this run is stored under (default
-//!   `current`); the baseline commit was recorded as `global-lock`.
 //! * `AMBER_THROUGHPUT_ITERS` — per-worker local-invoke iterations
-//!   (default 20000, floored at 5000 so the overhead gate always measures
+//!   (default 20000, floored at 5000 so the overhead check always measures
 //!   a meaningful window; the mixed and lossy scenarios run a tenth of
 //!   the raw value, the skewed scenarios half, floored at 2000 so the
 //!   advisor's tick and call thresholds are crossed even in CI's smoke
 //!   run).
 //! * `AMBER_BENCH_OUT` — output path (default `BENCH_throughput.json`).
 //!   CI's smoke run points this at a scratch file.
-//!
-//! Besides the loss-free scenarios, a 2-node remote-invoke workload is
-//! measured under fault injection at 0%/1%/5% attempt loss
-//! (`lossy_invoke_loss{0,1,5}`), pricing the reliability sublayer and its
-//! retransmission stalls.
 
 use amber_bench::throughput::{
-    run_chase_heavy_invoke, run_hot_spawner_invoke, run_local_invoke, run_lossy_invoke, run_mixed,
-    run_read_hot_invoke, run_skewed_invoke, write_merged, Point, LOSS_PERCENTS, NODE_COUNTS,
+    failed_check, run_hot_spawner_invoke, run_json, run_local_invoke, run_lossy_invoke, run_mixed,
+    run_read_hot_invoke, run_skewed_invoke, Point, LOSS_PERCENTS, NODE_COUNTS,
 };
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -61,12 +52,11 @@ fn row(p: &Point) -> Vec<String> {
         p.forward_hops.to_string(),
         p.thread_migrations.to_string(),
         p.remote_invokes.to_string(),
-        p.control_msgs.to_string(),
         format!("{:.3}", p.max_resident_share),
     ]
 }
 
-const COLUMNS: [&str; 10] = [
+const COLUMNS: [&str; 9] = [
     "scenario",
     "nodes",
     "ops",
@@ -75,121 +65,68 @@ const COLUMNS: [&str; 10] = [
     "fwd hops",
     "migrations",
     "remote",
-    "ctl msgs",
     "max share",
 ];
 
+/// Measures `variant(n, false)` then `variant(n, true)` back to back at 2,
+/// 4 and 8 nodes.
+fn paired(variant: impl Fn(usize, bool) -> Point) -> Vec<Point> {
+    [2usize, 4, 8]
+        .into_iter()
+        .flat_map(|n| [variant(n, false), variant(n, true)])
+        .collect()
+}
+
 fn main() {
-    let label = std::env::var("AMBER_KERNEL_LABEL").unwrap_or_else(|_| "current".to_string());
     let iters = env_u64("AMBER_THROUGHPUT_ITERS", 20_000);
-    // local_invoke feeds throughput_check's 10%-overhead gate, so its timed
-    // window must stay meaningful (a few ms) even in CI's 200-iteration
-    // smoke run; below ~5k iters the measurement is thread-startup noise.
+    // local_invoke feeds the 10%-overhead check, so its timed window must
+    // stay meaningful (a few ms) even in CI's 200-iteration smoke run; below
+    // ~5k iters the measurement is thread-startup noise.
     let local_iters = iters.max(5_000);
     let mixed_iters = (iters / 10).max(10);
     let skew_iters = (iters / 2).max(2_000);
     let out = std::env::var("AMBER_BENCH_OUT").unwrap_or_else(|_| "BENCH_throughput.json".into());
 
-    // The advisor-on local-invoke run is paired immediately after its
-    // advisor-off counterpart: throughput_check compares the two, and
-    // back-to-back measurement keeps CPU frequency drift from biasing
-    // one side of the comparison.
-    let mut points = Vec::new();
-    let mut apoints = Vec::new();
+    let mut points: Vec<Point> = Vec::new();
+    let mut section = |title: &str, measured: Vec<Point>| {
+        amber_bench::print_table(
+            title,
+            &COLUMNS,
+            &measured.iter().map(row).collect::<Vec<_>>(),
+        );
+        points.extend(measured);
+    };
+
+    let mut base = Vec::new();
     for &n in &NODE_COUNTS {
-        points.push(run_local_invoke(n, local_iters, false, true));
-        apoints.push(run_local_invoke(n, local_iters, true, true));
-        points.push(run_mixed(n, mixed_iters));
+        base.push(run_local_invoke(n, local_iters, false));
+        base.push(run_local_invoke(n, local_iters, true));
+        base.push(run_mixed(n, mixed_iters));
     }
     for &loss in &LOSS_PERCENTS {
-        points.push(run_lossy_invoke(2, mixed_iters, loss));
+        base.push(run_lossy_invoke(2, mixed_iters, loss));
     }
-    amber_bench::print_table(
-        &format!("Invoke throughput (RealEngine, kernel = {label})"),
-        &COLUMNS,
-        &points.iter().map(row).collect::<Vec<_>>(),
+    section("Invoke throughput (RealEngine)", base);
+    section(
+        "Adaptive placement: skewed traffic, advisor off/on",
+        paired(|n, on| run_skewed_invoke(n, skew_iters, on)),
+    );
+    section(
+        "Replica placement: read-mostly immutables, advisor off/on",
+        paired(|n, on| run_read_hot_invoke(n, skew_iters, on)),
+    );
+    section(
+        "Scatter rebalance: hot spawner, scatter budget off/on",
+        paired(|n, on| run_hot_spawner_invoke(n, skew_iters, on)),
     );
 
-    // The rest of the adaptive-placement label: the skewed scenario static
-    // vs. adaptive (the traffic the advisor exists to eliminate).
-    for n in [2usize, 4, 8] {
-        apoints.push(run_skewed_invoke(n, skew_iters, false));
-        apoints.push(run_skewed_invoke(n, skew_iters, true));
+    match std::fs::write(&out, run_json(&points)) {
+        Ok(()) => println!("\nwrote {out}"),
+        Err(e) => eprintln!("warning: cannot write {out}: {e}"),
     }
-    amber_bench::print_table(
-        "Adaptive placement (RealEngine, kernel = adaptive-placement)",
-        &COLUMNS,
-        &apoints.iter().map(row).collect::<Vec<_>>(),
-    );
-
-    // The replica-placement label: read-mostly traffic over immutable
-    // objects with demand replication off, static vs. advisor-replicated.
-    let mut rpoints = Vec::new();
-    for n in [2usize, 4, 8] {
-        rpoints.push(run_read_hot_invoke(n, skew_iters, false));
-        rpoints.push(run_read_hot_invoke(n, skew_iters, true));
+    if let Some(failed) = failed_check(&points) {
+        eprintln!("throughput: FAIL: {failed}");
+        std::process::exit(1);
     }
-    amber_bench::print_table(
-        "Replica placement (RealEngine, kernel = replica-placement)",
-        &COLUMNS,
-        &rpoints.iter().map(row).collect::<Vec<_>>(),
-    );
-
-    // The scatter-rebalance label: the hot-spawner occupancy scenario with
-    // the scatter knob off and on, paired back to back per node count, plus
-    // the matching local-invoke sweep so the gate can bound what the
-    // scatter machinery costs on already-local work.
-    let mut spoints = Vec::new();
-    for n in [2usize, 4, 8] {
-        spoints.push(run_hot_spawner_invoke(n, skew_iters, false));
-        spoints.push(run_hot_spawner_invoke(n, skew_iters, true));
-    }
-    amber_bench::print_table(
-        "Scatter rebalance (RealEngine, kernel = scatter-rebalance)",
-        &COLUMNS,
-        &spoints.iter().map(row).collect::<Vec<_>>(),
-    );
-
-    // The locate-fastpath label: the chase-heavy control-plane scenario
-    // with the fast path (and message coalescing) off and on, plus a
-    // local-invoke sweep with the pre-fast-path protocol and the fast
-    // path measured back to back at each node count. Pairing the two
-    // inside one label keeps both measurements under the same machine
-    // load — a cross-label comparison would price whatever else the host
-    // was doing during the minutes between the sweeps.
-    let mut fpoints = Vec::new();
-    for n in [2usize, 4, 8] {
-        fpoints.push(run_chase_heavy_invoke(n, skew_iters, false));
-        fpoints.push(run_chase_heavy_invoke(n, skew_iters, true));
-    }
-    for &n in &NODE_COUNTS {
-        // Off/on/on/off: measuring each variant at both ends of the window
-        // and keeping its faster run cancels monotone machine drift, which
-        // a fixed order would book entirely against the second variant.
-        let off_a = run_local_invoke(n, local_iters, false, false);
-        let on_a = run_local_invoke(n, local_iters, false, true);
-        let on_b = run_local_invoke(n, local_iters, false, true);
-        let off_b = run_local_invoke(n, local_iters, false, false);
-        let pick = |a: Point, b: Point| if a.elapsed <= b.elapsed { a } else { b };
-        let mut on = pick(on_a, on_b);
-        on.scenario = "local_invoke_fastpath";
-        fpoints.push(pick(off_a, off_b));
-        fpoints.push(on);
-    }
-    amber_bench::print_table(
-        "Locate fast path (RealEngine, kernel = locate-fastpath)",
-        &COLUMNS,
-        &fpoints.iter().map(row).collect::<Vec<_>>(),
-    );
-
-    let path = std::path::PathBuf::from(out);
-    let wrote = write_merged(&path, &label, &points)
-        .and_then(|()| write_merged(&path, "adaptive-placement", &apoints))
-        .and_then(|()| write_merged(&path, "replica-placement", &rpoints))
-        .and_then(|()| write_merged(&path, "scatter-rebalance", &spoints))
-        .and_then(|()| write_merged(&path, "locate-fastpath", &fpoints));
-    match wrote {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    println!("throughput: all checks pass");
 }

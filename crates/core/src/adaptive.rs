@@ -524,50 +524,32 @@ impl Kernel {
         // here.
         let decisions = p.policy.lock().decide(&node_samples, &samples);
         for d in decisions {
-            match d {
-                PlacementDecision::Move { obj, to } => {
-                    if let Err(reason) = self.advisory_move(VAddr(obj), to, AdvisoryKind::Move) {
-                        ProtocolStats::bump(&self.pstats.advisory_skips);
-                        self.trace(|| ProtocolEvent::AdvisorySkipped {
-                            obj,
-                            at: to,
-                            reason,
-                        });
-                    }
-                }
+            let (obj, to, outcome) = match d {
+                PlacementDecision::Move { obj, to } => (
+                    obj,
+                    to,
+                    self.advisory_move(VAddr(obj), to, AdvisoryKind::Move),
+                ),
                 PlacementDecision::Replicate { obj, to } => {
-                    if let Err(reason) = self.advisory_replicate(VAddr(obj), to) {
-                        ProtocolStats::bump(&self.pstats.advisory_skips);
-                        self.trace(|| ProtocolEvent::AdvisorySkipped {
-                            obj,
-                            at: to,
-                            reason,
-                        });
-                    }
+                    (obj, to, self.advisory_replicate(VAddr(obj), to))
                 }
                 // Scatter shares `advisory_move`'s whole safety contract
                 // (skip-not-park on pinned/mid-move/attached/destroyed);
                 // only the counter and trace event differ, so rebalancing
                 // is distinguishable from traffic-chasing moves.
-                PlacementDecision::Scatter { obj, to } => {
-                    if !self.scatter {
-                        ProtocolStats::bump(&self.pstats.advisory_skips);
-                        self.trace(|| ProtocolEvent::AdvisorySkipped {
-                            obj,
-                            at: to,
-                            reason: "scatter-disabled",
-                        });
-                    } else if let Err(reason) =
-                        self.advisory_move(VAddr(obj), to, AdvisoryKind::Scatter)
-                    {
-                        ProtocolStats::bump(&self.pstats.advisory_skips);
-                        self.trace(|| ProtocolEvent::AdvisorySkipped {
-                            obj,
-                            at: to,
-                            reason,
-                        });
-                    }
-                }
+                PlacementDecision::Scatter { obj, to } => (
+                    obj,
+                    to,
+                    self.advisory_move(VAddr(obj), to, AdvisoryKind::Scatter),
+                ),
+            };
+            if let Err(reason) = outcome {
+                ProtocolStats::bump(&self.pstats.advisory_skips);
+                self.trace(|| ProtocolEvent::AdvisorySkipped {
+                    obj,
+                    at: to,
+                    reason,
+                });
             }
         }
     }

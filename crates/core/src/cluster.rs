@@ -68,8 +68,6 @@ pub struct ClusterBuilder {
     coalesce: Option<amber_engine::CoalesceConfig>,
     adaptive: Option<PolicyFactory>,
     demand_replication: bool,
-    locate_fastpath: bool,
-    scatter: bool,
 }
 
 impl std::fmt::Debug for ClusterBuilder {
@@ -86,8 +84,6 @@ impl std::fmt::Debug for ClusterBuilder {
             .field("coalesce", &self.coalesce)
             .field("adaptive", &self.adaptive.is_some())
             .field("demand_replication", &self.demand_replication)
-            .field("locate_fastpath", &self.locate_fastpath)
-            .field("scatter", &self.scatter)
             .finish()
     }
 }
@@ -106,8 +102,6 @@ impl Default for ClusterBuilder {
             coalesce: None,
             adaptive: None,
             demand_replication: true,
-            locate_fastpath: true,
-            scatter: true,
         }
     }
 }
@@ -183,7 +177,11 @@ impl ClusterBuilder {
     /// caller node — never mid-move, never against a pin (see
     /// [`Ctx::pin`]). `make` constructs the decision policy; the stock
     /// credit-scored policy with hysteresis and cooldown knobs is
-    /// `amber_placement::adaptive::TrafficAdvisor`.
+    /// `amber_placement::adaptive::TrafficAdvisor`. The kernel executes
+    /// whatever the policy decides — moves, replicas of immutable objects,
+    /// scatters of cold ones — so what a cluster should not do is switched
+    /// off in the policy (the stock advisor's scatter budget,
+    /// `max_scatters_per_tick`, is zero by default), not here.
     pub fn adaptive_placement<P, F>(mut self, make: F) -> Self
     where
         P: PlacementPolicy + 'static,
@@ -201,31 +199,6 @@ impl ClusterBuilder {
     /// what the advisor's replication decisions optimize away.
     pub fn demand_replication(mut self, on: bool) -> Self {
         self.demand_replication = on;
-        self
-    }
-
-    /// Whether the locate fast path is enabled (default `true`): replica-first
-    /// resolution from the local descriptor table, and LOCUS-style path
-    /// compression when a chase terminates (every descriptor the chase passed
-    /// is rewritten to a one-hop forward). Set `false` to run the pre-fast-path
-    /// protocol — probe the chain from scratch and correct only the chasing
-    /// node's hint — which exists so benchmarks and equivalence tests can
-    /// compare both protocols from one binary.
-    pub fn locate_fastpath(mut self, on: bool) -> Self {
-        self.locate_fastpath = on;
-        self
-    }
-
-    /// Whether the placement daemon executes the policy's
-    /// `PlacementDecision::Scatter` advisories (default `true`). Scatters
-    /// are only ever *proposed* by a policy configured with a nonzero
-    /// scatter budget (the stock `TrafficAdvisor` ships with the budget at
-    /// zero), so this knob matters only alongside such a policy: set
-    /// `false` to decline every scatter at execution time (a
-    /// `"scatter-disabled"` advisory skip), which lets benchmarks and
-    /// equivalence tests compare scatter-on/off runs under one policy.
-    pub fn scatter(mut self, on: bool) -> Self {
-        self.scatter = on;
         self
     }
 
@@ -256,8 +229,6 @@ impl ClusterBuilder {
             self.cost,
             policy,
             self.demand_replication,
-            self.locate_fastpath,
-            self.scatter,
         );
         let verifier = Arc::new(crate::verifysink::VerifyingSink::new());
         if amber_verify::ACTIVE {

@@ -39,7 +39,23 @@ use crate::stats::ProtocolStats;
 /// long in practice, so this is pure corruption insurance — but a corrupted
 /// descriptor graph now yields a typed error and a `ChaseDiverged` trace
 /// event instead of aborting the process.
-pub(crate) const MAX_CHASE_HOPS: u32 = 10_000;
+const MAX_CHASE_HOPS: u32 = 10_000;
+
+/// What one [`Kernel::chase_step`] at a node found.
+pub(crate) enum ChaseStep {
+    /// The node's descriptor answers: the object is `Resident` there, or a
+    /// `Replica` of it is installed.
+    Found(Residency),
+    /// The node's descriptor points at the node itself and the registry
+    /// agrees the object lives there: the descriptor lags the install.
+    Lagging,
+    /// The chase parked on a move or repaired a stale hint; look at the same
+    /// node again.
+    Again,
+    /// The chain continues at this node; the hop is already charged,
+    /// counted and traced.
+    Next(NodeId),
+}
 
 impl Kernel {
     /// Registers a new thread record. Engines own scheduling state; this is
@@ -178,6 +194,125 @@ impl Kernel {
         self.trace(|| amber_engine::ProtocolEvent::ThreadMigration { from, to });
     }
 
+    /// One step of the residency chase, taken at node `at` on behalf of the
+    /// current thread: parks while a move of the object is in flight, reads
+    /// `at`'s descriptor, and — when the chain continues — charges and
+    /// records the forward hop or home route, repairs a stale self-hint
+    /// against the registry, and counts the hop against `hops`, giving up
+    /// with [`ProtocolError::ChaseDiverged`] at [`MAX_CHASE_HOPS`].
+    ///
+    /// Both travellers call it: an invoking thread that migrates along the
+    /// chain ([`ensure_at_object`](Kernel::ensure_at_object)) and a locate
+    /// that sends probes down it ([`locate`](Kernel::locate)).
+    pub(crate) fn chase_step(
+        &self,
+        addr: VAddr,
+        at: NodeId,
+        hops: &mut u32,
+    ) -> Result<ChaseStep, ProtocolError> {
+        // If a move of this object is in flight, wait for it to install
+        // rather than chasing descriptors mid-transfer: probing during the
+        // move could cache a stale hint or observe the registry in a
+        // half-installed state. The mover wakes the waiter once the group
+        // has installed at the destination.
+        {
+            let me = must_current_thread();
+            let mut shard = self.objects.lock(addr);
+            match shard.get_mut(&addr) {
+                Some(e) if e.moving => {
+                    e.move_waiters.push(me);
+                    drop(shard);
+                    self.engine.block_kernel("await-move-install");
+                    return Ok(ChaseStep::Again);
+                }
+                Some(_) => {}
+                None => return Err(ProtocolError::ObjectDestroyed(addr)),
+            }
+        }
+        let desc = self.nodes[at.index()].descriptors.read().lookup(addr);
+        let next = match desc {
+            Some(held @ (Residency::Resident | Residency::Replica)) => {
+                return Ok(ChaseStep::Found(held))
+            }
+            Some(Residency::Forward(n)) => {
+                ProtocolStats::bump(&self.pstats.forward_hops);
+                self.trace(|| amber_engine::ProtocolEvent::ForwardHop {
+                    obj: addr.0,
+                    at,
+                    to: n,
+                });
+                self.engine.work(self.cost.forward_hop);
+                n
+            }
+            None => {
+                // Uninitialized descriptor: route via the home node.
+                ProtocolStats::bump(&self.pstats.home_routes);
+                let home = self.home_of(at, addr);
+                self.trace(|| amber_engine::ProtocolEvent::HomeRoute {
+                    obj: addr.0,
+                    at,
+                    home,
+                });
+                home
+            }
+        };
+        if next == at {
+            // A stale self-hint; consult ground truth to break the tie (the
+            // descriptor write that makes it fresh is in flight).
+            let Some(loc) = self.objects.lock(addr).get(&addr).map(|e| e.location) else {
+                return Err(ProtocolError::ObjectDestroyed(addr));
+            };
+            if loc == at {
+                return Ok(ChaseStep::Lagging);
+            }
+            self.nodes[at.index()]
+                .descriptors
+                .write()
+                .cache_hint(addr, loc);
+            return Ok(ChaseStep::Again);
+        }
+        *hops += 1;
+        if *hops >= MAX_CHASE_HOPS {
+            // Bounded give-up, mirroring the transport's max_attempts
+            // retransmit give-up: record it and surface an error instead of
+            // aborting the process.
+            ProtocolStats::bump(&self.pstats.chase_divergences);
+            self.trace(|| amber_engine::ProtocolEvent::ChaseDiverged {
+                obj: addr.0,
+                at,
+                hops: *hops,
+            });
+            return Err(ProtocolError::ChaseDiverged { addr, hops: *hops });
+        }
+        Ok(ChaseStep::Next(next))
+    }
+
+    /// Path compression at the end of a chase: "the object's last known
+    /// location is cached on all nodes along the chain" (section 3.3).
+    /// Rewrites the descriptor of every node in `chain` (distinct nodes, in
+    /// the order the chase passed them) to a one-hop forward to `to`. Each
+    /// rewrite that actually changes a descriptor is a repair, counted and
+    /// traced so the bookkeeping reconciles exactly.
+    pub(crate) fn compress_chain(&self, addr: VAddr, chain: &[NodeId], to: NodeId) {
+        for &n in chain {
+            if n == to {
+                continue;
+            }
+            let repaired = self.nodes[n.index()]
+                .descriptors
+                .write()
+                .cache_hint(addr, to);
+            if repaired {
+                ProtocolStats::bump(&self.pstats.hint_repairs);
+                self.trace(|| amber_engine::ProtocolEvent::HintRepair {
+                    obj: addr.0,
+                    at: n,
+                    to,
+                });
+            }
+        }
+    }
+
     /// Runs the residency protocol until the object at `addr` is local to
     /// the current thread (resident, or replicated when `allow_replica`).
     /// Returns the node the thread ends up on, or a typed error for
@@ -189,138 +324,51 @@ impl Kernel {
         allow_replica: bool,
     ) -> Result<NodeId, ProtocolError> {
         let me = must_current_thread();
-        // Replica-first fast path for shared invocations: a `Resident` or
+        // Replica-first resolution for shared invocations: a `Resident` or
         // `Replica` descriptor on the thread's current node answers with one
         // read-lock lookup — no registry visit, no moving park, no wire
         // traffic. Exclusive invocations skip this and chase to the origin:
         // only a `Resident` entry may serve them, and that case falls out of
         // the first loop iteration anyway.
-        if allow_replica && self.locate_fastpath {
+        if allow_replica {
             let here = self.engine.node_of(me);
             if self.nodes[here.index()].descriptors.read().is_local(addr) {
                 return Ok(here);
             }
         }
         let mut hops: u32 = 0;
-        let mut visited: Vec<NodeId> = Vec::new();
+        // Distinct nodes the thread has left behind, in order: a chase that
+        // loops through a node twice must not lock its table twice.
+        let mut chain: Vec<NodeId> = Vec::new();
         loop {
             let here = self.engine.node_of(me);
-            // If a move of this object is in flight, wait for it to install
-            // rather than chasing descriptors mid-transfer.
-            {
-                let mut shard = self.objects.lock(addr);
-                match shard.get_mut(&addr) {
-                    Some(e) if e.moving => {
-                        e.move_waiters.push(me);
-                        drop(shard);
-                        self.engine.block_kernel("await-move-install");
-                        continue;
-                    }
-                    Some(_) => {}
-                    None => return Err(ProtocolError::ObjectDestroyed(addr)),
-                }
-            }
-            let desc = self.nodes[here.index()].descriptors.read().lookup(addr);
-            let next = match desc {
-                Some(Residency::Resident) => {
-                    // "the object's last known location is cached on all
-                    // nodes along the chain" (section 3.3). One write-lock
-                    // visit per *distinct* chain node: a chase that loops
-                    // through a node twice must not lock its table twice.
-                    // Each rewrite that actually changes a descriptor is a
-                    // path-compression repair, counted and traced so the
-                    // fast-path bookkeeping reconciles exactly.
-                    let mut chain = Vec::with_capacity(visited.len());
-                    for n in &visited {
-                        if *n != here && !chain.contains(n) {
-                            chain.push(*n);
-                        }
-                    }
-                    for n in chain {
-                        if self.locate_fastpath {
-                            let repaired = self.nodes[n.index()]
-                                .descriptors
-                                .write()
-                                .compress_hint(addr, here);
-                            if repaired {
-                                ProtocolStats::bump(&self.pstats.hint_repairs);
-                                self.trace(|| amber_engine::ProtocolEvent::HintRepair {
-                                    obj: addr.0,
-                                    at: n,
-                                    to: here,
-                                });
-                            }
-                        } else {
-                            // Pre-fast-path bookkeeping: the same rewrites,
-                            // but uncounted (hint_repairs is a fast-path
-                            // metric).
-                            self.nodes[n.index()]
-                                .descriptors
-                                .write()
-                                .cache_hint(addr, here);
-                        }
-                    }
-                    return Ok(here);
-                }
-                Some(Residency::Replica) if allow_replica => return Ok(here),
-                Some(Residency::Replica) => {
+            match self.chase_step(addr, here, &mut hops)? {
+                ChaseStep::Found(Residency::Replica) if allow_replica => return Ok(here),
+                ChaseStep::Found(Residency::Replica) => {
                     // A replica exists but exclusive access was requested;
                     // immutable objects cannot be mutated.
                     panic!("exclusive invocation of immutable object {addr}")
                 }
-                Some(Residency::Forward(n)) => {
-                    ProtocolStats::bump(&self.pstats.forward_hops);
-                    self.trace(|| amber_engine::ProtocolEvent::ForwardHop {
-                        obj: addr.0,
-                        at: here,
-                        to: n,
-                    });
-                    self.engine.work(self.cost.forward_hop);
-                    n
+                ChaseStep::Found(_) => {
+                    self.compress_chain(addr, &chain, here);
+                    return Ok(here);
                 }
-                None => {
-                    // Uninitialized descriptor: route via the home node.
-                    ProtocolStats::bump(&self.pstats.home_routes);
-                    let home = self.home_of(here, addr);
-                    self.trace(|| amber_engine::ProtocolEvent::HomeRoute {
-                        obj: addr.0,
-                        at: here,
-                        home,
-                    });
-                    home
+                ChaseStep::Lagging => {
+                    // Truly here but the descriptor lagged; the thread is
+                    // about to run here, so repair it.
+                    self.nodes[here.index()]
+                        .descriptors
+                        .write()
+                        .set_resident(addr);
                 }
-            };
-            if next == here {
-                // A stale self-hint; consult ground truth to break the tie
-                // (the descriptor write that makes it fresh is in flight),
-                // then repair in a single write-lock visit.
-                let Some(loc) = self.objects.lock(addr).get(&addr).map(|e| e.location) else {
-                    return Err(ProtocolError::ObjectDestroyed(addr));
-                };
-                let mut d = self.nodes[here.index()].descriptors.write();
-                if loc == here {
-                    // Truly here but the descriptor lagged; repair it.
-                    d.set_resident(addr);
-                } else {
-                    d.cache_hint(addr, loc);
+                ChaseStep::Again => {}
+                ChaseStep::Next(next) => {
+                    if !chain.contains(&here) {
+                        chain.push(here);
+                    }
+                    self.migrate_current(here, next);
                 }
-                continue;
             }
-            hops += 1;
-            if hops >= MAX_CHASE_HOPS {
-                // Bounded give-up, mirroring the transport's max_attempts
-                // retransmit give-up: record it and surface an error
-                // instead of aborting the process.
-                ProtocolStats::bump(&self.pstats.chase_divergences);
-                self.trace(|| amber_engine::ProtocolEvent::ChaseDiverged {
-                    obj: addr.0,
-                    at: here,
-                    hops,
-                });
-                return Err(ProtocolError::ChaseDiverged { addr, hops });
-            }
-            visited.push(here);
-            self.migrate_current(here, next);
         }
     }
 

@@ -183,20 +183,6 @@ pub struct Kernel {
     /// an explicit `MoveTo`) puts them, and other remote reads migrate the
     /// thread.
     pub(crate) demand_replication: bool,
-    /// When `true` (the default), `locate` answers replica-first from the
-    /// local descriptor table and a terminating chase compresses every
-    /// descriptor it passed to a one-hop forward. When `false` the
-    /// pre-fast-path protocol applies: locate probes the chain from scratch
-    /// and only the chasing node's own hint is corrected. Kept as a switch
-    /// so the `chase_heavy_invoke` benchmark and the equivalence tests can
-    /// run both protocols from one binary.
-    pub(crate) locate_fastpath: bool,
-    /// When `true` (the default), the placement daemon executes
-    /// [`PlacementDecision::Scatter`](crate::PlacementDecision::Scatter)
-    /// advisories as group moves; when `false` it declines them with a
-    /// `"scatter-disabled"` skip, so a policy proposing scatters can be
-    /// compared against a mechanism-off run from one binary.
-    pub(crate) scatter: bool,
 }
 
 impl Kernel {
@@ -207,8 +193,6 @@ impl Kernel {
         cost: CostModel,
         policy: Option<Box<dyn PlacementPolicy>>,
         demand_replication: bool,
-        locate_fastpath: bool,
-        scatter: bool,
     ) -> Arc<Kernel> {
         let n = engine.nodes();
         let mut server = AddressSpaceServer::new();
@@ -242,8 +226,6 @@ impl Kernel {
             pstats: ProtocolStats::default(),
             placement: policy.map(|p| PlacementRuntime::new(p, n)),
             demand_replication,
-            locate_fastpath,
-            scatter,
         })
     }
 

@@ -30,7 +30,7 @@ use amber_engine::{must_current_thread, NodeId};
 use amber_vspace::{Residency, VAddr};
 
 use crate::errors::ProtocolError;
-use crate::invoke::MAX_CHASE_HOPS;
+use crate::invoke::ChaseStep;
 use crate::kernel::Kernel;
 use crate::stats::ProtocolStats;
 
@@ -783,123 +783,39 @@ impl Kernel {
     /// so the chain shortens for everyone behind this chase, not just the
     /// chasing node.
     ///
-    /// A locate that lands mid-move parks on the object's `move_waiters`
-    /// (like [`ensure_at_object`](Kernel::ensure_at_object)) instead of
-    /// reading descriptors mid-transfer: probing during the move could cache
-    /// a stale hint or observe the registry in a half-installed state.
+    /// Each step down the chain is a [`chase_step`](Kernel::chase_step),
+    /// the same one an invoking thread takes, so a locate that lands
+    /// mid-move parks until the move installs instead of reading
+    /// descriptors mid-transfer.
     pub(crate) fn locate(&self, addr: VAddr) -> Result<NodeId, ProtocolError> {
-        let me = must_current_thread();
         let origin = self.current_node();
-        if self.locate_fastpath && self.nodes[origin.index()].descriptors.read().is_local(addr) {
+        if self.nodes[origin.index()].descriptors.read().is_local(addr) {
             return Ok(origin);
         }
         let mut cur = origin;
         let mut hops = 0u32;
         let mut chain: Vec<NodeId> = Vec::new();
         loop {
-            // Park while a move of this object is in flight; woken by the
-            // mover once the group has installed at the destination.
-            {
-                let mut shard = self.objects.lock(addr);
-                match shard.get_mut(&addr) {
-                    Some(e) if e.moving => {
-                        e.move_waiters.push(me);
-                        drop(shard);
-                        self.engine.block_kernel("await-move-install");
-                        continue;
+            match self.chase_step(addr, cur, &mut hops)? {
+                ChaseStep::Found(_) | ChaseStep::Lagging => break,
+                ChaseStep::Again => {}
+                ChaseStep::Next(next) => {
+                    self.one_way(cur, next, self.cost.control_packet_bytes, "locate-probe");
+                    if !chain.contains(&cur) {
+                        chain.push(cur);
                     }
-                    Some(_) => {}
-                    None => return Err(ProtocolError::ObjectDestroyed(addr)),
+                    cur = next;
                 }
             }
-            let desc = self.nodes[cur.index()].descriptors.read().lookup(addr);
-            let next = match desc {
-                Some(Residency::Resident) | Some(Residency::Replica) => break,
-                Some(Residency::Forward(n)) => {
-                    ProtocolStats::bump(&self.pstats.forward_hops);
-                    self.trace(|| amber_engine::ProtocolEvent::ForwardHop {
-                        obj: addr.0,
-                        at: cur,
-                        to: n,
-                    });
-                    self.engine.work(self.cost.forward_hop);
-                    n
-                }
-                None => {
-                    ProtocolStats::bump(&self.pstats.home_routes);
-                    let home = self.home_of(cur, addr);
-                    self.trace(|| amber_engine::ProtocolEvent::HomeRoute {
-                        obj: addr.0,
-                        at: cur,
-                        home,
-                    });
-                    home
-                }
-            };
-            if next == cur {
-                // Stale self-hint (move in flight); consult ground truth.
-                let Some(loc) = self.objects.lock(addr).get(&addr).map(|e| e.location) else {
-                    return Err(ProtocolError::ObjectDestroyed(addr));
-                };
-                if loc == cur {
-                    break;
-                }
-                self.nodes[cur.index()]
-                    .descriptors
-                    .write()
-                    .cache_hint(addr, loc);
-                continue;
-            }
-            hops += 1;
-            if hops >= MAX_CHASE_HOPS {
-                // Bounded give-up (see `ensure_at_object`): trace it and
-                // return an error rather than aborting the process.
-                ProtocolStats::bump(&self.pstats.chase_divergences);
-                self.trace(|| amber_engine::ProtocolEvent::ChaseDiverged {
-                    obj: addr.0,
-                    at: cur,
-                    hops,
-                });
-                return Err(ProtocolError::ChaseDiverged { addr, hops });
-            }
-            self.one_way(cur, next, self.cost.control_packet_bytes, "locate-probe");
-            if !chain.contains(&cur) {
-                chain.push(cur);
-            }
-            cur = next;
         }
         if cur != origin {
-            // One reply message carries the resolved location back. With the
-            // fast path on, every distinct node the chase passed through (the
-            // origin included) compresses its descriptor to a one-hop forward
-            // as the answer passes — the rewrites ride the reply, no extra
-            // packets. With it off, only the chasing node learns the answer
-            // (the pre-fast-path protocol).
+            // One reply message carries the resolved location back, and
+            // every distinct node the chase passed through (the origin
+            // included) compresses its descriptor to a one-hop forward as
+            // the answer passes — the rewrites ride the reply, no extra
+            // packets.
             self.one_way(cur, origin, self.cost.control_packet_bytes, "locate-reply");
-            if self.locate_fastpath {
-                for n in chain {
-                    if n == cur {
-                        continue;
-                    }
-                    let repaired = self.nodes[n.index()]
-                        .descriptors
-                        .write()
-                        .compress_hint(addr, cur);
-                    if repaired {
-                        ProtocolStats::bump(&self.pstats.hint_repairs);
-                        self.trace(|| amber_engine::ProtocolEvent::HintRepair {
-                            obj: addr.0,
-                            at: n,
-                            to: cur,
-                        });
-                    }
-                }
-            } else {
-                self.nodes[origin.index()]
-                    .descriptors
-                    .write()
-                    .cache_hint(addr, cur);
-            }
+            self.compress_chain(addr, &chain, cur);
         }
         Ok(cur)
     }

@@ -79,21 +79,10 @@ impl DescriptorTable {
     /// cached on all nodes along the chain so that the object can be located
     /// quickly on subsequent references" (section 3.3).
     ///
-    /// Never downgrades a `Resident`/`Replica` entry.
-    pub fn cache_hint(&mut self, addr: VAddr, to: NodeId) {
-        match self.entries.get(&addr) {
-            Some(Residency::Resident) | Some(Residency::Replica) => {}
-            _ => {
-                self.entries.insert(addr, Residency::Forward(to));
-            }
-        }
-    }
-
-    /// Path-compression write: like [`cache_hint`](DescriptorTable::cache_hint)
-    /// but reports whether the descriptor actually changed, so callers can
-    /// count repairs exactly. A `Resident`/`Replica` entry is never
-    /// downgraded and an entry already forwarding to `to` is left alone.
-    pub fn compress_hint(&mut self, addr: VAddr, to: NodeId) -> bool {
+    /// Never downgrades a `Resident`/`Replica` entry, and leaves an entry
+    /// already forwarding to `to` alone. Returns whether the descriptor
+    /// actually changed, so callers that count repairs can count exactly.
+    pub fn cache_hint(&mut self, addr: VAddr, to: NodeId) -> bool {
         match self.entries.get(&addr) {
             Some(Residency::Resident) | Some(Residency::Replica) => false,
             Some(Residency::Forward(cur)) if *cur == to => false,
@@ -188,23 +177,23 @@ mod tests {
     }
 
     #[test]
-    fn compress_hint_reports_actual_rewrites() {
+    fn cache_hint_reports_actual_rewrites() {
         let mut t = DescriptorTable::new();
         let a = VAddr(512);
         // Uninitialized -> installs a hint.
-        assert!(t.compress_hint(a, NodeId(2)));
+        assert!(t.cache_hint(a, NodeId(2)));
         assert_eq!(t.lookup(a), Some(Residency::Forward(NodeId(2))));
         // Same target -> no-op.
-        assert!(!t.compress_hint(a, NodeId(2)));
+        assert!(!t.cache_hint(a, NodeId(2)));
         // Fresher target -> rewrite.
-        assert!(t.compress_hint(a, NodeId(4)));
+        assert!(t.cache_hint(a, NodeId(4)));
         assert_eq!(t.lookup(a), Some(Residency::Forward(NodeId(4))));
         // Never downgrades residency.
         t.set_resident(a);
-        assert!(!t.compress_hint(a, NodeId(1)));
+        assert!(!t.cache_hint(a, NodeId(1)));
         assert_eq!(t.lookup(a), Some(Residency::Resident));
         t.set_replica(a);
-        assert!(!t.compress_hint(a, NodeId(1)));
+        assert!(!t.cache_hint(a, NodeId(1)));
         assert_eq!(t.lookup(a), Some(Residency::Replica));
     }
 

@@ -463,8 +463,8 @@ proptest! {
 
     /// Scatter rebalancing is behaviorally invisible: a hot-spawner program
     /// (every object created on node 0) returns byte-identical values over
-    /// a lossy network whether the scatter knob is on or off, and each
-    /// run's trace (including `advisory_scatters`) reconciles exactly with
+    /// a lossy network whether the advisor's scatter budget is two per tick
+    /// or zero, and each run's trace (including `advisory_scatters`) reconciles exactly with
     /// the live counters.
     #[test]
     fn scatter_rebalancing_is_behaviorally_invisible(
@@ -475,26 +475,24 @@ proptest! {
         use amber_core::{EngineChoice, FaultPlan, TraceSummary};
         use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
 
-        // The same scatter-configured advisor drives both runs; only the
-        // mechanism knob differs, so the off-run exercises the
-        // "scatter-disabled" skip path under identical proposals.
+        // The same advisor drives both runs; only its scatter budget
+        // differs, which is the switch a deployment has.
         let observe = |scatter: bool| {
             let c = Cluster::builder()
                 .nodes(4)
                 .processors(2)
                 .engine(EngineChoice::Sim)
-                .scatter(scatter)
                 .faults(
                     FaultPlan::seeded(seed)
                         .drop_rate(0.03)
                         .duplicate_rate(0.01),
                 )
-                .adaptive_placement(|| {
+                .adaptive_placement(move || {
                     TrafficAdvisor::new(AdaptiveConfig {
                         tick: SimTime::from_ms(20),
                         min_calls: 3,
                         scatter_share: 0.3,
-                        max_scatters_per_tick: 2,
+                        max_scatters_per_tick: if scatter { 2 } else { 0 },
                         ..AdaptiveConfig::default()
                     })
                 })
@@ -535,7 +533,7 @@ proptest! {
 
         // Same observations, scattered or not.
         prop_assert_eq!(&on_values, &off_values);
-        // The knob-off run never scatters; with the knob on, every object
+        // The zero-budget run never scatters; with a budget, every object
         // move in this program came from an advisory (there are no explicit
         // `move_to` calls), scatters included.
         prop_assert_eq!(off_stats.advisory_scatters, 0);
