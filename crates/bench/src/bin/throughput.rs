@@ -3,8 +3,9 @@
 //! Measures wall-clock ops/sec of the kernel hot paths on `RealEngine` and
 //! prints one table per family:
 //!
-//! * local invoke with the traffic advisor off and on (paired back to back
-//!   at 1/2/4/8 nodes, so CPU frequency drift cannot bias one side), a
+//! * local invoke with the traffic advisor off and on (at 1/2/4/8 nodes,
+//!   each side the median of five rounds alternated with the other's, so
+//!   neither a disturbed round nor CPU frequency drift biases one side), a
 //!   mixed invoke/locate/move blend, and a 2-node remote-invoke workload
 //!   under 0%/1%/5% attempt loss (`lossy_invoke_loss{0,1,5}`), pricing the
 //!   reliability sublayer and its retransmission stalls;
@@ -12,7 +13,7 @@
 //! * read-mostly immutable traffic at 2/4/8 nodes with demand replication
 //!   off, static vs. advisor-replicated;
 //! * the hot-spawner occupancy scenario at 2/4/8 nodes with the advisor's
-//!   scatter budget zero and nonzero.
+//!   scatter budget zero and nonzero, alternated the same way.
 //!
 //! It then rewrites `BENCH_throughput.json` whole — one flat record of the
 //! tree it was built from — and runs [`failed_check`] on the points it
@@ -24,15 +25,15 @@
 //! * `AMBER_THROUGHPUT_ITERS` — per-worker local-invoke iterations
 //!   (default 20000, floored at 5000 so the overhead check always measures
 //!   a meaningful window; the mixed and lossy scenarios run a tenth of
-//!   the raw value, the skewed scenarios half, floored at 2000 so the
-//!   advisor's tick and call thresholds are crossed even in CI's smoke
-//!   run).
+//!   the raw value; the advisor scenarios run half, floored at 2000, and
+//!   in any case give the advisor 20 ticks before reading its effect).
 //! * `AMBER_BENCH_OUT` — output path (default `BENCH_throughput.json`).
 //!   CI's smoke run points this at a scratch file.
 
 use amber_bench::throughput::{
-    failed_check, run_hot_spawner_invoke, run_json, run_local_invoke, run_lossy_invoke, run_mixed,
-    run_read_hot_invoke, run_skewed_invoke, Point, LOSS_PERCENTS, NODE_COUNTS,
+    alternating_medians, failed_check, run_hot_spawner_invoke, run_json, run_local_invoke,
+    run_lossy_invoke, run_mixed, run_read_hot_invoke, run_skewed_invoke, Point, LOSS_PERCENTS,
+    NODE_COUNTS,
 };
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -99,8 +100,9 @@ fn main() {
 
     let mut base = Vec::new();
     for &n in &NODE_COUNTS {
-        base.push(run_local_invoke(n, local_iters, false));
-        base.push(run_local_invoke(n, local_iters, true));
+        base.extend(alternating_medians(|on| {
+            run_local_invoke(n, local_iters, on)
+        }));
         base.push(run_mixed(n, mixed_iters));
     }
     for &loss in &LOSS_PERCENTS {
@@ -117,7 +119,10 @@ fn main() {
     );
     section(
         "Scatter rebalance: hot spawner, scatter budget off/on",
-        paired(|n, on| run_hot_spawner_invoke(n, skew_iters, on)),
+        [2usize, 4, 8]
+            .into_iter()
+            .flat_map(|n| alternating_medians(|on| run_hot_spawner_invoke(n, skew_iters, on)))
+            .collect(),
     );
 
     match std::fs::write(&out, run_json(&points)) {

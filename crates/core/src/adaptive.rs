@@ -24,7 +24,11 @@
 //! queue would never drain), so the timer is *activity-armed*: the first
 //! invocation after an idle period arms exactly one tick (CAS on `armed`);
 //! the daemon re-arms after a productive tick and disarms when a whole tick
-//! elapsed with no new invocations. An idle — or deadlocked — program
+//! elapsed with no new invocations. Only an invocation that finds its
+//! object's counter for its node *drained* reports in: every later one
+//! before the next drain would tell the daemon nothing new, so the steady
+//! state of the invoke path is one load and one store under a lock it
+//! already holds. An idle — or deadlocked — program
 //! therefore has no pending timer and deadlock detection keeps working; the
 //! daemon itself parks under the name `placement-tick`.
 
@@ -32,7 +36,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use amber_engine::{must_current_thread, NodeId, ProtocolEvent, SimTime, ThreadId};
+use amber_engine::{NodeId, ProtocolEvent, SimTime, ThreadId};
 use amber_vspace::VAddr;
 use parking_lot::Mutex;
 
@@ -78,7 +82,8 @@ pub struct NodeSample {
     /// Objects created on the node since the previous drained tick (the
     /// placement rate a creation-time placer or hot spawner generates).
     pub placements: u64,
-    /// Invocations started on the node since the previous drained tick.
+    /// Invocations started on the node since the previous drained tick
+    /// (of objects still alive at this one).
     pub calls: u64,
     /// Run-queue depth sampled once at the tick (same staleness contract as
     /// [`PlacementSample::queue_depth`]).
@@ -169,8 +174,10 @@ pub(crate) struct PlacementRuntime {
     pub(crate) armed: AtomicBool,
     /// Set at the end of `Cluster::run`; the daemon exits at the next wake.
     pub(crate) stop: AtomicBool,
-    /// Invocations started, ever, counted per starting node; the daemon
-    /// sums successive readings to detect quiescent ticks.
+    /// Per starting node, how many times an invocation found its object's
+    /// `calls` slot for that node drained: it moves exactly when there is
+    /// something new to drain, so the daemon sums successive readings to
+    /// detect quiescent ticks.
     pub(crate) activity: Box<[PaddedCounter]>,
     /// Objects created, counted per target node and drained (swap-to-zero)
     /// at each real tick — the placement rate the scatter detector watches.
@@ -222,9 +229,10 @@ struct Observation {
 }
 
 impl Kernel {
-    /// Hot-path hook, called once per invocation start: records activity
-    /// (on `node`'s own cache line) and arms a placement tick if none is
-    /// pending. With placement off this is one branch on an `Option`.
+    /// Invoke-path hook, called by the first invocation from `node` to land
+    /// in an object's drained `calls` slot: records activity (on `node`'s
+    /// own cache line) and arms a placement tick if none is pending. Never
+    /// called under a kernel lock (see `schedule_placement_tick`).
     pub(crate) fn note_invocation_activity(&self, node: NodeId) {
         let Some(p) = &self.placement else { return };
         if let Some(c) = p.activity.get(node.index()) {
@@ -291,8 +299,7 @@ impl Kernel {
     }
 
     fn placement_daemon_loop(&self) {
-        let me = must_current_thread();
-        self.register_thread(me);
+        crate::invoke::register_thread();
         let p = self
             .placement
             .as_ref()
@@ -329,7 +336,7 @@ impl Kernel {
             }
             self.schedule_placement_tick();
         }
-        self.unregister_thread(me);
+        crate::invoke::unregister_thread();
     }
 
     /// One placement round: drain counters, fold groups, consult the
@@ -347,7 +354,7 @@ impl Kernel {
         // policy round entirely, so idle ticks cost O(nodes), not
         // O(objects). (The daemon's sum check catches full quiescence; this
         // per-node check also absorbs wake-ups that raced a disarm.)
-        let calls_by_start_node: Vec<u64> = {
+        {
             let mut last = p.last_drained.lock();
             let current: Vec<u64> = p
                 .activity
@@ -357,14 +364,8 @@ impl Kernel {
             if *last == current {
                 return;
             }
-            let delta = current
-                .iter()
-                .zip(last.iter())
-                .map(|(c, l)| c.saturating_sub(*l))
-                .collect();
             *last = current;
-            delta
-        };
+        }
         // Placement rate since the last drained tick, per target node.
         let placement_rate: Vec<u64> = p
             .placements
@@ -385,10 +386,13 @@ impl Kernel {
         // drained zero calls) each node could shed.
         let mut resident = vec![0u64; n];
         let mut cold: Vec<Vec<u64>> = vec![Vec::new(); n];
+        // Invocations started on each node since the last drain.
+        let mut calls_by_start_node = vec![0u64; n];
         self.objects.for_each(|addr, e| {
             let mut calls = vec![0u64; n];
             for (slot, c) in e.calls.iter().enumerate() {
                 calls[slot] = c.swap(0, Ordering::Relaxed);
+                calls_by_start_node[slot] += calls[slot];
             }
             if let Some(r) = resident.get_mut(e.location.index()) {
                 *r += 1;

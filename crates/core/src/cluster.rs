@@ -277,12 +277,11 @@ impl Cluster {
         // the program runs so the first invocation can arm its tick timer.
         self.kernel.spawn_placement_daemon();
         self.kernel.engine.run(NodeId::BOOT, move || {
-            let tid = must_current_thread();
-            kernel.register_thread(tid);
+            crate::invoke::register_thread();
             let ctx = Ctx::new(Arc::clone(&kernel));
             let r = main(&ctx);
             kernel.stop_placement_daemon();
-            kernel.unregister_thread(tid);
+            crate::invoke::unregister_thread();
             r
         })
     }

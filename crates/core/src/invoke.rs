@@ -18,12 +18,33 @@
 //! or shared `&T`) with kernel-managed waiter queues, standing in for the
 //! intra-node hardware synchronization of a real multiprocessor node.
 //!
-//! Locking on the fast path: frame bookkeeping goes through the calling
-//! thread's cached [`ThreadRec`](crate::registry::ThreadRec) (no shared
-//! map), object metadata through the address's single registry shard, and
-//! descriptor lookups through the node table's *read* lock. A local invoke
-//! contends with nothing but operations on objects in the same shard.
+//! An invocation has five steps, and a resident object — the common case,
+//! the paper's 12 us local invoke — takes exactly three registry-shard
+//! visits and no descriptor lookup for them:
+//!
+//! 1. **entry** ([`Kernel::bind_frame`]): push the frame, bind it to the
+//!    object and, under the same shard lock — the one that is authoritative
+//!    for `location` and `moving` — decide residency. The verdict is exact,
+//!    not a hint: `create_*` writes the descriptor before the registry
+//!    insert, a move keeps `moving` set from its claim until both `location`
+//!    and the destination descriptor are written, and `destroy` removes the
+//!    entry first. Only a non-resident verdict runs the chase
+//!    ([`Kernel::ensure_at_object`]), which is the one slow path;
+//! 2. **charge** `local_invoke`, a scheduling point under the simulator;
+//! 3. **admission** ([`Kernel::acquire_payload`]), its own visit *after*
+//!    the charge: invokers pay the charge in parallel and only then queue,
+//!    so a contended object's hand-off costs the operation alone. Admitting
+//!    before the charge would hold the object 8 us longer per hand-off and
+//!    move every contended virtual-time result;
+//! 4. the operation, outside every kernel lock;
+//! 5. **exit** ([`Kernel::finish_invocation`]): release, unbind, wake.
+//!
+//! Frame bookkeeping is owned by the thread: both engines run an Amber
+//! thread on one OS thread of its own, so the frame stack is a thread-local
+//! and no borrow of it is ever held across an operation (nested invocations
+//! push frames of their own).
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use amber_engine::{must_current_thread, NodeId, ThreadId};
@@ -33,6 +54,54 @@ use crate::errors::ProtocolError;
 use crate::kernel::{Access, Kernel, ObjectCell, OpWaiter};
 use crate::objref::ObjRef;
 use crate::stats::ProtocolStats;
+
+/// The calling thread's invocation context.
+struct ThreadState {
+    /// Stack of object addresses this thread has invocation frames on;
+    /// `frames.last()` is the object whose operation is executing.
+    frames: Vec<VAddr>,
+    /// Extra payload bytes the next outbound migration carries (arguments
+    /// passed by value with the invocation, e.g. an edge row of grid data).
+    carry_bytes: usize,
+}
+
+thread_local! {
+    static CONTEXT: RefCell<ThreadState> = const {
+        RefCell::new(ThreadState {
+            frames: Vec::new(),
+            carry_bytes: 0,
+        })
+    };
+}
+
+/// Starts the calling thread's invocation context afresh: the first thing an
+/// Amber thread's body does.
+pub(crate) fn register_thread() {
+    CONTEXT.with(|c| {
+        let mut c = c.borrow_mut();
+        c.frames.clear();
+        c.carry_bytes = 0;
+    });
+}
+
+/// The last thing a thread's body does: every frame it pushed is popped.
+pub(crate) fn unregister_thread() {
+    debug_assert_eq!(enclosing_frame(), None, "thread exits inside a frame");
+}
+
+/// The object whose operation the calling thread is executing, if any.
+pub(crate) fn enclosing_frame() -> Option<VAddr> {
+    CONTEXT.with(|c| c.borrow().frames.last().copied())
+}
+
+fn pop_frame(addr: VAddr) {
+    let popped = CONTEXT.with(|c| c.borrow_mut().frames.pop());
+    debug_assert_eq!(popped, Some(addr), "frame stack corrupted");
+}
+
+fn set_carry(bytes: usize) {
+    CONTEXT.with(|c| c.borrow_mut().carry_bytes = bytes);
+}
 
 /// Bound on forwarding-chase hops before the chase gives up with
 /// [`ProtocolError::ChaseDiverged`]. Chains are at most `moves + 1` links
@@ -58,17 +127,6 @@ pub(crate) enum ChaseStep {
 }
 
 impl Kernel {
-    /// Registers a new thread record. Engines own scheduling state; this is
-    /// the runtime's frame bookkeeping.
-    pub(crate) fn register_thread(&self, tid: ThreadId) {
-        self.threads.register(tid);
-    }
-
-    /// Drops a finished thread's record.
-    pub(crate) fn unregister_thread(&self, tid: ThreadId) {
-        self.threads.unregister(tid);
-    }
-
     /// Parks the current thread forever on `err`'s name. This is how
     /// infallible protocol paths surface a [`ProtocolError`]: like the other
     /// named waits, a simulated run then reports a deadlock naming the
@@ -82,73 +140,57 @@ impl Kernel {
         }
     }
 
-    /// Pushes the invocation frame and binds the thread to the object —
-    /// the section-3.5 "frame first" step — in one registry-shard visit.
-    /// Returns the object's immutability flag so callers need no second
-    /// visit to read it, or [`ProtocolError::ObjectDestroyed`] (with the
-    /// frame unwound) for references to destroyed objects.
+    /// The entry visit: pushes the invocation frame and binds it to the
+    /// object — the section-3.5 "frame first" step — and reads, under the
+    /// same shard lock, the object's immutability flag and whether it is
+    /// resident on `from`, the node the invocation starts on. Returns
+    /// `(immutable, resident)`, or [`ProtocolError::ObjectDestroyed`] (with
+    /// the frame unwound) for references to destroyed objects.
     ///
-    /// `from` is the node the invocation started on; with adaptive
-    /// placement enabled it lands in the object's per-caller-node counter —
-    /// a relaxed bump under the shard lock this path already holds.
-    fn bind_frame(&self, tid: ThreadId, addr: VAddr, from: NodeId) -> Result<bool, ProtocolError> {
-        let rec = self
-            .threads
-            .rec(tid)
-            .expect("frame push on unregistered thread");
-        rec.state.lock().frames.push(addr);
+    /// With adaptive placement enabled the invocation also lands in the
+    /// object's per-caller-node counter under the lock already held, and the
+    /// first one to land there since the placement tick last drained it
+    /// tells the daemon there is something to drain.
+    fn bind_frame(&self, addr: VAddr, from: NodeId) -> Result<(bool, bool), ProtocolError> {
+        CONTEXT.with(|c| c.borrow_mut().frames.push(addr));
         let mut shard = self.objects.lock(addr);
         let Some(e) = shard.get_mut(&addr) else {
             drop(shard);
-            rec.state.lock().frames.pop();
+            pop_frame(addr);
             return Err(ProtocolError::ObjectDestroyed(addr));
         };
-        *e.bound.entry(tid).or_insert(0) += 1;
-        if let Some(c) = e.calls.get(from.index()) {
-            c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        e.bound += 1;
+        // Every bump and the tick's drain hold this shard lock, so a plain
+        // load and store do the work of a locked add.
+        use std::sync::atomic::Ordering::Relaxed;
+        let earlier = e.calls.get(from.index()).map(|c| {
+            let n = c.load(Relaxed);
+            c.store(n + 1, Relaxed);
+            n
+        });
+        let (immutable, resident) = (e.immutable, !e.moving && e.location == from);
+        if amber_verify::ACTIVE && resident {
+            // The verdict replaces the chase's first step; hold it to what
+            // that step would have read (shard -> descriptor is in order).
+            let desc = self.nodes[from.index()].descriptors.read().lookup(addr);
+            assert_eq!(desc, Some(Residency::Resident), "{addr} on {from}");
         }
-        Ok(e.immutable)
+        drop(shard);
+        if earlier == Some(0) {
+            self.note_invocation_activity(from);
+        }
+        Ok((immutable, resident))
     }
 
     /// Unwinds a frame bound by [`bind_frame`](Kernel::bind_frame) when the
     /// residency protocol fails *before* the payload was acquired: the
     /// fallible invoke paths surface a typed error with the thread's frame
-    /// stack and the object's bound set exactly as they were.
-    fn unbind_frame(&self, tid: ThreadId, addr: VAddr) {
-        {
-            let mut shard = self.objects.lock(addr);
-            if let Some(e) = shard.get_mut(&addr) {
-                if let Some(depth) = e.bound.get_mut(&tid) {
-                    *depth -= 1;
-                    if *depth == 0 {
-                        e.bound.remove(&tid);
-                    }
-                }
-            }
+    /// stack and the object's bound count exactly as they were.
+    fn unbind_frame(&self, addr: VAddr) {
+        if let Some(e) = self.objects.lock(addr).get_mut(&addr) {
+            e.bound -= 1;
         }
-        let popped = self
-            .threads
-            .rec(tid)
-            .expect("frame pop on unregistered thread")
-            .state
-            .lock()
-            .frames
-            .pop();
-        debug_assert_eq!(popped, Some(addr), "frame stack corrupted");
-    }
-
-    /// Sets the by-value argument bytes the next outbound migration carries.
-    fn set_carry(&self, tid: ThreadId, bytes: usize) {
-        if let Some(rec) = self.threads.rec(tid) {
-            rec.state.lock().carry_bytes = bytes;
-        }
-    }
-
-    /// The object whose operation the current thread is executing, if any.
-    pub(crate) fn enclosing_frame(&self, tid: ThreadId) -> Option<VAddr> {
-        self.threads
-            .rec(tid)
-            .and_then(|r| r.state.lock().frames.last().copied())
+        pop_frame(addr);
     }
 
     /// Migrates the current thread one network hop, charging the full
@@ -157,11 +199,7 @@ impl Kernel {
     fn migrate_current(&self, from: NodeId, to: NodeId) {
         let me = must_current_thread();
         debug_assert_ne!(from, to);
-        let carry = self
-            .threads
-            .rec(me)
-            .map(|r| r.state.lock().carry_bytes)
-            .unwrap_or(0);
+        let carry = CONTEXT.with(|c| c.borrow().carry_bytes);
         self.engine.work(self.cost.remote_trap);
         self.engine.work(self.cost.thread_marshal);
         let engine = Arc::clone(&self.engine);
@@ -379,7 +417,7 @@ impl Kernel {
         let Some(me) = amber_engine::current_thread() else {
             return;
         };
-        let Some(addr) = self.enclosing_frame(me) else {
+        let Some(addr) = enclosing_frame() else {
             return;
         };
         let here = self.engine.node_of(me);
@@ -451,7 +489,7 @@ impl Kernel {
     /// missed-wakeup-proof choice: threads can be woken spuriously for
     /// other reasons and re-register, so precise hand-off bookkeeping would
     /// have to chase stale entries.
-    fn finish_invocation(&self, tid: ThreadId, addr: VAddr, access: Access) {
+    fn finish_invocation(&self, addr: VAddr, access: Access) {
         let to_wake: Vec<ThreadId> = {
             let mut shard = self.objects.lock(addr);
             match shard.get_mut(&addr) {
@@ -461,7 +499,7 @@ impl Kernel {
                 Some(e) => {
                     match access {
                         Access::Exclusive => {
-                            debug_assert_eq!(e.excl_owner, Some(tid));
+                            debug_assert_eq!(e.excl_owner, Some(must_current_thread()));
                             e.excl_owner = None;
                             // Refresh the wire size after mutation.
                             if let Some(data) = e.cell.data.try_read() {
@@ -473,12 +511,7 @@ impl Kernel {
                             e.shared_count -= 1;
                         }
                     }
-                    if let Some(depth) = e.bound.get_mut(&tid) {
-                        *depth -= 1;
-                        if *depth == 0 {
-                            e.bound.remove(&tid);
-                        }
-                    }
+                    e.bound -= 1;
                     if e.shared_count > 0 {
                         // Shared operations still draining; the last one
                         // admits waiters.
@@ -492,15 +525,80 @@ impl Kernel {
         for t in to_wake {
             self.engine.unblock_kernel(t);
         }
-        let popped = self
-            .threads
-            .rec(tid)
-            .expect("frame pop on unregistered thread")
-            .state
-            .lock()
-            .frames
-            .pop();
-        debug_assert_eq!(popped, Some(addr), "frame stack corrupted");
+        pop_frame(addr);
+    }
+
+    /// Everything an invocation does before its operation runs — entry,
+    /// residency (the chase, or an immutable object's replication, only when
+    /// the entry verdict says the object is not here), the `local_invoke`
+    /// charge, then admission — returning the payload to run `op` on.
+    /// `carry` bytes of by-value arguments ride the outbound migration.
+    ///
+    /// Errors can only arise *before* the payload is acquired: the frame is
+    /// fully unwound and the thread shipped back to its enclosing object.
+    fn enter_invocation(
+        &self,
+        addr: VAddr,
+        access: Access,
+        carry: usize,
+    ) -> Result<Arc<ObjectCell>, ProtocolError> {
+        let start_node = self.engine.node_of(must_current_thread());
+        // Frame first, then the residency check (section 3.5 ordering).
+        let (immutable, resident) = self.bind_frame(addr, start_node)?;
+        assert!(
+            access == Access::Shared || !immutable,
+            "exclusive invocation of immutable object {addr}"
+        );
+        let at = if resident {
+            Ok(start_node)
+        } else {
+            set_carry(carry);
+            // Immutable objects replicate to a shared caller instead of
+            // shipping the caller (section 2.3's read-only replication).
+            // With demand replication off, copies install only where the
+            // placement advisor puts them: a read away from a replica
+            // migrates the thread like any other remote invocation.
+            let at = if access == Access::Shared && immutable && self.demand_replication {
+                self.replicate_here(addr).map(|_| start_node)
+            } else {
+                self.ensure_at_object(addr, access == Access::Shared)
+            };
+            set_carry(0);
+            at
+        };
+        let admitted = at.and_then(|at| {
+            if at != start_node {
+                ProtocolStats::bump(&self.pstats.remote_invokes);
+                self.trace(|| amber_engine::ProtocolEvent::RemoteInvoke {
+                    obj: addr.0,
+                    from: start_node,
+                    to: at,
+                });
+            } else {
+                ProtocolStats::bump(&self.pstats.local_invokes);
+                self.trace(|| amber_engine::ProtocolEvent::LocalInvoke {
+                    obj: addr.0,
+                    node: at,
+                });
+            }
+            self.engine.work(self.cost.local_invoke);
+            // A destroy can land between resolution and admission.
+            self.acquire_payload(addr, access)
+        });
+        if admitted.is_err() {
+            self.unbind_frame(addr);
+            self.return_to_enclosing();
+        }
+        admitted
+    }
+
+    /// Everything after the operation: exit, the `local_return` charge, and
+    /// the return-time re-check that ships the thread back to its enclosing
+    /// object's node.
+    fn leave_invocation(&self, addr: VAddr, access: Access) {
+        self.finish_invocation(addr, access);
+        self.engine.work(self.cost.local_return);
+        self.return_to_enclosing();
     }
 
     /// Exclusive invocation: `op` receives `&mut T`.
@@ -545,59 +643,8 @@ impl Kernel {
         carry: usize,
         op: impl FnOnce(&crate::cluster::Ctx, &mut T) -> R,
     ) -> Result<R, ProtocolError> {
-        let me = must_current_thread();
         let addr = obj.addr();
-        let start_node = self.engine.node_of(me);
-        // Frame first, then the residency check (section 3.5 ordering).
-        let immutable = self.bind_frame(me, addr, start_node)?;
-        assert!(
-            !immutable,
-            "exclusive invocation of immutable object {addr}"
-        );
-        self.note_invocation_activity(start_node);
-        if carry > 0 {
-            self.set_carry(me, carry);
-        }
-        let at = match self.ensure_at_object(addr, false) {
-            Ok(at) => at,
-            Err(e) => {
-                if carry > 0 {
-                    self.set_carry(me, 0);
-                }
-                self.unbind_frame(me, addr);
-                self.return_to_enclosing();
-                return Err(e);
-            }
-        };
-        if carry > 0 {
-            self.set_carry(me, 0);
-        }
-        if at != start_node {
-            ProtocolStats::bump(&self.pstats.remote_invokes);
-            self.trace(|| amber_engine::ProtocolEvent::RemoteInvoke {
-                obj: addr.0,
-                from: start_node,
-                to: at,
-            });
-        } else {
-            ProtocolStats::bump(&self.pstats.local_invokes);
-            self.trace(|| amber_engine::ProtocolEvent::LocalInvoke {
-                obj: addr.0,
-                node: at,
-            });
-        }
-        self.engine.work(self.cost.local_invoke);
-        let cell = match self.acquire_payload(addr, Access::Exclusive) {
-            Ok(cell) => cell,
-            Err(e) => {
-                // Destroyed between chase resolution and admission: unwind
-                // the frame like the `ensure_at_object` error arm (carry is
-                // already reset) so an `Err` still means `op` never ran.
-                self.unbind_frame(me, addr);
-                self.return_to_enclosing();
-                return Err(e);
-            }
-        };
+        let cell = self.enter_invocation(addr, Access::Exclusive, carry)?;
         let result = {
             let mut data = cell.data.write();
             let t: &mut T = data
@@ -605,9 +652,7 @@ impl Kernel {
                 .expect("object payload type confusion");
             op(ctx, t)
         };
-        self.finish_invocation(me, addr, Access::Exclusive);
-        self.engine.work(self.cost.local_return);
-        self.return_to_enclosing();
+        self.leave_invocation(addr, Access::Exclusive);
         Ok(result)
     }
 
@@ -647,62 +692,8 @@ impl Kernel {
         carry: usize,
         op: impl FnOnce(&crate::cluster::Ctx, &T) -> R,
     ) -> Result<R, ProtocolError> {
-        let me = must_current_thread();
         let addr = obj.addr();
-        let start_node = self.engine.node_of(me);
-        // Frame push and the immutability read share one shard visit.
-        let immutable = self.bind_frame(me, addr, start_node)?;
-        self.note_invocation_activity(start_node);
-        if carry > 0 {
-            self.set_carry(me, carry);
-        }
-        // Immutable objects replicate to the caller instead of shipping the
-        // caller (section 2.3's read-only replication). With demand
-        // replication off, copies install only where the placement advisor
-        // puts them: a read away from a replica migrates the thread like any
-        // other remote invocation.
-        let resolved = if immutable && self.demand_replication {
-            self.replicate_here(addr).map(|_| start_node)
-        } else {
-            self.ensure_at_object(addr, true)
-        };
-        let at = match resolved {
-            Ok(at) => at,
-            Err(e) => {
-                if carry > 0 {
-                    self.set_carry(me, 0);
-                }
-                self.unbind_frame(me, addr);
-                self.return_to_enclosing();
-                return Err(e);
-            }
-        };
-        if carry > 0 {
-            self.set_carry(me, 0);
-        }
-        if at != start_node {
-            ProtocolStats::bump(&self.pstats.remote_invokes);
-            self.trace(|| amber_engine::ProtocolEvent::RemoteInvoke {
-                obj: addr.0,
-                from: start_node,
-                to: at,
-            });
-        } else {
-            ProtocolStats::bump(&self.pstats.local_invokes);
-            self.trace(|| amber_engine::ProtocolEvent::LocalInvoke {
-                obj: addr.0,
-                node: at,
-            });
-        }
-        self.engine.work(self.cost.local_invoke);
-        let cell = match self.acquire_payload(addr, Access::Shared) {
-            Ok(cell) => cell,
-            Err(e) => {
-                self.unbind_frame(me, addr);
-                self.return_to_enclosing();
-                return Err(e);
-            }
-        };
+        let cell = self.enter_invocation(addr, Access::Shared, carry)?;
         let result = {
             let data = cell.data.read();
             let t: &T = data
@@ -710,18 +701,15 @@ impl Kernel {
                 .expect("object payload type confusion");
             op(ctx, t)
         };
-        self.finish_invocation(me, addr, Access::Shared);
-        self.engine.work(self.cost.local_return);
-        self.return_to_enclosing();
+        self.leave_invocation(addr, Access::Shared);
         Ok(result)
     }
 
     /// Return-time residency check: after popping a frame, if the enclosing
     /// frame's object is not local, ship the thread back to it.
     fn return_to_enclosing(&self) {
-        let me = must_current_thread();
-        if let Some(enclosing) = self.enclosing_frame(me) {
-            let here = self.engine.node_of(me);
+        if let Some(enclosing) = enclosing_frame() {
+            let here = self.engine.node_of(must_current_thread());
             let local = self.nodes[here.index()]
                 .descriptors
                 .read()

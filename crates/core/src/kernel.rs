@@ -37,7 +37,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::adaptive::{PlacementPolicy, PlacementRuntime};
 use crate::errors::ProtocolError;
 use crate::objref::{AmberObject, ObjRef};
-use crate::registry::{ObjectRegistry, ThreadRegistry};
+use crate::registry::ObjectRegistry;
 use crate::stats::ProtocolStats;
 
 /// Access mode requested on an object payload.
@@ -80,9 +80,11 @@ pub(crate) struct ObjectEntry {
     pub(crate) attached: Vec<VAddr>,
     /// The object this one is attached to, if any.
     pub(crate) attached_to: Option<VAddr>,
-    /// Threads currently executing operations on this object, with nesting
-    /// depth. These are the *bound threads* of section 3.4/3.5.
-    pub(crate) bound: HashMap<ThreadId, u32>,
+    /// Invocation frames currently bound to this object, over all threads
+    /// and nesting depths (the *bound threads* of section 3.4/3.5, counted):
+    /// incremented by an invoke's entry visit, decremented by its exit or
+    /// unwind. A non-zero count makes `destroy` decline.
+    pub(crate) bound: u32,
     /// Exclusive operation in progress (owner thread).
     pub(crate) excl_owner: Option<ThreadId>,
     /// Number of shared operations in progress.
@@ -95,9 +97,10 @@ pub(crate) struct ObjectEntry {
     pub(crate) move_waiters: Vec<ThreadId>,
     /// Per-caller-node invocation counters for the adaptive placement
     /// engine: slot `n` counts invocations started on node `n` since the
-    /// last placement tick drained them. Relaxed atomics bumped under the
+    /// last placement tick drained them. Bumped and drained only under the
     /// shard lock the invoke path already holds, so the fast path takes no
-    /// extra lock; empty when adaptive placement is disabled.
+    /// extra lock (atomics for the drain's `&self`, not for sharing); empty
+    /// when adaptive placement is disabled.
     pub(crate) calls: Box<[AtomicU64]>,
     /// Replica LRU tick-stamps for cold-replica eviction: slot `n` counts
     /// consecutive placement ticks in which node `n` held a replica of this
@@ -129,7 +132,7 @@ impl ObjectEntry {
             immutable: false,
             attached: Vec::new(),
             attached_to: None,
-            bound: HashMap::new(),
+            bound: 0,
             excl_owner: None,
             shared_count: 0,
             op_waiters: VecDeque::new(),
@@ -165,7 +168,6 @@ pub struct Kernel {
     pub(crate) objects: ObjectRegistry,
     pub(crate) nodes: Vec<NodeKernel>,
     pub(crate) server: Mutex<AddressSpaceServer>,
-    pub(crate) threads: ThreadRegistry,
     /// Serializes changes to the attachment *topology* (attach/unattach)
     /// and the computation+claim of a move's attachment group, so a group
     /// cannot change shape while its `moving` flags are being claimed.
@@ -221,7 +223,6 @@ impl Kernel {
             objects: ObjectRegistry::new(),
             nodes,
             server: Mutex::new(server),
-            threads: ThreadRegistry::new(),
             topology: OrderedMutex::new(LockLevel::Topology, ()),
             pstats: ProtocolStats::default(),
             placement: policy.map(|p| PlacementRuntime::new(p, n)),
@@ -420,7 +421,7 @@ impl Kernel {
             };
             let busy = e.excl_owner.is_some()
                 || e.shared_count != 0
-                || !e.bound.is_empty()
+                || e.bound != 0
                 || e.moving
                 || !e.attached.is_empty()
                 || e.attached_to.is_some();

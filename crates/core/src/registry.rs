@@ -1,38 +1,25 @@
-//! Sharded kernel state: the concurrent object registry and the thread
-//! registry.
+//! Sharded kernel state: the concurrent object registry.
 //!
-//! The kernel used to funnel every invoke, locate, move and thread
-//! start/exit through one cluster-wide `Mutex<HashMap<VAddr, ObjectEntry>>`
-//! and one global `Mutex<HashMap<ThreadId, ThreadRec>>`. Under `RealEngine`
-//! that serialized the whole "network of multiprocessors" on two
-//! process-wide locks; under `SimEngine` it added constant overhead to
-//! every charged operation. This module replaces both:
+//! [`ObjectRegistry`] is a fixed power-of-two array of
+//! [`CachePadded`]`<Mutex<AddrMap<..>>>` shards, shard chosen from the
+//! object's address bits, so operations on different objects never share a
+//! lock. Single-object paths (the invoke fast path) lock exactly one shard.
+//! The rare multi-object paths (attachment-group moves, `Attach`/`Unattach`)
+//! lock all of the group's shards through [`ObjectRegistry::lock_group`],
+//! which acquires them in **ascending shard-index order** — the lock order
+//! that makes concurrent group operations deadlock-free.
 //!
-//! * [`ObjectRegistry`] — a fixed power-of-two array of
-//!   [`CachePadded`]`<Mutex<HashMap<..>>>` shards, shard chosen from the
-//!   object's address bits. Single-object paths (the invoke fast path)
-//!   lock exactly one shard. The rare multi-object paths (attachment-group
-//!   moves, `Attach`/`Unattach`) lock all of the group's shards through
-//!   [`ObjectRegistry::lock_group`], which acquires them in **ascending
-//!   shard-index order** — the lock order that makes concurrent group
-//!   operations deadlock-free.
-//! * [`ThreadRegistry`] — the same sharding for per-thread records, plus a
-//!   per-OS-thread cached `Arc<ThreadRec>` handle: each engine thread
-//!   resolves its own record through a thread-local after registration, so
-//!   the invoke/return frame bookkeeping never touches a map at all.
+//! A shard is authoritative for its entries' `location` and `moving`, which
+//! is what lets an invoke's entry visit decide residency under the lock it
+//! already holds (see [`crate::invoke`]). Per-thread state (the frame
+//! stack) is not here at all: it is owned by the thread.
 //!
 //! None of this changes protocol behaviour: which events fire, which costs
 //! are charged and which messages travel are untouched. Only real-lock
 //! contention changes. See DESIGN.md, "Locking discipline".
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use amber_engine::ThreadId;
 use amber_verify::{LockLevel, OrderedMutex, OrderedMutexGuard};
-use amber_vspace::VAddr;
-use parking_lot::Mutex;
+use amber_vspace::{AddrMap, VAddr};
 
 use crate::kernel::ObjectEntry;
 
@@ -41,11 +28,6 @@ use crate::kernel::ObjectEntry;
 /// for clusters with thousands of live objects while staying cheap to
 /// allocate per cluster.
 pub(crate) const OBJ_SHARDS: usize = 64;
-
-/// Number of thread-registry shards. Threads are registered/unregistered
-/// far less often than objects are touched, and lookups are almost always
-/// absorbed by the thread-local cache, so fewer shards suffice.
-pub(crate) const THREAD_SHARDS: usize = 16;
 
 /// Pads and aligns its contents to 128 bytes so neighbouring shards never
 /// share a cache line (two lines: covers adjacent-line prefetching on
@@ -74,7 +56,10 @@ pub(crate) fn shard_of(addr: VAddr) -> usize {
 /// `LockLevel::RegistryShard(index)`, so a misordered multi-shard
 /// acquisition (or a shard taken while a descriptor table is held) is
 /// reported rather than silently risking deadlock.
-type ObjectShard = OrderedMutex<HashMap<VAddr, ObjectEntry>>;
+type ObjectShard = OrderedMutex<ObjectMap>;
+
+/// One shard's entries, keyed by object address.
+pub(crate) type ObjectMap = AddrMap<ObjectEntry>;
 
 /// The cluster-wide object registry, sharded by address.
 pub(crate) struct ObjectRegistry {
@@ -88,7 +73,7 @@ impl ObjectRegistry {
                 .map(|i| {
                     CachePadded(OrderedMutex::new(
                         LockLevel::RegistryShard(i),
-                        HashMap::new(),
+                        ObjectMap::default(),
                     ))
                 })
                 .collect(),
@@ -97,7 +82,7 @@ impl ObjectRegistry {
 
     /// Locks the single shard holding `addr`. The fast-path acquisition:
     /// one uncontended-unless-colliding mutex, never the whole registry.
-    pub(crate) fn lock(&self, addr: VAddr) -> OrderedMutexGuard<'_, HashMap<VAddr, ObjectEntry>> {
+    pub(crate) fn lock(&self, addr: VAddr) -> OrderedMutexGuard<'_, ObjectMap> {
         self.shards[shard_of(addr)].0.lock()
     }
 
@@ -132,7 +117,7 @@ impl ObjectRegistry {
 /// of an address set, held at once, acquired in ascending index order.
 pub(crate) struct GroupGuard<'a> {
     /// `(shard index, guard)`, sorted ascending by index.
-    guards: Vec<(usize, OrderedMutexGuard<'a, HashMap<VAddr, ObjectEntry>>)>,
+    guards: Vec<(usize, OrderedMutexGuard<'a, ObjectMap>)>,
 }
 
 impl GroupGuard<'_> {
@@ -151,95 +136,6 @@ impl GroupGuard<'_> {
     pub(crate) fn get_mut(&mut self, addr: VAddr) -> Option<&mut ObjectEntry> {
         let i = self.guard_of(addr)?;
         self.guards[i].1.get_mut(&addr)
-    }
-}
-
-/// Mutable state of one thread's runtime record. Only the owning thread
-/// writes it, so the lock is uncontended; it exists to make the record
-/// shareable (`Arc<ThreadRec>`) without `unsafe`.
-pub(crate) struct ThreadState {
-    /// Stack of object addresses this thread has invocation frames on;
-    /// `frames.last()` is the object whose operation is executing.
-    pub(crate) frames: Vec<VAddr>,
-    /// Extra payload bytes the next outbound migration carries (arguments
-    /// passed by value with the invocation, e.g. an edge row of grid data).
-    pub(crate) carry_bytes: usize,
-}
-
-/// Per-thread runtime record, shared between the registry map and the
-/// owning thread's local cache.
-pub(crate) struct ThreadRec {
-    pub(crate) state: Mutex<ThreadState>,
-}
-
-thread_local! {
-    /// The calling OS thread's own record. Engines run each Amber thread on
-    /// a dedicated OS thread, so after [`ThreadRegistry::register`] every
-    /// frame push/pop resolves here — no map, no shared lock. The stored
-    /// [`ThreadId`] is validated on every hit, so a stale entry (an OS
-    /// thread reused for a different Amber thread) falls back to the map.
-    static CACHED_REC: RefCell<Option<(ThreadId, Arc<ThreadRec>)>> = const { RefCell::new(None) };
-}
-
-/// One thread-registry shard's map.
-type ThreadMap = HashMap<ThreadId, Arc<ThreadRec>>;
-
-/// The cluster-wide thread registry, sharded by thread id.
-pub(crate) struct ThreadRegistry {
-    shards: Box<[CachePadded<Mutex<ThreadMap>>]>,
-}
-
-impl ThreadRegistry {
-    pub(crate) fn new() -> ThreadRegistry {
-        ThreadRegistry {
-            shards: (0..THREAD_SHARDS)
-                .map(|_| CachePadded(Mutex::new(HashMap::new())))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, tid: ThreadId) -> &Mutex<ThreadMap> {
-        &self.shards[(tid.0 as usize) & (THREAD_SHARDS - 1)].0
-    }
-
-    /// Registers the *calling* thread's record and caches the handle in the
-    /// thread-local, so subsequent lookups never touch the map.
-    pub(crate) fn register(&self, tid: ThreadId) {
-        let rec = Arc::new(ThreadRec {
-            state: Mutex::new(ThreadState {
-                frames: Vec::new(),
-                carry_bytes: 0,
-            }),
-        });
-        self.shard(tid).lock().insert(tid, Arc::clone(&rec));
-        CACHED_REC.with(|c| *c.borrow_mut() = Some((tid, rec)));
-    }
-
-    /// Drops a finished thread's record (and the local cache if it is the
-    /// calling thread's own).
-    pub(crate) fn unregister(&self, tid: ThreadId) {
-        self.shard(tid).lock().remove(&tid);
-        CACHED_REC.with(|c| {
-            let mut c = c.borrow_mut();
-            if c.as_ref().is_some_and(|(t, _)| *t == tid) {
-                *c = None;
-            }
-        });
-    }
-
-    /// The record for `tid`: the thread-local cache when the caller *is*
-    /// `tid` (the overwhelmingly common case — invoke/return bookkeeping is
-    /// always self-directed), the sharded map otherwise.
-    pub(crate) fn rec(&self, tid: ThreadId) -> Option<Arc<ThreadRec>> {
-        let cached = CACHED_REC.with(|c| {
-            c.borrow()
-                .as_ref()
-                .and_then(|(t, r)| (*t == tid).then(|| Arc::clone(r)))
-        });
-        match cached {
-            Some(r) => Some(r),
-            None => self.shard(tid).lock().get(&tid).cloned(),
-        }
     }
 }
 
@@ -278,19 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_registry_cache_hits_own_record() {
-        let reg = ThreadRegistry::new();
-        reg.register(ThreadId(7));
-        let r = reg.rec(ThreadId(7)).expect("registered");
-        r.state.lock().carry_bytes = 99;
-        // Cache and map resolve to the same record.
-        let again = reg.rec(ThreadId(7)).expect("still registered");
-        assert_eq!(again.state.lock().carry_bytes, 99);
-        reg.unregister(ThreadId(7));
-        assert!(reg.rec(ThreadId(7)).is_none());
-    }
-
-    #[test]
     fn group_guard_resolves_across_shards() {
         use std::collections::VecDeque;
         let reg = ObjectRegistry::new();
@@ -299,7 +182,7 @@ mod tests {
             reg.lock(a).insert(
                 a,
                 ObjectEntry {
-                    cell: Arc::new(crate::kernel::ObjectCell {
+                    cell: std::sync::Arc::new(crate::kernel::ObjectCell {
                         data: parking_lot::RwLock::new(Box::new(0u64)),
                     }),
                     location: amber_engine::NodeId(0),
@@ -309,7 +192,7 @@ mod tests {
                     immutable: false,
                     attached: Vec::new(),
                     attached_to: None,
-                    bound: HashMap::new(),
+                    bound: 0,
                     excl_owner: None,
                     shared_count: 0,
                     op_waiters: VecDeque::new(),

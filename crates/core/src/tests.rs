@@ -444,6 +444,186 @@ fn exclusive_invocations_serialize_per_object() {
     );
 }
 
+/// Finish times of `k` threads on a 1-node, `k`-processor simulator that
+/// each arrive `stagger` apart and invoke one object whose operation
+/// charges `work`; returns `(arrival, op start, finish)` per thread, in
+/// thread order, relative to the first arrival.
+fn contended_invoke_times(k: u64, stagger: SimTime, work: SimTime) -> Vec<[SimTime; 3]> {
+    let c = sim(1, k as usize);
+    c.run(move |ctx| {
+        let hot = ctx.create(0u64);
+        let anchors: Vec<_> = (0..k).map(|_| ctx.create(0u8)).collect();
+        // Far enough out that every worker is started and asleep first.
+        let t0 = ctx.now() + SimTime::from_ms(100);
+        let hs: Vec<_> = anchors
+            .iter()
+            .zip(0..k)
+            .map(|(a, i)| {
+                ctx.start(a, move |ctx, _| {
+                    let due = t0 + SimTime::from_ns(stagger.as_ns() * i);
+                    ctx.sleep(due - ctx.now());
+                    let arrival = ctx.now();
+                    let start = ctx.invoke(&hot, |ctx, n| {
+                        let start = ctx.now();
+                        ctx.work(work);
+                        *n += 1;
+                        start
+                    });
+                    [arrival - t0, start - t0, ctx.now() - t0]
+                })
+            })
+            .collect();
+        let times = hs.into_iter().map(|h| h.join(ctx)).collect();
+        assert_eq!(ctx.invoke(&hot, |_, n| *n), k);
+        times
+    })
+    .unwrap()
+}
+
+#[test]
+fn contended_invokes_finish_on_the_closed_form() {
+    // Pins *where* admission sits relative to the `local_invoke` charge.
+    // Every invoker pays the entry charge on arrival, in parallel (one
+    // processor each), and only then queues for the payload; so the first
+    // starts its op at arrival + local_invoke and each hand-off costs
+    // exactly the op's own work: op j starts at local_invoke + j * work.
+    // Admitting before the charge would instead put the 8 us on the
+    // serialised path of every hand-off (start_j = j * (work + 8 us)) and
+    // drift ablate_lock, the SOR edge installs and the barrier probe.
+    let cost = CostModel::firefly();
+    let (k, work) = (4u64, SimTime::from_ms(1));
+    for stagger in [SimTime::ZERO, SimTime::from_us(100)] {
+        let mut times = contended_invoke_times(k, stagger, work);
+        if stagger.is_zero() {
+            // Simultaneous arrivals are admitted in the simulator's
+            // (deterministic) run order, not thread order.
+            times.sort_by_key(|t| t[1]);
+        }
+        for (j, [arrival, start, finish]) in (0..k).zip(times) {
+            if !stagger.is_zero() {
+                assert_eq!(arrival, SimTime::from_ns(stagger.as_ns() * j));
+            }
+            let want_start = cost.local_invoke + SimTime::from_ns(work.as_ns() * j);
+            assert_eq!(start, want_start, "op {j} start, stagger {stagger}");
+            assert_eq!(
+                finish,
+                want_start + work + cost.local_return,
+                "op {j} finish, stagger {stagger}"
+            );
+        }
+    }
+}
+
+#[test]
+fn entry_verdict_racing_a_move_claim_runs_each_op_once() {
+    // An invoke decides residency in its entry visit, pays the 8 us
+    // `local_invoke` charge, and only then asks for admission. Land a
+    // `move_to` claim at every microsecond across that window (and either
+    // side of it). Whatever the offset, each invoke either ran on the source
+    // (its verdict preceded the claim; the thread is bound and chases the
+    // object lazily) or parked on `await-move-install` and ran at the
+    // destination. The checkers (lifecycle linter, and the entry visit's own
+    // descriptor-equivalence assertion) judge every interleaving.
+    const OPS: u64 = 3;
+    let due = SimTime::from_ms(50);
+    let (mut saw_local, mut saw_parked, mut claimed_under_charge) = (false, false, false);
+    for claim_us in (due.as_us() - 20)..=(due.as_us() + 20) {
+        let c = sim(2, 2);
+        let sink = c.enable_tracing();
+        let (addr, first_op_node, count) = c
+            .run(move |ctx| {
+                let t0 = ctx.now();
+                let obj = ctx.create(0u64);
+                let anchor = ctx.create(0u8);
+                let invoker = ctx.start(&anchor, move |ctx, _| {
+                    ctx.sleep(t0 + due - ctx.now());
+                    let mut first = None;
+                    for _ in 0..OPS {
+                        let at = ctx.invoke(&obj, |ctx, n| {
+                            *n += 1;
+                            ctx.node()
+                        });
+                        first.get_or_insert(at);
+                    }
+                    first.expect("OPS > 0")
+                });
+                ctx.sleep(t0 + SimTime::from_us(claim_us) - ctx.now());
+                ctx.move_to(&obj, NodeId(1));
+                let first = invoker.join(ctx);
+                (ctx.addr_of(&obj), first, ctx.invoke(&obj, |_, n| *n))
+            })
+            .unwrap();
+        assert_eq!(
+            count, OPS,
+            "claim at {claim_us}us: an op was lost or ran twice"
+        );
+        let (mut local, mut remote, mut hops) = (0u64, 0u64, 0u64);
+        for r in sink.take() {
+            match r.event {
+                amber_engine::ProtocolEvent::LocalInvoke { obj, .. } if obj == addr.0 => local += 1,
+                amber_engine::ProtocolEvent::RemoteInvoke { obj, to, .. } if obj == addr.0 => {
+                    assert_eq!(to, NodeId(1), "claim at {claim_us}us");
+                    remote += 1;
+                }
+                amber_engine::ProtocolEvent::ForwardHop { obj, .. } if obj == addr.0 => hops += 1,
+                _ => {}
+            }
+        }
+        // The invoker's ops plus main's final read.
+        assert_eq!(local + remote, OPS + 1, "claim at {claim_us}us");
+        // One move: no chase may follow more than moves + 1 links.
+        assert!(
+            hops <= 2 * (remote + 1),
+            "claim at {claim_us}us: {hops} hops"
+        );
+        if first_op_node == NodeId(0) {
+            saw_local = true;
+            // Claimed after the entry visit but before admission.
+            claimed_under_charge |= claim_us > due.as_us() && claim_us <= due.as_us() + 8;
+        } else {
+            saw_parked = true;
+            assert!(
+                claim_us <= due.as_us(),
+                "verdict ignored a claim-free entry"
+            );
+        }
+    }
+    assert!(saw_local && saw_parked && claimed_under_charge);
+}
+
+#[test]
+fn destroy_waits_for_every_bound_reader() {
+    // `bound` counts frames, not threads: with two readers inside the same
+    // object, the first to return must not make it look idle.
+    let c = sim(1, 4);
+    c.run(|ctx| {
+        let obj = ctx.create(7u64);
+        let addr = ctx.addr_of(&obj);
+        let readers: Vec<_> = [5u64, 10]
+            .into_iter()
+            .map(|ms| {
+                let seat = ctx.create(0u8);
+                ctx.start(&seat, move |ctx, _| {
+                    ctx.invoke_shared(&obj, |ctx, n| {
+                        ctx.sleep(SimTime::from_ms(ms));
+                        *n
+                    })
+                })
+            })
+            .collect();
+        let busy = Err(crate::ProtocolError::ObjectBusy(addr));
+        ctx.sleep(SimTime::from_ms(3));
+        assert_eq!(ctx.try_destroy(obj), busy, "two readers inside");
+        ctx.sleep(SimTime::from_ms(4));
+        assert_eq!(ctx.try_destroy(obj), busy, "one reader still inside");
+        for r in readers {
+            assert_eq!(r.join(ctx), 7);
+        }
+        assert_eq!(ctx.try_destroy(obj), Ok(()));
+    })
+    .unwrap();
+}
+
 #[test]
 fn bound_thread_chases_moved_object() {
     let c = sim(2, 2);

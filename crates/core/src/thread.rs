@@ -160,8 +160,7 @@ impl Kernel {
             here,
             format!("amber-{}", thread_obj.addr()),
             Box::new(move || {
-                let tid = must_current_thread();
-                kernel.register_thread(tid);
+                crate::invoke::register_thread();
                 let ctx = Ctx::new(std::sync::Arc::clone(&kernel));
                 let result = kernel.invoke_exclusive(&ctx, &target, op);
                 // Publish the result through the thread object and wake
@@ -176,7 +175,7 @@ impl Kernel {
                 for w in waiters {
                     kernel.unpark(w);
                 }
-                kernel.unregister_thread(tid);
+                crate::invoke::unregister_thread();
             }),
         );
         self.trace(|| amber_engine::ProtocolEvent::ThreadStart {

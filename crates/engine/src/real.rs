@@ -21,10 +21,11 @@
 //! * there is no deadlock detector; use
 //!   [`with_deadline`](RealEngine::with_deadline) in tests.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU16, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,7 +72,11 @@ impl RealNode {
 }
 
 struct RealTcb {
-    node: Mutex<NodeId>,
+    /// The node the thread is assigned to. Written by a migration handler
+    /// on the net thread (`Release`), read by the thread itself (`Acquire`).
+    /// The wake-up that follows a migration's store orders it already; the
+    /// pairing covers `acquire_current`'s re-read, which no wake-up guards.
+    node: AtomicU16,
     /// User-class wake gate (`block_current`/`unblock`).
     gate: Arc<Gate>,
     /// Kernel-class wake gate (`block_kernel`/`unblock_kernel`).
@@ -85,13 +90,17 @@ struct RealTcb {
 }
 
 impl RealTcb {
+    fn node(&self) -> NodeId {
+        NodeId(self.node.load(Ordering::Acquire))
+    }
+
     /// Acquires a processor token on the thread's current node, revalidating
     /// against concurrent migration (acquire-check-retry).
     fn acquire_current(&self, nodes: &[RealNode]) {
         loop {
-            let n = self.node.lock().index();
+            let n = self.node().index();
             nodes[n].acquire();
-            if self.node.lock().index() == n {
+            if self.node().index() == n {
                 *self.held.lock() = Some(n);
                 return;
             }
@@ -106,6 +115,17 @@ impl RealTcb {
             nodes[n].release();
         }
     }
+}
+
+thread_local! {
+    /// The tcb of the Amber thread this OS thread is running, with the
+    /// engine and id it belongs to, set for the duration of the thread
+    /// body. A thread asking about *itself* (`node_of`, every block point)
+    /// resolves here instead of through the engine-wide `threads` map. The
+    /// engine pointer is only ever compared: thread ids repeat across
+    /// engines, and tests run clusters side by side in one process.
+    static OWN_TCB: RefCell<Option<(*const RealInner, ThreadId, Arc<RealTcb>)>> =
+        const { RefCell::new(None) };
 }
 
 struct NetItem {
@@ -271,14 +291,35 @@ impl RealEngine {
         self
     }
 
-    fn tcb(&self, tid: ThreadId) -> Arc<RealTcb> {
-        Arc::clone(
-            self.inner
-                .threads
-                .lock()
-                .get(&tid)
-                .expect("unknown thread id"),
-        )
+    /// Runs `f` on `tid`'s tcb: the calling thread's own from its
+    /// thread-local, anyone else's (a waker, the net thread's `set_node`)
+    /// from the shared map.
+    fn with_tcb<R>(&self, tid: ThreadId, f: impl FnOnce(&RealTcb) -> R) -> R {
+        OWN_TCB.with(|own| match &*own.borrow() {
+            Some((engine, t, tcb)) if *t == tid && std::ptr::eq(*engine, &*self.inner) => f(tcb),
+            _ => {
+                let tcb = Arc::clone(
+                    self.inner
+                        .threads
+                        .lock()
+                        .get(&tid)
+                        .expect("unknown thread id"),
+                );
+                f(&tcb)
+            }
+        })
+    }
+
+    /// The shared shape of every block point: give the processor token
+    /// back, wait, and resume on the node the thread is assigned to *now*
+    /// (it may have been migrated while blocked; revalidated against races).
+    fn blocked(&self, wait: impl FnOnce(&RealTcb)) -> usize {
+        self.with_tcb(must_current_thread(), |tcb| {
+            tcb.release_held(&self.inner.nodes);
+            wait(tcb);
+            tcb.acquire_current(&self.inner.nodes);
+            tcb.node().index()
+        })
     }
 
     /// The classic send path: record, trace, then deliver (through the
@@ -421,7 +462,7 @@ impl Engine for RealEngine {
         };
         let gate = Gate::new();
         let tcb = Arc::new(RealTcb {
-            node: Mutex::new(node),
+            node: AtomicU16::new(node.0),
             gate: Arc::clone(&gate),
             kernel_gate: Gate::new(),
             priority: AtomicI32::new(0),
@@ -434,10 +475,14 @@ impl Engine for RealEngine {
             .name(name)
             .spawn(move || {
                 let _guard = CurrentGuard::enter(tid);
+                OWN_TCB.with(|own| {
+                    *own.borrow_mut() = Some((Arc::as_ptr(&inner), tid, Arc::clone(&tcb)));
+                });
                 tcb.acquire_current(&inner.nodes);
-                inner.stats.record_dispatch(tcb.node.lock().index());
+                inner.stats.record_dispatch(tcb.node().index());
                 let result = catch_unwind(AssertUnwindSafe(body));
                 tcb.release_held(&inner.nodes);
+                OWN_TCB.with(|own| *own.borrow_mut() = None);
                 let mut live = inner.live.lock();
                 if let Err(payload) = result {
                     if live.error.is_none() {
@@ -462,45 +507,37 @@ impl Engine for RealEngine {
 
     fn block_current(&self, reason: &'static str) {
         amber_verify::engine_block_checkpoint(reason);
-        let tid = must_current_thread();
-        let tcb = self.tcb(tid);
-        tcb.release_held(&self.inner.nodes);
-        tcb.gate.wait();
-        // The thread may have been migrated while blocked; resume on the
-        // node it is assigned to *now* (revalidated against races).
-        tcb.acquire_current(&self.inner.nodes);
-        self.inner.stats.record_dispatch(tcb.node.lock().index());
+        let node = self.blocked(|tcb| tcb.gate.wait());
+        self.inner.stats.record_dispatch(node);
     }
 
     fn unblock(&self, thread: ThreadId) {
-        self.tcb(thread).gate.post();
+        self.with_tcb(thread, |tcb| tcb.gate.post());
     }
 
     fn block_kernel(&self, reason: &'static str) {
         amber_verify::engine_block_checkpoint(reason);
-        let tid = must_current_thread();
-        let tcb = self.tcb(tid);
-        tcb.release_held(&self.inner.nodes);
-        tcb.kernel_gate.wait();
-        tcb.acquire_current(&self.inner.nodes);
-        self.inner.stats.record_dispatch(tcb.node.lock().index());
+        let node = self.blocked(|tcb| tcb.kernel_gate.wait());
+        self.inner.stats.record_dispatch(node);
     }
 
     fn unblock_kernel(&self, thread: ThreadId) {
-        self.tcb(thread).kernel_gate.post();
+        self.with_tcb(thread, |tcb| tcb.kernel_gate.post());
     }
 
     fn set_node(&self, thread: ThreadId, node: NodeId) {
         assert!(node.index() < self.inner.nodes.len(), "no such {node}");
-        *self.tcb(thread).node.lock() = node;
+        self.with_tcb(thread, |tcb| tcb.node.store(node.0, Ordering::Release));
     }
 
     fn node_of(&self, thread: ThreadId) -> NodeId {
-        *self.tcb(thread).node.lock()
+        self.with_tcb(thread, RealTcb::node)
     }
 
     fn set_priority(&self, thread: ThreadId, priority: i32) {
-        self.tcb(thread).priority.store(priority, Ordering::Relaxed);
+        self.with_tcb(thread, |tcb| {
+            tcb.priority.store(priority, Ordering::Relaxed)
+        });
     }
 
     fn set_scheduler(&self, _node: NodeId, _scheduler: Box<dyn Scheduler>) {
@@ -543,20 +580,12 @@ impl Engine for RealEngine {
 
     fn yield_now(&self) {
         amber_verify::engine_block_checkpoint("yield");
-        let tid = must_current_thread();
-        let tcb = self.tcb(tid);
-        tcb.release_held(&self.inner.nodes);
-        std::thread::yield_now();
-        tcb.acquire_current(&self.inner.nodes);
+        self.blocked(|_| std::thread::yield_now());
     }
 
     fn sleep(&self, duration: SimTime) {
         amber_verify::engine_block_checkpoint("sleep");
-        let tid = must_current_thread();
-        let tcb = self.tcb(tid);
-        tcb.release_held(&self.inner.nodes);
-        std::thread::sleep(duration.to_duration());
-        tcb.acquire_current(&self.inner.nodes);
+        self.blocked(|_| std::thread::sleep(duration.to_duration()));
     }
 
     fn stats(&self) -> &Arc<NetStats> {
@@ -740,6 +769,39 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, EngineError::Timeout);
+    }
+
+    #[test]
+    fn own_tcb_shortcut_is_per_engine() {
+        // Thread ids repeat across engines: a thread of engine A asking
+        // engine B about "thread 0" must get B's thread 0, not itself.
+        let a = real(2, 1);
+        let b = Arc::new(
+            RealEngine::new(ClusterSpec::uniform(2, 1).with_latency(LatencyModel::zero()))
+                .with_deadline(Duration::from_secs(30)),
+        );
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let b2 = Arc::clone(&b);
+            s.spawn(move || {
+                let b3 = Arc::clone(&b2);
+                b2.run(NodeId(1), move || {
+                    started_tx.send(must_current_thread()).unwrap();
+                    b3.block_current("await-engine-a");
+                })
+                .expect("engine A woke itself instead of B's thread");
+            });
+            let a2 = Arc::clone(&a);
+            a.run(NodeId(0), move || {
+                let me = must_current_thread();
+                let theirs = started_rx.recv().unwrap();
+                assert_eq!(me, theirs);
+                assert_eq!(a2.node_of(me), NodeId(0));
+                assert_eq!(b.node_of(theirs), NodeId(1));
+                b.unblock(theirs);
+            })
+            .unwrap();
+        });
     }
 
     #[test]

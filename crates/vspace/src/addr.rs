@@ -7,7 +7,9 @@
 //! [`RegionId`] regions (1 MB, as in the paper) that the address-space
 //! server hands out to nodes for their private heap allocations.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of one heap region in bytes (the paper uses 1 MB regions).
 pub const REGION_BYTES: u64 = 1 << 20;
@@ -61,6 +63,34 @@ impl fmt::Display for VAddr {
     }
 }
 
+/// Multiply-shift hasher for maps keyed by [`VAddr`]. Keys are addresses the
+/// allocator issued, never outside input, so there is nothing for SipHash's
+/// collision resistance to defend; one multiply spreads the 16-byte-aligned,
+/// region-strided bits, and folding the product's high half down covers the
+/// low bits the table indexes with.
+#[derive(Default)]
+pub struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // `VAddr` hashes through `write_u64`; this only has to be correct.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A `HashMap` keyed by [`VAddr`] under [`AddrHasher`].
+pub type AddrMap<V> = HashMap<VAddr, V, BuildHasherDefault<AddrHasher>>;
+
 /// Identifies one 1 MB region of the global address space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RegionId(pub u64);
@@ -107,6 +137,21 @@ mod tests {
         assert_eq!(r.end(), VAddr(6 * REGION_BYTES));
         assert!(r.contains(r.base()));
         assert!(!r.contains(r.end()));
+    }
+
+    #[test]
+    fn addr_hasher_spreads_allocator_patterns() {
+        // Consecutive 16-byte blocks and same-offset blocks of consecutive
+        // regions must each fill most of a 256-bucket table's low bits.
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<AddrHasher>::default();
+        for stride in [16, REGION_BYTES] {
+            let low: HashSet<u64> = (0..256u64)
+                .map(|i| build.hash_one(VAddr(HEAP_BASE + i * stride)) & 255)
+                .collect();
+            assert!(low.len() >= 128, "stride {stride}: {} buckets", low.len());
+        }
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! (section 3.3). That trick is what lets object creation cost nothing on
 //! the other N-1 nodes.
 
-use std::collections::HashMap;
-
 use amber_engine::NodeId;
 
-use crate::addr::VAddr;
+use crate::addr::{AddrMap, VAddr};
 
 /// What one node's descriptor says about an object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +33,7 @@ pub enum Residency {
 /// created locally, moves through, or (for immutables) is replicated here.
 #[derive(Debug, Default)]
 pub struct DescriptorTable {
-    entries: HashMap<VAddr, Residency>,
+    entries: AddrMap<Residency>,
 }
 
 impl DescriptorTable {

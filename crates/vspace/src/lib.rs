@@ -27,7 +27,7 @@ mod descriptor;
 mod heap;
 mod server;
 
-pub use addr::{RegionId, VAddr, HEAP_BASE, REGION_BYTES};
+pub use addr::{AddrHasher, AddrMap, RegionId, VAddr, HEAP_BASE, REGION_BYTES};
 pub use descriptor::{DescriptorTable, Residency};
 pub use heap::{HeapError, NodeHeap, ALIGN};
 pub use server::{AddressSpaceServer, RegionMap};

@@ -22,6 +22,16 @@ fn real_cluster(nodes: usize, procs: usize) -> Cluster {
 
 #[test]
 fn concurrent_invokes_moves_and_attaches() {
+    // Two clusters storm side by side in one process: their thread ids
+    // coincide, so a thread resolving "itself" against the wrong engine
+    // would read the other cluster's node and strand a processor token.
+    std::thread::scope(|s| {
+        s.spawn(storm);
+        s.spawn(storm);
+    });
+}
+
+fn storm() {
     let c = real_cluster(4, 2);
     let total = c
         .run(|ctx| {
