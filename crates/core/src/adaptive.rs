@@ -42,7 +42,6 @@ use parking_lot::Mutex;
 
 use crate::kernel::Kernel;
 use crate::mobility::AdvisoryKind;
-use crate::stats::ProtocolStats;
 
 /// One object's (or attachment group's) traffic over the last placement
 /// tick, as handed to the policy.
@@ -548,8 +547,7 @@ impl Kernel {
                 ),
             };
             if let Err(reason) = outcome {
-                ProtocolStats::bump(&self.pstats.advisory_skips);
-                self.trace(|| ProtocolEvent::AdvisorySkipped {
+                self.emit(ProtocolEvent::AdvisorySkipped {
                     obj,
                     at: to,
                     reason,

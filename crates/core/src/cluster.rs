@@ -65,7 +65,6 @@ pub struct ClusterBuilder {
     engine: EngineChoice,
     deadline: Option<Duration>,
     faults: Option<amber_engine::FaultPlan>,
-    coalesce: Option<amber_engine::CoalesceConfig>,
     adaptive: Option<PolicyFactory>,
     demand_replication: bool,
 }
@@ -81,7 +80,6 @@ impl std::fmt::Debug for ClusterBuilder {
             .field("engine", &self.engine)
             .field("deadline", &self.deadline)
             .field("faults", &self.faults)
-            .field("coalesce", &self.coalesce)
             .field("adaptive", &self.adaptive.is_some())
             .field("demand_replication", &self.demand_replication)
             .finish()
@@ -99,7 +97,6 @@ impl Default for ClusterBuilder {
             engine: EngineChoice::Sim,
             deadline: None,
             faults: None,
-            coalesce: None,
             adaptive: None,
             demand_replication: true,
         }
@@ -159,18 +156,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enables per-link coalescing of small kernel messages: control
-    /// packets at or below the config's eligibility threshold are buffered
-    /// per directed link and ride the next packet to the same destination
-    /// (a larger message, a full batch, or a flush deadline). Off by
-    /// default. Delivery order per link is preserved; each absorbed
-    /// message is counted in `NetStats` and traced as
-    /// `ProtocolEvent::MessageCoalesced`.
-    pub fn coalescing(mut self, cfg: amber_engine::CoalesceConfig) -> Self {
-        self.coalesce = Some(cfg);
-        self
-    }
-
     /// Enables the adaptive placement engine: per-object, per-caller-node
     /// invocation counters feed a periodic advisor tick that issues
     /// rate-limited advisory group moves toward each object's dominant
@@ -209,9 +194,6 @@ impl ClusterBuilder {
             .with_policy(self.policy);
         if let Some(plan) = self.faults {
             spec = spec.with_faults(plan);
-        }
-        if let Some(cfg) = self.coalesce {
-            spec = spec.with_coalescing(cfg);
         }
         let engine: Arc<dyn Engine> = match self.engine {
             EngineChoice::Sim => Arc::new(SimEngine::new(spec)),
@@ -303,7 +285,7 @@ impl Cluster {
 
     /// Protocol counters from the runtime.
     pub fn protocol_stats(&self) -> ProtocolSnapshot {
-        self.kernel.pstats.snapshot()
+        self.kernel.counters.snapshot()
     }
 
     /// Objects currently resident on each node, indexed by node (see
@@ -320,8 +302,11 @@ impl Cluster {
     /// [`disable_tracing`](Cluster::disable_tracing).
     ///
     /// Export a captured stream with [`amber_engine::trace::chrome_trace_json`]
-    /// or reconcile it against [`protocol_stats`](Cluster::protocol_stats)
-    /// with [`crate::TraceSummary::from_events`].
+    /// or fold it back into counters with
+    /// [`crate::TraceSummary::from_events`]: a capture of the whole run folds
+    /// to exactly [`protocol_stats`](Cluster::protocol_stats), because one
+    /// `emit` feeds both, and its message events match
+    /// [`net_stats`](Cluster::net_stats), the engine's own book.
     ///
     /// # Examples
     ///
@@ -337,7 +322,8 @@ impl Cluster {
     ///     })
     ///     .unwrap();
     /// let summary = TraceSummary::from_events(&sink.take());
-    /// assert_eq!(summary.snapshot, cluster.protocol_stats());
+    /// assert_eq!(summary.snapshot.remote_invokes, 1);
+    /// assert_eq!(summary.messages, cluster.net_stats().total_msgs());
     /// ```
     pub fn enable_tracing(&self) -> Arc<amber_engine::MemorySink> {
         let sink = amber_engine::MemorySink::new();
@@ -735,7 +721,7 @@ impl Ctx {
 
     /// Protocol counters so far.
     pub fn protocol_stats(&self) -> ProtocolSnapshot {
-        self.kernel.pstats.snapshot()
+        self.kernel.counters.snapshot()
     }
 
     /// Cluster-wide network totals so far: `(messages, payload bytes)`.

@@ -47,13 +47,12 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use amber_engine::{must_current_thread, NodeId, ThreadId};
+use amber_engine::{must_current_thread, NodeId, ProtocolEvent, ThreadId};
 use amber_vspace::{Residency, VAddr};
 
 use crate::errors::ProtocolError;
 use crate::kernel::{Access, Kernel, ObjectCell, OpWaiter};
 use crate::objref::ObjRef;
-use crate::stats::ProtocolStats;
 
 /// The calling thread's invocation context.
 struct ThreadState {
@@ -228,8 +227,7 @@ impl Kernel {
             self.engine.block_kernel("thread-migration");
         }
         self.engine.work(self.cost.remote_dispatch);
-        ProtocolStats::bump(&self.pstats.thread_migrations);
-        self.trace(|| amber_engine::ProtocolEvent::ThreadMigration { from, to });
+        self.emit(ProtocolEvent::ThreadMigration { from, to });
     }
 
     /// One step of the residency chase, taken at node `at` on behalf of the
@@ -273,8 +271,7 @@ impl Kernel {
                 return Ok(ChaseStep::Found(held))
             }
             Some(Residency::Forward(n)) => {
-                ProtocolStats::bump(&self.pstats.forward_hops);
-                self.trace(|| amber_engine::ProtocolEvent::ForwardHop {
+                self.emit(ProtocolEvent::ForwardHop {
                     obj: addr.0,
                     at,
                     to: n,
@@ -284,9 +281,8 @@ impl Kernel {
             }
             None => {
                 // Uninitialized descriptor: route via the home node.
-                ProtocolStats::bump(&self.pstats.home_routes);
                 let home = self.home_of(at, addr);
-                self.trace(|| amber_engine::ProtocolEvent::HomeRoute {
+                self.emit(ProtocolEvent::HomeRoute {
                     obj: addr.0,
                     at,
                     home,
@@ -314,8 +310,7 @@ impl Kernel {
             // Bounded give-up, mirroring the transport's max_attempts
             // retransmit give-up: record it and surface an error instead of
             // aborting the process.
-            ProtocolStats::bump(&self.pstats.chase_divergences);
-            self.trace(|| amber_engine::ProtocolEvent::ChaseDiverged {
+            self.emit(ProtocolEvent::ChaseDiverged {
                 obj: addr.0,
                 at,
                 hops: *hops,
@@ -341,8 +336,7 @@ impl Kernel {
                 .write()
                 .cache_hint(addr, to);
             if repaired {
-                ProtocolStats::bump(&self.pstats.hint_repairs);
-                self.trace(|| amber_engine::ProtocolEvent::HintRepair {
+                self.emit(ProtocolEvent::HintRepair {
                     obj: addr.0,
                     at: n,
                     to,
@@ -568,15 +562,13 @@ impl Kernel {
         };
         let admitted = at.and_then(|at| {
             if at != start_node {
-                ProtocolStats::bump(&self.pstats.remote_invokes);
-                self.trace(|| amber_engine::ProtocolEvent::RemoteInvoke {
+                self.emit(ProtocolEvent::RemoteInvoke {
                     obj: addr.0,
                     from: start_node,
                     to: at,
                 });
             } else {
-                ProtocolStats::bump(&self.pstats.local_invokes);
-                self.trace(|| amber_engine::ProtocolEvent::LocalInvoke {
+                self.emit(ProtocolEvent::LocalInvoke {
                     obj: addr.0,
                     node: at,
                 });

@@ -12,7 +12,9 @@
 //!   transitions;
 //! * the address-space server (logically on the boot node; consulting it
 //!   from elsewhere is charged as a network round trip);
-//! * protocol statistics.
+//! * the protocol counters, a cache-padded row per node, written only by
+//!   [`Kernel::emit`] — the one door through which a protocol fact is both
+//!   counted and traced (see [`crate::stats`]).
 //!
 //! The registry being ordinary process memory is the reproduction of the
 //! paper's identically-arranged virtual address spaces: an address means
@@ -29,7 +31,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Arc;
 
-use amber_engine::{must_current_thread, CostModel, Engine, NodeId, SimTime, ThreadId};
+use amber_engine::{
+    must_current_thread, CostModel, Engine, NodeId, ProtocolEvent, SimTime, ThreadId,
+};
 use amber_verify::{LockLevel, OrderedMutex, OrderedRwLock};
 use amber_vspace::{AddressSpaceServer, DescriptorTable, HeapError, NodeHeap, RegionMap, VAddr};
 use parking_lot::{Mutex, RwLock};
@@ -38,7 +42,7 @@ use crate::adaptive::{PlacementPolicy, PlacementRuntime};
 use crate::errors::ProtocolError;
 use crate::objref::{AmberObject, ObjRef};
 use crate::registry::ObjectRegistry;
-use crate::stats::ProtocolStats;
+use crate::stats::EventCounters;
 
 /// Access mode requested on an object payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,7 +179,8 @@ pub struct Kernel {
     /// a registry shard — enforced at `LockLevel::Topology`, the first tier
     /// of the machine-checked lock hierarchy.
     pub(crate) topology: OrderedMutex<()>,
-    pub(crate) pstats: ProtocolStats,
+    /// Per-node protocol counters; written only by [`emit`](Kernel::emit).
+    pub(crate) counters: EventCounters,
     /// Adaptive placement state (policy, tick arming, daemon handle); `None`
     /// when the cluster was built without a placement policy.
     pub(crate) placement: Option<PlacementRuntime>,
@@ -224,7 +229,7 @@ impl Kernel {
             nodes,
             server: Mutex::new(server),
             topology: OrderedMutex::new(LockLevel::Topology, ()),
-            pstats: ProtocolStats::default(),
+            counters: EventCounters::new(n),
             placement: policy.map(|p| PlacementRuntime::new(p, n)),
             demand_replication,
         })
@@ -245,13 +250,18 @@ impl Kernel {
         self.engine.node_of(must_current_thread())
     }
 
-    /// Emits one protocol trace event, stamped with the engine clock and the
-    /// current thread. The closure only runs when a sink is installed, so
-    /// hot paths pay a single atomic check when tracing is off.
-    pub(crate) fn trace(&self, event: impl FnOnce() -> amber_engine::ProtocolEvent) {
+    /// Raises one protocol fact: counts it in its node's row and, if a
+    /// trace sink is installed, records it stamped with the engine clock and
+    /// the current thread. The only way a counter is written, so counters
+    /// and trace cannot disagree — call it where the fact commits (under the
+    /// shard guard that commits it, where there is one). With no sink this
+    /// is one relaxed add and one relaxed load; the clock is not read.
+    #[inline]
+    pub(crate) fn emit(&self, event: ProtocolEvent) {
+        self.counters.bump(&event);
         let tracer = self.engine.tracer();
         if tracer.is_enabled() {
-            tracer.emit(self.engine.now(), amber_engine::current_thread(), event);
+            tracer.emit(self.engine.now(), amber_engine::current_thread(), || event);
         }
     }
 
@@ -295,8 +305,7 @@ impl Kernel {
         if let Some(owner) = self.nodes[asking.index()].regions.lock().lookup(region) {
             return owner;
         }
-        ProtocolStats::bump(&self.pstats.region_lookups);
-        self.trace(|| amber_engine::ProtocolEvent::RegionLookup { node: asking });
+        self.emit(ProtocolEvent::RegionLookup { node: asking });
         self.engine.work(self.cost.region_lookup);
         if asking != NodeId::BOOT {
             self.control_rtt(asking, NodeId::BOOT, "region-lookup");
@@ -321,8 +330,7 @@ impl Kernel {
             match r {
                 Ok(addr) => return addr,
                 Err(HeapError::NeedRegion) => {
-                    ProtocolStats::bump(&self.pstats.region_extensions);
-                    self.trace(|| amber_engine::ProtocolEvent::RegionExtension { node });
+                    self.emit(ProtocolEvent::RegionExtension { node });
                     // Fetch a fresh region from the server (round trip off
                     // the boot node).
                     if node != NodeId::BOOT {
@@ -359,8 +367,7 @@ impl Kernel {
             let mut shard = self.objects.lock(addr);
             let prev = shard.insert(addr, entry);
             debug_assert!(prev.is_none(), "heap handed out a live address");
-            ProtocolStats::bump(&self.pstats.creates);
-            self.trace(|| amber_engine::ProtocolEvent::ObjectCreate { obj: addr.0, node });
+            self.emit(ProtocolEvent::ObjectCreate { obj: addr.0, node });
         }
         self.note_placement_activity(node);
         ObjRef::from_addr(addr)
@@ -393,8 +400,7 @@ impl Kernel {
             let mut shard = self.objects.lock(addr);
             let prev = shard.insert(addr, entry);
             debug_assert!(prev.is_none(), "heap handed out a live address");
-            ProtocolStats::bump(&self.pstats.creates);
-            self.trace(|| amber_engine::ProtocolEvent::ObjectCreate { obj: addr.0, node });
+            self.emit(ProtocolEvent::ObjectCreate { obj: addr.0, node });
         }
         self.note_placement_activity(node);
         self.one_way(node, from, self.cost.control_packet_bytes, "create-reply");
@@ -434,8 +440,7 @@ impl Kernel {
             // Emit under the same shard lock that committed the removal:
             // once the heap block is freed below, the address can be reused
             // and its ObjectCreate must serialize *after* this event.
-            ProtocolStats::bump(&self.pstats.destroys);
-            self.trace(|| amber_engine::ProtocolEvent::ObjectDestroy {
+            self.emit(ProtocolEvent::ObjectDestroy {
                 obj: addr.0,
                 node: me,
             });
@@ -455,8 +460,7 @@ impl Kernel {
         // release builds instead of vanishing with `debug_assert!`).
         let freed = self.nodes[entry.home.index()].heap.lock().free(addr);
         if freed.is_err() {
-            ProtocolStats::bump(&self.pstats.heap_free_anomalies);
-            self.trace(|| amber_engine::ProtocolEvent::HeapFreeAnomaly {
+            self.emit(ProtocolEvent::HeapFreeAnomaly {
                 obj: addr.0,
                 node: entry.home,
             });

@@ -62,13 +62,13 @@ pub use cluster::{Cluster, ClusterBuilder, Ctx, EngineChoice};
 pub use errors::ProtocolError;
 pub use kernel::Kernel;
 pub use objref::{AmberObject, ObjRef};
-pub use stats::{ProtocolSnapshot, ProtocolStats, TraceSummary};
+pub use stats::{ProtocolSnapshot, TraceSummary};
 pub use thread::{JoinHandle, ThreadObj};
 
 // Commonly useful re-exports so applications depend on one crate.
 pub use amber_engine::{
-    trace, CoalesceConfig, CostModel, EngineError, FaultPlan, LatencyModel, LinkFaults, MemorySink,
-    NodeId, Partition, PolicyKind, ProtocolEvent, SimTime, ThreadId, TraceRecord, TraceSink,
+    trace, CostModel, EngineError, FaultPlan, LatencyModel, LinkFaults, MemorySink, NodeId,
+    Partition, PolicyKind, ProtocolEvent, SimTime, ThreadId, TraceRecord, TraceSink,
 };
 pub use amber_vspace::VAddr;
 

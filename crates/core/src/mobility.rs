@@ -26,13 +26,12 @@
 
 use std::collections::HashSet;
 
-use amber_engine::{must_current_thread, NodeId};
+use amber_engine::{must_current_thread, NodeId, ProtocolEvent};
 use amber_vspace::{Residency, VAddr};
 
 use crate::errors::ProtocolError;
 use crate::invoke::ChaseStep;
 use crate::kernel::Kernel;
-use crate::stats::ProtocolStats;
 
 /// Which advisory asked for a group move: a traffic-driven `Move` toward
 /// the dominant caller, or an occupancy-driven `Scatter` off a crowded
@@ -231,16 +230,14 @@ impl Kernel {
             // before this one.
             match kind {
                 AdvisoryKind::Move => {
-                    ProtocolStats::bump(&self.pstats.advisory_moves);
-                    self.trace(|| amber_engine::ProtocolEvent::AdvisoryMove {
+                    self.emit(ProtocolEvent::AdvisoryMove {
                         obj: addr.0,
                         from: root,
                         to: dest,
                     });
                 }
                 AdvisoryKind::Scatter => {
-                    ProtocolStats::bump(&self.pstats.advisory_scatters);
-                    self.trace(|| amber_engine::ProtocolEvent::AdvisoryScatter {
+                    self.emit(ProtocolEvent::AdvisoryScatter {
                         obj: addr.0,
                         from: root,
                         to: dest,
@@ -264,7 +261,6 @@ impl Kernel {
         let me = must_current_thread();
         let my_node = self.engine.node_of(me);
 
-        ProtocolStats::bump(&self.pstats.object_moves);
         self.engine.work(self.cost.move_initiate);
 
         // If the mover is not on the source node, the move request first
@@ -303,7 +299,7 @@ impl Kernel {
                 }
             }
         }
-        self.trace(|| amber_engine::ProtocolEvent::ObjectMove {
+        self.emit(ProtocolEvent::ObjectMove {
             obj: addr.0,
             from: source,
             to: dest,
@@ -336,8 +332,7 @@ impl Kernel {
                 // the new location, so a hint repaired toward `dest` can
                 // never appear in the trace before the install that made
                 // `dest` a legitimate host.
-                ProtocolStats::bump(&self.pstats.move_installs);
-                self.trace(|| amber_engine::ProtocolEvent::MoveInstalled { obj: a.0, to: dest });
+                self.emit(ProtocolEvent::MoveInstalled { obj: a.0, to: dest });
             }
             drop(shards);
             let mut d = self.nodes[dest.index()].descriptors.write();
@@ -484,8 +479,7 @@ impl Kernel {
             if let Some(stamp) = e.replica_idle.get(node.index()) {
                 stamp.store(0, std::sync::atomic::Ordering::Relaxed);
             }
-            ProtocolStats::bump(&self.pstats.replications);
-            self.trace(|| amber_engine::ProtocolEvent::Replication {
+            self.emit(ProtocolEvent::Replication {
                 obj: addr.0,
                 from: location,
                 to: node,
@@ -537,8 +531,7 @@ impl Kernel {
                     // The advisory is committed: count and trace it while
                     // the object is provably live under the shard lock.
                     let from = e.location;
-                    ProtocolStats::bump(&self.pstats.advisory_replications);
-                    self.trace(|| amber_engine::ProtocolEvent::AdvisoryReplicate {
+                    self.emit(ProtocolEvent::AdvisoryReplicate {
                         obj: addr.0,
                         from,
                         to: dest,
@@ -599,8 +592,7 @@ impl Kernel {
         if let Some(stamp) = e.replica_idle.get(node.index()) {
             stamp.store(0, std::sync::atomic::Ordering::Relaxed);
         }
-        ProtocolStats::bump(&self.pstats.replica_evictions);
-        self.trace(|| amber_engine::ProtocolEvent::ReplicaEvicted { obj: addr.0, node });
+        self.emit(ProtocolEvent::ReplicaEvicted { obj: addr.0, node });
         true
     }
 

@@ -5,148 +5,69 @@
 //! remote), thread migrations, object moves, forwarding hops, replications,
 //! home-node routings and region extensions. Experiment harnesses report
 //! them so every result can be explained in protocol terms.
+//!
+//! There is no list of counters here. The event table in
+//! [`amber_engine::trace`] declares each protocol fact once;
+//! `Kernel::emit` is the only writer, adding one to the event's slot
+//! in [`EventCounters`] and handing the same event to the trace sink, and
+//! both readers — `protocol_stats()` on the live counters and
+//! [`TraceSummary::from_events`] on a captured stream — turn per-kind counts
+//! into a [`ProtocolSnapshot`] with the one generated mapping. A trace
+//! captured over a whole run therefore agrees with `protocol_stats()` by
+//! construction; what can still go wrong is a sink losing events.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic protocol counters for a whole cluster.
-#[derive(Default)]
-pub struct ProtocolStats {
-    /// Invocations satisfied on the caller's node (including replica reads).
-    pub local_invokes: AtomicU64,
-    /// Invocations that trapped and migrated the calling thread.
-    pub remote_invokes: AtomicU64,
-    /// Thread migrations, including hops along forwarding chains and
-    /// return-time migrations back to the enclosing object.
-    pub thread_migrations: AtomicU64,
-    /// Explicit object moves (attached groups count once per object).
-    pub object_moves: AtomicU64,
-    /// Immutable-object replications installed.
-    pub replications: AtomicU64,
-    /// Forwarding-address hops followed (by threads or locate probes).
-    pub forward_hops: AtomicU64,
-    /// References routed via the object's home node because the local
-    /// descriptor was uninitialized.
-    pub home_routes: AtomicU64,
-    /// Objects created.
-    pub creates: AtomicU64,
-    /// Objects destroyed.
-    pub destroys: AtomicU64,
-    /// Threads started.
-    pub thread_starts: AtomicU64,
-    /// Join operations completed.
-    pub joins: AtomicU64,
-    /// Heap regions fetched from the address-space server after startup.
-    pub region_extensions: AtomicU64,
-    /// Region-map misses answered by the address-space server.
-    pub region_lookups: AtomicU64,
-    /// Advisory group moves issued by the adaptive placement engine.
-    pub advisory_moves: AtomicU64,
-    /// Advisory replica installs issued by the adaptive placement engine
-    /// (each also counts under `replications`).
-    pub advisory_replications: AtomicU64,
-    /// Advisory scatter moves issued by the adaptive placement engine to
-    /// spread cold objects off an occupancy-dominating node (each also
-    /// counts under `object_moves`).
-    pub advisory_scatters: AtomicU64,
-    /// Placement advisories the kernel declined at execution time (pinned,
-    /// mid-move, mid-install, destroyed, attached, wrong mutability, or
-    /// already at the target).
-    pub advisory_skips: AtomicU64,
-    /// Forwarding chases that exceeded the hop bound and gave up.
-    pub chase_divergences: AtomicU64,
-    /// Stale descriptors rewritten to one-hop forwards when a chase
-    /// resolved (path compression along the reply path).
-    pub hint_repairs: AtomicU64,
-    /// Advisor-installed replicas aged out after going unread for the
-    /// configured number of placement ticks.
-    pub replica_evictions: AtomicU64,
-    /// Group members whose registry entries settled at a move destination
-    /// (one per member per group move; the root's transfer also counts once
-    /// under `object_moves`).
-    pub move_installs: AtomicU64,
-    /// Destroy-path heap frees the home allocator rejected (it did not
-    /// recognize the address). Always zero in a healthy run; counted
-    /// instead of asserted so release builds surface it.
-    pub heap_free_anomalies: AtomicU64,
+pub use amber_engine::ProtocolSnapshot;
+use amber_engine::{EventKind, ProtocolEvent, TraceRecord};
+
+/// One node's counters, one slot per [`EventKind`], aligned so that no two
+/// nodes' rows share a cache line: workers on different nodes never write
+/// the same line when they count.
+#[repr(align(128))]
+struct CounterRow([AtomicU64; EventKind::COUNT]);
+
+/// The live protocol counters: a row per node, indexed by
+/// [`ProtocolEvent::node`].
+pub(crate) struct EventCounters {
+    rows: Box<[CounterRow]>,
 }
 
-/// Plain-data snapshot of [`ProtocolStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct ProtocolSnapshot {
-    pub local_invokes: u64,
-    pub remote_invokes: u64,
-    pub thread_migrations: u64,
-    pub object_moves: u64,
-    pub replications: u64,
-    pub forward_hops: u64,
-    pub home_routes: u64,
-    pub creates: u64,
-    pub destroys: u64,
-    pub thread_starts: u64,
-    pub joins: u64,
-    pub region_extensions: u64,
-    pub region_lookups: u64,
-    pub advisory_moves: u64,
-    pub advisory_replications: u64,
-    pub advisory_scatters: u64,
-    pub advisory_skips: u64,
-    pub chase_divergences: u64,
-    pub hint_repairs: u64,
-    pub replica_evictions: u64,
-    pub move_installs: u64,
-    pub heap_free_anomalies: u64,
-}
-
-impl ProtocolStats {
-    /// Bumps a counter by one.
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> ProtocolSnapshot {
-        ProtocolSnapshot {
-            local_invokes: self.local_invokes.load(Ordering::Relaxed),
-            remote_invokes: self.remote_invokes.load(Ordering::Relaxed),
-            thread_migrations: self.thread_migrations.load(Ordering::Relaxed),
-            object_moves: self.object_moves.load(Ordering::Relaxed),
-            replications: self.replications.load(Ordering::Relaxed),
-            forward_hops: self.forward_hops.load(Ordering::Relaxed),
-            home_routes: self.home_routes.load(Ordering::Relaxed),
-            creates: self.creates.load(Ordering::Relaxed),
-            destroys: self.destroys.load(Ordering::Relaxed),
-            thread_starts: self.thread_starts.load(Ordering::Relaxed),
-            joins: self.joins.load(Ordering::Relaxed),
-            region_extensions: self.region_extensions.load(Ordering::Relaxed),
-            region_lookups: self.region_lookups.load(Ordering::Relaxed),
-            advisory_moves: self.advisory_moves.load(Ordering::Relaxed),
-            advisory_replications: self.advisory_replications.load(Ordering::Relaxed),
-            advisory_scatters: self.advisory_scatters.load(Ordering::Relaxed),
-            advisory_skips: self.advisory_skips.load(Ordering::Relaxed),
-            chase_divergences: self.chase_divergences.load(Ordering::Relaxed),
-            hint_repairs: self.hint_repairs.load(Ordering::Relaxed),
-            replica_evictions: self.replica_evictions.load(Ordering::Relaxed),
-            move_installs: self.move_installs.load(Ordering::Relaxed),
-            heap_free_anomalies: self.heap_free_anomalies.load(Ordering::Relaxed),
+impl EventCounters {
+    pub(crate) fn new(nodes: usize) -> EventCounters {
+        EventCounters {
+            rows: (0..nodes)
+                .map(|_| CounterRow(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
         }
     }
-}
 
-impl ProtocolSnapshot {
-    /// Total invocations of any kind.
-    pub fn total_invokes(&self) -> u64 {
-        self.local_invokes + self.remote_invokes
+    /// Counts one event. An event about a node outside the cluster (a
+    /// declined advisory's proposed target) lands in row 0.
+    #[inline]
+    pub(crate) fn bump(&self, event: &ProtocolEvent) {
+        let row = self
+            .rows
+            .get(event.node().index())
+            .unwrap_or_else(|| &self.rows[0]);
+        row.0[event.kind() as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Sums the rows.
+    pub(crate) fn snapshot(&self) -> ProtocolSnapshot {
+        let mut counts = [0u64; EventKind::COUNT];
+        for row in self.rows.iter() {
+            for (total, slot) in counts.iter_mut().zip(&row.0) {
+                *total += slot.load(Ordering::Relaxed);
+            }
+        }
+        ProtocolSnapshot::from_counts(&counts)
     }
 }
 
-/// Aggregate view of a captured protocol event stream.
-///
-/// [`from_events`](TraceSummary::from_events) recomputes every
-/// [`ProtocolSnapshot`] counter from the events alone, which gives tests a
-/// reconciliation check: a trace captured over a whole run must agree with
-/// [`ProtocolStats::snapshot`] counter for counter, or an emission site has
-/// drifted from its counter bump.
+/// Aggregate view of a captured protocol event stream: the
+/// [`ProtocolSnapshot`] it folds to, plus the engine-level message events
+/// that `amber_engine::NetStats` counts independently.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// The counters as recomputed from the event stream.
@@ -165,72 +86,94 @@ pub struct TraceSummary {
     pub duplicates_suppressed: u64,
     /// Attempts lost to scripted partitions.
     pub partition_drops: u64,
-    /// Small messages absorbed by per-link coalescing buffers (each later
-    /// rides a batch packet counted under `messages`).
-    pub coalesced: u64,
 }
 
 impl TraceSummary {
     /// Recomputes protocol counters from a captured event stream.
-    pub fn from_events(events: &[amber_engine::TraceRecord]) -> TraceSummary {
-        use amber_engine::ProtocolEvent as E;
-        let mut s = TraceSummary::default();
+    pub fn from_events(events: &[TraceRecord]) -> TraceSummary {
+        let mut counts = [0u64; EventKind::COUNT];
+        let (mut message_bytes, mut moved_bytes) = (0, 0);
         for rec in events {
+            counts[rec.event.kind() as usize] += 1;
             match rec.event {
-                E::LocalInvoke { .. } => s.snapshot.local_invokes += 1,
-                E::RemoteInvoke { .. } => s.snapshot.remote_invokes += 1,
-                E::ThreadMigration { .. } => s.snapshot.thread_migrations += 1,
-                E::ObjectMove { bytes, .. } => {
-                    s.snapshot.object_moves += 1;
-                    s.moved_bytes += bytes as u64;
-                }
-                E::Replication { .. } => s.snapshot.replications += 1,
-                E::ForwardHop { .. } => s.snapshot.forward_hops += 1,
-                E::HomeRoute { .. } => s.snapshot.home_routes += 1,
-                E::ObjectCreate { .. } => s.snapshot.creates += 1,
-                E::ObjectDestroy { .. } => s.snapshot.destroys += 1,
-                E::ThreadStart { .. } => s.snapshot.thread_starts += 1,
-                E::Join { .. } => s.snapshot.joins += 1,
-                E::RegionExtension { .. } => s.snapshot.region_extensions += 1,
-                E::RegionLookup { .. } => s.snapshot.region_lookups += 1,
-                E::MessageSend { bytes, .. } => {
-                    s.messages += 1;
-                    s.message_bytes += bytes as u64;
-                }
-                E::MessageDropped { .. } => s.dropped += 1,
-                E::MessageRetransmit { .. } => s.retransmits += 1,
-                E::MessageDuplicateSuppressed { .. } => s.duplicates_suppressed += 1,
-                E::LinkPartitioned { .. } => s.partition_drops += 1,
-                E::AdvisoryMove { .. } => s.snapshot.advisory_moves += 1,
-                E::AdvisoryReplicate { .. } => s.snapshot.advisory_replications += 1,
-                E::AdvisoryScatter { .. } => s.snapshot.advisory_scatters += 1,
-                E::AdvisorySkipped { .. } => s.snapshot.advisory_skips += 1,
-                E::ChaseDiverged { .. } => s.snapshot.chase_divergences += 1,
-                E::HintRepair { .. } => s.snapshot.hint_repairs += 1,
-                E::ReplicaEvicted { .. } => s.snapshot.replica_evictions += 1,
-                E::MoveInstalled { .. } => s.snapshot.move_installs += 1,
-                E::HeapFreeAnomaly { .. } => s.snapshot.heap_free_anomalies += 1,
-                E::MessageCoalesced { .. } => s.coalesced += 1,
+                ProtocolEvent::MessageSend { bytes, .. } => message_bytes += bytes as u64,
+                ProtocolEvent::ObjectMove { bytes, .. } => moved_bytes += bytes as u64,
+                _ => {}
             }
         }
-        s
+        let of = |kind: EventKind| counts[kind as usize];
+        TraceSummary {
+            snapshot: ProtocolSnapshot::from_counts(&counts),
+            messages: of(EventKind::MessageSend),
+            message_bytes,
+            moved_bytes,
+            dropped: of(EventKind::MessageDropped),
+            retransmits: of(EventKind::MessageRetransmit),
+            duplicates_suppressed: of(EventKind::MessageDuplicateSuppressed),
+            partition_drops: of(EventKind::LinkPartitioned),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amber_engine::{NodeId, SimTime};
+
+    fn rec(event: ProtocolEvent) -> TraceRecord {
+        TraceRecord {
+            at: SimTime::ZERO,
+            thread: None,
+            event,
+        }
+    }
 
     #[test]
-    fn snapshot_reflects_bumps() {
-        let s = ProtocolStats::default();
-        ProtocolStats::bump(&s.local_invokes);
-        ProtocolStats::bump(&s.local_invokes);
-        ProtocolStats::bump(&s.remote_invokes);
-        let snap = s.snapshot();
+    fn counters_and_fold_agree_and_rows_sum() {
+        let c = EventCounters::new(2);
+        let events = [
+            ProtocolEvent::LocalInvoke {
+                obj: 64,
+                node: NodeId(0),
+            },
+            ProtocolEvent::LocalInvoke {
+                obj: 64,
+                node: NodeId(1),
+            },
+            ProtocolEvent::ObjectMove {
+                obj: 64,
+                from: NodeId(0),
+                to: NodeId(1),
+                group: 1,
+                bytes: 48,
+            },
+            // Proposed target outside the cluster: counted all the same.
+            ProtocolEvent::AdvisorySkipped {
+                obj: 64,
+                at: NodeId(9),
+                reason: "no-such-node",
+            },
+        ];
+        for e in &events {
+            c.bump(e);
+        }
+        let snap = c.snapshot();
         assert_eq!(snap.local_invokes, 2);
-        assert_eq!(snap.remote_invokes, 1);
-        assert_eq!(snap.total_invokes(), 3);
-        assert_eq!(snap.object_moves, 0);
+        assert_eq!(snap.object_moves, 1);
+        assert_eq!(snap.advisory_skips, 1);
+        assert_eq!(snap.total_invokes(), 2);
+        assert_eq!(snap.remote_invokes, 0);
+        let mut stream: Vec<_> = events.into_iter().map(rec).collect();
+        stream.push(rec(ProtocolEvent::MessageSend {
+            from: NodeId(0),
+            to: NodeId(1),
+            bytes: 100,
+        }));
+        let summary = TraceSummary::from_events(&stream);
+        assert_eq!(summary.snapshot, snap);
+        assert_eq!(
+            (summary.messages, summary.message_bytes, summary.moved_bytes),
+            (1, 100, 48)
+        );
     }
 }

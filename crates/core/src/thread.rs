@@ -12,12 +12,11 @@
 //! parks on the thread object's waiter list and is woken by the terminating
 //! thread.
 
-use amber_engine::{must_current_thread, ThreadId};
+use amber_engine::{must_current_thread, ProtocolEvent, ThreadId};
 
 use crate::cluster::Ctx;
 use crate::kernel::Kernel;
 use crate::objref::{AmberObject, ObjRef};
-use crate::stats::ProtocolStats;
 
 /// The state held by a thread object: completion flag, buffered result, and
 /// joiners to wake.
@@ -74,8 +73,10 @@ impl<R: Send + Sync + 'static> JoinHandle<R> {
         });
         match outcome {
             Some(r) => {
-                ProtocolStats::bump(&kernel.pstats.joins);
-                kernel.trace(|| amber_engine::ProtocolEvent::Join { thread: self.tid });
+                kernel.emit(ProtocolEvent::Join {
+                    thread: self.tid,
+                    node: kernel.current_node(),
+                });
                 Ok(r)
             }
             None => Err(self),
@@ -116,8 +117,10 @@ impl<R: Send + Sync + 'static> JoinHandle<R> {
             });
             match outcome {
                 Outcome::Ready(r) => {
-                    ProtocolStats::bump(&kernel.pstats.joins);
-                    kernel.trace(|| amber_engine::ProtocolEvent::Join { thread: self.tid });
+                    kernel.emit(ProtocolEvent::Join {
+                        thread: self.tid,
+                        node: kernel.current_node(),
+                    });
                     return r;
                 }
                 Outcome::NotYet => kernel.park("join"),
@@ -153,7 +156,6 @@ impl Kernel {
             },
         );
         self.engine.work(self.cost.sched_enqueue);
-        ProtocolStats::bump(&self.pstats.thread_starts);
         let kernel = std::sync::Arc::clone(self);
         let target = *target;
         let tid = self.engine.spawn(
@@ -178,7 +180,7 @@ impl Kernel {
                 crate::invoke::unregister_thread();
             }),
         );
-        self.trace(|| amber_engine::ProtocolEvent::ThreadStart {
+        self.emit(ProtocolEvent::ThreadStart {
             thread: tid,
             node: here,
         });

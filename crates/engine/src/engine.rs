@@ -62,11 +62,6 @@ pub struct ClusterSpec {
     /// when `None` the network is a perfect channel and the message path is
     /// exactly the classic direct one.
     pub fault: Option<crate::fault::FaultPlan>,
-    /// Optional kernel-message coalescing. When set, small messages are
-    /// buffered per directed link and ride the next packet to the same
-    /// destination (see [`crate::CoalesceConfig`]); when `None` every
-    /// message pays its own send.
-    pub coalesce: Option<crate::coalesce::CoalesceConfig>,
 }
 
 impl ClusterSpec {
@@ -79,7 +74,6 @@ impl ClusterSpec {
             nodes: vec![NodeConfig::new(processors); nodes],
             latency: LatencyModel::default(),
             fault: None,
-            coalesce: None,
         }
     }
 
@@ -102,14 +96,6 @@ impl ClusterSpec {
     /// reliability sublayer.
     pub fn with_faults(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.fault = Some(plan);
-        self
-    }
-
-    /// Enables kernel-message coalescing: small messages buffer per
-    /// directed link and ride the next packet to the same destination
-    /// instead of each paying its own send.
-    pub fn with_coalescing(mut self, cfg: crate::coalesce::CoalesceConfig) -> Self {
-        self.coalesce = Some(cfg);
         self
     }
 }

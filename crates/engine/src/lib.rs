@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-mod coalesce;
 mod cost;
 mod engine;
 mod fault;
@@ -49,7 +48,6 @@ pub mod policy;
 pub mod stats;
 pub mod trace;
 
-pub use coalesce::CoalesceConfig;
 pub use cost::{CostModel, LatencyModel};
 pub use engine::{
     current_thread, must_current_thread, ClusterSpec, Engine, EngineError, EngineExt, EngineKind,
@@ -62,4 +60,6 @@ pub use real::RealEngine;
 pub use sim::SimEngine;
 pub use stats::NetStats;
 pub use time::SimTime;
-pub use trace::{MemorySink, ProtocolEvent, TraceRecord, TraceSink, Tracer};
+pub use trace::{
+    EventKind, MemorySink, ProtocolEvent, ProtocolSnapshot, TraceRecord, TraceSink, Tracer,
+};

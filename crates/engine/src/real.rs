@@ -184,39 +184,13 @@ pub struct RealEngine {
     /// Present when the spec carries a [`crate::FaultPlan`]; every send
     /// then routes through the fault-injection/reliability layer.
     fault: Option<Arc<FaultNet>>,
-    /// Present when the spec enables coalescing; small sends then buffer
-    /// per link and ride the next packet to the same destination.
-    coalesce: Option<Arc<crate::coalesce::Coalescer>>,
-    /// Stops the network thread when the last engine handle goes away.
-    /// Shutdown must key off the last *handle*, not any one of them: the
-    /// coalescer's flush timers each capture a clone, and a clone's drop
-    /// signalling shutdown directly would kill delivery for the whole
-    /// cluster the first time a flush fired.
-    net_guard: Arc<NetShutdown>,
 }
 
-/// Signals the network thread to exit when the final [`RealEngine`]
-/// handle (original or clone) is dropped.
-struct NetShutdown(Arc<RealInner>);
-
-impl Drop for NetShutdown {
+impl Drop for RealEngine {
+    /// Stops the network thread.
     fn drop(&mut self) {
-        self.0.net.shutdown.store(true, Ordering::Release);
-        self.0.net.cv.notify_all();
-    }
-}
-
-impl Clone for RealEngine {
-    /// A second handle onto the same engine (all state is shared). Used by
-    /// the coalescer's flush timers, which must capture an owned handle.
-    fn clone(&self) -> RealEngine {
-        RealEngine {
-            inner: Arc::clone(&self.inner),
-            deadline: self.deadline,
-            fault: self.fault.clone(),
-            coalesce: self.coalesce.clone(),
-            net_guard: Arc::clone(&self.net_guard),
-        }
+        self.inner.net.shutdown.store(true, Ordering::Release);
+        self.inner.net.cv.notify_all();
     }
 }
 
@@ -264,16 +238,10 @@ impl RealEngine {
             let weak = Arc::downgrade(&inner);
             FaultNet::new(plan, spec.latency, weak as std::sync::Weak<dyn Transport>)
         });
-        let coalesce = spec
-            .coalesce
-            .map(|cfg| Arc::new(crate::coalesce::Coalescer::new(cfg)));
-        let net_guard = Arc::new(NetShutdown(Arc::clone(&inner)));
         RealEngine {
             inner,
             deadline: None,
             fault,
-            coalesce,
-            net_guard,
         }
     }
 
@@ -320,45 +288,6 @@ impl RealEngine {
             tcb.acquire_current(&self.inner.nodes);
             tcb.node().index()
         })
-    }
-
-    /// The classic send path: record, trace, then deliver (through the
-    /// fault layer when one is installed). Coalescing's batch packets come
-    /// back through here, so they pay exactly one message like any other.
-    fn raw_send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
-        self.inner
-            .stats
-            .record_send(from.index(), to.index(), bytes);
-        self.inner
-            .tracer
-            .emit(self.now(), crate::engine::current_thread(), || {
-                crate::trace::ProtocolEvent::MessageSend { from, to, bytes }
-            });
-        if let Some(fault) = &self.fault {
-            fault.send(from, to, bytes, handler);
-            return;
-        }
-        let delay = self.inner.latency.latency(bytes).to_duration();
-        self.inner.enqueue_net(delay, handler);
-    }
-
-    /// Records one message absorbed by the coalescing buffer.
-    fn note_coalesced(&self, from: NodeId, to: NodeId, bytes: usize) {
-        self.inner.stats.record_coalesced(from.index());
-        self.inner
-            .tracer
-            .emit(self.now(), crate::engine::current_thread(), || {
-                crate::trace::ProtocolEvent::MessageCoalesced { from, to, bytes }
-            });
-    }
-
-    /// Deadline flush: drains the link buffer if the armed generation is
-    /// still pending and sends it as one packet.
-    fn flush_coalesced(&self, from: NodeId, to: NodeId, epoch: u64) {
-        let Some(co) = &self.coalesce else { return };
-        if let Some(batch) = co.take_due(from, to, epoch) {
-            self.raw_send(from, to, batch.bytes, batch.into_handler());
-        }
     }
 }
 
@@ -549,29 +478,20 @@ impl Engine for RealEngine {
 
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
         amber_verify::engine_block_checkpoint("send");
-        let Some(co) = &self.coalesce else {
-            self.raw_send(from, to, bytes, handler);
+        self.inner
+            .stats
+            .record_send(from.index(), to.index(), bytes);
+        self.inner
+            .tracer
+            .emit(self.now(), crate::engine::current_thread(), || {
+                crate::trace::ProtocolEvent::MessageSend { from, to, bytes }
+            });
+        if let Some(fault) = &self.fault {
+            fault.send(from, to, bytes, handler);
             return;
-        };
-        match co.offer(from, to, bytes, handler) {
-            crate::coalesce::Offer::Direct { bytes, handler } => {
-                self.raw_send(from, to, bytes, handler);
-            }
-            crate::coalesce::Offer::Queued { arm, epoch } => {
-                self.note_coalesced(from, to, bytes);
-                if arm {
-                    let eng = self.clone();
-                    self.after(
-                        co.config().flush_after,
-                        Box::new(move || eng.flush_coalesced(from, to, epoch)),
-                    );
-                }
-            }
-            crate::coalesce::Offer::Flush(batch) => {
-                self.note_coalesced(from, to, bytes);
-                self.raw_send(from, to, batch.bytes, batch.into_handler());
-            }
         }
+        let delay = self.inner.latency.latency(bytes).to_duration();
+        self.inner.enqueue_net(delay, handler);
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {

@@ -138,21 +138,6 @@ pub struct SimEngine {
     /// Present when the spec carries a [`crate::FaultPlan`]; every send
     /// then routes through the fault-injection/reliability layer.
     fault: Option<Arc<FaultNet>>,
-    /// Present when the spec enables coalescing; small sends then buffer
-    /// per link and ride the next packet to the same destination.
-    coalesce: Option<Arc<crate::coalesce::Coalescer>>,
-}
-
-impl Clone for SimEngine {
-    /// A second handle onto the same engine (all state is shared). Used by
-    /// the coalescer's flush timers, which must capture an owned handle.
-    fn clone(&self) -> SimEngine {
-        SimEngine {
-            inner: Arc::clone(&self.inner),
-            fault: self.fault.clone(),
-            coalesce: self.coalesce.clone(),
-        }
-    }
 }
 
 impl SimEngine {
@@ -193,14 +178,7 @@ impl SimEngine {
             let weak = Arc::downgrade(&inner);
             FaultNet::new(plan, spec.latency, weak as std::sync::Weak<dyn Transport>)
         });
-        let coalesce = spec
-            .coalesce
-            .map(|cfg| Arc::new(crate::coalesce::Coalescer::new(cfg)));
-        SimEngine {
-            inner,
-            fault,
-            coalesce,
-        }
+        SimEngine { inner, fault }
     }
 
     /// Convenience: a uniform cluster with the given latency model.
@@ -418,52 +396,6 @@ impl SimEngine {
         self.inner.park_current(&mut st, &gate);
     }
 
-    /// The classic send path: record, trace, then deliver (through the
-    /// fault layer when one is installed). Coalescing's batch packets come
-    /// back through here, so they pay exactly one message like any other.
-    fn raw_send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
-        let mut st = self.inner.state.lock();
-        self.inner
-            .stats
-            .record_send(from.index(), to.index(), bytes);
-        self.inner
-            .tracer
-            .emit(st.clock, crate::engine::current_thread(), || {
-                crate::trace::ProtocolEvent::MessageSend { from, to, bytes }
-            });
-        if let Some(fault) = &self.fault {
-            // The fault layer re-enters the state lock to schedule copies
-            // and timers; release it first (it is not reentrant).
-            drop(st);
-            fault.send(from, to, bytes, handler);
-            return;
-        }
-        let delay = self.inner.latency.latency(bytes);
-        let at = st.clock + delay;
-        st.push_event(at, Event::Deliver { handler });
-        self.inner.dispatch_cv.notify_one();
-    }
-
-    /// Records one message absorbed by the coalescing buffer.
-    fn note_coalesced(&self, from: NodeId, to: NodeId, bytes: usize) {
-        self.inner.stats.record_coalesced(from.index());
-        let at = self.inner.state.lock().clock;
-        self.inner
-            .tracer
-            .emit(at, crate::engine::current_thread(), || {
-                crate::trace::ProtocolEvent::MessageCoalesced { from, to, bytes }
-            });
-    }
-
-    /// Deadline flush: drains the link buffer if the armed generation is
-    /// still pending and sends it as one packet.
-    fn flush_coalesced(&self, from: NodeId, to: NodeId, epoch: u64) {
-        let Some(co) = &self.coalesce else { return };
-        if let Some(batch) = co.take_due(from, to, epoch) {
-            self.raw_send(from, to, batch.bytes, batch.into_handler());
-        }
-    }
-
     fn unblock_class(&self, thread: ThreadId, class: WakeClass) {
         let mut st = self.inner.state.lock();
         let tcb_state = st.tcb(thread).state;
@@ -629,29 +561,26 @@ impl Engine for SimEngine {
 
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
         amber_verify::engine_block_checkpoint("send");
-        let Some(co) = &self.coalesce else {
-            self.raw_send(from, to, bytes, handler);
+        let mut st = self.inner.state.lock();
+        self.inner
+            .stats
+            .record_send(from.index(), to.index(), bytes);
+        self.inner
+            .tracer
+            .emit(st.clock, crate::engine::current_thread(), || {
+                crate::trace::ProtocolEvent::MessageSend { from, to, bytes }
+            });
+        if let Some(fault) = &self.fault {
+            // The fault layer re-enters the state lock to schedule copies
+            // and timers; release it first (it is not reentrant).
+            drop(st);
+            fault.send(from, to, bytes, handler);
             return;
-        };
-        match co.offer(from, to, bytes, handler) {
-            crate::coalesce::Offer::Direct { bytes, handler } => {
-                self.raw_send(from, to, bytes, handler);
-            }
-            crate::coalesce::Offer::Queued { arm, epoch } => {
-                self.note_coalesced(from, to, bytes);
-                if arm {
-                    let eng = self.clone();
-                    self.after(
-                        co.config().flush_after,
-                        Box::new(move || eng.flush_coalesced(from, to, epoch)),
-                    );
-                }
-            }
-            crate::coalesce::Offer::Flush(batch) => {
-                self.note_coalesced(from, to, bytes);
-                self.raw_send(from, to, batch.bytes, batch.into_handler());
-            }
         }
+        let delay = self.inner.latency.latency(bytes);
+        let at = st.clock + delay;
+        st.push_event(at, Event::Deliver { handler });
+        self.inner.dispatch_cv.notify_one();
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {

@@ -1,11 +1,20 @@
-//! Protocol event tracing.
+//! Protocol event tracing, and the one table that declares the protocol's
+//! facts.
 //!
-//! The runtime layered above the engine emits one [`ProtocolEvent`] per
+//! The runtime layered above the engine raises one [`ProtocolEvent`] per
 //! protocol action (invocations, thread migrations, object moves, forwarding
-//! hops, replications, ...), stamped with the engine clock. Events flow
-//! through the engine's [`Tracer`] into an installed [`TraceSink`]; with no
-//! sink installed the whole path is a single relaxed atomic load, so tracing
-//! costs nothing when it is off.
+//! hops, replications, ...). Every kind is declared once, as a row of the
+//! `protocol_events!` table below: variant and fields, stable name, principal
+//! node, and the [`ProtocolSnapshot`] counter it feeds. Everything else that
+//! has to know the kinds — [`EventKind`], `kind()`/`name()`/`node()`, the
+//! Chrome-trace `args` writer, [`ProtocolSnapshot`] and the mapping from
+//! per-kind counts to it — is generated from the rows. Adding an event is
+//! one row plus one `emit` call in `amber-core`.
+//!
+//! Events flow, stamped with the engine clock, through the engine's
+//! [`Tracer`] into an installed [`TraceSink`]; with no sink installed that
+//! path is a single relaxed atomic load, so tracing costs nothing when it is
+//! off.
 //!
 //! [`MemorySink`] collects events in memory for tests and post-run analysis;
 //! [`chrome_trace_json`] renders a captured stream as Chrome-trace / Perfetto
@@ -19,38 +28,166 @@ use parking_lot::Mutex;
 use crate::ids::{NodeId, ThreadId};
 use crate::time::SimTime;
 
-/// One protocol-level action, as emitted by the runtime.
-///
-/// Object addresses are carried as raw `u64`s: the engine knows nothing of
-/// the virtual address space layered above it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProtocolEvent {
-    /// An invocation satisfied on the caller's node.
-    LocalInvoke {
+/// How one field of an event renders inside a Chrome-trace `args` object.
+trait TraceArg {
+    fn write_arg(&self, out: &mut String);
+}
+
+macro_rules! trace_arg {
+    ($($ty:ty => |$v:ident| $render:expr),+ $(,)?) => {$(
+        impl TraceArg for $ty {
+            fn write_arg(&self, out: &mut String) {
+                use std::fmt::Write;
+                let $v = self;
+                let _ = write!(out, "{}", $render);
+            }
+        }
+    )+};
+}
+
+trace_arg! {
+    u64 => |v| v,
+    u32 => |v| v,
+    usize => |v| v,
+    NodeId => |v| v.index(),
+    ThreadId => |v| v.0,
+    &'static str => |v| format_args!("\"{v}\""),
+}
+
+fn push_fields(out: &mut String, fields: &[(&str, &dyn TraceArg)]) {
+    for (i, (name, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(name);
+        out.push_str("\":");
+        value.write_arg(out);
+    }
+}
+
+/// The protocol's vocabulary: one row per event kind, and the only place a
+/// kind is spelled out. A row gives the variant with its fields (rendered, in
+/// declaration order, as the Chrome-trace `args`), its stable name, the field
+/// that names its principal node and — for the facts the runtime counts —
+/// the [`ProtocolSnapshot`] counter it feeds. [`EventKind`],
+/// [`ProtocolEvent::kind`]/[`name`](ProtocolEvent::name)/
+/// [`node`](ProtocolEvent::node), the `args` writer and [`ProtocolSnapshot`]
+/// with its [`from_counts`](ProtocolSnapshot::from_counts) are all generated
+/// from the rows, so adding an event is one row here plus one `emit` where
+/// it happens.
+macro_rules! protocol_events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $name:literal @$at:ident $(, counts $counter:ident)? {
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty),+ $(,)?
+        }
+    )+) => {
+        /// One protocol-level action, as emitted by the runtime.
+        ///
+        /// Object addresses are carried as raw `u64`s: the engine knows
+        /// nothing of the virtual address space layered above it.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum ProtocolEvent {$(
+            $(#[$doc])*
+            $variant {$($(#[$fdoc])* $field: $ty),+},
+        )+}
+
+        /// The kind of a [`ProtocolEvent`]: the variant without its fields.
+        /// `kind as usize` is dense in `0..EventKind::COUNT` and indexes
+        /// per-kind counter rows.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum EventKind {$(
+            $(#[$doc])*
+            $variant,
+        )+}
+
+        impl EventKind {
+            /// Every kind, in index order.
+            pub const ALL: &'static [EventKind] = &[$(EventKind::$variant),+];
+            /// Number of kinds.
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// Short stable name, used as the Chrome-trace event name.
+            pub fn name(self) -> &'static str {
+                match self {$(EventKind::$variant => $name,)+}
+            }
+        }
+
+        impl ProtocolEvent {
+            /// Which kind of event this is.
+            #[inline]
+            pub fn kind(&self) -> EventKind {
+                match self {$(ProtocolEvent::$variant { .. } => EventKind::$variant,)+}
+            }
+
+            /// The node this event is principally about (the Chrome-trace
+            /// `pid`, and the counter row it lands in).
+            #[inline]
+            pub fn node(&self) -> NodeId {
+                match *self {$(ProtocolEvent::$variant { $at, .. } => $at,)+}
+            }
+
+            /// Appends the fields as the members of a JSON object.
+            fn push_args(&self, out: &mut String) {
+                match *self {$(
+                    ProtocolEvent::$variant { $($field),+ } => {
+                        push_fields(out, &[$((stringify!($field), &$field)),+])
+                    }
+                )+}
+            }
+        }
+
+        /// How many events of each counted kind have happened: what
+        /// `protocol_stats()` reports, and what a captured trace folds to.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct ProtocolSnapshot {$($(
+            #[doc = concat!("[`ProtocolEvent::", stringify!($variant), "`] events.")]
+            pub $counter: u64,
+        )?)+}
+
+        impl ProtocolSnapshot {
+            /// Reads the counted kinds out of a row of per-kind counts
+            /// (indexed by `EventKind as usize`).
+            pub fn from_counts(counts: &[u64; EventKind::COUNT]) -> ProtocolSnapshot {
+                ProtocolSnapshot {$($(
+                    $counter: counts[EventKind::$variant as usize],
+                )?)+}
+            }
+        }
+    };
+}
+
+protocol_events! {
+    /// An invocation satisfied on the caller's node (including replica
+    /// reads).
+    LocalInvoke "local_invoke" @node, counts local_invokes {
         /// Address of the invoked object.
         obj: u64,
         /// Node the invocation ran on.
         node: NodeId,
-    },
+    }
     /// An invocation that trapped and migrated the calling thread.
-    RemoteInvoke {
+    RemoteInvoke "remote_invoke" @to, counts remote_invokes {
         /// Address of the invoked object.
         obj: u64,
         /// Node the call started on.
         from: NodeId,
         /// Node the invocation ultimately ran on.
         to: NodeId,
-    },
-    /// One network hop of a migrating thread.
-    ThreadMigration {
+    }
+    /// One network hop of a migrating thread, including hops along
+    /// forwarding chains and return-time migrations back to the enclosing
+    /// object.
+    ThreadMigration "thread_migration" @to, counts thread_migrations {
         /// Node the thread left.
         from: NodeId,
         /// Node the thread arrived at.
         to: NodeId,
-    },
+    }
     /// An explicit object move (one event per MoveTo, however large the
     /// attachment group).
-    ObjectMove {
+    ObjectMove "object_move" @to, counts object_moves {
         /// Address of the moved (root) object.
         obj: u64,
         /// Source node.
@@ -61,28 +198,28 @@ pub enum ProtocolEvent {
         group: usize,
         /// Total payload bytes transferred.
         bytes: usize,
-    },
+    }
     /// A forwarding-address hop followed (by a thread or a locate probe).
-    ForwardHop {
+    ForwardHop "forward_hop" @at, counts forward_hops {
         /// Address being chased.
         obj: u64,
         /// Node whose descriptor forwarded.
         at: NodeId,
         /// Node the forwarding address pointed to.
         to: NodeId,
-    },
+    }
     /// A reference routed via the object's home node because the local
     /// descriptor was uninitialized.
-    HomeRoute {
+    HomeRoute "home_route" @at, counts home_routes {
         /// Address being resolved.
         obj: u64,
         /// Node that had no descriptor.
         at: NodeId,
         /// The home node consulted.
         home: NodeId,
-    },
+    }
     /// An immutable-object replica installed.
-    Replication {
+    Replication "replication" @to, counts replications {
         /// Address of the replicated object.
         obj: u64,
         /// Node the copy came from.
@@ -91,257 +228,193 @@ pub enum ProtocolEvent {
         to: NodeId,
         /// Payload bytes copied.
         bytes: usize,
-    },
+    }
     /// A heap region fetched from the address-space server after startup.
-    RegionExtension {
+    RegionExtension "region_extension" @node, counts region_extensions {
         /// Node whose heap was extended.
         node: NodeId,
-    },
+    }
     /// A region-map miss answered by the address-space server.
-    RegionLookup {
+    RegionLookup "region_lookup" @node, counts region_lookups {
         /// Node that missed.
         node: NodeId,
-    },
+    }
     /// An object created.
-    ObjectCreate {
+    ObjectCreate "object_create" @node, counts creates {
         /// Address of the new object.
         obj: u64,
         /// Node it was created on.
         node: NodeId,
-    },
+    }
     /// An object destroyed.
-    ObjectDestroy {
+    ObjectDestroy "object_destroy" @node, counts destroys {
         /// Address of the destroyed object.
         obj: u64,
         /// Node the destroy ran on.
         node: NodeId,
-    },
+    }
     /// A thread started.
-    ThreadStart {
+    ThreadStart "thread_start" @node, counts thread_starts {
         /// The new thread.
         thread: ThreadId,
         /// Node it was started on.
         node: NodeId,
-    },
+    }
     /// A join completed.
-    Join {
+    Join "join" @node, counts joins {
         /// The joined thread.
         thread: ThreadId,
-    },
+        /// Node the joiner resumed on with the result.
+        node: NodeId,
+    }
     /// One engine-level network message (every protocol message and bulk
     /// transfer shows up here).
-    MessageSend {
+    MessageSend "message_send" @from {
         /// Sending node.
         from: NodeId,
         /// Receiving node.
         to: NodeId,
         /// Payload bytes.
         bytes: usize,
-    },
+    }
     /// A transmission attempt lost by the fault plan's drop probability.
-    MessageDropped {
+    MessageDropped "message_dropped" @from {
         /// Sending node.
         from: NodeId,
         /// Intended receiver.
         to: NodeId,
         /// Payload bytes that were lost.
         bytes: usize,
-    },
+    }
     /// The reliability sublayer retransmitted a message whose every prior
     /// attempt was lost.
-    MessageRetransmit {
+    MessageRetransmit "message_retransmit" @from {
         /// Sending node.
         from: NodeId,
         /// Receiving node.
         to: NodeId,
         /// The attempt number of this (re)transmission (1 = first retry).
         attempt: u32,
-    },
+    }
     /// The receiver's dedup window suppressed a wire-duplicated copy.
-    MessageDuplicateSuppressed {
+    MessageDuplicateSuppressed "message_duplicate_suppressed" @to {
         /// Sending node.
         from: NodeId,
         /// Receiving node that suppressed the copy.
         to: NodeId,
-    },
+    }
     /// A transmission attempt lost to a scripted partition.
-    LinkPartitioned {
+    LinkPartitioned "link_partitioned" @from {
         /// Sending node.
         from: NodeId,
         /// Unreachable receiver.
         to: NodeId,
-    },
+    }
     /// The adaptive placement advisor moved an object group toward its
     /// dominant caller node (the underlying transfer also emits an
     /// `ObjectMove`).
-    AdvisoryMove {
+    AdvisoryMove "advisory_move" @to, counts advisory_moves {
         /// Address of the moved (root) object.
         obj: u64,
         /// Node the group left.
         from: NodeId,
         /// Dominant caller node the group moved to.
         to: NodeId,
-    },
+    }
     /// The adaptive placement advisor installed a replica of an immutable
     /// object on a heavy reader node (the underlying transfer also emits a
     /// `Replication`).
-    AdvisoryReplicate {
+    AdvisoryReplicate "advisory_replicate" @to, counts advisory_replications {
         /// Address of the replicated object.
         obj: u64,
         /// Node the copy came from.
         from: NodeId,
         /// Reader node the replica installed on.
         to: NodeId,
-    },
+    }
     /// The adaptive placement advisor scattered a cold object group off an
     /// occupancy-dominating node toward an emptier one (the underlying
     /// transfer also emits an `ObjectMove`).
-    AdvisoryScatter {
+    AdvisoryScatter "advisory_scatter" @to, counts advisory_scatters {
         /// Address of the scattered (root) object.
         obj: u64,
         /// Overloaded node the group left.
         from: NodeId,
         /// Emptier node the group scattered to.
         to: NodeId,
-    },
+    }
     /// The kernel declined a placement advisory at execution time (object
     /// pinned, mid-move, mid-install, destroyed, attached, mutable where a
     /// replica was proposed, immutable where a move was, or already there).
-    AdvisorySkipped {
+    AdvisorySkipped "advisory_skipped" @at, counts advisory_skips {
         /// Address the advisor proposed to move.
         obj: u64,
         /// Destination the advisor proposed.
         at: NodeId,
         /// Why the kernel declined.
         reason: &'static str,
-    },
+    }
     /// A forwarding chase exceeded its hop bound and gave up with an error
     /// instead of converging (mirrors the transport's retransmit give-up).
-    ChaseDiverged {
+    ChaseDiverged "chase_diverged" @at, counts chase_divergences {
         /// Address being chased.
         obj: u64,
         /// Node the chase gave up on.
         at: NodeId,
         /// Hops followed before giving up.
         hops: u32,
-    },
+    }
     /// A stale descriptor rewritten to a one-hop forward after a chase
     /// resolved (LOCUS-style path compression along the reply path).
-    HintRepair {
+    HintRepair "hint_repair" @at, counts hint_repairs {
         /// Address whose descriptor was repaired.
         obj: u64,
         /// Node whose descriptor was rewritten.
         at: NodeId,
         /// Resolved location the descriptor now forwards to.
         to: NodeId,
-    },
+    }
     /// An advisor-installed replica aged out after going unread for the
     /// configured number of placement ticks.
-    ReplicaEvicted {
+    ReplicaEvicted "replica_evicted" @node, counts replica_evictions {
         /// Address whose replica was dropped.
         obj: u64,
         /// Node the cold replica was evicted from.
         node: NodeId,
-    },
+    }
     /// One member of a moved object group finished installing at the
     /// destination (the root's transfer emits a single `ObjectMove`; every
     /// member — root included — emits one of these when its registry entry
     /// settles at the new node).
-    MoveInstalled {
+    MoveInstalled "move_installed" @to, counts move_installs {
         /// Address of the installed group member.
         obj: u64,
         /// Node the member now resides on.
         to: NodeId,
-    },
+    }
     /// The destroy path failed to return an object's storage to its home
-    /// heap (the allocator did not recognize the address). Counted instead
-    /// of asserted so release builds surface it to operators.
-    HeapFreeAnomaly {
+    /// heap (the allocator did not recognize the address). Always absent in
+    /// a healthy run; counted instead of asserted so release builds surface
+    /// it to operators.
+    HeapFreeAnomaly "heap_free_anomaly" @node, counts heap_free_anomalies {
         /// Address whose heap free failed.
         obj: u64,
         /// Home node whose heap rejected the free.
         node: NodeId,
-    },
-    /// A small kernel message queued into a per-link coalescing buffer
-    /// instead of being sent immediately (it rides a later batch packet,
-    /// which shows up as an ordinary `MessageSend`).
-    MessageCoalesced {
-        /// Sending node.
-        from: NodeId,
-        /// Receiving node.
-        to: NodeId,
-        /// Payload bytes queued.
-        bytes: usize,
-    },
+    }
 }
 
 impl ProtocolEvent {
     /// Short stable name, used as the Chrome-trace event name.
     pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolEvent::LocalInvoke { .. } => "local_invoke",
-            ProtocolEvent::RemoteInvoke { .. } => "remote_invoke",
-            ProtocolEvent::ThreadMigration { .. } => "thread_migration",
-            ProtocolEvent::ObjectMove { .. } => "object_move",
-            ProtocolEvent::ForwardHop { .. } => "forward_hop",
-            ProtocolEvent::HomeRoute { .. } => "home_route",
-            ProtocolEvent::Replication { .. } => "replication",
-            ProtocolEvent::RegionExtension { .. } => "region_extension",
-            ProtocolEvent::RegionLookup { .. } => "region_lookup",
-            ProtocolEvent::ObjectCreate { .. } => "object_create",
-            ProtocolEvent::ObjectDestroy { .. } => "object_destroy",
-            ProtocolEvent::ThreadStart { .. } => "thread_start",
-            ProtocolEvent::Join { .. } => "join",
-            ProtocolEvent::MessageSend { .. } => "message_send",
-            ProtocolEvent::MessageDropped { .. } => "message_dropped",
-            ProtocolEvent::MessageRetransmit { .. } => "message_retransmit",
-            ProtocolEvent::MessageDuplicateSuppressed { .. } => "message_duplicate_suppressed",
-            ProtocolEvent::LinkPartitioned { .. } => "link_partitioned",
-            ProtocolEvent::AdvisoryMove { .. } => "advisory_move",
-            ProtocolEvent::AdvisoryReplicate { .. } => "advisory_replicate",
-            ProtocolEvent::AdvisoryScatter { .. } => "advisory_scatter",
-            ProtocolEvent::AdvisorySkipped { .. } => "advisory_skipped",
-            ProtocolEvent::ChaseDiverged { .. } => "chase_diverged",
-            ProtocolEvent::HintRepair { .. } => "hint_repair",
-            ProtocolEvent::ReplicaEvicted { .. } => "replica_evicted",
-            ProtocolEvent::MoveInstalled { .. } => "move_installed",
-            ProtocolEvent::HeapFreeAnomaly { .. } => "heap_free_anomaly",
-            ProtocolEvent::MessageCoalesced { .. } => "message_coalesced",
-        }
+        self.kind().name()
     }
+}
 
-    /// The node this event is principally about (the Chrome-trace `pid`).
-    pub fn node(&self) -> NodeId {
-        match *self {
-            ProtocolEvent::LocalInvoke { node, .. }
-            | ProtocolEvent::RegionExtension { node }
-            | ProtocolEvent::RegionLookup { node }
-            | ProtocolEvent::ObjectCreate { node, .. }
-            | ProtocolEvent::ObjectDestroy { node, .. }
-            | ProtocolEvent::ReplicaEvicted { node, .. }
-            | ProtocolEvent::HeapFreeAnomaly { node, .. }
-            | ProtocolEvent::ThreadStart { node, .. } => node,
-            ProtocolEvent::RemoteInvoke { to, .. }
-            | ProtocolEvent::ObjectMove { to, .. }
-            | ProtocolEvent::ThreadMigration { to, .. }
-            | ProtocolEvent::Replication { to, .. } => to,
-            ProtocolEvent::ForwardHop { at, .. }
-            | ProtocolEvent::HomeRoute { at, .. }
-            | ProtocolEvent::AdvisorySkipped { at, .. }
-            | ProtocolEvent::ChaseDiverged { at, .. }
-            | ProtocolEvent::HintRepair { at, .. } => at,
-            ProtocolEvent::AdvisoryMove { to, .. }
-            | ProtocolEvent::AdvisoryReplicate { to, .. }
-            | ProtocolEvent::AdvisoryScatter { to, .. }
-            | ProtocolEvent::MoveInstalled { to, .. } => to,
-            ProtocolEvent::Join { .. } => NodeId(0),
-            ProtocolEvent::MessageSend { from, .. }
-            | ProtocolEvent::MessageDropped { from, .. }
-            | ProtocolEvent::MessageRetransmit { from, .. }
-            | ProtocolEvent::MessageCoalesced { from, .. }
-            | ProtocolEvent::LinkPartitioned { from, .. } => from,
-            ProtocolEvent::MessageDuplicateSuppressed { to, .. } => to,
-        }
+impl ProtocolSnapshot {
+    /// Total invocations of any kind.
+    pub fn total_invokes(&self) -> u64 {
+        self.local_invokes + self.remote_invokes
     }
 }
 
@@ -482,129 +555,6 @@ impl Tracer {
     }
 }
 
-fn push_args(out: &mut String, event: &ProtocolEvent) {
-    use std::fmt::Write;
-    match *event {
-        ProtocolEvent::LocalInvoke { obj, node } => {
-            let _ = write!(out, "\"obj\":{obj},\"node\":{}", node.index());
-        }
-        ProtocolEvent::RemoteInvoke { obj, from, to } => {
-            let _ = write!(
-                out,
-                "\"obj\":{obj},\"from\":{},\"to\":{}",
-                from.index(),
-                to.index()
-            );
-        }
-        ProtocolEvent::ThreadMigration { from, to } => {
-            let _ = write!(out, "\"from\":{},\"to\":{}", from.index(), to.index());
-        }
-        ProtocolEvent::ObjectMove {
-            obj,
-            from,
-            to,
-            group,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                "\"obj\":{obj},\"from\":{},\"to\":{},\"group\":{group},\"bytes\":{bytes}",
-                from.index(),
-                to.index()
-            );
-        }
-        ProtocolEvent::ForwardHop { obj, at, to } | ProtocolEvent::HintRepair { obj, at, to } => {
-            let _ = write!(
-                out,
-                "\"obj\":{obj},\"at\":{},\"to\":{}",
-                at.index(),
-                to.index()
-            );
-        }
-        ProtocolEvent::HomeRoute { obj, at, home } => {
-            let _ = write!(
-                out,
-                "\"obj\":{obj},\"at\":{},\"home\":{}",
-                at.index(),
-                home.index()
-            );
-        }
-        ProtocolEvent::Replication {
-            obj,
-            from,
-            to,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                "\"obj\":{obj},\"from\":{},\"to\":{},\"bytes\":{bytes}",
-                from.index(),
-                to.index()
-            );
-        }
-        ProtocolEvent::RegionExtension { node } | ProtocolEvent::RegionLookup { node } => {
-            let _ = write!(out, "\"node\":{}", node.index());
-        }
-        ProtocolEvent::ObjectCreate { obj, node }
-        | ProtocolEvent::ObjectDestroy { obj, node }
-        | ProtocolEvent::ReplicaEvicted { obj, node }
-        | ProtocolEvent::HeapFreeAnomaly { obj, node } => {
-            let _ = write!(out, "\"obj\":{obj},\"node\":{}", node.index());
-        }
-        ProtocolEvent::MoveInstalled { obj, to } => {
-            let _ = write!(out, "\"obj\":{obj},\"to\":{}", to.index());
-        }
-        ProtocolEvent::ThreadStart { thread, node } => {
-            let _ = write!(out, "\"thread\":{},\"node\":{}", thread.0, node.index());
-        }
-        ProtocolEvent::Join { thread } => {
-            let _ = write!(out, "\"thread\":{}", thread.0);
-        }
-        ProtocolEvent::MessageSend { from, to, bytes }
-        | ProtocolEvent::MessageDropped { from, to, bytes }
-        | ProtocolEvent::MessageCoalesced { from, to, bytes } => {
-            let _ = write!(
-                out,
-                "\"from\":{},\"to\":{},\"bytes\":{bytes}",
-                from.index(),
-                to.index()
-            );
-        }
-        ProtocolEvent::MessageRetransmit { from, to, attempt } => {
-            let _ = write!(
-                out,
-                "\"from\":{},\"to\":{},\"attempt\":{attempt}",
-                from.index(),
-                to.index()
-            );
-        }
-        ProtocolEvent::MessageDuplicateSuppressed { from, to }
-        | ProtocolEvent::LinkPartitioned { from, to } => {
-            let _ = write!(out, "\"from\":{},\"to\":{}", from.index(), to.index());
-        }
-        ProtocolEvent::AdvisoryMove { obj, from, to }
-        | ProtocolEvent::AdvisoryReplicate { obj, from, to }
-        | ProtocolEvent::AdvisoryScatter { obj, from, to } => {
-            let _ = write!(
-                out,
-                "\"obj\":{obj},\"from\":{},\"to\":{}",
-                from.index(),
-                to.index()
-            );
-        }
-        ProtocolEvent::AdvisorySkipped { obj, at, reason } => {
-            let _ = write!(
-                out,
-                "\"obj\":{obj},\"at\":{},\"reason\":\"{reason}\"",
-                at.index()
-            );
-        }
-        ProtocolEvent::ChaseDiverged { obj, at, hops } => {
-            let _ = write!(out, "\"obj\":{obj},\"at\":{},\"hops\":{hops}", at.index());
-        }
-    }
-}
-
 /// Renders records as Chrome-trace / Perfetto JSON (JSON-object format with
 /// a `traceEvents` array of instant events; `pid` is the node, `tid` the
 /// Amber thread).
@@ -633,7 +583,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
             rec.event.name(),
             node.index(),
         );
-        push_args(&mut out, &rec.event);
+        rec.event.push_args(&mut out);
         out.push_str("}}");
     }
     // Process-name metadata so viewers label each pid as its node.
@@ -732,14 +682,308 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
+    /// One event of every kind with its stable name and principal node.
+    /// Field values are all distinct within an event, so a swapped field
+    /// shows in the rendering.
+    fn every_kind() -> Vec<(ProtocolEvent, &'static str, u16)> {
+        use ProtocolEvent as E;
+        let (n1, n2, n3) = (NodeId(1), NodeId(2), NodeId(3));
+        vec![
+            (E::LocalInvoke { obj: 64, node: n1 }, "local_invoke", 1),
+            (
+                E::RemoteInvoke {
+                    obj: 64,
+                    from: n1,
+                    to: n2,
+                },
+                "remote_invoke",
+                2,
+            ),
+            (
+                E::ThreadMigration { from: n1, to: n2 },
+                "thread_migration",
+                2,
+            ),
+            (
+                E::ObjectMove {
+                    obj: 64,
+                    from: n1,
+                    to: n2,
+                    group: 5,
+                    bytes: 4096,
+                },
+                "object_move",
+                2,
+            ),
+            (
+                E::ForwardHop {
+                    obj: 64,
+                    at: n1,
+                    to: n2,
+                },
+                "forward_hop",
+                1,
+            ),
+            (
+                E::HomeRoute {
+                    obj: 64,
+                    at: n1,
+                    home: n3,
+                },
+                "home_route",
+                1,
+            ),
+            (
+                E::Replication {
+                    obj: 64,
+                    from: n1,
+                    to: n2,
+                    bytes: 512,
+                },
+                "replication",
+                2,
+            ),
+            (E::RegionExtension { node: n1 }, "region_extension", 1),
+            (E::RegionLookup { node: n2 }, "region_lookup", 2),
+            (E::ObjectCreate { obj: 64, node: n1 }, "object_create", 1),
+            (E::ObjectDestroy { obj: 64, node: n2 }, "object_destroy", 2),
+            (
+                E::ThreadStart {
+                    thread: ThreadId(9),
+                    node: n1,
+                },
+                "thread_start",
+                1,
+            ),
+            (
+                E::Join {
+                    thread: ThreadId(9),
+                    node: n2,
+                },
+                "join",
+                2,
+            ),
+            (
+                E::MessageSend {
+                    from: n1,
+                    to: n2,
+                    bytes: 100,
+                },
+                "message_send",
+                1,
+            ),
+            (
+                E::MessageDropped {
+                    from: n1,
+                    to: n2,
+                    bytes: 100,
+                },
+                "message_dropped",
+                1,
+            ),
+            (
+                E::MessageRetransmit {
+                    from: n1,
+                    to: n2,
+                    attempt: 3,
+                },
+                "message_retransmit",
+                1,
+            ),
+            (
+                E::MessageDuplicateSuppressed { from: n1, to: n2 },
+                "message_duplicate_suppressed",
+                2,
+            ),
+            (
+                E::LinkPartitioned { from: n1, to: n2 },
+                "link_partitioned",
+                1,
+            ),
+            (
+                E::AdvisoryMove {
+                    obj: 64,
+                    from: n1,
+                    to: n2,
+                },
+                "advisory_move",
+                2,
+            ),
+            (
+                E::AdvisoryReplicate {
+                    obj: 64,
+                    from: n1,
+                    to: n2,
+                },
+                "advisory_replicate",
+                2,
+            ),
+            (
+                E::AdvisoryScatter {
+                    obj: 64,
+                    from: n1,
+                    to: n2,
+                },
+                "advisory_scatter",
+                2,
+            ),
+            (
+                E::AdvisorySkipped {
+                    obj: 64,
+                    at: n1,
+                    reason: "pinned",
+                },
+                "advisory_skipped",
+                1,
+            ),
+            (
+                E::ChaseDiverged {
+                    obj: 64,
+                    at: n1,
+                    hops: 7,
+                },
+                "chase_diverged",
+                1,
+            ),
+            (
+                E::HintRepair {
+                    obj: 64,
+                    at: n1,
+                    to: n2,
+                },
+                "hint_repair",
+                1,
+            ),
+            (
+                E::ReplicaEvicted { obj: 64, node: n1 },
+                "replica_evicted",
+                1,
+            ),
+            (E::MoveInstalled { obj: 64, to: n2 }, "move_installed", 2),
+            (
+                E::HeapFreeAnomaly { obj: 64, node: n1 },
+                "heap_free_anomaly",
+                1,
+            ),
+        ]
+    }
+
     #[test]
-    fn event_names_are_stable() {
-        let e = ProtocolEvent::MessageSend {
-            from: NodeId(0),
-            to: NodeId(1),
-            bytes: 1,
-        };
-        assert_eq!(e.name(), "message_send");
-        assert_eq!(e.node(), NodeId(0));
+    fn every_kind_renders_its_golden() {
+        let kinds = every_kind();
+        let mut names: Vec<_> = kinds.iter().map(|k| k.1).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), kinds.len(), "event names must be unique");
+        let mut records = Vec::new();
+        for (i, (event, name, node)) in kinds.into_iter().enumerate() {
+            assert_eq!(event.name(), name);
+            assert_eq!(event.node(), NodeId(node), "{name}");
+            records.push(rec(i as u64, event));
+        }
+        const ARGS: [&str; 27] = [
+            r#""obj":64,"node":1"#,
+            r#""obj":64,"from":1,"to":2"#,
+            r#""from":1,"to":2"#,
+            r#""obj":64,"from":1,"to":2,"group":5,"bytes":4096"#,
+            r#""obj":64,"at":1,"to":2"#,
+            r#""obj":64,"at":1,"home":3"#,
+            r#""obj":64,"from":1,"to":2,"bytes":512"#,
+            r#""node":1"#,
+            r#""node":2"#,
+            r#""obj":64,"node":1"#,
+            r#""obj":64,"node":2"#,
+            r#""thread":9,"node":1"#,
+            r#""thread":9,"node":2"#,
+            r#""from":1,"to":2,"bytes":100"#,
+            r#""from":1,"to":2,"bytes":100"#,
+            r#""from":1,"to":2,"attempt":3"#,
+            r#""from":1,"to":2"#,
+            r#""from":1,"to":2"#,
+            r#""obj":64,"from":1,"to":2"#,
+            r#""obj":64,"from":1,"to":2"#,
+            r#""obj":64,"from":1,"to":2"#,
+            r#""obj":64,"at":1,"reason":"pinned""#,
+            r#""obj":64,"at":1,"hops":7"#,
+            r#""obj":64,"at":1,"to":2"#,
+            r#""obj":64,"node":1"#,
+            r#""obj":64,"to":2"#,
+            r#""obj":64,"node":1"#,
+        ];
+        let mut want = String::from(r#"{"displayTimeUnit":"ms","traceEvents":["#);
+        for (i, (r, args)) in records.iter().zip(ARGS).enumerate() {
+            want.push_str(&format!(
+                r#"{{"name":"{}","ph":"i","s":"p","ts":{i},"pid":{},"tid":1,"args":{{{args}}}}},"#,
+                r.event.name(),
+                r.event.node().index(),
+            ));
+        }
+        want.push_str(
+            r#"{"name":"process_name","ph":"M","pid":1,"args":{"name":"node1"}},{"name":"process_name","ph":"M","pid":2,"args":{"name":"node2"}}]}"#,
+        );
+        assert_eq!(chrome_trace_json(&records), want);
+    }
+
+    /// The `(field, value)` pairs of a snapshot, read off its derived
+    /// `Debug` so the list cannot fall out of step with the struct.
+    fn snapshot_fields(s: &ProtocolSnapshot) -> Vec<(String, u64)> {
+        let text = format!("{s:?}");
+        let body = text
+            .strip_prefix("ProtocolSnapshot { ")
+            .and_then(|t| t.strip_suffix(" }"))
+            .expect("derived Debug shape");
+        body.split(", ")
+            .map(|f| {
+                let (name, v) = f.split_once(": ").expect("field: value");
+                (name.to_string(), v.parse().expect("u64 field"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counted_kinds_and_snapshot_fields_pair_one_to_one() {
+        for (i, kind) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "kind indexes are dense");
+        }
+        let sample = every_kind();
+        assert_eq!(
+            sample.len(),
+            EventKind::COUNT,
+            "the golden covers every kind"
+        );
+        let mut fed = Vec::new();
+        let mut uncounted = Vec::new();
+        for (event, name, _) in &sample {
+            let mut counts = [0u64; EventKind::COUNT];
+            counts[event.kind() as usize] = 1;
+            let hit: Vec<_> = snapshot_fields(&ProtocolSnapshot::from_counts(&counts))
+                .into_iter()
+                .filter(|(_, v)| *v != 0)
+                .collect();
+            match hit.as_slice() {
+                [] => uncounted.push(*name),
+                [(field, 1)] => fed.push(field.clone()),
+                other => panic!("{name} feeds {other:?}"),
+            }
+        }
+        // The engine counts its own messages in `NetStats`.
+        assert_eq!(
+            uncounted,
+            [
+                "message_send",
+                "message_dropped",
+                "message_retransmit",
+                "message_duplicate_suppressed",
+                "link_partitioned"
+            ]
+        );
+        let all: Vec<_> = snapshot_fields(&ProtocolSnapshot::default())
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(fed, all, "one field per counted kind, in table order");
+        let ones = ProtocolSnapshot::from_counts(&[1; EventKind::COUNT]);
+        assert!(snapshot_fields(&ones).iter().all(|(_, v)| *v == 1));
+        assert_eq!(ones.total_invokes(), 2);
     }
 }

@@ -11,8 +11,10 @@
 //! 2. **At-most-once delivery** — every injected duplicate is suppressed by
 //!    the receiver's dedup window (`dups_suppressed == dups_injected`).
 //! 3. **Exact accounting** — a trace captured over the whole run reconciles
-//!    counter-for-counter against the live `ProtocolStats` and `NetStats`
-//!    via [`TraceSummary::from_events`], fault events included.
+//!    counter-for-counter against `protocol_stats()` (no event was lost by
+//!    a sink: one `emit` feeds counter and trace) and against `NetStats`,
+//!    the engine's independent book, via [`TraceSummary::from_events`],
+//!    fault events included.
 //!
 //! The simulated engine keeps the chaos deterministic: the fault seed comes
 //! from `AMBER_FAULT_SEED` (decimal) so CI can sweep seeds, and a given seed
@@ -75,7 +77,7 @@ fn reconcile(c: &Cluster, sink: &std::sync::Arc<amber_core::MemorySink>) {
     assert_eq!(
         summary.snapshot,
         c.protocol_stats(),
-        "protocol counters drifted from the event stream"
+        "a sink lost or doubled protocol events"
     );
     assert_eq!(summary.messages, net.total_msgs(), "message events drifted");
     assert_eq!(
