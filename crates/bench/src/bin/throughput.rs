@@ -5,10 +5,7 @@
 //!
 //! * local invoke with the traffic advisor off and on (at 1/2/4/8 nodes,
 //!   each side the median of five rounds alternated with the other's, so
-//!   neither a disturbed round nor CPU frequency drift biases one side), a
-//!   mixed invoke/locate/move blend, and a 2-node remote-invoke workload
-//!   under 0%/1%/5% attempt loss (`lossy_invoke_loss{0,1,5}`), pricing the
-//!   reliability sublayer and its retransmission stalls;
+//!   neither a disturbed round nor CPU frequency drift biases one side);
 //! * skewed traffic at 2/4/8 nodes, static vs. adaptive placement;
 //! * read-mostly immutable traffic at 2/4/8 nodes with demand replication
 //!   off, static vs. advisor-replicated;
@@ -22,18 +19,18 @@
 //!
 //! Environment switches:
 //!
-//! * `AMBER_THROUGHPUT_ITERS` — per-worker local-invoke iterations
-//!   (default 20000, floored at 5000 so the overhead check always measures
-//!   a meaningful window; the mixed and lossy scenarios run a tenth of
-//!   the raw value; the advisor scenarios run half, floored at 2000, and
-//!   in any case give the advisor 20 ticks before reading its effect).
+//! * `AMBER_THROUGHPUT_ITERS` — the least a local-invoke worker runs per
+//!   timed round (default 20000; the advisor scenarios run half, floored
+//!   at 2000). Every timed phase also has a floor in time — a round of the
+//!   two throughput-ratio pairs lasts four advisor ticks, a phase that
+//!   reads the advisor's effect twenty — so the smoke count shortens
+//!   nothing the checks depend on.
 //! * `AMBER_BENCH_OUT` — output path (default `BENCH_throughput.json`).
 //!   CI's smoke run points this at a scratch file.
 
 use amber_bench::throughput::{
     alternating_medians, failed_check, run_hot_spawner_invoke, run_json, run_local_invoke,
-    run_lossy_invoke, run_mixed, run_read_hot_invoke, run_skewed_invoke, Point, LOSS_PERCENTS,
-    NODE_COUNTS,
+    run_read_hot_invoke, run_skewed_invoke, Point, NODE_COUNTS,
 };
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -80,11 +77,6 @@ fn paired(variant: impl Fn(usize, bool) -> Point) -> Vec<Point> {
 
 fn main() {
     let iters = env_u64("AMBER_THROUGHPUT_ITERS", 20_000);
-    // local_invoke feeds the 10%-overhead check, so its timed window must
-    // stay meaningful (a few ms) even in CI's 200-iteration smoke run; below
-    // ~5k iters the measurement is thread-startup noise.
-    let local_iters = iters.max(5_000);
-    let mixed_iters = (iters / 10).max(10);
     let skew_iters = (iters / 2).max(2_000);
     let out = std::env::var("AMBER_BENCH_OUT").unwrap_or_else(|_| "BENCH_throughput.json".into());
 
@@ -98,17 +90,13 @@ fn main() {
         points.extend(measured);
     };
 
-    let mut base = Vec::new();
-    for &n in &NODE_COUNTS {
-        base.extend(alternating_medians(|on| {
-            run_local_invoke(n, local_iters, on)
-        }));
-        base.push(run_mixed(n, mixed_iters));
-    }
-    for &loss in &LOSS_PERCENTS {
-        base.push(run_lossy_invoke(2, mixed_iters, loss));
-    }
-    section("Invoke throughput (RealEngine)", base);
+    section(
+        "Advisor overhead: local invoke, advisor off/on",
+        NODE_COUNTS
+            .into_iter()
+            .flat_map(|n| alternating_medians(|on| run_local_invoke(n, iters, on)))
+            .collect(),
+    );
     section(
         "Adaptive placement: skewed traffic, advisor off/on",
         paired(|n, on| run_skewed_invoke(n, skew_iters, on)),

@@ -16,10 +16,6 @@
 //!   object. The pure fast path: no migration, no messages; only descriptor
 //!   reads, registry visits and payload admission. The adaptive variant
 //!   prices the advisor's bookkeeping on work it can never improve.
-//! * `mixed` — per-node workers interleaving local invokes with `Locate`
-//!   probes of a neighbour's object and `MoveTo` round trips of a private
-//!   "ball" object, under a zero-latency network so the numbers measure
-//!   kernel mechanism, not modelled wire time.
 //! * `skewed_invoke` / `skewed_invoke_adaptive` (2/4/8 nodes) — each
 //!   worker hammers a hot object created one node over, so the static run
 //!   pays a forward hop and a migration round trip per operation. The
@@ -34,15 +30,17 @@
 //! * `hot_spawner_invoke` / `hot_spawner_invoke_scatter` (2/4/8 nodes) —
 //!   node 0 creates every object; the scatter variant gives the advisor a
 //!   scatter budget and records how far the cold backlog spreads.
-//! * `lossy_invoke_loss{0,1,5}` (2 nodes) — remote invokes over a link
-//!   dropping 0%/1%/5% of attempts, pricing the reliability sublayer.
+//!
+//! These are exactly the pairs [`failed_check`] reads. A wall-clock number
+//! for one mechanism on its own (invoke, locate, move, the lossy transport)
+//! is a `BENCHMARK.json` metric, measured by `benchmark/run.sh`.
 //!
 //! [`RealEngine`]: amber_engine::RealEngine
 
 use std::time::{Duration, Instant};
 
 use amber_core::{
-    Cluster, ClusterBuilder, Ctx, EngineChoice, FaultPlan, LatencyModel, NodeId, ObjRef, SimTime,
+    Cluster, ClusterBuilder, Ctx, EngineChoice, LatencyModel, NodeId, ObjRef, SimTime,
 };
 use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
 
@@ -89,9 +87,6 @@ impl Point {
 /// Node counts every scenario is measured at.
 pub const NODE_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Loss percentages the lossy scenario is measured at.
-pub const LOSS_PERCENTS: [u32; 3] = [0, 1, 5];
-
 /// The bench advisors' tick: the stock `AdaptiveConfig` one. A 1 ms tick
 /// starved the advisor whenever the host ran slow: `min_calls` is a floor on
 /// calls *per tick*, and a 2-CPU host in a bad spell gives a remote reader
@@ -106,19 +101,40 @@ const TICK: SimTime = SimTime::from_ms(5);
 /// invoke gets the fewer ticks a fixed count spans.
 const ADVISOR_WINDOW: Duration = Duration::from_millis(20 * TICK.as_ms());
 
-/// A worker's loop in those phases: runs `op(i)` for
-/// `i = 0, 1, ..` until it has run at least `iters` times *and*
-/// [`ADVISOR_WINDOW`] has passed since `t0` (the clock is read every 16th
-/// op). Returns how many ran.
-fn run_for_window(t0: Instant, iters: u64, mut op: impl FnMut(u64)) -> u64 {
+/// A worker's loop in every timed phase: runs `op(i)` for `i = 0, 1, ..`
+/// until it has run at least `iters` times *and* `window` has passed since
+/// `t0` (the clock is read every 16th op). Returns how many ran.
+fn run_for_window(t0: Instant, window: Duration, iters: u64, mut op: impl FnMut(u64)) -> u64 {
     let mut done = 0;
     loop {
         op(done);
         done += 1;
-        if done >= iters && done % 16 == 0 && t0.elapsed() >= ADVISOR_WINDOW {
+        if done >= iters && done % 16 == 0 && t0.elapsed() >= window {
             return done;
         }
     }
+}
+
+/// One timed phase: starts a worker per `(anchor, counter)` that invokes its
+/// counter through [`run_for_window`], and joins them all. Returns how many
+/// invocations ran and how long the phase took.
+fn invoke_phase(
+    ctx: &Ctx,
+    work: &[(ObjRef<u8>, ObjRef<u64>)],
+    window: Duration,
+    iters: u64,
+) -> (u64, Duration) {
+    let t0 = Instant::now();
+    let hs: Vec<_> = work
+        .iter()
+        .map(|&(anchor, counter)| {
+            ctx.start(&anchor, move |ctx, _| {
+                run_for_window(t0, window, iters, |_| ctx.invoke(&counter, |_, c| *c += 1))
+            })
+        })
+        .collect();
+    let ran = hs.into_iter().map(|h| h.join(ctx)).sum();
+    (ran, t0.elapsed())
 }
 
 /// Rounds per side in [`alternating_medians`].
@@ -193,42 +209,40 @@ fn real_builder(nodes: usize, adaptive: bool) -> ClusterBuilder {
     }
 }
 
-fn real_cluster(nodes: usize) -> Cluster {
-    real_builder(nodes, false).build()
-}
+/// Rounds in [`fastest_round`].
+const TIMED_ROUNDS: u64 = 9;
+
+/// The least one [`fastest_round`] round lasts: four advisor ticks, a fifth
+/// of [`ADVISOR_WINDOW`]. A round sized by an op count shrinks as the invoke
+/// gets faster (200 smoke iterations of a 130 ns invoke were a 0.4 ms phase
+/// in which one scheduler hiccup swung a paired ratio past its 10% margin),
+/// and a round shorter than a tick cannot price the advisor's ticks at all.
+const ROUND_WINDOW: Duration = Duration::from_millis(4 * TICK.as_ms());
 
 /// The timed phase of the two scenarios whose *throughput* is compared:
 /// nine rounds, each starting one worker per `(anchor, counter)` that
-/// invokes its counter `iters` times, keeping the fastest round's time. A
-/// single round at smoke scale measures ~1 ms of work, where one scheduler
-/// hiccup swings the rate past a 10% margin; the best round is the
-/// least-disturbed measurement, and best-of-nine lands near the true minimum
-/// on both sides of a paired ratio, centering it tightly on 1.0 (of 40
-/// smoke runs on a 2-CPU host, 39 passed with nine rounds, ~37 with five).
-fn fastest_round(ctx: &Ctx, work: &[(ObjRef<u8>, ObjRef<u64>)], iters: u64) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..TIMED_ROUNDS {
-        let t0 = Instant::now();
-        let hs: Vec<_> = work
-            .iter()
-            .map(|&(anchor, counter)| {
-                ctx.start(&anchor, move |ctx, _| {
-                    for _ in 0..iters {
-                        ctx.invoke(&counter, |_, c| *c += 1);
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join(ctx);
-        }
-        best = best.min(t0.elapsed());
-    }
-    best
+/// invokes its counter for [`ROUND_WINDOW`] (and `iters` times at least).
+/// Returns the operations and time of the round with the highest rate, then
+/// the operations of all rounds together so the caller can check that none
+/// was lost. The best round is the least-disturbed measurement, and
+/// best-of-nine lands near the true maximum on both sides of a paired
+/// ratio, centering it on 1.0.
+fn fastest_round(
+    ctx: &Ctx,
+    work: &[(ObjRef<u8>, ObjRef<u64>)],
+    iters: u64,
+) -> (u64, Duration, u64) {
+    let rounds: Vec<(u64, Duration)> = (0..TIMED_ROUNDS)
+        .map(|_| invoke_phase(ctx, work, ROUND_WINDOW, iters))
+        .collect();
+    let rate = |&(ops, elapsed): &(u64, Duration)| ops as f64 / elapsed.as_secs_f64();
+    let total = rounds.iter().map(|round| round.0).sum();
+    let (ops, elapsed) = rounds
+        .into_iter()
+        .max_by(|a, b| rate(a).total_cmp(&rate(b)))
+        .expect("TIMED_ROUNDS is not zero");
+    (ops, elapsed, total)
 }
-
-/// Rounds in [`fastest_round`]; its callers check no invocation was lost.
-const TIMED_ROUNDS: u64 = 9;
 
 /// Pure local-invoke throughput: one worker per node, each with a private
 /// counter on its own node. With `adaptive` the placement advisor runs in
@@ -247,10 +261,10 @@ pub fn run_local_invoke(nodes: usize, iters: u64, adaptive: bool) -> Point {
                     (ctx.create_on(node, 0u8), ctx.create_on(node, 0u64))
                 })
                 .collect();
-            let best = fastest_round(ctx, &work, iters);
+            let (ops, elapsed, ran) = fastest_round(ctx, &work, iters);
             let total: u64 = work.iter().map(|(_, c)| ctx.invoke(c, |_, c| *c)).sum();
-            assert_eq!(total, TIMED_ROUNDS * iters * n as u64, "lost invocations");
-            (iters * n as u64, best)
+            assert_eq!(total, ran, "lost invocations");
+            (ops, elapsed)
         })
         .expect("local-invoke bench run failed");
     Point {
@@ -293,17 +307,7 @@ pub fn run_skewed_invoke(nodes: usize, iters: u64, adaptive: bool) -> Point {
                 })
                 .collect();
             let s0 = ctx.protocol_stats();
-            let t0 = Instant::now();
-            let hs: Vec<_> = work
-                .iter()
-                .map(|&(anchor, hot)| {
-                    ctx.start(&anchor, move |ctx, _| {
-                        run_for_window(t0, iters, |_| ctx.invoke(&hot, |_, c| *c += 1))
-                    })
-                })
-                .collect();
-            let ran: u64 = hs.into_iter().map(|h| h.join(ctx)).sum();
-            let elapsed = t0.elapsed();
+            let (ran, elapsed) = invoke_phase(ctx, &work, ADVISOR_WINDOW, iters);
             let s1 = ctx.protocol_stats();
             let total: u64 = work.iter().map(|(_, c)| ctx.invoke(c, |_, c| *c)).sum();
             assert_eq!(total, ran, "lost invocations");
@@ -370,7 +374,7 @@ pub fn run_read_hot_invoke(nodes: usize, iters: u64, adaptive: bool) -> Point {
                 .map(|(k, &(anchor, counter))| {
                     let hot = hot.clone();
                     ctx.start(&anchor, move |ctx, _| {
-                        run_for_window(t0, iters, |i| {
+                        run_for_window(t0, ADVISOR_WINDOW, iters, |i| {
                             if k == 0 || i % 8 == 7 {
                                 ctx.invoke(&counter, |_, c| *c += 1);
                             } else {
@@ -446,17 +450,8 @@ pub fn run_hot_spawner_invoke(nodes: usize, iters: u64, scatter: bool) -> Point 
             let work: Vec<_> = anchors.iter().copied().zip(counters).collect();
             // Fixed length: a variant-dependent early exit would bias the
             // comparison.
-            let t0 = Instant::now();
-            let warming: Vec<_> = work
-                .iter()
-                .map(|&(anchor, counter)| {
-                    ctx.start(&anchor, move |ctx, _| {
-                        run_for_window(t0, 0, |_| ctx.invoke(&counter, |_, c| *c += 1))
-                    })
-                })
-                .collect();
-            let warmed: u64 = warming.into_iter().map(|h| h.join(ctx)).sum();
-            let elapsed = fastest_round(ctx, &work, iters);
+            let (warmed, _) = invoke_phase(ctx, &work, ADVISOR_WINDOW, 0);
+            let (ops, elapsed, ran) = fastest_round(ctx, &work, iters);
             let resident = ctx.resident_counts();
             let total_resident: u64 = resident.iter().sum();
             let max = resident.iter().copied().max().unwrap_or(0);
@@ -466,14 +461,13 @@ pub fn run_hot_spawner_invoke(nodes: usize, iters: u64, scatter: bool) -> Point 
                 0.0
             };
             let total: u64 = work.iter().map(|(_, c)| ctx.invoke(c, |_, c| *c)).sum();
-            let expected = warmed + TIMED_ROUNDS * iters * n as u64;
-            assert_eq!(total, expected, "lost invocations");
+            assert_eq!(total, warmed + ran, "lost invocations");
             // The backlog's payloads must survive wherever they landed.
             for (i, o) in backlog.iter().enumerate() {
                 let v = ctx.invoke(o, |_, v| *v);
                 assert_eq!(v, i as u64, "scatter lost a payload");
             }
-            (iters * n as u64, elapsed, share)
+            (ops, elapsed, share)
         })
         .expect("hot-spawner bench run failed");
     Point {
@@ -490,147 +484,6 @@ pub fn run_hot_spawner_invoke(nodes: usize, iters: u64, scatter: bool) -> Point 
         thread_migrations: 0,
         remote_invokes: 0,
         max_resident_share: share,
-    }
-}
-
-/// Mixed workload: per node-worker, a deterministic interleaving of local
-/// invokes (7/10), `Locate` of the next node's counter (2/10) and `MoveTo`
-/// of a private ball object to the next node and back (1/10).
-pub fn run_mixed(nodes: usize, iters: u64) -> Point {
-    let cluster = real_cluster(nodes);
-    let (ops, elapsed) = cluster
-        .run(move |ctx| {
-            let n = ctx.nodes();
-            let work: Vec<_> = (0..n)
-                .map(|k| {
-                    let node = NodeId::from(k);
-                    (
-                        ctx.create_on(node, 0u8),
-                        ctx.create_on(node, 0u64),
-                        ctx.create_on(node, [0u8; 32]),
-                    )
-                })
-                .collect();
-            let counters: Vec<_> = work.iter().map(|&(_, c, _)| c).collect();
-            let t0 = Instant::now();
-            let hs: Vec<_> = work
-                .iter()
-                .enumerate()
-                .map(|(k, &(anchor, counter, ball))| {
-                    let peer = counters[(k + 1) % n];
-                    let home = NodeId::from(k);
-                    let away = NodeId::from((k + 1) % n);
-                    ctx.start(&anchor, move |ctx, _| {
-                        for i in 0..iters {
-                            match i % 10 {
-                                0 => {
-                                    ctx.move_to(&ball, away);
-                                    ctx.move_to(&ball, home);
-                                }
-                                1 | 2 => {
-                                    ctx.locate(&peer);
-                                }
-                                _ => {
-                                    ctx.invoke(&counter, |_, c| *c += 1);
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in hs {
-                h.join(ctx);
-            }
-            let elapsed = t0.elapsed();
-            (iters * n as u64, elapsed)
-        })
-        .expect("mixed bench run failed");
-    Point {
-        scenario: "mixed",
-        nodes,
-        workers: nodes,
-        ops,
-        elapsed,
-        forward_hops: 0,
-        thread_migrations: 0,
-        remote_invokes: 0,
-        max_resident_share: 0.0,
-    }
-}
-
-/// Remote-invoke throughput over a fault-injected network: workers drag
-/// their thread across a link with `loss_pct`% attempt drops on every other
-/// operation, so the numbers price the reliability sublayer (sequence
-/// numbers, dedup windows, retransmit timers) and the retransmission stalls
-/// that real loss adds on top of it. Loss 0 isolates the sublayer's pure
-/// bookkeeping overhead; compare against `local_invoke` for the unfaulted
-/// baseline.
-pub fn run_lossy_invoke(nodes: usize, iters: u64, loss_pct: u32) -> Point {
-    let scenario = match loss_pct {
-        0 => "lossy_invoke_loss0",
-        1 => "lossy_invoke_loss1",
-        5 => "lossy_invoke_loss5",
-        _ => "lossy_invoke",
-    };
-    let plan = FaultPlan::seeded(0x10551 + loss_pct as u64)
-        .drop_rate(loss_pct as f64 / 100.0)
-        .rto_grace(SimTime::from_ms(1));
-    let cluster = Cluster::builder()
-        .nodes(nodes)
-        .processors(2)
-        .engine(EngineChoice::Real)
-        .latency(LatencyModel::zero())
-        .deadline(Duration::from_secs(300))
-        .faults(plan)
-        .build();
-    let (ops, elapsed) = cluster
-        .run(move |ctx| {
-            let n = ctx.nodes();
-            let work: Vec<_> = (0..n)
-                .map(|k| {
-                    let node = NodeId::from(k);
-                    (ctx.create_on(node, 0u8), ctx.create_on(node, 0u64))
-                })
-                .collect();
-            let counters: Vec<_> = work.iter().map(|&(_, c)| c).collect();
-            let t0 = Instant::now();
-            let hs: Vec<_> = work
-                .iter()
-                .enumerate()
-                .map(|(k, &(anchor, counter))| {
-                    let peer = counters[(k + 1) % n];
-                    ctx.start(&anchor, move |ctx, _| {
-                        for i in 0..iters {
-                            // Alternate peer/home so each pair of ops drags
-                            // the thread across the lossy link and back.
-                            if i % 2 == 0 {
-                                ctx.invoke(&peer, |_, c| *c += 1);
-                            } else {
-                                ctx.invoke(&counter, |_, c| *c += 1);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in hs {
-                h.join(ctx);
-            }
-            let elapsed = t0.elapsed();
-            let total: u64 = counters.iter().map(|c| ctx.invoke(c, |_, v| *v)).sum();
-            assert_eq!(total, iters * n as u64, "lost invocations on lossy link");
-            (total, elapsed)
-        })
-        .expect("lossy-invoke bench run failed");
-    Point {
-        scenario,
-        nodes,
-        workers: nodes,
-        ops,
-        elapsed,
-        forward_hops: 0,
-        thread_migrations: 0,
-        remote_invokes: 0,
-        max_resident_share: 0.0,
     }
 }
 
@@ -982,8 +835,8 @@ mod tests {
     fn run_for_window_runs_the_floor_and_the_window() {
         let t0 = Instant::now();
         let mut seen = Vec::new();
-        let ran = run_for_window(t0, 40, |i| seen.push(i));
-        assert!(ran >= 40 && ran % 16 == 0 && t0.elapsed() >= ADVISOR_WINDOW);
+        let ran = run_for_window(t0, ROUND_WINDOW, 40, |i| seen.push(i));
+        assert!(ran >= 40 && ran % 16 == 0 && t0.elapsed() >= ROUND_WINDOW);
         assert!(seen.iter().copied().eq(0..ran));
     }
 
@@ -1004,7 +857,7 @@ mod tests {
     #[test]
     fn tiny_local_invoke_run_counts_ops() {
         let p = run_local_invoke(2, 25, false);
-        assert_eq!(p.ops, 50);
+        assert!(p.ops >= 50 && p.elapsed >= ROUND_WINDOW, "{p:?}");
         assert_eq!(p.nodes, 2);
     }
 
@@ -1021,7 +874,10 @@ mod tests {
     #[test]
     fn tiny_hot_spawner_run_measures_occupancy() {
         let piled = run_hot_spawner_invoke(2, 32, false);
-        assert_eq!(piled.ops, 64);
+        assert!(
+            piled.ops >= 64 && piled.elapsed >= ROUND_WINDOW,
+            "{piled:?}"
+        );
         assert_eq!(piled.scenario, "hot_spawner_invoke");
         // Node 0 created the 32-object backlog plus both counters; only
         // the two pinned anchors are guaranteed elsewhere.
@@ -1038,12 +894,5 @@ mod tests {
             spread.max_resident_share,
             piled.max_resident_share
         );
-    }
-
-    #[test]
-    fn tiny_lossy_invoke_run_counts_ops() {
-        let p = run_lossy_invoke(2, 20, 5);
-        assert_eq!(p.ops, 40);
-        assert_eq!(p.scenario, "lossy_invoke_loss5");
     }
 }

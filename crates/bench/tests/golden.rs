@@ -2,7 +2,7 @@
 //! print exactly what is committed under `results/`. The simulator is
 //! deterministic, so any difference is a change to the model or the
 //! protocol, never noise. CI's `bench` job makes the same comparison for
-//! all six binaries, including the slow `sor_vs_dsm`, `fig2` and `fig3`.
+//! all seven binaries, including the slow `sor_vs_dsm`, `fig2` and `fig3`.
 
 use std::path::Path;
 use std::process::Command;
@@ -41,4 +41,9 @@ fn ablate_granularity_matches_committed_result() {
         "ablate_granularity",
         env!("CARGO_BIN_EXE_ablate_granularity"),
     );
+}
+
+#[test]
+fn forwarding_matches_committed_result() {
+    assert_golden("forwarding", env!("CARGO_BIN_EXE_forwarding"));
 }

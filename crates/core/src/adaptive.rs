@@ -60,11 +60,6 @@ pub struct PlacementSample {
     /// Nodes that already hold a replica of this object (empty for mutable
     /// objects). Lets a policy cap replica sets and avoid re-proposing.
     pub replicas: Vec<NodeId>,
-    /// Run-queue depth sampled once per tick, indexed by node. A staleness-
-    /// tolerant load hint: policies may use it to *prefer* lightly loaded
-    /// targets, never for correctness. Shared across every sample of the
-    /// tick.
-    pub queue_depth: Vec<u64>,
 }
 
 /// One node's occupancy over the last placement tick, handed to the policy
@@ -84,8 +79,9 @@ pub struct NodeSample {
     /// Invocations started on the node since the previous drained tick
     /// (of objects still alive at this one).
     pub calls: u64,
-    /// Run-queue depth sampled once at the tick (same staleness contract as
-    /// [`PlacementSample::queue_depth`]).
+    /// Run-queue depth sampled once at the tick. A staleness-tolerant load
+    /// hint: policies may use it to *prefer* lightly loaded targets, never
+    /// for correctness.
     pub queue_depth: u64,
     /// Scatter candidates: raw addresses of mutable, unpinned, unattached
     /// group roots resident on the node that drained *zero* calls this
@@ -181,10 +177,6 @@ pub(crate) struct PlacementRuntime {
     /// Objects created, counted per target node and drained (swap-to-zero)
     /// at each real tick — the placement rate the scatter detector watches.
     pub(crate) placements: Box<[PaddedCounter]>,
-    /// Per-node activity readings at the last tick that actually drained
-    /// the registry. A tick whose readings match skips the full shard walk
-    /// (idle batching — quiescent intervals cost nothing per object).
-    last_drained: Mutex<Vec<u64>>,
     /// The daemon thread, once spawned.
     pub(crate) daemon: OnceLock<ThreadId>,
 }
@@ -203,7 +195,6 @@ impl PlacementRuntime {
             placements: (0..nodes.max(1))
                 .map(|_| PaddedCounter(AtomicU64::new(0)))
                 .collect(),
-            last_drained: Mutex::new(vec![0; nodes.max(1)]),
             daemon: OnceLock::new(),
         }
     }
@@ -347,24 +338,6 @@ impl Kernel {
             .expect("placement tick without placement state");
         let n = self.nodes.len();
 
-        // Idle batching (ROADMAP): compare the per-node activity counters
-        // against the readings at the last real drain. If no node advanced,
-        // the interval was quiescent — skip the full shard walk and the
-        // policy round entirely, so idle ticks cost O(nodes), not
-        // O(objects). (The daemon's sum check catches full quiescence; this
-        // per-node check also absorbs wake-ups that raced a disarm.)
-        {
-            let mut last = p.last_drained.lock();
-            let current: Vec<u64> = p
-                .activity
-                .iter()
-                .map(|c| c.0.load(Ordering::Relaxed))
-                .collect();
-            if *last == current {
-                return;
-            }
-            *last = current;
-        }
         // Placement rate since the last drained tick, per target node.
         let placement_rate: Vec<u64> = p
             .placements
@@ -476,11 +449,6 @@ impl Kernel {
             }
         }
 
-        // Load hint, sampled once and shared by every sample this tick.
-        let queue_depth: Vec<u64> = (0..n)
-            .map(|i| self.engine.run_queue_depth(NodeId(i as u16)) as u64)
-            .collect();
-
         let mut samples: Vec<PlacementSample> = tally
             .into_iter()
             .map(
@@ -494,7 +462,6 @@ impl Kernel {
                     } else {
                         Vec::new()
                     },
-                    queue_depth: queue_depth.clone(),
                 },
             )
             .collect();
@@ -515,7 +482,7 @@ impl Kernel {
                     resident: resident[i],
                     placements: placement_rate[i],
                     calls: calls_by_start_node[i],
-                    queue_depth: queue_depth[i],
+                    queue_depth: self.engine.run_queue_depth(NodeId(i as u16)) as u64,
                     cold,
                 }
             })

@@ -394,33 +394,6 @@ impl Ctx {
         &self.kernel
     }
 
-    /// Runs a fallible protocol operation, retrying
-    /// [`ProtocolError::ChaseDiverged`] with exponential backoff up to
-    /// three attempts total. A diverged chase is corruption insurance
-    /// tripping on a *transient* descriptor tangle more often than a real
-    /// one (a burst of moves rewriting hints mid-walk); a short sleep lets
-    /// the in-flight descriptor writes land, and the next attempt walks the
-    /// repaired chain. Other errors (a destroyed object is permanent) pass
-    /// through on the first occurrence.
-    fn with_chase_retry<R>(
-        &self,
-        mut f: impl FnMut() -> Result<R, ProtocolError>,
-    ) -> Result<R, ProtocolError> {
-        const ATTEMPTS: u32 = 3;
-        let mut backoff = SimTime::from_us(200);
-        for attempt in 1..=ATTEMPTS {
-            match f() {
-                Err(ProtocolError::ChaseDiverged { .. }) if attempt < ATTEMPTS => {
-                    self.kernel.engine.sleep(backoff);
-                    self.kernel.recheck_residency();
-                    backoff = backoff * 2;
-                }
-                other => return other,
-            }
-        }
-        unreachable!("the final attempt returns from the loop")
-    }
-
     /// The engine-level id of the calling thread.
     pub fn thread_id(&self) -> ThreadId {
         must_current_thread()
@@ -477,7 +450,7 @@ impl Ctx {
         obj: &ObjRef<T>,
         op: impl FnOnce(&Ctx, &mut T) -> R,
     ) -> R {
-        self.kernel.invoke_exclusive(self, obj, op)
+        self.invoke_carrying(obj, 0, op)
     }
 
     /// Like [`invoke`](Ctx::invoke), but charges `carry` extra bytes of
@@ -491,7 +464,9 @@ impl Ctx {
         carry: usize,
         op: impl FnOnce(&Ctx, &mut T) -> R,
     ) -> R {
-        self.kernel.invoke_exclusive_carrying(self, obj, carry, op)
+        self.kernel
+            .try_invoke_exclusive_carrying(self, obj, carry, op)
+            .unwrap_or_else(|e| self.kernel.halt(e))
     }
 
     /// Invokes a shared operation (`&T`): concurrent with other shared
@@ -502,7 +477,7 @@ impl Ctx {
         obj: &ObjRef<T>,
         op: impl FnOnce(&Ctx, &T) -> R,
     ) -> R {
-        self.kernel.invoke_shared(self, obj, op)
+        self.invoke_shared_carrying(obj, 0, op)
     }
 
     /// Like [`invoke_shared`](Ctx::invoke_shared), but charges `carry`
@@ -516,25 +491,24 @@ impl Ctx {
         carry: usize,
         op: impl FnOnce(&Ctx, &T) -> R,
     ) -> R {
-        self.kernel.invoke_shared_carrying(self, obj, carry, op)
+        self.kernel
+            .try_invoke_shared_carrying(self, obj, carry, op)
+            .unwrap_or_else(|e| self.kernel.halt(e))
     }
 
     /// Fallible [`invoke`](Ctx::invoke): returns
     /// [`ProtocolError::ObjectDestroyed`] for a dangling reference and
     /// [`ProtocolError::ChaseDiverged`] when the forwarding chase exceeds
-    /// its hop bound — after three backoff retries — instead of halting the
-    /// thread. Mirrors [`try_locate`](Ctx::try_locate): long-lived servers
-    /// holding references of uncertain liveness observe the error and keep
-    /// running. An `Err` guarantees `op` never ran.
+    /// its hop bound, instead of halting the thread. Mirrors
+    /// [`try_locate`](Ctx::try_locate): long-lived servers holding
+    /// references of uncertain liveness observe the error and keep running.
+    /// An `Err` guarantees `op` never ran.
     pub fn try_invoke<T: AmberObject, R>(
         &self,
         obj: &ObjRef<T>,
-        mut op: impl FnMut(&Ctx, &mut T) -> R,
+        op: impl FnOnce(&Ctx, &mut T) -> R,
     ) -> Result<R, ProtocolError> {
-        self.with_chase_retry(|| {
-            self.kernel
-                .try_invoke_exclusive_carrying(self, obj, 0, |ctx, t| op(ctx, t))
-        })
+        self.kernel.try_invoke_exclusive_carrying(self, obj, 0, op)
     }
 
     /// Fallible [`invoke_shared`](Ctx::invoke_shared); see
@@ -542,12 +516,9 @@ impl Ctx {
     pub fn try_invoke_shared<T: AmberObject, R>(
         &self,
         obj: &ObjRef<T>,
-        mut op: impl FnMut(&Ctx, &T) -> R,
+        op: impl FnOnce(&Ctx, &T) -> R,
     ) -> Result<R, ProtocolError> {
-        self.with_chase_retry(|| {
-            self.kernel
-                .try_invoke_shared_carrying(self, obj, 0, |ctx, t| op(ctx, t))
-        })
+        self.kernel.try_invoke_shared_carrying(self, obj, 0, op)
     }
 
     /// Destroys an idle object, returning its heap block for reuse.
@@ -585,21 +556,17 @@ impl Ctx {
     ///
     /// On a protocol error (destroyed object, diverged chase) the calling
     /// thread halts under the error's name; use
-    /// [`try_locate`](Ctx::try_locate) to observe the error instead. A
-    /// diverged chase is retried with backoff (three attempts) before the
-    /// thread halts.
+    /// [`try_locate`](Ctx::try_locate) to observe the error instead.
     pub fn locate<T: AmberObject>(&self, obj: &ObjRef<T>) -> NodeId {
-        self.with_chase_retry(|| self.kernel.locate(obj.addr()))
-            .unwrap_or_else(|e| self.kernel.halt(e))
+        self.try_locate(obj).unwrap_or_else(|e| self.kernel.halt(e))
     }
 
     /// Fallible [`locate`](Ctx::locate): returns
     /// [`ProtocolError::ObjectDestroyed`] for a destroyed or unknown
     /// address and [`ProtocolError::ChaseDiverged`] when the forwarding
-    /// chase exceeds its hop bound — after three backoff retries — instead
-    /// of halting the thread.
+    /// chase exceeds its hop bound, instead of halting the thread.
     pub fn try_locate<T: AmberObject>(&self, obj: &ObjRef<T>) -> Result<NodeId, ProtocolError> {
-        self.with_chase_retry(|| self.kernel.locate(obj.addr()))
+        self.kernel.locate(obj.addr())
     }
 
     /// Pins the object against the adaptive placement advisor: advisories

@@ -404,14 +404,15 @@ impl Kernel {
         }
     }
 
-    /// The context-switch-in residency re-check (section 3.5): if the
-    /// current thread's enclosing object has moved away from this node, the
-    /// thread chases it before doing anything else.
+    /// The residency re-check of section 3.5, made at every context switch
+    /// in and after every frame pop: if the current thread's enclosing
+    /// object is not on this node (it moved, or the thread just executed
+    /// remotely), the thread chases it before doing anything else.
     pub(crate) fn recheck_residency(&self) {
-        let Some(me) = amber_engine::current_thread() else {
+        let Some(addr) = enclosing_frame() else {
             return;
         };
-        let Some(addr) = enclosing_frame() else {
+        let Some(me) = amber_engine::current_thread() else {
             return;
         };
         let here = self.engine.node_of(me);
@@ -579,7 +580,7 @@ impl Kernel {
         });
         if admitted.is_err() {
             self.unbind_frame(addr);
-            self.return_to_enclosing();
+            self.recheck_residency();
         }
         admitted
     }
@@ -590,36 +591,7 @@ impl Kernel {
     fn leave_invocation(&self, addr: VAddr, access: Access) {
         self.finish_invocation(addr, access);
         self.engine.work(self.cost.local_return);
-        self.return_to_enclosing();
-    }
-
-    /// Exclusive invocation: `op` receives `&mut T`.
-    ///
-    /// Runs the full residency protocol: frame push, descriptor check (with
-    /// migration), payload admission, execution, release, frame pop, and the
-    /// return-time re-check that ships the thread back to its enclosing
-    /// object's node.
-    pub(crate) fn invoke_exclusive<T: 'static, R>(
-        &self,
-        ctx: &crate::cluster::Ctx,
-        obj: &ObjRef<T>,
-        op: impl FnOnce(&crate::cluster::Ctx, &mut T) -> R,
-    ) -> R {
-        self.invoke_exclusive_carrying(ctx, obj, 0, op)
-    }
-
-    /// [`invoke_exclusive`](Kernel::invoke_exclusive) with `carry` extra
-    /// bytes of by-value arguments charged on the outbound migration (the
-    /// return trip carries only the thread).
-    pub(crate) fn invoke_exclusive_carrying<T: 'static, R>(
-        &self,
-        ctx: &crate::cluster::Ctx,
-        obj: &ObjRef<T>,
-        carry: usize,
-        op: impl FnOnce(&crate::cluster::Ctx, &mut T) -> R,
-    ) -> R {
-        self.try_invoke_exclusive_carrying(ctx, obj, carry, op)
-            .unwrap_or_else(|e| self.halt(e))
+        self.recheck_residency();
     }
 
     /// Fallible exclusive invocation: a dangling reference or a diverged
@@ -648,31 +620,6 @@ impl Kernel {
         Ok(result)
     }
 
-    /// Shared invocation: `op` receives `&T`; concurrent with other shared
-    /// invocations of the same object, and served by a local replica when
-    /// the object is immutable.
-    pub(crate) fn invoke_shared<T: 'static, R>(
-        &self,
-        ctx: &crate::cluster::Ctx,
-        obj: &ObjRef<T>,
-        op: impl FnOnce(&crate::cluster::Ctx, &T) -> R,
-    ) -> R {
-        self.invoke_shared_carrying(ctx, obj, 0, op)
-    }
-
-    /// [`invoke_shared`](Kernel::invoke_shared) with `carry` extra bytes of
-    /// by-value arguments charged on the outbound migration.
-    pub(crate) fn invoke_shared_carrying<T: 'static, R>(
-        &self,
-        ctx: &crate::cluster::Ctx,
-        obj: &ObjRef<T>,
-        carry: usize,
-        op: impl FnOnce(&crate::cluster::Ctx, &T) -> R,
-    ) -> R {
-        self.try_invoke_shared_carrying(ctx, obj, carry, op)
-            .unwrap_or_else(|e| self.halt(e))
-    }
-
     /// Fallible shared invocation; the `&T` counterpart of
     /// [`try_invoke_exclusive_carrying`](Kernel::try_invoke_exclusive_carrying),
     /// with the same guarantee: an error means `op` never ran and the frame
@@ -695,22 +642,5 @@ impl Kernel {
         };
         self.leave_invocation(addr, Access::Shared);
         Ok(result)
-    }
-
-    /// Return-time residency check: after popping a frame, if the enclosing
-    /// frame's object is not local, ship the thread back to it.
-    fn return_to_enclosing(&self) {
-        if let Some(enclosing) = enclosing_frame() {
-            let here = self.engine.node_of(must_current_thread());
-            let local = self.nodes[here.index()]
-                .descriptors
-                .read()
-                .is_local(enclosing);
-            if !local {
-                if let Err(e) = self.ensure_at_object(enclosing, true) {
-                    self.halt(e);
-                }
-            }
-        }
     }
 }

@@ -352,25 +352,8 @@ impl Kernel {
     /// [`create_remote`](Kernel::create_remote) otherwise.
     pub(crate) fn create_local<T: AmberObject>(&self, node: NodeId, value: T) -> ObjRef<T> {
         debug_assert_eq!(node, self.current_node());
-        self.engine.work(self.cost.object_create);
         let size = value.transfer_size();
-        let addr = self.heap_alloc(node, size.max(1));
-        let entry = ObjectEntry::new(value, node, size, self.call_slots());
-        self.nodes[node.index()]
-            .descriptors
-            .write()
-            .set_resident(addr);
-        // Emission under the shard lock keeps the trace stream linearized
-        // with the registry transition: no destroy of a reused address can
-        // slot its event between our insert and our ObjectCreate.
-        {
-            let mut shard = self.objects.lock(addr);
-            let prev = shard.insert(addr, entry);
-            debug_assert!(prev.is_none(), "heap handed out a live address");
-            self.emit(ProtocolEvent::ObjectCreate { obj: addr.0, node });
-        }
-        self.note_placement_activity(node);
-        ObjRef::from_addr(addr)
+        self.create_at(node, value, size)
     }
 
     /// Creates an object on a *different* node: the initial value travels in
@@ -387,6 +370,15 @@ impl Kernel {
             "create-request",
         );
         // We are logically at the target node's kernel now: allocate there.
+        let obj = self.create_at(node, value, size);
+        self.one_way(node, from, self.cost.control_packet_bytes, "create-reply");
+        obj
+    }
+
+    /// What `node`'s kernel does for a creation, local or requested: the
+    /// `object_create` charge, a heap block, the descriptor, then the
+    /// registry entry.
+    fn create_at<T: AmberObject>(&self, node: NodeId, value: T, size: usize) -> ObjRef<T> {
         self.engine.work(self.cost.object_create);
         let addr = self.heap_alloc(node, size.max(1));
         let entry = ObjectEntry::new(value, node, size, self.call_slots());
@@ -394,8 +386,9 @@ impl Kernel {
             .descriptors
             .write()
             .set_resident(addr);
-        // See `create_local` for why the event is emitted under the shard
-        // lock.
+        // Emission under the shard lock keeps the trace stream linearized
+        // with the registry transition: no destroy of a reused address can
+        // slot its event between our insert and our ObjectCreate.
         {
             let mut shard = self.objects.lock(addr);
             let prev = shard.insert(addr, entry);
@@ -403,7 +396,6 @@ impl Kernel {
             self.emit(ProtocolEvent::ObjectCreate { obj: addr.0, node });
         }
         self.note_placement_activity(node);
-        self.one_way(node, from, self.cost.control_packet_bytes, "create-reply");
         ObjRef::from_addr(addr)
     }
 

@@ -64,12 +64,8 @@ impl<R: Send + Sync + 'static> JoinHandle<R> {
     /// is a compile error, not a runtime panic.
     pub fn try_join(self, ctx: &Ctx) -> Result<R, JoinHandle<R>> {
         let kernel = ctx.kernel();
-        let outcome = kernel.invoke_exclusive(ctx, &self.obj, |_, t| {
-            if t.finished {
-                t.result.take()
-            } else {
-                None
-            }
+        let outcome = ctx.invoke(&self.obj, |_, t| {
+            t.finished.then(|| t.result.take()).flatten()
         });
         match outcome {
             Some(r) => {
@@ -104,7 +100,7 @@ impl<R: Send + Sync + 'static> JoinHandle<R> {
         let kernel = ctx.kernel();
         loop {
             let me = must_current_thread();
-            let outcome = kernel.invoke_exclusive(ctx, &self.obj, |_, t| {
+            let outcome = ctx.invoke(&self.obj, |_, t| {
                 if !t.finished {
                     t.waiters.push(me);
                     Outcome::NotYet
@@ -164,11 +160,11 @@ impl Kernel {
             Box::new(move || {
                 crate::invoke::register_thread();
                 let ctx = Ctx::new(std::sync::Arc::clone(&kernel));
-                let result = kernel.invoke_exclusive(&ctx, &target, op);
+                let result = ctx.invoke(&target, op);
                 // Publish the result through the thread object and wake
                 // joiners. This is itself an invocation: a thread object
                 // that was moved pulls its terminating thread to it.
-                let waiters = kernel.invoke_exclusive(&ctx, &thread_obj, |_, t| {
+                let waiters = ctx.invoke(&thread_obj, |_, t| {
                     t.result = Some(result);
                     t.finished = true;
                     std::mem::take(&mut t.waiters)

@@ -135,12 +135,12 @@ impl PlacementPolicy for TrafficAdvisor {
         self.tick_no += 1;
         let mut movers: Vec<(f64, u64, NodeId)> = Vec::new();
         let mut replicators: Vec<(f64, u64, NodeId)> = Vec::new();
+        // Load-aware discount: a node's run-queue depth deflates its
+        // attractiveness as a target. Depth is a hint (may be stale or
+        // absent), so it only tilts scores, never gates.
+        let depth = |n: usize| nodes.get(n).map_or(0, |node| node.queue_depth) as f64;
+        let load_score = |n: usize, calls: u64| calls as f64 / (1.0 + depth(n));
         for s in samples {
-            // Load-aware discount: a node's run-queue depth deflates its
-            // attractiveness as a target. Depth is a hint (may be stale or
-            // absent), so it only tilts scores, never gates.
-            let depth = |n: usize| s.queue_depth.get(n).copied().unwrap_or(0) as f64;
-            let load_score = |n: usize, calls: u64| calls as f64 / (1.0 + depth(n));
             let local_calls = s
                 .calls_by_node
                 .get(s.location.index())
@@ -389,7 +389,6 @@ mod tests {
             calls_by_node: calls.to_vec(),
             immutable: false,
             replicas: Vec::new(),
-            queue_depth: vec![0; calls.len()],
         }
     }
 
@@ -605,12 +604,13 @@ mod tests {
         let mut adv = TrafficAdvisor::new(cfg());
         // Node 1 reads slightly more but is deeply queued; node 2 wins the
         // single budget... both qualify, order flips toward the idle node.
-        let mut s = immutable_sample(16, 0, &[1, 50, 40], &[]);
-        s.queue_depth = vec![0, 9, 0];
+        let s = immutable_sample(16, 0, &[1, 50, 40], &[]);
+        let mut nodes = quiet_nodes(3);
+        nodes[1].queue_depth = 9;
         let mut c = cfg();
         c.max_replicas_per_tick = 1;
         let mut adv2 = TrafficAdvisor::new(c);
-        let d = adv2.decide(&quiet_nodes(3), std::slice::from_ref(&s));
+        let d = adv2.decide(&nodes, std::slice::from_ref(&s));
         assert_eq!(
             d,
             vec![PlacementDecision::Replicate {
@@ -619,7 +619,6 @@ mod tests {
             }]
         );
         // With no load signal the raw call count decides.
-        s.queue_depth = vec![0, 0, 0];
         let d = adv.decide(&quiet_nodes(3), std::slice::from_ref(&s));
         assert_eq!(
             d[0],
@@ -635,9 +634,10 @@ mod tests {
         let mut adv = TrafficAdvisor::new(cfg());
         // Node 0 calls more but is saturated; node 2's lighter queue makes
         // it the better target even with fewer calls.
-        let mut s = sample(16, 1, &[50, 2, 40]);
-        s.queue_depth = vec![9, 0, 0];
-        let d = adv.decide(&quiet_nodes(3), std::slice::from_ref(&s));
+        let s = sample(16, 1, &[50, 2, 40]);
+        let mut nodes = quiet_nodes(3);
+        nodes[0].queue_depth = 9;
+        let d = adv.decide(&nodes, std::slice::from_ref(&s));
         assert_eq!(
             d,
             vec![PlacementDecision::Move {

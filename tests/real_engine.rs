@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use amber_core::{Cluster, EngineChoice, LatencyModel, NodeId, SimTime};
+use amber_core::{Cluster, EngineChoice, FaultPlan, LatencyModel, NodeId, SimTime};
 use amber_sync::{Barrier, Lock};
 
 fn real_cluster(nodes: usize, procs: usize) -> Cluster {
@@ -120,6 +120,57 @@ fn timeout_fires_on_a_hung_program() {
         .build();
     let err = c.run(|ctx| ctx.park("never-woken")).unwrap_err();
     assert_eq!(err, amber_core::EngineError::Timeout);
+}
+
+#[test]
+fn remote_invokes_complete_over_a_lossy_link_on_real_threads() {
+    // The one fault plan run on OS threads: retransmission timers here are
+    // wall-clock, not virtual. A worker on each node invokes the other
+    // node's counter 20 times over a link dropping 5% of attempts; every
+    // invoke must run exactly once, well inside the deadline.
+    let c = Cluster::builder()
+        .nodes(2)
+        .processors(2)
+        .engine(EngineChoice::Real)
+        .latency(LatencyModel::zero())
+        .deadline(Duration::from_secs(60))
+        .faults(
+            FaultPlan::seeded(0x10556)
+                .drop_rate(0.05)
+                .rto_grace(SimTime::from_ms(1)),
+        )
+        .build();
+    let counts = c
+        .run(|ctx| {
+            let work: Vec<_> = (0..2u16)
+                .map(|k| {
+                    (
+                        ctx.create_on(NodeId(k), 0u8),
+                        ctx.create_on(NodeId(k), 0u64),
+                    )
+                })
+                .collect();
+            let hs: Vec<_> = (0..2)
+                .map(|k| {
+                    let (anchor, peer) = (work[k].0, work[1 - k].1);
+                    ctx.start(&anchor, move |ctx, _| {
+                        for _ in 0..20 {
+                            ctx.invoke(&peer, |_, n| *n += 1);
+                        }
+                    })
+                })
+                .collect();
+            for h in hs {
+                h.join(ctx);
+            }
+            [work[0].1, work[1].1].map(|counter| ctx.invoke(&counter, |_, n| *n))
+        })
+        .unwrap();
+    assert_eq!(counts, [20, 20]);
+    assert!(c.protocol_stats().remote_invokes >= 40);
+    let net = c.net_stats();
+    assert!(net.total_drops() > 0, "the plan dropped nothing");
+    assert!(net.total_retransmits() >= net.total_drops());
 }
 
 #[test]
