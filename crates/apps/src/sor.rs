@@ -1277,29 +1277,3 @@ mod tests {
         // the boot node, no edge traffic over the wire.
     }
 }
-
-#[cfg(test)]
-mod deadlock_debug {
-    use super::*;
-    use amber_core::Cluster;
-
-    #[test]
-    #[ignore]
-    fn dump_deadlock_state() {
-        let p = SorParams::small(2, 1);
-        let cluster = Cluster::builder()
-            .nodes(p.nodes)
-            .processors(p.procs)
-            .build();
-        let r = cluster.run(move |ctx| sor_main(ctx, p));
-        match &r {
-            Ok(o) => eprintln!("run ok: iters={}", o.iterations),
-            Err(e) => eprintln!("run err: {e}"),
-        }
-        for (a, excl, shared, waiters, moving) in cluster.debug_admission() {
-            if excl.is_some() || shared > 0 || waiters > 0 || moving {
-                eprintln!("{a}: excl={excl:?} shared={shared} waiters={waiters} moving={moving}");
-            }
-        }
-    }
-}

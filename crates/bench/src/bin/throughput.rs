@@ -8,29 +8,23 @@
 //!   neither a disturbed round nor CPU frequency drift biases one side);
 //! * skewed traffic at 2/4/8 nodes, static vs. adaptive placement;
 //! * read-mostly immutable traffic at 2/4/8 nodes with demand replication
-//!   off, static vs. advisor-replicated;
-//! * the hot-spawner occupancy scenario at 2/4/8 nodes with the advisor's
-//!   scatter budget zero and nonzero, alternated the same way.
+//!   off, static vs. advisor-replicated.
 //!
-//! It then rewrites `BENCH_throughput.json` whole — one flat record of the
-//! tree it was built from — and runs [`failed_check`] on the points it
-//! still holds in memory: each opt-in mechanism must beat the same run
-//! without it. A failed check is named on stderr and the exit status is 1.
+//! It then runs [`failed_check`] on the points it measured: the advisor
+//! must cost next to nothing where it cannot help and beat the same run
+//! without it where it can. A failed check is named on stderr and the exit
+//! status is 1. Nothing is written to disk; the tables are the record.
 //!
-//! Environment switches:
-//!
-//! * `AMBER_THROUGHPUT_ITERS` — the least a local-invoke worker runs per
-//!   timed round (default 20000; the advisor scenarios run half, floored
-//!   at 2000). Every timed phase also has a floor in time — a round of the
-//!   two throughput-ratio pairs lasts four advisor ticks, a phase that
-//!   reads the advisor's effect twenty — so the smoke count shortens
-//!   nothing the checks depend on.
-//! * `AMBER_BENCH_OUT` — output path (default `BENCH_throughput.json`).
-//!   CI's smoke run points this at a scratch file.
+//! `AMBER_THROUGHPUT_ITERS` sets the least a local-invoke worker runs per
+//! timed round (default 20000; the advisor scenarios run half, floored at
+//! 2000). Every timed phase also has a floor in time — a round of the
+//! throughput-ratio pair lasts four advisor ticks, a phase that reads the
+//! advisor's effect twenty — so the smoke count shortens nothing the
+//! checks depend on.
 
 use amber_bench::throughput::{
-    alternating_medians, failed_check, run_hot_spawner_invoke, run_json, run_local_invoke,
-    run_read_hot_invoke, run_skewed_invoke, Point, NODE_COUNTS,
+    alternating_medians, failed_check, run_local_invoke, run_read_hot_invoke, run_skewed_invoke,
+    Point, NODE_COUNTS,
 };
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -50,11 +44,10 @@ fn row(p: &Point) -> Vec<String> {
         p.forward_hops.to_string(),
         p.thread_migrations.to_string(),
         p.remote_invokes.to_string(),
-        format!("{:.3}", p.max_resident_share),
     ]
 }
 
-const COLUMNS: [&str; 9] = [
+const COLUMNS: [&str; 8] = [
     "scenario",
     "nodes",
     "ops",
@@ -63,7 +56,6 @@ const COLUMNS: [&str; 9] = [
     "fwd hops",
     "migrations",
     "remote",
-    "max share",
 ];
 
 /// Measures `variant(n, false)` then `variant(n, true)` back to back at 2,
@@ -78,7 +70,6 @@ fn paired(variant: impl Fn(usize, bool) -> Point) -> Vec<Point> {
 fn main() {
     let iters = env_u64("AMBER_THROUGHPUT_ITERS", 20_000);
     let skew_iters = (iters / 2).max(2_000);
-    let out = std::env::var("AMBER_BENCH_OUT").unwrap_or_else(|_| "BENCH_throughput.json".into());
 
     let mut points: Vec<Point> = Vec::new();
     let mut section = |title: &str, measured: Vec<Point>| {
@@ -105,18 +96,7 @@ fn main() {
         "Replica placement: read-mostly immutables, advisor off/on",
         paired(|n, on| run_read_hot_invoke(n, skew_iters, on)),
     );
-    section(
-        "Scatter rebalance: hot spawner, scatter budget off/on",
-        [2usize, 4, 8]
-            .into_iter()
-            .flat_map(|n| alternating_medians(|on| run_hot_spawner_invoke(n, skew_iters, on)))
-            .collect(),
-    );
 
-    match std::fs::write(&out, run_json(&points)) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => eprintln!("warning: cannot write {out}: {e}"),
-    }
     if let Some(failed) = failed_check(&points) {
         eprintln!("throughput: FAIL: {failed}");
         std::process::exit(1);

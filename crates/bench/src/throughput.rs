@@ -5,7 +5,6 @@
 //! everything). This module measures the opposite: wall-clock operations
 //! per second of the runtime's hot paths on [`RealEngine`] OS threads,
 //! where the kernel's own locking *is* the cost being measured. It backs
-//! `BENCH_throughput.json`, one flat record of the current tree, and
 //! [`failed_check`], the in-memory gate over the advisor-on/advisor-off
 //! pairs measured back to back.
 //!
@@ -27,9 +26,6 @@
 //!   The adaptive variant lets the traffic advisor install replicas on the
 //!   heavy reader nodes; the point records how many remote invokes those
 //!   replicas eliminate.
-//! * `hot_spawner_invoke` / `hot_spawner_invoke_scatter` (2/4/8 nodes) —
-//!   node 0 creates every object; the scatter variant gives the advisor a
-//!   scatter budget and records how far the cold backlog spreads.
 //!
 //! These are exactly the pairs [`failed_check`] reads. A wall-clock number
 //! for one mechanism on its own (invoke, locate, move, the lossy transport)
@@ -65,15 +61,11 @@ pub struct Point {
     /// Remote invocations during the operation phase (0 for scenarios that
     /// do not measure replica placement).
     pub remote_invokes: u64,
-    /// Largest per-node share of resident objects at the end of the run
-    /// (0.0 for scenarios that do not measure occupancy). 1.0 means one
-    /// node holds everything; `1/nodes` is perfect balance.
-    pub max_resident_share: f64,
 }
 
 impl Point {
     /// Operations per wall-clock second; 0.0 for a zero-length window (no
-    /// rate was measured, and an infinite one would not be valid JSON).
+    /// rate was measured).
     pub fn ops_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
@@ -95,10 +87,10 @@ const TICK: SimTime = SimTime::from_ms(5);
 
 /// How long the advisor gets to act, at the least, before its effect is
 /// read: the timed phase of the scenarios that count what it saved (skewed
-/// and read-hot), the hot spawner's warm-up. 20 ticks. An op count
-/// cannot stand in for this. At smoke scale a worker used to be done inside
-/// a tick or two, before the advisor had seen anything, and the faster an
-/// invoke gets the fewer ticks a fixed count spans.
+/// and read-hot). 20 ticks. An op count cannot stand in for this. At smoke
+/// scale a worker used to be done inside a tick or two, before the advisor
+/// had seen anything, and the faster an invoke gets the fewer ticks a fixed
+/// count spans.
 const ADVISOR_WINDOW: Duration = Duration::from_millis(20 * TICK.as_ms());
 
 /// A worker's loop in every timed phase: runs `op(i)` for `i = 0, 1, ..`
@@ -141,8 +133,8 @@ fn invoke_phase(
 const ROUNDS: usize = 5;
 
 /// Measures `run(false)` and `run(true)` alternately, five times each,
-/// and returns each side's median-rate point, base first. The two
-/// throughput-ratio clauses compare these: on a shared host one round can
+/// and returns each side's median-rate point, base first. The
+/// throughput-ratio check compares these: on a shared host one round can
 /// lose a quarter of its rate to a neighbour, but not three of five, and
 /// alternating keeps slow drift from landing on one side.
 pub fn alternating_medians(run: impl Fn(bool) -> Point) -> [Point; 2] {
@@ -164,34 +156,9 @@ fn bench_advisor() -> TrafficAdvisor {
     TrafficAdvisor::new(AdaptiveConfig {
         tick: TICK,
         min_calls: 8,
-        hysteresis: 2.0,
-        cooldown_ticks: 4,
         max_moves_per_tick: 16,
         max_replicas_per_tick: 16,
         replica_cap: 8,
-        replica_idle_ticks: Some(8),
-        ..AdaptiveConfig::default()
-    })
-}
-
-/// The advisor for the hot-spawner runs: [`bench_advisor`]'s knobs plus an
-/// aggressive scatter half (a low trigger share and, with `scatter`, a
-/// per-tick budget that drains the spawner's backlog in `n` ticks). The
-/// scatter-off run differs only in a zero budget — the switch a deployment
-/// has — so the comparison prices scattering, not the advisor.
-fn scatter_advisor(scatter: bool) -> TrafficAdvisor {
-    TrafficAdvisor::new(AdaptiveConfig {
-        scatter_share: 0.3,
-        scatter_cold_credit: 1.0,
-        max_scatters_per_tick: if scatter { 16 } else { 0 },
-        tick: TICK,
-        min_calls: 8,
-        hysteresis: 2.0,
-        cooldown_ticks: 4,
-        max_moves_per_tick: 16,
-        max_replicas_per_tick: 16,
-        replica_cap: 8,
-        replica_idle_ticks: Some(8),
     })
 }
 
@@ -219,8 +186,8 @@ const TIMED_ROUNDS: u64 = 9;
 /// and a round shorter than a tick cannot price the advisor's ticks at all.
 const ROUND_WINDOW: Duration = Duration::from_millis(4 * TICK.as_ms());
 
-/// The timed phase of the two scenarios whose *throughput* is compared:
-/// nine rounds, each starting one worker per `(anchor, counter)` that
+/// The timed phase of the scenario whose *throughput* is compared: nine
+/// rounds, each starting one worker per `(anchor, counter)` that
 /// invokes its counter for [`ROUND_WINDOW`] (and `iters` times at least).
 /// Returns the operations and time of the round with the highest rate, then
 /// the operations of all rounds together so the caller can check that none
@@ -280,7 +247,6 @@ pub fn run_local_invoke(nodes: usize, iters: u64, adaptive: bool) -> Point {
         forward_hops: 0,
         thread_migrations: 0,
         remote_invokes: 0,
-        max_resident_share: 0.0,
     }
 }
 
@@ -332,7 +298,6 @@ pub fn run_skewed_invoke(nodes: usize, iters: u64, adaptive: bool) -> Point {
         forward_hops,
         thread_migrations,
         remote_invokes: 0,
-        max_resident_share: 0.0,
     }
 }
 
@@ -410,111 +375,7 @@ pub fn run_read_hot_invoke(nodes: usize, iters: u64, adaptive: bool) -> Point {
         forward_hops,
         thread_migrations,
         remote_invokes,
-        max_resident_share: 0.0,
     }
-}
-
-/// Hot-spawner occupancy: node 0 creates *all* the program's objects — the
-/// per-node worker counters and a backlog of 16·n cold objects — the way a
-/// coordinator that allocates every task object up front does. Workers
-/// (pinned to their nodes by pinned anchors) then hammer their counters;
-/// the counters are warm, so only the cold backlog is scatter bait. First
-/// comes a warm-up of 20 ticks, identical in both variants and driven by
-/// the workers themselves: their traffic keeps the placement daemon's ticks
-/// armed, pulls each counter to its worker's node, and (with a budget)
-/// gives the scatter half time to drain the backlog. The timed phase after
-/// it prices the scatter machinery on an already-local hot path, and the
-/// point records the largest per-node share of resident objects at the
-/// end: with `scatter` off (a zero scatter budget) the backlog stays piled
-/// on node 0; with it on the advisor's `Scatter` proposals spread the
-/// backlog to the emptier nodes.
-pub fn run_hot_spawner_invoke(nodes: usize, iters: u64, scatter: bool) -> Point {
-    let cluster = real_builder(nodes, false)
-        .adaptive_placement(move || scatter_advisor(scatter))
-        .build();
-    let (ops, elapsed, share) = cluster
-        .run(move |ctx| {
-            let n = ctx.nodes();
-            // Pinned per-node anchors (pins keep the advisor's hands off
-            // the objects the workers are bound to); everything else —
-            // counters included — is created by this thread on node 0.
-            let anchors: Vec<_> = (0..n)
-                .map(|k| {
-                    let a = ctx.create_on(NodeId::from(k), 0u8);
-                    ctx.pin(&a);
-                    a
-                })
-                .collect();
-            let counters: Vec<_> = (0..n).map(|_| ctx.create(0u64)).collect();
-            let backlog: Vec<_> = (0..16 * n).map(|i| ctx.create(i as u64)).collect();
-            let work: Vec<_> = anchors.iter().copied().zip(counters).collect();
-            // Fixed length: a variant-dependent early exit would bias the
-            // comparison.
-            let (warmed, _) = invoke_phase(ctx, &work, ADVISOR_WINDOW, 0);
-            let (ops, elapsed, ran) = fastest_round(ctx, &work, iters);
-            let resident = ctx.resident_counts();
-            let total_resident: u64 = resident.iter().sum();
-            let max = resident.iter().copied().max().unwrap_or(0);
-            let share = if total_resident > 0 {
-                max as f64 / total_resident as f64
-            } else {
-                0.0
-            };
-            let total: u64 = work.iter().map(|(_, c)| ctx.invoke(c, |_, c| *c)).sum();
-            assert_eq!(total, warmed + ran, "lost invocations");
-            // The backlog's payloads must survive wherever they landed.
-            for (i, o) in backlog.iter().enumerate() {
-                let v = ctx.invoke(o, |_, v| *v);
-                assert_eq!(v, i as u64, "scatter lost a payload");
-            }
-            (ops, elapsed, share)
-        })
-        .expect("hot-spawner bench run failed");
-    Point {
-        scenario: if scatter {
-            "hot_spawner_invoke_scatter"
-        } else {
-            "hot_spawner_invoke"
-        },
-        nodes,
-        workers: nodes,
-        ops,
-        elapsed,
-        forward_hops: 0,
-        thread_migrations: 0,
-        remote_invokes: 0,
-        max_resident_share: share,
-    }
-}
-
-/// Renders the whole of `BENCH_throughput.json`: one flat record of the
-/// tree that was just measured.
-pub fn run_json(points: &[Point]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"invoke-throughput\",\n");
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    ));
-    out.push_str(&format!("  \"node_counts\": {NODE_COUNTS:?},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\":\"{}\",\"nodes\":{},\"workers\":{},\"ops\":{},\"elapsed_ns\":{},\"ops_per_sec\":{:.1},\"forward_hops\":{},\"thread_migrations\":{},\"remote_invokes\":{},\"max_resident_share\":{:.4}}}{}\n",
-            p.scenario,
-            p.nodes,
-            p.workers,
-            p.ops,
-            p.elapsed.as_nanos(),
-            p.ops_per_sec(),
-            p.forward_hops,
-            p.thread_migrations,
-            p.remote_invokes,
-            p.max_resident_share,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// A base-scenario point and the variant measured right after it at the
@@ -617,29 +478,9 @@ fn replica_placement(points: &[Point]) -> Result<(), String> {
     )
 }
 
-fn scatter_rebalance(points: &[Point]) -> Result<(), String> {
-    let pairs = pairs(points, "hot_spawner_invoke", "hot_spawner_invoke_scatter")?;
-    let mut big = pairs
-        .iter()
-        .filter(|(piled, _)| piled.nodes >= 4)
-        .peekable();
-    if big.peek().is_none() {
-        return Err("no hot_spawner_invoke pair measured at 4+ nodes".into());
-    }
-    for (piled, spread) in big {
-        if spread.max_resident_share >= piled.max_resident_share {
-            return Err(format!(
-                "at {} nodes scatter max resident share {:.4} not below {:.4}",
-                piled.nodes, spread.max_resident_share, piled.max_resident_share
-            ));
-        }
-    }
-    keeps_throughput(&pairs, 0.9)
-}
-
 /// The gate over one run's points: does each opt-in mechanism still earn
 /// its keep against the same run without it? Every pair was measured back
-/// to back in one process, the two whose throughput is compared as
+/// to back in one process, the one whose throughput is compared as
 /// [`alternating_medians`]. Returns `None` when all checks hold, else the
 /// first failed check as `"<name>: <what was measured>"`:
 ///
@@ -650,17 +491,13 @@ fn scatter_rebalance(points: &[Point]) -> Result<(), String> {
 ///   forward hops at every node count, and at 4 nodes at most half the
 ///   static run's forward hops + thread migrations;
 /// * `replica_placement` — the adaptive read-hot run takes strictly fewer
-///   remote invokes at every node count, and at most half at 4 nodes;
-/// * `scatter_rebalance` — the scatter run ends with a strictly lower
-///   largest resident share at 4 and 8 nodes, at no less than 0.9x the
-///   timed-phase throughput (median of ratios).
+///   remote invokes at every node count, and at most half at 4 nodes.
 pub fn failed_check(points: &[Point]) -> Option<String> {
     type Check = fn(&[Point]) -> Result<(), String>;
-    let checks: [(&str, Check); 4] = [
+    let checks: [(&str, Check); 3] = [
         ("advisor_overhead", advisor_overhead),
         ("skewed_placement", skewed_placement),
         ("replica_placement", replica_placement),
-        ("scatter_rebalance", scatter_rebalance),
     ];
     checks
         .iter()
@@ -681,7 +518,6 @@ mod tests {
             forward_hops: 7,
             thread_migrations: 3,
             remote_invokes: 5,
-            max_resident_share: 0.75,
         }
     }
 
@@ -689,14 +525,12 @@ mod tests {
     fn ops_per_sec_math() {
         let p = fake_point(2);
         assert!((p.ops_per_sec() - 2000.0).abs() < 1e-6);
-        // A zero-length window measured no rate; it must still render as a
-        // JSON number.
+        // A zero-length window measured no rate.
         let empty = Point {
             elapsed: Duration::ZERO,
             ..fake_point(2)
         };
         assert_eq!(empty.ops_per_sec(), 0.0);
-        assert!(run_json(&[empty]).contains("\"ops_per_sec\":0.0,"));
     }
 
     /// A point set on which every check holds, one pair per node count.
@@ -710,7 +544,6 @@ mod tests {
             forward_hops: 0,
             thread_migrations: 0,
             remote_invokes: 0,
-            max_resident_share: 0.0,
         };
         let mut points = Vec::new();
         for nodes in NODE_COUNTS {
@@ -736,14 +569,6 @@ mod tests {
                 remote_invokes: 40,
                 ..point("read_hot_invoke_adaptive", nodes, 600)
             });
-            points.push(Point {
-                max_resident_share: 0.9,
-                ..point("hot_spawner_invoke", nodes, 1000)
-            });
-            points.push(Point {
-                max_resident_share: 0.4,
-                ..point("hot_spawner_invoke_scatter", nodes, 990)
-            });
         }
         points
     }
@@ -754,7 +579,7 @@ mod tests {
         // Each case breaks one clause of one check on an otherwise passing
         // set; the check that owns the clause must be the one named.
         type Break = fn(&mut Point);
-        let cases: [(&str, &str, Option<usize>, Break); 7] = [
+        let cases: [(&str, &str, Option<usize>, Break); 5] = [
             ("advisor_overhead", "local_invoke_adaptive", None, |p| {
                 p.ops = 800
             }),
@@ -776,18 +601,6 @@ mod tests {
                 Some(4),
                 |p| p.remote_invokes = 500,
             ),
-            (
-                "scatter_rebalance",
-                "hot_spawner_invoke_scatter",
-                Some(8),
-                |p| p.max_resident_share = 0.9,
-            ),
-            (
-                "scatter_rebalance",
-                "hot_spawner_invoke_scatter",
-                None,
-                |p| p.ops = 700,
-            ),
         ];
         for (check, scenario, nodes, break_it) in cases {
             let mut points = passing_points();
@@ -804,11 +617,11 @@ mod tests {
             );
         }
         // A set missing a whole pair fails the check that needed it.
-        let no_scatter: Vec<Point> = passing_points()
+        let no_replica: Vec<Point> = passing_points()
             .into_iter()
-            .filter(|p| p.scenario != "hot_spawner_invoke_scatter")
+            .filter(|p| p.scenario != "read_hot_invoke_adaptive")
             .collect();
-        assert!(failed_check(&no_scatter).is_some_and(|f| f.starts_with("scatter_rebalance: ")));
+        assert!(failed_check(&no_replica).is_some_and(|f| f.starts_with("replica_placement: ")));
     }
 
     #[test]
@@ -869,30 +682,5 @@ mod tests {
         // Every static skewed op chases one hint and migrates over and back.
         assert!(p.forward_hops >= p.ops - 10, "{p:?}");
         assert!(p.thread_migrations >= 2 * (p.ops - 10), "{p:?}");
-    }
-
-    #[test]
-    fn tiny_hot_spawner_run_measures_occupancy() {
-        let piled = run_hot_spawner_invoke(2, 32, false);
-        assert!(
-            piled.ops >= 64 && piled.elapsed >= ROUND_WINDOW,
-            "{piled:?}"
-        );
-        assert_eq!(piled.scenario, "hot_spawner_invoke");
-        // Node 0 created the 32-object backlog plus both counters; only
-        // the two pinned anchors are guaranteed elsewhere.
-        assert!(
-            piled.max_resident_share > 0.5,
-            "share = {}",
-            piled.max_resident_share
-        );
-        let spread = run_hot_spawner_invoke(2, 32, true);
-        assert_eq!(spread.scenario, "hot_spawner_invoke_scatter");
-        assert!(
-            spread.max_resident_share < piled.max_resident_share,
-            "scatter never spread the backlog: {} vs {}",
-            spread.max_resident_share,
-            piled.max_resident_share
-        );
     }
 }

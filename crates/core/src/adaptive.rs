@@ -13,8 +13,9 @@
 //! or already at the target.
 //!
 //! The split mirrors `amber-placement`'s creation-time placers: this module
-//! is pure mechanism; scoring (hysteresis, cooldown, rate limits) lives in
-//! the policy, whose stock implementation is `amber_placement::adaptive`.
+//! is pure mechanism; scoring (persistence, dominance, cooldown, rate
+//! limits) lives in the policy, whose stock implementation is
+//! `amber_placement::adaptive`.
 //!
 //! # Tick scheduling and quiescence
 //!
@@ -41,7 +42,6 @@ use amber_vspace::VAddr;
 use parking_lot::Mutex;
 
 use crate::kernel::Kernel;
-use crate::mobility::AdvisoryKind;
 
 /// One object's (or attachment group's) traffic over the last placement
 /// tick, as handed to the policy.
@@ -62,35 +62,6 @@ pub struct PlacementSample {
     pub replicas: Vec<NodeId>,
 }
 
-/// One node's occupancy over the last placement tick, handed to the policy
-/// alongside the per-object [`PlacementSample`]s. Where a `PlacementSample`
-/// describes *traffic*, a `NodeSample` describes *pressure*: how many
-/// objects sit on the node, how fast new ones are being placed there, and
-/// which of its residents went cold — the inputs of the scatter detector.
-#[derive(Clone, Debug)]
-pub struct NodeSample {
-    /// The node this sample describes.
-    pub node: NodeId,
-    /// Objects (registry entries) resident on the node at the tick.
-    pub resident: u64,
-    /// Objects created on the node since the previous drained tick (the
-    /// placement rate a creation-time placer or hot spawner generates).
-    pub placements: u64,
-    /// Invocations started on the node since the previous drained tick
-    /// (of objects still alive at this one).
-    pub calls: u64,
-    /// Run-queue depth sampled once at the tick. A staleness-tolerant load
-    /// hint: policies may use it to *prefer* lightly loaded targets, never
-    /// for correctness.
-    pub queue_depth: u64,
-    /// Scatter candidates: raw addresses of mutable, unpinned, unattached
-    /// group roots resident on the node that drained *zero* calls this
-    /// tick, in ascending address order. Only these may be proposed for
-    /// [`PlacementDecision::Scatter`]; the kernel still re-validates at
-    /// execution time.
-    pub cold: Vec<u64>,
-}
-
 /// A policy's proposal for one object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlacementDecision {
@@ -108,18 +79,6 @@ pub enum PlacementDecision {
         /// Reader node that should receive a copy.
         to: NodeId,
     },
-    /// Scatter the cold object `obj`'s attachment group off an
-    /// occupancy-dominating node to the emptier node `to`. Executed exactly
-    /// like [`PlacementDecision::Move`] (an advisory group move, skipped —
-    /// never parked — on pinned/mid-move/attached/destroyed), but counted
-    /// and traced separately so rebalancing traffic is distinguishable from
-    /// traffic-chasing moves.
-    Scatter {
-        /// Raw address of the cold object to scatter (a group root).
-        obj: u64,
-        /// Emptier node the object should spread to.
-        to: NodeId,
-    },
 }
 
 /// The decision half of adaptive placement.
@@ -134,16 +93,11 @@ pub trait PlacementPolicy: Send {
     /// clock under the real engine.
     fn tick_interval(&self) -> SimTime;
 
-    /// One decision round. `nodes` holds one [`NodeSample`] per cluster
-    /// node in node order (so `nodes.len()` is the cluster size); `samples`
-    /// holds every object that saw traffic since the last round, in
-    /// ascending address order (deterministic input for deterministic
-    /// policies).
-    fn decide(
-        &mut self,
-        nodes: &[NodeSample],
-        samples: &[PlacementSample],
-    ) -> Vec<PlacementDecision>;
+    /// One decision round. `samples` holds every object that saw traffic
+    /// since the last round, in ascending address order (deterministic
+    /// input for deterministic policies); each sample's `calls_by_node` has
+    /// one slot per cluster node.
+    fn decide(&mut self, samples: &[PlacementSample]) -> Vec<PlacementDecision>;
 
     /// Consecutive placement ticks a replica may go without serving a
     /// single local call before the daemon ages it out (the holder's
@@ -174,9 +128,6 @@ pub(crate) struct PlacementRuntime {
     /// something new to drain, so the daemon sums successive readings to
     /// detect quiescent ticks.
     pub(crate) activity: Box<[PaddedCounter]>,
-    /// Objects created, counted per target node and drained (swap-to-zero)
-    /// at each real tick — the placement rate the scatter detector watches.
-    pub(crate) placements: Box<[PaddedCounter]>,
     /// The daemon thread, once spawned.
     pub(crate) daemon: OnceLock<ThreadId>,
 }
@@ -190,9 +141,6 @@ impl PlacementRuntime {
             armed: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             activity: (0..nodes.max(1))
-                .map(|_| PaddedCounter(AtomicU64::new(0)))
-                .collect(),
-            placements: (0..nodes.max(1))
                 .map(|_| PaddedCounter(AtomicU64::new(0)))
                 .collect(),
             daemon: OnceLock::new(),
@@ -235,16 +183,6 @@ impl Kernel {
                 .is_ok()
         {
             self.schedule_placement_tick();
-        }
-    }
-
-    /// Creation-path hook, called once per object placement: records the
-    /// placement rate per target node for the scatter detector. With
-    /// placement off this is one branch on an `Option`.
-    pub(crate) fn note_placement_activity(&self, node: NodeId) {
-        let Some(p) = &self.placement else { return };
-        if let Some(c) = p.placements.get(node.index()) {
-            c.0.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -338,13 +276,6 @@ impl Kernel {
             .expect("placement tick without placement state");
         let n = self.nodes.len();
 
-        // Placement rate since the last drained tick, per target node.
-        let placement_rate: Vec<u64> = p
-            .placements
-            .iter()
-            .map(|c| c.0.swap(0, Ordering::Relaxed))
-            .collect();
-
         // Replica aging is policy-configured; read the bound once per tick.
         let evict_after = p.policy.lock().replica_idle_evict_after();
         let mut evictions: Vec<(VAddr, NodeId)> = Vec::new();
@@ -353,29 +284,10 @@ impl Kernel {
         // swaps; an invocation racing the drain lands in the next tick) and
         // copy the attachment shape needed to fold groups onto their roots.
         let mut observed: HashMap<VAddr, Observation> = HashMap::new();
-        // Occupancy for the scatter detector: residents per node, plus the
-        // cold candidates (mutable, unpinned, unattached group roots that
-        // drained zero calls) each node could shed.
-        let mut resident = vec![0u64; n];
-        let mut cold: Vec<Vec<u64>> = vec![Vec::new(); n];
-        // Invocations started on each node since the last drain.
-        let mut calls_by_start_node = vec![0u64; n];
         self.objects.for_each(|addr, e| {
             let mut calls = vec![0u64; n];
             for (slot, c) in e.calls.iter().enumerate() {
                 calls[slot] = c.swap(0, Ordering::Relaxed);
-                calls_by_start_node[slot] += calls[slot];
-            }
-            if let Some(r) = resident.get_mut(e.location.index()) {
-                *r += 1;
-                if calls.iter().all(|&v| v == 0)
-                    && !e.immutable
-                    && !e.pinned
-                    && !e.moving
-                    && e.attached_to.is_none()
-                {
-                    cold[e.location.index()].push(addr.raw());
-                }
             }
             // Cold-replica aging: bump the idle stamp of every replica
             // holder that drained zero calls this tick, reset stamps that
@@ -470,48 +382,19 @@ impl Kernel {
             return;
         }
 
-        // One NodeSample per node, in node order. Cold lists come out of
-        // the shard walk in shard order; sort for deterministic policy
-        // input, like the samples.
-        let node_samples: Vec<NodeSample> = (0..n)
-            .map(|i| {
-                let mut cold = std::mem::take(&mut cold[i]);
-                cold.sort_unstable();
-                NodeSample {
-                    node: NodeId(i as u16),
-                    resident: resident[i],
-                    placements: placement_rate[i],
-                    calls: calls_by_start_node[i],
-                    queue_depth: self.engine.run_queue_depth(NodeId(i as u16)) as u64,
-                    cold,
-                }
-            })
-            .collect();
-
         // Successful advisories count and trace *inside* the kernel, at the
         // claim point under the shard locks (so the event stream stays
         // linearized against destroys); only the skip bookkeeping lives
         // here.
-        let decisions = p.policy.lock().decide(&node_samples, &samples);
+        let decisions = p.policy.lock().decide(&samples);
         for d in decisions {
             let (obj, to, outcome) = match d {
-                PlacementDecision::Move { obj, to } => (
-                    obj,
-                    to,
-                    self.advisory_move(VAddr(obj), to, AdvisoryKind::Move),
-                ),
+                PlacementDecision::Move { obj, to } => {
+                    (obj, to, self.advisory_move(VAddr(obj), to))
+                }
                 PlacementDecision::Replicate { obj, to } => {
                     (obj, to, self.advisory_replicate(VAddr(obj), to))
                 }
-                // Scatter shares `advisory_move`'s whole safety contract
-                // (skip-not-park on pinned/mid-move/attached/destroyed);
-                // only the counter and trace event differ, so rebalancing
-                // is distinguishable from traffic-chasing moves.
-                PlacementDecision::Scatter { obj, to } => (
-                    obj,
-                    to,
-                    self.advisory_move(VAddr(obj), to, AdvisoryKind::Scatter),
-                ),
             };
             if let Err(reason) = outcome {
                 self.emit(ProtocolEvent::AdvisorySkipped {

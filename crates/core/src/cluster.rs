@@ -161,12 +161,10 @@ impl ClusterBuilder {
     /// rate-limited advisory group moves toward each object's dominant
     /// caller node — never mid-move, never against a pin (see
     /// [`Ctx::pin`]). `make` constructs the decision policy; the stock
-    /// credit-scored policy with hysteresis and cooldown knobs is
-    /// `amber_placement::adaptive::TrafficAdvisor`. The kernel executes
-    /// whatever the policy decides — moves, replicas of immutable objects,
-    /// scatters of cold ones — so what a cluster should not do is switched
-    /// off in the policy (the stock advisor's scatter budget,
-    /// `max_scatters_per_tick`, is zero by default), not here.
+    /// credit-scored policy is `amber_placement::adaptive::TrafficAdvisor`.
+    /// The kernel executes whatever the policy decides — moves of mutable
+    /// groups, replicas of immutable objects — and declines, with an
+    /// `AdvisorySkipped` event, what is unsafe at that instant.
     pub fn adaptive_placement<P, F>(mut self, make: F) -> Self
     where
         P: PlacementPolicy + 'static,
@@ -288,12 +286,6 @@ impl Cluster {
         self.kernel.counters.snapshot()
     }
 
-    /// Objects currently resident on each node, indexed by node (see
-    /// [`Ctx::resident_counts`] for the staleness contract).
-    pub fn resident_counts(&self) -> Vec<u64> {
-        self.kernel.resident_counts()
-    }
-
     // ----- tracing --------------------------------------------------------
 
     /// Installs an in-memory trace sink and returns it: every protocol
@@ -352,28 +344,6 @@ impl Cluster {
         } else {
             self.kernel.engine.tracer().uninstall()
         }
-    }
-
-    /// Debug dump of every object's admission state:
-    /// `(addr, exclusive_owner, shared_count, queued_waiters, moving)`.
-    /// Intended for post-mortem inspection after a deadlock report.
-    #[doc(hidden)]
-    pub fn debug_admission(&self) -> Vec<(VAddr, Option<ThreadId>, u32, usize, bool)> {
-        // Copy the raw tuples shard by shard (one lock at a time) and sort
-        // afterwards: the dump never holds more than one registry shard, so
-        // it can run while the cluster is wedged on any of the others.
-        let mut v = Vec::new();
-        self.kernel.objects.for_each(|a, e| {
-            v.push((
-                a,
-                e.excl_owner,
-                e.shared_count,
-                e.op_waiters.len(),
-                e.moving,
-            ));
-        });
-        v.sort_by_key(|(a, ..)| *a);
-        v
     }
 }
 
@@ -696,16 +666,6 @@ impl Ctx {
     pub fn net_totals(&self) -> (u64, u64) {
         let s = self.kernel.engine.stats();
         (s.total_msgs(), s.total_bytes())
-    }
-
-    /// Objects currently resident on each node, indexed by node — a
-    /// diagnostic occupancy snapshot (one registry walk; counts are taken
-    /// shard by shard, so a concurrent move can be counted at either end
-    /// but never both). The throughput bench uses it to score how well
-    /// scatter rebalancing spreads a hot spawner's objects. Also available
-    /// off-run as [`Cluster::resident_counts`].
-    pub fn resident_counts(&self) -> Vec<u64> {
-        self.kernel.resident_counts()
     }
 
     // ----- substrate hooks ------------------------------------------------

@@ -395,7 +395,6 @@ impl Kernel {
             debug_assert!(prev.is_none(), "heap handed out a live address");
             self.emit(ProtocolEvent::ObjectCreate { obj: addr.0, node });
         }
-        self.note_placement_activity(node);
         ObjRef::from_addr(addr)
     }
 
@@ -458,19 +457,6 @@ impl Kernel {
             });
         }
         Ok(())
-    }
-
-    /// Objects currently resident on each node, indexed by node. One
-    /// registry walk, shard by shard; see [`Cluster::resident_counts`]
-    /// (`crate::Cluster`) for the staleness contract.
-    pub(crate) fn resident_counts(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.nodes.len()];
-        self.objects.for_each(|_, e| {
-            if let Some(c) = counts.get_mut(e.location.index()) {
-                *c += 1;
-            }
-        });
-        counts
     }
 
     /// Charges `cost` of CPU to the current thread, after first letting the

@@ -57,7 +57,7 @@ mod stats;
 mod thread;
 mod verifysink;
 
-pub use adaptive::{NodeSample, PlacementDecision, PlacementPolicy, PlacementSample};
+pub use adaptive::{PlacementDecision, PlacementPolicy, PlacementSample};
 pub use cluster::{Cluster, ClusterBuilder, Ctx, EngineChoice};
 pub use errors::ProtocolError;
 pub use kernel::Kernel;

@@ -33,15 +33,6 @@ use crate::errors::ProtocolError;
 use crate::invoke::ChaseStep;
 use crate::kernel::Kernel;
 
-/// Which advisory asked for a group move: a traffic-driven `Move` toward
-/// the dominant caller, or an occupancy-driven `Scatter` off a crowded
-/// node. Decides which counter/event the kernel emits at the claim point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum AdvisoryKind {
-    Move,
-    Scatter,
-}
-
 impl Kernel {
     /// The attachment closure rooted at `addr`: the object plus everything
     /// transitively attached to it, in deterministic BFS order (the order
@@ -173,20 +164,15 @@ impl Kernel {
     /// of `addr` to `dest`. Returns the reason the kernel declined on a
     /// skip — the advisor's proposals are best-effort and simply skipped
     /// when the object is pinned, mid-move, attached (a non-root),
-    /// immutable, destroyed, or already at `dest`. The advisory counter and
-    /// trace event for `kind` are emitted at the claim point, under the
-    /// group's shard locks, so the event stream cannot show an advisory for
-    /// an object that was already destroyed.
+    /// immutable, destroyed, or already at `dest`. The `AdvisoryMove` event
+    /// is emitted at the claim point, under the group's shard locks, so the
+    /// event stream cannot show an advisory for an object that was already
+    /// destroyed.
     ///
     /// Unlike [`move_object`](Kernel::move_object), a busy group is a skip,
     /// not a wait: the placement daemon must never park on user-driven
     /// moves, and a mid-move object will be re-scored on a later tick.
-    pub(crate) fn advisory_move(
-        &self,
-        addr: VAddr,
-        dest: NodeId,
-        kind: AdvisoryKind,
-    ) -> Result<(), &'static str> {
+    pub(crate) fn advisory_move(&self, addr: VAddr, dest: NodeId) -> Result<(), &'static str> {
         if dest.index() >= self.nodes.len() {
             return Err("no-such-node");
         }
@@ -228,22 +214,11 @@ impl Kernel {
             // The claim committed: count and trace the advisory while the
             // group is still locked, so no destroy can slot its event
             // before this one.
-            match kind {
-                AdvisoryKind::Move => {
-                    self.emit(ProtocolEvent::AdvisoryMove {
-                        obj: addr.0,
-                        from: root,
-                        to: dest,
-                    });
-                }
-                AdvisoryKind::Scatter => {
-                    self.emit(ProtocolEvent::AdvisoryScatter {
-                        obj: addr.0,
-                        from: root,
-                        to: dest,
-                    });
-                }
-            }
+            self.emit(ProtocolEvent::AdvisoryMove {
+                obj: addr.0,
+                from: root,
+                to: dest,
+            });
             drop(shards);
             drop(topo);
             (root, group)

@@ -1548,10 +1548,12 @@ fn thousand_object_attachment_group_moves_as_one() {
 
 mod adaptive {
     use super::*;
-    use crate::{NodeSample, PlacementDecision, PlacementPolicy, PlacementSample};
+    use crate::{PlacementDecision, PlacementPolicy, PlacementSample};
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     /// Minimal greedy policy for mechanism tests: propose a move to the top
-    /// caller once it logged `min_calls` in a window. No hysteresis or
+    /// caller once it logged `min_calls` in a window. No dominance ratio or
     /// cooldown — scoring niceties live in `amber-placement` and have their
     /// own tests; here we exercise the kernel mechanism.
     struct TestPolicy {
@@ -1564,11 +1566,7 @@ mod adaptive {
             self.tick
         }
 
-        fn decide(
-            &mut self,
-            _nodes: &[NodeSample],
-            samples: &[PlacementSample],
-        ) -> Vec<PlacementDecision> {
+        fn decide(&mut self, samples: &[PlacementSample]) -> Vec<PlacementDecision> {
             samples
                 .iter()
                 .filter_map(|s| {
@@ -1680,11 +1678,7 @@ mod adaptive {
             self.evict_after
         }
 
-        fn decide(
-            &mut self,
-            _nodes: &[NodeSample],
-            samples: &[PlacementSample],
-        ) -> Vec<PlacementDecision> {
+        fn decide(&mut self, samples: &[PlacementSample]) -> Vec<PlacementDecision> {
             let (min_calls, propose_mutable) = (self.min_calls, self.propose_mutable);
             samples
                 .iter()
@@ -1914,129 +1908,125 @@ mod adaptive {
         assert!(hit, "no sweep delay hit the destroy-vs-replication window");
     }
 
-    /// Occupancy-driven policy for the scatter mechanism tests: shed up to
-    /// two cold objects per tick from the fullest node to the emptiest,
-    /// stopping within one object of balance. Scoring niceties (shares,
-    /// credit, budgets) live in `amber-placement` and have their own tests;
-    /// here we exercise the kernel mechanism end to end.
-    struct ScatterPolicy {
-        tick: SimTime,
-        /// Aim every proposal at the crowded node itself — a proposal the
-        /// kernel cannot honour and must decline.
-        misdirect: bool,
-    }
+    /// Proposes exactly what the test scripted, once. The kernel's declines
+    /// are only reachable through proposals no traffic-driven policy makes
+    /// (a destroyed address, a non-root, the node the object is already on).
+    struct ScriptedPolicy(Arc<Mutex<Vec<PlacementDecision>>>);
 
-    impl PlacementPolicy for ScatterPolicy {
+    impl PlacementPolicy for ScriptedPolicy {
         fn tick_interval(&self) -> SimTime {
-            self.tick
+            SimTime::from_ms(30)
         }
 
-        fn decide(
-            &mut self,
-            nodes: &[NodeSample],
-            _samples: &[PlacementSample],
-        ) -> Vec<PlacementDecision> {
-            let Some(src) = nodes.iter().max_by_key(|ns| ns.resident) else {
-                return Vec::new();
-            };
-            let Some(dst) = nodes
-                .iter()
-                .filter(|ns| ns.node != src.node)
-                .min_by_key(|ns| ns.resident)
-            else {
-                return Vec::new();
-            };
-            if src.resident <= dst.resident + 1 {
-                return Vec::new();
+        fn decide(&mut self, _samples: &[PlacementSample]) -> Vec<PlacementDecision> {
+            std::mem::take(&mut *self.0.lock())
+        }
+    }
+
+    #[test]
+    fn every_decline_is_one_skip_with_its_reason_and_no_move() {
+        fn mv<T: AmberObject>(obj: &crate::ObjRef<T>, to: u16) -> PlacementDecision {
+            PlacementDecision::Move {
+                obj: obj.addr().raw(),
+                to: NodeId(to),
             }
-            let to = if self.misdirect { src.node } else { dst.node };
-            src.cold
-                .iter()
-                .take(2)
-                .map(|&obj| PlacementDecision::Scatter { obj, to })
-                .collect()
         }
-    }
-
-    fn scatter_sim(nodes: usize, misdirect: bool) -> Cluster {
-        Cluster::builder()
-            .nodes(nodes)
-            .processors(2)
-            .adaptive_placement(move || ScatterPolicy {
-                tick: SimTime::from_ms(30),
-                misdirect,
-            })
-            .build()
-    }
-
-    /// One scatter-shaped program: everything created on node 0, a pinned
-    /// anchor keeps the worker there, the hot counter keeps traffic flowing
-    /// so ticks stay armed, and six cold objects are candidates to spread.
-    fn run_scatter_program(c: &Cluster) -> usize {
-        c.run(|ctx| {
-            let anchor = ctx.create(0u8);
-            ctx.pin(&anchor);
-            let hot = ctx.create(0u64);
-            let cold: Vec<_> = (0..6).map(|i| ctx.create(i as u64)).collect();
-            let h = ctx.start(&anchor, move |ctx, _| {
-                for _ in 0..50 {
-                    ctx.invoke(&hot, |ctx, n| {
-                        ctx.work(SimTime::from_ms(2));
-                        *n += 1;
-                    });
+        fn rep<T: AmberObject>(obj: &crate::ObjRef<T>, to: u16) -> PlacementDecision {
+            PlacementDecision::Replicate {
+                obj: obj.addr().raw(),
+                to: NodeId(to),
+            }
+        }
+        // Each row builds its object on node 0 of a 2-node cluster and
+        // returns the proposal the kernel must decline with that reason.
+        type Setup = fn(&crate::Ctx) -> PlacementDecision;
+        let cases: [(&str, Setup); 10] = [
+            ("pinned", |ctx| {
+                let o = ctx.create(0u64);
+                ctx.pin(&o);
+                mv(&o, 1)
+            }),
+            ("already-there", |ctx| mv(&ctx.create(0u64), 0)),
+            ("attached", |ctx| {
+                let (root, child) = (ctx.create(0u64), ctx.create(0u64));
+                ctx.attach(&child, &root);
+                mv(&child, 1)
+            }),
+            ("immutable", |ctx| {
+                let o = ctx.create(0u64);
+                ctx.set_immutable(&o);
+                mv(&o, 1)
+            }),
+            ("destroyed", |ctx| {
+                let o = ctx.create(0u64);
+                let d = mv(&o, 1);
+                ctx.destroy(o);
+                d
+            }),
+            ("no-such-node", |ctx| mv(&ctx.create(0u64), 7)),
+            ("not-immutable", |ctx| rep(&ctx.create(0u64), 1)),
+            ("already-there", |ctx| {
+                let o = ctx.create(0u64);
+                ctx.set_immutable(&o);
+                rep(&o, 0)
+            }),
+            ("destroyed", |ctx| {
+                let o = ctx.create(0u64);
+                let d = rep(&o, 1);
+                ctx.destroy(o);
+                d
+            }),
+            ("no-such-node", |ctx| rep(&ctx.create(0u64), 7)),
+        ];
+        for (row, (reason, setup)) in cases.into_iter().enumerate() {
+            let script = Arc::new(Mutex::new(Vec::new()));
+            let c = Cluster::builder()
+                .nodes(2)
+                .processors(2)
+                .adaptive_placement({
+                    let script = Arc::clone(&script);
+                    move || ScriptedPolicy(Arc::clone(&script))
+                })
+                .build();
+            let sink = c.enable_tracing();
+            c.run({
+                let script = Arc::clone(&script);
+                move |ctx| {
+                    // Created first, so it cannot reuse a destroyed row
+                    // object's address. Its traffic arms the tick and
+                    // gives it a sample; the sleep outlasts the tick.
+                    let warm = ctx.create(0u64);
+                    let proposal = setup(ctx);
+                    script.lock().push(proposal);
+                    ctx.invoke(&warm, |_, n| *n += 1);
+                    ctx.sleep(SimTime::from_ms(60));
                 }
-            });
-            h.join(ctx);
-            for (i, o) in cold.iter().enumerate() {
-                assert_eq!(
-                    ctx.try_invoke(o, |_, v| *v),
-                    Ok(i as u64),
-                    "scatter lost a payload"
-                );
-            }
-            cold.iter()
-                .filter(|o| ctx.try_locate(o) != Ok(NodeId(0)))
-                .count()
-        })
-        .unwrap()
-    }
-
-    #[test]
-    fn advisor_scatters_cold_objects_off_the_crowded_node() {
-        let c = scatter_sim(2, false);
-        let sink = c.enable_tracing();
-        let spread = run_scatter_program(&c);
-        assert!(spread >= 1, "no cold object left the crowded node");
-        let p = c.protocol_stats();
-        assert!(p.advisory_scatters >= 1, "no scatter recorded: {p:?}");
-        assert_eq!(
-            p.advisory_moves, 0,
-            "scatters must not count as traffic moves: {p:?}"
-        );
-        let events = sink.take();
-        assert!(events.iter().any(|r| r.event.name() == "advisory_scatter"));
-        let summary = crate::TraceSummary::from_events(&events);
-        assert_eq!(summary.messages, c.net_stats().total_msgs());
-    }
-
-    #[test]
-    fn declined_scatter_is_a_skip_not_a_move() {
-        // The kernel has no scatter switch of its own (a policy that should
-        // not scatter proposes none); what it does decline is a proposal it
-        // cannot honour, here one aimed at the node the object already
-        // occupies.
-        let c = scatter_sim(2, true);
-        let sink = c.enable_tracing();
-        let spread = run_scatter_program(&c);
-        assert_eq!(spread, 0, "a declined scatter moved an object");
-        let p = c.protocol_stats();
-        assert_eq!(p.advisory_scatters, 0, "scatter recorded anyway: {p:?}");
-        assert!(
-            p.advisory_skips >= 1,
-            "declined proposals must surface as skips: {p:?}"
-        );
-        let events = sink.take();
-        assert!(events.iter().any(|r| r.event.name() == "advisory_skipped"));
+            })
+            .unwrap();
+            let proposal = format!("row {row}, {reason}");
+            assert!(script.lock().is_empty(), "never proposed: {proposal}");
+            let skips: Vec<_> = sink
+                .take()
+                .into_iter()
+                .filter_map(|r| match r.event {
+                    amber_engine::ProtocolEvent::AdvisorySkipped { reason, .. } => Some(reason),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(skips, [reason], "{proposal}");
+            let p = c.protocol_stats();
+            assert_eq!(p.advisory_skips, 1, "{proposal}: {p:?}");
+            assert_eq!(
+                (
+                    p.object_moves,
+                    p.replications,
+                    p.advisory_moves,
+                    p.advisory_replications
+                ),
+                (0, 0, 0, 0),
+                "a declined proposal acted anyway: {proposal}: {p:?}"
+            );
+        }
     }
 
     #[test]

@@ -75,10 +75,6 @@ impl VerifyingSink {
                 obj,
                 kind: "replicate",
             },
-            ProtocolEvent::AdvisoryScatter { obj, .. } => LifecycleEvent::Advisory {
-                obj,
-                kind: "scatter",
-            },
             ProtocolEvent::HintRepair { obj, to, .. } => LifecycleEvent::HintRepaired {
                 obj,
                 to: to.index(),

@@ -174,16 +174,6 @@ pub trait Engine: Send + Sync {
     /// Number of processors on `node`.
     fn processors(&self, node: NodeId) -> usize;
 
-    /// Instantaneous load on `node`: threads occupying or queued for its
-    /// processors. A sampling hint for load-aware placement — the value is
-    /// stale the moment it returns, so callers may only use it to *prefer*
-    /// lightly loaded nodes, never for correctness. The default (always 0)
-    /// keeps load out of placement scoring.
-    fn run_queue_depth(&self, node: NodeId) -> usize {
-        let _ = node;
-        0
-    }
-
     /// Creates a new Amber thread running `body` on `node`.
     ///
     /// The thread becomes runnable immediately; it is *not* started lazily.

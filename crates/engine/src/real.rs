@@ -25,7 +25,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU16, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU16, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,18 +47,13 @@ struct RealNode {
     tokens: Mutex<usize>,
     cv: Condvar,
     processors: usize,
-    /// Threads currently parked in `acquire` waiting for a token; together
-    /// with the busy-token count this is the node's run-queue depth.
-    waiting: AtomicUsize,
 }
 
 impl RealNode {
     fn acquire(&self) {
         let mut avail = self.tokens.lock();
         while *avail == 0 {
-            self.waiting.fetch_add(1, Ordering::Relaxed);
             self.cv.wait(&mut avail);
-            self.waiting.fetch_sub(1, Ordering::Relaxed);
         }
         *avail -= 1;
     }
@@ -202,7 +197,6 @@ impl RealEngine {
             .iter()
             .map(|n| RealNode {
                 tokens: Mutex::new(n.processors),
-                waiting: AtomicUsize::new(0),
                 cv: Condvar::new(),
                 processors: n.processors,
             })
@@ -373,12 +367,6 @@ impl Engine for RealEngine {
 
     fn processors(&self, node: NodeId) -> usize {
         self.inner.nodes[node.index()].processors
-    }
-
-    fn run_queue_depth(&self, node: NodeId) -> usize {
-        let n = &self.inner.nodes[node.index()];
-        let busy = n.processors - *n.tokens.lock();
-        busy + n.waiting.load(Ordering::Relaxed)
     }
 
     fn spawn(&self, node: NodeId, name: String, body: ThreadBody) -> ThreadId {

@@ -432,12 +432,6 @@ impl Engine for SimEngine {
         self.inner.state.lock().nodes[node.index()].processors
     }
 
-    fn run_queue_depth(&self, node: NodeId) -> usize {
-        let st = self.inner.state.lock();
-        let n = &st.nodes[node.index()];
-        n.busy + n.sched.len()
-    }
-
     fn spawn(&self, node: NodeId, name: String, body: ThreadBody) -> ThreadId {
         let inner = Arc::clone(&self.inner);
         let gate = Gate::new();

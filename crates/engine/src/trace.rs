@@ -332,17 +332,6 @@ protocol_events! {
         /// Reader node the replica installed on.
         to: NodeId,
     }
-    /// The adaptive placement advisor scattered a cold object group off an
-    /// occupancy-dominating node toward an emptier one (the underlying
-    /// transfer also emits an `ObjectMove`).
-    AdvisoryScatter "advisory_scatter" @to, counts advisory_scatters {
-        /// Address of the scattered (root) object.
-        obj: u64,
-        /// Overloaded node the group left.
-        from: NodeId,
-        /// Emptier node the group scattered to.
-        to: NodeId,
-    }
     /// The kernel declined a placement advisory at execution time (object
     /// pinned, mid-move, mid-install, destroyed, attached, mutable where a
     /// replica was proposed, immutable where a move was, or already there).
@@ -819,15 +808,6 @@ mod tests {
                 2,
             ),
             (
-                E::AdvisoryScatter {
-                    obj: 64,
-                    from: n1,
-                    to: n2,
-                },
-                "advisory_scatter",
-                2,
-            ),
-            (
                 E::AdvisorySkipped {
                     obj: 64,
                     at: n1,
@@ -881,7 +861,7 @@ mod tests {
             assert_eq!(event.node(), NodeId(node), "{name}");
             records.push(rec(i as u64, event));
         }
-        const ARGS: [&str; 27] = [
+        const ARGS: [&str; 26] = [
             r#""obj":64,"node":1"#,
             r#""obj":64,"from":1,"to":2"#,
             r#""from":1,"to":2"#,
@@ -900,7 +880,6 @@ mod tests {
             r#""from":1,"to":2,"attempt":3"#,
             r#""from":1,"to":2"#,
             r#""from":1,"to":2"#,
-            r#""obj":64,"from":1,"to":2"#,
             r#""obj":64,"from":1,"to":2"#,
             r#""obj":64,"from":1,"to":2"#,
             r#""obj":64,"at":1,"reason":"pinned""#,

@@ -67,12 +67,11 @@ pub enum LifecycleEvent {
         /// Node losing its replica.
         node: usize,
     },
-    /// A placement advisory (move/replicate/scatter) was accepted for the
-    /// object.
+    /// A placement advisory (move/replicate) was accepted for the object.
     Advisory {
         /// Object address.
         obj: u64,
-        /// Which advisory: `"move"`, `"replicate"`, or `"scatter"`.
+        /// Which advisory: `"move"` or `"replicate"`.
         kind: &'static str,
     },
     /// A stale location hint was repaired to point at `to`.

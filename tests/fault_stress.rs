@@ -31,10 +31,10 @@ fn fault_seed() -> u64 {
 }
 
 /// Every chaos test runs twice: with no placement policy, and with an
-/// aggressively-tuned scatter advisor layered over the same fault plan, so
-/// advisory scatters race the drops, duplicates and the partition. The
+/// eager traffic advisor layered over the same fault plan, so advisory
+/// moves race the drops, duplicates and the partition. The
 /// exact-accounting assertions in [`reconcile`] are the same for both:
-/// scatter must stay behaviorally invisible.
+/// the advisor must stay behaviorally invisible.
 const ADVISOR: [bool; 2] = [false, true];
 
 /// 5% drops, 2% duplicates, and a 0<->1 partition that heals at 25ms.
@@ -61,8 +61,6 @@ fn lossy_cluster(nodes: usize, procs: usize, advisor: bool) -> Cluster {
             TrafficAdvisor::new(AdaptiveConfig {
                 tick: SimTime::from_ms(10),
                 min_calls: 2,
-                scatter_share: 0.3,
-                max_scatters_per_tick: 4,
                 ..AdaptiveConfig::default()
             })
         });
@@ -103,6 +101,16 @@ fn reconcile(c: &Cluster, sink: &std::sync::Arc<amber_core::MemorySink>) {
     );
 }
 
+/// An advisor run in which the advisor proposed nothing tests the same
+/// thing as the run without one.
+fn assert_advisor_acted(c: &Cluster, advisor: bool) {
+    let p = c.protocol_stats();
+    assert!(
+        !advisor || p.advisory_moves + p.advisory_skips > 0,
+        "the advisor never proposed: {p:?}"
+    );
+}
+
 #[test]
 fn invoke_storm_survives_lossy_links() {
     for advisor in ADVISOR {
@@ -140,6 +148,7 @@ fn invoke_storm_survives_lossy_links() {
             })
             .unwrap();
         assert_eq!(total, 400, "lost or repeated invocations under loss");
+        assert_advisor_acted(&c, advisor);
 
         let net = c.net_stats();
         assert!(net.total_drops() > 0, "chaos plan injected no drops");
@@ -191,16 +200,36 @@ fn rival_group_moves_heal_through_partition() {
                     })
                 })
                 .collect();
-            for m in movers {
-                m.join(ctx);
+            // Off-node traffic on group 0's root while its mover has it in
+            // flight. Seated on this node, the pullers all start inside one
+            // tick, so their first calls make one sample with a dominant
+            // remote caller and the traffic advisor proposes its own move
+            // of the group against the user's (declined `mid-move`, or
+            // racing the mover's next claim); after the mover's last move
+            // the rest of the pulls earn a second proposal.
+            let pullers: Vec<_> = (0..4)
+                .map(|_| {
+                    let root = roots[0];
+                    let seat = ctx.create(0u8);
+                    ctx.start(&seat, move |ctx, _| {
+                        for _ in 0..10 {
+                            ctx.invoke(&root, |_, n| *n += 1);
+                        }
+                    })
+                })
+                .collect();
+            for h in movers.into_iter().chain(pullers) {
+                h.join(ctx);
             }
-            // Groups ended where their movers left them, intact.
+            // Both groups are intact wherever the last move left them.
             for root in &roots {
                 ctx.locate(root);
             }
+            assert_eq!(ctx.invoke(&roots[0], |_, n| *n), 40, "lost a pull");
             ctx.sleep(SimTime::from_ms(200));
         })
         .unwrap();
+        assert_advisor_acted(&c, advisor);
 
         let net = c.net_stats();
         assert_eq!(

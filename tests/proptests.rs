@@ -459,95 +459,6 @@ proptest! {
         prop_assert_eq!(summary.message_bytes, net.total_bytes());
         prop_assert_eq!(summary.dropped, net.total_drops());
     }
-
-    /// Scatter rebalancing is behaviorally invisible: a hot-spawner program
-    /// (every object created on node 0) returns byte-identical values over
-    /// a lossy network whether the advisor's scatter budget is two per tick
-    /// or zero, and each run's trace (including `advisory_scatters`) reconciles exactly with
-    /// the live counters.
-    #[test]
-    fn scatter_rebalancing_is_behaviorally_invisible(
-        seed in 0u64..(1u64 << 32),
-        payload in 1u64..1_000_000,
-        cold_count in 4usize..10,
-    ) {
-        use amber_core::{EngineChoice, FaultPlan, TraceSummary};
-        use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
-
-        // The same advisor drives both runs; only its scatter budget
-        // differs, which is the switch a deployment has.
-        let observe = |scatter: bool| {
-            let c = Cluster::builder()
-                .nodes(4)
-                .processors(2)
-                .engine(EngineChoice::Sim)
-                .faults(
-                    FaultPlan::seeded(seed)
-                        .drop_rate(0.03)
-                        .duplicate_rate(0.01),
-                )
-                .adaptive_placement(move || {
-                    TrafficAdvisor::new(AdaptiveConfig {
-                        tick: SimTime::from_ms(20),
-                        min_calls: 3,
-                        scatter_share: 0.3,
-                        max_scatters_per_tick: if scatter { 2 } else { 0 },
-                        ..AdaptiveConfig::default()
-                    })
-                })
-                .build();
-            let sink = c.enable_tracing();
-            let values = c
-                .run(move |ctx| {
-                    // Hot spawner: node 0 creates everything. The pinned
-                    // anchor keeps the worker's traffic flowing so ticks
-                    // stay armed; the cold pool is scatter bait.
-                    let anchor = ctx.create(0u8);
-                    ctx.pin(&anchor);
-                    let hot = ctx.create(0u64);
-                    let cold: Vec<_> = (0..cold_count)
-                        .map(|i| ctx.create(payload + i as u64))
-                        .collect();
-                    let h = ctx.start(&anchor, move |ctx, _| {
-                        for _ in 0..20 {
-                            ctx.invoke(&hot, |ctx, n| {
-                                ctx.work(SimTime::from_ms(3));
-                                *n += 1;
-                            });
-                        }
-                    });
-                    h.join(ctx);
-                    let mut out = vec![ctx.invoke(&hot, |_, n| *n)];
-                    for o in &cold {
-                        out.push(ctx.invoke(o, |_, v| *v));
-                    }
-                    out
-                })
-                .unwrap();
-            (values, sink.take(), c.protocol_stats(), c.net_stats())
-        };
-
-        let (off_values, off_events, off_stats, off_net) = observe(false);
-        let (on_values, on_events, on_stats, on_net) = observe(true);
-
-        // Same observations, scattered or not.
-        prop_assert_eq!(&on_values, &off_values);
-        // The zero-budget run never scatters; with a budget, every object
-        // move in this program came from an advisory (there are no explicit
-        // `move_to` calls), scatters included.
-        prop_assert_eq!(off_stats.advisory_scatters, 0);
-        prop_assert_eq!(
-            on_stats.object_moves,
-            on_stats.advisory_moves + on_stats.advisory_scatters
-        );
-        // The traced messages reconcile with the engine's count in both runs.
-        for (events, net) in [(&off_events, &off_net), (&on_events, &on_net)] {
-            let summary = TraceSummary::from_events(events);
-            prop_assert_eq!(summary.messages, net.total_msgs());
-            prop_assert_eq!(summary.message_bytes, net.total_bytes());
-            prop_assert_eq!(summary.dropped, net.total_drops());
-        }
-    }
 }
 
 /// Exclusive invocation of an immutable object fails identically whether or
