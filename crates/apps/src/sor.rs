@@ -30,17 +30,6 @@ use amber_engine::ThreadId;
 use amber_sync::Barrier;
 use parking_lot::Mutex;
 
-/// Global trace switch for the debugging probe (see `run_amber_sor_traced`).
-static TRACE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-macro_rules! trace {
-    ($ctx:expr, $($arg:tt)*) => {
-        if TRACE.load(Ordering::Relaxed) {
-            eprintln!("[{:>12}] ({}) {}", format!("{}", $ctx.now()), $ctx.thread_id(), format!($($arg)*));
-        }
-    };
-}
-
 /// Colour of a grid point: black points are those with even `row + col`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Color {
@@ -485,15 +474,6 @@ impl AmberObject for Master {}
 // The parallel solver
 // ---------------------------------------------------------------------------
 
-/// Like [`run_amber_sor`] but prints a virtual-time event trace to stderr
-/// (debugging aid for the harness).
-pub fn run_amber_sor_traced(p: SorParams) -> SorResult {
-    TRACE.store(true, Ordering::Relaxed);
-    let r = run_amber_sor(p);
-    TRACE.store(false, Ordering::Relaxed);
-    r
-}
-
 /// Runs the Amber SOR program on a fresh simulated cluster and reports the
 /// solve time, residual and communication totals.
 pub fn run_amber_sor(p: SorParams) -> SorResult {
@@ -741,14 +721,6 @@ fn worker_loop(
                 )
             };
             if !p.overlap {
-                trace!(
-                    ctx,
-                    "w{} s{:x} iter{} {:?} wait-ghosts",
-                    w,
-                    sec.addr().raw() & 0xffff,
-                    iter,
-                    color
-                );
                 if need_top {
                     wait_on(ctx, &sec, WaiterList::Ghost, move |s| {
                         s.ghost_ver[0][opp.index()].load(Ordering::SeqCst) >= need_opp
@@ -759,14 +731,6 @@ fn worker_loop(
                         s.ghost_ver[1][opp.index()].load(Ordering::SeqCst) >= need_opp
                     });
                 }
-                trace!(
-                    ctx,
-                    "w{} s{:x} iter{} {:?} ghosts-ready",
-                    w,
-                    sec.addr().raw() & 0xffff,
-                    iter,
-                    color
-                );
             }
 
             if p.overlap {
@@ -851,14 +815,6 @@ fn worker_loop(
                     let mut dl = s.delta[iter % 4].lock();
                     *dl = dl.max(delta);
                 });
-                trace!(
-                    ctx,
-                    "w{} s{:x} iter{} {:?} interior-done",
-                    w,
-                    sec.addr().raw() & 0xffff,
-                    iter,
-                    color
-                );
                 lb.wait(ctx);
             } else {
                 // No overlap: compute the whole phase (row stripes), then
@@ -902,23 +858,9 @@ fn worker_loop(
         } else {
             (iter + 1).saturating_sub(CONV_LAG) as u64
         };
-        trace!(
-            ctx,
-            "w{} s{:x} iter{} wait-decision",
-            w,
-            sec.addr().raw() & 0xffff,
-            iter
-        );
         wait_on(ctx, &sec, WaiterList::Decision, move |s| {
             s.decision_ver.load(Ordering::SeqCst) >= need
         });
-        trace!(
-            ctx,
-            "w{} s{:x} iter{} decision-in",
-            w,
-            sec.addr().raw() & 0xffff,
-            iter
-        );
         let stop_at = ctx.invoke_shared(&sec, |_, s| s.stop_at.load(Ordering::SeqCst));
         iter += 1;
         if stop_at != 0 && iter as u64 >= stop_at {
@@ -940,13 +882,6 @@ fn edge_loop(ctx: &Ctx, sec: ObjRef<Section>, neighbour: ObjRef<Section>, side: 
             return;
         };
         let color = Color::of_phase(phase);
-        trace!(
-            ctx,
-            "edge s{:x} side{} ph{} ship",
-            sec.addr().raw() & 0xffff,
-            side,
-            phase
-        );
         // One carrying invocation ships the whole edge to the neighbour:
         // "the values for an entire edge of a section [are] transferred in
         // a single invocation" (section 6).
@@ -965,13 +900,6 @@ fn edge_loop(ctx: &Ctx, sec: ObjRef<Section>, neighbour: ObjRef<Section>, side: 
         for t in to_wake {
             ctx.unpark(t);
         }
-        trace!(
-            ctx,
-            "edge s{:x} side{} ph{} done",
-            sec.addr().raw() & 0xffff,
-            side,
-            phase
-        );
     }
 }
 
@@ -989,24 +917,12 @@ fn convergence_loop(ctx: &Ctx, sec: ObjRef<Section>, master: ObjRef<Master>) {
             *d = 0.0;
             v
         });
-        trace!(
-            ctx,
-            "conv s{:x} iter{} report",
-            sec.addr().raw() & 0xffff,
-            iter
-        );
         // Report to the master (ships this thread to the master's node) and
         // wake every convergence thread parked on this iteration's decision.
         let to_wake = ctx.invoke(&master, move |_, m| {
             let entry = m.reports.entry(iter).or_insert((0, 0.0));
             entry.0 += 1;
             entry.1 = entry.1.max(delta);
-            if TRACE.load(Ordering::Relaxed) {
-                eprintln!(
-                    "    [report] iter={} count={}/{} decided_before={}",
-                    iter, entry.0, m.sections, m.decided
-                );
-            }
             if entry.0 == m.sections {
                 // Sections report their iterations in order, so tallies
                 // complete in iteration order too.
@@ -1034,7 +950,8 @@ fn convergence_loop(ctx: &Ctx, sec: ObjRef<Section>, master: ObjRef<Master>) {
             ctx.unpark(t);
         }
         // Rendezvous by iteration number: wait until this iteration has
-        // been decided (we are at the master's node now, so this is local).
+        // been decided. Each invocation of the master is a round trip: the
+        // thread returns to its anchor's node after it.
         loop {
             let decided = ctx.invoke(&master, move |_, m| {
                 if m.decided > iter as u64 {
@@ -1046,32 +963,11 @@ fn convergence_loop(ctx: &Ctx, sec: ObjRef<Section>, master: ObjRef<Master>) {
                     false
                 }
             });
-            let dbg = ctx.invoke_shared(&master, |_, m| m.decided);
-            trace!(
-                ctx,
-                "conv s{:x} iter{} check decided={} m.decided={}",
-                sec.addr().raw() & 0xffff,
-                iter,
-                decided,
-                dbg
-            );
             if decided {
                 break;
             }
             ctx.park("conv-decision-wait");
-            trace!(
-                ctx,
-                "conv s{:x} iter{} woke",
-                sec.addr().raw() & 0xffff,
-                iter
-            );
         }
-        trace!(
-            ctx,
-            "conv s{:x} iter{} decided",
-            sec.addr().raw() & 0xffff,
-            iter
-        );
         let stop_at = ctx.invoke_shared(&master, |_, m| m.stop_at);
         // Publish the decision back at the section (ships home).
         let stopping = stop_at == Some(iter + 1);

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use amber_engine::{
     must_current_thread, CostModel, Engine, EngineError, EngineExt, LatencyModel, NodeId,
-    PolicyKind, RealEngine, SimEngine, SimTime, ThreadId,
+    RealEngine, SimEngine, SimTime, ThreadId,
 };
 use amber_vspace::VAddr;
 
@@ -61,7 +61,6 @@ pub struct ClusterBuilder {
     processors: usize,
     latency: LatencyModel,
     cost: CostModel,
-    policy: PolicyKind,
     engine: EngineChoice,
     deadline: Option<Duration>,
     faults: Option<amber_engine::FaultPlan>,
@@ -76,7 +75,6 @@ impl std::fmt::Debug for ClusterBuilder {
             .field("processors", &self.processors)
             .field("latency", &self.latency)
             .field("cost", &self.cost)
-            .field("policy", &self.policy)
             .field("engine", &self.engine)
             .field("deadline", &self.deadline)
             .field("faults", &self.faults)
@@ -93,7 +91,6 @@ impl Default for ClusterBuilder {
             processors: 1,
             latency: LatencyModel::ethernet_10mbit(),
             cost: CostModel::firefly(),
-            policy: PolicyKind::Fifo,
             engine: EngineChoice::Sim,
             deadline: None,
             faults: None,
@@ -125,12 +122,6 @@ impl ClusterBuilder {
     /// Protocol CPU cost model (default: Firefly calibration).
     pub fn cost_model(mut self, c: CostModel) -> Self {
         self.cost = c;
-        self
-    }
-
-    /// Initial per-node scheduling policy (default FIFO).
-    pub fn policy(mut self, p: PolicyKind) -> Self {
-        self.policy = p;
         self
     }
 
@@ -188,8 +179,7 @@ impl ClusterBuilder {
     /// Builds the cluster.
     pub fn build(self) -> Cluster {
         let mut spec = amber_engine::ClusterSpec::uniform(self.nodes, self.processors)
-            .with_latency(self.latency)
-            .with_policy(self.policy);
+            .with_latency(self.latency);
         if let Some(plan) = self.faults {
             spec = spec.with_faults(plan);
         }
@@ -210,24 +200,16 @@ impl ClusterBuilder {
             policy,
             self.demand_replication,
         );
-        let verifier = Arc::new(crate::verifysink::VerifyingSink::new());
-        if amber_verify::ACTIVE {
-            // With the runtime checkers live, the verifying sink is the
-            // engine's trace sink for the cluster's whole lifetime so the
-            // lifecycle linter observes every protocol event; the public
-            // tracing API below swaps the sink *inside* it instead.
-            kernel.engine.tracer().install(verifier.clone());
-        }
-        Cluster { kernel, verifier }
+        // In checked builds the lifecycle linter judges every protocol
+        // event of the cluster's lifetime, whatever sink comes and goes.
+        kernel.engine.tracer().lint();
+        Cluster { kernel }
     }
 }
 
 /// A network of multiprocessor nodes running one Amber program.
 pub struct Cluster {
     kernel: Arc<Kernel>,
-    /// Lifecycle-linting tee; installed as the tracer sink only when
-    /// [`amber_verify::ACTIVE`] (the `verify` feature or a debug build).
-    verifier: Arc<crate::verifysink::VerifyingSink>,
 }
 
 impl Cluster {
@@ -319,31 +301,19 @@ impl Cluster {
     /// ```
     pub fn enable_tracing(&self) -> Arc<amber_engine::MemorySink> {
         let sink = amber_engine::MemorySink::new();
-        if amber_verify::ACTIVE {
-            self.verifier.set_inner(Some(sink.clone()));
-        } else {
-            self.kernel.engine.tracer().install(sink.clone());
-        }
+        self.kernel.engine.tracer().install(sink.clone());
         sink
     }
 
     /// Installs a custom [`amber_engine::TraceSink`] (replacing any
     /// previous sink).
     pub fn set_trace_sink(&self, sink: Arc<dyn amber_engine::TraceSink>) {
-        if amber_verify::ACTIVE {
-            self.verifier.set_inner(Some(sink));
-        } else {
-            self.kernel.engine.tracer().install(sink);
-        }
+        self.kernel.engine.tracer().install(sink);
     }
 
     /// Stops tracing; returns the previously installed sink, if any.
     pub fn disable_tracing(&self) -> Option<Arc<dyn amber_engine::TraceSink>> {
-        if amber_verify::ACTIVE {
-            self.verifier.set_inner(None)
-        } else {
-            self.kernel.engine.tracer().uninstall()
-        }
+        self.kernel.engine.tracer().uninstall()
     }
 }
 

@@ -55,7 +55,6 @@ mod objref;
 mod registry;
 mod stats;
 mod thread;
-mod verifysink;
 
 pub use adaptive::{PlacementDecision, PlacementPolicy, PlacementSample};
 pub use cluster::{Cluster, ClusterBuilder, Ctx, EngineChoice};
@@ -68,7 +67,7 @@ pub use thread::{JoinHandle, ThreadObj};
 // Commonly useful re-exports so applications depend on one crate.
 pub use amber_engine::{
     trace, CostModel, EngineError, FaultPlan, LatencyModel, LinkFaults, MemorySink, NodeId,
-    Partition, PolicyKind, ProtocolEvent, SimTime, ThreadId, TraceRecord, TraceSink,
+    Partition, ProtocolEvent, SimTime, ThreadId, TraceRecord, TraceSink,
 };
 pub use amber_vspace::VAddr;
 

@@ -86,7 +86,6 @@ impl Kernel {
     pub(crate) fn move_object(&self, addr: VAddr, dest: NodeId, allow_attached: bool) {
         assert!(dest.index() < self.nodes.len(), "no such {dest}");
         let me = must_current_thread();
-        let my_node = self.engine.node_of(me);
         // Serialize concurrent moves of the same *group*, not just the same
         // root: an attach may be co-locating a member while we try to move
         // the root, and two in-flight transfers of one object interleave
@@ -148,7 +147,6 @@ impl Kernel {
             break (location, false, group);
         };
         if immutable {
-            let _ = source;
             // A concurrent destroy can win the race between the claim above
             // and the holder serving the copy; halt the thread under the
             // typed reason rather than aborting the process.
@@ -156,7 +154,6 @@ impl Kernel {
                 .unwrap_or_else(|e| self.halt(e));
             return;
         }
-        let _ = my_node;
         self.transfer_group(addr, source, dest, &group);
     }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::ids::{NodeId, ThreadId};
-use crate::policy::{PolicyKind, Scheduler};
+use crate::policy::Scheduler;
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::Tracer;
@@ -36,17 +36,13 @@ pub type KernelFn = Box<dyn FnOnce() + Send + 'static>;
 pub struct NodeConfig {
     /// Number of processors (the Firefly had 4 CVAX CPUs for user threads).
     pub processors: usize,
-    /// Initial scheduling policy for the node's ready queue.
-    pub policy: PolicyKind,
 }
 
 impl NodeConfig {
-    /// A node with `processors` CPUs under the default FIFO policy.
+    /// A node with `processors` CPUs. Its ready queue starts under
+    /// [`Fifo`](crate::policy::Fifo); [`Engine::set_scheduler`] replaces it.
     pub fn new(processors: usize) -> Self {
-        NodeConfig {
-            processors,
-            policy: PolicyKind::Fifo,
-        }
+        NodeConfig { processors }
     }
 }
 
@@ -80,14 +76,6 @@ impl ClusterSpec {
     /// Replaces the latency model.
     pub fn with_latency(mut self, latency: LatencyModel) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Replaces every node's scheduling policy.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        for n in &mut self.nodes {
-            n.policy = policy;
-        }
         self
     }
 
@@ -145,15 +133,6 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Which engine implementation is running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Deterministic virtual-time discrete-event engine.
-    Sim,
-    /// Real OS threads and wall-clock time.
-    Real,
-}
-
 /// Execution substrate for the Amber runtime.
 ///
 /// Methods that say "current thread" must be called from inside an Amber
@@ -161,11 +140,8 @@ pub enum EngineKind {
 /// [`run_boxed`](Engine::run_boxed)); calling them from kernel handlers or
 /// from outside the engine is a programming error and panics.
 pub trait Engine: Send + Sync {
-    /// Which implementation this is.
-    fn kind(&self) -> EngineKind;
-
-    /// Current time: virtual under [`EngineKind::Sim`], elapsed wall clock
-    /// under [`EngineKind::Real`].
+    /// Current time: virtual under the simulator, elapsed wall clock under
+    /// the real engine.
     fn now(&self) -> SimTime;
 
     /// Number of nodes in the cluster.
@@ -333,6 +309,17 @@ impl CurrentGuard {
 impl Drop for CurrentGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(None));
+    }
+}
+
+/// The text of a caught panic payload, for [`EngineError::Panic`].
+pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

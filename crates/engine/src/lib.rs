@@ -40,6 +40,7 @@ mod cost;
 mod engine;
 mod fault;
 mod ids;
+mod lifecycle;
 mod real;
 mod sim;
 mod time;
@@ -50,12 +51,11 @@ pub mod trace;
 
 pub use cost::{CostModel, LatencyModel};
 pub use engine::{
-    current_thread, must_current_thread, ClusterSpec, Engine, EngineError, EngineExt, EngineKind,
-    KernelFn, NodeConfig, ThreadBody,
+    current_thread, must_current_thread, ClusterSpec, Engine, EngineError, EngineExt, KernelFn,
+    NodeConfig, ThreadBody,
 };
 pub use fault::{FaultPlan, LinkFaults, Partition};
 pub use ids::{NodeId, ThreadId};
-pub use policy::PolicyKind;
 pub use real::RealEngine;
 pub use sim::SimEngine;
 pub use stats::NetStats;

@@ -31,21 +31,10 @@ pub trait Scheduler: Send {
     /// Removes and returns the next thread to run, if any.
     fn dequeue(&mut self) -> Option<ThreadId>;
 
-    /// Number of queued threads.
-    fn len(&self) -> usize;
-
-    /// `true` if no thread is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The timeslice quantum, or `None` to run bursts to completion.
     fn quantum(&self) -> Option<SimTime> {
         None
     }
-
-    /// Human-readable policy name (for stats and debugging).
-    fn name(&self) -> &'static str;
 }
 
 /// First-in first-out, run to completion. The default policy.
@@ -61,14 +50,6 @@ impl Scheduler for Fifo {
 
     fn dequeue(&mut self) -> Option<ThreadId> {
         self.queue.pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
     }
 }
 
@@ -86,14 +67,6 @@ impl Scheduler for Lifo {
 
     fn dequeue(&mut self) -> Option<ThreadId> {
         self.stack.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "lifo"
     }
 }
 
@@ -138,14 +111,6 @@ impl Scheduler for Priority {
     fn dequeue(&mut self) -> Option<ThreadId> {
         self.heap.pop().map(|e| e.thread)
     }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "priority"
-    }
 }
 
 /// Round-robin timeslicing with the given quantum.
@@ -173,42 +138,8 @@ impl Scheduler for RoundRobin {
         self.queue.pop_front()
     }
 
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     fn quantum(&self) -> Option<SimTime> {
         Some(self.quantum)
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Built-in policy selector for cluster configuration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// [`Fifo`].
-    #[default]
-    Fifo,
-    /// [`Lifo`].
-    Lifo,
-    /// [`Priority`].
-    Priority,
-    /// [`RoundRobin`] with the given quantum.
-    RoundRobin(SimTime),
-}
-
-impl PolicyKind {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn Scheduler> {
-        match self {
-            PolicyKind::Fifo => Box::<Fifo>::default(),
-            PolicyKind::Lifo => Box::<Lifo>::default(),
-            PolicyKind::Priority => Box::<Priority>::default(),
-            PolicyKind::RoundRobin(q) => Box::new(RoundRobin::new(q)),
-        }
     }
 }
 
@@ -226,7 +157,6 @@ mod tests {
         s.enqueue(t(1), 0);
         s.enqueue(t(2), 5);
         s.enqueue(t(3), -1);
-        assert_eq!(s.len(), 3);
         assert_eq!(s.dequeue(), Some(t(1)));
         assert_eq!(s.dequeue(), Some(t(2)));
         assert_eq!(s.dequeue(), Some(t(3)));
@@ -259,17 +189,5 @@ mod tests {
     fn round_robin_exposes_quantum() {
         let s = RoundRobin::new(SimTime::from_ms(10));
         assert_eq!(s.quantum(), Some(SimTime::from_ms(10)));
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn kind_builds_named_policies() {
-        assert_eq!(PolicyKind::Fifo.build().name(), "fifo");
-        assert_eq!(PolicyKind::Lifo.build().name(), "lifo");
-        assert_eq!(PolicyKind::Priority.build().name(), "priority");
-        assert_eq!(
-            PolicyKind::RoundRobin(SimTime::from_ms(1)).build().name(),
-            "round-robin"
-        );
     }
 }

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{
-    must_current_thread, ClusterSpec, CurrentGuard, Engine, EngineError, EngineKind, Gate,
+    must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, Gate,
     KernelFn, ThreadBody,
 };
 use crate::fault::{FaultNet, Transport};
@@ -353,10 +353,6 @@ impl Transport for RealInner {
 }
 
 impl Engine for RealEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Real
-    }
-
     fn now(&self) -> SimTime {
         SimTime::from_ns(self.inner.epoch.elapsed().as_nanos() as u64)
     }
@@ -541,16 +537,6 @@ impl Engine for RealEngine {
                 None => self.inner.done_cv.wait(&mut live),
             }
         }
-    }
-}
-
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

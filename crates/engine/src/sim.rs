@@ -29,12 +29,12 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{
-    must_current_thread, ClusterSpec, CurrentGuard, Engine, EngineError, EngineKind, Gate,
+    must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, Gate,
     KernelFn, ThreadBody,
 };
 use crate::fault::{FaultNet, Transport};
 use crate::ids::{NodeId, ThreadId};
-use crate::policy::Scheduler;
+use crate::policy::{Fifo, Scheduler};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::Tracer;
@@ -149,7 +149,7 @@ impl SimEngine {
             .map(|n| NodeSim {
                 processors: n.processors,
                 busy: 0,
-                sched: n.policy.build(),
+                sched: Box::<Fifo>::default(),
             })
             .collect::<Vec<_>>();
         let stats = Arc::new(NetStats::new(nodes.len()));
@@ -416,10 +416,6 @@ impl SimEngine {
 }
 
 impl Engine for SimEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Sim
-    }
-
     fn now(&self) -> SimTime {
         self.inner.state.lock().clock
     }
@@ -645,21 +641,11 @@ impl Engine for SimEngine {
     }
 }
 
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineExt;
-    use crate::policy::PolicyKind;
+    use crate::policy::RoundRobin;
 
     fn sim(nodes: usize, procs: usize) -> Arc<SimEngine> {
         SimEngine::cluster(nodes, procs, LatencyModel::fixed(SimTime::from_ms(1)))
@@ -827,12 +813,10 @@ mod tests {
 
     #[test]
     fn round_robin_quantum_preempts() {
-        let spec = ClusterSpec::uniform(1, 1)
-            .with_latency(LatencyModel::zero())
-            .with_policy(PolicyKind::RoundRobin(SimTime::from_ms(1)));
-        let e = Arc::new(SimEngine::new(spec));
+        let e = SimEngine::cluster(1, 1, LatencyModel::zero());
         let e2 = Arc::clone(&e);
         e.run(NodeId(0), move || {
+            e2.set_scheduler(NodeId(0), Box::new(RoundRobin::new(SimTime::from_ms(1))));
             let e3 = Arc::clone(&e2);
             e2.spawn(
                 NodeId(0),

@@ -14,18 +14,20 @@
 //! Events flow, stamped with the engine clock, through the engine's
 //! [`Tracer`] into an installed [`TraceSink`]; with no sink installed that
 //! path is a single relaxed atomic load, so tracing costs nothing when it is
-//! off.
+//! off. In checked builds [`Tracer::lint`] has the tracer judge each event
+//! against the per-object lifecycle on its way to the sink.
 //!
 //! [`MemorySink`] collects events in memory for tests and post-run analysis;
 //! [`chrome_trace_json`] renders a captured stream as Chrome-trace / Perfetto
 //! JSON (load it at `ui.perfetto.dev` or `chrome://tracing`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
 use crate::ids::{NodeId, ThreadId};
+use crate::lifecycle::Linter;
 use crate::time::SimTime;
 
 /// How one field of an event renders inside a Chrome-trace `args` object.
@@ -478,6 +480,9 @@ impl TraceSink for MemorySink {
 pub struct Tracer {
     enabled: AtomicBool,
     sink: Mutex<Option<Arc<dyn TraceSink>>>,
+    /// The protocol-lifecycle linter, once [`lint`](Tracer::lint) switched
+    /// it on; it sees every event before the sink does.
+    linter: OnceLock<Linter>,
 }
 
 impl Tracer {
@@ -486,10 +491,24 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// `true` if a sink is installed. Check this before building an event.
+    /// `true` if a sink is installed or the linter is on. Check this before
+    /// building an event.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Switches the protocol-lifecycle linter on for the tracer's lifetime:
+    /// every event is judged against the per-object state machine (created,
+    /// resident on exactly one node, moving, replicated, destroyed) before
+    /// it reaches the sink, with or without one, and an illegal sequence is
+    /// reported to `amber-verify`'s violation registry. A no-op unless
+    /// [`amber_verify::ACTIVE`] (the `verify` feature or a debug build).
+    pub fn lint(&self) {
+        if amber_verify::ACTIVE {
+            self.linter.get_or_init(Linter::default);
+            self.enabled.store(true, Ordering::Release);
+        }
     }
 
     /// Installs `sink`, enabling tracing. Replaces any previous sink.
@@ -498,14 +517,16 @@ impl Tracer {
         self.enabled.store(true, Ordering::Release);
     }
 
-    /// Removes the sink, disabling tracing; returns the old sink if any.
+    /// Removes the sink and returns it, if any. Disables tracing unless the
+    /// linter is on, which still has to see every event.
     pub fn uninstall(&self) -> Option<Arc<dyn TraceSink>> {
-        self.enabled.store(false, Ordering::Release);
+        self.enabled
+            .store(self.linter.get().is_some(), Ordering::Release);
         self.sink.lock().take()
     }
 
     /// Emits one event if tracing is enabled. `event` is only evaluated
-    /// when a sink is installed, so callers can defer construction:
+    /// then, so callers can defer construction:
     ///
     /// ```
     /// use amber_engine::trace::{MemorySink, ProtocolEvent, Tracer};
@@ -533,13 +554,13 @@ impl Tracer {
         if !self.is_enabled() {
             return;
         }
+        let event = event();
+        if let Some(linter) = self.linter.get() {
+            linter.observe(&event);
+        }
         let sink = self.sink.lock().clone();
         if let Some(sink) = sink {
-            sink.record(TraceRecord {
-                at,
-                thread,
-                event: event(),
-            });
+            sink.record(TraceRecord { at, thread, event });
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Counting semaphores.
 //!
 //! Not named in the paper's list but directly constructible from its
-//! primitive synchronization objects, and used by the example applications
-//! for flow control (the paper invites programmers to "extend the class
-//! hierarchy to define custom mechanisms for concurrency control using
-//! these primitive synchronization objects", section 2.2).
+//! primitive synchronization objects (the paper invites programmers to
+//! "extend the class hierarchy to define custom mechanisms for concurrency
+//! control using these primitive synchronization objects", section 2.2).
+//! None of the example applications needs one; `tests/runtime.rs` composes
+//! it with a lock and a barrier across nodes.
 
 use amber_core::{AmberObject, Ctx, ObjRef};
 use amber_engine::ThreadId;

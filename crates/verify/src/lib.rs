@@ -6,18 +6,14 @@
 //! * **Lock-order checker** — [`OrderedMutex`] / [`OrderedRwLock`] wrappers
 //!   carry a [`LockLevel`] and validate every acquisition against a
 //!   thread-local held-lock stack (levels must strictly ascend; shard
-//!   indices must ascend within their tier). Each observed `held → acquired`
-//!   pair also lands in a global acquisition-order graph with cycle
-//!   detection, so an inconsistent order is flagged even in runs where it
-//!   never actually deadlocked. Engines call
-//!   [`engine_block_checkpoint`] at every block/park/send point; holding any
-//!   tracked lock there is a violation.
-//! * **Protocol-lifecycle linter** — [`lifecycle::LifecycleLinter`], a
-//!   per-object state machine (`Created → Resident ⇄ Moving → Resident`,
-//!   replica install/evict, terminal `Destroyed`) fed by the trace stream;
-//!   illegal event sequences (an advisory after a destroy, a second move
-//!   start while moving, a hint repair pointing at a node that never held
-//!   the object) are reported as violations.
+//!   indices must ascend within their tier). Ranks are a strict total order,
+//!   so the per-thread rule is complete: an acquisition-order cycle across
+//!   threads needs one down-rank edge, and that edge is reported where it is
+//!   taken. Engines call [`engine_block_checkpoint`] at every
+//!   block/park/send point; holding any tracked lock there is a violation.
+//! * **Protocol-lifecycle linter** — lives in `amber-engine`, beside the
+//!   event table it reads, and reports illegal event sequences here as
+//!   [`Violation::Lifecycle`].
 //! * **Static source pass** — [`panic_scan`] and the `panic_lint` binary,
 //!   which fail CI on new `unwrap()`/`expect()`/`panic!`/bare `assert!` in
 //!   the protocol crates outside a committed allowlist.
@@ -33,7 +29,6 @@ use std::fmt;
 
 use parking_lot::Mutex;
 
-pub mod lifecycle;
 pub mod panic_scan;
 
 /// `true` when the runtime checkers are compiled in (the `verify` feature
@@ -87,14 +82,6 @@ pub enum Violation {
         /// The lock whose acquisition broke the order.
         acquiring: LockLevel,
     },
-    /// The global acquisition-order graph closed a cycle: `from → to` was
-    /// observed while `to` is already (transitively) ordered before `from`.
-    OrderCycle {
-        /// Tail of the edge that closed the cycle.
-        from: LockLevel,
-        /// Head of the edge that closed the cycle.
-        to: LockLevel,
-    },
     /// A tracked lock was held while entering an engine block point
     /// (park, sleep, yield, send, or charged work).
     HeldAcrossBlock {
@@ -118,10 +105,6 @@ impl fmt::Display for Violation {
             Violation::LockOrder { held, acquiring } => write!(
                 f,
                 "lock order violation: {held} -> {acquiring} (ranks must strictly ascend)"
-            ),
-            Violation::OrderCycle { from, to } => write!(
-                f,
-                "acquisition-order cycle: edge {from} -> {to} closes a cycle"
             ),
             Violation::HeldAcrossBlock { held, reason } => {
                 write!(f, "lock {held} held entering engine block point `{reason}`")
@@ -176,83 +159,19 @@ pub fn engine_block_checkpoint(reason: &'static str) {
 #[cfg(any(feature = "verify", debug_assertions))]
 mod checker {
     use std::cell::RefCell;
-    use std::collections::{HashMap, HashSet};
-
-    use parking_lot::Mutex;
 
     use crate::{report, LockLevel, Violation};
 
     thread_local! {
         /// Tracked locks held by this thread, in acquisition order.
         static HELD: RefCell<Vec<LockLevel>> = const { RefCell::new(Vec::new()) };
-        /// Edges this thread already pushed into the global graph, so the
-        /// steady state never touches the global mutex.
-        static SEEN: RefCell<HashSet<(u64, u64)>> = RefCell::new(HashSet::new());
     }
 
-    /// Global acquisition-order graph: `rank -> ranks acquired while it was
-    /// the top of some thread's stack`, plus rank→level for diagnostics.
-    struct Graph {
-        levels: HashMap<u64, LockLevel>,
-        edges: HashMap<u64, Vec<u64>>,
-    }
-
-    static GRAPH: Mutex<Option<Graph>> = Mutex::new(None);
-
-    /// `true` if `to` can reach `from` through recorded edges (which would
-    /// make a new `from -> to` edge close a cycle).
-    fn reaches(graph: &Graph, start: u64, target: u64) -> bool {
-        let mut stack = vec![start];
-        let mut visited: HashSet<u64> = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if n == target {
-                return true;
-            }
-            if !visited.insert(n) {
-                continue;
-            }
-            if let Some(next) = graph.edges.get(&n) {
-                stack.extend(next.iter().copied());
-            }
-        }
-        false
-    }
-
-    fn record_edge(held: LockLevel, acquiring: LockLevel) {
-        let edge = (held.rank(), acquiring.rank());
-        let fresh = SEEN.with(|s| s.borrow_mut().insert(edge));
-        if !fresh {
-            return;
-        }
-        let closes_cycle = {
-            let mut guard = GRAPH.lock();
-            let g = guard.get_or_insert_with(|| Graph {
-                levels: HashMap::new(),
-                edges: HashMap::new(),
-            });
-            g.levels.insert(edge.0, held);
-            g.levels.insert(edge.1, acquiring);
-            let out = g.edges.entry(edge.0).or_default();
-            if out.contains(&edge.1) {
-                return; // another thread already recorded (and checked) it
-            }
-            out.push(edge.1);
-            reaches(g, edge.1, edge.0)
-        };
-        if closes_cycle {
-            report(Violation::OrderCycle {
-                from: held,
-                to: acquiring,
-            });
-        }
-    }
-
-    /// Order check + graph recording, run *before* the underlying lock is
-    /// acquired so a misordered acquisition panics instead of deadlocking.
+    /// Order check, run *before* the underlying lock is acquired so a
+    /// misordered acquisition panics instead of deadlocking.
     pub(crate) fn before_acquire(level: LockLevel) {
         let top = HELD.with(|h| h.borrow().last().copied());
         if let Some(top) = top {
-            record_edge(top, level);
             if level.rank() <= top.rank() {
                 report(Violation::LockOrder {
                     held: top,

@@ -7,7 +7,6 @@
 
 #![cfg(any(feature = "verify", debug_assertions))]
 
-use amber_verify::lifecycle::{LifecycleEvent, LifecycleLinter};
 use amber_verify::{
     engine_block_checkpoint, set_panic_on_violation, take_violations, LockLevel, OrderedMutex,
     OrderedRwLock, Violation,
@@ -116,134 +115,6 @@ fn no_lock_held_at_checkpoint_is_clean() {
     let topo = OrderedMutex::new(LockLevel::Topology, ());
     drop(topo.lock());
     engine_block_checkpoint("unit-test-block");
-    let violations = drain_and_restore();
-    assert!(violations.is_empty(), "unexpected: {violations:?}");
-}
-
-#[test]
-fn cross_thread_inversion_closes_an_order_cycle() {
-    let _serial = quiet();
-    let a = OrderedMutex::new(LockLevel::RegistryShard(1), ());
-    let b = OrderedMutex::new(LockLevel::RegistryShard(2), ());
-    // This thread takes 1 -> 2 (legal); a second thread takes 2 -> 1,
-    // which is both a rank violation and closes the cycle in the global
-    // acquisition graph.
-    {
-        let _a = a.lock();
-        let _b = b.lock();
-    }
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            let _b = b.lock();
-            let _a = a.lock();
-        });
-    });
-    let violations = drain_and_restore();
-    assert!(
-        violations
-            .iter()
-            .any(|v| matches!(v, Violation::OrderCycle { .. })),
-        "expected an acquisition-order cycle, got {violations:?}"
-    );
-}
-
-// ----- lifecycle linter ---------------------------------------------------
-
-#[test]
-fn advisory_after_destroy_is_rejected() {
-    let _serial = quiet();
-    let linter = LifecycleLinter::new();
-    linter.observe(LifecycleEvent::Created { obj: 0x40, node: 0 });
-    linter.observe(LifecycleEvent::Destroyed { obj: 0x40, node: 0 });
-    linter.observe(LifecycleEvent::Advisory {
-        obj: 0x40,
-        kind: "move",
-    });
-    let violations = drain_and_restore();
-    let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-    assert!(
-        rendered.iter().any(|m| m.contains("after destroy")),
-        "expected an advisory-after-destroy violation, got {rendered:?}"
-    );
-}
-
-#[test]
-fn double_move_start_is_rejected() {
-    let _serial = quiet();
-    let linter = LifecycleLinter::new();
-    linter.observe(LifecycleEvent::Created { obj: 0x80, node: 0 });
-    linter.observe(LifecycleEvent::MoveStarted {
-        obj: 0x80,
-        from: 0,
-        to: 1,
-    });
-    linter.observe(LifecycleEvent::MoveStarted {
-        obj: 0x80,
-        from: 0,
-        to: 2,
-    });
-    let violations = drain_and_restore();
-    let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-    assert!(
-        rendered.iter().any(|m| m.contains("MoveStart")),
-        "expected a second-MoveStart violation, got {rendered:?}"
-    );
-}
-
-#[test]
-fn evict_without_install_is_rejected() {
-    let _serial = quiet();
-    let linter = LifecycleLinter::new();
-    linter.observe(LifecycleEvent::Created { obj: 0xc0, node: 0 });
-    linter.observe(LifecycleEvent::ReplicaEvicted { obj: 0xc0, node: 2 });
-    let violations = drain_and_restore();
-    let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-    assert!(
-        rendered.iter().any(|m| m.contains("non-replica")),
-        "expected an evict-of-non-replica violation, got {rendered:?}"
-    );
-}
-
-#[test]
-fn legal_lifecycle_is_clean() {
-    let _serial = quiet();
-    let linter = LifecycleLinter::new();
-    for ev in [
-        LifecycleEvent::Created {
-            obj: 0x100,
-            node: 0,
-        },
-        LifecycleEvent::Invoked { obj: 0x100 },
-        LifecycleEvent::Advisory {
-            obj: 0x100,
-            kind: "move",
-        },
-        LifecycleEvent::MoveStarted {
-            obj: 0x100,
-            from: 0,
-            to: 1,
-        },
-        LifecycleEvent::MoveInstalled { obj: 0x100, to: 1 },
-        LifecycleEvent::HintRepaired { obj: 0x100, to: 1 },
-        LifecycleEvent::Advisory {
-            obj: 0x100,
-            kind: "replicate",
-        },
-        LifecycleEvent::ReplicaInstalled { obj: 0x100, to: 2 },
-        LifecycleEvent::ReplicaEvicted {
-            obj: 0x100,
-            node: 2,
-        },
-        LifecycleEvent::Destroyed {
-            obj: 0x100,
-            node: 1,
-        },
-        // Post-destroy hint repair is a benign teardown transient.
-        LifecycleEvent::HintRepaired { obj: 0x100, to: 1 },
-    ] {
-        linter.observe(ev);
-    }
-    assert_eq!(linter.objects_seen(), 1);
     let violations = drain_and_restore();
     assert!(violations.is_empty(), "unexpected: {violations:?}");
 }

@@ -33,14 +33,6 @@ impl Scheduler for ShortestJobFirst {
             .0;
         Some(self.queue.remove(best).0)
     }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "shortest-job-first"
-    }
 }
 
 fn main() {
