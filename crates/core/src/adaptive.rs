@@ -20,7 +20,7 @@
 //! # Tick scheduling and quiescence
 //!
 //! Ticks ride [`amber_engine::Engine::after`]: a virtual-time timer under
-//! the simulator and the timing wheel under the real engine. A standing
+//! the simulator and the timer thread under the real engine. A standing
 //! periodic timer would blind the simulator's deadlock detector (the event
 //! queue would never drain), so the timer is *activity-armed*: the first
 //! invocation after an idle period arms exactly one tick (CAS on `armed`);

@@ -218,6 +218,15 @@ impl Cluster {
         ClusterBuilder::default()
     }
 
+    /// The default cluster over an engine the test built and keeps a
+    /// handle to.
+    #[cfg(test)]
+    pub(crate) fn on_engine(engine: Arc<dyn Engine>) -> Cluster {
+        let kernel = Kernel::new(engine, CostModel::firefly(), None, true);
+        kernel.engine.tracer().lint();
+        Cluster { kernel }
+    }
+
     /// Shorthand for a simulated `nodes` x `processors` cluster with the
     /// default Firefly/Ethernet models.
     pub fn sim(nodes: usize, processors: usize) -> Cluster {

@@ -222,9 +222,15 @@ impl Kernel {
         );
         // Kernel-class, predicate-guarded wait: a user wake-up aimed at
         // this thread (a lock hand-off, a barrier release) is held pending
-        // instead of leaking into the migration wait.
-        while !arrived.load(std::sync::atomic::Ordering::Acquire) {
+        // instead of leaking into the migration wait. Block first, test
+        // after: the real engine may have run the handler inside `send`,
+        // and the block point is still where the thread gives back `from`'s
+        // processor, takes one of `to`'s and consumes the handler's wake.
+        loop {
             self.engine.block_kernel("thread-migration");
+            if arrived.load(std::sync::atomic::Ordering::Acquire) {
+                break;
+            }
         }
         self.engine.work(self.cost.remote_dispatch);
         self.emit(ProtocolEvent::ThreadMigration { from, to });

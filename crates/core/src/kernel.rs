@@ -285,9 +285,14 @@ impl Kernel {
             }),
         );
         // Kernel-class, predicate-guarded: user wake-ups aimed at this
-        // thread are held pending rather than consumed here.
-        while !delivered.load(std::sync::atomic::Ordering::Acquire) {
+        // thread are held pending rather than consumed here. Block first,
+        // test after, so the handler's wake is consumed even when `send`
+        // already ran it; see `migrate_current`.
+        loop {
             self.engine.block_kernel(reason);
+            if delivered.load(std::sync::atomic::Ordering::Acquire) {
+                break;
+            }
         }
     }
 

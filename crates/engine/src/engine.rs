@@ -28,7 +28,15 @@ pub type ThreadBody = Box<dyn FnOnce() + Send + 'static>;
 /// A kernel message handler, executed at the destination node when the
 /// message is delivered. Handlers run in kernel context: they may call
 /// [`Engine::unblock`], [`Engine::send`] and [`Engine::spawn`], but must
-/// never block or charge work.
+/// never block or charge work, and [`current_thread`] reads `None` inside
+/// one whichever OS thread runs it.
+///
+/// Under the real engine that thread may be the *sender's* — a zero-delay
+/// message is delivered before [`Engine::send`] returns — so handlers run
+/// concurrently with one another and with the thread they are about to
+/// wake, and must synchronise whatever they share. The runtime's own two
+/// (thread migration, and the one-way leg every control message is built
+/// from) touch only an `AtomicBool`, [`Engine::set_node`] and a wake gate.
 pub type KernelFn = Box<dyn FnOnce() + Send + 'static>;
 
 /// Configuration of one node.
@@ -211,14 +219,21 @@ pub trait Engine: Send + Sync {
 
     /// Sends a message of `bytes` payload from `from` to `to`; `handler`
     /// runs at the destination after the modelled latency.
+    ///
+    /// The handler may have run by the time `send` returns: the real engine
+    /// delivers a message with no delay to serve on the sending Amber
+    /// thread itself (see [`KernelFn`]). A sender that then waits for the
+    /// handler's wake must still pass through its block point once — that
+    /// is where the real engine trades the processor token of the node the
+    /// thread left for one of the node it is assigned to now.
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn);
 
     /// Schedules `f` to run in kernel context after `delay`: a timer, not a
     /// message — nothing travels, no network statistics are recorded and no
     /// fault plan applies. Under the simulator the handler fires `delay` of
-    /// virtual time from now; under the real engine it is enqueued on the
-    /// timing wheel. Like message handlers, `f` must never block or charge
-    /// work. Used for periodic runtime duties (the placement tick).
+    /// virtual time from now; under the real engine it is handed to the
+    /// timer thread, whatever the delay and whoever calls. Like message
+    /// handlers, `f` must never block or charge work. Used for periodic runtime duties (the placement tick).
     fn after(&self, delay: SimTime, f: KernelFn);
 
     /// Voluntarily yields the processor (a timeslice point).
@@ -295,20 +310,27 @@ pub fn must_current_thread() -> ThreadId {
     current_thread().expect("this operation must be called from an Amber thread")
 }
 
-/// Sets the current-thread marker for the duration of a thread body.
-/// Engines call this; user code never should.
-pub(crate) struct CurrentGuard;
+/// Sets the current-thread marker for a scope — a thread body, or a
+/// handler run on its sender's thread — and puts the previous one back
+/// when dropped, unwinding included. Engines call this; user code never
+/// should.
+pub(crate) struct CurrentGuard(Option<ThreadId>);
 
 impl CurrentGuard {
+    /// The scope is the body of Amber thread `tid`.
     pub(crate) fn enter(tid: ThreadId) -> CurrentGuard {
-        CURRENT.with(|c| c.set(Some(tid)));
-        CurrentGuard
+        CurrentGuard(CURRENT.replace(Some(tid)))
+    }
+
+    /// The scope is kernel context: no current thread.
+    pub(crate) fn kernel() -> CurrentGuard {
+        CurrentGuard(CURRENT.replace(None))
     }
 }
 
 impl Drop for CurrentGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| c.set(None));
+        CURRENT.set(self.0);
     }
 }
 

@@ -264,6 +264,15 @@ pub(crate) trait Transport: Send + Sync {
     fn tracer(&self) -> &Tracer;
 }
 
+/// Records `event` at the engine clock. The clock is an eager argument of
+/// [`Tracer::emit`], so it is read only when something will see the event.
+fn trace(t: &dyn Transport, event: impl FnOnce() -> ProtocolEvent) {
+    let tracer = t.tracer();
+    if tracer.is_enabled() {
+        tracer.emit(t.now(), crate::engine::current_thread(), event);
+    }
+}
+
 /// Per-link sender state: the next sequence number and the handlers of
 /// messages not yet known-delivered.
 #[derive(Default)]
@@ -373,19 +382,14 @@ impl FaultNet {
             return;
         };
         let faults = self.plan.faults_for(from, to);
-        let now = t.now();
-        if self.plan.partitioned(from, to, now) {
+        if self.plan.partitioned(from, to, t.now()) {
             t.net_stats().record_partition_drop(from.index());
-            t.tracer().emit(now, crate::engine::current_thread(), || {
-                ProtocolEvent::LinkPartitioned { from, to }
-            });
+            trace(&*t, || ProtocolEvent::LinkPartitioned { from, to });
             return;
         }
         if self.plan.unit(from, to, seq, attempt, SALT_DROP) < faults.drop {
             t.net_stats().record_drop(from.index());
-            t.tracer().emit(now, crate::engine::current_thread(), || {
-                ProtocolEvent::MessageDropped { from, to, bytes }
-            });
+            trace(&*t, || ProtocolEvent::MessageDropped { from, to, bytes });
             return;
         }
         let base = self.latency.latency(bytes);
@@ -451,10 +455,10 @@ impl FaultNet {
             Some(h) => h(),
             None => {
                 t.net_stats().record_dup_suppressed(to.index());
-                t.tracer()
-                    .emit(t.now(), crate::engine::current_thread(), || {
-                        ProtocolEvent::MessageDuplicateSuppressed { from, to }
-                    });
+                trace(&*t, || ProtocolEvent::MessageDuplicateSuppressed {
+                    from,
+                    to,
+                });
             }
         }
     }
@@ -508,14 +512,11 @@ impl FaultNet {
         };
         if retry {
             t.net_stats().record_retransmit(from.index());
-            t.tracer()
-                .emit(t.now(), crate::engine::current_thread(), || {
-                    ProtocolEvent::MessageRetransmit {
-                        from,
-                        to,
-                        attempt: attempt + 1,
-                    }
-                });
+            trace(&*t, || ProtocolEvent::MessageRetransmit {
+                from,
+                to,
+                attempt: attempt + 1,
+            });
             self.attempt(from, to, seq, bytes, attempt + 1);
             self.arm_timer(from, to, seq, bytes, attempt + 1);
         }

@@ -8,9 +8,19 @@
 //! threads while one waits on the network — the paper's overlap of
 //! computation and communication, for real).
 //!
-//! Network messages are delayed by the [`LatencyModel`] using a timing-wheel
-//! thread, so remote operations remain orders of magnitude more expensive
-//! than local ones even in-process.
+//! Network messages are delayed by the [`LatencyModel`]: the `amber-net`
+//! timer thread runs each handler when it comes due, so under a non-zero
+//! model remote operations remain orders of magnitude more expensive than
+//! local ones even in-process. A message whose modelled delay is *zero* and
+//! whose sender is an Amber thread has nothing to wait for, so
+//! [`send`](crate::Engine::send) delivers it itself: the handler runs on
+//! the sending OS thread, in kernel context ([`current_thread`] reads
+//! `None`), before `send` returns, and the leg costs no OS hand-off. Every
+//! other case — a delay to serve, a send issued from inside a handler (which
+//! keeps handler chains off the stack), any send under a
+//! [`FaultPlan`](crate::FaultPlan), every [`after`](crate::Engine::after) —
+//! goes to the timer thread. Handlers therefore run concurrently with one
+//! another: on `amber-net` and on any number of sending threads.
 //!
 //! Differences from [`SimEngine`](crate::sim::SimEngine), by design:
 //!
@@ -25,15 +35,15 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU16, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicU16, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{
-    must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, Gate,
-    KernelFn, ThreadBody,
+    current_thread, must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine,
+    EngineError, Gate, KernelFn, ThreadBody,
 };
 use crate::fault::{FaultNet, Transport};
 use crate::ids::{NodeId, ThreadId};
@@ -68,9 +78,11 @@ impl RealNode {
 
 struct RealTcb {
     /// The node the thread is assigned to. Written by a migration handler
-    /// on the net thread (`Release`), read by the thread itself (`Acquire`).
-    /// The wake-up that follows a migration's store orders it already; the
-    /// pairing covers `acquire_current`'s re-read, which no wake-up guards.
+    /// (`Release`) — on the net thread, or on the thread itself when the
+    /// migration message was delivered by its sender — and read by the
+    /// thread itself (`Acquire`). The wake-up that follows a migration's
+    /// store orders it already; the pairing covers `acquire_current`'s
+    /// re-read, which no wake-up guards.
     node: AtomicU16,
     /// User-class wake gate (`block_current`/`unblock`).
     gate: Arc<Gate>,
@@ -146,10 +158,19 @@ impl Ord for NetItem {
     }
 }
 
+/// What the timer thread and its producers share, under one lock.
+struct NetState {
+    heap: BinaryHeap<Reverse<NetItem>>,
+    /// Tie-break among items due at the same instant: enqueue order.
+    next_seq: u64,
+    shutdown: bool,
+}
+
 struct NetQueue {
-    heap: Mutex<BinaryHeap<Reverse<NetItem>>>,
+    state: Mutex<NetState>,
+    /// Signalled after every push and on shutdown; the timer thread is its
+    /// only waiter.
     cv: Condvar,
-    shutdown: AtomicBool,
 }
 
 struct LiveState {
@@ -165,7 +186,6 @@ struct RealInner {
     live: Mutex<LiveState>,
     done_cv: Condvar,
     net: NetQueue,
-    net_seq: Mutex<u64>,
     stats: Arc<NetStats>,
     latency: LatencyModel,
     epoch: Instant,
@@ -182,10 +202,12 @@ pub struct RealEngine {
 }
 
 impl Drop for RealEngine {
-    /// Stops the network thread.
+    /// Stops the network thread. The flag is set under the lock the thread
+    /// checks it under, so the wake-up cannot fall between its check and
+    /// its wait.
     fn drop(&mut self) {
-        self.inner.net.shutdown.store(true, Ordering::Release);
-        self.inner.net.cv.notify_all();
+        self.inner.net.state.lock().shutdown = true;
+        self.inner.net.cv.notify_one();
     }
 }
 
@@ -213,11 +235,13 @@ impl RealEngine {
             }),
             done_cv: Condvar::new(),
             net: NetQueue {
-                heap: Mutex::new(BinaryHeap::new()),
+                state: Mutex::new(NetState {
+                    heap: BinaryHeap::new(),
+                    next_seq: 0,
+                    shutdown: false,
+                }),
                 cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
             },
-            net_seq: Mutex::new(0),
             stats,
             latency: spec.latency,
             epoch: Instant::now(),
@@ -253,9 +277,17 @@ impl RealEngine {
         self
     }
 
+    /// Processor tokens of `node` that no thread holds right now. Equals
+    /// [`processors`](Engine::processors) whenever nothing runs there, and
+    /// in particular once the run has ended.
+    pub fn idle_processors(&self, node: NodeId) -> usize {
+        *self.inner.nodes[node.index()].tokens.lock()
+    }
+
     /// Runs `f` on `tid`'s tcb: the calling thread's own from its
-    /// thread-local, anyone else's (a waker, the net thread's `set_node`)
-    /// from the shared map.
+    /// thread-local (every block point, and the `set_node` and wake of a
+    /// migration message it delivered itself), anyone else's (a waker, the
+    /// net thread's `set_node`) from the shared map.
     fn with_tcb<R>(&self, tid: ThreadId, f: impl FnOnce(&RealTcb) -> R) -> R {
         OWN_TCB.with(|own| match &*own.borrow() {
             Some((engine, t, tcb)) if *t == tid && std::ptr::eq(*engine, &*self.inner) => f(tcb),
@@ -286,27 +318,21 @@ impl RealEngine {
 }
 
 /// Delivers queued messages when they come due.
-fn net_loop(inner: &Arc<RealInner>) {
+fn net_loop(inner: &RealInner) {
     loop {
         let item = {
-            let mut heap = inner.net.heap.lock();
+            let mut net = inner.net.state.lock();
             loop {
-                if inner.net.shutdown.load(Ordering::Acquire) {
+                if net.shutdown {
                     return;
                 }
-                match heap.peek() {
-                    None => {
-                        // Re-check shutdown every 50 ms so the thread exits
-                        // promptly once the run ends.
-                        inner.net.cv.wait_for(&mut heap, Duration::from_millis(50));
+                match net.heap.peek().map(|Reverse(head)| head.due) {
+                    None => inner.net.cv.wait(&mut net),
+                    Some(due) if due <= Instant::now() => {
+                        break net.heap.pop().expect("peeked item vanished").0;
                     }
-                    Some(Reverse(head)) => {
-                        let now = Instant::now();
-                        if head.due <= now {
-                            break heap.pop().expect("peeked item vanished").0;
-                        }
-                        let due = head.due;
-                        inner.net.cv.wait_until(&mut heap, due);
+                    Some(due) => {
+                        inner.net.cv.wait_until(&mut net, due);
                     }
                 }
             }
@@ -316,21 +342,21 @@ fn net_loop(inner: &Arc<RealInner>) {
 }
 
 impl RealInner {
-    /// Enqueues `f` on the timing wheel, due `delay` from now.
+    /// Hands `f` to the timer thread, due `delay` from now.
     fn enqueue_net(&self, delay: Duration, f: KernelFn) {
-        let seq = {
-            let mut s = self.net_seq.lock();
-            let v = *s;
-            *s += 1;
-            v
-        };
-        let item = NetItem {
-            due: Instant::now() + delay,
-            seq,
-            handler: f,
-        };
-        self.net.heap.lock().push(Reverse(item));
-        self.net.cv.notify_all();
+        let due = Instant::now() + delay;
+        {
+            let mut net = self.net.state.lock();
+            let seq = net.next_seq;
+            net.next_seq += 1;
+            net.heap.push(Reverse(NetItem {
+                due,
+                seq,
+                handler: f,
+            }));
+        }
+        // After the unlock, so the woken thread finds the lock free.
+        self.net.cv.notify_one();
     }
 }
 
@@ -461,21 +487,32 @@ impl Engine for RealEngine {
     }
 
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
+        // Checked builds assert here that the caller holds no tracked lock,
+        // which is what makes running the handler under it below safe.
         amber_verify::engine_block_checkpoint("send");
         self.inner
             .stats
             .record_send(from.index(), to.index(), bytes);
-        self.inner
-            .tracer
-            .emit(self.now(), crate::engine::current_thread(), || {
+        let sender = current_thread();
+        if self.inner.tracer.is_enabled() {
+            self.inner.tracer.emit(self.now(), sender, || {
                 crate::trace::ProtocolEvent::MessageSend { from, to, bytes }
             });
+        }
         if let Some(fault) = &self.fault {
             fault.send(from, to, bytes, handler);
             return;
         }
         let delay = self.inner.latency.latency(bytes).to_duration();
-        self.inner.enqueue_net(delay, handler);
+        if delay.is_zero() && sender.is_some() {
+            // Nothing to wait for and an Amber thread to run on: deliver
+            // here. A handler that sends again sees no current thread, so
+            // its message takes the timer thread and chains do not recurse.
+            let _kernel = CurrentGuard::kernel();
+            handler();
+        } else {
+            self.inner.enqueue_net(delay, handler);
+        }
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
@@ -544,9 +581,13 @@ impl Engine for RealEngine {
 mod tests {
     use super::*;
     use crate::engine::EngineExt;
+    use std::sync::atomic::AtomicBool;
 
+    /// Zero latency, and a deadline so that a failed assertion inside a
+    /// handler on the timer thread fails the test instead of hanging it.
     fn real(nodes: usize, procs: usize) -> Arc<RealEngine> {
-        RealEngine::cluster(nodes, procs, LatencyModel::zero())
+        let spec = ClusterSpec::uniform(nodes, procs).with_latency(LatencyModel::zero());
+        Arc::new(RealEngine::new(spec).with_deadline(Duration::from_secs(60)))
     }
 
     #[test]
@@ -613,6 +654,159 @@ mod tests {
         assert!(
             elapsed >= Duration::from_millis(29),
             "latency not applied: {elapsed:?}"
+        );
+    }
+
+    /// What one message from node 0 to node 1, sent by the main thread,
+    /// found on the way.
+    struct Delivery {
+        sender: ThreadId,
+        sender_os: std::thread::ThreadId,
+        /// The OS thread the handler ran on, and `current_thread()` there.
+        handler_os: std::thread::Thread,
+        inside_handler: Option<ThreadId>,
+        /// `current_thread()` on the sender once the handler had woken it.
+        after_send: Option<ThreadId>,
+    }
+
+    fn deliver_one(e: Arc<RealEngine>) -> Delivery {
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let sender = must_current_thread();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let e3 = Arc::clone(&e2);
+            e2.send(
+                NodeId(0),
+                NodeId(1),
+                64,
+                Box::new(move || {
+                    tx.send((std::thread::current(), current_thread())).unwrap();
+                    e3.unblock(sender);
+                }),
+            );
+            e2.block_current("await-delivery");
+            let (handler_os, inside_handler) = rx.recv().unwrap();
+            Delivery {
+                sender,
+                sender_os: std::thread::current().id(),
+                handler_os,
+                inside_handler,
+                after_send: current_thread(),
+            }
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn zero_delay_send_runs_its_handler_on_the_sender() {
+        let d = deliver_one(real(2, 1));
+        assert_eq!(d.handler_os.id(), d.sender_os, "handler left the sender");
+        assert_eq!(d.inside_handler, None, "handlers run in kernel context");
+        assert_eq!(d.after_send, Some(d.sender));
+    }
+
+    #[test]
+    fn a_delay_or_a_fault_plan_keeps_the_timer_thread() {
+        let delayed =
+            ClusterSpec::uniform(2, 1).with_latency(LatencyModel::fixed(SimTime::from_us(50)));
+        let faulty = ClusterSpec::uniform(2, 1)
+            .with_latency(LatencyModel::zero())
+            .with_faults(crate::FaultPlan::seeded(1));
+        for spec in [delayed, faulty] {
+            let e = RealEngine::new(spec).with_deadline(Duration::from_secs(60));
+            let d = deliver_one(Arc::new(e));
+            assert_ne!(d.handler_os.id(), d.sender_os);
+            assert_eq!(d.handler_os.name(), Some("amber-net"));
+            assert_eq!(d.inside_handler, None);
+            assert_eq!(d.after_send, Some(d.sender));
+        }
+    }
+
+    #[test]
+    fn a_send_from_a_handler_takes_the_timer_thread_at_constant_depth() {
+        // A handler that sends itself on 10 000 times: were any hop
+        // delivered by the hop before it, the chain would nest 10 000
+        // frames on one stack. Each hop records where its frame sits.
+        const HOPS: usize = 10_000;
+        fn hop(e: Arc<RealEngine>, left: usize, me: ThreadId, frames: Arc<Mutex<Vec<usize>>>) {
+            let marker = 0u8;
+            frames.lock().push(std::ptr::addr_of!(marker) as usize);
+            assert_eq!(current_thread(), None);
+            if left < HOPS {
+                assert_eq!(std::thread::current().name(), Some("amber-net"));
+            }
+            if left == 0 {
+                e.unblock(me);
+                return;
+            }
+            let next = Arc::clone(&e);
+            e.send(
+                NodeId(0),
+                NodeId(1),
+                0,
+                Box::new(move || hop(next, left - 1, me, frames)),
+            );
+        }
+        let e = real(2, 1);
+        let e2 = Arc::clone(&e);
+        let frames = Arc::new(Mutex::new(Vec::new()));
+        let frames2 = Arc::clone(&frames);
+        e.run(NodeId(0), move || {
+            let me = must_current_thread();
+            let first = Arc::clone(&e2);
+            e2.send(
+                NodeId(0),
+                NodeId(1),
+                0,
+                Box::new(move || hop(first, HOPS, me, frames2)),
+            );
+            e2.block_current("await-chain");
+        })
+        .unwrap();
+        // Hop 0 ran on the sender; every later one on amber-net, each from
+        // the timer loop's own frame.
+        let frames = frames.lock();
+        assert_eq!(frames.len(), HOPS + 1);
+        let on_net = &frames[1..];
+        let (lo, hi) = (on_net.iter().min().unwrap(), on_net.iter().max().unwrap());
+        assert!(
+            hi - lo < 4096,
+            "stack grew {} bytes over the chain",
+            hi - lo
+        );
+    }
+
+    #[test]
+    fn a_panicking_inline_handler_is_the_senders_panic() {
+        let e = real(2, 1);
+        let e2 = Arc::clone(&e);
+        // The sender, and what `current_thread()` read there after the
+        // panic had unwound out of `send`.
+        let seen = Arc::new(Mutex::new(None));
+        let seen2 = Arc::clone(&seen);
+        let err = e
+            .run(NodeId(0), move || {
+                let me = must_current_thread();
+                let unwound = catch_unwind(AssertUnwindSafe(|| {
+                    e2.send(
+                        NodeId(0),
+                        NodeId(1),
+                        0,
+                        Box::new(|| panic!("handler blew up")),
+                    );
+                }));
+                *seen2.lock() = Some((me, current_thread()));
+                std::panic::resume_unwind(unwound.unwrap_err());
+            })
+            .unwrap_err();
+        let (me, after) = seen.lock().expect("main never ran");
+        assert_eq!(after, Some(me));
+        assert_eq!(
+            err,
+            EngineError::Panic {
+                thread: me,
+                message: "handler blew up".to_string(),
+            }
         );
     }
 
