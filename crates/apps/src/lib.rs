@@ -9,12 +9,9 @@
 //!   replication (section 2.3).
 //! * [`tsp`] — branch-and-bound TSP with a hot shared bound object, and the
 //!   program-controlled locality knob the paper advocates.
-//! * [`bank`] — accounts, a mobile multi-object transfer lock, and an
-//!   attached audit log (sections 2.2-2.3).
 
 #![warn(missing_docs)]
 
-pub mod bank;
 pub mod matmul;
 pub mod sor;
 pub mod sor_dsm;

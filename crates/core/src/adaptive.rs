@@ -12,10 +12,9 @@
 //! event, if the object is pinned, mid-move, attached, immutable, destroyed,
 //! or already at the target.
 //!
-//! The split mirrors `amber-placement`'s creation-time placers: this module
-//! is pure mechanism; scoring (persistence, dominance, cooldown, rate
-//! limits) lives in the policy, whose stock implementation is
-//! `amber_placement::adaptive`.
+//! This module is pure mechanism; scoring (persistence, dominance,
+//! cooldown, rate limits) lives in the policy, whose stock implementation
+//! is `amber_placement::adaptive`.
 //!
 //! # Tick scheduling and quiescence
 //!

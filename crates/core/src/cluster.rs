@@ -358,17 +358,6 @@ impl Ctx {
         self.kernel.engine.nodes()
     }
 
-    /// Number of processors on `node`.
-    pub fn processors(&self, node: NodeId) -> usize {
-        self.kernel.engine.processors(node)
-    }
-
-    /// The cost model in force (for applications that charge modelled
-    /// compute via [`work`](Ctx::work)).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.kernel.cost
-    }
-
     /// Current time.
     pub fn now(&self) -> SimTime {
         self.kernel.engine.now()
@@ -577,14 +566,6 @@ impl Ctx {
         self.kernel.work(cost);
     }
 
-    /// Runs `f` and charges `cost` of modelled time for it: the idiom for
-    /// application compute that must be visible to the virtual clock.
-    pub fn compute<R>(&self, cost: SimTime, f: impl FnOnce() -> R) -> R {
-        let r = f();
-        self.kernel.work(cost);
-        r
-    }
-
     /// Parks the calling thread until [`unpark`](Ctx::unpark). Building
     /// block for synchronization objects; see `amber-sync`.
     ///
@@ -619,8 +600,9 @@ impl Ctx {
         self.kernel.recheck_residency();
     }
 
-    /// Sets the calling thread's scheduling priority (used by the
-    /// priority policy).
+    /// Sets the calling thread's scheduling priority, which the node's
+    /// scheduler receives with every enqueue (the stock policies ignore it;
+    /// an installed one may order by it).
     pub fn set_priority(&self, priority: i32) {
         self.kernel.engine.set_priority(self.thread_id(), priority);
     }

@@ -196,42 +196,17 @@ impl Kernel {
     /// trap/marshal/wire/dispatch path plus any by-value argument payload
     /// the thread is carrying.
     fn migrate_current(&self, from: NodeId, to: NodeId) {
-        let me = must_current_thread();
         debug_assert_ne!(from, to);
         let carry = CONTEXT.with(|c| c.borrow().carry_bytes);
         self.engine.work(self.cost.remote_trap);
         self.engine.work(self.cost.thread_marshal);
-        let engine = Arc::clone(&self.engine);
-        let arrived = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let arrived2 = Arc::clone(&arrived);
-        self.engine.send(
+        self.leg(
             from,
             to,
             self.cost.thread_packet_bytes + carry,
-            Box::new(move || {
-                // Idempotent under duplicate delivery: the engines' dedup
-                // window makes a second run impossible under a FaultPlan,
-                // but the swap guard keeps a stray duplicate from issuing a
-                // redundant set_node/wake even if a future transport drops
-                // that guarantee.
-                if !arrived2.swap(true, std::sync::atomic::Ordering::AcqRel) {
-                    engine.set_node(me, to);
-                    engine.unblock_kernel(me);
-                }
-            }),
+            Some(to),
+            "thread-migration",
         );
-        // Kernel-class, predicate-guarded wait: a user wake-up aimed at
-        // this thread (a lock hand-off, a barrier release) is held pending
-        // instead of leaking into the migration wait. Block first, test
-        // after: the real engine may have run the handler inside `send`,
-        // and the block point is still where the thread gives back `from`'s
-        // processor, takes one of `to`'s and consumes the handler's wake.
-        loop {
-            self.engine.block_kernel("thread-migration");
-            if arrived.load(std::sync::atomic::Ordering::Acquire) {
-                break;
-            }
-        }
         self.engine.work(self.cost.remote_dispatch);
         self.emit(ProtocolEvent::ThreadMigration { from, to });
     }

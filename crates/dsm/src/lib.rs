@@ -28,21 +28,6 @@ use amber_core::{Ctx, NodeId, SimTime};
 use amber_engine::ThreadId;
 use parking_lot::Mutex;
 
-/// How page ownership is located on a fault (Li & Hudak's two main
-/// algorithms).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ManagerPolicy {
-    /// Fixed distributed manager: page `p` is managed by node `p mod N`,
-    /// which always knows the owner. Every fault costs a hop to the
-    /// manager plus a hop to the owner.
-    Fixed,
-    /// Dynamic distributed manager: each node keeps a `probOwner` hint per
-    /// page and faults chase the hint chain to the true owner (exactly the
-    /// forwarding-address idea Amber uses for objects). Chains collapse as
-    /// hints are updated, so repeated faults go direct.
-    Dynamic,
-}
-
 /// Access level a node holds on a page frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PageAccess {
@@ -80,8 +65,8 @@ pub struct DsmCounters {
     pub page_transfers: AtomicU64,
     /// Local accesses that hit a valid frame.
     pub hits: AtomicU64,
-    /// Ownership-location hops taken on faults (manager or probOwner
-    /// chain, excluding the final transfer).
+    /// Ownership-location hops taken on faults (to the manager and on to
+    /// the owner, excluding the final transfer).
     pub locate_hops: AtomicUsize,
 }
 
@@ -105,10 +90,7 @@ struct DsmInner {
     meta: Vec<Mutex<PageMeta>>,
     /// Per-node page frames.
     frames: Vec<Mutex<HashMap<usize, Frame>>>,
-    /// Per-node probOwner hints (dynamic manager only): `[node][page]`.
-    prob_owner: Vec<Mutex<HashMap<usize, NodeId>>>,
     nodes: usize,
-    policy: ManagerPolicy,
     counters: DsmCounters,
 }
 
@@ -149,15 +131,6 @@ impl Dsm {
     ///
     /// Panics if `pages` or `page_size` is zero.
     pub fn new(ctx: &Ctx, pages: usize, page_size: usize) -> Dsm {
-        Dsm::with_policy(ctx, pages, page_size, ManagerPolicy::Fixed)
-    }
-
-    /// Maps a shared memory with an explicit [`ManagerPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages` or `page_size` is zero.
-    pub fn with_policy(ctx: &Ctx, pages: usize, page_size: usize, policy: ManagerPolicy) -> Dsm {
         assert!(pages > 0 && page_size > 0, "empty DSM");
         let nodes = ctx.nodes();
         let meta = (0..pages)
@@ -190,9 +163,7 @@ impl Dsm {
                 pages,
                 meta,
                 frames,
-                prob_owner: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
                 nodes,
-                policy,
                 counters: DsmCounters::default(),
             }),
         }
@@ -284,54 +255,16 @@ impl Dsm {
             let m = self.inner.meta[page].lock();
             (m.owner, m.copyset.clone())
         };
-        match self.inner.policy {
-            ManagerPolicy::Fixed => {
-                let manager = self.manager_of(page);
-                // Fault request to the manager, who forwards to the owner
-                // (each leg skipped when the roles coincide).
-                if here != manager {
-                    ctx.net_wait(here, manager, CONTROL_BYTES, "dsm-fault-request");
-                    self.inner
-                        .counters
-                        .locate_hops
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if manager != owner {
-                    ctx.net_wait(manager, owner, CONTROL_BYTES, "dsm-fault-forward");
-                    self.inner
-                        .counters
-                        .locate_hops
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            ManagerPolicy::Dynamic => {
-                // Chase the probOwner chain to the true owner, then point
-                // every node on the path at the fault's outcome (the
-                // faulter for writes, the owner for reads).
-                let mut cur = here;
-                let mut visited = vec![here];
-                while cur != owner {
-                    let hint = self.inner.prob_owner[cur.index()]
-                        .lock()
-                        .get(&page)
-                        .copied()
-                        .unwrap_or(NodeId(0));
-                    let next = if hint == cur { owner } else { hint };
-                    ctx.net_wait(cur, next, CONTROL_BYTES, "dsm-probowner-hop");
-                    self.inner
-                        .counters
-                        .locate_hops
-                        .fetch_add(1, Ordering::Relaxed);
-                    visited.push(next);
-                    cur = next;
-                }
-                let outcome = if want_write { here } else { owner };
-                for v in visited {
-                    self.inner.prob_owner[v.index()]
-                        .lock()
-                        .insert(page, outcome);
-                }
-            }
+        let manager = self.manager_of(page);
+        // Fault request to the manager, who forwards to the owner (each leg
+        // skipped when the roles coincide).
+        if here != manager {
+            ctx.net_wait(here, manager, CONTROL_BYTES, "dsm-fault-request");
+            c.locate_hops.fetch_add(1, Ordering::Relaxed);
+        }
+        if manager != owner {
+            ctx.net_wait(manager, owner, CONTROL_BYTES, "dsm-fault-forward");
+            c.locate_hops.fetch_add(1, Ordering::Relaxed);
         }
         if want_write {
             c.write_faults.fetch_add(1, Ordering::Relaxed);
@@ -348,9 +281,7 @@ impl Dsm {
             let data = if owner != here {
                 ctx.net_wait(owner, here, self.inner.page_size, "dsm-page-transfer");
                 c.page_transfers.fetch_add(1, Ordering::Relaxed);
-                if owner != here {
-                    c.invalidations.fetch_add(1, Ordering::Relaxed);
-                }
+                c.invalidations.fetch_add(1, Ordering::Relaxed);
                 self.inner.frames[owner.index()]
                     .lock()
                     .remove(&page)
@@ -374,13 +305,6 @@ impl Dsm {
             let mut m = self.inner.meta[page].lock();
             m.owner = here;
             m.copyset.clear();
-            drop(m);
-            if self.inner.policy == ManagerPolicy::Dynamic {
-                // The old owner learns where the page went.
-                self.inner.prob_owner[owner.index()]
-                    .lock()
-                    .insert(page, here);
-            }
         } else {
             c.read_faults.fetch_add(1, Ordering::Relaxed);
             // Owner sends a read-only copy and downgrades itself.
@@ -627,104 +551,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(winners, 1, "test_and_set admitted {winners} winners");
-    }
-
-    #[test]
-    fn dynamic_manager_is_coherent() {
-        let c = Cluster::sim(3, 1);
-        c.run(|ctx| {
-            let dsm = Dsm::with_policy(ctx, 2, 256, ManagerPolicy::Dynamic);
-            dsm.write_u64(ctx, 0, 5);
-            for i in 1..3u16 {
-                let d = dsm.clone();
-                let a = ctx.create_on(NodeId(i), 0u8);
-                ctx.start(&a, move |ctx, _| {
-                    let v = d.read_u64(ctx, 0);
-                    d.write_u64(ctx, 0, v + 1);
-                })
-                .join(ctx);
-            }
-            assert_eq!(dsm.read_u64(ctx, 0), 7);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn probowner_chains_collapse() {
-        // Migratory access 0 -> 1 -> 2 -> 3 -> back to 1: with collapsed
-        // hints the final fault takes few hops, not a walk of the whole
-        // history.
-        let c = Cluster::sim(4, 1);
-        let (hops_before, hops_after) = c
-            .run(|ctx| {
-                let dsm = Dsm::with_policy(ctx, 1, 128, ManagerPolicy::Dynamic);
-                for i in 1..4u16 {
-                    let d = dsm.clone();
-                    let a = ctx.create_on(NodeId(i), 0u8);
-                    ctx.start(&a, move |ctx, _| {
-                        let v = d.read_u64(ctx, 0);
-                        d.write_u64(ctx, 0, v + 1);
-                    })
-                    .join(ctx);
-                }
-                let before = dsm.stats().locate_hops;
-                // Node 1 faults again: its hint was updated when node 2
-                // took the page from it... the path-compressed chain must
-                // be short.
-                let d = dsm.clone();
-                let a = ctx.create_on(NodeId(1), 0u8);
-                ctx.start(&a, move |ctx, _| {
-                    let _ = d.read_u64(ctx, 0);
-                })
-                .join(ctx);
-                (before, dsm.stats().locate_hops)
-            })
-            .unwrap();
-        let last_fault_hops = hops_after - hops_before;
-        assert!(
-            last_fault_hops <= 2,
-            "chain did not collapse: {last_fault_hops} hops"
-        );
-    }
-
-    #[test]
-    fn dynamic_beats_fixed_on_repeated_local_faults() {
-        // A producer/consumer pair ping-ponging one page: with the fixed
-        // manager every fault detours via the manager node; with the
-        // dynamic manager the two nodes learn each other directly.
-        fn run(policy: ManagerPolicy) -> u64 {
-            let c = Cluster::sim(4, 1); // manager of page 0 is node 0
-            c.run(move |ctx| {
-                let dsm = Dsm::with_policy(ctx, 4, 128, ManagerPolicy::Fixed);
-                // Page 3's fixed manager is node 3; ping-pong between
-                // nodes 1 and 2 so fixed-manager requests always detour.
-                let dsm = if policy == ManagerPolicy::Dynamic {
-                    Dsm::with_policy(ctx, 4, 128, ManagerPolicy::Dynamic)
-                } else {
-                    dsm
-                };
-                let addr = 3 * 128; // page 3
-                for round in 0..6 {
-                    for i in [1u16, 2] {
-                        let d = dsm.clone();
-                        let a = ctx.create_on(NodeId(i), 0u8);
-                        ctx.start(&a, move |ctx, _| {
-                            let v = d.read_u64(ctx, addr);
-                            d.write_u64(ctx, addr, v + round);
-                        })
-                        .join(ctx);
-                    }
-                }
-                dsm.stats().locate_hops
-            })
-            .unwrap()
-        }
-        let fixed = run(ManagerPolicy::Fixed);
-        let dynamic = run(ManagerPolicy::Dynamic);
-        assert!(
-            dynamic < fixed,
-            "dynamic ({dynamic} hops) should beat fixed ({fixed} hops)"
-        );
     }
 
     #[test]

@@ -209,7 +209,8 @@ pub trait Engine: Send + Sync {
     /// The node `thread` is currently assigned to.
     fn node_of(&self, thread: ThreadId) -> NodeId;
 
-    /// Sets the scheduling priority used by priority policies.
+    /// Sets the priority handed to [`Scheduler::enqueue`] whenever `thread`
+    /// is queued from now on.
     fn set_priority(&self, thread: ThreadId, priority: i32);
 
     /// Replaces `node`'s scheduler at runtime (the paper's replaceable

@@ -11,7 +11,6 @@
 //! Determinism note: every built-in policy breaks ties by arrival order, so
 //! the discrete-event engine remains fully deterministic under all of them.
 
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 use crate::ids::ThreadId;
@@ -50,66 +49,6 @@ impl Scheduler for Fifo {
 
     fn dequeue(&mut self) -> Option<ThreadId> {
         self.queue.pop_front()
-    }
-}
-
-/// Last-in first-out. Favour recently-runnable threads (better cache
-/// behaviour for fine-grained fork/join workloads, per the Presto lineage).
-#[derive(Default)]
-pub struct Lifo {
-    stack: Vec<ThreadId>,
-}
-
-impl Scheduler for Lifo {
-    fn enqueue(&mut self, thread: ThreadId, _priority: i32) {
-        self.stack.push(thread);
-    }
-
-    fn dequeue(&mut self) -> Option<ThreadId> {
-        self.stack.pop()
-    }
-}
-
-/// Strict priority with FIFO tie-break, run to completion.
-#[derive(Default)]
-pub struct Priority {
-    heap: BinaryHeap<PrioEntry>,
-    seq: u64,
-}
-
-#[derive(PartialEq, Eq)]
-struct PrioEntry {
-    priority: i32,
-    /// Reversed arrival order so earlier arrivals win ties.
-    seq: std::cmp::Reverse<u64>,
-    thread: ThreadId,
-}
-
-impl Ord for PrioEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.priority, &self.seq).cmp(&(other.priority, &other.seq))
-    }
-}
-
-impl PartialOrd for PrioEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Scheduler for Priority {
-    fn enqueue(&mut self, thread: ThreadId, priority: i32) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(PrioEntry {
-            priority,
-            seq: std::cmp::Reverse(seq),
-            thread,
-        });
-    }
-
-    fn dequeue(&mut self) -> Option<ThreadId> {
-        self.heap.pop().map(|e| e.thread)
     }
 }
 
@@ -161,28 +100,6 @@ mod tests {
         assert_eq!(s.dequeue(), Some(t(2)));
         assert_eq!(s.dequeue(), Some(t(3)));
         assert_eq!(s.dequeue(), None);
-    }
-
-    #[test]
-    fn lifo_orders_by_recency() {
-        let mut s = Lifo::default();
-        s.enqueue(t(1), 0);
-        s.enqueue(t(2), 0);
-        assert_eq!(s.dequeue(), Some(t(2)));
-        assert_eq!(s.dequeue(), Some(t(1)));
-    }
-
-    #[test]
-    fn priority_orders_by_priority_then_arrival() {
-        let mut s = Priority::default();
-        s.enqueue(t(1), 1);
-        s.enqueue(t(2), 3);
-        s.enqueue(t(3), 3);
-        s.enqueue(t(4), 2);
-        assert_eq!(s.dequeue(), Some(t(2)));
-        assert_eq!(s.dequeue(), Some(t(3)));
-        assert_eq!(s.dequeue(), Some(t(4)));
-        assert_eq!(s.dequeue(), Some(t(1)));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI32, AtomicU16, Ordering};
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,7 +88,6 @@ struct RealTcb {
     gate: Arc<Gate>,
     /// Kernel-class wake gate (`block_kernel`/`unblock_kernel`).
     kernel_gate: Arc<Gate>,
-    priority: AtomicI32,
     /// Index of the node whose processor token this thread currently
     /// holds. Tracked explicitly because a migration handler can retarget
     /// `node` concurrently with a block/unblock cycle; releases must go to
@@ -404,7 +403,6 @@ impl Engine for RealEngine {
             node: AtomicU16::new(node.0),
             gate: Arc::clone(&gate),
             kernel_gate: Gate::new(),
-            priority: AtomicI32::new(0),
             held: Mutex::new(None),
         });
         self.inner.threads.lock().insert(tid, Arc::clone(&tcb));
@@ -473,18 +471,13 @@ impl Engine for RealEngine {
         self.with_tcb(thread, RealTcb::node)
     }
 
-    fn set_priority(&self, thread: ThreadId, priority: i32) {
-        self.with_tcb(thread, |tcb| {
-            tcb.priority.store(priority, Ordering::Relaxed)
-        });
-    }
+    // Token hand-off order under the real engine is OS-determined; the
+    // policy interface (a thread's priority, a node's scheduler) is honoured
+    // by the simulator, which is where scheduling experiments run. Accepting
+    // both calls keeps programs portable across engines.
+    fn set_priority(&self, _thread: ThreadId, _priority: i32) {}
 
-    fn set_scheduler(&self, _node: NodeId, _scheduler: Box<dyn Scheduler>) {
-        // Token hand-off order under the real engine is OS-determined; the
-        // policy interface is honoured by the simulator, which is where
-        // scheduling experiments run. Accepting the call keeps programs
-        // portable across engines.
-    }
+    fn set_scheduler(&self, _node: NodeId, _scheduler: Box<dyn Scheduler>) {}
 
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
         // Checked builds assert here that the caller holds no tracked lock,

@@ -9,8 +9,7 @@
 //! decisive (`HYSTERESIS` ratio), off cooldown (`COOLDOWN_TICKS`), and
 //! within the per-tick move budget. Everything is deterministic for a
 //! deterministic sample stream: ties break toward lower node ids and lower
-//! addresses, and credits are compared with `total_cmp` (the same NaN-proof
-//! ordering the creation-time placers use).
+//! addresses, and credits are compared with the NaN-proof `total_cmp`.
 //!
 //! Immutable objects get the dual treatment: instead of moving, a heavy
 //! *reader* node earns a replica once the object's remote-reader credit

@@ -1,493 +1,13 @@
-//! Higher-level object placement.
+//! Adaptive object placement.
 //!
 //! The paper leaves placement policy out of the kernel on purpose: "Our
 //! assumption is that the best policy for managing location is
 //! application-specific and is best left to the program or higher-level
-//! object placement software" (section 2.3). This crate is that software
-//! layer: pluggable [`Placer`] policies, scatter/gather helpers, and a
-//! distributed [`ObjectArray`] with parallel map/reduce — the patterns every
-//! application in this repository was otherwise writing by hand.
+//! object placement software" (section 2.3). Programs here place their own
+//! objects with `create_on`/`move_to`/`attach`; this crate holds the one
+//! piece of placement software a workload runs, the [`adaptive`] traffic
+//! advisor.
 
 #![warn(missing_docs)]
 
 pub mod adaptive;
-
-use amber_core::{AmberObject, Ctx, NodeId, ObjRef};
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// A placement policy: asked once per object to be created.
-pub trait Placer: Send {
-    /// Chooses the node for the next object.
-    fn place(&mut self, ctx: &Ctx) -> NodeId;
-}
-
-/// Cycles through the nodes in order.
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl RoundRobin {
-    /// Starts at node 0.
-    pub fn new() -> RoundRobin {
-        RoundRobin { next: 0 }
-    }
-}
-
-impl Default for RoundRobin {
-    fn default() -> Self {
-        RoundRobin::new()
-    }
-}
-
-impl Placer for RoundRobin {
-    fn place(&mut self, ctx: &Ctx) -> NodeId {
-        let n = ctx.nodes();
-        let node = NodeId::from(self.next % n);
-        self.next = (self.next + 1) % n;
-        node
-    }
-}
-
-/// Weights nodes by processor count: nodes with more processors receive
-/// proportionally more objects (useful for heterogeneous-feeling splits of
-/// section objects or result blocks).
-pub struct ProportionalToProcessors {
-    /// Fractional credit accumulated per node.
-    credit: Vec<f64>,
-}
-
-impl ProportionalToProcessors {
-    /// Creates the placer (credits start equal).
-    pub fn new() -> ProportionalToProcessors {
-        ProportionalToProcessors { credit: Vec::new() }
-    }
-}
-
-impl Default for ProportionalToProcessors {
-    fn default() -> Self {
-        ProportionalToProcessors::new()
-    }
-}
-
-impl Placer for ProportionalToProcessors {
-    fn place(&mut self, ctx: &Ctx) -> NodeId {
-        // Smooth weighted round-robin: add each node's weight, pick the
-        // highest credit, subtract the total weight from the winner.
-        let n = ctx.nodes();
-        if self.credit.len() != n {
-            self.credit = vec![0.0; n];
-        }
-        let mut total = 0.0;
-        for (i, c) in self.credit.iter_mut().enumerate() {
-            // Weights flow into the accumulated credits, so both are
-            // sanitized: a non-finite weight (a degenerate node spec, e.g.
-            // a capacity ratio divided by a zero-capacity total) or a
-            // poisoned credit previously made the comparison below panic
-            // the scheduler via `partial_cmp(..).expect(..)`. A bad value
-            // resets to zero and placement degrades to a fair split.
-            let w = ctx.processors(NodeId::from(i)) as f64;
-            let w = if w.is_finite() { w } else { 0.0 };
-            if !c.is_finite() {
-                *c = 0.0;
-            }
-            *c += w;
-            total += w;
-        }
-        let best = self
-            .credit
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("at least one node");
-        self.credit[best] -= total;
-        NodeId::from(best)
-    }
-}
-
-/// Tracks explicit load hints per node and places on the least loaded.
-///
-/// The program reports load changes (e.g. one unit per outstanding thread);
-/// placement greedily balances. Shared across threads via `Clone`.
-///
-/// `place` charges one *provisional* unit to the chosen node so a burst of
-/// placements between reports still spreads out. When the program later
-/// reports the real load for that node (e.g. the thread it started there),
-/// the report *replaces* the provisional guess rather than stacking on top
-/// of it — otherwise every place/report pair inflated the node's estimate
-/// by one forever and the placer drifted toward whichever nodes were never
-/// reported on.
-#[derive(Clone)]
-pub struct LeastLoaded {
-    loads: Arc<Mutex<LoadTable>>,
-}
-
-/// Reported load and not-yet-confirmed placement credit, per node.
-struct LoadTable {
-    reported: Vec<i64>,
-    provisional: Vec<i64>,
-}
-
-impl LeastLoaded {
-    /// Creates a tracker for `nodes` nodes, all idle.
-    pub fn new(nodes: usize) -> LeastLoaded {
-        LeastLoaded {
-            loads: Arc::new(Mutex::new(LoadTable {
-                reported: vec![0; nodes],
-                provisional: vec![0; nodes],
-            })),
-        }
-    }
-
-    /// Reports a load delta for `node` (positive = busier).
-    ///
-    /// A positive report folds away up to `delta` units of outstanding
-    /// provisional credit on the node: the report is the ground truth for
-    /// work the provisional charge was predicting, so keeping both would
-    /// double-count it.
-    pub fn report(&self, node: NodeId, delta: i64) {
-        let mut t = self.loads.lock();
-        let i = node.index();
-        if delta > 0 {
-            let folded = delta.min(t.provisional[i]);
-            t.provisional[i] -= folded;
-        }
-        t.reported[i] += delta;
-    }
-
-    /// The current load estimate for `node` (reported plus provisional).
-    pub fn load_of(&self, node: NodeId) -> i64 {
-        let t = self.loads.lock();
-        t.reported[node.index()] + t.provisional[node.index()]
-    }
-}
-
-impl Placer for LeastLoaded {
-    fn place(&mut self, _ctx: &Ctx) -> NodeId {
-        let mut t = self.loads.lock();
-        let (best, _) = t
-            .reported
-            .iter()
-            .zip(&t.provisional)
-            .map(|(r, p)| r + p)
-            .enumerate()
-            .min_by_key(|(_, l)| *l)
-            .expect("at least one node");
-        t.provisional[best] += 1; // one unit per placed object, until reported
-        NodeId::from(best)
-    }
-}
-
-/// Creates `n` objects from `make` across the cluster under `placer`.
-pub fn scatter<T: AmberObject>(
-    ctx: &Ctx,
-    placer: &mut dyn Placer,
-    n: usize,
-    mut make: impl FnMut(usize) -> T,
-) -> Vec<ObjRef<T>> {
-    (0..n)
-        .map(|i| {
-            let node = placer.place(ctx);
-            ctx.create_on(node, make(i))
-        })
-        .collect()
-}
-
-/// Invokes `op` on every object in parallel (one thread per object, running
-/// at each object's node) and returns the results in order.
-pub fn par_map<T, R>(
-    ctx: &Ctx,
-    objs: &[ObjRef<T>],
-    op: impl Fn(&Ctx, &mut T, usize) -> R + Send + Sync + 'static,
-) -> Vec<R>
-where
-    T: AmberObject,
-    R: Send + Sync + 'static,
-{
-    let op = Arc::new(op);
-    let handles: Vec<_> = objs
-        .iter()
-        .enumerate()
-        .map(|(i, o)| {
-            let op = Arc::clone(&op);
-            ctx.start(o, move |ctx, t| op(ctx, t, i))
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join(ctx)).collect()
-}
-
-/// [`par_map`] followed by a fold of the results.
-pub fn par_reduce<T, R, A>(
-    ctx: &Ctx,
-    objs: &[ObjRef<T>],
-    op: impl Fn(&Ctx, &mut T, usize) -> R + Send + Sync + 'static,
-    init: A,
-    fold: impl Fn(A, R) -> A,
-) -> A
-where
-    T: AmberObject,
-    R: Send + Sync + 'static,
-{
-    par_map(ctx, objs, op).into_iter().fold(init, fold)
-}
-
-/// A distributed array of objects: `n` elements scattered across the
-/// cluster, with parallel map/reduce and bulk relocation.
-pub struct ObjectArray<T: AmberObject> {
-    refs: Vec<ObjRef<T>>,
-}
-
-impl<T: AmberObject> ObjectArray<T> {
-    /// Builds the array under `placer`.
-    pub fn scatter(
-        ctx: &Ctx,
-        placer: &mut dyn Placer,
-        n: usize,
-        make: impl FnMut(usize) -> T,
-    ) -> ObjectArray<T> {
-        ObjectArray {
-            refs: scatter(ctx, placer, n, make),
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// `true` if the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
-    }
-
-    /// The element references.
-    pub fn refs(&self) -> &[ObjRef<T>] {
-        &self.refs
-    }
-
-    /// Parallel map over all elements.
-    pub fn map<R>(
-        &self,
-        ctx: &Ctx,
-        op: impl Fn(&Ctx, &mut T, usize) -> R + Send + Sync + 'static,
-    ) -> Vec<R>
-    where
-        R: Send + Sync + 'static,
-    {
-        par_map(ctx, &self.refs, op)
-    }
-
-    /// Parallel map + fold.
-    pub fn reduce<R, A>(
-        &self,
-        ctx: &Ctx,
-        op: impl Fn(&Ctx, &mut T, usize) -> R + Send + Sync + 'static,
-        init: A,
-        fold: impl Fn(A, R) -> A,
-    ) -> A
-    where
-        R: Send + Sync + 'static,
-    {
-        par_reduce(ctx, &self.refs, op, init, fold)
-    }
-
-    /// Gathers every element onto `node` (e.g. before a reduction phase
-    /// with heavy element-to-element traffic).
-    pub fn gather_to(&self, ctx: &Ctx, node: NodeId) {
-        for r in &self.refs {
-            ctx.move_to(r, node);
-        }
-    }
-
-    /// Re-scatters the elements under a (possibly different) placer.
-    pub fn rebalance(&self, ctx: &Ctx, placer: &mut dyn Placer) {
-        for r in &self.refs {
-            let node = placer.place(ctx);
-            ctx.move_to(r, node);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use amber_core::Cluster;
-    use amber_engine::SimTime;
-
-    #[test]
-    fn round_robin_covers_all_nodes() {
-        let c = Cluster::sim(3, 1);
-        c.run(|ctx| {
-            let mut p = RoundRobin::new();
-            let objs = scatter(ctx, &mut p, 6, |i| i as u64);
-            let locations: Vec<_> = objs.iter().map(|o| ctx.locate(o)).collect();
-            assert_eq!(
-                locations,
-                vec![
-                    NodeId(0),
-                    NodeId(1),
-                    NodeId(2),
-                    NodeId(0),
-                    NodeId(1),
-                    NodeId(2)
-                ]
-            );
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn least_loaded_balances_reported_load() {
-        let c = Cluster::sim(3, 1);
-        c.run(|ctx| {
-            let mut p = LeastLoaded::new(3);
-            p.report(NodeId(0), 10); // node 0 is busy
-            let objs = scatter(ctx, &mut p, 4, |i| i as u64);
-            for o in &objs {
-                assert_ne!(ctx.locate(o), NodeId(0), "placed on the busy node");
-            }
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn least_loaded_place_report_cycles_converge() {
-        let c = Cluster::sim(2, 1);
-        c.run(|ctx| {
-            let p = LeastLoaded::new(2);
-            // Steady state: place an object, then report the one unit of
-            // real load it produced. The report must absorb the provisional
-            // charge from `place`, so the estimate tracks the real load
-            // (i per node after i cycles) instead of inflating by two per
-            // cycle and drowning out genuine load reports.
-            let mut shared = p.clone();
-            for i in 1..=8i64 {
-                let a = shared.place(ctx);
-                p.report(a, 1);
-                let b = shared.place(ctx);
-                p.report(b, 1);
-                assert_ne!(a, b, "alternate under balanced load");
-                assert_eq!(p.load_of(NodeId(0)), i);
-                assert_eq!(p.load_of(NodeId(1)), i);
-            }
-            // The work drains; the estimate returns to idle exactly.
-            for _ in 0..8 {
-                p.report(NodeId(0), -1);
-                p.report(NodeId(1), -1);
-            }
-            assert_eq!(p.load_of(NodeId(0)), 0);
-            assert_eq!(p.load_of(NodeId(1)), 0);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn least_loaded_keeps_unreported_provisional_credit() {
-        let c = Cluster::sim(2, 1);
-        c.run(|ctx| {
-            let mut p = LeastLoaded::new(2);
-            // Two placements with no reports: both provisional units stay,
-            // so the burst alternates rather than piling onto node 0.
-            let a = p.place(ctx);
-            let b = p.place(ctx);
-            assert_ne!(a, b);
-            assert_eq!(p.load_of(a), 1);
-            // A report larger than the outstanding credit folds only what
-            // exists and books the rest as real load.
-            p.report(a, 3);
-            assert_eq!(p.load_of(a), 3);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn par_map_runs_at_each_objects_node() {
-        let c = Cluster::sim(4, 2);
-        let nodes = c
-            .run(|ctx| {
-                let mut p = RoundRobin::new();
-                let arr = ObjectArray::scatter(ctx, &mut p, 8, |i| i as u64);
-                arr.map(ctx, |ctx, v, i| {
-                    *v += i as u64;
-                    ctx.node().index()
-                })
-            })
-            .unwrap();
-        assert_eq!(nodes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn reduce_aggregates_in_order() {
-        let c = Cluster::sim(2, 2);
-        let total = c
-            .run(|ctx| {
-                let mut p = RoundRobin::new();
-                let arr = ObjectArray::scatter(ctx, &mut p, 10, |i| i as u64);
-                arr.reduce(
-                    ctx,
-                    |ctx, v, _| {
-                        ctx.work(SimTime::from_us(100));
-                        *v
-                    },
-                    0u64,
-                    |a, r| a + r,
-                )
-            })
-            .unwrap();
-        assert_eq!(total, 45);
-    }
-
-    #[test]
-    fn gather_and_rebalance_move_everything() {
-        let c = Cluster::sim(3, 1);
-        c.run(|ctx| {
-            let mut p = RoundRobin::new();
-            let arr = ObjectArray::scatter(ctx, &mut p, 5, |i| i as u64);
-            arr.gather_to(ctx, NodeId(2));
-            for r in arr.refs() {
-                assert_eq!(ctx.locate(r), NodeId(2));
-            }
-            let mut p2 = RoundRobin::new();
-            arr.rebalance(ctx, &mut p2);
-            let locs: Vec<_> = arr.refs().iter().map(|r| ctx.locate(r)).collect();
-            assert_eq!(
-                locs,
-                vec![NodeId(0), NodeId(1), NodeId(2), NodeId(0), NodeId(1)]
-            );
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn nan_poisoned_credits_are_sanitized_not_fatal() {
-        let c = Cluster::builder().nodes(2).processors(1).build();
-        c.run(|ctx| {
-            let mut p = ProportionalToProcessors::new();
-            p.place(ctx);
-            // Poison the accumulated credits the way a degenerate weight
-            // computation (division by a zero-capacity total) would.
-            p.credit = vec![f64::NAN, f64::NEG_INFINITY];
-            // Previously: panic at `partial_cmp(..).expect("credits are
-            // finite")`. Now the bad credits reset and placement resumes
-            // as a fair split.
-            let seq: Vec<_> = (0..4).map(|_| p.place(ctx)).collect();
-            let on0 = seq.iter().filter(|n| **n == NodeId(0)).count();
-            assert_eq!(on0, 2, "fair split after sanitization: {seq:?}");
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn proportional_placer_prefers_bigger_nodes() {
-        let c = Cluster::builder().nodes(2).processors(4).build();
-        c.run(|ctx| {
-            let mut p = ProportionalToProcessors::new();
-            // With equal processors this degenerates to a fair split.
-            let objs = scatter(ctx, &mut p, 8, |i| i as u64);
-            let on0 = objs.iter().filter(|o| ctx.locate(o) == NodeId(0)).count();
-            assert!((3..=5).contains(&on0), "unbalanced: {on0}/8 on node 0");
-        })
-        .unwrap();
-    }
-}

@@ -15,17 +15,11 @@
 #![warn(missing_docs)]
 
 mod barrier;
-mod future;
 mod lock;
 mod monitor;
-mod rwlock;
-mod semaphore;
 mod spin;
 
 pub use barrier::{Barrier, BarrierState};
-pub use future::{FutureCell, FutureState, Latch, LatchState};
 pub use lock::{Lock, LockState};
 pub use monitor::{CondState, CondVar, Monitor};
-pub use rwlock::{RwLock, RwState};
-pub use semaphore::{SemState, Semaphore};
 pub use spin::{SpinLock, SpinState};

@@ -7,12 +7,14 @@
 //! what remains. `debug_assert!` deliberately does not count (the preceding
 //! character of a bare `assert!` must not be an identifier character).
 //!
-//! The `panic_lint` binary wraps this module for CI: it fails when any file
-//! exceeds its allowlisted budget, so new panic edges in
+//! The `panic_lint` binary wraps this module for CI: it fails when any
+//! file's count differs from its allowlisted budget. New panic edges in
 //! `core`/`engine`/`placement` must either be removed or consciously added
-//! to `crates/verify/panic_allowlist.txt`.
+//! to `crates/verify/panic_allowlist.txt`, and a removed edge (or file)
+//! lowers the budget in the same change, so no slack is left for a later
+//! change to refill unseen.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -330,41 +332,49 @@ pub fn parse_allowlist(text: &str) -> BTreeMap<(String, String), usize> {
     budgets
 }
 
-/// One over-budget finding: file, token, allowed budget, and the offending
-/// line numbers.
+/// One finding: a (file, token) whose count differs from its budget.
 #[derive(Debug)]
-pub struct Overage {
+pub struct Mismatch {
     /// Repo-relative path.
     pub path: String,
-    /// The token over budget.
-    pub token: &'static str,
+    /// The token whose count is off.
+    pub token: String,
     /// The allowlisted count.
     pub allowed: usize,
-    /// Line numbers of every occurrence found.
+    /// Line numbers of every occurrence found: more than `allowed` is an
+    /// overage, fewer is slack (none at all when the file lost its last
+    /// occurrence or no longer exists).
     pub lines: Vec<usize>,
 }
 
-/// Compares fresh counts against allowlist budgets; any (file, token) count
-/// above its budget (missing entries have budget 0) is an overage.
-pub fn check(counts: &Counts, budgets: &BTreeMap<(String, String), usize>) -> Vec<Overage> {
-    let mut overages = Vec::new();
+/// Compares fresh counts against allowlist budgets; any (file, token) whose
+/// count is not exactly its budget (missing entries have budget 0, missing
+/// counts are 0) is a mismatch.
+pub fn check(counts: &Counts, budgets: &BTreeMap<(String, String), usize>) -> Vec<Mismatch> {
+    let mut keys: BTreeSet<(String, String)> = budgets.keys().cloned().collect();
     for (path, hits) in counts {
-        for (token, lines) in hits {
-            let allowed = budgets
-                .get(&(path.clone(), (*token).to_string()))
-                .copied()
-                .unwrap_or(0);
-            if lines.len() > allowed {
-                overages.push(Overage {
-                    path: path.clone(),
-                    token,
-                    allowed,
-                    lines: lines.clone(),
-                });
-            }
-        }
+        keys.extend(
+            hits.keys()
+                .map(|token| (path.clone(), (*token).to_string())),
+        );
     }
-    overages
+    keys.into_iter()
+        .filter_map(|key| {
+            let allowed = budgets.get(&key).copied().unwrap_or(0);
+            let (path, token) = key;
+            let lines = counts
+                .get(&path)
+                .and_then(|hits| hits.get(token.as_str()))
+                .cloned()
+                .unwrap_or_default();
+            (lines.len() != allowed).then_some(Mismatch {
+                path,
+                token,
+                allowed,
+                lines,
+            })
+        })
+        .collect()
 }
 
 /// Locates the repo root: `AMBER_REPO_ROOT` if set, else two levels up from
@@ -435,5 +445,45 @@ x.unwrap();
         assert_eq!(over.len(), 1);
         assert_eq!(over[0].lines, vec![10, 20]);
         assert_eq!(over[0].allowed, 0);
+    }
+
+    #[test]
+    fn a_budget_above_the_count_is_reported() {
+        let mut counts = Counts::new();
+        counts.insert(
+            "crates/core/src/kernel.rs".into(),
+            BTreeMap::from([("panic!(", vec![10usize])]),
+        );
+        let budgets = parse_allowlist("crates/core/src/kernel.rs\tpanic!(\t2\n");
+        let slack = check(&counts, &budgets);
+        assert_eq!(slack.len(), 1);
+        assert_eq!(slack[0].allowed, 2);
+        assert_eq!(slack[0].lines, vec![10]);
+    }
+
+    #[test]
+    fn a_row_for_a_file_no_longer_counted_is_reported() {
+        let mut counts = Counts::new();
+        counts.insert(
+            "crates/core/src/kernel.rs".into(),
+            BTreeMap::from([("panic!(", vec![10usize])]),
+        );
+        let budgets = parse_allowlist(
+            "crates/core/src/kernel.rs\tpanic!(\t1\n\
+             crates/core/src/kernel.rs\t.expect(\t1\n\
+             crates/core/src/gone.rs\t.expect(\t2\n",
+        );
+        let stale = check(&counts, &budgets);
+        let rows: Vec<_> = stale
+            .iter()
+            .map(|m| (m.path.as_str(), m.token.as_str(), m.allowed, m.lines.len()))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("crates/core/src/gone.rs", ".expect(", 2, 0),
+                ("crates/core/src/kernel.rs", ".expect(", 1, 0),
+            ]
+        );
     }
 }

@@ -23,5 +23,5 @@ pub use amber_vspace as vspace;
 /// The most common imports for writing an Amber program.
 pub mod prelude {
     pub use amber_core::{AmberObject, Cluster, Ctx, EngineChoice, NodeId, ObjRef, SimTime};
-    pub use amber_sync::{Barrier, CondVar, Lock, Monitor, RwLock, Semaphore, SpinLock};
+    pub use amber_sync::{Barrier, CondVar, Lock, Monitor, SpinLock};
 }

@@ -3,10 +3,12 @@
 //! network delays. These tests keep latencies small so the suite stays
 //! fast; they are about concurrency soundness, not timing.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use amber_core::{Cluster, EngineChoice, FaultPlan, LatencyModel, NodeId, SimTime};
-use amber_sync::{Barrier, Lock};
+use amber_sync::{Barrier, Lock, Monitor, SpinLock};
 
 fn real_cluster(nodes: usize, procs: usize) -> Cluster {
     Cluster::builder()
@@ -107,6 +109,90 @@ fn barrier_rendezvous_on_real_threads() {
         }
     })
     .unwrap();
+}
+
+#[test]
+fn monitor_queue_and_spin_counter_on_real_threads() {
+    // The two kinds that otherwise run only under the simulator. A producer
+    // on node 0 hands items through a Monitor/CondVar queue to a consumer on
+    // each of nodes 1 and 2; every item taken also bumps a counter whose
+    // read and write are separate invocations, so only the SpinLock around
+    // them keeps the count exact.
+    const ITEMS: u64 = 30;
+    let c = real_cluster(3, 2);
+    let (taken, bumps) = c
+        .run(|ctx| {
+            let mon = Monitor::new(ctx);
+            let not_empty = mon.condition(ctx);
+            let queue = ctx.create(Vec::<Option<u64>>::new());
+            let spin = SpinLock::new(ctx);
+            let bumps = ctx.create(0u64);
+
+            let consumers: Vec<_> = (1..3u16)
+                .map(|n| {
+                    let a = ctx.create_on(NodeId(n), 0u8);
+                    ctx.start(&a, move |ctx, _| {
+                        let (mut count, mut sum) = (0u64, 0u64);
+                        loop {
+                            mon.enter(ctx);
+                            while ctx.invoke_shared(&queue, |_, q| q.is_empty()) {
+                                not_empty.wait(ctx);
+                            }
+                            let item = ctx.invoke(&queue, |_, q| q.remove(0));
+                            mon.exit(ctx);
+                            let Some(v) = item else {
+                                return (count, sum);
+                            };
+                            count += 1;
+                            sum += v;
+                            spin.with(ctx, |ctx| {
+                                let seen = ctx.invoke_shared(&bumps, |_, b| *b);
+                                ctx.invoke(&bumps, move |_, b| *b = seen + 1);
+                            });
+                        }
+                    })
+                })
+                .collect();
+            // The items, then one end marker a consumer.
+            for item in (1..=ITEMS).map(Some).chain([None, None]) {
+                mon.with(ctx, |ctx| {
+                    ctx.invoke(&queue, move |_, q| q.push(item));
+                    not_empty.signal(ctx);
+                });
+            }
+            let taken: Vec<_> = consumers.into_iter().map(|h| h.join(ctx)).collect();
+
+            // Every processor is back in its node's pool: two threads can
+            // each hold one of a node's two at the same instant. A token
+            // lost to a block/unblock cycle above would leave the second
+            // thread waiting for it until the deadline.
+            for n in 0..3u16 {
+                let running = Arc::new(AtomicUsize::new(0));
+                let pair: Vec<_> = (0..2)
+                    .map(|_| {
+                        let a = ctx.create_on(NodeId(n), 0u8);
+                        let running = Arc::clone(&running);
+                        ctx.start(&a, move |_, _| {
+                            running.fetch_add(1, Ordering::SeqCst);
+                            while running.load(Ordering::SeqCst) < 2 {
+                                std::thread::yield_now();
+                            }
+                        })
+                    })
+                    .collect();
+                for h in pair {
+                    h.join(ctx);
+                }
+            }
+            (taken, ctx.invoke(&bumps, |_, b| *b))
+        })
+        .unwrap();
+    let (count, sum) = taken
+        .iter()
+        .fold((0, 0), |(c, s), (count, sum)| (c + count, s + sum));
+    assert_eq!(count, ITEMS);
+    assert_eq!(sum, ITEMS * (ITEMS + 1) / 2);
+    assert_eq!(bumps, ITEMS, "the spin lock let an update be lost");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use amber_core::{AmberObject, Cluster, NodeId, SimTime};
 use amber_dsm::Dsm;
-use amber_sync::{Barrier, Lock, Monitor, Semaphore};
+use amber_sync::{Barrier, Lock, Monitor};
 
 struct Doc {
     body: String,
@@ -97,23 +97,34 @@ fn immutable_replicas_agree_everywhere() {
 
 #[test]
 fn sync_objects_compose_across_nodes() {
-    // Lock + barrier + semaphore together in a staged computation.
+    // Lock + barrier + a two-permit gate (a counter encapsulated behind a
+    // monitor and its condition variable) together in a staged computation.
     let c = Cluster::sim(2, 2);
     let log_len = c
         .run(|ctx| {
             let lock = Lock::new(ctx);
-            let gate = Semaphore::new(ctx, 2);
+            let gate = Monitor::new(ctx);
+            let freed = gate.condition(ctx);
+            let permits = ctx.create(2u32);
             let barrier = Barrier::new(ctx, 4);
             let log = ctx.create(Vec::<u8>::new());
             let hs: Vec<_> = (0..4u16)
                 .map(|i| {
                     let a = ctx.create_on(NodeId(i % 2), 0u8);
                     ctx.start(&a, move |ctx, _| {
-                        gate.acquire(ctx);
+                        gate.enter(ctx);
+                        while ctx.invoke_shared(&permits, |_, p| *p == 0) {
+                            freed.wait(ctx);
+                        }
+                        ctx.invoke(&permits, |_, p| *p -= 1);
+                        gate.exit(ctx);
                         lock.with(ctx, |ctx| {
                             ctx.invoke(&log, move |_, l| l.push(i as u8));
                         });
-                        gate.release(ctx);
+                        gate.with(ctx, |ctx| {
+                            ctx.invoke(&permits, |_, p| *p += 1);
+                            freed.signal(ctx);
+                        });
                         barrier.wait(ctx);
                         // After the barrier everyone sees all four entries.
                         let n = ctx.invoke_shared(&log, |_, l| l.len());
