@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use amber_engine::{
     must_current_thread, CostModel, Engine, EngineError, EngineExt, LatencyModel, NodeId,
-    RealEngine, SimEngine, SimTime, ThreadId,
+    ProtocolSnapshot, RealEngine, SimEngine, SimTime, ThreadId,
 };
 use amber_vspace::VAddr;
 
@@ -20,7 +20,6 @@ use crate::adaptive::PlacementPolicy;
 use crate::errors::ProtocolError;
 use crate::kernel::Kernel;
 use crate::objref::{AmberObject, ObjRef};
-use crate::stats::ProtocolSnapshot;
 use crate::thread::JoinHandle;
 
 /// Clonable factory for the cluster's placement policy (the builder is
@@ -267,14 +266,16 @@ impl Cluster {
         self.kernel.engine.nodes()
     }
 
-    /// Network/scheduling counters from the engine.
+    /// The engine's counter rows: per-node and total messages, bytes and
+    /// scheduling activity.
     pub fn net_stats(&self) -> Arc<amber_engine::NetStats> {
         Arc::clone(self.kernel.engine.stats())
     }
 
-    /// Protocol counters from the runtime.
+    /// How many events of each kind have happened, the runtime's and the
+    /// engine's message events alike: the same rows, folded.
     pub fn protocol_stats(&self) -> ProtocolSnapshot {
-        self.kernel.counters.snapshot()
+        self.kernel.engine.stats().snapshot()
     }
 
     // ----- tracing --------------------------------------------------------
@@ -286,15 +287,14 @@ impl Cluster {
     ///
     /// Export a captured stream with [`amber_engine::trace::chrome_trace_json`]
     /// or fold it back into counters with
-    /// [`crate::TraceSummary::from_events`]: a capture of the whole run folds
-    /// to exactly [`protocol_stats`](Cluster::protocol_stats), because one
-    /// `emit` feeds both, and its message events match
-    /// [`net_stats`](Cluster::net_stats), the engine's own book.
+    /// [`ProtocolSnapshot::from_events`]: a capture of the whole run folds
+    /// to exactly [`protocol_stats`](Cluster::protocol_stats), message
+    /// events included, because one `emit` feeds both.
     ///
     /// # Examples
     ///
     /// ```
-    /// use amber_core::{Cluster, TraceSummary};
+    /// use amber_core::{Cluster, ProtocolSnapshot};
     ///
     /// let cluster = Cluster::sim(2, 1);
     /// let sink = cluster.enable_tracing();
@@ -304,9 +304,10 @@ impl Cluster {
     ///         ctx.invoke(&v, |_, v| *v += 1);
     ///     })
     ///     .unwrap();
-    /// let summary = TraceSummary::from_events(&sink.take());
-    /// assert_eq!(summary.snapshot.remote_invokes, 1);
-    /// assert_eq!(summary.messages, cluster.net_stats().total_msgs());
+    /// let traced = ProtocolSnapshot::from_events(&sink.take());
+    /// assert_eq!(traced.remote_invokes, 1);
+    /// assert_eq!(traced, cluster.protocol_stats());
+    /// assert_eq!(traced.messages, cluster.net_stats().total_msgs());
     /// ```
     pub fn enable_tracing(&self) -> Arc<amber_engine::MemorySink> {
         let sink = amber_engine::MemorySink::new();
@@ -619,7 +620,7 @@ impl Ctx {
 
     /// Protocol counters so far.
     pub fn protocol_stats(&self) -> ProtocolSnapshot {
-        self.kernel.counters.snapshot()
+        self.kernel.engine.stats().snapshot()
     }
 
     /// Cluster-wide network totals so far: `(messages, payload bytes)`.

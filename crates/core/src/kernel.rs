@@ -11,10 +11,13 @@
 //!   paths only *read* residency, and writes happen on the rare mobility
 //!   transitions;
 //! * the address-space server (logically on the boot node; consulting it
-//!   from elsewhere is charged as a network round trip);
-//! * the protocol counters, a cache-padded row per node, written only by
-//!   [`Kernel::emit`] — the one door through which a protocol fact is both
-//!   counted and traced (see [`crate::stats`]).
+//!   from elsewhere is charged as a network round trip).
+//!
+//! It keeps no counters: a protocol fact is raised through
+//! [`Kernel::emit`], which hands it to the engine's
+//! [`Tracer::emit`](amber_engine::Tracer::emit) — the one door through
+//! which a fact, the runtime's or the engine's, is both counted (a
+//! cache-padded row per node, see [`amber_engine::stats`]) and traced.
 //!
 //! The registry being ordinary process memory is the reproduction of the
 //! paper's identically-arranged virtual address spaces: an address means
@@ -42,7 +45,6 @@ use crate::adaptive::{PlacementPolicy, PlacementRuntime};
 use crate::errors::ProtocolError;
 use crate::objref::{AmberObject, ObjRef};
 use crate::registry::ObjectRegistry;
-use crate::stats::EventCounters;
 
 /// Access mode requested on an object payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,8 +181,6 @@ pub struct Kernel {
     /// a registry shard — enforced at `LockLevel::Topology`, the first tier
     /// of the machine-checked lock hierarchy.
     pub(crate) topology: OrderedMutex<()>,
-    /// Per-node protocol counters; written only by [`emit`](Kernel::emit).
-    pub(crate) counters: EventCounters,
     /// Adaptive placement state (policy, tick arming, daemon handle); `None`
     /// when the cluster was built without a placement policy.
     pub(crate) placement: Option<PlacementRuntime>,
@@ -229,7 +229,6 @@ impl Kernel {
             nodes,
             server: Mutex::new(server),
             topology: OrderedMutex::new(LockLevel::Topology, ()),
-            counters: EventCounters::new(n),
             placement: policy.map(|p| PlacementRuntime::new(p, n)),
             demand_replication,
         })
@@ -250,19 +249,16 @@ impl Kernel {
         self.engine.node_of(must_current_thread())
     }
 
-    /// Raises one protocol fact: counts it in its node's row and, if a
-    /// trace sink is installed, records it stamped with the engine clock and
-    /// the current thread. The only way a counter is written, so counters
-    /// and trace cannot disagree — call it where the fact commits (under the
-    /// shard guard that commits it, where there is one). With no sink this
-    /// is one relaxed add and one relaxed load; the clock is not read.
+    /// Raises one protocol fact through the engine's one `emit`: counted in
+    /// its node's row and, if a trace sink is installed, recorded stamped
+    /// with the engine clock and the current thread. Call it where the fact
+    /// commits (under the shard guard that commits it, where there is one).
+    /// With no sink this is one relaxed add and one relaxed load; the clock
+    /// is not read.
     #[inline]
     pub(crate) fn emit(&self, event: ProtocolEvent) {
-        self.counters.bump(&event);
-        let tracer = self.engine.tracer();
-        if tracer.is_enabled() {
-            tracer.emit(self.engine.now(), amber_engine::current_thread(), || event);
-        }
+        let engine = &*self.engine;
+        engine.tracer().emit(|| engine.now(), event);
     }
 
     /// Sends a message and parks the current thread until it is delivered,

@@ -53,7 +53,6 @@ mod kernel;
 mod mobility;
 mod objref;
 mod registry;
-mod stats;
 mod thread;
 
 pub use adaptive::{PlacementDecision, PlacementPolicy, PlacementSample};
@@ -61,13 +60,12 @@ pub use cluster::{Cluster, ClusterBuilder, Ctx, EngineChoice};
 pub use errors::ProtocolError;
 pub use kernel::Kernel;
 pub use objref::{AmberObject, ObjRef};
-pub use stats::{ProtocolSnapshot, TraceSummary};
 pub use thread::{JoinHandle, ThreadObj};
 
 // Commonly useful re-exports so applications depend on one crate.
 pub use amber_engine::{
-    trace, CostModel, EngineError, FaultPlan, LatencyModel, LinkFaults, MemorySink, NodeId,
-    Partition, ProtocolEvent, SimTime, ThreadId, TraceRecord, TraceSink,
+    trace, CostModel, EngineError, FaultPlan, LatencyModel, MemorySink, NodeId, Partition,
+    ProtocolEvent, ProtocolSnapshot, SimTime, ThreadId, TraceRecord, TraceSink,
 };
 pub use amber_vspace::VAddr;
 

@@ -39,26 +39,15 @@ pub type ThreadBody = Box<dyn FnOnce() + Send + 'static>;
 /// from) touch only an `AtomicBool`, [`Engine::set_node`] and a wake gate.
 pub type KernelFn = Box<dyn FnOnce() + Send + 'static>;
 
-/// Configuration of one node.
-#[derive(Clone, Copy, Debug)]
-pub struct NodeConfig {
-    /// Number of processors (the Firefly had 4 CVAX CPUs for user threads).
-    pub processors: usize,
-}
-
-impl NodeConfig {
-    /// A node with `processors` CPUs. Its ready queue starts under
-    /// [`Fifo`](crate::policy::Fifo); [`Engine::set_scheduler`] replaces it.
-    pub fn new(processors: usize) -> Self {
-        NodeConfig { processors }
-    }
-}
-
 /// Configuration of a whole cluster.
 #[derive(Clone, Debug)]
 pub struct ClusterSpec {
-    /// Per-node configuration; `nodes.len()` is the cluster size.
-    pub nodes: Vec<NodeConfig>,
+    /// Number of nodes.
+    pub nodes: usize,
+    /// Processors per node (the Firefly had 4 CVAX CPUs for user threads).
+    /// A node's ready queue starts under [`Fifo`](crate::policy::Fifo);
+    /// [`Engine::set_scheduler`] replaces it.
+    pub processors: usize,
     /// Network latency model applied to every message.
     pub latency: LatencyModel,
     /// Optional fault plan. When set, every message routes through the
@@ -75,7 +64,8 @@ impl ClusterSpec {
         assert!(nodes > 0, "a cluster needs at least one node");
         assert!(processors > 0, "a node needs at least one processor");
         ClusterSpec {
-            nodes: vec![NodeConfig::new(processors); nodes],
+            nodes,
+            processors,
             latency: LatencyModel::default(),
             fault: None,
         }
@@ -243,13 +233,15 @@ pub trait Engine: Send + Sync {
     /// Suspends the current thread for `duration`.
     fn sleep(&self, duration: SimTime);
 
-    /// Cluster-wide network and scheduling statistics.
+    /// The cluster's counter rows: every protocol event kind, plus payload
+    /// bytes, dispatches and preemptions, per node.
     fn stats(&self) -> &Arc<NetStats>;
 
-    /// The engine's protocol-event tracer. Disabled (a null sink behind one
-    /// atomic check) until a [`crate::trace::TraceSink`] is installed; the
-    /// runtime layers above emit [`crate::trace::ProtocolEvent`]s through
-    /// it, and the engine itself records every message send.
+    /// The engine's protocol-event tracer. [`Tracer::emit`] is where the
+    /// runtime layers above, and the engine itself for every message, raise
+    /// a [`crate::trace::ProtocolEvent`]: it is counted in
+    /// [`stats`](Engine::stats) and, once a [`crate::trace::TraceSink`] is
+    /// installed, recorded.
     fn tracer(&self) -> &Tracer;
 
     /// Runs `body` as the program's main thread on `node` and waits until
@@ -387,8 +379,7 @@ mod tests {
     #[test]
     fn cluster_spec_uniform() {
         let s = ClusterSpec::uniform(8, 4);
-        assert_eq!(s.nodes.len(), 8);
-        assert!(s.nodes.iter().all(|n| n.processors == 4));
+        assert_eq!((s.nodes, s.processors), (8, 4));
     }
 
     #[test]

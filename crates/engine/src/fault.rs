@@ -3,8 +3,8 @@
 //! The paper's Fireflies talked over real 10 Mbit Ethernet, where packets
 //! are dropped, duplicated, delayed and reordered; the engines' default
 //! message path models a perfect channel. A [`FaultPlan`] makes the channel
-//! imperfect on purpose: per-link drop/duplicate/jitter/reorder
-//! probabilities plus scripted partitions, all derived *deterministically*
+//! imperfect on purpose: drop/duplicate/jitter/reorder probabilities on
+//! every link plus scripted partitions, all derived *deterministically*
 //! from a seed, so a chaos run under the simulator replays exactly.
 //!
 //! Installing a plan (see [`ClusterSpec::with_faults`]) also inserts a thin
@@ -23,8 +23,8 @@
 //! timeout exceeds the worst-case delivery delay (latency + jitter +
 //! reorder penalty), a retransmission fires only when *no* copy of the
 //! previous attempt survived — so in the simulator every suppressed
-//! duplicate is one the plan injected, and the two counters reconcile
-//! exactly.
+//! duplicate is one the plan injected, and the two counters
+//! (`dups_injected`, `dups_suppressed`) end a drained run equal.
 //!
 //! All fault decisions are pure hashes of (seed, link, sequence, attempt),
 //! never a stateful RNG: the outcome of one message cannot perturb the
@@ -40,47 +40,9 @@ use parking_lot::Mutex;
 
 use crate::engine::KernelFn;
 use crate::ids::NodeId;
-use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::{ProtocolEvent, Tracer};
 use crate::LatencyModel;
-
-/// Fault probabilities for one directed link.
-///
-/// All probabilities are per *attempt* (an original transmission or a
-/// retransmission) and must lie in `[0, 1]`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkFaults {
-    /// Probability an attempt is lost on the wire.
-    pub drop: f64,
-    /// Probability a surviving attempt is duplicated by the wire (both
-    /// copies arrive; the receiver suppresses one).
-    pub duplicate: f64,
-    /// Maximum extra delivery delay; each copy draws uniformly from
-    /// `[0, jitter]`.
-    pub jitter: SimTime,
-    /// Probability a surviving attempt is overtaken by later traffic,
-    /// modelled as one extra base latency of delay.
-    pub reorder: f64,
-}
-
-impl LinkFaults {
-    /// A perfectly reliable link (all rates zero).
-    pub const fn none() -> LinkFaults {
-        LinkFaults {
-            drop: 0.0,
-            duplicate: 0.0,
-            jitter: SimTime::ZERO,
-            reorder: 0.0,
-        }
-    }
-}
-
-impl Default for LinkFaults {
-    fn default() -> Self {
-        LinkFaults::none()
-    }
-}
 
 /// A scripted partition: the (bidirectional) link between `a` and `b` loses
 /// every attempt in the half-open window `[start, heal)`.
@@ -109,7 +71,7 @@ impl Partition {
 /// [`ClusterSpec::with_faults`](crate::ClusterSpec::with_faults):
 ///
 /// ```
-/// use amber_engine::{FaultPlan, LinkFaults, NodeId, SimTime};
+/// use amber_engine::{FaultPlan, NodeId, SimTime};
 ///
 /// let plan = FaultPlan::seeded(7)
 ///     .drop_rate(0.05)
@@ -122,8 +84,18 @@ impl Partition {
 pub struct FaultPlan {
     /// Seed from which every fault decision is derived.
     pub seed: u64,
-    default_link: LinkFaults,
-    overrides: Vec<(NodeId, NodeId, LinkFaults)>,
+    /// Probability an attempt (an original transmission or a
+    /// retransmission) is lost on the wire.
+    drop: f64,
+    /// Probability a surviving attempt is duplicated by the wire (both
+    /// copies arrive; the receiver suppresses one).
+    duplicate: f64,
+    /// Maximum extra delivery delay; each copy draws uniformly from
+    /// `[0, jitter]`.
+    jitter: SimTime,
+    /// Probability a surviving attempt is overtaken by later traffic,
+    /// modelled as one extra base latency of delay.
+    reorder: f64,
     partitions: Vec<Partition>,
     /// Extra slack added to the retransmission timeout on top of the
     /// worst-case modelled delivery delay.
@@ -132,50 +104,45 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan with the given seed and a perfectly reliable default link;
-    /// add faults with the builder methods.
+    /// A plan with the given seed and perfectly reliable links; add faults
+    /// with the builder methods.
     pub fn seeded(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            default_link: LinkFaults::none(),
-            overrides: Vec::new(),
+            drop: 0.0,
+            duplicate: 0.0,
+            jitter: SimTime::ZERO,
+            reorder: 0.0,
             partitions: Vec::new(),
             rto_grace: SimTime::from_ms(1),
             max_attempts: 16,
         }
     }
 
-    /// Sets the default per-attempt drop probability on every link.
+    /// Sets the per-attempt drop probability on every link.
     pub fn drop_rate(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "drop rate must be in [0, 1]");
-        self.default_link.drop = p;
+        self.drop = p;
         self
     }
 
-    /// Sets the default per-attempt duplication probability on every link.
+    /// Sets the per-attempt duplication probability on every link.
     pub fn duplicate_rate(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "duplicate rate must be in [0, 1]");
-        self.default_link.duplicate = p;
+        self.duplicate = p;
         self
     }
 
-    /// Sets the default delivery jitter bound on every link.
+    /// Sets the delivery jitter bound on every link.
     pub fn jitter(mut self, jitter: SimTime) -> Self {
-        self.default_link.jitter = jitter;
+        self.jitter = jitter;
         self
     }
 
-    /// Sets the default per-attempt reorder probability on every link.
+    /// Sets the per-attempt reorder probability on every link.
     pub fn reorder_rate(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "reorder rate must be in [0, 1]");
-        self.default_link.reorder = p;
-        self
-    }
-
-    /// Overrides the faults of the link between `a` and `b` (both
-    /// directions).
-    pub fn link(mut self, a: NodeId, b: NodeId, faults: LinkFaults) -> Self {
-        self.overrides.push((a, b, faults));
+        self.reorder = p;
         self
     }
 
@@ -204,16 +171,6 @@ impl FaultPlan {
         assert!(n > 0, "at least one attempt is required");
         self.max_attempts = n;
         self
-    }
-
-    /// The faults in force on the directed link `from -> to`.
-    pub fn faults_for(&self, from: NodeId, to: NodeId) -> LinkFaults {
-        for (a, b, f) in &self.overrides {
-            if (*a == from && *b == to) || (*a == to && *b == from) {
-                return *f;
-            }
-        }
-        self.default_link
     }
 
     /// `true` if a scripted partition severs `from -> to` at `now`.
@@ -258,19 +215,13 @@ pub(crate) trait Transport: Send + Sync {
     fn after(&self, delay: SimTime, f: KernelFn);
     /// The engine clock.
     fn now(&self) -> SimTime;
-    /// The engine's per-node counters.
-    fn net_stats(&self) -> &NetStats;
-    /// The engine's tracer.
+    /// The engine's tracer, which counts and records what the layer raises.
     fn tracer(&self) -> &Tracer;
 }
 
-/// Records `event` at the engine clock. The clock is an eager argument of
-/// [`Tracer::emit`], so it is read only when something will see the event.
-fn trace(t: &dyn Transport, event: impl FnOnce() -> ProtocolEvent) {
-    let tracer = t.tracer();
-    if tracer.is_enabled() {
-        tracer.emit(t.now(), crate::engine::current_thread(), event);
-    }
+/// Raises `event` at the engine clock.
+fn emit(t: &dyn Transport, event: ProtocolEvent) {
+    t.tracer().emit(|| t.now(), event);
 }
 
 /// Per-link sender state: the next sequence number and the handlers of
@@ -362,16 +313,16 @@ impl FaultNet {
 
     /// The worst-case modelled delivery delay of one copy: base latency,
     /// full jitter, and the reorder penalty (one extra base latency).
-    fn max_copy_delay(&self, faults: &LinkFaults, bytes: usize) -> SimTime {
+    fn max_copy_delay(&self, bytes: usize) -> SimTime {
         let base = self.latency.latency(bytes);
-        base + base + faults.jitter
+        base + base + self.plan.jitter
     }
 
     /// Retransmission timeout after attempt `attempt`: worst-case delivery
     /// delay plus grace, doubling per attempt (capped at 32x).
-    fn rto(&self, faults: &LinkFaults, bytes: usize, attempt: u32) -> SimTime {
+    fn rto(&self, bytes: usize, attempt: u32) -> SimTime {
         let grace = self.plan.rto_grace.max(SimTime::from_us(1));
-        let base = self.max_copy_delay(faults, bytes) + grace;
+        let base = self.max_copy_delay(bytes) + grace;
         base * (1u64 << attempt.min(5))
     }
 
@@ -381,35 +332,32 @@ impl FaultNet {
         let Some(t) = self.transport.upgrade() else {
             return;
         };
-        let faults = self.plan.faults_for(from, to);
-        if self.plan.partitioned(from, to, t.now()) {
-            t.net_stats().record_partition_drop(from.index());
-            trace(&*t, || ProtocolEvent::LinkPartitioned { from, to });
+        let plan = &self.plan;
+        if plan.partitioned(from, to, t.now()) {
+            emit(&*t, ProtocolEvent::LinkPartitioned { from, to });
             return;
         }
-        if self.plan.unit(from, to, seq, attempt, SALT_DROP) < faults.drop {
-            t.net_stats().record_drop(from.index());
-            trace(&*t, || ProtocolEvent::MessageDropped { from, to, bytes });
+        if plan.unit(from, to, seq, attempt, SALT_DROP) < plan.drop {
+            emit(&*t, ProtocolEvent::MessageDropped { from, to, bytes });
             return;
         }
         let base = self.latency.latency(bytes);
-        let jitter = faults
+        let jitter = plan
             .jitter
-            .scale(self.plan.unit(from, to, seq, attempt, SALT_JITTER));
+            .scale(plan.unit(from, to, seq, attempt, SALT_JITTER));
         let mut delay = base + jitter;
-        if self.plan.unit(from, to, seq, attempt, SALT_REORDER) < faults.reorder {
+        if plan.unit(from, to, seq, attempt, SALT_REORDER) < plan.reorder {
             // Overtaken by later traffic: one extra base latency.
             delay += base;
         }
         self.schedule_copy(from, to, seq, delay, &t);
-        if self.plan.unit(from, to, seq, attempt, SALT_DUP) < faults.duplicate {
+        if plan.unit(from, to, seq, attempt, SALT_DUP) < plan.duplicate {
             // The wire duplicated a surviving attempt: both copies arrive,
             // so exactly one of them will be suppressed at the receiver.
-            t.net_stats().record_dup_injected(from.index());
-            let jitter2 =
-                faults
-                    .jitter
-                    .scale(self.plan.unit(from, to, seq, attempt, SALT_DUP_JITTER));
+            emit(&*t, ProtocolEvent::MessageDuplicated { from, to });
+            let jitter2 = plan
+                .jitter
+                .scale(plan.unit(from, to, seq, attempt, SALT_DUP_JITTER));
             self.schedule_copy(from, to, seq, base + jitter2, &t);
         }
     }
@@ -453,13 +401,7 @@ impl FaultNet {
         match handler {
             // Run outside the links lock: handlers may send again.
             Some(h) => h(),
-            None => {
-                t.net_stats().record_dup_suppressed(to.index());
-                trace(&*t, || ProtocolEvent::MessageDuplicateSuppressed {
-                    from,
-                    to,
-                });
-            }
+            None => emit(&*t, ProtocolEvent::MessageDuplicateSuppressed { from, to }),
         }
     }
 
@@ -467,10 +409,9 @@ impl FaultNet {
         let Some(t) = self.transport.upgrade() else {
             return;
         };
-        let faults = self.plan.faults_for(from, to);
         let net = Arc::clone(self);
         t.after(
-            self.rto(&faults, bytes, attempt),
+            self.rto(bytes, attempt),
             Box::new(move || net.timer_fired(from, to, seq, bytes, attempt)),
         );
     }
@@ -511,14 +452,10 @@ impl FaultNet {
             }
         };
         if retry {
-            t.net_stats().record_retransmit(from.index());
-            trace(&*t, || ProtocolEvent::MessageRetransmit {
-                from,
-                to,
-                attempt: attempt + 1,
-            });
-            self.attempt(from, to, seq, bytes, attempt + 1);
-            self.arm_timer(from, to, seq, bytes, attempt + 1);
+            let attempt = attempt + 1;
+            emit(&*t, ProtocolEvent::MessageRetransmit { from, to, attempt });
+            self.attempt(from, to, seq, bytes, attempt);
+            self.arm_timer(from, to, seq, bytes, attempt);
         }
     }
 }
@@ -548,25 +485,12 @@ mod tests {
     #[test]
     fn drop_rate_matches_probability_over_many_draws() {
         let plan = FaultPlan::seeded(3).drop_rate(0.05);
-        let f = plan.faults_for(NodeId(0), NodeId(1));
         let n = 20_000;
         let dropped = (0..n)
-            .filter(|&i| plan.unit(NodeId(0), NodeId(1), i, 0, SALT_DROP) < f.drop)
+            .filter(|&i| plan.unit(NodeId(0), NodeId(1), i, 0, SALT_DROP) < plan.drop)
             .count();
         let rate = dropped as f64 / n as f64;
         assert!((rate - 0.05).abs() < 0.01, "observed drop rate {rate}");
-    }
-
-    #[test]
-    fn link_override_applies_both_directions() {
-        let bad = LinkFaults {
-            drop: 0.5,
-            ..LinkFaults::none()
-        };
-        let plan = FaultPlan::seeded(1).link(NodeId(0), NodeId(2), bad);
-        assert_eq!(plan.faults_for(NodeId(0), NodeId(2)).drop, 0.5);
-        assert_eq!(plan.faults_for(NodeId(2), NodeId(0)).drop, 0.5);
-        assert_eq!(plan.faults_for(NodeId(0), NodeId(1)).drop, 0.0);
     }
 
     #[test]
@@ -611,9 +535,6 @@ mod tests {
         fn now(&self) -> SimTime {
             SimTime::ZERO
         }
-        fn net_stats(&self) -> &NetStats {
-            unreachable!("null transport has no stats")
-        }
         fn tracer(&self) -> &Tracer {
             unreachable!("null transport has no tracer")
         }
@@ -625,16 +546,15 @@ mod tests {
         let latency = LatencyModel::fixed(SimTime::from_ms(1));
         let transport: Weak<NullTransport> = Weak::new();
         let net = FaultNet {
-            plan: plan.clone(),
+            plan,
             latency,
             transport,
             links: Mutex::new(Links::default()),
         };
-        let f = plan.faults_for(NodeId(0), NodeId(1));
-        let worst = net.max_copy_delay(&f, 64);
-        assert!(net.rto(&f, 64, 0) > worst);
-        assert_eq!(net.rto(&f, 64, 1), net.rto(&f, 64, 0) * 2);
+        let worst = net.max_copy_delay(64);
+        assert!(net.rto(64, 0) > worst);
+        assert_eq!(net.rto(64, 1), net.rto(64, 0) * 2);
         // The backoff is capped.
-        assert_eq!(net.rto(&f, 64, 5), net.rto(&f, 64, 9));
+        assert_eq!(net.rto(64, 5), net.rto(64, 9));
     }
 }

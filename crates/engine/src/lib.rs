@@ -52,9 +52,9 @@ pub mod trace;
 pub use cost::{CostModel, LatencyModel};
 pub use engine::{
     current_thread, must_current_thread, ClusterSpec, Engine, EngineError, EngineExt, KernelFn,
-    NodeConfig, ThreadBody,
+    ThreadBody,
 };
-pub use fault::{FaultPlan, LinkFaults, Partition};
+pub use fault::{FaultPlan, Partition};
 pub use ids::{NodeId, ThreadId};
 pub use real::RealEngine;
 pub use sim::SimEngine;

@@ -50,7 +50,7 @@ use crate::ids::{NodeId, ThreadId};
 use crate::policy::Scheduler;
 use crate::stats::NetStats;
 use crate::time::SimTime;
-use crate::trace::Tracer;
+use crate::trace::{ProtocolEvent, Tracer};
 use crate::LatencyModel;
 
 struct RealNode {
@@ -213,13 +213,11 @@ impl Drop for RealEngine {
 impl RealEngine {
     /// Builds a real-threaded cluster from `spec`.
     pub fn new(spec: ClusterSpec) -> Self {
-        let nodes = spec
-            .nodes
-            .iter()
-            .map(|n| RealNode {
-                tokens: Mutex::new(n.processors),
+        let nodes = (0..spec.nodes)
+            .map(|_| RealNode {
+                tokens: Mutex::new(spec.processors),
                 cv: Condvar::new(),
-                processors: n.processors,
+                processors: spec.processors,
             })
             .collect::<Vec<_>>();
         let stats = Arc::new(NetStats::new(nodes.len()));
@@ -241,10 +239,10 @@ impl RealEngine {
                 }),
                 cv: Condvar::new(),
             },
+            tracer: Tracer::new(Arc::clone(&stats)),
             stats,
             latency: spec.latency,
             epoch: Instant::now(),
-            tracer: Tracer::new(),
         });
         let net_inner = Arc::clone(&inner);
         std::thread::Builder::new()
@@ -368,10 +366,6 @@ impl Transport for RealInner {
         SimTime::from_ns(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    fn net_stats(&self) -> &NetStats {
-        &self.stats
-    }
-
     fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -379,7 +373,7 @@ impl Transport for RealInner {
 
 impl Engine for RealEngine {
     fn now(&self) -> SimTime {
-        SimTime::from_ns(self.inner.epoch.elapsed().as_nanos() as u64)
+        Transport::now(&*self.inner)
     }
 
     fn nodes(&self) -> usize {
@@ -483,21 +477,16 @@ impl Engine for RealEngine {
         // Checked builds assert here that the caller holds no tracked lock,
         // which is what makes running the handler under it below safe.
         amber_verify::engine_block_checkpoint("send");
-        self.inner
-            .stats
-            .record_send(from.index(), to.index(), bytes);
-        let sender = current_thread();
-        if self.inner.tracer.is_enabled() {
-            self.inner.tracer.emit(self.now(), sender, || {
-                crate::trace::ProtocolEvent::MessageSend { from, to, bytes }
-            });
-        }
+        self.inner.tracer.emit(
+            || self.now(),
+            ProtocolEvent::MessageSend { from, to, bytes },
+        );
         if let Some(fault) = &self.fault {
             fault.send(from, to, bytes, handler);
             return;
         }
         let delay = self.inner.latency.latency(bytes).to_duration();
-        if delay.is_zero() && sender.is_some() {
+        if delay.is_zero() && current_thread().is_some() {
             // Nothing to wait for and an Amber thread to run on: deliver
             // here. A handler that sends again sees no current thread, so
             // its message takes the timer thread and chains do not recurse.
@@ -509,7 +498,7 @@ impl Engine for RealEngine {
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
-        self.inner.enqueue_net(delay.to_duration(), f);
+        Transport::after(&*self.inner, delay, f);
     }
 
     fn yield_now(&self) {

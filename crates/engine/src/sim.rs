@@ -37,7 +37,7 @@ use crate::ids::{NodeId, ThreadId};
 use crate::policy::{Fifo, Scheduler};
 use crate::stats::NetStats;
 use crate::time::SimTime;
-use crate::trace::Tracer;
+use crate::trace::{ProtocolEvent, Tracer};
 use crate::LatencyModel;
 
 /// Wake class of a blocked thread (see `Engine::block_kernel`).
@@ -143,11 +143,9 @@ pub struct SimEngine {
 impl SimEngine {
     /// Builds a simulated cluster from `spec`.
     pub fn new(spec: ClusterSpec) -> Self {
-        let nodes = spec
-            .nodes
-            .iter()
-            .map(|n| NodeSim {
-                processors: n.processors,
+        let nodes = (0..spec.nodes)
+            .map(|_| NodeSim {
+                processors: spec.processors,
                 busy: 0,
                 sched: Box::<Fifo>::default(),
             })
@@ -170,9 +168,9 @@ impl SimEngine {
             }),
             dispatch_cv: Condvar::new(),
             done_cv: Condvar::new(),
+            tracer: Tracer::new(Arc::clone(&stats)),
             stats,
             latency: spec.latency,
-            tracer: Tracer::new(),
         });
         let fault = spec.fault.map(|plan| {
             let weak = Arc::downgrade(&inner);
@@ -363,10 +361,6 @@ impl Transport for SimInner {
         self.state.lock().clock
     }
 
-    fn net_stats(&self) -> &NetStats {
-        &self.stats
-    }
-
     fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -417,7 +411,7 @@ impl SimEngine {
 
 impl Engine for SimEngine {
     fn now(&self) -> SimTime {
-        self.inner.state.lock().clock
+        Transport::now(&*self.inner)
     }
 
     fn nodes(&self) -> usize {
@@ -553,13 +547,8 @@ impl Engine for SimEngine {
         amber_verify::engine_block_checkpoint("send");
         let mut st = self.inner.state.lock();
         self.inner
-            .stats
-            .record_send(from.index(), to.index(), bytes);
-        self.inner
             .tracer
-            .emit(st.clock, crate::engine::current_thread(), || {
-                crate::trace::ProtocolEvent::MessageSend { from, to, bytes }
-            });
+            .emit(|| st.clock, ProtocolEvent::MessageSend { from, to, bytes });
         if let Some(fault) = &self.fault {
             // The fault layer re-enters the state lock to schedule copies
             // and timers; release it first (it is not reentrant).
@@ -574,10 +563,7 @@ impl Engine for SimEngine {
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
-        let mut st = self.inner.state.lock();
-        let at = st.clock + delay;
-        st.push_event(at, Event::Deliver { handler: f });
-        self.inner.dispatch_cv.notify_one();
+        Transport::after(&*self.inner, delay, f);
     }
 
     fn yield_now(&self) {
@@ -921,10 +907,10 @@ mod tests {
             e2.sleep(SimTime::from_ms(10));
         })
         .unwrap();
-        assert_eq!(e.stats().total_dups_injected(), 50);
+        let p = e.stats().snapshot();
+        assert_eq!(p.dups_injected, 50);
         assert_eq!(
-            e.stats().total_dups_suppressed(),
-            e.stats().total_dups_injected(),
+            p.dups_suppressed, p.dups_injected,
             "every injected duplicate must be suppressed, none double-handled"
         );
     }
@@ -978,7 +964,7 @@ mod tests {
 
     #[test]
     fn seeded_chaos_is_deterministic() {
-        fn run_once() -> (SimTime, u64, u64, u64) {
+        fn run_once() -> (SimTime, crate::ProtocolSnapshot) {
             let spec = ClusterSpec::uniform(2, 1)
                 .with_latency(LatencyModel::fixed(SimTime::from_ms(1)))
                 .with_faults(
@@ -996,12 +982,7 @@ mod tests {
                     e2.now()
                 })
                 .unwrap();
-            (
-                t,
-                e.stats().total_drops(),
-                e.stats().total_retransmits(),
-                e.stats().total_dups_suppressed(),
-            )
+            (t, e.stats().snapshot())
         }
         assert_eq!(run_once(), run_once());
     }

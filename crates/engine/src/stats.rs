@@ -1,62 +1,50 @@
-//! Cluster-wide network and scheduling counters.
+//! Cluster-wide protocol, network and scheduling counters.
 //!
 //! The paper argues that "the performance of a distributed system is best
 //! evaluated ... by the degree to which the system prevents unnecessary
 //! network communication" (section 5). These counters make that degree
 //! observable: every experiment harness reports messages and bytes alongside
 //! elapsed time.
+//!
+//! There is no list of counters here. The event table in [`crate::trace`]
+//! declares each fact once — the runtime's (invocations, moves, hops, ...)
+//! and the engine's own (messages, drops, retransmissions, duplicates) alike
+//! — and [`Tracer::emit`](crate::Tracer::emit) is the only writer: it adds
+//! one to the event's slot in its node's row and hands the same event to the
+//! trace sink. The `total_*` readers, [`NetStats::snapshot`] and a captured
+//! stream folded with [`ProtocolSnapshot::from_events`] therefore agree by
+//! construction; what can still go wrong is a sink losing events. Beside
+//! the event slots a row keeps the three facts that are not events: payload
+//! bytes, dispatches and preemptions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters for one node.
-#[derive(Default)]
-pub struct NodeCounters {
-    /// Messages sent from this node.
-    pub msgs_out: AtomicU64,
-    /// Messages delivered to this node.
-    pub msgs_in: AtomicU64,
-    /// Payload bytes sent from this node.
-    pub bytes_out: AtomicU64,
-    /// Threads that started a CPU burst on this node (scheduling activity).
-    pub dispatches: AtomicU64,
-    /// Timeslice preemptions on this node.
-    pub preemptions: AtomicU64,
-    /// Transmission attempts from this node lost to the fault plan's drop
-    /// probability.
-    pub drops: AtomicU64,
-    /// Retransmissions initiated by this node after a delivery timeout.
-    pub retransmits: AtomicU64,
-    /// Wire duplications injected on attempts sent from this node.
-    pub dups_injected: AtomicU64,
-    /// Duplicate copies suppressed by this node's receive dedup window.
-    pub dups_suppressed: AtomicU64,
-    /// Transmission attempts from this node lost to a scripted partition.
-    pub partition_drops: AtomicU64,
+use crate::trace::{EventKind, ProtocolEvent, ProtocolSnapshot};
+
+/// One node's counters, aligned so that no two nodes' rows share a cache
+/// line: workers on different nodes never write the same line when they
+/// count.
+#[repr(align(128))]
+struct NodeRow {
+    /// One slot per [`EventKind`].
+    events: [AtomicU64; EventKind::COUNT],
+    bytes_out: AtomicU64,
+    dispatches: AtomicU64,
+    preemptions: AtomicU64,
 }
 
-/// A plain-data snapshot of one node's counters.
+/// A plain-data snapshot of one node's row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeSnapshot {
-    /// Messages sent from this node.
-    pub msgs_out: u64,
-    /// Messages delivered to this node.
-    pub msgs_in: u64,
+    /// The events whose principal node ([`ProtocolEvent::node`]) this is:
+    /// `events.messages` counts the messages it sent.
+    pub events: ProtocolSnapshot,
     /// Payload bytes sent from this node.
     pub bytes_out: u64,
-    /// Threads that started a CPU burst on this node.
+    /// Threads that started a CPU burst on this node (scheduling activity).
     pub dispatches: u64,
     /// Timeslice preemptions on this node.
     pub preemptions: u64,
-    /// Transmission attempts lost to the drop probability.
-    pub drops: u64,
-    /// Retransmissions initiated after a delivery timeout.
-    pub retransmits: u64,
-    /// Wire duplications injected on attempts from this node.
-    pub dups_injected: u64,
-    /// Duplicate copies suppressed by this node's dedup window.
-    pub dups_suppressed: u64,
-    /// Transmission attempts lost to a scripted partition.
-    pub partition_drops: u64,
 }
 
 /// Shared, lock-free statistics for a whole cluster.
@@ -65,151 +53,126 @@ pub struct NodeSnapshot {
 /// harnesses read consistent-enough snapshots after a run completes (all
 /// threads quiesced), so relaxed ordering is sufficient.
 pub struct NetStats {
-    nodes: Vec<NodeCounters>,
+    rows: Box<[NodeRow]>,
+}
+
+fn fold(rows: &[NodeRow]) -> ProtocolSnapshot {
+    let mut counts = [0u64; EventKind::COUNT];
+    for row in rows {
+        for (total, slot) in counts.iter_mut().zip(&row.events) {
+            *total += slot.load(Ordering::Relaxed);
+        }
+    }
+    ProtocolSnapshot::from_counts(&counts)
 }
 
 impl NetStats {
     /// Creates counters for a cluster of `nodes` nodes.
     pub fn new(nodes: usize) -> Self {
         NetStats {
-            nodes: (0..nodes).map(|_| NodeCounters::default()).collect(),
+            rows: (0..nodes)
+                .map(|_| NodeRow {
+                    events: std::array::from_fn(|_| AtomicU64::new(0)),
+                    bytes_out: AtomicU64::new(0),
+                    dispatches: AtomicU64::new(0),
+                    preemptions: AtomicU64::new(0),
+                })
+                .collect(),
         }
     }
 
-    /// Records one message of `bytes` payload from `from` to `to`.
-    pub fn record_send(&self, from: usize, to: usize, bytes: usize) {
-        self.nodes[from].msgs_out.fetch_add(1, Ordering::Relaxed);
-        self.nodes[from]
-            .bytes_out
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.nodes[to].msgs_in.fetch_add(1, Ordering::Relaxed);
+    /// Counts one event in its principal node's row; a message's payload is
+    /// added to the row's bytes. An event about a node outside the cluster
+    /// (a declined advisory's proposed target) lands in row 0.
+    #[inline]
+    pub(crate) fn count(&self, event: &ProtocolEvent) {
+        let row = self
+            .rows
+            .get(event.node().index())
+            .unwrap_or_else(|| &self.rows[0]);
+        row.events[event.kind() as usize].fetch_add(1, Ordering::Relaxed);
+        if let ProtocolEvent::MessageSend { bytes, .. } = *event {
+            row.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
     }
 
     /// Records one thread dispatch on `node`.
     pub fn record_dispatch(&self, node: usize) {
-        self.nodes[node].dispatches.fetch_add(1, Ordering::Relaxed);
+        self.rows[node].dispatches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one timeslice preemption on `node`.
     pub fn record_preemption(&self, node: usize) {
-        self.nodes[node].preemptions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one fault-injected drop of an attempt sent by `node`.
-    pub fn record_drop(&self, node: usize) {
-        self.nodes[node].drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one retransmission initiated by `node`.
-    pub fn record_retransmit(&self, node: usize) {
-        self.nodes[node].retransmits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one wire duplication injected on an attempt from `node`.
-    pub fn record_dup_injected(&self, node: usize) {
-        self.nodes[node]
-            .dups_injected
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one duplicate copy suppressed by `node`'s dedup window.
-    pub fn record_dup_suppressed(&self, node: usize) {
-        self.nodes[node]
-            .dups_suppressed
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one attempt from `node` lost to a scripted partition.
-    pub fn record_partition_drop(&self, node: usize) {
-        self.nodes[node]
-            .partition_drops
-            .fetch_add(1, Ordering::Relaxed);
+        self.rows[node].preemptions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of nodes covered.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.rows.len()
     }
 
-    /// Snapshot of one node's counters.
+    /// Snapshot of one node's row.
     pub fn node(&self, node: usize) -> NodeSnapshot {
-        let n = &self.nodes[node];
+        let row = &self.rows[node];
         NodeSnapshot {
-            msgs_out: n.msgs_out.load(Ordering::Relaxed),
-            msgs_in: n.msgs_in.load(Ordering::Relaxed),
-            bytes_out: n.bytes_out.load(Ordering::Relaxed),
-            dispatches: n.dispatches.load(Ordering::Relaxed),
-            preemptions: n.preemptions.load(Ordering::Relaxed),
-            drops: n.drops.load(Ordering::Relaxed),
-            retransmits: n.retransmits.load(Ordering::Relaxed),
-            dups_injected: n.dups_injected.load(Ordering::Relaxed),
-            dups_suppressed: n.dups_suppressed.load(Ordering::Relaxed),
-            partition_drops: n.partition_drops.load(Ordering::Relaxed),
+            events: fold(std::slice::from_ref(row)),
+            bytes_out: row.bytes_out.load(Ordering::Relaxed),
+            dispatches: row.dispatches.load(Ordering::Relaxed),
+            preemptions: row.preemptions.load(Ordering::Relaxed),
         }
+    }
+
+    /// Every counted event kind, summed over the rows: what
+    /// `protocol_stats()` reports.
+    pub fn snapshot(&self) -> ProtocolSnapshot {
+        fold(&self.rows)
+    }
+
+    fn sum(&self, slot: impl Fn(&NodeRow) -> &AtomicU64) -> u64 {
+        self.rows
+            .iter()
+            .map(|r| slot(r).load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Total messages sent cluster-wide.
     pub fn total_msgs(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.msgs_out.load(Ordering::Relaxed))
-            .sum()
+        self.snapshot().messages
     }
 
     /// Total payload bytes sent cluster-wide.
     pub fn total_bytes(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.bytes_out.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|r| &r.bytes_out)
     }
 
     /// Total thread dispatches cluster-wide.
     pub fn total_dispatches(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.dispatches.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|r| &r.dispatches)
     }
 
     /// Total fault-injected drops cluster-wide.
     pub fn total_drops(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.drops.load(Ordering::Relaxed))
-            .sum()
+        self.snapshot().drops
     }
 
     /// Total retransmissions cluster-wide.
     pub fn total_retransmits(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.retransmits.load(Ordering::Relaxed))
-            .sum()
+        self.snapshot().retransmits
     }
 
     /// Total wire duplications injected cluster-wide.
     pub fn total_dups_injected(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.dups_injected.load(Ordering::Relaxed))
-            .sum()
+        self.snapshot().dups_injected
     }
 
     /// Total duplicate copies suppressed cluster-wide.
     pub fn total_dups_suppressed(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.dups_suppressed.load(Ordering::Relaxed))
-            .sum()
+        self.snapshot().dups_suppressed
     }
 
     /// Total attempts lost to scripted partitions cluster-wide.
     pub fn total_partition_drops(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.partition_drops.load(Ordering::Relaxed))
-            .sum()
+        self.snapshot().partition_drops
     }
 
     /// Always 0: a shim for the `engine.msgs_coalesced` column of
@@ -224,19 +187,44 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
+    use crate::time::SimTime;
+    use crate::trace::TraceRecord;
 
     #[test]
-    fn send_updates_both_endpoints() {
+    fn rows_totals_and_fold_agree() {
         let s = NetStats::new(3);
-        s.record_send(0, 2, 100);
-        s.record_send(0, 1, 50);
-        s.record_send(2, 0, 7);
-        assert_eq!(s.node(0).msgs_out, 2);
+        let send = |from, to, bytes| {
+            let (from, to) = (NodeId(from), NodeId(to));
+            ProtocolEvent::MessageSend { from, to, bytes }
+        };
+        let (obj, node) = (64, NodeId(1));
+        let events = [
+            send(0, 2, 100),
+            send(0, 1, 50),
+            send(2, 0, 7),
+            ProtocolEvent::LocalInvoke { obj, node },
+            // Proposed target outside the cluster: counted all the same.
+            ProtocolEvent::AdvisorySkipped {
+                obj,
+                at: NodeId(9),
+                reason: "no-such-node",
+            },
+        ];
+        events.iter().for_each(|e| s.count(e));
+        assert_eq!(s.node(0).events.messages, 2);
         assert_eq!(s.node(0).bytes_out, 150);
-        assert_eq!(s.node(0).msgs_in, 1);
-        assert_eq!(s.node(2).msgs_in, 1);
-        assert_eq!(s.total_msgs(), 3);
-        assert_eq!(s.total_bytes(), 157);
+        assert_eq!(s.node(0).events.advisory_skips, 1);
+        assert_eq!(s.node(2).events.messages, 1);
+        assert_eq!(s.node(1).events.local_invokes, 1);
+        assert_eq!((s.total_msgs(), s.total_bytes()), (3, 157));
+        let stream = events.map(|event| TraceRecord {
+            at: SimTime::ZERO,
+            thread: None,
+            event,
+        });
+        assert_eq!(ProtocolSnapshot::from_events(&stream), s.snapshot());
+        assert_eq!(s.snapshot().total_invokes(), 1);
     }
 
     #[test]

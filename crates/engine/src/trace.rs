@@ -3,31 +3,39 @@
 //!
 //! The runtime layered above the engine raises one [`ProtocolEvent`] per
 //! protocol action (invocations, thread migrations, object moves, forwarding
-//! hops, replications, ...). Every kind is declared once, as a row of the
-//! `protocol_events!` table below: variant and fields, stable name, principal
-//! node, and the [`ProtocolSnapshot`] counter it feeds. Everything else that
-//! has to know the kinds — [`EventKind`], `kind()`/`name()`/`node()`, the
-//! Chrome-trace `args` writer, [`ProtocolSnapshot`] and the mapping from
-//! per-kind counts to it — is generated from the rows. Adding an event is
-//! one row plus one `emit` call in `amber-core`.
+//! hops, replications, ...), and the engine raises its own for every message
+//! and for what a fault plan does to it. Every kind is declared once, as a
+//! row of the `protocol_events!` table below: variant and fields, stable
+//! name, principal node, and the [`ProtocolSnapshot`] counter it feeds.
+//! Everything else that has to know the kinds — [`EventKind`],
+//! `kind()`/`name()`/`node()`, the Chrome-trace `args` writer,
+//! [`ProtocolSnapshot`] and the mapping from per-kind counts to it — is
+//! generated from the rows. Adding an event is one row plus one `emit` call
+//! where it happens.
 //!
-//! Events flow, stamped with the engine clock, through the engine's
-//! [`Tracer`] into an installed [`TraceSink`]; with no sink installed that
-//! path is a single relaxed atomic load, so tracing costs nothing when it is
-//! off. In checked builds [`Tracer::lint`] has the tracer judge each event
-//! against the per-object lifecycle on its way to the sink.
+//! [`Tracer::emit`] is where a fact is born, whoever raises it
+//! (`amber-core` through `Kernel::emit`, the engines' `send`, the fault
+//! layer): it counts the event in its node's row of the engine's
+//! [`NetStats`] and, stamped with the engine clock, hands it to an installed
+//! [`TraceSink`]. With no sink installed that is one relaxed add and one
+//! relaxed load, so tracing costs nothing when it is off. In checked builds
+//! [`Tracer::lint`] has the tracer judge each event against the per-object
+//! lifecycle on its way to the sink.
 //!
 //! [`MemorySink`] collects events in memory for tests and post-run analysis;
 //! [`chrome_trace_json`] renders a captured stream as Chrome-trace / Perfetto
 //! JSON (load it at `ui.perfetto.dev` or `chrome://tracing`).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
+use crate::engine::current_thread;
 use crate::ids::{NodeId, ThreadId};
 use crate::lifecycle::Linter;
+use crate::stats::NetStats;
 use crate::time::SimTime;
 
 /// How one field of an event renders inside a Chrome-trace `args` object.
@@ -71,8 +79,8 @@ fn push_fields(out: &mut String, fields: &[(&str, &dyn TraceArg)]) {
 /// The protocol's vocabulary: one row per event kind, and the only place a
 /// kind is spelled out. A row gives the variant with its fields (rendered, in
 /// declaration order, as the Chrome-trace `args`), its stable name, the field
-/// that names its principal node and — for the facts the runtime counts —
-/// the [`ProtocolSnapshot`] counter it feeds. [`EventKind`],
+/// that names its principal node and the [`ProtocolSnapshot`] counter it
+/// feeds. [`EventKind`],
 /// [`ProtocolEvent::kind`]/[`name`](ProtocolEvent::name)/
 /// [`node`](ProtocolEvent::node), the `args` writer and [`ProtocolSnapshot`]
 /// with its [`from_counts`](ProtocolSnapshot::from_counts) are all generated
@@ -81,7 +89,7 @@ fn push_fields(out: &mut String, fields: &[(&str, &dyn TraceArg)]) {
 macro_rules! protocol_events {
     ($(
         $(#[$doc:meta])*
-        $variant:ident $name:literal @$at:ident $(, counts $counter:ident)? {
+        $variant:ident $name:literal @$at:ident, counts $counter:ident {
             $($(#[$fdoc:meta])* $field:ident: $ty:ty),+ $(,)?
         }
     )+) => {
@@ -140,21 +148,21 @@ macro_rules! protocol_events {
             }
         }
 
-        /// How many events of each counted kind have happened: what
+        /// How many events of each kind have happened: what
         /// `protocol_stats()` reports, and what a captured trace folds to.
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-        pub struct ProtocolSnapshot {$($(
+        pub struct ProtocolSnapshot {$(
             #[doc = concat!("[`ProtocolEvent::", stringify!($variant), "`] events.")]
             pub $counter: u64,
-        )?)+}
+        )+}
 
         impl ProtocolSnapshot {
-            /// Reads the counted kinds out of a row of per-kind counts
-            /// (indexed by `EventKind as usize`).
-            pub fn from_counts(counts: &[u64; EventKind::COUNT]) -> ProtocolSnapshot {
-                ProtocolSnapshot {$($(
+            /// Names a row of per-kind counts (indexed by `EventKind as
+            /// usize`).
+            pub(crate) fn from_counts(counts: &[u64; EventKind::COUNT]) -> ProtocolSnapshot {
+                ProtocolSnapshot {$(
                     $counter: counts[EventKind::$variant as usize],
-                )?)+}
+                )+}
             }
         }
     };
@@ -271,7 +279,7 @@ protocol_events! {
     }
     /// One engine-level network message (every protocol message and bulk
     /// transfer shows up here).
-    MessageSend "message_send" @from {
+    MessageSend "message_send" @from, counts messages {
         /// Sending node.
         from: NodeId,
         /// Receiving node.
@@ -280,7 +288,7 @@ protocol_events! {
         bytes: usize,
     }
     /// A transmission attempt lost by the fault plan's drop probability.
-    MessageDropped "message_dropped" @from {
+    MessageDropped "message_dropped" @from, counts drops {
         /// Sending node.
         from: NodeId,
         /// Intended receiver.
@@ -290,7 +298,7 @@ protocol_events! {
     }
     /// The reliability sublayer retransmitted a message whose every prior
     /// attempt was lost.
-    MessageRetransmit "message_retransmit" @from {
+    MessageRetransmit "message_retransmit" @from, counts retransmits {
         /// Sending node.
         from: NodeId,
         /// Receiving node.
@@ -298,15 +306,23 @@ protocol_events! {
         /// The attempt number of this (re)transmission (1 = first retry).
         attempt: u32,
     }
+    /// The wire duplicated a surviving transmission attempt: both copies
+    /// arrive, and the receiver suppresses one.
+    MessageDuplicated "message_duplicated" @from, counts dups_injected {
+        /// Sending node.
+        from: NodeId,
+        /// Receiving node.
+        to: NodeId,
+    }
     /// The receiver's dedup window suppressed a wire-duplicated copy.
-    MessageDuplicateSuppressed "message_duplicate_suppressed" @to {
+    MessageDuplicateSuppressed "message_duplicate_suppressed" @to, counts dups_suppressed {
         /// Sending node.
         from: NodeId,
         /// Receiving node that suppressed the copy.
         to: NodeId,
     }
     /// A transmission attempt lost to a scripted partition.
-    LinkPartitioned "link_partitioned" @from {
+    LinkPartitioned "link_partitioned" @from, counts partition_drops {
         /// Sending node.
         from: NodeId,
         /// Unreachable receiver.
@@ -403,6 +419,16 @@ impl ProtocolEvent {
 }
 
 impl ProtocolSnapshot {
+    /// Recomputes the counters from a captured event stream. A capture of a
+    /// whole run equals the live counters unless its sink lost a record.
+    pub fn from_events(events: &[TraceRecord]) -> ProtocolSnapshot {
+        let mut counts = [0u64; EventKind::COUNT];
+        for rec in events {
+            counts[rec.event.kind() as usize] += 1;
+        }
+        ProtocolSnapshot::from_counts(&counts)
+    }
+
     /// Total invocations of any kind.
     pub fn total_invokes(&self) -> u64 {
         self.local_invokes + self.remote_invokes
@@ -471,13 +497,14 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// The engine's trace dispatch point.
+/// The engine's event door: where a protocol fact is counted and traced.
 ///
-/// Disabled by default. The hot path — [`is_enabled`](Tracer::is_enabled),
-/// called before constructing an event — is a single relaxed atomic load, so
-/// instrumented protocol paths pay nothing measurable when tracing is off.
-#[derive(Default)]
+/// Tracing is disabled by default, and [`emit`](Tracer::emit) then costs one
+/// relaxed add (the count) and one relaxed load, so instrumented protocol
+/// paths pay nothing measurable for it.
 pub struct Tracer {
+    /// The per-node counter rows; written only by [`emit`](Tracer::emit).
+    stats: Arc<NetStats>,
     enabled: AtomicBool,
     sink: Mutex<Option<Arc<dyn TraceSink>>>,
     /// The protocol-lifecycle linter, once [`lint`](Tracer::lint) switched
@@ -486,15 +513,19 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer with no sink (disabled).
-    pub fn new() -> Tracer {
-        Tracer::default()
+    /// A tracer with no sink (disabled) that counts into `stats`.
+    pub fn new(stats: Arc<NetStats>) -> Tracer {
+        Tracer {
+            stats,
+            enabled: AtomicBool::new(false),
+            sink: Mutex::new(None),
+            linter: OnceLock::new(),
+        }
     }
 
-    /// `true` if a sink is installed or the linter is on. Check this before
-    /// building an event.
+    /// `true` if a sink is installed or the linter is on.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -525,90 +556,98 @@ impl Tracer {
         self.sink.lock().take()
     }
 
-    /// Emits one event if tracing is enabled. `event` is only evaluated
-    /// then, so callers can defer construction:
+    /// Raises one protocol fact: counts it in its node's row and, if
+    /// tracing is enabled, records it stamped with `now()` and the current
+    /// thread. The only writer of the event counters, so counters and trace
+    /// cannot disagree; `now` is only evaluated when something will see the
+    /// record:
     ///
     /// ```
+    /// use std::sync::Arc;
     /// use amber_engine::trace::{MemorySink, ProtocolEvent, Tracer};
-    /// use amber_engine::{NodeId, SimTime};
+    /// use amber_engine::{NetStats, NodeId, SimTime};
     ///
-    /// let tracer = Tracer::new();
-    /// // Disabled: the closure never runs.
-    /// tracer.emit(SimTime::ZERO, None, || unreachable!());
-    /// let sink = MemorySink::new();
-    /// tracer.install(sink.clone());
-    /// tracer.emit(SimTime::from_us(3), None, || ProtocolEvent::MessageSend {
+    /// let stats = Arc::new(NetStats::new(2));
+    /// let tracer = Tracer::new(Arc::clone(&stats));
+    /// let send = || ProtocolEvent::MessageSend {
     ///     from: NodeId(0),
     ///     to: NodeId(1),
     ///     bytes: 64,
-    /// });
-    /// assert_eq!(sink.len(), 1);
+    /// };
+    /// // Disabled: counted, and the clock is never read.
+    /// tracer.emit(|| unreachable!(), send());
+    /// let sink = MemorySink::new();
+    /// tracer.install(sink.clone());
+    /// tracer.emit(|| SimTime::from_us(3), send());
+    /// assert_eq!((stats.total_msgs(), sink.len()), (2, 1));
     /// ```
     #[inline]
-    pub fn emit(
-        &self,
-        at: SimTime,
-        thread: Option<ThreadId>,
-        event: impl FnOnce() -> ProtocolEvent,
-    ) {
-        if !self.is_enabled() {
-            return;
+    pub fn emit(&self, now: impl FnOnce() -> SimTime, event: ProtocolEvent) {
+        self.stats.count(&event);
+        if self.is_enabled() {
+            self.record(now(), event);
         }
-        let event = event();
+    }
+
+    fn record(&self, at: SimTime, event: ProtocolEvent) {
         if let Some(linter) = self.linter.get() {
             linter.observe(&event);
         }
         let sink = self.sink.lock().clone();
         if let Some(sink) = sink {
-            sink.record(TraceRecord { at, thread, event });
+            sink.record(TraceRecord {
+                at,
+                thread: current_thread(),
+                event,
+            });
         }
     }
 }
 
+/// The Chrome-trace `tid` of records raised in kernel context (message
+/// handlers, retransmission timers): a track of their own on each node,
+/// clear of every Amber thread's.
+const KERNEL_TID: u64 = i32::MAX as u64;
+
 /// Renders records as Chrome-trace / Perfetto JSON (JSON-object format with
 /// a `traceEvents` array of instant events; `pid` is the node, `tid` the
-/// Amber thread).
+/// Amber thread, or a track named `kernel` for records with no thread).
 ///
 /// The output loads directly in `ui.perfetto.dev` or `chrome://tracing`.
 pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     use std::fmt::Write;
     let mut out = String::with_capacity(64 + records.len() * 96);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut nodes_seen: Vec<NodeId> = Vec::new();
-    let mut first = true;
+    // Node index -> whether it needs a kernel track.
+    let mut nodes: BTreeMap<usize, bool> = BTreeMap::new();
     for rec in records {
-        let node = rec.event.node();
-        if !nodes_seen.contains(&node) {
-            nodes_seen.push(node);
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
+        let node = rec.event.node().index();
+        *nodes.entry(node).or_default() |= rec.thread.is_none();
         let ts_us = rec.at.as_ns() as f64 / 1_000.0;
-        let tid = rec.thread.map(|t| t.0).unwrap_or(0);
+        let tid = rec.thread.map_or(KERNEL_TID, |t| t.0);
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{ts_us},\"pid\":{},\"tid\":{tid},\"args\":{{",
+            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{ts_us},\"pid\":{node},\"tid\":{tid},\"args\":{{",
             rec.event.name(),
-            node.index(),
         );
         rec.event.push_args(&mut out);
-        out.push_str("}}");
+        out.push_str("}},");
     }
-    // Process-name metadata so viewers label each pid as its node.
-    nodes_seen.sort_by_key(|n| n.index());
-    for node in nodes_seen {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+    // Metadata so viewers label each pid as its node and the kernel track.
+    for (node, kernel) in nodes {
         let _ = write!(
             out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"node{}\"}}}}",
-            node.index(),
-            node.index()
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{node},\"args\":{{\"name\":\"node{node}\"}}}},",
         );
+        if kernel {
+            let _ = write!(
+                out,
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{node},\"tid\":{KERNEL_TID},\"args\":{{\"name\":\"kernel\"}}}},",
+            );
+        }
+    }
+    if out.ends_with(',') {
+        out.pop();
     }
     out.push_str("]}");
     out
@@ -627,26 +666,31 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_skips_event_construction() {
-        let t = Tracer::new();
-        t.emit(SimTime::ZERO, None, || {
-            panic!("event built while tracing is disabled")
-        });
+    fn disabled_tracer_counts_without_reading_the_clock() {
+        let stats = Arc::new(NetStats::new(1));
+        let t = Tracer::new(Arc::clone(&stats));
+        t.emit(
+            || panic!("clock read while tracing is disabled"),
+            ProtocolEvent::RegionLookup { node: NodeId(0) },
+        );
+        assert_eq!(stats.snapshot().region_lookups, 1);
     }
 
     #[test]
     fn install_take_uninstall_roundtrip() {
-        let t = Tracer::new();
+        let t = Tracer::new(Arc::new(NetStats::new(3)));
         let sink = MemorySink::new();
         t.install(sink.clone());
         assert!(t.is_enabled());
-        t.emit(SimTime::from_us(5), Some(ThreadId(3)), || {
+        let _in_thread = crate::engine::CurrentGuard::enter(ThreadId(3));
+        t.emit(
+            || SimTime::from_us(5),
             ProtocolEvent::ForwardHop {
                 obj: 0x42,
                 at: NodeId(0),
                 to: NodeId(2),
-            }
-        });
+            },
+        );
         let events = sink.take();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].at, SimTime::from_us(5));
@@ -658,6 +702,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_shape() {
+        let (n0, n1) = (NodeId(0), NodeId(1));
         let records = vec![
             rec(
                 10,
@@ -677,6 +722,11 @@ mod tests {
                     bytes: 4096,
                 },
             ),
+            // Raised by a retried attempt, from a timer: no Amber thread.
+            TraceRecord {
+                thread: None,
+                ..rec(30, ProtocolEvent::LinkPartitioned { from: n1, to: n0 })
+            },
         ];
         let json = chrome_trace_json(&records);
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
@@ -684,6 +734,11 @@ mod tests {
         assert!(json.contains("\"name\":\"remote_invoke\""), "{json}");
         assert!(json.contains("\"bytes\":4096"), "{json}");
         assert!(json.contains("\"process_name\""), "{json}");
+        // The kernel-context record gets a named track of its own on its
+        // node, not thread 0's; node 0 has none and gets no such track.
+        assert!(json.contains("\"pid\":1,\"tid\":2147483647,"), "{json}");
+        assert!(!json.contains("\"tid\":0"), "{json}");
+        assert_eq!(json.matches("\"thread_name\"").count(), 1, "{json}");
         // Balanced braces/brackets => structurally sound JSON (no serde in
         // the workspace to parse it properly).
         let opens = json.matches('{').count();
@@ -801,6 +856,11 @@ mod tests {
                 1,
             ),
             (
+                E::MessageDuplicated { from: n1, to: n2 },
+                "message_duplicated",
+                1,
+            ),
+            (
                 E::MessageDuplicateSuppressed { from: n1, to: n2 },
                 "message_duplicate_suppressed",
                 2,
@@ -880,9 +940,15 @@ mod tests {
         for (i, (event, name, node)) in kinds.into_iter().enumerate() {
             assert_eq!(event.name(), name);
             assert_eq!(event.node(), NodeId(node), "{name}");
-            records.push(rec(i as u64, event));
+            // The two a timer or a late copy raises, on node 1 and node 2:
+            // kernel context, no thread.
+            let kernel = matches!(name, "message_retransmit" | "message_duplicate_suppressed");
+            records.push(TraceRecord {
+                thread: (!kernel).then_some(ThreadId(1)),
+                ..rec(i as u64, event)
+            });
         }
-        const ARGS: [&str; 26] = [
+        const ARGS: [&str; 27] = [
             r#""obj":64,"node":1"#,
             r#""obj":64,"from":1,"to":2"#,
             r#""from":1,"to":2"#,
@@ -901,6 +967,7 @@ mod tests {
             r#""from":1,"to":2,"attempt":3"#,
             r#""from":1,"to":2"#,
             r#""from":1,"to":2"#,
+            r#""from":1,"to":2"#,
             r#""obj":64,"from":1,"to":2"#,
             r#""obj":64,"from":1,"to":2"#,
             r#""obj":64,"at":1,"reason":"pinned""#,
@@ -912,15 +979,19 @@ mod tests {
         ];
         let mut want = String::from(r#"{"displayTimeUnit":"ms","traceEvents":["#);
         for (i, (r, args)) in records.iter().zip(ARGS).enumerate() {
+            let tid = if r.thread.is_some() { 1 } else { 2147483647 };
             want.push_str(&format!(
-                r#"{{"name":"{}","ph":"i","s":"p","ts":{i},"pid":{},"tid":1,"args":{{{args}}}}},"#,
+                r#"{{"name":"{}","ph":"i","s":"p","ts":{i},"pid":{},"tid":{tid},"args":{{{args}}}}},"#,
                 r.event.name(),
                 r.event.node().index(),
             ));
         }
-        want.push_str(
-            r#"{"name":"process_name","ph":"M","pid":1,"args":{"name":"node1"}},{"name":"process_name","ph":"M","pid":2,"args":{"name":"node2"}}]}"#,
-        );
+        want.push_str(concat!(
+            r#"{"name":"process_name","ph":"M","pid":1,"args":{"name":"node1"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2147483647,"args":{"name":"kernel"}},"#,
+            r#"{"name":"process_name","ph":"M","pid":2,"args":{"name":"node2"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":2,"tid":2147483647,"args":{"name":"kernel"}}]}"#,
+        ));
         assert_eq!(chrome_trace_json(&records), want);
     }
 
@@ -952,36 +1023,22 @@ mod tests {
             "the golden covers every kind"
         );
         let mut fed = Vec::new();
-        let mut uncounted = Vec::new();
         for (event, name, _) in &sample {
-            let mut counts = [0u64; EventKind::COUNT];
-            counts[event.kind() as usize] = 1;
-            let hit: Vec<_> = snapshot_fields(&ProtocolSnapshot::from_counts(&counts))
+            let one = [rec(0, event.clone())];
+            let hit: Vec<_> = snapshot_fields(&ProtocolSnapshot::from_events(&one))
                 .into_iter()
                 .filter(|(_, v)| *v != 0)
                 .collect();
             match hit.as_slice() {
-                [] => uncounted.push(*name),
                 [(field, 1)] => fed.push(field.clone()),
                 other => panic!("{name} feeds {other:?}"),
             }
         }
-        // The engine counts its own messages in `NetStats`.
-        assert_eq!(
-            uncounted,
-            [
-                "message_send",
-                "message_dropped",
-                "message_retransmit",
-                "message_duplicate_suppressed",
-                "link_partitioned"
-            ]
-        );
         let all: Vec<_> = snapshot_fields(&ProtocolSnapshot::default())
             .into_iter()
             .map(|(name, _)| name)
             .collect();
-        assert_eq!(fed, all, "one field per counted kind, in table order");
+        assert_eq!(fed, all, "one field per kind, in table order");
         let ones = ProtocolSnapshot::from_counts(&[1; EventKind::COUNT]);
         assert!(snapshot_fields(&ones).iter().all(|(_, v)| *v == 1));
         assert_eq!(ones.total_invokes(), 2);

@@ -10,17 +10,17 @@
 //!    attachment-group moves complete with exact results.
 //! 2. **At-most-once delivery** — every injected duplicate is suppressed by
 //!    the receiver's dedup window (`dups_suppressed == dups_injected`).
-//! 3. **Exact accounting** — a trace captured over the whole run reconciles
-//!    counter-for-counter against `protocol_stats()` (no event was lost by
-//!    a sink: one `emit` feeds counter and trace) and against `NetStats`,
-//!    the engine's independent book, via [`TraceSummary::from_events`],
-//!    fault events included.
+//! 3. **Nothing lost on the way to the sink** — a trace captured over the
+//!    whole run folds ([`ProtocolSnapshot::from_events`]) to exactly
+//!    `protocol_stats()`, fault events included: one `emit` feeds counter
+//!    and trace.
 //!
 //! The simulated engine keeps the chaos deterministic: the fault seed comes
 //! from `AMBER_FAULT_SEED` (decimal) so CI can sweep seeds, and a given seed
 //! always replays the same drops, duplicates and retransmissions.
 
-use amber_core::{Cluster, EngineChoice, FaultPlan, NodeId, SimTime, TraceSummary};
+use amber_core::{Cluster, EngineChoice, FaultPlan, NodeId, ProtocolSnapshot, SimTime};
+use amber_engine::LatencyModel;
 use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
 
 fn fault_seed() -> u64 {
@@ -32,9 +32,8 @@ fn fault_seed() -> u64 {
 
 /// Every chaos test runs twice: with no placement policy, and with an
 /// eager traffic advisor layered over the same fault plan, so advisory
-/// moves race the drops, duplicates and the partition. The
-/// exact-accounting assertions in [`reconcile`] are the same for both:
-/// the advisor must stay behaviorally invisible.
+/// moves race the drops, duplicates and the partition. The assertions
+/// are the same for both: the advisor must stay behaviorally invisible.
 const ADVISOR: [bool; 2] = [false, true];
 
 /// 5% drops, 2% duplicates, and a 0<->1 partition that heals at 25ms.
@@ -68,37 +67,32 @@ fn lossy_cluster(nodes: usize, procs: usize, advisor: bool) -> Cluster {
     b.build()
 }
 
-/// Reconciles the captured trace against the live counters, exactly.
-fn reconcile(c: &Cluster, sink: &std::sync::Arc<amber_core::MemorySink>) {
-    let summary = TraceSummary::from_events(&sink.take());
-    let net = c.net_stats();
+/// Every injected duplicate was suppressed (at-most-once delivery), and
+/// the captured trace folds to the live counters, in total and node by node
+/// (a node's row holds the events it is the principal of: the messages it
+/// sent, the duplicates it suppressed): the sink lost nothing.
+fn assert_ledger_balances(c: &Cluster, sink: &amber_core::MemorySink) {
+    let (p, events) = (c.protocol_stats(), sink.take());
     assert_eq!(
-        summary.snapshot,
-        c.protocol_stats(),
+        p.dups_suppressed, p.dups_injected,
+        "a duplicated delivery ran a handler twice (or was never suppressed)"
+    );
+    assert_eq!(
+        ProtocolSnapshot::from_events(&events),
+        p,
         "a sink lost or doubled protocol events"
     );
-    assert_eq!(summary.messages, net.total_msgs(), "message events drifted");
-    assert_eq!(
-        summary.message_bytes,
-        net.total_bytes(),
-        "byte accounting drifted"
-    );
-    assert_eq!(summary.dropped, net.total_drops(), "drop events drifted");
-    assert_eq!(
-        summary.retransmits,
-        net.total_retransmits(),
-        "retransmit events drifted"
-    );
-    assert_eq!(
-        summary.duplicates_suppressed,
-        net.total_dups_suppressed(),
-        "dedup events drifted"
-    );
-    assert_eq!(
-        summary.partition_drops,
-        net.total_partition_drops(),
-        "partition events drifted"
-    );
+    let net = c.net_stats();
+    for i in 0..c.nodes() {
+        let about: Vec<_> = events
+            .iter()
+            .filter(|r| r.event.node().index() == i)
+            .cloned()
+            .collect();
+        let row = net.node(i).events;
+        assert_eq!(ProtocolSnapshot::from_events(&about), row, "node {i}");
+        assert!(row.messages > 0, "node {i} never sent");
+    }
 }
 
 /// An advisor run in which the advisor proposed nothing tests the same
@@ -150,15 +144,10 @@ fn invoke_storm_survives_lossy_links() {
         assert_eq!(total, 400, "lost or repeated invocations under loss");
         assert_advisor_acted(&c, advisor);
 
-        let net = c.net_stats();
-        assert!(net.total_drops() > 0, "chaos plan injected no drops");
-        assert!(net.total_retransmits() > 0, "losses were never repaired");
-        assert_eq!(
-            net.total_dups_suppressed(),
-            net.total_dups_injected(),
-            "a duplicated delivery ran a handler twice (or was never suppressed)"
-        );
-        reconcile(&c, &sink);
+        let p = c.protocol_stats();
+        assert!(p.drops > 0, "chaos plan injected no drops");
+        assert!(p.retransmits > 0, "losses were never repaired");
+        assert_ledger_balances(&c, &sink);
     }
 }
 
@@ -231,13 +220,7 @@ fn rival_group_moves_heal_through_partition() {
         .unwrap();
         assert_advisor_acted(&c, advisor);
 
-        let net = c.net_stats();
-        assert_eq!(
-            net.total_dups_suppressed(),
-            net.total_dups_injected(),
-            "duplicate group-move traffic leaked past the dedup window"
-        );
-        reconcile(&c, &sink);
+        assert_ledger_balances(&c, &sink);
     }
 }
 
@@ -261,14 +244,7 @@ fn chaos_replays_identically_for_a_seed() {
                 ctx.sleep(SimTime::from_ms(200));
             })
             .unwrap();
-            let net = c.net_stats();
-            (
-                net.total_msgs(),
-                net.total_drops(),
-                net.total_retransmits(),
-                net.total_dups_suppressed(),
-                net.total_partition_drops(),
-            )
+            c.protocol_stats()
         };
         let a = observe();
         let b = observe();
@@ -276,7 +252,47 @@ fn chaos_replays_identically_for_a_seed() {
         // The advisor pulls both objects next to the caller within a few
         // ticks, after which its run sends too little to be sure of a drop.
         if !advisor {
-            assert!(a.1 > 0, "seeded plan produced no drops at all");
+            assert!(a.drops > 0, "seeded plan produced no drops at all");
         }
     }
+}
+
+#[test]
+fn engine_facts_are_counted_without_a_sink() {
+    // Real threads, a lossy link and nobody tracing: the message facts are
+    // in `protocol_stats()` all the same, and they are the rows `NetStats`'
+    // totals read.
+    let c = Cluster::builder()
+        .nodes(2)
+        .processors(2)
+        .engine(EngineChoice::Real)
+        .latency(LatencyModel::zero())
+        .deadline(std::time::Duration::from_secs(60))
+        .faults(
+            FaultPlan::seeded(fault_seed())
+                .drop_rate(0.2)
+                .duplicate_rate(0.1),
+        )
+        .build();
+    c.run(|ctx| {
+        let far = ctx.create_on(NodeId(1), 0u64);
+        // Anchored on node 0: every invoke ships the thread out and back.
+        let anchor = ctx.create(0u8);
+        ctx.start(&anchor, move |ctx, _| {
+            for _ in 0..60 {
+                ctx.invoke(&far, |_, n| *n += 1);
+            }
+        })
+        .join(ctx);
+        assert_eq!(ctx.invoke(&far, |_, n| *n), 60);
+    })
+    .unwrap();
+    // Every leg was waited out, so nothing is left to drop or retransmit
+    // (a late duplicate copy may still land: those two are not compared).
+    let (p, net) = (c.protocol_stats(), c.net_stats());
+    assert!(p.messages > 0 && p.drops > 0 && p.retransmits > 0, "{p:?}");
+    assert_eq!(
+        (p.messages, p.drops, p.retransmits),
+        (net.total_msgs(), net.total_drops(), net.total_retransmits())
+    );
 }

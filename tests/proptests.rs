@@ -157,9 +157,9 @@ proptest! {
 
     /// The event trace is a faithful ledger: over an arbitrary mixed
     /// workload, counters recomputed from the captured events alone agree
-    /// with `protocol_stats()` counter for counter (one `emit` feeds both,
-    /// so this guards the sink path losing or doubling an event), and the
-    /// message events agree with the engine's `NetStats`.
+    /// with `protocol_stats()` counter for counter, message events included
+    /// (one `emit` feeds both, so this guards the sink path losing or
+    /// doubling an event).
     #[test]
     fn trace_summary_reconciles_with_counters(
         ops in proptest::collection::vec((0usize..7, 0usize..4, 0u16..4), 1..25)
@@ -209,11 +209,10 @@ proptest! {
             }
         })
         .unwrap();
-        let events = sink.take();
-        let summary = amber_core::TraceSummary::from_events(&events);
-        prop_assert_eq!(summary.snapshot, c.protocol_stats());
-        prop_assert_eq!(summary.messages, c.net_stats().total_msgs());
-        prop_assert_eq!(summary.message_bytes, c.net_stats().total_bytes());
+        prop_assert_eq!(
+            amber_core::ProtocolSnapshot::from_events(&sink.take()),
+            c.protocol_stats()
+        );
     }
 
     /// Attachment groups always co-locate, whatever the build order and
@@ -290,7 +289,7 @@ proptest! {
         seed in 0u64..(1u64 << 32),
         moves in proptest::collection::vec(0u16..3, 1..10),
     ) {
-        use amber_core::{EngineChoice, FaultPlan, ProtocolEvent, ThreadId, TraceSummary};
+        use amber_core::{EngineChoice, FaultPlan, ProtocolEvent, ProtocolSnapshot, ThreadId};
         use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
         use std::collections::HashMap;
 
@@ -370,11 +369,7 @@ proptest! {
                 }
             }
         }
-        let summary = TraceSummary::from_events(&events);
-        let net = c.net_stats();
-        prop_assert_eq!(summary.messages, net.total_msgs());
-        prop_assert_eq!(summary.message_bytes, net.total_bytes());
-        prop_assert_eq!(summary.dropped, net.total_drops());
+        prop_assert_eq!(ProtocolSnapshot::from_events(&events), c.protocol_stats());
     }
 
     /// Replicas are behaviorally invisible: whatever values readers observe
@@ -388,7 +383,7 @@ proptest! {
         payload in 1u64..1_000_000,
         reads in 4u32..24,
     ) {
-        use amber_core::{EngineChoice, FaultPlan, TraceSummary};
+        use amber_core::{EngineChoice, FaultPlan, ProtocolSnapshot};
         use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
 
         // Readers on every non-origin node each read `reads` times and
@@ -437,11 +432,11 @@ proptest! {
                     hs.into_iter().map(|h| h.join(ctx)).collect::<Vec<_>>()
                 })
                 .unwrap();
-            (values, sink.take(), c.protocol_stats(), c.net_stats())
+            (values, sink.take(), c.protocol_stats())
         };
 
-        let (origin_values, _, origin_stats, _) = observe(false);
-        let (replica_values, events, stats, net) = observe(true);
+        let (origin_values, _, origin_stats) = observe(false);
+        let (replica_values, events, stats) = observe(true);
 
         // Same observations, replica-served or not.
         prop_assert_eq!(&replica_values, &origin_values);
@@ -453,11 +448,8 @@ proptest! {
         // advisories.
         prop_assert_eq!(origin_stats.replications, 0);
         prop_assert_eq!(stats.replications, stats.advisory_replications);
-        // The traced messages reconcile with the engine's own count.
-        let summary = TraceSummary::from_events(&events);
-        prop_assert_eq!(summary.messages, net.total_msgs());
-        prop_assert_eq!(summary.message_bytes, net.total_bytes());
-        prop_assert_eq!(summary.dropped, net.total_drops());
+        // The sink lost nothing.
+        prop_assert_eq!(ProtocolSnapshot::from_events(&events), stats);
     }
 }
 
