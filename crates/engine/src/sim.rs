@@ -630,7 +630,7 @@ impl Engine for SimEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineExt;
+    use crate::engine::{current_thread, EngineExt};
     use crate::policy::RoundRobin;
 
     fn sim(nodes: usize, procs: usize) -> Arc<SimEngine> {
@@ -729,19 +729,105 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_is_detected_and_reported() {
-        let e = sim(1, 1);
-        let e2 = Arc::clone(&e);
-        let err = e
-            .run(NodeId(0), move || e2.block_current("never-woken"))
-            .unwrap_err();
-        match err {
-            EngineError::Deadlock { blocked, .. } => {
-                assert_eq!(blocked.len(), 1);
-                assert!(blocked[0].1.contains("never-woken"));
+    fn whoever_gives_the_baton_up_finds_the_end_of_the_run() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Who takes the last step, main's body, and the one thread the
+        // deadlock report names - `None` when the run ends well.
+        type Program = Box<dyn FnOnce(Arc<SimEngine>) + Send>;
+        type Row = (&'static str, Program, Option<(ThreadId, &'static str)>);
+        let delivered = Arc::new(AtomicBool::new(false));
+        let delivered2 = Arc::clone(&delivered);
+        let rows: Vec<Row> = vec![
+            (
+                "a parking thread",
+                Box::new(|e| e.block_current("never-woken")),
+                Some((ThreadId(0), "never-woken (main)")),
+            ),
+            (
+                "an exiting thread",
+                Box::new(|e| {
+                    let e2 = Arc::clone(&e);
+                    e.spawn(
+                        NodeId(0),
+                        "child".into(),
+                        Box::new(move || e2.block_current("orphaned")),
+                    );
+                    // The child parks for good; main comes back and returns.
+                    e.yield_now();
+                }),
+                Some((ThreadId(1), "orphaned (child)")),
+            ),
+            (
+                "the last exit, a delivery still queued",
+                Box::new(move |e| {
+                    let handler = Box::new(move || delivered2.store(true, Ordering::SeqCst));
+                    e.send(NodeId(0), NodeId(1), 0, handler);
+                }),
+                None,
+            ),
+        ];
+        for (who, program, deadlock) in rows {
+            let e = sim(2, 1);
+            let e2 = Arc::clone(&e);
+            match (e.run(NodeId(0), move || program(e2)), deadlock) {
+                (Ok(()), None) => {}
+                (Err(EngineError::Deadlock { blocked, .. }), Some((thread, why))) => {
+                    assert_eq!(blocked, [(thread, why.to_string())], "{who}");
+                }
+                (other, _) => panic!("{who}: {other:?}"),
             }
-            other => panic!("expected deadlock, got {other}"),
         }
+        // `live == 0` ends a run whatever is still queued.
+        assert!(!delivered.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn ten_thousand_handler_issued_sends_run_at_constant_depth() {
+        // A handler that sends itself on 10 000 times, on the 256 KiB stack
+        // of whichever Amber thread is giving the baton up: were any hop
+        // delivered by the hop before it, the chain would nest 10 000 frames
+        // there. Each hop records where its frame sits.
+        const HOPS: usize = 10_000;
+        fn hop(e: Arc<SimEngine>, left: usize, me: ThreadId, frames: Arc<Mutex<Vec<usize>>>) {
+            let marker = 0u8;
+            frames.lock().push(std::ptr::addr_of!(marker) as usize);
+            assert_eq!(current_thread(), None);
+            if left == 0 {
+                e.unblock(me);
+                return;
+            }
+            let next = Arc::clone(&e);
+            e.send(
+                NodeId(0),
+                NodeId(1),
+                0,
+                Box::new(move || hop(next, left - 1, me, frames)),
+            );
+        }
+        let e = sim(2, 1);
+        let e2 = Arc::clone(&e);
+        let frames = Arc::new(Mutex::new(Vec::new()));
+        let frames2 = Arc::clone(&frames);
+        e.run(NodeId(0), move || {
+            let me = must_current_thread();
+            let first = Arc::clone(&e2);
+            e2.send(
+                NodeId(0),
+                NodeId(1),
+                0,
+                Box::new(move || hop(first, HOPS, me, frames2)),
+            );
+            e2.block_current("await-chain");
+        })
+        .unwrap();
+        let frames = frames.lock();
+        assert_eq!(frames.len(), HOPS + 1);
+        let (lo, hi) = (frames.iter().min().unwrap(), frames.iter().max().unwrap());
+        assert!(
+            hi - lo < 4096,
+            "stack grew {} bytes over the chain",
+            hi - lo
+        );
     }
 
     #[test]
@@ -852,6 +938,136 @@ mod tests {
             (t, e.stats().total_msgs(), e.stats().total_dispatches())
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    /// Runs the program `the_dispatch_order_is_pinned` pins on a 2N×2P
+    /// cluster built from `spec` and returns `(now in µs, thread)` for every
+    /// resume from an engine primitive, in the order the resumes happened,
+    /// then the clock the run ended on and the duplicates it suppressed.
+    fn resume_log(spec: ClusterSpec) -> (Vec<(u64, u64)>, u64, u64) {
+        let e = Arc::new(SimEngine::new(spec));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mark = {
+            let (e, log) = (Arc::clone(&e), Arc::clone(&log));
+            move || log.lock().push((e.now().as_us(), must_current_thread().0))
+        };
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let e = e2;
+            e.set_scheduler(NodeId(0), Box::new(RoundRobin::new(SimTime::from_ms(1))));
+            let waiter = {
+                let (e, mark) = (Arc::clone(&e), mark.clone());
+                Arc::clone(&e).spawn(
+                    NodeId(1),
+                    "waiter".into(),
+                    Box::new(move || {
+                        e.block_kernel("await-handler");
+                        mark();
+                        e.work(SimTime::from_us(700));
+                        mark();
+                        e.sleep(SimTime::from_ms(1));
+                        mark();
+                    }),
+                )
+            };
+            {
+                let (e, mark) = (Arc::clone(&e), mark.clone());
+                Arc::clone(&e).spawn(
+                    NodeId(0),
+                    "spinner".into(),
+                    Box::new(move || {
+                        e.work(SimTime::from_us(2500));
+                        mark();
+                        e.yield_now();
+                        mark();
+                        e.work(SimTime::from_us(1500));
+                        mark();
+                        e.sleep(SimTime::from_ms(2));
+                        mark();
+                    }),
+                );
+            }
+            {
+                let (e, mark) = (Arc::clone(&e), mark.clone());
+                Arc::clone(&e).spawn(
+                    NodeId(0),
+                    "sender".into(),
+                    Box::new(move || {
+                        e.work(SimTime::from_ms(3));
+                        mark();
+                        let (e2, mark2) = (Arc::clone(&e), mark.clone());
+                        e.send(
+                            NodeId(0),
+                            NodeId(1),
+                            64,
+                            Box::new(move || {
+                                let (e3, mark3) = (Arc::clone(&e2), mark2.clone());
+                                e2.spawn(
+                                    NodeId(1),
+                                    "fourth".into(),
+                                    Box::new(move || {
+                                        e3.work(SimTime::from_us(500));
+                                        mark3();
+                                        e3.yield_now();
+                                        mark3();
+                                    }),
+                                );
+                                e2.unblock_kernel(waiter);
+                            }),
+                        );
+                        mark();
+                        e.yield_now();
+                        mark();
+                        e.work(SimTime::from_ms(1));
+                        mark();
+                    }),
+                );
+            }
+            e.work(SimTime::from_us(2500));
+            mark();
+            e.sleep(SimTime::from_ms(3));
+            mark();
+            e.yield_now();
+            mark();
+        })
+        .unwrap();
+        let log = log.lock().clone();
+        (log, e.now().as_us(), e.stats().total_dups_suppressed())
+    }
+
+    #[test]
+    fn the_dispatch_order_is_pinned() {
+        // Round-robin on node 0 (three bursts on two processors), FIFO on
+        // node 1, and a handler that spawns a thread and wakes a kernel
+        // waiter. `deterministic_event_ordering` compares a run with itself;
+        // this compares it with the order the engine has always produced.
+        let spec =
+            ClusterSpec::uniform(2, 2).with_latency(LatencyModel::fixed(SimTime::from_ms(1)));
+        let faulty = spec
+            .clone()
+            .with_faults(crate::FaultPlan::seeded(7).duplicate_rate(1.0));
+        // Captured at c654b01, where a thread of its own made every grant.
+        let resumes = vec![
+            (3500, 0),
+            (3500, 2),
+            (3500, 2),
+            (4500, 3),
+            (4500, 3),
+            (4500, 3),
+            (5000, 2),
+            (5500, 1),
+            (5500, 3),
+            (6000, 4),
+            (6000, 4),
+            (6200, 1),
+            (6500, 0),
+            (6500, 0),
+            (7000, 2),
+            (7200, 1),
+        ];
+        assert_eq!(resume_log(spec), (resumes.clone(), 7200, 0));
+        // The duplicate of the one message is suppressed and moves nothing.
+        assert_eq!(resume_log(faulty), (resumes, 7200, 1));
     }
 
     /// One-way reliable send: fires `n` messages and blocks until every
