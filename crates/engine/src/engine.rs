@@ -31,6 +31,9 @@ pub type ThreadBody = Box<dyn FnOnce() + Send + 'static>;
 /// never block or charge work, and [`current_thread`] reads `None` inside
 /// one whichever OS thread runs it.
 ///
+/// Under the simulator that is the OS thread of whichever Amber thread is
+/// giving the baton up when the message falls due; handlers still run one at
+/// a time, and a handler's panic fails the run as that thread's.
 /// Under the real engine that thread may be the *sender's* — a zero-delay
 /// message is delivered before [`Engine::send`] returns — so handlers run
 /// concurrently with one another and with the thread they are about to
@@ -209,7 +212,9 @@ pub trait Engine: Send + Sync {
     fn set_scheduler(&self, node: NodeId, scheduler: Box<dyn Scheduler>);
 
     /// Sends a message of `bytes` payload from `from` to `to`; `handler`
-    /// runs at the destination after the modelled latency.
+    /// runs at the destination after the modelled latency (under the
+    /// simulator inside the dispatch step of whichever Amber thread gives the
+    /// baton up then — possibly the sender itself, at its next block point).
     ///
     /// The handler may have run by the time `send` returns: the real engine
     /// delivers a message with no delay to serve on the sending Amber
@@ -222,9 +227,11 @@ pub trait Engine: Send + Sync {
     /// Schedules `f` to run in kernel context after `delay`: a timer, not a
     /// message — nothing travels, no network statistics are recorded and no
     /// fault plan applies. Under the simulator the handler fires `delay` of
-    /// virtual time from now; under the real engine it is handed to the
-    /// timer thread, whatever the delay and whoever calls. Like message
-    /// handlers, `f` must never block or charge work. Used for periodic runtime duties (the placement tick).
+    /// virtual time from now, where a message handler would (see
+    /// [`KernelFn`]); under the real engine it is handed to the timer
+    /// thread, whatever the delay and whoever calls. Like message handlers,
+    /// `f` must never block or charge work. Used for periodic runtime duties
+    /// (the placement tick).
     fn after(&self, delay: SimTime, f: KernelFn);
 
     /// Voluntarily yields the processor (a timeslice point).

@@ -211,7 +211,10 @@ const SALT_DUP_JITTER: u64 = 5;
 /// What the engines must provide for the fault layer to schedule copies and
 /// timers and to account what happens to them.
 pub(crate) trait Transport: Send + Sync {
-    /// Runs `f` in kernel (handler) context after `delay` of engine time.
+    /// Runs `f` in kernel (handler) context after `delay` of engine time:
+    /// on the timer thread under the real engine, inside the dispatch step
+    /// of whichever Amber thread is giving the baton up under the simulator
+    /// — one handler at a time there, `current_thread() == None` in both.
     fn after(&self, delay: SimTime, f: KernelFn);
     /// The engine clock.
     fn now(&self) -> SimTime;

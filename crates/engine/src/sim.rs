@@ -2,10 +2,13 @@
 //!
 //! [`SimEngine`] runs an Amber program under a *virtual clock*. User code
 //! executes natively (real Rust closures on real OS threads), but exactly one
-//! Amber thread runs at a time: a dispatcher hands a "baton" to one thread,
-//! which executes until its next engine primitive (work, block, send, sleep,
-//! yield), then hands the baton back. Virtual time advances only when the
-//! dispatcher processes events, so:
+//! Amber thread runs at a time: whoever holds the "baton" executes until its
+//! next block point (work, block, yield, sleep, the end of its body) and
+//! there runs the one dispatch step itself (`SimInner::pass_baton`): grant
+//! the next runnable thread, else advance the virtual clock to the earliest
+//! event and handle it, until some thread can run. If that thread is the
+//! caller it carries on; otherwise the caller posts its gate and waits on
+//! its own. Virtual time advances only inside that step, so:
 //!
 //! * computation costs come from explicit [`work`](crate::Engine::work)
 //!   charges (occupying one of the node's P virtual processors, queueing
@@ -18,15 +21,17 @@
 //! host: a "32-processor" run is simulated event by event, with speedup read
 //! off the virtual clock.
 //!
-//! The engine also detects deadlock: if every live thread is blocked and no
-//! event is pending, the run fails with [`EngineError::Deadlock`] naming the
-//! blocked threads and their reasons.
+//! Message handlers run inside the step too, one at a time, on the OS thread
+//! of whichever Amber thread is giving the baton up (in kernel context:
+//! `current_thread()` reads `None`). So does deadlock detection: if every
+//! live thread is blocked and no event is pending, the step fails the run
+//! with [`EngineError::Deadlock`] naming the blocked threads and their reasons.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::engine::{
     must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, Gate,
@@ -52,7 +57,8 @@ enum WakeClass {
 enum RunState {
     /// In the runnable queue, will execute user code at the current instant.
     Ready,
-    /// Executing user code (holds the baton).
+    /// Holds the baton: executing user code, or running the dispatch step
+    /// that will pass it on.
     Active,
     /// Occupying a processor for a charged CPU burst.
     Working,
@@ -111,8 +117,6 @@ struct SimState {
     runnable: VecDeque<ThreadId>,
     threads: HashMap<ThreadId, Tcb>,
     nodes: Vec<NodeSim>,
-    /// The thread currently holding the baton.
-    active: Option<ThreadId>,
     /// Threads spawned and not yet dead.
     live: usize,
     next_tid: u64,
@@ -123,8 +127,6 @@ struct SimState {
 
 struct SimInner {
     state: Mutex<SimState>,
-    /// Signalled whenever the dispatcher may have something to do.
-    dispatch_cv: Condvar,
     /// Signalled when the run completes (success or failure).
     done_cv: Condvar,
     stats: Arc<NetStats>,
@@ -159,14 +161,12 @@ impl SimEngine {
                 runnable: VecDeque::new(),
                 threads: HashMap::new(),
                 nodes,
-                active: None,
                 live: 0,
                 next_tid: 0,
                 started: false,
                 finished: false,
                 error: None,
             }),
-            dispatch_cv: Condvar::new(),
             done_cv: Condvar::new(),
             tracer: Tracer::new(Arc::clone(&stats)),
             stats,
@@ -250,18 +250,6 @@ impl SimState {
 }
 
 impl SimInner {
-    /// Parks the calling user thread: releases the baton and waits for the
-    /// dispatcher's grant.
-    fn park_current(&self, st: &mut parking_lot::MutexGuard<'_, SimState>, gate: &Arc<Gate>) {
-        st.active = None;
-        self.dispatch_cv.notify_one();
-        // Release the state lock before parking; the dispatcher takes over.
-        parking_lot::MutexGuard::unlocked(st, || gate.wait());
-        // On return the dispatcher has made us Active again; `st` is
-        // re-locked but we immediately return to user code, so callers must
-        // drop it promptly.
-    }
-
     fn finish(&self, st: &mut SimState, error: Option<EngineError>) {
         if st.error.is_none() {
             st.error = error;
@@ -270,33 +258,30 @@ impl SimInner {
         self.done_cv.notify_all();
     }
 
-    fn dispatcher_loop(self: &Arc<Self>) {
-        loop {
-            let mut st = self.state.lock();
-            while st.active.is_some() {
-                self.dispatch_cv.wait(&mut st);
-            }
+    /// The one dispatch step, run by whoever gives the baton up, under the
+    /// state lock it already holds: `me` at a block point (its tcb already
+    /// says what it waits for), `None` from a thread that is leaving for
+    /// good or from `run_boxed` handing the baton out for the first time.
+    /// Returns once `me` holds the baton again.
+    ///
+    /// The order of the tests is the schedule, and every pinned result
+    /// depends on it: in particular `live == 0` ends a run with retransmit
+    /// timers and trailing duplicate copies still queued.
+    fn pass_baton(&self, mut st: MutexGuard<'_, SimState>, me: Option<ThreadId>) {
+        let next = loop {
             if st.finished {
-                return;
+                break None;
             }
-            if st.error.is_some() {
+            if st.error.is_some() || st.live == 0 {
                 self.finish(&mut st, None);
-                return;
-            }
-            if st.live == 0 {
-                self.finish(&mut st, None);
-                return;
+                break None;
             }
             // 1. Grant the baton to a thread that is ready *now*.
             if let Some(tid) = st.runnable.pop_front() {
                 let tcb = st.tcb_mut(tid);
                 debug_assert_eq!(tcb.state, RunState::Ready);
                 tcb.state = RunState::Active;
-                let gate = Arc::clone(&tcb.gate);
-                st.active = Some(tid);
-                drop(st);
-                gate.post();
-                continue;
+                break Some(tid);
             }
             // 2. Otherwise advance the virtual clock to the next event.
             if let Some(((at, _), ev)) = st.events.pop_first() {
@@ -326,10 +311,23 @@ impl SimInner {
                         }
                     }
                     Event::Deliver { handler } => {
-                        // Kernel handlers run in dispatcher context without
-                        // the state lock (they call back into the engine).
-                        drop(st);
-                        handler();
+                        // Handlers call back into the engine, so the state
+                        // lock is released around this one; what it sends
+                        // is queued and comes round this loop, never nested.
+                        let outcome = MutexGuard::unlocked(&mut st, || {
+                            let _kernel = CurrentGuard::kernel();
+                            catch_unwind(AssertUnwindSafe(handler))
+                        });
+                        // A step taken on the way out of a thread has no
+                        // body's `catch_unwind` below it: the step catches,
+                        // in the name of the thread that took it.
+                        if let Err(payload) = outcome {
+                            let error = EngineError::Panic {
+                                thread: must_current_thread(),
+                                message: panic_message(&payload),
+                            };
+                            self.finish(&mut st, Some(error));
+                        }
                     }
                 }
                 continue;
@@ -338,7 +336,22 @@ impl SimInner {
             let blocked = st.blocked_report();
             let at = st.clock;
             self.finish(&mut st, Some(EngineError::Deadlock { at, blocked }));
+            break None;
+        };
+        if next.is_some() && next == me {
             return;
+        }
+        let theirs = next.map(|tid| Arc::clone(&st.tcb(tid).gate));
+        let mine = me.map(|tid| Arc::clone(&st.tcb(tid).gate));
+        // Post after unlocking: the thread granted goes straight on.
+        drop(st);
+        if let Some(gate) = theirs {
+            gate.post();
+        }
+        // With the run over nobody posts this gate again: like every other
+        // parked thread, `me` never returns to user code.
+        if let Some(gate) = mine {
+            gate.wait();
         }
     }
 }
@@ -347,14 +360,13 @@ impl Transport for SimInner {
     /// Schedules `f` as a delivery event `delay` past the current virtual
     /// instant. Called with the state lock *not* held (the fault layer is
     /// entered only after `send` releases it); in the simulator the clock
-    /// cannot advance in between, because the caller is either the active
-    /// thread (holding the baton) or a handler running in dispatcher
-    /// context, so fault scheduling stays deterministic.
+    /// cannot advance in between, because the caller is either the thread
+    /// holding the baton or a handler inside that thread's dispatch step,
+    /// so fault scheduling stays deterministic.
     fn after(&self, delay: SimTime, f: KernelFn) {
         let mut st = self.state.lock();
         let at = st.clock + delay;
         st.push_event(at, Event::Deliver { handler: f });
-        self.dispatch_cv.notify_one();
     }
 
     fn now(&self) -> SimTime {
@@ -371,7 +383,7 @@ impl SimEngine {
         amber_verify::engine_block_checkpoint(reason);
         let tid = must_current_thread();
         let mut st = self.inner.state.lock();
-        debug_assert_eq!(st.active, Some(tid), "block from a non-active thread");
+        debug_assert_eq!(st.tcb(tid).state, RunState::Active, "no baton");
         let pending = match class {
             WakeClass::User => &mut st.tcb_mut(tid).pending_user,
             WakeClass::Kernel => &mut st.tcb_mut(tid).pending_kernel,
@@ -386,8 +398,7 @@ impl SimEngine {
             tcb.blocked_class = class;
             tcb.block_reason = reason;
         }
-        let gate = Arc::clone(&st.tcb(tid).gate);
-        self.inner.park_current(&mut st, &gate);
+        self.inner.pass_baton(st, Some(tid));
     }
 
     fn unblock_class(&self, thread: ThreadId, class: WakeClass) {
@@ -399,7 +410,6 @@ impl SimEngine {
             (RunState::Blocked, true) => {
                 st.tcb_mut(thread).state = RunState::Ready;
                 st.runnable.push_back(thread);
-                self.inner.dispatch_cv.notify_one();
             }
             _ => match class {
                 WakeClass::User => st.tcb_mut(thread).pending_user += 1,
@@ -448,7 +458,6 @@ impl Engine for SimEngine {
                 },
             );
             st.runnable.push_back(tid);
-            self.inner.dispatch_cv.notify_one();
         }
         std::thread::Builder::new()
             .name(name)
@@ -469,8 +478,7 @@ impl Engine for SimEngine {
                 }
                 st.tcb_mut(tid).state = RunState::Dead;
                 st.live -= 1;
-                st.active = None;
-                inner.dispatch_cv.notify_one();
+                inner.pass_baton(st, None);
             })
             .expect("failed to spawn OS thread for Amber thread");
         tid
@@ -483,7 +491,7 @@ impl Engine for SimEngine {
         amber_verify::engine_block_checkpoint("work");
         let tid = must_current_thread();
         let mut st = self.inner.state.lock();
-        debug_assert_eq!(st.active, Some(tid), "work() from a non-active thread");
+        debug_assert_eq!(st.tcb(tid).state, RunState::Active, "no baton");
         let node_ix = st.tcb(tid).node.index();
         st.tcb_mut(tid).remaining = cost;
         if st.nodes[node_ix].busy < st.nodes[node_ix].processors {
@@ -494,8 +502,7 @@ impl Engine for SimEngine {
             st.tcb_mut(tid).state = RunState::QueuedCpu;
             st.nodes[node_ix].sched.enqueue(tid, prio);
         }
-        let gate = Arc::clone(&st.tcb(tid).gate);
-        self.inner.park_current(&mut st, &gate);
+        self.inner.pass_baton(st, Some(tid));
     }
 
     fn block_current(&self, reason: &'static str) {
@@ -559,7 +566,6 @@ impl Engine for SimEngine {
         let delay = self.inner.latency.latency(bytes);
         let at = st.clock + delay;
         st.push_event(at, Event::Deliver { handler });
-        self.inner.dispatch_cv.notify_one();
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
@@ -572,8 +578,7 @@ impl Engine for SimEngine {
         let mut st = self.inner.state.lock();
         st.tcb_mut(tid).state = RunState::Ready;
         st.runnable.push_back(tid);
-        let gate = Arc::clone(&st.tcb(tid).gate);
-        self.inner.park_current(&mut st, &gate);
+        self.inner.pass_baton(st, Some(tid));
     }
 
     fn sleep(&self, duration: SimTime) {
@@ -586,8 +591,7 @@ impl Engine for SimEngine {
         st.tcb_mut(tid).state = RunState::Sleeping;
         let at = st.clock + duration;
         st.push_event(at, Event::Wake(tid));
-        let gate = Arc::clone(&st.tcb(tid).gate);
-        self.inner.park_current(&mut st, &gate);
+        self.inner.pass_baton(st, Some(tid));
     }
 
     fn stats(&self) -> &Arc<NetStats> {
@@ -604,26 +608,18 @@ impl Engine for SimEngine {
             assert!(!st.started, "SimEngine::run_boxed may only be called once");
             st.started = true;
         }
-        // Spawn the main thread before the dispatcher so the dispatcher can
-        // never observe `live == 0` before the program begins.
+        // With `main` spawned the first step finds a runnable thread, never
+        // `live == 0`; from here the threads pass the baton among themselves.
         self.spawn(node, "main".to_string(), body);
-        let inner = Arc::clone(&self.inner);
-        let dispatcher = std::thread::Builder::new()
-            .name("amber-dispatcher".to_string())
-            .spawn(move || inner.dispatcher_loop())
-            .expect("failed to spawn dispatcher");
-        let result = {
-            let mut st = self.inner.state.lock();
-            while !st.finished {
-                self.inner.done_cv.wait(&mut st);
-            }
-            match st.error.clone() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        };
-        let _ = dispatcher.join();
-        result
+        self.inner.pass_baton(self.inner.state.lock(), None);
+        let mut st = self.inner.state.lock();
+        while !st.finished {
+            self.inner.done_cv.wait(&mut st);
+        }
+        match st.error.clone() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 }
 
@@ -841,6 +837,51 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_handler_fails_the_run_in_the_name_of_whoever_ran_it() {
+        type Program = fn(Arc<SimEngine>);
+        fn send_boom(e: &SimEngine) {
+            e.send(NodeId(0), NodeId(1), 0, Box::new(|| panic!("handler boom")));
+        }
+        // Whose step runs the handler, main's body, that thread.
+        let rows: [(&str, Program, ThreadId); 2] = [
+            (
+                "a parked thread",
+                |e| {
+                    send_boom(&e);
+                    e.block_current("parked");
+                },
+                ThreadId(0),
+            ),
+            (
+                "an exiting thread",
+                |e| {
+                    let e2 = Arc::clone(&e);
+                    e.spawn(NodeId(0), "child".into(), Box::new(move || send_boom(&e2)));
+                    e.block_current("parked");
+                },
+                ThreadId(1),
+            ),
+        ];
+        for (who, program, stepper) in rows {
+            // A run nobody ends would hang the suite: the deadline is this
+            // test's own.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let e = sim(2, 1);
+                let e2 = Arc::clone(&e);
+                let _ = tx.send(e.run(NodeId(0), move || program(e2)));
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+                Ok(Err(EngineError::Panic { thread, message })) => {
+                    assert_eq!(thread, stepper, "{who}");
+                    assert!(message.contains("handler boom"), "{who}: {message}");
+                }
+                other => panic!("{who}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn unblock_before_block_is_not_lost() {
         let e = sim(1, 2);
         let e2 = Arc::clone(&e);
@@ -945,6 +986,14 @@ mod tests {
     /// resume from an engine primitive, in the order the resumes happened,
     /// then the clock the run ended on and the duplicates it suppressed.
     fn resume_log(spec: ClusterSpec) -> (Vec<(u64, u64)>, u64, u64) {
+        fn spawn<M, F>(e: &Arc<SimEngine>, mark: &M, node: u16, name: &str, body: F) -> ThreadId
+        where
+            M: Fn() + Clone + Send + 'static,
+            F: FnOnce(Arc<SimEngine>, M) + Send + 'static,
+        {
+            let (e2, mark) = (Arc::clone(e), mark.clone());
+            e.spawn(NodeId(node), name.into(), Box::new(move || body(e2, mark)))
+        }
         let e = Arc::new(SimEngine::new(spec));
         let log = Arc::new(Mutex::new(Vec::new()));
         let mark = {
@@ -955,74 +1004,44 @@ mod tests {
         e.run(NodeId(0), move || {
             let e = e2;
             e.set_scheduler(NodeId(0), Box::new(RoundRobin::new(SimTime::from_ms(1))));
-            let waiter = {
-                let (e, mark) = (Arc::clone(&e), mark.clone());
-                Arc::clone(&e).spawn(
-                    NodeId(1),
-                    "waiter".into(),
-                    Box::new(move || {
-                        e.block_kernel("await-handler");
-                        mark();
-                        e.work(SimTime::from_us(700));
-                        mark();
-                        e.sleep(SimTime::from_ms(1));
-                        mark();
-                    }),
-                )
-            };
-            {
-                let (e, mark) = (Arc::clone(&e), mark.clone());
-                Arc::clone(&e).spawn(
-                    NodeId(0),
-                    "spinner".into(),
-                    Box::new(move || {
-                        e.work(SimTime::from_us(2500));
-                        mark();
-                        e.yield_now();
-                        mark();
-                        e.work(SimTime::from_us(1500));
-                        mark();
-                        e.sleep(SimTime::from_ms(2));
-                        mark();
-                    }),
-                );
-            }
-            {
-                let (e, mark) = (Arc::clone(&e), mark.clone());
-                Arc::clone(&e).spawn(
-                    NodeId(0),
-                    "sender".into(),
-                    Box::new(move || {
-                        e.work(SimTime::from_ms(3));
-                        mark();
-                        let (e2, mark2) = (Arc::clone(&e), mark.clone());
-                        e.send(
-                            NodeId(0),
-                            NodeId(1),
-                            64,
-                            Box::new(move || {
-                                let (e3, mark3) = (Arc::clone(&e2), mark2.clone());
-                                e2.spawn(
-                                    NodeId(1),
-                                    "fourth".into(),
-                                    Box::new(move || {
-                                        e3.work(SimTime::from_us(500));
-                                        mark3();
-                                        e3.yield_now();
-                                        mark3();
-                                    }),
-                                );
-                                e2.unblock_kernel(waiter);
-                            }),
-                        );
+            let waiter = spawn(&e, &mark, 1, "waiter", |e, mark| {
+                e.block_kernel("await-handler");
+                mark();
+                e.work(SimTime::from_us(700));
+                mark();
+                e.sleep(SimTime::from_ms(1));
+                mark();
+            });
+            spawn(&e, &mark, 0, "spinner", |e, mark| {
+                e.work(SimTime::from_us(2500));
+                mark();
+                e.yield_now();
+                mark();
+                e.work(SimTime::from_us(1500));
+                mark();
+                e.sleep(SimTime::from_ms(2));
+                mark();
+            });
+            spawn(&e, &mark, 0, "sender", move |e, mark| {
+                e.work(SimTime::from_ms(3));
+                mark();
+                let (e2, mark2) = (Arc::clone(&e), mark.clone());
+                let handler = Box::new(move || {
+                    spawn(&e2, &mark2, 1, "fourth", |e, mark| {
+                        e.work(SimTime::from_us(500));
                         mark();
                         e.yield_now();
                         mark();
-                        e.work(SimTime::from_ms(1));
-                        mark();
-                    }),
-                );
-            }
+                    });
+                    e2.unblock_kernel(waiter);
+                });
+                e.send(NodeId(0), NodeId(1), 64, handler);
+                mark();
+                e.yield_now();
+                mark();
+                e.work(SimTime::from_ms(1));
+                mark();
+            });
             e.work(SimTime::from_us(2500));
             mark();
             e.sleep(SimTime::from_ms(3));
