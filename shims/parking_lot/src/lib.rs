@@ -3,8 +3,15 @@
 //! `MutexGuard::unlocked`), `Condvar` (plain, timed and deadline waits) and
 //! `RwLock`. Lock poisoning is deliberately swallowed — like the real
 //! `parking_lot`, a panic while holding a lock does not poison it.
+//!
+//! A wake costs one host hand-off or nothing. [`Condvar`] counts the
+//! threads inside its waits, so a wake nobody waits for is a load:
+//! `notify_one`/`notify_all` return without a system call when the count
+//! is zero, as the real crate's do. A caller that records what the wake is
+//! for under the mutex and issues the wake *after* dropping the guard
+//! therefore loses no waiter, and the woken thread finds the lock free.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A mutual-exclusion primitive (std-backed, non-poisoning).
@@ -109,6 +116,13 @@ impl WaitTimeoutResult {
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads inside a wait: raised by the waiter while it still holds the
+    /// guard, lowered once it holds it again. `Relaxed` throughout — the
+    /// mutex is the ordering: a notifier that took the lock after a waiter
+    /// released it (the only one that waiter depends on) acquired what the
+    /// waiter's unlock released, the raise included, and a notifier that
+    /// took it before is seen by the waiter's own check of its condition.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -116,13 +130,16 @@ impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Atomically releases the lock and waits for a notification.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.guard.take().expect("guard is locked");
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         let g = self.inner.wait(g).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.guard = Some(g);
     }
 
@@ -133,10 +150,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let g = guard.guard.take().expect("guard is locked");
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         let (g, r) = self
             .inner
             .wait_timeout(g, timeout)
             .unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.guard = Some(g);
         WaitTimeoutResult(r.timed_out())
     }
@@ -155,14 +174,24 @@ impl Condvar {
         self.wait_for(guard, timeout)
     }
 
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
+    /// Wakes one waiter; `false`, and no system call, when no thread is
+    /// inside a wait.
+    pub fn notify_one(&self) -> bool {
+        let parked = self.waiters.load(Ordering::Relaxed) > 0;
+        if parked {
+            self.inner.notify_one();
+        }
+        parked
     }
 
-    /// Wakes every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
+    /// Wakes every waiter and returns how many were inside a wait; `0`,
+    /// and no system call, when none was.
+    pub fn notify_all(&self) -> usize {
+        let parked = self.waiters.load(Ordering::Relaxed);
+        if parked > 0 {
+            self.inner.notify_all();
+        }
+        parked
     }
 }
 
@@ -260,8 +289,6 @@ fn _assert_send_sync() {
     check::<Mutex<u32>>();
     check::<RwLock<u32>>();
     check::<Condvar>();
-    check::<AtomicBool>();
-    let _ = Ordering::Relaxed;
 }
 
 #[cfg(test)]
@@ -314,6 +341,105 @@ mod tests {
         let mut g = m.lock();
         let r = cv.wait_for(&mut g, Duration::from_millis(5));
         assert!(r.timed_out());
+    }
+
+    #[test]
+    fn a_notify_nobody_waits_for_reports_nobody() {
+        let cv = Condvar::new();
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
+    }
+
+    /// Runs `notify` with one thread inside `wait` and returns what it
+    /// reported. The waiter raises `parked` under the mutex it then waits
+    /// on, so whoever reads it `true` under that mutex holds a lock the
+    /// waiter can only have given up inside `wait`, past the count, and
+    /// cannot leave `wait` without.
+    fn notify_one_parked_thread<R>(notify: impl FnOnce(&Condvar) -> R) -> R {
+        // (parked, released)
+        let pair = Arc::new((Mutex::new((false, false)), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let waiter = std::thread::spawn(move || {
+            let (m, cv) = &*p2;
+            let mut st = m.lock();
+            st.0 = true;
+            while !st.1 {
+                cv.wait(&mut st);
+            }
+        });
+        let (m, cv) = &*pair;
+        let reported = loop {
+            let mut st = m.lock();
+            if st.0 {
+                st.1 = true;
+                break notify(cv);
+            }
+            drop(st);
+            std::thread::yield_now();
+        };
+        waiter.join().unwrap();
+        reported
+    }
+
+    #[test]
+    fn a_notify_reports_the_thread_inside_wait() {
+        assert!(notify_one_parked_thread(Condvar::notify_one));
+        assert_eq!(notify_one_parked_thread(Condvar::notify_all), 1);
+    }
+
+    #[test]
+    fn a_timed_out_wait_leaves_no_waiter_behind() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+        assert!(cv.wait_until(&mut g, Instant::now()).timed_out());
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
+    }
+
+    #[test]
+    fn a_notify_after_the_unlock_never_loses_a_waiter() {
+        // Two mailboxes, a ball sent back and forth: each side pushes under
+        // the mailbox's mutex and notifies once the guard is gone, which is
+        // the window a wake skipped for "nobody parked" would fall into. A
+        // lost wake shows as a wait that runs into the deadline.
+        const ROUNDS: u64 = 100_000;
+        type Mailbox = (Mutex<Option<u64>>, Condvar);
+        fn put(mailbox: &Mailbox, ball: u64) {
+            *mailbox.0.lock() = Some(ball);
+            mailbox.1.notify_one();
+        }
+        fn take(mailbox: &Mailbox, deadline: Instant) -> u64 {
+            let (m, cv) = mailbox;
+            let mut slot = m.lock();
+            loop {
+                if let Some(ball) = slot.take() {
+                    return ball;
+                }
+                let left = deadline.saturating_duration_since(Instant::now());
+                assert!(
+                    !cv.wait_for(&mut slot, left).timed_out() || slot.is_some(),
+                    "a waiter was never woken"
+                );
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let there: Arc<Mailbox> = Arc::new((Mutex::new(None), Condvar::new()));
+        let back: Arc<Mailbox> = Arc::new((Mutex::new(None), Condvar::new()));
+        let (there2, back2) = (Arc::clone(&there), Arc::clone(&back));
+        let echo = std::thread::spawn(move || {
+            for _ in 0..ROUNDS {
+                let ball = take(&there2, deadline);
+                put(&back2, ball);
+            }
+        });
+        for ball in 0..ROUNDS {
+            put(&there, ball);
+            assert_eq!(take(&back, deadline), ball);
+        }
+        echo.join().unwrap();
+        assert!(!there.1.notify_one() && !back.1.notify_one());
     }
 
     #[test]
