@@ -348,7 +348,10 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 /// A binary-semaphore-style gate a parked thread waits on.
 ///
 /// Permits posted before the wait are consumed by it, so wake-ups never
-/// race with blocks.
+/// race with blocks. Two rules make a wake cost one host hand-off or
+/// nothing: the permit is recorded under the lock and the wake is issued
+/// after it, so the woken thread finds the lock free; and a wake nobody
+/// waits for is a load (the `Condvar` counts its waiters).
 pub(crate) struct Gate {
     state: Mutex<u32>,
     cv: Condvar,
@@ -373,8 +376,8 @@ impl Gate {
 
     /// Posts one permit, waking a waiter if present.
     pub(crate) fn post(&self) {
-        let mut permits = self.state.lock();
-        *permits += 1;
+        *self.state.lock() += 1;
+        // The guard is gone: the woken thread finds the lock free.
         self.cv.notify_one();
     }
 }
@@ -411,6 +414,63 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         g.post();
         h.join().unwrap();
+    }
+
+    /// Runs `f` on a thread of its own and fails, rather than hangs, when
+    /// a lost wake leaves it parked past `secs`.
+    fn within<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+            .expect("a gate lost a wake (or a thread under test panicked)")
+    }
+
+    #[test]
+    fn gates_hand_a_turn_back_and_forth() {
+        // Every post lands on a gate whose waiter is parked, about to park
+        // or just woken: the three states a wake issued after the unlock
+        // can meet.
+        const ROUND_TRIPS: u32 = 200_000;
+        let turns = within(60, || {
+            let (ping, pong) = (Gate::new(), Gate::new());
+            let (ping2, pong2) = (Arc::clone(&ping), Arc::clone(&pong));
+            let peer = std::thread::spawn(move || {
+                for _ in 0..ROUND_TRIPS {
+                    ping2.wait();
+                    pong2.post();
+                }
+            });
+            for _ in 0..ROUND_TRIPS {
+                ping.post();
+                pong.wait();
+            }
+            peer.join().unwrap();
+            let left = (*ping.state.lock(), *pong.state.lock());
+            left
+        });
+        assert_eq!(turns, (0, 0), "permits left over");
+    }
+
+    #[test]
+    fn racing_posters_lose_no_permit() {
+        const POSTERS: u32 = 4;
+        const POSTS: u32 = 50_000;
+        let left = within(60, || {
+            let g = Gate::new();
+            let posters: Vec<_> = (0..POSTERS)
+                .map(|_| {
+                    let g = Arc::clone(&g);
+                    std::thread::spawn(move || (0..POSTS).for_each(|_| g.post()))
+                })
+                .collect();
+            for _ in 0..POSTERS * POSTS {
+                g.wait();
+            }
+            posters.into_iter().for_each(|p| p.join().unwrap());
+            let left = *g.state.lock();
+            left
+        });
+        assert_eq!(left, 0, "more permits than posts");
     }
 
     #[test]

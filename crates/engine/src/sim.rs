@@ -1244,6 +1244,99 @@ mod tests {
         assert_eq!(e.stats().total_retransmits(), 3);
     }
 
+    /// Nanoseconds a hand-off over `round_trips` turns between two
+    /// simulated threads: the `unblock`/`block_current` pair of the
+    /// benchmark's `engine.sim.handoff` probe, two baton passes a turn.
+    fn baton_pass_ns(round_trips: u32) -> f64 {
+        let e = sim(1, 1);
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let me = must_current_thread();
+            let e3 = Arc::clone(&e2);
+            let peer = e2.spawn(
+                NodeId(0),
+                "peer".into(),
+                Box::new(move || {
+                    for _ in 0..round_trips {
+                        e3.block_current("await-main");
+                        e3.unblock(me);
+                    }
+                }),
+            );
+            let t0 = std::time::Instant::now();
+            for _ in 0..round_trips {
+                e2.unblock(peer);
+                e2.block_current("await-peer");
+            }
+            t0.elapsed().as_nanos() as f64 / (2.0 * f64::from(round_trips))
+        })
+        .unwrap()
+    }
+
+    /// The same turns over what the host sells: two `std` `Mutex` +
+    /// `Condvar` permit counters, the permit recorded under the lock and
+    /// the wake issued after it.
+    fn host_wake_ns(round_trips: u32) -> f64 {
+        type Permits = (std::sync::Mutex<u32>, std::sync::Condvar);
+        fn post(gate: &Permits) {
+            *gate.0.lock().unwrap() += 1;
+            gate.1.notify_one();
+        }
+        fn wait(gate: &Permits) {
+            let mut permits = gate.0.lock().unwrap();
+            while *permits == 0 {
+                permits = gate.1.wait(permits).unwrap();
+            }
+            *permits -= 1;
+        }
+        let ping: Arc<Permits> = Arc::default();
+        let pong: Arc<Permits> = Arc::default();
+        let (ping2, pong2) = (Arc::clone(&ping), Arc::clone(&pong));
+        let peer = std::thread::spawn(move || {
+            for _ in 0..round_trips {
+                wait(&ping2);
+                post(&pong2);
+            }
+        });
+        let t0 = std::time::Instant::now();
+        for _ in 0..round_trips {
+            post(&ping);
+            wait(&pong);
+        }
+        let ns = t0.elapsed().as_nanos() as f64 / (2.0 * f64::from(round_trips));
+        peer.join().unwrap();
+        ns
+    }
+
+    #[test]
+    #[ignore = "looks at time: cargo test --release -p amber-engine -- --ignored"]
+    fn a_baton_pass_costs_what_the_host_charges_for_a_wake() {
+        // A ratio of two medians taken in alternating batches in one
+        // process, so host speed and drift cancel. A wake issued under the
+        // lock its wakee must take reads ~4.5x here (the wakee runs, meets
+        // the held lock and sleeps a second time); issued after it, ~1.0x.
+        const BATCHES: usize = 21;
+        const ROUND_TRIPS: u32 = 5_000;
+        let (mut ours, mut floor) = (Vec::new(), Vec::new());
+        for _ in 0..BATCHES {
+            ours.push(baton_pass_ns(ROUND_TRIPS));
+            floor.push(host_wake_ns(ROUND_TRIPS));
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let (ours, floor) = (median(&mut ours), median(&mut floor));
+        println!(
+            "baton pass {ours:.0} ns, host wake {floor:.0} ns: {:.2}x",
+            ours / floor
+        );
+        assert!(
+            ours <= 2.5 * floor,
+            "a baton pass costs {ours:.0} ns against {floor:.0} ns for the host's own wake"
+        );
+    }
+
     #[test]
     fn kernel_handler_can_spawn() {
         let e = sim(2, 1);
