@@ -349,9 +349,9 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 ///
 /// Permits posted before the wait are consumed by it, so wake-ups never
 /// race with blocks. Two rules make a wake cost one host hand-off or
-/// nothing: the permit is recorded under the lock and the wake is issued
-/// after it, so the woken thread finds the lock free; and a wake nobody
-/// waits for is a load (the `Condvar` counts its waiters).
+/// nothing. The permit is recorded under the lock, the wake is issued
+/// after it: the woken thread finds the lock free. A wake nobody waits for
+/// is a load: the `Condvar` counts the threads inside its waits.
 pub(crate) struct Gate {
     state: Mutex<u32>,
     cv: Condvar,

@@ -4,12 +4,14 @@
 //! `RwLock`. Lock poisoning is deliberately swallowed — like the real
 //! `parking_lot`, a panic while holding a lock does not poison it.
 //!
-//! A wake costs one host hand-off or nothing. [`Condvar`] counts the
-//! threads inside its waits, so a wake nobody waits for is a load:
-//! `notify_one`/`notify_all` return without a system call when the count
-//! is zero, as the real crate's do. A caller that records what the wake is
-//! for under the mutex and issues the wake *after* dropping the guard
-//! therefore loses no waiter, and the woken thread finds the lock free.
+//! Two rules make a wake cost one host hand-off or nothing. The permit is
+//! recorded under the lock, the wake is issued after it: that is the
+//! caller's half — record what the wake is for under the mutex, notify once
+//! the guard is dropped — and the woken thread then finds the lock free. A
+//! wake nobody waits for is a load: [`Condvar`] counts the threads inside
+//! its waits and `notify_one`/`notify_all` return without a system call at
+//! zero, as the real crate's do; the count is raised under the guard the
+//! waiter holds, so a notify that follows the unlock loses no waiter.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
