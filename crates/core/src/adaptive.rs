@@ -42,6 +42,11 @@ use parking_lot::Mutex;
 
 use crate::kernel::Kernel;
 
+/// Consecutive placement ticks a replica may go without serving a single
+/// local call before the daemon ages it out: the holder's descriptor flips
+/// back to a one-hop forward, freeing replica-cap budget for warmer readers.
+pub(crate) const REPLICA_IDLE_TICKS: u32 = 8;
+
 /// One object's (or attachment group's) traffic over the last placement
 /// tick, as handed to the policy.
 #[derive(Clone, Debug)]
@@ -97,15 +102,6 @@ pub trait PlacementPolicy: Send {
     /// input for deterministic policies); each sample's `calls_by_node` has
     /// one slot per cluster node.
     fn decide(&mut self, samples: &[PlacementSample]) -> Vec<PlacementDecision>;
-
-    /// Consecutive placement ticks a replica may go without serving a
-    /// single local call before the daemon ages it out (the holder's
-    /// descriptor flips back to a one-hop forward, freeing replica-cap
-    /// budget for warmer readers). `None` disables eviction. The default
-    /// keeps replicas for 8 quiet ticks.
-    fn replica_idle_evict_after(&self) -> Option<u32> {
-        Some(8)
-    }
 }
 
 /// One per-node activity counter on its own cache line, so concurrent
@@ -227,6 +223,7 @@ impl Kernel {
 
     fn placement_daemon_loop(&self) {
         crate::invoke::register_thread();
+        #[expect(clippy::expect_used, reason = "the daemon exists only with a policy")]
         let p = self
             .placement
             .as_ref()
@@ -269,14 +266,12 @@ impl Kernel {
     /// One placement round: drain counters, fold groups, consult the
     /// policy, execute its decisions as advisory moves.
     fn placement_tick(&self) {
+        #[expect(clippy::expect_used, reason = "only the daemon ticks; it has a policy")]
         let p = self
             .placement
             .as_ref()
             .expect("placement tick without placement state");
         let n = self.nodes.len();
-
-        // Replica aging is policy-configured; read the bound once per tick.
-        let evict_after = p.policy.lock().replica_idle_evict_after();
         let mut evictions: Vec<(VAddr, NodeId)> = Vec::new();
 
         // Drain this tick's per-object counters shard by shard (relaxed
@@ -294,25 +289,23 @@ impl Kernel {
             // Descriptor read locks nest under the shard lock per the
             // documented order; the eviction itself runs after the walk,
             // outside all registry locks, and re-validates.
-            if let Some(bound) = evict_after {
-                if e.immutable && !e.moving && !e.replica_idle.is_empty() {
-                    for (slot, stamp) in e.replica_idle.iter().enumerate() {
-                        let node = NodeId(slot as u16);
-                        if node == e.location || calls[slot] > 0 {
-                            stamp.store(0, Ordering::Relaxed);
-                            continue;
-                        }
-                        let holds = matches!(
-                            self.nodes[slot].descriptors.read().lookup(addr),
-                            Some(amber_vspace::Residency::Replica)
-                        );
-                        if !holds {
-                            stamp.store(0, Ordering::Relaxed);
-                            continue;
-                        }
-                        if stamp.fetch_add(1, Ordering::Relaxed) + 1 >= bound {
-                            evictions.push((addr, node));
-                        }
+            if e.immutable && !e.moving && !e.replica_idle.is_empty() {
+                for (slot, stamp) in e.replica_idle.iter().enumerate() {
+                    let node = NodeId(slot as u16);
+                    if node == e.location || calls[slot] > 0 {
+                        stamp.store(0, Ordering::Relaxed);
+                        continue;
+                    }
+                    let holds = matches!(
+                        self.nodes[slot].descriptors.read().lookup(addr),
+                        Some(amber_vspace::Residency::Replica)
+                    );
+                    if !holds {
+                        stamp.store(0, Ordering::Relaxed);
+                        continue;
+                    }
+                    if stamp.fetch_add(1, Ordering::Relaxed) + 1 >= REPLICA_IDLE_TICKS {
+                        evictions.push((addr, node));
                     }
                 }
             }

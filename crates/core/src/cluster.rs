@@ -374,6 +374,7 @@ impl Ctx {
     /// Creates an object on `node` (a remote creation request if `node` is
     /// not the current node).
     pub fn create_on<T: AmberObject>(&self, node: NodeId, value: T) -> ObjRef<T> {
+        self.kernel.check_node(node);
         if node == self.node() {
             self.kernel.create_local(node, value)
         } else {
@@ -615,6 +616,7 @@ impl Ctx {
         node: NodeId,
         scheduler: Box<dyn amber_engine::policy::Scheduler>,
     ) {
+        self.kernel.check_node(node);
         self.kernel.engine.set_scheduler(node, scheduler);
     }
 
@@ -640,6 +642,8 @@ impl Ctx {
     /// coherence traffic). Object programs never need it: invocation and
     /// mobility already pay for their own messages.
     pub fn net_wait(&self, from: NodeId, to: NodeId, bytes: usize, reason: &'static str) {
+        self.kernel.check_node(from);
+        self.kernel.check_node(to);
         self.kernel.one_way(from, to, bytes, reason);
     }
 

@@ -288,7 +288,7 @@ impl Kernel {
         }
         *hops += 1;
         if *hops >= MAX_CHASE_HOPS {
-            // Bounded give-up, mirroring the transport's max_attempts
+            // Bounded give-up, mirroring the transport's `MAX_ATTEMPTS`
             // retransmit give-up: record it and surface an error instead of
             // aborting the process.
             self.emit(ProtocolEvent::ChaseDiverged {
@@ -357,6 +357,7 @@ impl Kernel {
             let here = self.engine.node_of(me);
             match self.chase_step(addr, here, &mut hops)? {
                 ChaseStep::Found(Residency::Replica) if allow_replica => return Ok(here),
+                #[expect(clippy::panic, reason = "replicas are of immutables, refused at entry")]
                 ChaseStep::Found(Residency::Replica) => {
                     // A replica exists but exclusive access was requested;
                     // immutable objects cannot be mutated.
@@ -483,7 +484,10 @@ impl Kernel {
                             }
                         }
                         Access::Shared => {
-                            debug_assert!(e.shared_count > 0);
+                            #[expect(clippy::disallowed_macros, reason = "admission counted it in")]
+                            {
+                                debug_assert!(e.shared_count > 0);
+                            }
                             e.shared_count -= 1;
                         }
                     }
@@ -521,10 +525,13 @@ impl Kernel {
         let start_node = self.engine.node_of(must_current_thread());
         // Frame first, then the residency check (section 3.5 ordering).
         let (immutable, resident) = self.bind_frame(addr, start_node)?;
-        assert!(
-            access == Access::Shared || !immutable,
-            "exclusive invocation of immutable object {addr}"
-        );
+        #[expect(clippy::disallowed_macros, reason = "mutating an immutable is a bug")]
+        {
+            assert!(
+                access == Access::Shared || !immutable,
+                "exclusive invocation of immutable object {addr}"
+            );
+        }
         let at = if resident {
             Ok(start_node)
         } else {
@@ -592,6 +599,7 @@ impl Kernel {
         let cell = self.enter_invocation(addr, Access::Exclusive, carry)?;
         let result = {
             let mut data = cell.data.write();
+            #[expect(clippy::expect_used, reason = "ObjRef<T> comes from create::<T>")]
             let t: &mut T = data
                 .downcast_mut::<T>()
                 .expect("object payload type confusion");
@@ -616,6 +624,7 @@ impl Kernel {
         let cell = self.enter_invocation(addr, Access::Shared, carry)?;
         let result = {
             let data = cell.data.read();
+            #[expect(clippy::expect_used, reason = "ObjRef<T> comes from create::<T>")]
             let t: &T = data
                 .downcast_ref::<T>()
                 .expect("object payload type confusion");

@@ -111,8 +111,8 @@ pub(crate) struct ObjectEntry {
     /// Replica LRU tick-stamps for cold-replica eviction: slot `n` counts
     /// consecutive placement ticks in which node `n` held a replica of this
     /// object but drained zero calls. Reset on install and on any traffic;
-    /// when a stamp reaches the policy's idle bound the placement daemon
-    /// ages the replica out. Same slot count as `calls` (empty when
+    /// when a stamp reaches `REPLICA_IDLE_TICKS` the placement daemon ages
+    /// the replica out. Same slot count as `calls` (empty when
     /// adaptive placement is disabled).
     pub(crate) replica_idle: Box<[AtomicU32]>,
     /// Pinned by the user: the placement advisor never moves this object
@@ -168,7 +168,7 @@ pub(crate) struct NodeKernel {
 }
 
 /// The cluster-wide kernel.
-pub struct Kernel {
+pub(crate) struct Kernel {
     pub(crate) engine: Arc<dyn Engine>,
     pub(crate) cost: CostModel,
     pub(crate) objects: ObjectRegistry,
@@ -242,6 +242,13 @@ impl Kernel {
         } else {
             0
         }
+    }
+
+    /// Fails the calling thread on a node id the program named but the
+    /// cluster does not have, before any charge or message goes toward it.
+    #[expect(clippy::disallowed_macros, reason = "a node past the cluster is a bug")]
+    pub(crate) fn check_node(&self, node: NodeId) {
+        assert!(node.index() < self.nodes.len(), "no such {node}");
     }
 
     /// The node the current thread is executing on.
@@ -337,6 +344,7 @@ impl Kernel {
         if asking != NodeId::BOOT {
             self.control_rtt(asking, NodeId::BOOT, "region-lookup");
         }
+        #[expect(clippy::expect_used, reason = "addresses lie in assigned regions")]
         let owner = self
             .server
             .lock()
@@ -369,6 +377,7 @@ impl Kernel {
                     nk.regions.lock().learn(region, node);
                     nk.heap.lock().add_region(region);
                 }
+                #[expect(clippy::panic, reason = "only TooLarge is left: object > region")]
                 Err(e) => panic!("heap allocation failed: {e}"),
             }
         }
@@ -419,7 +428,10 @@ impl Kernel {
         {
             let mut shard = self.objects.lock(addr);
             let prev = shard.insert(addr, entry);
-            debug_assert!(prev.is_none(), "heap handed out a live address");
+            #[expect(clippy::disallowed_macros, reason = "destroy removes the entry first")]
+            {
+                debug_assert!(prev.is_none(), "heap handed out a live address");
+            }
             self.emit(ProtocolEvent::ObjectCreate { obj: addr.0, node });
         }
         ObjRef::from_addr(addr)

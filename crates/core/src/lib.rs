@@ -43,7 +43,23 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+// Every panic edge outside tests is a deliberate one, with an `#[expect]`
+// saying why it cannot fire (`clippy.toml` disallows `std::assert`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros
+    )
+)]
 
 mod adaptive;
 mod cluster;
@@ -58,7 +74,6 @@ mod thread;
 pub use adaptive::{PlacementDecision, PlacementPolicy, PlacementSample};
 pub use cluster::{Cluster, ClusterBuilder, Ctx, EngineChoice};
 pub use errors::ProtocolError;
-pub use kernel::Kernel;
 pub use objref::{AmberObject, ObjRef};
 pub use thread::{JoinHandle, ThreadObj};
 

@@ -84,7 +84,7 @@ impl Kernel {
     /// a concurrent mover observes the child as detached (the old
     /// implementation temporarily lifted `attached_to` around the move).
     pub(crate) fn move_object(&self, addr: VAddr, dest: NodeId, allow_attached: bool) {
-        assert!(dest.index() < self.nodes.len(), "no such {dest}");
+        self.check_node(dest);
         let me = must_current_thread();
         // Serialize concurrent moves of the same *group*, not just the same
         // root: an attach may be co-locating a member while we try to move
@@ -100,6 +100,7 @@ impl Kernel {
             // visit, so the waiter registration cannot race the wake.
             let root = {
                 let mut shard = self.objects.lock(addr);
+                #[expect(clippy::panic, reason = "MoveTo after destroy is a program bug")]
                 let e = shard
                     .get_mut(&addr)
                     .unwrap_or_else(|| panic!("MoveTo on destroyed or unknown object {addr}"));
@@ -115,10 +116,13 @@ impl Kernel {
                 self.engine.block_kernel("moveto-serialize");
                 continue;
             };
-            assert!(
-                allow_attached || attached_to.is_none(),
-                "MoveTo on an attached object; move the attachment root"
-            );
+            #[expect(clippy::disallowed_macros, reason = "only attach moves attached ones")]
+            {
+                assert!(
+                    allow_attached || attached_to.is_none(),
+                    "MoveTo on an attached object; move the attachment root"
+                );
+            }
             if immutable {
                 break (location, true, Vec::new());
             }
@@ -131,6 +135,7 @@ impl Kernel {
                 .iter()
                 .find(|a| shards.get(**a).is_some_and(|m| m.moving))
             {
+                #[expect(clippy::expect_used, reason = "busy was found under this guard")]
                 shards
                     .get_mut(busy)
                     .expect("checked above")
@@ -141,6 +146,7 @@ impl Kernel {
                 self.engine.block_kernel("moveto-serialize");
                 continue;
             }
+            #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
             for a in &group {
                 shards.get_mut(*a).expect("attached object vanished").moving = true;
             }
@@ -205,6 +211,7 @@ impl Kernel {
             {
                 return Err("group-busy");
             }
+            #[expect(clippy::expect_used, reason = "the check above found all live")]
             for a in &group {
                 shards.get_mut(*a).expect("checked above").moving = true;
             }
@@ -256,6 +263,7 @@ impl Kernel {
             {
                 let shards = self.objects.lock_group(group);
                 for a in group {
+                    #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
                     let e = shards.get(*a).expect("attached object vanished");
                     bytes += e.size;
                     per_node[e.location.index()].push(*a);
@@ -294,6 +302,7 @@ impl Kernel {
         self.engine.work(self.cost.move_install);
         {
             let mut shards = self.objects.lock_group(group);
+            #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
             for a in group {
                 shards
                     .get_mut(*a)
@@ -320,6 +329,7 @@ impl Kernel {
             let mut shards = self.objects.lock_group(group);
             let mut ws = Vec::new();
             for a in group {
+                #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
                 let e = shards.get_mut(*a).expect("moved object vanished");
                 e.moving = false;
                 ws.append(&mut e.move_waiters);
@@ -395,7 +405,10 @@ impl Kernel {
             let shard = self.objects.lock(addr);
             shard.get(&addr).map(|e| {
                 if check_immutable {
-                    debug_assert!(e.immutable, "replication of a mutable object");
+                    #[expect(clippy::disallowed_macros, reason = "callers found it immutable")]
+                    {
+                        debug_assert!(e.immutable, "replication of a mutable object");
+                    }
                 }
                 (e.location, e.size)
             })
@@ -527,7 +540,7 @@ impl Kernel {
     /// object `addr` from `Replica` back to a one-hop forward at the
     /// object's current residence, so the `replica_cap` budget frees up for
     /// warmer readers. Called by the placement daemon when the replica
-    /// served no calls for the policy's idle bound. Best-effort like every
+    /// served no calls for `REPLICA_IDLE_TICKS` ticks. Best-effort like every
     /// advisory: returns `false` without touching anything if the object is
     /// gone, mid-move, mid-install, co-resident, or no longer a replica.
     pub(crate) fn evict_replica(&self, addr: VAddr, node: NodeId) -> bool {
@@ -576,13 +589,17 @@ impl Kernel {
     /// Panics if an exclusive operation is in progress.
     pub(crate) fn set_immutable(&self, addr: VAddr) {
         let mut shard = self.objects.lock(addr);
+        #[expect(clippy::panic, reason = "set_immutable after destroy is a program bug")]
         let e = shard
             .get_mut(&addr)
             .unwrap_or_else(|| panic!("set_immutable on destroyed object {addr}"));
-        assert!(
-            e.excl_owner.is_none(),
-            "set_immutable while an exclusive operation is in progress"
-        );
+        #[expect(clippy::disallowed_macros, reason = "freezing mid-op is a program bug")]
+        {
+            assert!(
+                e.excl_owner.is_none(),
+                "set_immutable while an exclusive operation is in progress"
+            );
+        }
         e.immutable = true;
     }
 
@@ -611,7 +628,10 @@ impl Kernel {
             let _topo = self.topology.lock();
             let parent_known = self.objects.lock(parent).contains_key(&parent);
             let child_known = self.objects.lock(child).contains_key(&child);
-            assert!(parent_known && child_known, "attach of unknown object");
+            #[expect(clippy::disallowed_macros, reason = "Attach after destroy is a bug")]
+            {
+                assert!(parent_known && child_known, "attach of unknown object");
+            }
             // Cycle check: walk up from parent.
             let mut cur = Some(parent);
             while let Some(a) = cur {
@@ -619,12 +639,17 @@ impl Kernel {
                 cur = self.objects.lock(a).get(&a).and_then(|e| e.attached_to);
             }
             let mut shards = self.objects.lock_group(&[child, parent]);
+            #[expect(clippy::expect_used, reason = "lost only to the program's own destroy")]
             let c = shards.get_mut(child).expect("child vanished");
-            assert!(
-                c.attached_to.is_none(),
-                "object is already attached; Unattach first"
-            );
+            #[expect(clippy::disallowed_macros, reason = "attaching twice is a program bug")]
+            {
+                assert!(
+                    c.attached_to.is_none(),
+                    "object is already attached; Unattach first"
+                );
+            }
             c.attached_to = Some(parent);
+            #[expect(clippy::expect_used, reason = "lost only to the program's own destroy")]
             shards
                 .get_mut(parent)
                 .expect("parent vanished")
@@ -651,6 +676,7 @@ impl Kernel {
                     .into_iter()
                     .find(|a| shards.get(*a).is_some_and(|e| e.moving));
                 if let Some(busy) = busy {
+                    #[expect(clippy::expect_used, reason = "busy was found under this guard")]
                     shards
                         .get_mut(busy)
                         .expect("checked above")
@@ -659,7 +685,9 @@ impl Kernel {
                     None
                 } else {
                     Some((
+                        #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
                         shards.get(parent).expect("parent vanished").location,
+                        #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
                         shards.get(child).expect("child vanished").location,
                     ))
                 }
@@ -672,7 +700,10 @@ impl Kernel {
                 break;
             }
             rounds += 1;
-            assert!(rounds < 10_000, "attach co-location did not converge");
+            #[expect(clippy::disallowed_macros, reason = "each round chases the parent")]
+            {
+                assert!(rounds < 10_000, "attach co-location did not converge");
+            }
             self.move_object(child, parent_loc, true);
         }
     }
@@ -690,13 +721,16 @@ impl Kernel {
         let _topo = self.topology.lock();
         let parent = {
             let mut shard = self.objects.lock(child);
+            #[expect(clippy::panic, reason = "Unattach after destroy is a program bug")]
             let c = shard
                 .get_mut(&child)
                 .unwrap_or_else(|| panic!("unattach of unknown object {child}"));
+            #[expect(clippy::expect_used, reason = "Unattach needs a prior Attach")]
             c.attached_to
                 .take()
                 .expect("unattach of an object that is not attached")
         };
+        #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
         self.objects
             .lock(parent)
             .get_mut(&parent)
@@ -712,7 +746,7 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if the object is unknown or destroyed.
-    pub fn pin(&self, addr: VAddr) {
+    pub(crate) fn pin(&self, addr: VAddr) {
         self.set_pinned(addr, true);
     }
 
@@ -722,12 +756,13 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if the object is unknown or destroyed.
-    pub fn unpin(&self, addr: VAddr) {
+    pub(crate) fn unpin(&self, addr: VAddr) {
         self.set_pinned(addr, false);
     }
 
     fn set_pinned(&self, addr: VAddr, pinned: bool) {
         let mut shard = self.objects.lock(addr);
+        #[expect(clippy::panic, reason = "pin/unpin after destroy is a program bug")]
         let e = shard
             .get_mut(&addr)
             .unwrap_or_else(|| panic!("pin/unpin of destroyed or unknown object {addr}"));

@@ -118,6 +118,36 @@ fn remote_invoke_is_orders_of_magnitude_dearer_than_local() {
 }
 
 #[test]
+fn a_node_past_the_cluster_fails_the_run_before_any_message() {
+    // The program names the node; the kernel refuses it up front with the
+    // message `move_to` gives, on both engines, before a charge or a send.
+    type Entry = (&'static str, fn(&crate::Ctx));
+    let entries: [Entry; 3] = [
+        ("create_on", |ctx| {
+            ctx.create_on(NodeId(5), 1u64);
+        }),
+        ("install_scheduler", |ctx| {
+            ctx.install_scheduler(NodeId(5), Box::<amber_engine::policy::Fifo>::default())
+        }),
+        ("net_wait", |ctx| {
+            ctx.net_wait(NodeId(0), NodeId(5), 64, "probe")
+        }),
+    ];
+    for engine in [EngineChoice::Sim, EngineChoice::Real] {
+        for (entry, call) in entries {
+            let c = Cluster::builder().nodes(2).engine(engine).build();
+            match c.run(call) {
+                Err(crate::EngineError::Panic { message, .. }) => {
+                    assert!(message.contains("no such node5"), "{entry}: {message}")
+                }
+                other => panic!("{entry} on {engine:?}: {other:?}"),
+            }
+            assert_eq!(c.net_stats().total_msgs(), 0, "{entry} on {engine:?}");
+        }
+    }
+}
+
+#[test]
 fn move_to_relocates_and_leaves_forwarding() {
     let c = sim(3, 1);
     c.run(|ctx| {
@@ -1554,6 +1584,7 @@ fn thousand_object_attachment_group_moves_as_one() {
 
 mod adaptive {
     use super::*;
+    use crate::adaptive::REPLICA_IDLE_TICKS;
     use crate::{PlacementDecision, PlacementPolicy, PlacementSample};
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -1671,16 +1702,11 @@ mod adaptive {
         tick: SimTime,
         min_calls: u64,
         propose_mutable: bool,
-        evict_after: Option<u32>,
     }
 
     impl PlacementPolicy for ReplicatePolicy {
         fn tick_interval(&self) -> SimTime {
             self.tick
-        }
-
-        fn replica_idle_evict_after(&self) -> Option<u32> {
-            self.evict_after
         }
 
         fn decide(&mut self, samples: &[PlacementSample]) -> Vec<PlacementDecision> {
@@ -1717,7 +1743,6 @@ mod adaptive {
                 tick: SimTime::from_ms(30),
                 min_calls: 3,
                 propose_mutable,
-                evict_after: Some(8),
             })
             .build()
     }
@@ -1786,7 +1811,6 @@ mod adaptive {
                 // bar would never be met inside a single drain.
                 min_calls: 1,
                 propose_mutable: false,
-                evict_after: Some(2),
             })
             .build();
         let sink = c.enable_tracing();
@@ -1804,7 +1828,7 @@ mod adaptive {
             // The replica on node 1 now idles. Ticks are activity-armed,
             // so keep unrelated traffic flowing while the idle bound
             // elapses; the replica's own counters stay at zero.
-            for _ in 0..8 {
+            for _ in 0..REPLICA_IDLE_TICKS + 4 {
                 ctx.invoke(&warm, |_, v| *v += 1);
                 ctx.sleep(SimTime::from_ms(10));
             }

@@ -64,8 +64,14 @@ impl ClusterSpec {
     /// A homogeneous cluster: `nodes` nodes of `processors` CPUs each, like
     /// the paper's "N nodes x P processors" configurations.
     pub fn uniform(nodes: usize, processors: usize) -> Self {
-        assert!(nodes > 0, "a cluster needs at least one node");
-        assert!(processors > 0, "a node needs at least one processor");
+        #[expect(clippy::disallowed_macros, reason = "a cluster needs a boot node")]
+        {
+            assert!(nodes > 0, "a cluster needs at least one node");
+        }
+        #[expect(clippy::disallowed_macros, reason = "a node needs a processor")]
+        {
+            assert!(processors > 0, "a node needs at least one processor");
+        }
         ClusterSpec {
             nodes,
             processors,
@@ -284,6 +290,7 @@ pub trait EngineExt: Engine {
             }),
         )?;
         let r = slot.lock().take();
+        #[expect(clippy::expect_used, reason = "run_boxed Ok: main stored its result")]
         Ok(r.expect("main thread completed without storing a result"))
     }
 }
@@ -306,6 +313,7 @@ pub fn current_thread() -> Option<ThreadId> {
 /// # Panics
 ///
 /// Panics when called outside an Amber thread (e.g. from a kernel handler).
+#[expect(clippy::expect_used, reason = "kernel paths run on Amber threads")]
 pub fn must_current_thread() -> ThreadId {
     current_thread().expect("this operation must be called from an Amber thread")
 }

@@ -15,7 +15,7 @@
 //!   the handler **at most once** per sequence number, suppressing wire
 //!   duplicates;
 //! * the sender retransmits on a timeout with exponential backoff until the
-//!   message is delivered or `max_attempts` is exhausted.
+//!   message is delivered or `MAX_ATTEMPTS` attempts are spent.
 //!
 //! Delivery acknowledgements ride the in-process control plane: the moment
 //! a copy is delivered the sender's outstanding entry is retired, modelling
@@ -97,11 +97,17 @@ pub struct FaultPlan {
     /// modelled as one extra base latency of delay.
     reorder: f64,
     partitions: Vec<Partition>,
-    /// Extra slack added to the retransmission timeout on top of the
-    /// worst-case modelled delivery delay.
-    rto_grace: SimTime,
-    max_attempts: u32,
 }
+
+/// Slack added to the retransmission timeout on top of the worst-case
+/// modelled delivery delay, so a retransmission never races a copy that is
+/// still in flight.
+const RTO_GRACE: SimTime = SimTime::from_ms(1);
+
+/// Attempts per message. After this many lost attempts the sender gives up
+/// and the message is lost for good: under the simulator a waiter on it
+/// surfaces as a detected deadlock rather than a silent hang.
+const MAX_ATTEMPTS: u32 = 16;
 
 impl FaultPlan {
     /// A plan with the given seed and perfectly reliable links; add faults
@@ -114,21 +120,25 @@ impl FaultPlan {
             jitter: SimTime::ZERO,
             reorder: 0.0,
             partitions: Vec::new(),
-            rto_grace: SimTime::from_ms(1),
-            max_attempts: 16,
         }
     }
 
     /// Sets the per-attempt drop probability on every link.
     pub fn drop_rate(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "drop rate must be in [0, 1]");
+        #[expect(clippy::disallowed_macros, reason = "caller contract: p in [0, 1]")]
+        {
+            assert!((0.0..=1.0).contains(&p), "drop rate must be in [0, 1]");
+        }
         self.drop = p;
         self
     }
 
     /// Sets the per-attempt duplication probability on every link.
     pub fn duplicate_rate(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "duplicate rate must be in [0, 1]");
+        #[expect(clippy::disallowed_macros, reason = "caller contract: p in [0, 1]")]
+        {
+            assert!((0.0..=1.0).contains(&p), "duplicate rate must be in [0, 1]");
+        }
         self.duplicate = p;
         self
     }
@@ -141,35 +151,21 @@ impl FaultPlan {
 
     /// Sets the per-attempt reorder probability on every link.
     pub fn reorder_rate(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "reorder rate must be in [0, 1]");
+        #[expect(clippy::disallowed_macros, reason = "caller contract: p in [0, 1]")]
+        {
+            assert!((0.0..=1.0).contains(&p), "reorder rate must be in [0, 1]");
+        }
         self.reorder = p;
         self
     }
 
     /// Scripts a partition of the `a`–`b` link over `[start, heal)`.
     pub fn partition(mut self, a: NodeId, b: NodeId, start: SimTime, heal: SimTime) -> Self {
-        assert!(start <= heal, "partition must heal after it starts");
+        #[expect(clippy::disallowed_macros, reason = "caller contract: start <= heal")]
+        {
+            assert!(start <= heal, "partition must heal after it starts");
+        }
         self.partitions.push(Partition { a, b, start, heal });
-        self
-    }
-
-    /// Sets the extra slack added to the initial retransmission timeout.
-    ///
-    /// The timeout is always at least the worst-case modelled delivery
-    /// delay plus this grace (default 1 ms), so retransmissions never race
-    /// copies that are still in flight.
-    pub fn rto_grace(mut self, grace: SimTime) -> Self {
-        self.rto_grace = grace;
-        self
-    }
-
-    /// Sets the per-message attempt budget (default 16). After this many
-    /// lost attempts the sender gives up and the message is lost for good —
-    /// under the simulator a waiter on such a message surfaces as a
-    /// detected deadlock rather than a silent hang.
-    pub fn max_attempts(mut self, n: u32) -> Self {
-        assert!(n > 0, "at least one attempt is required");
-        self.max_attempts = n;
         self
     }
 
@@ -324,8 +320,7 @@ impl FaultNet {
     /// Retransmission timeout after attempt `attempt`: worst-case delivery
     /// delay plus grace, doubling per attempt (capped at 32x).
     fn rto(&self, bytes: usize, attempt: u32) -> SimTime {
-        let grace = self.plan.rto_grace.max(SimTime::from_us(1));
-        let base = self.max_copy_delay(bytes) + grace;
+        let base = self.max_copy_delay(bytes) + RTO_GRACE;
         base * (1u64 << attempt.min(5))
     }
 
@@ -397,7 +392,10 @@ impl FaultNet {
                     .send
                     .get_mut(&key)
                     .and_then(|l| l.outstanding.remove(&seq));
-                debug_assert!(h.is_some(), "first copy found no outstanding handler");
+                #[expect(clippy::disallowed_macros, reason = "only the first copy settles it")]
+                {
+                    debug_assert!(h.is_some(), "first copy found no outstanding handler");
+                }
                 h
             }
         };
@@ -444,7 +442,7 @@ impl FaultNet {
                 .is_some_and(|l| l.outstanding.contains_key(&seq));
             if !outstanding {
                 false
-            } else if attempt + 1 >= self.plan.max_attempts {
+            } else if attempt + 1 >= MAX_ATTEMPTS {
                 if let Some(l) = links.send.get_mut(&key) {
                     l.outstanding.remove(&seq);
                 }

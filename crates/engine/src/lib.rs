@@ -35,6 +35,23 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every panic edge outside tests is a deliberate one, with an `#[expect]`
+// saying why it cannot fire (`clippy.toml` disallows `std::assert`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros
+    )
+)]
 
 mod cost;
 mod engine;

@@ -72,7 +72,10 @@ impl RealNode {
         {
             let mut avail = self.tokens.lock();
             *avail += 1;
-            debug_assert!(*avail <= self.processors, "token over-release");
+            #[expect(clippy::disallowed_macros, reason = "a release follows its acquire")]
+            {
+                debug_assert!(*avail <= self.processors, "token over-release");
+            }
         }
         // After the unlock, as `Gate::post` and `enqueue_net` do.
         self.cv.notify_one();
@@ -248,6 +251,7 @@ impl RealEngine {
             epoch: Instant::now(),
         });
         let net_inner = Arc::clone(&inner);
+        #[expect(clippy::expect_used, reason = "no timer thread, no engine")]
         std::thread::Builder::new()
             .name("amber-net".to_string())
             .spawn(move || net_loop(&net_inner))
@@ -292,6 +296,7 @@ impl RealEngine {
         OWN_TCB.with(|own| match &*own.borrow() {
             Some((engine, t, tcb)) if *t == tid && std::ptr::eq(*engine, &*self.inner) => f(tcb),
             _ => {
+                #[expect(clippy::expect_used, reason = "spawned TCBs are never removed")]
                 let tcb = Arc::clone(
                     self.inner
                         .threads
@@ -329,6 +334,7 @@ fn net_loop(inner: &RealInner) {
                 match net.heap.peek().map(|Reverse(head)| head.due) {
                     None => inner.net.cv.wait(&mut net),
                     Some(due) if due <= Instant::now() => {
+                        #[expect(clippy::expect_used, reason = "peeked under this same guard")]
                         break net.heap.pop().expect("peeked item vanished").0;
                     }
                     Some(due) => {
@@ -388,7 +394,10 @@ impl Engine for RealEngine {
     }
 
     fn spawn(&self, node: NodeId, name: String, body: ThreadBody) -> ThreadId {
-        assert!(node.index() < self.inner.nodes.len(), "no such {node}");
+        #[expect(clippy::disallowed_macros, reason = "spawn targets are checked nodes")]
+        {
+            assert!(node.index() < self.inner.nodes.len(), "no such {node}");
+        }
         let tid = {
             let mut n = self.inner.next_tid.lock();
             let t = ThreadId(*n);
@@ -405,6 +414,7 @@ impl Engine for RealEngine {
         self.inner.threads.lock().insert(tid, Arc::clone(&tcb));
         self.inner.live.lock().count += 1;
         let inner = Arc::clone(&self.inner);
+        #[expect(clippy::expect_used, reason = "no OS thread, no Amber thread")]
         std::thread::Builder::new()
             .name(name)
             .spawn(move || {
@@ -460,7 +470,10 @@ impl Engine for RealEngine {
     }
 
     fn set_node(&self, thread: ThreadId, node: NodeId) {
-        assert!(node.index() < self.inner.nodes.len(), "no such {node}");
+        #[expect(clippy::disallowed_macros, reason = "migration targets are checked")]
+        {
+            assert!(node.index() < self.inner.nodes.len(), "no such {node}");
+        }
         self.with_tcb(thread, |tcb| tcb.node.store(node.0, Ordering::Release));
     }
 
@@ -525,10 +538,13 @@ impl Engine for RealEngine {
     fn run_boxed(&self, node: NodeId, body: ThreadBody) -> Result<(), EngineError> {
         {
             let mut live = self.inner.live.lock();
-            assert!(
-                !live.started,
-                "RealEngine::run_boxed may only be called once"
-            );
+            #[expect(clippy::disallowed_macros, reason = "one engine runs one program")]
+            {
+                assert!(
+                    !live.started,
+                    "RealEngine::run_boxed may only be called once"
+                );
+            }
             live.started = true;
         }
         self.spawn(node, "main".to_string(), body);

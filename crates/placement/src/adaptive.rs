@@ -16,7 +16,7 @@
 //! clears the same persistence/decisiveness/cooldown machinery, subject to a
 //! separate per-tick replica budget and a per-object replica-set cap. A
 //! replica that serves no local call for eight ticks is aged out by the
-//! kernel (`PlacementPolicy::replica_idle_evict_after`'s default).
+//! kernel.
 
 use amber_core::{NodeId, PlacementDecision, PlacementPolicy, PlacementSample, SimTime};
 use std::collections::HashMap;

@@ -9,5 +9,22 @@
 //! advisor.
 
 #![warn(missing_docs)]
+// Every panic edge outside tests is a deliberate one, with an `#[expect]`
+// saying why it cannot fire (`clippy.toml` disallows `std::assert`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod adaptive;

@@ -1,6 +1,6 @@
 //! Machine-checked discipline for the Amber runtime.
 //!
-//! Three analysis layers, all compiled to zero-cost no-ops unless the
+//! Two analysis layers, both compiled to zero-cost no-ops unless the
 //! `verify` cargo feature or `debug_assertions` is on:
 //!
 //! * **Lock-order checker** — [`OrderedMutex`] / [`OrderedRwLock`] wrappers
@@ -14,9 +14,6 @@
 //! * **Protocol-lifecycle linter** — lives in `amber-engine`, beside the
 //!   event table it reads, and reports illegal event sequences here as
 //!   [`Violation::Lifecycle`].
-//! * **Static source pass** — [`panic_scan`] and the `panic_lint` binary,
-//!   which fail CI on new `unwrap()`/`expect()`/`panic!`/bare `assert!` in
-//!   the protocol crates outside a committed allowlist.
 //!
 //! Violations are recorded in a global registry and panic by default (so a
 //! violating test run fails loudly); negative tests switch panicking off
@@ -28,8 +25,6 @@
 use std::fmt;
 
 use parking_lot::Mutex;
-
-pub mod panic_scan;
 
 /// `true` when the runtime checkers are compiled in (the `verify` feature
 /// or `debug_assertions`); `false` when every wrapper is a plain newtype.

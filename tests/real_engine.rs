@@ -220,11 +220,7 @@ fn remote_invokes_complete_over_a_lossy_link_on_real_threads() {
         .engine(EngineChoice::Real)
         .latency(LatencyModel::zero())
         .deadline(Duration::from_secs(60))
-        .faults(
-            FaultPlan::seeded(0x10556)
-                .drop_rate(0.05)
-                .rto_grace(SimTime::from_ms(1)),
-        )
+        .faults(FaultPlan::seeded(0x10556).drop_rate(0.05))
         .build();
     let counts = c
         .run(|ctx| {
