@@ -1,9 +1,11 @@
-//! Experiment harness for the Amber reproduction.
+//! Prints the paper: Table 1, Figures 2 and 3, the section-4 ablations and
+//! the forwarding experiments, all on the simulator's virtual clock.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper;
-//! this library holds the shared experiment runners so the binaries stay
-//! thin and the integration tests can assert on the same numbers the
-//! binaries print.
+//! Each binary in `src/bin/` prints one of them, byte for byte the file of
+//! the same name under `results/`; this library holds the shared experiment
+//! runners so the binaries stay thin and the golden test can assert on the
+//! same numbers the binaries print. Wall-clock numbers are measured by
+//! `benchmark/`, not here.
 
 #![warn(missing_docs)]
 
@@ -11,7 +13,6 @@ pub mod ablate;
 pub mod dump;
 pub mod ops;
 pub mod sorbench;
-pub mod throughput;
 
 /// Prints a header followed by aligned rows (simple fixed-width table).
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {

@@ -85,7 +85,10 @@ pub(crate) fn register_thread() {
 
 /// The last thing a thread's body does: every frame it pushed is popped.
 pub(crate) fn unregister_thread() {
-    debug_assert_eq!(enclosing_frame(), None, "thread exits inside a frame");
+    #[expect(clippy::disallowed_macros, reason = "every invoke pops what it pushed")]
+    {
+        debug_assert_eq!(enclosing_frame(), None, "thread exits inside a frame");
+    }
 }
 
 /// The object whose operation the calling thread is executing, if any.
@@ -95,7 +98,10 @@ pub(crate) fn enclosing_frame() -> Option<VAddr> {
 
 fn pop_frame(addr: VAddr) {
     let popped = CONTEXT.with(|c| c.borrow_mut().frames.pop());
-    debug_assert_eq!(popped, Some(addr), "frame stack corrupted");
+    #[expect(clippy::disallowed_macros, reason = "frames pop in push order")]
+    {
+        debug_assert_eq!(popped, Some(addr), "frame stack corrupted");
+    }
 }
 
 fn set_carry(bytes: usize) {
@@ -172,7 +178,10 @@ impl Kernel {
             // The verdict replaces the chase's first step; hold it to what
             // that step would have read (shard -> descriptor is in order).
             let desc = self.nodes[from.index()].descriptors.read().lookup(addr);
-            assert_eq!(desc, Some(Residency::Resident), "{addr} on {from}");
+            #[expect(clippy::disallowed_macros, reason = "verify builds check the verdict")]
+            {
+                assert_eq!(desc, Some(Residency::Resident), "{addr} on {from}");
+            }
         }
         drop(shard);
         if earlier == Some(0) {
@@ -196,7 +205,10 @@ impl Kernel {
     /// trap/marshal/wire/dispatch path plus any by-value argument payload
     /// the thread is carrying.
     fn migrate_current(&self, from: NodeId, to: NodeId) {
-        debug_assert_ne!(from, to);
+        #[expect(clippy::disallowed_macros, reason = "chase_step never yields Next(at)")]
+        {
+            debug_assert_ne!(from, to);
+        }
         let carry = CONTEXT.with(|c| c.borrow().carry_bytes);
         self.engine.work(self.cost.remote_trap);
         self.engine.work(self.cost.thread_marshal);
@@ -423,11 +435,14 @@ impl Kernel {
             let Some(e) = shard.get_mut(&addr) else {
                 return Err(ProtocolError::ObjectDestroyed(addr));
             };
-            assert_ne!(
-                e.excl_owner,
-                Some(me),
-                "re-entrant invocation of object {addr} (operation invoked itself)"
-            );
+            #[expect(clippy::disallowed_macros, reason = "self-invoking is a program bug")]
+            {
+                assert_ne!(
+                    e.excl_owner,
+                    Some(me),
+                    "re-entrant invocation of object {addr} (operation invoked itself)"
+                );
+            }
             let excl_queued = e
                 .op_waiters
                 .iter()
@@ -476,7 +491,10 @@ impl Kernel {
                 Some(e) => {
                     match access {
                         Access::Exclusive => {
-                            debug_assert_eq!(e.excl_owner, Some(must_current_thread()));
+                            #[expect(clippy::disallowed_macros, reason = "admission made us owner")]
+                            {
+                                debug_assert_eq!(e.excl_owner, Some(must_current_thread()));
+                            }
                             e.excl_owner = None;
                             // Refresh the wire size after mutation.
                             if let Some(data) = e.cell.data.try_read() {

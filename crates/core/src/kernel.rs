@@ -387,7 +387,10 @@ impl Kernel {
     /// reference. `node` must be the node the current thread runs on; use
     /// [`create_remote`](Kernel::create_remote) otherwise.
     pub(crate) fn create_local<T: AmberObject>(&self, node: NodeId, value: T) -> ObjRef<T> {
-        debug_assert_eq!(node, self.current_node());
+        #[expect(clippy::disallowed_macros, reason = "callers pass the current node")]
+        {
+            debug_assert_eq!(node, self.current_node());
+        }
         let size = value.transfer_size();
         self.create_at(node, value, size)
     }
@@ -396,7 +399,10 @@ impl Kernel {
     /// a creation request; the reply carries the new reference.
     pub(crate) fn create_remote<T: AmberObject>(&self, node: NodeId, value: T) -> ObjRef<T> {
         let from = self.current_node();
-        debug_assert_ne!(node, from);
+        #[expect(clippy::disallowed_macros, reason = "create_on sends only off-node")]
+        {
+            debug_assert_ne!(node, from);
+        }
         let size = value.transfer_size();
         self.engine.work(self.cost.object_marshal);
         self.one_way(

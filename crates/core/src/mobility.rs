@@ -620,7 +620,10 @@ impl Kernel {
     /// Panics if either object is unknown, if `child` is already attached,
     /// or if attaching would create a cycle.
     pub(crate) fn attach(&self, child: VAddr, parent: VAddr) {
-        assert_ne!(child, parent, "an object cannot attach to itself");
+        #[expect(clippy::disallowed_macros, reason = "self-attach is a program bug")]
+        {
+            assert_ne!(child, parent, "an object cannot attach to itself");
+        }
         {
             // The topology lock keeps the attachment structure stable for
             // the cycle walk (which crosses shards one visit at a time) and
@@ -635,7 +638,10 @@ impl Kernel {
             // Cycle check: walk up from parent.
             let mut cur = Some(parent);
             while let Some(a) = cur {
-                assert_ne!(a, child, "attachment cycle");
+                #[expect(clippy::disallowed_macros, reason = "a cyclic Attach is a program bug")]
+                {
+                    assert_ne!(a, child, "attachment cycle");
+                }
                 cur = self.objects.lock(a).get(&a).and_then(|e| e.attached_to);
             }
             let mut shards = self.objects.lock_group(&[child, parent]);

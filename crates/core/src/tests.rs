@@ -1467,26 +1467,6 @@ fn join_event_names_the_joiners_node() {
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Shard routing is a pure function of the address and always lands in
-    /// range: the invariants every lock-order argument in the kernel rests
-    /// on (a group sorted by shard index stays sorted on every re-lock).
-    #[test]
-    fn shard_routing_is_stable_and_in_range(
-        raws in proptest::collection::vec(1u64..u64::MAX / 2, 1..64)
-    ) {
-        for r in raws {
-            let addr = crate::VAddr(r & !0xf); // heap blocks are 16-aligned
-            let s1 = crate::registry::shard_of(addr);
-            let s2 = crate::registry::shard_of(addr);
-            prop_assert_eq!(s1, s2, "shard routing must be deterministic");
-            prop_assert!(s1 < crate::registry::OBJ_SHARDS);
-        }
-    }
-}
-
-proptest! {
     // Real-engine runs per case: keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 

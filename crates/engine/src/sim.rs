@@ -287,7 +287,10 @@ impl SimInner {
             // 1. Grant the baton to a thread that is ready *now*.
             if let Some(tid) = st.runnable.pop_front() {
                 let tcb = st.tcb_mut(tid);
-                debug_assert_eq!(tcb.state, RunState::Ready);
+                #[expect(clippy::disallowed_macros, reason = "only a Ready tcb joins runnable")]
+                {
+                    debug_assert_eq!(tcb.state, RunState::Ready);
+                }
                 tcb.state = RunState::Active;
                 break Some(tid);
             }
@@ -394,7 +397,10 @@ impl SimEngine {
         amber_verify::engine_block_checkpoint(reason);
         let tid = must_current_thread();
         let mut st = self.inner.state.lock();
-        debug_assert_eq!(st.tcb(tid).state, RunState::Active, "no baton");
+        #[expect(clippy::disallowed_macros, reason = "only the baton holder runs code")]
+        {
+            debug_assert_eq!(st.tcb(tid).state, RunState::Active, "no baton");
+        }
         let pending = match class {
             WakeClass::User => &mut st.tcb_mut(tid).pending_user,
             WakeClass::Kernel => &mut st.tcb_mut(tid).pending_kernel,
@@ -506,7 +512,10 @@ impl Engine for SimEngine {
         amber_verify::engine_block_checkpoint("work");
         let tid = must_current_thread();
         let mut st = self.inner.state.lock();
-        debug_assert_eq!(st.tcb(tid).state, RunState::Active, "no baton");
+        #[expect(clippy::disallowed_macros, reason = "only the baton holder runs code")]
+        {
+            debug_assert_eq!(st.tcb(tid).state, RunState::Active, "no baton");
+        }
         let node_ix = st.tcb(tid).node.index();
         st.tcb_mut(tid).remaining = cost;
         if st.nodes[node_ix].busy < st.nodes[node_ix].processors {
