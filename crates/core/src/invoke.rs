@@ -39,45 +39,26 @@
 //! 4. the operation, outside every kernel lock;
 //! 5. **exit** ([`Kernel::finish_invocation`]): release, unbind, wake.
 //!
-//! Frame bookkeeping is owned by the thread: both engines run an Amber
-//! thread on one OS thread of its own, so the frame stack is a thread-local
-//! and no borrow of it is ever held across an operation (nested invocations
-//! push frames of their own).
+//! Frame bookkeeping is owned by the thread: the frame stack and the bytes
+//! a migration carries are the engine's per-thread invocation context
+//! ([`amber_engine::with_invocations`]), which follows the thread whether it
+//! has an OS thread of its own (`RealEngine`) or a stack on a shared one
+//! (`SimEngine`). No borrow of it is ever held across an operation (nested
+//! invocations push frames of their own).
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
-use amber_engine::{must_current_thread, NodeId, ProtocolEvent, ThreadId};
+use amber_engine::{must_current_thread, with_invocations, NodeId, ProtocolEvent, ThreadId};
 use amber_vspace::{Residency, VAddr};
 
 use crate::errors::ProtocolError;
 use crate::kernel::{Access, Kernel, ObjectCell, OpWaiter};
 use crate::objref::ObjRef;
 
-/// The calling thread's invocation context.
-struct ThreadState {
-    /// Stack of object addresses this thread has invocation frames on;
-    /// `frames.last()` is the object whose operation is executing.
-    frames: Vec<VAddr>,
-    /// Extra payload bytes the next outbound migration carries (arguments
-    /// passed by value with the invocation, e.g. an edge row of grid data).
-    carry_bytes: usize,
-}
-
-thread_local! {
-    static CONTEXT: RefCell<ThreadState> = const {
-        RefCell::new(ThreadState {
-            frames: Vec::new(),
-            carry_bytes: 0,
-        })
-    };
-}
-
 /// Starts the calling thread's invocation context afresh: the first thing an
 /// Amber thread's body does.
 pub(crate) fn register_thread() {
-    CONTEXT.with(|c| {
-        let mut c = c.borrow_mut();
+    with_invocations(|c| {
         c.frames.clear();
         c.carry_bytes = 0;
     });
@@ -93,19 +74,19 @@ pub(crate) fn unregister_thread() {
 
 /// The object whose operation the calling thread is executing, if any.
 pub(crate) fn enclosing_frame() -> Option<VAddr> {
-    CONTEXT.with(|c| c.borrow().frames.last().copied())
+    with_invocations(|c| c.frames.last().copied().map(VAddr))
 }
 
 fn pop_frame(addr: VAddr) {
-    let popped = CONTEXT.with(|c| c.borrow_mut().frames.pop());
+    let popped = with_invocations(|c| c.frames.pop());
     #[expect(clippy::disallowed_macros, reason = "frames pop in push order")]
     {
-        debug_assert_eq!(popped, Some(addr), "frame stack corrupted");
+        debug_assert_eq!(popped, Some(addr.0), "frame stack corrupted");
     }
 }
 
 fn set_carry(bytes: usize) {
-    CONTEXT.with(|c| c.borrow_mut().carry_bytes = bytes);
+    with_invocations(|c| c.carry_bytes = bytes);
 }
 
 /// Bound on forwarding-chase hops before the chase gives up with
@@ -157,7 +138,7 @@ impl Kernel {
     /// first one to land there since the placement tick last drained it
     /// tells the daemon there is something to drain.
     fn bind_frame(&self, addr: VAddr, from: NodeId) -> Result<(bool, bool), ProtocolError> {
-        CONTEXT.with(|c| c.borrow_mut().frames.push(addr));
+        with_invocations(|c| c.frames.push(addr.0));
         let mut shard = self.objects.lock(addr);
         let Some(e) = shard.get_mut(&addr) else {
             drop(shard);
@@ -209,7 +190,7 @@ impl Kernel {
         {
             debug_assert_ne!(from, to);
         }
-        let carry = CONTEXT.with(|c| c.borrow().carry_bytes);
+        let carry = with_invocations(|c| c.carry_bytes);
         self.engine.work(self.cost.remote_trap);
         self.engine.work(self.cost.thread_marshal);
         self.leg(

@@ -1073,6 +1073,88 @@ fn carrying_invocations_charge_payload_bytes() {
 }
 
 #[test]
+fn two_threads_on_one_node_keep_their_own_frames_and_carry() {
+    // The simulator runs every Amber thread on one OS thread, so the frame
+    // stack and the carried bytes must follow the thread, not the OS
+    // thread. Two threads on node 0 each sit two invocations deep and
+    // interleave at every `work` and at every leg of a two-hop chase
+    // (0 -> 1 -> 2) that carries a by-value argument of their own size.
+    use amber_engine::{current_thread, with_invocations, MemorySink, ProtocolEvent};
+
+    use crate::invoke::enclosing_frame;
+    const ROUNDS: usize = 3;
+    const PACKET: usize = 1024;
+    fn check(me: Option<amber_engine::ThreadId>, frame: amber_vspace::VAddr) {
+        assert_eq!(current_thread(), me);
+        assert_eq!(enclosing_frame(), Some(frame), "{me:?}");
+        assert_eq!(with_invocations(|c| c.carry_bytes), 0, "{me:?}");
+    }
+    let c = sim(3, 1);
+    let sink = MemorySink::new();
+    c.set_trace_sink(sink.clone());
+    let threads = c
+        .run(|ctx| {
+            let setups: Vec<_> = [1_000, 2_000]
+                .map(|carry| {
+                    let (outer, inner) = (ctx.create(0u8), ctx.create(0u8));
+                    let far: Vec<_> = (0..ROUNDS)
+                        .map(|_| {
+                            let f = ctx.create(0u8);
+                            ctx.move_to(&f, NodeId(1));
+                            ctx.move_to(&f, NodeId(2));
+                            f
+                        })
+                        .collect();
+                    (carry, outer, inner, far)
+                })
+                .into();
+            let mut handles = Vec::new();
+            for (carry, outer, inner, far) in setups {
+                let h = ctx.start(&outer, move |ctx, _| {
+                    let me = current_thread();
+                    check(me, outer.addr());
+                    ctx.invoke(&inner, |ctx, _| {
+                        for f in &far {
+                            ctx.work(SimTime::from_us(100));
+                            check(me, inner.addr());
+                            ctx.invoke_carrying(f, carry, |ctx, _| {
+                                assert_eq!(ctx.node(), NodeId(2));
+                                check(me, f.addr());
+                                ctx.work(SimTime::from_us(100));
+                                check(me, f.addr());
+                            });
+                            check(me, inner.addr());
+                        }
+                    });
+                    check(me, outer.addr());
+                    me
+                });
+                handles.push((h, carry));
+            }
+            handles
+                .into_iter()
+                .map(|(h, carry)| (h.join(ctx), carry))
+                .collect::<Vec<_>>()
+        })
+        .unwrap();
+    // On the wire: each round, two hops out carrying the thread's own
+    // argument and one hop back carrying none.
+    let records = sink.take();
+    for (me, carry) in threads {
+        let sent: Vec<usize> = records
+            .iter()
+            .filter(|r| r.thread == me)
+            .filter_map(|r| match r.event {
+                ProtocolEvent::MessageSend { bytes, .. } if bytes >= PACKET => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        let round = [PACKET + carry, PACKET + carry, PACKET];
+        assert_eq!(sent, round.repeat(ROUNDS), "{me:?}");
+    }
+}
+
+#[test]
 fn region_map_misses_cost_a_server_round_trip() {
     let c = Cluster::sim(3, 1);
     c.run(|ctx| {

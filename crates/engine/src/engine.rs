@@ -11,6 +11,7 @@
 //!   processor tokens and real network delays, used to demonstrate the
 //!   runtime is a genuinely concurrent system.
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -29,9 +30,9 @@ pub type ThreadBody = Box<dyn FnOnce() + Send + 'static>;
 /// message is delivered. Handlers run in kernel context: they may call
 /// [`Engine::unblock`], [`Engine::send`] and [`Engine::spawn`], but must
 /// never block or charge work, and [`current_thread`] reads `None` inside
-/// one whichever OS thread runs it.
+/// one wherever it runs.
 ///
-/// Under the simulator that is the OS thread of whichever Amber thread is
+/// Under the simulator that is the stack of whichever Amber thread is
 /// giving the baton up when the message falls due; handlers still run one at
 /// a time, and a handler's panic fails the run as that thread's.
 /// Under the real engine that thread may be the *sender's* — a zero-delay
@@ -297,18 +298,47 @@ pub trait EngineExt: Engine {
 
 impl<E: Engine + ?Sized> EngineExt for E {}
 
-thread_local! {
-    static CURRENT: std::cell::Cell<Option<ThreadId>> = const { std::cell::Cell::new(None) };
+/// The invocation context of one Amber thread, kept by the engine for
+/// `amber-core` so that it follows the thread wherever it runs: on an OS
+/// thread of its own, or on a stack of its own beside others on one OS
+/// thread (see [`with_invocations`]).
+#[derive(Debug, Default)]
+pub struct Invocations {
+    /// Addresses of the objects the thread has invocation frames on;
+    /// `frames.last()` is the object whose operation is executing.
+    pub frames: Vec<u64>,
+    /// Extra payload bytes the thread's next outbound migration carries
+    /// (arguments passed by value with an invocation).
+    pub carry_bytes: usize,
 }
 
-/// The Amber thread executing on this OS thread, if any.
+thread_local! {
+    /// The Amber thread executing on this OS thread: `None` outside one and
+    /// in kernel context.
+    static CURRENT: Cell<Option<ThreadId>> = const { Cell::new(None) };
+    /// The invocation context of the Amber thread executing here.
+    static INVOCATIONS: RefCell<Invocations> = const {
+        RefCell::new(Invocations {
+            frames: Vec::new(),
+            carry_bytes: 0,
+        })
+    };
+}
+
+/// The Amber thread executing here, if any.
 ///
 /// Kernel handlers and host code see `None`.
 pub fn current_thread() -> Option<ThreadId> {
-    CURRENT.with(|c| c.get())
+    CURRENT.get()
 }
 
-/// The Amber thread executing on this OS thread.
+/// Runs `f` on the invocation context of the Amber thread executing here.
+/// `f` must not call back in.
+pub fn with_invocations<R>(f: impl FnOnce(&mut Invocations) -> R) -> R {
+    INVOCATIONS.with(|c| f(&mut c.borrow_mut()))
+}
+
+/// The Amber thread executing here.
 ///
 /// # Panics
 ///
@@ -318,8 +348,40 @@ pub fn must_current_thread() -> ThreadId {
     current_thread().expect("this operation must be called from an Amber thread")
 }
 
+/// What a switched-out context keeps of the per-thread state above: its
+/// current thread and its invocation context.
+///
+/// `RealEngine` runs each Amber thread on an OS thread of its own, so that
+/// state is simply its OS thread's. `SimEngine` runs all of them on one OS
+/// thread, each on a stack of its own, and at every switch between two
+/// stacks parks the outgoing context's state in its `Parked` and unparks
+/// the incoming one's: the same two thread-locals serve both engines, and
+/// reading them costs what it cost before there were stacks.
+#[derive(Default)]
+pub(crate) struct Parked {
+    current: Cell<Option<ThreadId>>,
+    invocations: RefCell<Invocations>,
+}
+
+impl Parked {
+    /// Makes this the state of Amber thread `tid` before its body starts:
+    /// no frame, nothing carried.
+    pub(crate) fn reset(&self, tid: ThreadId) {
+        self.current.set(Some(tid));
+        *self.invocations.borrow_mut() = Invocations::default();
+    }
+
+    /// Exchanges what runs on this OS thread with what is parked here: the
+    /// outgoing context calls it on its own `Parked`, then the incoming
+    /// context's `Parked` is exchanged in turn.
+    pub(crate) fn exchange(&self) {
+        self.current.set(CURRENT.replace(self.current.get()));
+        INVOCATIONS.with(|running| running.swap(&self.invocations));
+    }
+}
+
 /// Sets the current-thread marker for a scope — a thread body, or a
-/// handler run on its sender's thread — and puts the previous one back
+/// handler run on an Amber thread's stack — and puts the previous one back
 /// when dropped, unwinding included. Engines call this; user code never
 /// should.
 pub(crate) struct CurrentGuard(Option<ThreadId>);
@@ -353,7 +415,8 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A binary-semaphore-style gate a parked thread waits on.
+/// A binary-semaphore-style gate a parked [`RealEngine`](crate::RealEngine)
+/// thread waits on (a simulated thread parks by switching stacks instead).
 ///
 /// Permits posted before the wait are consumed by it, so wake-ups never
 /// race with blocks. Two rules make a wake cost one host hand-off or
@@ -486,6 +549,11 @@ mod tests {
         assert_eq!(current_thread(), None);
         {
             let _g = CurrentGuard::enter(ThreadId(7));
+            assert_eq!(current_thread(), Some(ThreadId(7)));
+            {
+                let _kernel = CurrentGuard::kernel();
+                assert_eq!(current_thread(), None);
+            }
             assert_eq!(current_thread(), Some(ThreadId(7)));
         }
         assert_eq!(current_thread(), None);

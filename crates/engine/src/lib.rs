@@ -56,6 +56,7 @@
 mod cost;
 mod engine;
 mod fault;
+mod fiber;
 mod ids;
 mod lifecycle;
 mod real;
@@ -68,8 +69,8 @@ pub mod trace;
 
 pub use cost::{CostModel, LatencyModel};
 pub use engine::{
-    current_thread, must_current_thread, ClusterSpec, Engine, EngineError, EngineExt, KernelFn,
-    ThreadBody,
+    current_thread, must_current_thread, with_invocations, ClusterSpec, Engine, EngineError,
+    EngineExt, Invocations, KernelFn, ThreadBody,
 };
 pub use fault::{FaultPlan, Partition};
 pub use ids::{NodeId, ThreadId};

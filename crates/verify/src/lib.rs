@@ -151,6 +151,18 @@ pub fn engine_block_checkpoint(reason: &'static str) {
     let _ = reason;
 }
 
+/// `true` when the calling OS thread holds no tracked lock; always `true`
+/// with the checkers off. An engine that runs several Amber threads on one
+/// OS thread asserts it wherever it switches between them: the held-lock
+/// stack belongs to the OS thread, and [`engine_block_checkpoint`] keeps it
+/// empty at every point that switches.
+pub fn holds_no_lock() -> bool {
+    #[cfg(any(feature = "verify", debug_assertions))]
+    return checker::holds_none();
+    #[cfg(not(any(feature = "verify", debug_assertions)))]
+    true
+}
+
 #[cfg(any(feature = "verify", debug_assertions))]
 mod checker {
     use std::cell::RefCell;
@@ -190,6 +202,10 @@ mod checker {
                 h.remove(ix);
             }
         });
+    }
+
+    pub(crate) fn holds_none() -> bool {
+        HELD.with(|h| h.borrow().is_empty())
     }
 
     pub(crate) fn block_checkpoint(reason: &'static str) {

@@ -257,3 +257,57 @@ fn deadlock_detector_names_the_guilty() {
     assert!(msg.contains("deadlock"), "{msg}");
     assert!(msg.contains("lock-acquire"), "{msg}");
 }
+
+#[test]
+fn a_simulated_run_spawns_no_os_thread() {
+    // Every simulated thread runs on a stack of its own on the OS thread
+    // that called `run`: 64 threads and one spawned from a message handler
+    // note which OS thread they are on after every block point.
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+
+    use amber_engine::{must_current_thread, Engine, EngineExt, LatencyModel, SimEngine};
+    const THREADS: u16 = 64;
+    let e = SimEngine::cluster(4, 2, LatencyModel::fixed(SimTime::from_ms(1)));
+    let seen: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let note = {
+        let seen = Arc::clone(&seen);
+        move || seen.lock().unwrap().push(std::thread::current().id())
+    };
+    let e2 = Arc::clone(&e);
+    e.run(NodeId(0), move || {
+        for i in 0..THREADS {
+            let (e, note) = (Arc::clone(&e2), note.clone());
+            let body = move || {
+                for _ in 0..3 {
+                    e.work(SimTime::from_us(100 * u64::from(i % 7 + 1)));
+                    note();
+                    e.yield_now();
+                    note();
+                    e.sleep(SimTime::from_us(50));
+                    note();
+                }
+            };
+            e2.spawn(NodeId(i % 4), format!("w{i}"), Box::new(body));
+        }
+        let (e, main) = (Arc::clone(&e2), must_current_thread());
+        let note2 = note.clone();
+        let handler = move || {
+            let e3 = Arc::clone(&e);
+            let body = move || {
+                e3.work(SimTime::from_us(10));
+                note2();
+                e3.unblock(main);
+            };
+            e.spawn(NodeId(1), "from-handler".into(), Box::new(body));
+        };
+        e2.send(NodeId(0), NodeId(1), 64, Box::new(handler));
+        e2.block_current("await-handler-thread");
+        note();
+    })
+    .unwrap();
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), usize::from(THREADS) * 9 + 2);
+    let caller = std::thread::current().id();
+    assert!(seen.iter().all(|&id| id == caller), "{seen:?}");
+}
