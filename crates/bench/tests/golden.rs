@@ -1,8 +1,7 @@
-//! Pins the reproduced paper results: the fast experiment binaries must
+//! Pins the reproduced paper results: all seven experiment binaries must
 //! print exactly what is committed under `results/`. The simulator is
 //! deterministic, so any difference is a change to the model or the
-//! protocol, never noise. CI's `bench` job makes the same comparison for
-//! all seven binaries, including the slow `sor_vs_dsm`, `fig2` and `fig3`.
+//! protocol, never noise.
 
 use std::path::Path;
 use std::process::Command;
@@ -46,4 +45,19 @@ fn ablate_granularity_matches_committed_result() {
 #[test]
 fn forwarding_matches_committed_result() {
     assert_golden("forwarding", env!("CARGO_BIN_EXE_forwarding"));
+}
+
+#[test]
+fn sor_vs_dsm_matches_committed_result() {
+    assert_golden("sor_vs_dsm", env!("CARGO_BIN_EXE_sor_vs_dsm"));
+}
+
+#[test]
+fn fig2_matches_committed_result() {
+    assert_golden("fig2", env!("CARGO_BIN_EXE_fig2"));
+}
+
+#[test]
+fn fig3_matches_committed_result() {
+    assert_golden("fig3", env!("CARGO_BIN_EXE_fig3"));
 }

@@ -16,6 +16,9 @@
 //! cooldown, rate limits) lives in the policy, whose stock implementation
 //! is `amber_placement::adaptive`.
 //!
+//! A replica the daemon installs for a `Replicate` decision stays until the
+//! object is destroyed, as a demand-installed replica does.
+//!
 //! # Tick scheduling and quiescence
 //!
 //! Ticks ride [`amber_engine::Engine::after`]: a virtual-time timer under
@@ -41,11 +44,6 @@ use amber_vspace::VAddr;
 use parking_lot::Mutex;
 
 use crate::kernel::Kernel;
-
-/// Consecutive placement ticks a replica may go without serving a single
-/// local call before the daemon ages it out: the holder's descriptor flips
-/// back to a one-hop forward, freeing replica-cap budget for warmer readers.
-pub(crate) const REPLICA_IDLE_TICKS: u32 = 8;
 
 /// One object's (or attachment group's) traffic over the last placement
 /// tick, as handed to the policy.
@@ -272,7 +270,6 @@ impl Kernel {
             .as_ref()
             .expect("placement tick without placement state");
         let n = self.nodes.len();
-        let mut evictions: Vec<(VAddr, NodeId)> = Vec::new();
 
         // Drain this tick's per-object counters shard by shard (relaxed
         // swaps; an invocation racing the drain lands in the next tick) and
@@ -282,32 +279,6 @@ impl Kernel {
             let mut calls = vec![0u64; n];
             for (slot, c) in e.calls.iter().enumerate() {
                 calls[slot] = c.swap(0, Ordering::Relaxed);
-            }
-            // Cold-replica aging: bump the idle stamp of every replica
-            // holder that drained zero calls this tick, reset stamps that
-            // saw traffic, and queue holders whose stamp reached the bound.
-            // Descriptor read locks nest under the shard lock per the
-            // documented order; the eviction itself runs after the walk,
-            // outside all registry locks, and re-validates.
-            if e.immutable && !e.moving && !e.replica_idle.is_empty() {
-                for (slot, stamp) in e.replica_idle.iter().enumerate() {
-                    let node = NodeId(slot as u16);
-                    if node == e.location || calls[slot] > 0 {
-                        stamp.store(0, Ordering::Relaxed);
-                        continue;
-                    }
-                    let holds = matches!(
-                        self.nodes[slot].descriptors.read().lookup(addr),
-                        Some(amber_vspace::Residency::Replica)
-                    );
-                    if !holds {
-                        stamp.store(0, Ordering::Relaxed);
-                        continue;
-                    }
-                    if stamp.fetch_add(1, Ordering::Relaxed) + 1 >= REPLICA_IDLE_TICKS {
-                        evictions.push((addr, node));
-                    }
-                }
             }
             observed.insert(
                 addr,
@@ -319,9 +290,6 @@ impl Kernel {
                 },
             );
         });
-        for (addr, node) in evictions {
-            self.evict_replica(addr, node);
-        }
 
         // Groups move as one, so score whole groups: each object's traffic
         // is credited to its attachment root. The snapshot was taken one

@@ -31,7 +31,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use amber_engine::{
@@ -108,13 +108,6 @@ pub(crate) struct ObjectEntry {
     /// extra lock (atomics for the drain's `&self`, not for sharing); empty
     /// when adaptive placement is disabled.
     pub(crate) calls: Box<[AtomicU64]>,
-    /// Replica LRU tick-stamps for cold-replica eviction: slot `n` counts
-    /// consecutive placement ticks in which node `n` held a replica of this
-    /// object but drained zero calls. Reset on install and on any traffic;
-    /// when a stamp reaches `REPLICA_IDLE_TICKS` the placement daemon ages
-    /// the replica out. Same slot count as `calls` (empty when
-    /// adaptive placement is disabled).
-    pub(crate) replica_idle: Box<[AtomicU32]>,
     /// Pinned by the user: the placement advisor never moves this object
     /// (explicit `MoveTo` still does).
     pub(crate) pinned: bool,
@@ -145,7 +138,6 @@ impl ObjectEntry {
             moving: false,
             move_waiters: Vec::new(),
             calls: (0..call_slots).map(|_| AtomicU64::new(0)).collect(),
-            replica_idle: (0..call_slots).map(|_| AtomicU32::new(0)).collect(),
             pinned: false,
         }
     }

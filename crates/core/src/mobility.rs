@@ -27,7 +27,7 @@
 use std::collections::HashSet;
 
 use amber_engine::{must_current_thread, NodeId, ProtocolEvent};
-use amber_vspace::{Residency, VAddr};
+use amber_vspace::VAddr;
 
 use crate::errors::ProtocolError;
 use crate::invoke::ChaseStep;
@@ -443,27 +443,23 @@ impl Kernel {
             self.one_way(node, my_node, self.cost.control_packet_bytes, "replica-ack");
         }
         self.engine.work(self.cost.move_install);
-        // Install under one shard visit: liveness check, descriptor write,
-        // stamp reset and the Replication event all commit atomically with
+        // Install under one shard visit: liveness check, descriptor write
+        // and the Replication event all commit atomically with
         // respect to a racing destroy. (Previously the descriptor was
         // written outside the shard lock, so a destroy interleaving here
         // could leave a stale `Replica` descriptor aliasing the next object
         // the heap hands out at this address.)
         {
             let shard = self.objects.lock(addr);
-            let Some(e) = shard.get(&addr) else {
+            if shard.get(&addr).is_none() {
                 drop(shard);
                 self.release_replication_claim(addr, node);
                 return Err(ProtocolError::ObjectDestroyed(addr));
-            };
+            }
             self.nodes[node.index()]
                 .descriptors
                 .write()
                 .set_replica(addr);
-            // A fresh replica starts warm: reset its eviction tick-stamp.
-            if let Some(stamp) = e.replica_idle.get(node.index()) {
-                stamp.store(0, std::sync::atomic::Ordering::Relaxed);
-            }
             self.emit(ProtocolEvent::Replication {
                 obj: addr.0,
                 from: location,
@@ -534,51 +530,6 @@ impl Kernel {
         // quietly (the advisory itself already counted).
         let _ = self.replicate_install(addr, dest);
         Ok(())
-    }
-
-    /// Ages out a cold replica: flips `node`'s descriptor for immutable
-    /// object `addr` from `Replica` back to a one-hop forward at the
-    /// object's current residence, so the `replica_cap` budget frees up for
-    /// warmer readers. Called by the placement daemon when the replica
-    /// served no calls for `REPLICA_IDLE_TICKS` ticks. Best-effort like every
-    /// advisory: returns `false` without touching anything if the object is
-    /// gone, mid-move, mid-install, co-resident, or no longer a replica.
-    pub(crate) fn evict_replica(&self, addr: VAddr, node: NodeId) -> bool {
-        // An in-flight install both owns the descriptor and proves the
-        // replica is warm; leave it alone. (A claim starting after this
-        // check blocks on the shard lock below until the evict commits,
-        // then re-installs — a legal evict/install sequence.)
-        if self.nodes[node.index()]
-            .replicating
-            .lock()
-            .contains_key(&addr)
-        {
-            return false;
-        }
-        // One shard visit covers the liveness gates, the descriptor flip,
-        // the stamp reset and the event: a destroy cannot interleave and
-        // see its cleared descriptor re-forwarded (which would alias the
-        // next object the heap hands out at this address).
-        let shard = self.objects.lock(addr);
-        let Some(e) = shard.get(&addr) else {
-            return false;
-        };
-        if e.moving || !e.immutable || e.location == node {
-            return false;
-        }
-        let location = e.location;
-        {
-            let mut d = self.nodes[node.index()].descriptors.write();
-            if !matches!(d.lookup(addr), Some(Residency::Replica)) {
-                return false;
-            }
-            d.set_forward(addr, location);
-        }
-        if let Some(stamp) = e.replica_idle.get(node.index()) {
-            stamp.store(0, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.emit(ProtocolEvent::ReplicaEvicted { obj: addr.0, node });
-        true
     }
 
     /// Marks the object immutable: it will never again be modified, so

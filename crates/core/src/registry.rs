@@ -210,7 +210,6 @@ mod tests {
                     moving: false,
                     move_waiters: Vec::new(),
                     calls: Box::new([]),
-                    replica_idle: Box::new([]),
                     pinned: false,
                 },
             );

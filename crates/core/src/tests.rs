@@ -1023,7 +1023,7 @@ fn real_engine_runs_the_same_program() {
         .nodes(2)
         .processors(2)
         .engine(EngineChoice::Real)
-        .latency(LatencyModel::modern_lan())
+        .latency(LatencyModel::fixed(SimTime::from_us(50)))
         .deadline(std::time::Duration::from_secs(30))
         .build();
     let v = c
@@ -1646,7 +1646,6 @@ fn thousand_object_attachment_group_moves_as_one() {
 
 mod adaptive {
     use super::*;
-    use crate::adaptive::REPLICA_IDLE_TICKS;
     use crate::{PlacementDecision, PlacementPolicy, PlacementSample};
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -1856,12 +1855,11 @@ mod adaptive {
     }
 
     #[test]
-    fn cold_replicas_age_out_and_reads_still_see_the_object() {
-        // End-to-end eviction: a burst of reads earns node 1 a replica,
-        // the reader goes quiet for longer than the idle bound while other
-        // traffic keeps the placement ticks firing, and the daemon flips
-        // the cold replica back to a one-hop forward. A later reader must
-        // still see the value through the restored forward.
+    fn an_advised_replica_still_serves_reads_after_idling() {
+        // A burst of reads earns node 1 a replica, then the reader goes
+        // quiet for twelve ticks while other traffic keeps the placement
+        // ticks firing. The replica stays: a later read on node 1 is served
+        // where it starts, with no migration to the origin.
         let c = Cluster::builder()
             .nodes(2)
             .processors(2)
@@ -1875,7 +1873,6 @@ mod adaptive {
                 propose_mutable: false,
             })
             .build();
-        let sink = c.enable_tracing();
         c.run(|ctx| {
             let hot = ctx.create(5u64);
             ctx.set_immutable(&hot);
@@ -1887,24 +1884,24 @@ mod adaptive {
                 }
             });
             h.join(ctx);
-            // The replica on node 1 now idles. Ticks are activity-armed,
-            // so keep unrelated traffic flowing while the idle bound
-            // elapses; the replica's own counters stay at zero.
-            for _ in 0..REPLICA_IDLE_TICKS + 4 {
+            assert!(ctx.protocol_stats().advisory_replications >= 1);
+            // The replica on node 1 now idles. Ticks are activity-armed, so
+            // keep unrelated traffic flowing; the replica's own counters
+            // stay at zero.
+            for _ in 0..12 {
                 ctx.invoke(&warm, |_, v| *v += 1);
                 ctx.sleep(SimTime::from_ms(10));
             }
             let h = ctx.start(&anchor, move |ctx, _| {
+                let before = ctx.protocol_stats();
                 assert_eq!(ctx.invoke_shared(&hot, |_, v| *v), 5);
+                let after = ctx.protocol_stats();
+                assert_eq!(after.local_invokes, before.local_invokes + 1);
+                assert_eq!(after.thread_migrations, before.thread_migrations);
             });
             h.join(ctx);
         })
         .unwrap();
-        let p = c.protocol_stats();
-        assert!(p.advisory_replications >= 1, "never replicated: {p:?}");
-        assert!(p.replica_evictions >= 1, "cold replica survived: {p:?}");
-        let events = sink.take();
-        assert!(events.iter().any(|r| r.event.name() == "replica_evicted"));
     }
 
     #[test]

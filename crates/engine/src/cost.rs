@@ -72,16 +72,6 @@ impl LatencyModel {
         }
     }
 
-    /// A modern-LAN-flavoured model (tens of microseconds, ~1 Gbit/s) used
-    /// by the real engine so examples finish quickly while still making
-    /// remote operations orders of magnitude more expensive than local ones.
-    pub const fn modern_lan() -> Self {
-        LatencyModel {
-            per_message: SimTime::from_us(50),
-            per_byte: SimTime::from_ns(1),
-        }
-    }
-
     /// The one-way latency of a message carrying `bytes` of payload.
     pub fn latency(&self, bytes: usize) -> SimTime {
         self.per_message + SimTime::from_ns(self.per_byte.as_ns() * bytes as u64)

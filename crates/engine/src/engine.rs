@@ -87,8 +87,8 @@ impl ClusterSpec {
         self
     }
 
-    /// Installs a fault plan: messages are dropped, duplicated, jittered
-    /// and partitioned per the plan, and delivered at most once through the
+    /// Installs a fault plan: messages are dropped, duplicated and
+    /// partitioned per the plan, and delivered at most once through the
     /// reliability sublayer.
     pub fn with_faults(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.fault = Some(plan);

@@ -3,9 +3,9 @@
 //! The paper's Fireflies talked over real 10 Mbit Ethernet, where packets
 //! are dropped, duplicated, delayed and reordered; the engines' default
 //! message path models a perfect channel. A [`FaultPlan`] makes the channel
-//! imperfect on purpose: drop/duplicate/jitter/reorder probabilities on
-//! every link plus scripted partitions, all derived *deterministically*
-//! from a seed, so a chaos run under the simulator replays exactly.
+//! imperfect on purpose: drop and duplicate probabilities on every link
+//! plus scripted partitions, all derived *deterministically* from a seed,
+//! so a chaos run under the simulator replays exactly.
 //!
 //! Installing a plan (see [`ClusterSpec::with_faults`]) also inserts a thin
 //! reliability sublayer between [`Engine::send`] and the kernel handlers:
@@ -19,9 +19,9 @@
 //!
 //! Delivery acknowledgements ride the in-process control plane: the moment
 //! a copy is delivered the sender's outstanding entry is retired, modelling
-//! a free, loss-less ack channel. Because the initial retransmission
-//! timeout exceeds the worst-case delivery delay (latency + jitter +
-//! reorder penalty), a retransmission fires only when *no* copy of the
+//! a free, loss-less ack channel. Every copy arrives one link latency after
+//! its attempt, and the initial retransmission timeout is a round trip plus
+//! grace, so a retransmission fires only when *no* copy of the
 //! previous attempt survived — so in the simulator every suppressed
 //! duplicate is one the plan injected, and the two counters
 //! (`dups_injected`, `dups_suppressed`) end a drained run equal.
@@ -76,7 +76,6 @@ impl Partition {
 /// let plan = FaultPlan::seeded(7)
 ///     .drop_rate(0.05)
 ///     .duplicate_rate(0.02)
-///     .jitter(SimTime::from_us(200))
 ///     .partition(NodeId(0), NodeId(1), SimTime::from_ms(5), SimTime::from_ms(9));
 /// assert_eq!(plan.seed, 7);
 /// ```
@@ -90,18 +89,11 @@ pub struct FaultPlan {
     /// Probability a surviving attempt is duplicated by the wire (both
     /// copies arrive; the receiver suppresses one).
     duplicate: f64,
-    /// Maximum extra delivery delay; each copy draws uniformly from
-    /// `[0, jitter]`.
-    jitter: SimTime,
-    /// Probability a surviving attempt is overtaken by later traffic,
-    /// modelled as one extra base latency of delay.
-    reorder: f64,
     partitions: Vec<Partition>,
 }
 
-/// Slack added to the retransmission timeout on top of the worst-case
-/// modelled delivery delay, so a retransmission never races a copy that is
-/// still in flight.
+/// Slack added to the retransmission timeout on top of a round trip, so a
+/// retransmission never races a copy that is still in flight.
 const RTO_GRACE: SimTime = SimTime::from_ms(1);
 
 /// Attempts per message. After this many lost attempts the sender gives up
@@ -117,8 +109,6 @@ impl FaultPlan {
             seed,
             drop: 0.0,
             duplicate: 0.0,
-            jitter: SimTime::ZERO,
-            reorder: 0.0,
             partitions: Vec::new(),
         }
     }
@@ -140,22 +130,6 @@ impl FaultPlan {
             assert!((0.0..=1.0).contains(&p), "duplicate rate must be in [0, 1]");
         }
         self.duplicate = p;
-        self
-    }
-
-    /// Sets the delivery jitter bound on every link.
-    pub fn jitter(mut self, jitter: SimTime) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// Sets the per-attempt reorder probability on every link.
-    pub fn reorder_rate(mut self, p: f64) -> Self {
-        #[expect(clippy::disallowed_macros, reason = "caller contract: p in [0, 1]")]
-        {
-            assert!((0.0..=1.0).contains(&p), "reorder rate must be in [0, 1]");
-        }
-        self.reorder = p;
         self
     }
 
@@ -200,9 +174,6 @@ fn splitmix(mut x: u64) -> u64 {
 
 const SALT_DROP: u64 = 1;
 const SALT_DUP: u64 = 2;
-const SALT_JITTER: u64 = 3;
-const SALT_REORDER: u64 = 4;
-const SALT_DUP_JITTER: u64 = 5;
 
 /// What the engines must provide for the fault layer to schedule copies and
 /// timers and to account what happens to them.
@@ -310,17 +281,13 @@ impl FaultNet {
         self.arm_timer(from, to, seq, bytes, 0);
     }
 
-    /// The worst-case modelled delivery delay of one copy: base latency,
-    /// full jitter, and the reorder penalty (one extra base latency).
-    fn max_copy_delay(&self, bytes: usize) -> SimTime {
-        let base = self.latency.latency(bytes);
-        base + base + self.plan.jitter
-    }
-
-    /// Retransmission timeout after attempt `attempt`: worst-case delivery
-    /// delay plus grace, doubling per attempt (capped at 32x).
+    /// Retransmission timeout after attempt `attempt`: a round trip
+    /// (`2 × latency(bytes)`) plus grace, doubling per attempt (capped at
+    /// 32x). A copy is delivered after one `latency(bytes)`, so the timeout
+    /// never fires while one is in flight.
     fn rto(&self, bytes: usize, attempt: u32) -> SimTime {
-        let base = self.max_copy_delay(bytes) + RTO_GRACE;
+        let one_way = self.latency.latency(bytes);
+        let base = one_way + one_way + RTO_GRACE;
         base * (1u64 << attempt.min(5))
     }
 
@@ -339,24 +306,13 @@ impl FaultNet {
             emit(&*t, ProtocolEvent::MessageDropped { from, to, bytes });
             return;
         }
-        let base = self.latency.latency(bytes);
-        let jitter = plan
-            .jitter
-            .scale(plan.unit(from, to, seq, attempt, SALT_JITTER));
-        let mut delay = base + jitter;
-        if plan.unit(from, to, seq, attempt, SALT_REORDER) < plan.reorder {
-            // Overtaken by later traffic: one extra base latency.
-            delay += base;
-        }
+        let delay = self.latency.latency(bytes);
         self.schedule_copy(from, to, seq, delay, &t);
         if plan.unit(from, to, seq, attempt, SALT_DUP) < plan.duplicate {
             // The wire duplicated a surviving attempt: both copies arrive,
             // so exactly one of them will be suppressed at the receiver.
             emit(&*t, ProtocolEvent::MessageDuplicated { from, to });
-            let jitter2 = plan
-                .jitter
-                .scale(plan.unit(from, to, seq, attempt, SALT_DUP_JITTER));
-            self.schedule_copy(from, to, seq, base + jitter2, &t);
+            self.schedule_copy(from, to, seq, delay, &t);
         }
     }
 
@@ -419,7 +375,7 @@ impl FaultNet {
 
     /// The retransmission timer for attempt `attempt` expired. If the
     /// message is still outstanding every prior copy was lost (the timeout
-    /// exceeds the worst-case delivery delay), so retransmit — or give up
+    /// exceeds the delivery delay), so retransmit — or give up
     /// once the attempt budget is spent, settling the sequence number so
     /// the receiver window can advance past it.
     fn timer_fired(
@@ -476,7 +432,7 @@ mod tests {
         // Coarse uniformity: over many draws the mean lands near 0.5.
         let n = 10_000;
         let sum: f64 = (0..n)
-            .map(|i| plan.unit(NodeId(0), NodeId(1), i, 0, SALT_JITTER))
+            .map(|i| plan.unit(NodeId(0), NodeId(1), i, 0, SALT_DUP))
             .sum();
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} too far from 0.5");
@@ -543,17 +499,18 @@ mod tests {
 
     #[test]
     fn rto_exceeds_worst_case_delivery_and_backs_off() {
-        let plan = FaultPlan::seeded(0).jitter(SimTime::from_us(300));
-        let latency = LatencyModel::fixed(SimTime::from_ms(1));
+        let latency = LatencyModel::ethernet_10mbit();
         let transport: Weak<NullTransport> = Weak::new();
         let net = FaultNet {
-            plan,
+            plan: FaultPlan::seeded(0),
             latency,
             transport,
             links: Mutex::new(Links::default()),
         };
-        let worst = net.max_copy_delay(64);
-        assert!(net.rto(64, 0) > worst);
+        // A round trip plus grace: above any copy's one-way delivery.
+        let one_way = latency.latency(64);
+        assert_eq!(net.rto(64, 0), one_way + one_way + RTO_GRACE);
+        assert!(net.rto(64, 0) > one_way);
         assert_eq!(net.rto(64, 1), net.rto(64, 0) * 2);
         // The backoff is capped.
         assert_eq!(net.rto(64, 5), net.rto(64, 9));

@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! Created ──► Resident ⇄ Moving ──► Resident
-//!                │  ▲
-//!     replica    ▼  │ evict
-//!            Replica set grows/shrinks
+//!                │
+//!        replica ▼
+//!            Replica set grows (a copy stays until the destroy)
 //!                │
 //!                ▼
 //!            Destroyed   (terminal; the address may be reused by a
@@ -44,8 +44,6 @@ struct ObjState {
     /// Every node that ever legitimately hosted the object or a replica —
     /// the set a repaired hint is allowed to point into.
     ever: HashSet<NodeId>,
-    /// Nodes currently holding a replica.
-    replicas: HashSet<NodeId>,
 }
 
 type Objects = HashMap<u64, ObjState>;
@@ -82,7 +80,6 @@ fn step(objects: &mut Objects, ev: &ProtocolEvent) -> Result<(), Illegal> {
                 moving: false,
                 at: node,
                 ever: HashSet::from([node]),
-                replicas: HashSet::new(),
             };
             objects.insert(obj, st);
         }
@@ -114,14 +111,7 @@ fn step(objects: &mut Objects, ev: &ProtocolEvent) -> Result<(), Illegal> {
             if st.moving {
                 return Err((obj, "replica install while moving".into()));
             }
-            st.replicas.insert(to);
             st.ever.insert(to);
-        }
-        E::ReplicaEvicted { obj, node } => {
-            let st = live(objects, obj, "replica evict")?;
-            if !st.replicas.remove(&node) {
-                return Err((obj, format!("evict of non-replica {node}")));
-            }
         }
         E::AdvisoryMove { obj, .. } => {
             live(objects, obj, "advisory move")?;
@@ -151,7 +141,6 @@ fn step(objects: &mut Objects, ev: &ProtocolEvent) -> Result<(), Illegal> {
                 return Err((obj, "destroy while moving".into()));
             }
             st.live = false;
-            st.replicas.clear();
         }
         // Messages, thread starts, chases: no lifecycle meaning.
         _ => {}
@@ -220,13 +209,12 @@ mod tests {
             to: N[1],
         };
         let destroy = |obj| E::ObjectDestroy { obj, node: N[0] };
-        let evict = |obj| E::ReplicaEvicted { obj, node: N[2] };
         let repair = |obj| E::HintRepair {
             obj,
             at: N[0],
             to: N[2],
         };
-        let cases: [(Vec<ProtocolEvent>, &str); 5] = [
+        let cases: [(Vec<ProtocolEvent>, &str); 4] = [
             (
                 vec![create(0x40), destroy(0x40), advise(0x40)],
                 "advisory move after destroy",
@@ -234,10 +222,6 @@ mod tests {
             (
                 vec![create(0x40), mv(0x40, N[0], N[1]), mv(0x40, N[0], N[2])],
                 "second move start",
-            ),
-            (
-                vec![create(0x40), evict(0x40)],
-                "evict of non-replica node2",
             ),
             (
                 vec![create(0x40), repair(0x40)],
@@ -294,7 +278,6 @@ mod tests {
                 to: N[2],
                 bytes: 8,
             },
-            E::ReplicaEvicted { obj, node: N[2] },
             E::ObjectDestroy { obj, node: N[0] },
             // A post-destroy hint repair is a benign teardown transient.
             E::HintRepair {

@@ -1434,9 +1434,7 @@ mod tests {
                 .with_faults(
                     crate::FaultPlan::seeded(1234)
                         .drop_rate(0.2)
-                        .duplicate_rate(0.1)
-                        .jitter(SimTime::from_us(700))
-                        .reorder_rate(0.1),
+                        .duplicate_rate(0.1),
                 );
             let e = Arc::new(SimEngine::new(spec));
             let e2 = Arc::clone(&e);

@@ -122,18 +122,6 @@ impl SimTime {
         }
     }
 
-    /// Scales the duration by a non-negative factor, rounding to nanoseconds.
-    pub fn scale(self, factor: f64) -> SimTime {
-        #[expect(clippy::disallowed_macros, reason = "factors are probabilities/ratios")]
-        {
-            debug_assert!(
-                factor >= 0.0,
-                "negative scale factors are not representable"
-            );
-        }
-        SimTime((self.0 as f64 * factor).round() as u64)
-    }
-
     /// The smaller of two times.
     pub fn min(self, other: SimTime) -> SimTime {
         if self.0 <= other.0 {
@@ -249,12 +237,6 @@ mod tests {
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         assert_eq!(a.min(b), b);
         assert_eq!(a.max(b), a);
-    }
-
-    #[test]
-    fn scaling() {
-        assert_eq!(SimTime::from_ms(10).scale(0.5), SimTime::from_ms(5));
-        assert_eq!(SimTime::from_ns(3).scale(1.0 / 3.0), SimTime::from_ns(1));
     }
 
     #[test]

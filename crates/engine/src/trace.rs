@@ -381,14 +381,6 @@ protocol_events! {
         /// Resolved location the descriptor now forwards to.
         to: NodeId,
     }
-    /// An advisor-installed replica aged out after going unread for the
-    /// configured number of placement ticks.
-    ReplicaEvicted "replica_evicted" @node, counts replica_evictions {
-        /// Address whose replica was dropped.
-        obj: u64,
-        /// Node the cold replica was evicted from.
-        node: NodeId,
-    }
     /// One member of a moved object group finished installing at the
     /// destination (the root's transfer emits a single `ObjectMove`; every
     /// member — root included — emits one of these when its registry entry
@@ -915,11 +907,6 @@ mod tests {
                 "hint_repair",
                 1,
             ),
-            (
-                E::ReplicaEvicted { obj: 64, node: n1 },
-                "replica_evicted",
-                1,
-            ),
             (E::MoveInstalled { obj: 64, to: n2 }, "move_installed", 2),
             (
                 E::HeapFreeAnomaly { obj: 64, node: n1 },
@@ -948,7 +935,7 @@ mod tests {
                 ..rec(i as u64, event)
             });
         }
-        const ARGS: [&str; 27] = [
+        const ARGS: [&str; 26] = [
             r#""obj":64,"node":1"#,
             r#""obj":64,"from":1,"to":2"#,
             r#""from":1,"to":2"#,
@@ -973,7 +960,6 @@ mod tests {
             r#""obj":64,"at":1,"reason":"pinned""#,
             r#""obj":64,"at":1,"hops":7"#,
             r#""obj":64,"at":1,"to":2"#,
-            r#""obj":64,"node":1"#,
             r#""obj":64,"to":2"#,
             r#""obj":64,"node":1"#,
         ];

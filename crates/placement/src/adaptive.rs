@@ -15,8 +15,8 @@
 //! *reader* node earns a replica once the object's remote-reader credit
 //! clears the same persistence/decisiveness/cooldown machinery, subject to a
 //! separate per-tick replica budget and a per-object replica-set cap. A
-//! replica that serves no local call for eight ticks is aged out by the
-//! kernel.
+//! replica, once installed, stays until the object is destroyed, as the
+//! paper's copies of immutable objects do (section 2.3).
 
 use amber_core::{NodeId, PlacementDecision, PlacementPolicy, PlacementSample, SimTime};
 use std::collections::HashMap;
@@ -31,6 +31,19 @@ const HYSTERESIS: f64 = 2.0;
 /// one hot object cannot thrash back and forth between ticks.
 const COOLDOWN_TICKS: u64 = 4;
 
+/// Rate limit: at most this many move proposals per tick, highest credit
+/// first.
+const MAX_MOVES_PER_TICK: usize = 8;
+
+/// Rate limit for replication, separate from the move budget: at most this
+/// many replica proposals per tick, heaviest reader first.
+const MAX_REPLICAS_PER_TICK: usize = 4;
+
+/// Cap on an immutable object's replica set (nodes holding a copy, not
+/// counting the origin). Once reached, no further replicas are proposed for
+/// that object.
+const REPLICA_CAP: usize = 4;
+
 /// Tuning knobs for [`TrafficAdvisor`].
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
@@ -40,16 +53,6 @@ pub struct AdaptiveConfig {
     /// Minimum calls an object must receive in one tick window before it is
     /// considered at all, and the credit level a candidate must reach.
     pub min_calls: u64,
-    /// Rate limit: at most this many move proposals per tick, highest
-    /// credit first.
-    pub max_moves_per_tick: usize,
-    /// Rate limit for replication, separate from the move budget: at most
-    /// this many replica proposals per tick, heaviest reader first.
-    pub max_replicas_per_tick: usize,
-    /// Cap on an immutable object's replica set (nodes holding a copy, not
-    /// counting the origin). Once reached, no further replicas are
-    /// proposed for that object.
-    pub replica_cap: usize,
 }
 
 impl Default for AdaptiveConfig {
@@ -57,9 +60,6 @@ impl Default for AdaptiveConfig {
         AdaptiveConfig {
             tick: SimTime::from_ms(5),
             min_calls: 16,
-            max_moves_per_tick: 8,
-            max_replicas_per_tick: 4,
-            replica_cap: 4,
         }
     }
 }
@@ -143,7 +143,7 @@ impl PlacementPolicy for TrafficAdvisor {
                 if self.cooldown_until.contains_key(&s.obj) {
                     continue;
                 }
-                let room = self.cfg.replica_cap.saturating_sub(s.replicas.len());
+                let room = REPLICA_CAP.saturating_sub(s.replicas.len());
                 if room == 0 {
                     continue;
                 }
@@ -194,9 +194,9 @@ impl PlacementPolicy for TrafficAdvisor {
         }
 
         movers.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        movers.truncate(self.cfg.max_moves_per_tick);
+        movers.truncate(MAX_MOVES_PER_TICK);
         replicators.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        replicators.truncate(self.cfg.max_replicas_per_tick);
+        replicators.truncate(MAX_REPLICAS_PER_TICK);
 
         let mut out: Vec<PlacementDecision> = Vec::new();
         for (_, obj, to) in movers {
@@ -223,9 +223,6 @@ mod tests {
         AdaptiveConfig {
             tick: SimTime::from_ms(1),
             min_calls: 4,
-            max_moves_per_tick: 2,
-            max_replicas_per_tick: 2,
-            replica_cap: 2,
         }
     }
 
@@ -305,30 +302,26 @@ mod tests {
         assert!(adv.cooldown_until.is_empty(), "{:?}", adv.cooldown_until);
     }
 
+    /// Nine mutable objects on node 1, all pulled toward node 0; object
+    /// `16 * k` gets `10 * k` calls, so its credit rises with `k`.
+    fn nine_movers() -> Vec<PlacementSample> {
+        (1..=9).map(|k| sample(16 * k, 1, &[10 * k, 0])).collect()
+    }
+
     #[test]
     fn rate_limit_takes_highest_credit_first() {
         let mut adv = TrafficAdvisor::new(cfg());
-        let d = adv.decide(&[
-            sample(16, 1, &[10, 0]),
-            sample(32, 1, &[80, 0]),
-            sample(48, 1, &[40, 0]),
-        ]);
-        assert_eq!(d.len(), 2, "rate limit");
-        assert_eq!(
-            d[0],
-            PlacementDecision::Move {
-                obj: 32,
-                to: NodeId(0)
-            },
-            "highest credit first"
-        );
-        assert_eq!(
-            d[1],
-            PlacementDecision::Move {
-                obj: 48,
-                to: NodeId(0)
-            }
-        );
+        let d = adv.decide(&nine_movers());
+        // Highest credit first; the coldest of the nine misses the budget.
+        let want: Vec<_> = (2..=9)
+            .rev()
+            .map(|k| PlacementDecision::Move {
+                obj: 16 * k,
+                to: NodeId(0),
+            })
+            .collect();
+        assert_eq!(d, want);
+        assert_eq!(d.len(), MAX_MOVES_PER_TICK);
     }
 
     #[test]
@@ -362,9 +355,9 @@ mod tests {
     #[test]
     fn replica_cap_limits_the_replica_set() {
         let mut adv = TrafficAdvisor::new(cfg());
-        // Cap is 2 and nodes 1, 2 already hold copies: node 3's heavy reads
-        // earn nothing.
-        let d = adv.decide(&[immutable_sample(16, 0, &[1, 5, 5, 40], &[1, 2])]);
+        // Nodes 1 to 4 already hold the cap's four copies: node 5's heavy
+        // reads earn nothing.
+        let d = adv.decide(&[immutable_sample(16, 0, &[1, 5, 5, 5, 5, 40], &[1, 2, 3, 4])]);
         assert!(d.is_empty(), "replica cap reached: {d:?}");
     }
 
@@ -384,15 +377,16 @@ mod tests {
     #[test]
     fn replica_budget_is_separate_from_move_budget() {
         let mut adv = TrafficAdvisor::new(cfg());
-        // Two hot mutable movers exhaust the move budget; the immutable
+        // Nine hot mutable movers exhaust the move budget; the immutable
         // object's replication still goes through on its own budget.
-        let d = adv.decide(&[
-            sample(16, 1, &[80, 0]),
-            sample(32, 1, &[60, 0]),
-            immutable_sample(48, 0, &[1, 40], &[]),
-        ]);
-        assert_eq!(d.len(), 3, "moves: {d:?}");
-        assert!(matches!(d[2], PlacementDecision::Replicate { obj: 48, .. }));
+        let mut samples = nine_movers();
+        samples.push(immutable_sample(1024, 0, &[1, 40], &[]));
+        let d = adv.decide(&samples);
+        assert_eq!(d.len(), MAX_MOVES_PER_TICK + 1, "moves: {d:?}");
+        assert!(matches!(
+            d[MAX_MOVES_PER_TICK],
+            PlacementDecision::Replicate { obj: 1024, .. }
+        ));
     }
 
     #[test]

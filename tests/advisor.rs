@@ -22,7 +22,6 @@ fn advisor() -> TrafficAdvisor {
     TrafficAdvisor::new(AdaptiveConfig {
         tick: amber_core::SimTime::from_ms(150),
         min_calls: 6,
-        ..AdaptiveConfig::default()
     })
 }
 

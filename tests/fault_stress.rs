@@ -60,7 +60,6 @@ fn lossy_cluster(nodes: usize, procs: usize, advisor: bool) -> Cluster {
             TrafficAdvisor::new(AdaptiveConfig {
                 tick: SimTime::from_ms(10),
                 min_calls: 2,
-                ..AdaptiveConfig::default()
             })
         });
     }

@@ -306,7 +306,6 @@ proptest! {
                 TrafficAdvisor::new(AdaptiveConfig {
                     tick: SimTime::from_ms(20),
                     min_calls: 3,
-                    ..AdaptiveConfig::default()
                 })
             })
             .build();
@@ -409,7 +408,6 @@ proptest! {
                     TrafficAdvisor::new(AdaptiveConfig {
                         tick: SimTime::from_ms(30),
                         min_calls: 3,
-                        ..AdaptiveConfig::default()
                     })
                 });
             }

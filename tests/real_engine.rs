@@ -356,7 +356,6 @@ fn adaptive_placement_localizes_skewed_traffic_on_real_threads() {
             TrafficAdvisor::new(AdaptiveConfig {
                 tick: SimTime::from_ms(1),
                 min_calls: 8,
-                ..AdaptiveConfig::default()
             })
         })
         .build();
