@@ -193,11 +193,11 @@ impl Kernel {
         let carry = with_invocations(|c| c.carry_bytes);
         self.engine.work(self.cost.remote_trap);
         self.engine.work(self.cost.thread_marshal);
-        self.leg(
+        self.engine.leg(
             from,
             to,
             self.cost.thread_packet_bytes + carry,
-            Some(to),
+            true,
             "thread-migration",
         );
         self.engine.work(self.cost.remote_dispatch);

@@ -262,59 +262,11 @@ impl Kernel {
 
     /// Sends a message and parks the current thread until it is delivered,
     /// modelling the thread waiting one network leg. Returns after the
-    /// latency for `bytes` has elapsed.
+    /// latency for `bytes` has elapsed. The wait is kernel-class: a user
+    /// wake-up aimed at this thread (a lock hand-off, a barrier release) is
+    /// held pending instead of ending it.
     pub(crate) fn one_way(&self, from: NodeId, to: NodeId, bytes: usize, reason: &'static str) {
-        self.leg(from, to, bytes, None, reason);
-    }
-
-    /// One network leg waited out by the current thread: sends the message
-    /// and blocks until its handler has run. With `arrive_on` the thread
-    /// travels with the message — the handler reassigns it to that node
-    /// before waking it.
-    pub(crate) fn leg(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        bytes: usize,
-        arrive_on: Option<NodeId>,
-        reason: &'static str,
-    ) {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let me = must_current_thread();
-        let engine = Arc::clone(&self.engine);
-        let delivered = Arc::new(AtomicBool::new(false));
-        let delivered2 = Arc::clone(&delivered);
-        self.engine.send(
-            from,
-            to,
-            bytes,
-            Box::new(move || {
-                // Idempotent under duplicate delivery: the engines' dedup
-                // window makes a second run impossible under a FaultPlan,
-                // but the swap guard keeps a stray duplicate from issuing a
-                // redundant set_node/wake even if a future transport drops
-                // that guarantee.
-                if !delivered2.swap(true, Ordering::AcqRel) {
-                    if let Some(node) = arrive_on {
-                        engine.set_node(me, node);
-                    }
-                    engine.unblock_kernel(me);
-                }
-            }),
-        );
-        // Kernel-class, predicate-guarded wait: a user wake-up aimed at
-        // this thread (a lock hand-off, a barrier release) is held pending
-        // instead of leaking into this wait. Block first, test after: the
-        // real engine may have run the handler inside `send`, and the block
-        // point is still where a travelling thread gives back `from`'s
-        // processor and takes one of `to`'s, and where the handler's wake
-        // is consumed.
-        loop {
-            self.engine.block_kernel(reason);
-            if delivered.load(Ordering::Acquire) {
-                break;
-            }
-        }
+        self.engine.leg(from, to, bytes, false, reason);
     }
 
     /// A full request/reply round trip of small control messages.

@@ -38,9 +38,8 @@ pub type ThreadBody = Box<dyn FnOnce() + Send + 'static>;
 /// Under the real engine that thread may be the *sender's* — a zero-delay
 /// message is delivered before [`Engine::send`] returns — so handlers run
 /// concurrently with one another and with the thread they are about to
-/// wake, and must synchronise whatever they share. The runtime's own two
-/// (thread migration, and the one-way leg every control message is built
-/// from) touch only an `AtomicBool`, [`Engine::set_node`] and a wake gate.
+/// wake, and must synchronise whatever they share. The runtime itself sends
+/// no handler: its messages are [`Engine::leg`]s.
 pub type KernelFn = Box<dyn FnOnce() + Send + 'static>;
 
 /// Configuration of a whole cluster.
@@ -199,13 +198,6 @@ pub trait Engine: Send + Sync {
     /// Wakes a kernel-class wait (or records it as pending).
     fn unblock_kernel(&self, thread: ThreadId);
 
-    /// Reassigns `thread` to `node`.
-    ///
-    /// This is the engine-level half of thread migration: the runtime calls
-    /// it while the thread is blocked (or on the current thread itself);
-    /// when the thread next runs it consumes processor time on `node`.
-    fn set_node(&self, thread: ThreadId, node: NodeId);
-
     /// The node `thread` is currently assigned to.
     fn node_of(&self, thread: ThreadId) -> NodeId;
 
@@ -225,11 +217,22 @@ pub trait Engine: Send + Sync {
     ///
     /// The handler may have run by the time `send` returns: the real engine
     /// delivers a message with no delay to serve on the sending Amber
-    /// thread itself (see [`KernelFn`]). A sender that then waits for the
-    /// handler's wake must still pass through its block point once — that
-    /// is where the real engine trades the processor token of the node the
-    /// thread left for one of the node it is assigned to now.
+    /// thread itself (see [`KernelFn`]). A thread that only waits for its
+    /// message to arrive takes a [`leg`](Engine::leg) instead.
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn);
+
+    /// One network leg waited out by the current thread: sends one message
+    /// of `bytes` from `from` to `to`, counted as [`send`](Engine::send)
+    /// counts it, and parks the thread in the kernel wake class until the
+    /// message is delivered. With `travel` the thread travels with the
+    /// message and is on `to` when this returns: the engine half of thread
+    /// migration.
+    ///
+    /// Like [`block_kernel`](Engine::block_kernel), the leg is a block
+    /// point. A kernel wake aimed at the thread meanwhile does not end it,
+    /// and neither does a late copy of an earlier leg's message: each
+    /// arrival carries the thread's leg number.
+    fn leg(&self, from: NodeId, to: NodeId, bytes: usize, travel: bool, reason: &'static str);
 
     /// Schedules `f` to run in kernel context after `delay`: a timer, not a
     /// message — nothing travels, no network statistics are recorded and no
@@ -451,6 +454,12 @@ impl Gate {
         // The guard is gone: the woken thread finds the lock free.
         self.cv.notify_one();
     }
+
+    /// Permits posted and not yet consumed.
+    #[cfg(test)]
+    pub(crate) fn permits(&self) -> u32 {
+        *self.state.lock()
+    }
 }
 
 #[cfg(test)]
@@ -516,8 +525,7 @@ mod tests {
                 pong.wait();
             }
             peer.join().unwrap();
-            let left = (*ping.state.lock(), *pong.state.lock());
-            left
+            (ping.permits(), pong.permits())
         });
         assert_eq!(turns, (0, 0), "permits left over");
     }
@@ -538,8 +546,7 @@ mod tests {
                 g.wait();
             }
             posters.into_iter().for_each(|p| p.join().unwrap());
-            let left = *g.state.lock();
-            left
+            g.permits()
         });
         assert_eq!(left, 0, "more permits than posts");
     }

@@ -22,6 +22,15 @@
 //! goes to the timer thread. Handlers therefore run concurrently with one
 //! another: on `amber-net` and on any number of sending threads.
 //!
+//! A [`leg`](crate::Engine::leg), which is every message the runtime sends,
+//! has no handler at all. With no delay to serve and no `FaultPlan`, the
+//! travelling thread takes it itself: it counts the send, gives its
+//! processor token back, moves to the destination and takes a token there
+//! — no allocation, no gate. Otherwise the timer thread (through the fault
+//! layer, under a plan) runs the leg's arrival, which moves the thread,
+//! marks the leg arrived and posts the thread's kernel gate; the thread
+//! blocks first and tests for the arrival after.
+//!
 //! Differences from [`SimEngine`](crate::sim::SimEngine), by design:
 //!
 //! * [`work`](crate::Engine::work) is a no-op — real code has real cost;
@@ -35,7 +44,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,23 +91,30 @@ impl RealNode {
     }
 }
 
+/// [`RealTcb::held`] when the thread holds no processor token.
+const NO_TOKEN: usize = usize::MAX;
+
 struct RealTcb {
-    /// The node the thread is assigned to. Written by a migration handler
-    /// (`Release`) — on the net thread, or on the thread itself when the
-    /// migration message was delivered by its sender — and read by the
-    /// thread itself (`Acquire`). The wake-up that follows a migration's
-    /// store orders it already; the pairing covers `acquire_current`'s
-    /// re-read, which no wake-up guards.
+    /// The node the thread is assigned to. Only the thread's own legs move
+    /// it, and only while it holds no processor token: the thread itself on
+    /// a leg with nothing to wait for, or else the leg's arrival on the
+    /// timer thread, which stores it (`Release`) before it marks the leg
+    /// arrived. Read by the thread and by anyone asking `node_of`
+    /// (`Acquire`).
     node: AtomicU16,
+    /// The number of the thread's last leg whose message has arrived; its
+    /// next leg is one past it. Written only by arrivals on the timer
+    /// thread (`Release`), read by the thread (`Acquire`).
+    arrived: AtomicU64,
     /// User-class wake gate (`block_current`/`unblock`).
     gate: Arc<Gate>,
-    /// Kernel-class wake gate (`block_kernel`/`unblock_kernel`).
+    /// Kernel-class wake gate (`block_kernel`/`unblock_kernel`, and the
+    /// arrival of a leg with a delay to serve).
     kernel_gate: Arc<Gate>,
-    /// Index of the node whose processor token this thread currently
-    /// holds. Tracked explicitly because a migration handler can retarget
-    /// `node` concurrently with a block/unblock cycle; releases must go to
-    /// the node actually held, not the node currently assigned.
-    held: Mutex<Option<usize>>,
+    /// Index of the node whose processor token the thread holds, or
+    /// [`NO_TOKEN`]. Only the thread itself reads and writes it, so its
+    /// accesses are plain (`Relaxed`) loads and stores.
+    held: AtomicUsize,
 }
 
 impl RealTcb {
@@ -106,26 +122,37 @@ impl RealTcb {
         NodeId(self.node.load(Ordering::Acquire))
     }
 
-    /// Acquires a processor token on the thread's current node, revalidating
-    /// against concurrent migration (acquire-check-retry).
+    /// Acquires a processor token on the thread's current node. Nothing
+    /// moves the thread while it waits for one (see `node`).
     fn acquire_current(&self, nodes: &[RealNode]) {
-        loop {
-            let n = self.node().index();
-            nodes[n].acquire();
-            if self.node().index() == n {
-                *self.held.lock() = Some(n);
-                return;
-            }
-            // Migrated between the read and the acquire; give it back.
-            nodes[n].release();
-        }
+        let n = self.node().index();
+        nodes[n].acquire();
+        self.held.store(n, Ordering::Relaxed);
     }
 
     /// Releases the token this thread holds, if any.
     fn release_held(&self, nodes: &[RealNode]) {
-        if let Some(n) = self.held.lock().take() {
+        let n = self.held.load(Ordering::Relaxed);
+        if n != NO_TOKEN {
+            self.held.store(NO_TOKEN, Ordering::Relaxed);
             nodes[n].release();
         }
+    }
+
+    /// The message of leg number `leg` has arrived: moves a travelling
+    /// thread to `dest`, marks the leg arrived and wakes its wait. A late
+    /// copy of an earlier leg's message finds its number arrived already
+    /// and does nothing. Arrivals all run on the timer thread, so they do
+    /// not race one another.
+    fn arrive(&self, leg: u64, dest: Option<NodeId>) {
+        if self.arrived.load(Ordering::Relaxed) >= leg {
+            return;
+        }
+        if let Some(node) = dest {
+            self.node.store(node.0, Ordering::Release);
+        }
+        self.arrived.store(leg, Ordering::Release);
+        self.kernel_gate.post();
     }
 }
 
@@ -289,10 +316,9 @@ impl RealEngine {
     }
 
     /// Runs `f` on `tid`'s tcb: the calling thread's own from its
-    /// thread-local (every block point, and the `set_node` and wake of a
-    /// migration message it delivered itself), anyone else's (a waker, the
-    /// net thread's `set_node`) from the shared map.
-    fn with_tcb<R>(&self, tid: ThreadId, f: impl FnOnce(&RealTcb) -> R) -> R {
+    /// thread-local (every block point and leg), anyone else's (a waker)
+    /// from the shared map.
+    fn with_tcb<R>(&self, tid: ThreadId, f: impl FnOnce(&Arc<RealTcb>) -> R) -> R {
         OWN_TCB.with(|own| match &*own.borrow() {
             Some((engine, t, tcb)) if *t == tid && std::ptr::eq(*engine, &*self.inner) => f(tcb),
             _ => {
@@ -407,9 +433,10 @@ impl Engine for RealEngine {
         let gate = Gate::new();
         let tcb = Arc::new(RealTcb {
             node: AtomicU16::new(node.0),
+            arrived: AtomicU64::new(0),
             gate: Arc::clone(&gate),
             kernel_gate: Gate::new(),
-            held: Mutex::new(None),
+            held: AtomicUsize::new(NO_TOKEN),
         });
         self.inner.threads.lock().insert(tid, Arc::clone(&tcb));
         self.inner.live.lock().count += 1;
@@ -469,16 +496,8 @@ impl Engine for RealEngine {
         self.with_tcb(thread, |tcb| tcb.kernel_gate.post());
     }
 
-    fn set_node(&self, thread: ThreadId, node: NodeId) {
-        #[expect(clippy::disallowed_macros, reason = "migration targets are checked")]
-        {
-            assert!(node.index() < self.inner.nodes.len(), "no such {node}");
-        }
-        self.with_tcb(thread, |tcb| tcb.node.store(node.0, Ordering::Release));
-    }
-
     fn node_of(&self, thread: ThreadId) -> NodeId {
-        self.with_tcb(thread, RealTcb::node)
+        self.with_tcb(thread, |tcb| tcb.node())
     }
 
     // Token hand-off order under the real engine is OS-determined; the
@@ -511,6 +530,51 @@ impl Engine for RealEngine {
         } else {
             self.inner.enqueue_net(delay, handler);
         }
+    }
+
+    fn leg(&self, from: NodeId, to: NodeId, bytes: usize, travel: bool, reason: &'static str) {
+        amber_verify::engine_block_checkpoint(reason);
+        let nodes = &self.inner.nodes;
+        #[expect(clippy::disallowed_macros, reason = "migration targets are checked")]
+        {
+            assert!(to.index() < nodes.len(), "no such {to}");
+        }
+        self.inner.tracer.emit(
+            || self.now(),
+            ProtocolEvent::MessageSend { from, to, bytes },
+        );
+        let dest = travel.then_some(to);
+        let delay = self.inner.latency.latency(bytes).to_duration();
+        let here = self.with_tcb(must_current_thread(), |tcb| {
+            tcb.release_held(nodes);
+            if self.fault.is_none() && delay.is_zero() {
+                // Nothing to wait for: the thread takes the leg itself.
+                if let Some(node) = dest {
+                    tcb.node.store(node.0, Ordering::Release);
+                }
+            } else {
+                let leg = tcb.arrived.load(Ordering::Relaxed) + 1;
+                let arrival: KernelFn = {
+                    let tcb = Arc::clone(tcb);
+                    Box::new(move || tcb.arrive(leg, dest))
+                };
+                match &self.fault {
+                    Some(fault) => fault.send(from, to, bytes, arrival),
+                    None => self.inner.enqueue_net(delay, arrival),
+                }
+                // Block first, test after: every arrival posts the gate
+                // once, and this wait is where its post is taken.
+                loop {
+                    tcb.kernel_gate.wait();
+                    if tcb.arrived.load(Ordering::Acquire) >= leg {
+                        break;
+                    }
+                }
+            }
+            tcb.acquire_current(nodes);
+            tcb.node().index()
+        });
+        self.inner.stats.record_dispatch(here);
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
@@ -944,20 +1008,77 @@ mod tests {
         e.run(NodeId(0), move || {
             let me = must_current_thread();
             assert_eq!(e2.node_of(me), NodeId(0));
-            // Simulate what the runtime does on migration: block, have a
-            // kernel handler retarget and wake us.
-            let e3 = Arc::clone(&e2);
-            e2.send(
-                NodeId(0),
-                NodeId(1),
-                64,
-                Box::new(move || {
-                    e3.set_node(me, NodeId(1));
-                    e3.unblock(me);
-                }),
-            );
-            e2.block_current("migrating");
+            e2.leg(NodeId(0), NodeId(1), 64, true, "migrating");
             assert_eq!(e2.node_of(me), NodeId(1));
+            let idle = [NodeId(0), NodeId(1)].map(|n| e2.idle_processors(n));
+            assert_eq!(idle, [1, 0], "the thread holds node 1's processor");
+        })
+        .unwrap();
+        assert_eq!(e.idle_processors(NodeId(1)), 1);
+    }
+
+    #[test]
+    fn a_zero_latency_leg_needs_no_timer_thread() {
+        const LEGS: u64 = 10_000;
+        let e = real(2, 1);
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let me = must_current_thread();
+            for i in 0..LEGS {
+                let (from, to) = if i % 2 == 0 {
+                    (NodeId(0), NodeId(1))
+                } else {
+                    (NodeId(1), NodeId(0))
+                };
+                e2.leg(from, to, 64, true, "test-leg");
+                assert_eq!(e2.node_of(me), to);
+                assert_eq!((e2.idle_processors(from), e2.idle_processors(to)), (1, 0));
+            }
+            let permits = e2.with_tcb(me, |tcb| tcb.kernel_gate.permits());
+            assert_eq!(permits, 0, "a leg left a kernel wake behind");
+        })
+        .unwrap();
+        assert_eq!(e.inner.net.state.lock().next_seq, 0, "a leg took the timer");
+        assert_eq!(e.stats().total_msgs(), LEGS);
+        // Main's start, and one return from each leg's block point.
+        assert_eq!(e.stats().total_dispatches(), 1 + LEGS);
+    }
+
+    #[test]
+    fn a_stray_kernel_wake_does_not_end_a_leg() {
+        // A host thread wakes the traveller as soon as it has given its
+        // processor up. Under load that wake can land after the leg has
+        // ended instead, as a pending one; the traveller takes it and tries
+        // again until one lands inside a leg, where the leg consumes it.
+        const LATENCY: Duration = Duration::from_micros(50);
+        let spec =
+            ClusterSpec::uniform(2, 1).with_latency(LatencyModel::fixed(SimTime::from_us(50)));
+        let e = Arc::new(RealEngine::new(spec).with_deadline(Duration::from_secs(60)));
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let me = must_current_thread();
+            for _ in 0..100 {
+                let from = e2.node_of(me);
+                let to = NodeId(1 - from.0);
+                let t0 = Instant::now();
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        while e2.idle_processors(from) == 0 {
+                            std::hint::spin_loop();
+                        }
+                        e2.unblock_kernel(me);
+                    });
+                    e2.leg(from, to, 64, true, "test-leg");
+                });
+                assert!(t0.elapsed() >= LATENCY, "the leg ended early");
+                assert_eq!(e2.node_of(me), to);
+                assert_eq!((e2.idle_processors(from), e2.idle_processors(to)), (1, 0));
+                if e2.with_tcb(me, |tcb| tcb.kernel_gate.permits()) == 0 {
+                    return;
+                }
+                e2.block_kernel("late-stray-wake");
+            }
+            panic!("no stray wake landed inside a leg");
         })
         .unwrap();
     }
