@@ -271,31 +271,34 @@ impl Kernel {
             .expect("placement tick without placement state");
         let n = self.nodes.len();
 
-        // Drain this tick's per-object counters shard by shard (relaxed
-        // swaps; an invocation racing the drain lands in the next tick) and
-        // copy the attachment shape needed to fold groups onto their roots.
-        let mut observed: HashMap<VAddr, Observation> = HashMap::new();
-        self.objects.for_each(|addr, e| {
-            let mut calls = vec![0u64; n];
-            for (slot, c) in e.calls.iter().enumerate() {
-                calls[slot] = c.swap(0, Ordering::Relaxed);
-            }
-            observed.insert(
-                addr,
-                Observation {
+        // Drain this tick's per-object counters under one registry guard
+        // (relaxed swaps; an invocation lands before or after the drain,
+        // never inside it) and copy out the attachment shape needed to fold
+        // groups onto their roots. The policy and the replica scan below run
+        // with the lock released.
+        let observed: HashMap<VAddr, Observation> = self
+            .objects
+            .lock()
+            .iter()
+            .map(|(&addr, e)| {
+                let mut calls = vec![0u64; n];
+                for (slot, c) in e.calls.iter().enumerate() {
+                    calls[slot] = c.swap(0, Ordering::Relaxed);
+                }
+                let obs = Observation {
                     location: e.location,
                     attached_to: e.attached_to,
                     immutable: e.immutable,
                     calls,
-                },
-            );
-        });
+                };
+                (addr, obs)
+            })
+            .collect();
 
         // Groups move as one, so score whole groups: each object's traffic
-        // is credited to its attachment root. The snapshot was taken one
-        // shard at a time, so a chain mutated mid-drain can look torn;
-        // walking is bounded and a dangling parent just drops that object's
-        // contribution for one tick.
+        // is credited to its attachment root. The snapshot is one critical
+        // section, so every chain in it is whole; the walk stays bounded
+        // all the same.
         let mut tally: HashMap<VAddr, (NodeId, bool, Vec<u64>)> = HashMap::new();
         for (addr, obs) in &observed {
             if obs.calls.iter().all(|&v| v == 0) {
@@ -343,7 +346,7 @@ impl Kernel {
         }
 
         // Successful advisories count and trace *inside* the kernel, at the
-        // claim point under the shard locks (so the event stream stays
+        // claim point under the registry lock (so the event stream stays
         // linearized against destroys); only the skip bookkeeping lives
         // here.
         let decisions = p.policy.lock().decide(&samples);

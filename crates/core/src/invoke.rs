@@ -19,17 +19,17 @@
 //! intra-node hardware synchronization of a real multiprocessor node.
 //!
 //! An invocation has five steps, and a resident object — the common case,
-//! the paper's 12 us local invoke — takes exactly three registry-shard
-//! visits and no descriptor lookup for them:
+//! the paper's 12 us local invoke — takes exactly three registry visits and
+//! no descriptor lookup for them:
 //!
 //! 1. **entry** ([`Kernel::bind_frame`]): push the frame, bind it to the
-//!    object and, under the same shard lock — the one that is authoritative
-//!    for `location` and `moving` — decide residency. The verdict is exact,
-//!    not a hint: `create_*` writes the descriptor before the registry
-//!    insert, a move keeps `moving` set from its claim until both `location`
-//!    and the destination descriptor are written, and `destroy` removes the
-//!    entry first. Only a non-resident verdict runs the chase
-//!    ([`Kernel::ensure_at_object`]), which is the one slow path;
+//!    object and, under the same registry lock — the one that is
+//!    authoritative for `location` and `moving` — decide residency. The
+//!    verdict is exact, not a hint: `create_*` writes the descriptor before
+//!    the registry insert, a move keeps `moving` set from its claim until
+//!    both `location` and the destination descriptor are written, and
+//!    `destroy` removes the entry first. Only a non-resident verdict runs the
+//!    chase ([`Kernel::ensure_at_object`]), which is the one slow path;
 //! 2. **charge** `local_invoke`, a scheduling point under the simulator;
 //! 3. **admission** ([`Kernel::acquire_payload`]), its own visit *after*
 //!    the charge: invokers pay the charge in parallel and only then queue,
@@ -128,7 +128,7 @@ impl Kernel {
 
     /// The entry visit: pushes the invocation frame and binds it to the
     /// object — the section-3.5 "frame first" step — and reads, under the
-    /// same shard lock, the object's immutability flag and whether it is
+    /// same registry lock, the object's immutability flag and whether it is
     /// resident on `from`, the node the invocation starts on. Returns
     /// `(immutable, resident)`, or [`ProtocolError::ObjectDestroyed`] (with
     /// the frame unwound) for references to destroyed objects.
@@ -139,14 +139,14 @@ impl Kernel {
     /// tells the daemon there is something to drain.
     fn bind_frame(&self, addr: VAddr, from: NodeId) -> Result<(bool, bool), ProtocolError> {
         with_invocations(|c| c.frames.push(addr.0));
-        let mut shard = self.objects.lock(addr);
-        let Some(e) = shard.get_mut(&addr) else {
-            drop(shard);
+        let mut objects = self.objects.lock();
+        let Some(e) = objects.get_mut(&addr) else {
+            drop(objects);
             pop_frame(addr);
             return Err(ProtocolError::ObjectDestroyed(addr));
         };
         e.bound += 1;
-        // Every bump and the tick's drain hold this shard lock, so a plain
+        // Every bump and the tick's drain hold the registry lock, so a plain
         // load and store do the work of a locked add.
         use std::sync::atomic::Ordering::Relaxed;
         let earlier = e.calls.get(from.index()).map(|c| {
@@ -157,14 +157,14 @@ impl Kernel {
         let (immutable, resident) = (e.immutable, !e.moving && e.location == from);
         if amber_verify::ACTIVE && resident {
             // The verdict replaces the chase's first step; hold it to what
-            // that step would have read (shard -> descriptor is in order).
+            // that step would have read (registry -> descriptor is in order).
             let desc = self.nodes[from.index()].descriptors.read().lookup(addr);
             #[expect(clippy::disallowed_macros, reason = "verify builds check the verdict")]
             {
                 assert_eq!(desc, Some(Residency::Resident), "{addr} on {from}");
             }
         }
-        drop(shard);
+        drop(objects);
         if earlier == Some(0) {
             self.note_invocation_activity(from);
         }
@@ -176,7 +176,7 @@ impl Kernel {
     /// fallible invoke paths surface a typed error with the thread's frame
     /// stack and the object's bound count exactly as they were.
     fn unbind_frame(&self, addr: VAddr) {
-        if let Some(e) = self.objects.lock(addr).get_mut(&addr) {
+        if let Some(e) = self.objects.lock().get_mut(&addr) {
             e.bound -= 1;
         }
         pop_frame(addr);
@@ -227,11 +227,11 @@ impl Kernel {
         // has installed at the destination.
         {
             let me = must_current_thread();
-            let mut shard = self.objects.lock(addr);
-            match shard.get_mut(&addr) {
+            let mut objects = self.objects.lock();
+            match objects.get_mut(&addr) {
                 Some(e) if e.moving => {
                     e.move_waiters.push(me);
-                    drop(shard);
+                    drop(objects);
                     self.engine.block_kernel("await-move-install");
                     return Ok(ChaseStep::Again);
                 }
@@ -267,7 +267,7 @@ impl Kernel {
         if next == at {
             // A stale self-hint; consult ground truth to break the tie (the
             // descriptor write that makes it fresh is in flight).
-            let Some(loc) = self.objects.lock(addr).get(&addr).map(|e| e.location) else {
+            let Some(loc) = self.objects.lock().get(&addr).map(|e| e.location) else {
                 return Err(ProtocolError::ObjectDestroyed(addr));
             };
             if loc == at {
@@ -403,7 +403,7 @@ impl Kernel {
     /// operations if necessary. Returns the payload cell, or
     /// [`ProtocolError::ObjectDestroyed`] when the object vanished between
     /// chase resolution and this admission check — liveness is re-checked
-    /// under the shard lock on every iteration (including after each park),
+    /// under the registry lock on every iteration (including after each park),
     /// so a racing destroy surfaces as a typed error, never a panic.
     fn acquire_payload(
         &self,
@@ -412,8 +412,8 @@ impl Kernel {
     ) -> Result<Arc<ObjectCell>, ProtocolError> {
         let me = must_current_thread();
         loop {
-            let mut shard = self.objects.lock(addr);
-            let Some(e) = shard.get_mut(&addr) else {
+            let mut objects = self.objects.lock();
+            let Some(e) = objects.get_mut(&addr) else {
                 return Err(ProtocolError::ObjectDestroyed(addr));
             };
             #[expect(clippy::disallowed_macros, reason = "self-invoking is a program bug")]
@@ -447,7 +447,7 @@ impl Kernel {
             if !e.op_waiters.iter().any(|w| w.thread == me) {
                 e.op_waiters.push_back(OpWaiter { thread: me, access });
             }
-            drop(shard);
+            drop(objects);
             self.engine.block_kernel("object-op-wait");
             // Re-run the admission check (every park in the runtime is
             // predicate-guarded: wake-ups may be spurious).
@@ -455,7 +455,7 @@ impl Kernel {
     }
 
     /// Releases the payload, unbinds the invocation frame, and wakes every
-    /// queued waiter — one registry-shard visit for the whole epilogue; the
+    /// queued waiter — one registry visit for the whole epilogue; the
     /// woken threads re-run the admission check and re-queue if they lose.
     ///
     /// Waking everyone (rather than the exact admissible set) is the
@@ -464,8 +464,8 @@ impl Kernel {
     /// have to chase stale entries.
     fn finish_invocation(&self, addr: VAddr, access: Access) {
         let to_wake: Vec<ThreadId> = {
-            let mut shard = self.objects.lock(addr);
-            match shard.get_mut(&addr) {
+            let mut objects = self.objects.lock();
+            match objects.get_mut(&addr) {
                 // Destroy during release cannot happen (destroy asserts
                 // idle), but be tolerant in release paths.
                 None => Vec::new(),

@@ -3,9 +3,9 @@
 //! One `Kernel` underlies a whole cluster. It owns:
 //!
 //! * the global object registry — payloads plus mobility metadata (location,
-//!   immutability, attachment, bound threads, in-progress moves) — sharded
-//!   by address so concurrent operations on different objects never share a
-//!   lock (see [`crate::registry`]);
+//!   immutability, attachment, bound threads, in-progress moves) — one map
+//!   under one lock, so an attachment group's walk, busy check and claim
+//!   are a single critical section;
 //! * per-node state — descriptor tables, heaps, and region-map caches from
 //!   `amber-vspace`. Descriptor tables are read-mostly (`RwLock`): the hot
 //!   paths only *read* residency, and writes happen on the rare mobility
@@ -25,9 +25,9 @@
 //! distribution come from the explicit protocol charges and messages issued
 //! by the methods in this crate, never from the data structures themselves.
 //!
-//! Lock order (see DESIGN.md, "Locking discipline"): `topology` →
-//! object-registry shards (ascending index) → descriptor tables. No lock is
-//! ever held across an engine block.
+//! Lock order (see DESIGN.md, "Locking discipline"): the object registry →
+//! descriptor tables. The registry lock is never taken while it is held,
+//! and no lock is ever held across an engine block.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -37,14 +37,15 @@ use std::sync::Arc;
 use amber_engine::{
     must_current_thread, CostModel, Engine, NodeId, ProtocolEvent, SimTime, ThreadId,
 };
-use amber_verify::{LockLevel, OrderedMutex, OrderedRwLock};
-use amber_vspace::{AddressSpaceServer, DescriptorTable, HeapError, NodeHeap, RegionMap, VAddr};
+use amber_verify::{LockLevel, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
+use amber_vspace::{
+    AddrMap, AddressSpaceServer, DescriptorTable, HeapError, NodeHeap, RegionMap, VAddr,
+};
 use parking_lot::{Mutex, RwLock};
 
 use crate::adaptive::{PlacementPolicy, PlacementRuntime};
 use crate::errors::ProtocolError;
 use crate::objref::{AmberObject, ObjRef};
-use crate::registry::ObjectRegistry;
 
 /// Access mode requested on an object payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,9 +105,9 @@ pub(crate) struct ObjectEntry {
     /// Per-caller-node invocation counters for the adaptive placement
     /// engine: slot `n` counts invocations started on node `n` since the
     /// last placement tick drained them. Bumped and drained only under the
-    /// shard lock the invoke path already holds, so the fast path takes no
-    /// extra lock (atomics for the drain's `&self`, not for sharing); empty
-    /// when adaptive placement is disabled.
+    /// registry lock the invoke path already holds, so the fast path takes
+    /// no extra lock (atomics for the drain's `&self`, not for sharing);
+    /// empty when adaptive placement is disabled.
     pub(crate) calls: Box<[AtomicU64]>,
     /// Pinned by the user: the placement advisor never moves this object
     /// (explicit `MoveTo` still does).
@@ -143,13 +144,37 @@ impl ObjectEntry {
     }
 }
 
+/// The object registry's entries, keyed by object address.
+pub(crate) type ObjectMap = AddrMap<ObjectEntry>;
+
+/// The object registry: every entry under one lock, order-checked at
+/// `LockLevel::Registry`, the first tier of the lock hierarchy.
+///
+/// Aligned to 128 bytes so the lock word shares no cache line with the
+/// `Kernel` fields every operation reads. Unpadded among them,
+/// `remote_invoke` measured about 3 % fewer ops/s; behind a `Box` instead,
+/// the extra load cost `local_invoke` about 1 % (EXPERIMENTS.md, "one
+/// registry lock").
+#[repr(align(128))]
+pub(crate) struct Registry(OrderedMutex<ObjectMap>);
+
+impl Registry {
+    /// Takes the registry lock. Never held across an engine block and never
+    /// taken while held: a nested `lock()` self-deadlocks, so a path that
+    /// needs several entries takes the guard once and passes the map down.
+    #[inline]
+    pub(crate) fn lock(&self) -> OrderedMutexGuard<'_, ObjectMap> {
+        self.0.lock()
+    }
+}
+
 /// Per-node kernel state.
 pub(crate) struct NodeKernel {
     /// Residency descriptors. Read-mostly: every invoke and residency
     /// re-check takes the read lock; only mobility transitions (create,
     /// move, replicate, destroy, hint refresh) take the write lock.
     /// Order-checked at `LockLevel::DescriptorTable(node)` — the last tier
-    /// of the lock hierarchy, legal to take while holding registry shards.
+    /// of the lock hierarchy, legal to take while holding the registry.
     pub(crate) descriptors: OrderedRwLock<DescriptorTable>,
     pub(crate) heap: Mutex<NodeHeap>,
     pub(crate) regions: Mutex<RegionMap>,
@@ -163,16 +188,9 @@ pub(crate) struct NodeKernel {
 pub(crate) struct Kernel {
     pub(crate) engine: Arc<dyn Engine>,
     pub(crate) cost: CostModel,
-    pub(crate) objects: ObjectRegistry,
+    pub(crate) objects: Registry,
     pub(crate) nodes: Vec<NodeKernel>,
     pub(crate) server: Mutex<AddressSpaceServer>,
-    /// Serializes changes to the attachment *topology* (attach/unattach)
-    /// and the computation+claim of a move's attachment group, so a group
-    /// cannot change shape while its `moving` flags are being claimed.
-    /// Never held across an engine block, and never acquired while holding
-    /// a registry shard — enforced at `LockLevel::Topology`, the first tier
-    /// of the machine-checked lock hierarchy.
-    pub(crate) topology: OrderedMutex<()>,
     /// Adaptive placement state (policy, tick arming, daemon handle); `None`
     /// when the cluster was built without a placement policy.
     pub(crate) placement: Option<PlacementRuntime>,
@@ -217,10 +235,9 @@ impl Kernel {
         Arc::new(Kernel {
             engine,
             cost,
-            objects: ObjectRegistry::new(),
+            objects: Registry(OrderedMutex::new(LockLevel::Registry, ObjectMap::default())),
             nodes,
             server: Mutex::new(server),
-            topology: OrderedMutex::new(LockLevel::Topology, ()),
             placement: policy.map(|p| PlacementRuntime::new(p, n)),
             demand_replication,
         })
@@ -251,9 +268,9 @@ impl Kernel {
     /// Raises one protocol fact through the engine's one `emit`: counted in
     /// its node's row and, if a trace sink is installed, recorded stamped
     /// with the engine clock and the current thread. Call it where the fact
-    /// commits (under the shard guard that commits it, where there is one).
-    /// With no sink this is one relaxed add and one relaxed load; the clock
-    /// is not read.
+    /// commits (under the registry guard that commits it, where there is
+    /// one). With no sink this is one relaxed add and one relaxed load; the
+    /// clock is not read.
     #[inline]
     pub(crate) fn emit(&self, event: ProtocolEvent) {
         let engine = &*self.engine;
@@ -372,12 +389,13 @@ impl Kernel {
             .descriptors
             .write()
             .set_resident(addr);
-        // Emission under the shard lock keeps the trace stream linearized
-        // with the registry transition: no destroy of a reused address can
-        // slot its event between our insert and our ObjectCreate.
+        // Emission under the registry lock keeps the trace stream
+        // linearized with the registry transition: no destroy of a reused
+        // address can slot its event between our insert and our
+        // ObjectCreate.
         {
-            let mut shard = self.objects.lock(addr);
-            let prev = shard.insert(addr, entry);
+            let mut objects = self.objects.lock();
+            let prev = objects.insert(addr, entry);
             #[expect(clippy::disallowed_macros, reason = "destroy removes the entry first")]
             {
                 debug_assert!(prev.is_none(), "heap handed out a live address");
@@ -396,13 +414,13 @@ impl Kernel {
     /// [`ProtocolError::ObjectDestroyed`]; a destroy that catches the object
     /// with operations in progress, mid-move, or attached is
     /// [`ProtocolError::ObjectBusy`]. All checks and the entry removal
-    /// happen under one shard lock, so exactly one of two racing destroyers
-    /// wins and the loser gets a deterministic `Err`.
+    /// happen under one registry lock, so exactly one of two racing
+    /// destroyers wins and the loser gets a deterministic `Err`.
     pub(crate) fn destroy(&self, addr: VAddr) -> Result<(), ProtocolError> {
         let me = self.current_node();
         let entry = {
-            let mut shard = self.objects.lock(addr);
-            let Some(e) = shard.remove(&addr) else {
+            let mut objects = self.objects.lock();
+            let Some(e) = objects.remove(&addr) else {
                 return Err(ProtocolError::ObjectDestroyed(addr));
             };
             let busy = e.excl_owner.is_some()
@@ -414,10 +432,10 @@ impl Kernel {
             if busy {
                 // Busy objects stay alive: put the entry back under the same
                 // lock, so the race loser observed nothing but an `Err`.
-                shard.insert(addr, e);
+                objects.insert(addr, e);
                 return Err(ProtocolError::ObjectBusy(addr));
             }
-            // Emit under the same shard lock that committed the removal:
+            // Emit under the same registry lock that committed the removal:
             // once the heap block is freed below, the address can be reused
             // and its ObjectCreate must serialize *after* this event.
             self.emit(ProtocolEvent::ObjectDestroy {

@@ -68,7 +68,6 @@ mod invoke;
 mod kernel;
 mod mobility;
 mod objref;
-mod registry;
 mod thread;
 
 pub use adaptive::{PlacementDecision, PlacementPolicy, PlacementSample};

@@ -17,51 +17,36 @@
 //!   replication: the destination installs a copy and the source keeps its
 //!   own; shared invocations anywhere are then served by local replicas.
 //!
-//! Multi-object paths here follow the kernel's locking discipline: the
-//! `topology` mutex makes attachment-group membership stable while a group
-//! is computed and claimed, registry shards for a group are taken in
-//! ascending shard order via
-//! [`ObjectRegistry::lock_group`](crate::registry::ObjectRegistry::lock_group),
-//! and descriptor writes are batched into one write-lock visit per node.
-
-use std::collections::HashSet;
+//! Multi-object paths here follow the kernel's locking discipline: a
+//! group's walk, busy check and `moving` claim run under one registry
+//! guard, so membership cannot change between them, and descriptor writes
+//! are batched into one write-lock visit per node.
 
 use amber_engine::{must_current_thread, NodeId, ProtocolEvent};
 use amber_vspace::VAddr;
 
 use crate::errors::ProtocolError;
 use crate::invoke::ChaseStep;
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, ObjectMap};
+
+/// The attachment closure rooted at `addr` in the held registry map: the
+/// object plus everything transitively attached to it, in deterministic BFS
+/// order (the order members were pushed). Attachments form a forest —
+/// `attach` refuses cycles and a second parent under the same guard — so
+/// the walk meets no member twice.
+fn group_of(objects: &ObjectMap, addr: VAddr) -> Vec<VAddr> {
+    let mut group = vec![addr];
+    let mut i = 0;
+    while i < group.len() {
+        if let Some(e) = objects.get(&group[i]) {
+            group.extend_from_slice(&e.attached);
+        }
+        i += 1;
+    }
+    group
+}
 
 impl Kernel {
-    /// The attachment closure rooted at `addr`: the object plus everything
-    /// transitively attached to it, in deterministic BFS order (the order
-    /// members were pushed).
-    ///
-    /// Callers must hold the `topology` lock so membership cannot change
-    /// mid-walk. Shards are visited one at a time and never nested, so the
-    /// walk imposes no shard-order constraint. Membership is tracked in a
-    /// `HashSet` so large groups stay O(n), not O(n²).
-    fn group_of(&self, addr: VAddr) -> Vec<VAddr> {
-        let mut group = vec![addr];
-        let mut seen: HashSet<VAddr> = HashSet::with_capacity(16);
-        seen.insert(addr);
-        let mut i = 0;
-        while i < group.len() {
-            let a = group[i];
-            let children = self.objects.lock(a).get(&a).map(|e| e.attached.clone());
-            if let Some(children) = children {
-                for child in children {
-                    if seen.insert(child) {
-                        group.push(child);
-                    }
-                }
-            }
-            i += 1;
-        }
-        group
-    }
-
     /// Explicitly moves the object (with its attachment group) to `dest`.
     ///
     /// Moving an *immutable* object copies it instead (the paper's stated
@@ -92,30 +77,23 @@ impl Kernel {
         // their descriptor writes (leaving a stale Resident entry behind).
         // So the mover atomically claims the `moving` flag on every member
         // of the attachment group, parking if any member is already moving.
-        // The topology lock keeps group membership stable from computation
-        // through claim; it is dropped before any park or network work.
+        // The walk, the busy check with its waiter registration and the
+        // claim share one registry guard, so membership is stable from
+        // computation through claim and no registration can race the wake;
+        // the guard is dropped before any park or network work.
         let (source, immutable, group) = loop {
-            let topo = self.topology.lock();
-            // Root state and the already-moving check share one shard
-            // visit, so the waiter registration cannot race the wake.
-            let root = {
-                let mut shard = self.objects.lock(addr);
-                #[expect(clippy::panic, reason = "MoveTo after destroy is a program bug")]
-                let e = shard
-                    .get_mut(&addr)
-                    .unwrap_or_else(|| panic!("MoveTo on destroyed or unknown object {addr}"));
-                if e.moving {
-                    e.move_waiters.push(me);
-                    None
-                } else {
-                    Some((e.location, e.immutable, e.attached_to))
-                }
-            };
-            let Some((location, immutable, attached_to)) = root else {
-                drop(topo);
+            let mut objects = self.objects.lock();
+            #[expect(clippy::panic, reason = "MoveTo after destroy is a program bug")]
+            let e = objects
+                .get_mut(&addr)
+                .unwrap_or_else(|| panic!("MoveTo on destroyed or unknown object {addr}"));
+            if e.moving {
+                e.move_waiters.push(me);
+                drop(objects);
                 self.engine.block_kernel("moveto-serialize");
                 continue;
-            };
+            }
+            let (location, immutable, attached_to) = (e.location, e.immutable, e.attached_to);
             #[expect(clippy::disallowed_macros, reason = "only attach moves attached ones")]
             {
                 assert!(
@@ -129,26 +107,24 @@ impl Kernel {
             if location == dest {
                 return;
             }
-            let group = self.group_of(addr);
-            let mut shards = self.objects.lock_group(&group);
-            if let Some(&busy) = group
+            let group = group_of(&objects, addr);
+            if let Some(busy) = group
                 .iter()
-                .find(|a| shards.get(**a).is_some_and(|m| m.moving))
+                .find(|a| objects.get(a).is_some_and(|m| m.moving))
             {
                 #[expect(clippy::expect_used, reason = "busy was found under this guard")]
-                shards
+                objects
                     .get_mut(busy)
                     .expect("checked above")
                     .move_waiters
                     .push(me);
-                drop(shards);
-                drop(topo);
+                drop(objects);
                 self.engine.block_kernel("moveto-serialize");
                 continue;
             }
             #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
             for a in &group {
-                shards.get_mut(*a).expect("attached object vanished").moving = true;
+                objects.get_mut(a).expect("attached object vanished").moving = true;
             }
             break (location, false, group);
         };
@@ -168,8 +144,8 @@ impl Kernel {
     /// skip — the advisor's proposals are best-effort and simply skipped
     /// when the object is pinned, mid-move, attached (a non-root),
     /// immutable, destroyed, or already at `dest`. The `AdvisoryMove` event
-    /// is emitted at the claim point, under the group's shard locks, so the
-    /// event stream cannot show an advisory for an object that was already
+    /// is emitted at the claim point, under the registry lock, so the event
+    /// stream cannot show an advisory for an object that was already
     /// destroyed.
     ///
     /// Unlike [`move_object`](Kernel::move_object), a busy group is a skip,
@@ -180,51 +156,45 @@ impl Kernel {
             return Err("no-such-node");
         }
         let (source, group) = {
-            let topo = self.topology.lock();
-            let root = {
-                let shard = self.objects.lock(addr);
-                let Some(e) = shard.get(&addr) else {
-                    return Err("destroyed");
-                };
-                if e.moving {
-                    return Err("mid-move");
-                }
-                if e.pinned {
-                    return Err("pinned");
-                }
-                if e.attached_to.is_some() {
-                    return Err("attached");
-                }
-                if e.immutable {
-                    return Err("immutable");
-                }
-                e.location
+            let mut objects = self.objects.lock();
+            let Some(e) = objects.get(&addr) else {
+                return Err("destroyed");
             };
+            if e.moving {
+                return Err("mid-move");
+            }
+            if e.pinned {
+                return Err("pinned");
+            }
+            if e.attached_to.is_some() {
+                return Err("attached");
+            }
+            if e.immutable {
+                return Err("immutable");
+            }
+            let root = e.location;
             if root == dest {
                 return Err("already-there");
             }
-            let group = self.group_of(addr);
-            let mut shards = self.objects.lock_group(&group);
+            let group = group_of(&objects, addr);
             if group
                 .iter()
-                .any(|a| shards.get(*a).is_none_or(|e| e.moving || e.pinned))
+                .any(|a| objects.get(a).is_none_or(|e| e.moving || e.pinned))
             {
                 return Err("group-busy");
             }
             #[expect(clippy::expect_used, reason = "the check above found all live")]
             for a in &group {
-                shards.get_mut(*a).expect("checked above").moving = true;
+                objects.get_mut(a).expect("checked above").moving = true;
             }
             // The claim committed: count and trace the advisory while the
-            // group is still locked, so no destroy can slot its event
+            // registry is still locked, so no destroy can slot its event
             // before this one.
             self.emit(ProtocolEvent::AdvisoryMove {
                 obj: addr.0,
                 from: root,
                 to: dest,
             });
-            drop(shards);
-            drop(topo);
             (root, group)
         };
         self.transfer_group(addr, source, dest, &group);
@@ -261,10 +231,10 @@ impl Kernel {
             // node, not one per member.
             let mut per_node: Vec<Vec<VAddr>> = vec![Vec::new(); self.nodes.len()];
             {
-                let shards = self.objects.lock_group(group);
+                let objects = self.objects.lock();
                 for a in group {
                     #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
-                    let e = shards.get(*a).expect("attached object vanished");
+                    let e = objects.get(a).expect("attached object vanished");
                     bytes += e.size;
                     per_node[e.location.index()].push(*a);
                 }
@@ -301,21 +271,21 @@ impl Kernel {
         // batch is invisible to them.
         self.engine.work(self.cost.move_install);
         {
-            let mut shards = self.objects.lock_group(group);
+            let mut objects = self.objects.lock();
             #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
             for a in group {
-                shards
-                    .get_mut(*a)
+                objects
+                    .get_mut(a)
                     .expect("attached object vanished")
                     .location = dest;
                 // Every member (root included) marks its arrival while the
-                // group is locked: the event precedes any observation of
+                // registry is locked: the event precedes any observation of
                 // the new location, so a hint repaired toward `dest` can
                 // never appear in the trace before the install that made
                 // `dest` a legitimate host.
                 self.emit(ProtocolEvent::MoveInstalled { obj: a.0, to: dest });
             }
-            drop(shards);
+            drop(objects);
             let mut d = self.nodes[dest.index()].descriptors.write();
             for a in group {
                 d.set_resident(*a);
@@ -326,11 +296,11 @@ impl Kernel {
         // Clear the moving flag on every group member and release anyone
         // who parked on any of them.
         let waiters = {
-            let mut shards = self.objects.lock_group(group);
+            let mut objects = self.objects.lock();
             let mut ws = Vec::new();
             for a in group {
                 #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
-                let e = shards.get_mut(*a).expect("moved object vanished");
+                let e = objects.get_mut(a).expect("moved object vanished");
                 e.moving = false;
                 ws.append(&mut e.move_waiters);
             }
@@ -402,8 +372,7 @@ impl Kernel {
     /// wakes parked waiters, on both the success and the destroyed path.
     fn replicate_install(&self, addr: VAddr, node: NodeId) -> Result<NodeId, ProtocolError> {
         let lookup = |check_immutable: bool| {
-            let shard = self.objects.lock(addr);
-            shard.get(&addr).map(|e| {
+            self.objects.lock().get(&addr).map(|e| {
                 if check_immutable {
                     #[expect(clippy::disallowed_macros, reason = "callers found it immutable")]
                     {
@@ -443,16 +412,16 @@ impl Kernel {
             self.one_way(node, my_node, self.cost.control_packet_bytes, "replica-ack");
         }
         self.engine.work(self.cost.move_install);
-        // Install under one shard visit: liveness check, descriptor write
+        // Install under one registry visit: liveness check, descriptor write
         // and the Replication event all commit atomically with
         // respect to a racing destroy. (Previously the descriptor was
-        // written outside the shard lock, so a destroy interleaving here
+        // written outside the registry lock, so a destroy interleaving here
         // could leave a stale `Replica` descriptor aliasing the next object
         // the heap hands out at this address.)
         {
-            let shard = self.objects.lock(addr);
-            if shard.get(&addr).is_none() {
-                drop(shard);
+            let objects = self.objects.lock();
+            if !objects.contains_key(&addr) {
+                drop(objects);
                 self.release_replication_claim(addr, node);
                 return Err(ProtocolError::ObjectDestroyed(addr));
             }
@@ -476,7 +445,7 @@ impl Kernel {
     /// kernel declined on a skip — like
     /// [`advisory_move`](Kernel::advisory_move), proposals are best-effort
     /// and a declined one costs one skip event. The advisory counter and
-    /// trace event are emitted at the claim point, under the shard lock, so
+    /// trace event are emitted at the claim point, under the registry lock, so
     /// the event stream cannot show an advisory for a destroyed object; a
     /// destroy racing the transfer after that point is a benign failed
     /// install, not a skip.
@@ -502,15 +471,15 @@ impl Kernel {
             inflight.insert(addr, Vec::new());
         }
         let gate: Result<(), &'static str> = {
-            let shard = self.objects.lock(addr);
-            match shard.get(&addr) {
+            let objects = self.objects.lock();
+            match objects.get(&addr) {
                 None => Err("destroyed"),
                 Some(e) if !e.immutable => Err("not-immutable"),
                 Some(e) if e.moving => Err("mid-move"),
                 Some(e) if e.location == dest => Err("already-there"),
                 Some(e) => {
                     // The advisory is committed: count and trace it while
-                    // the object is provably live under the shard lock.
+                    // the object is provably live under the registry lock.
                     let from = e.location;
                     self.emit(ProtocolEvent::AdvisoryReplicate {
                         obj: addr.0,
@@ -539,9 +508,9 @@ impl Kernel {
     ///
     /// Panics if an exclusive operation is in progress.
     pub(crate) fn set_immutable(&self, addr: VAddr) {
-        let mut shard = self.objects.lock(addr);
+        let mut objects = self.objects.lock();
         #[expect(clippy::panic, reason = "set_immutable after destroy is a program bug")]
-        let e = shard
+        let e = objects
             .get_mut(&addr)
             .unwrap_or_else(|| panic!("set_immutable on destroyed object {addr}"));
         #[expect(clippy::disallowed_macros, reason = "freezing mid-op is a program bug")]
@@ -556,11 +525,7 @@ impl Kernel {
 
     /// `true` if the object has been marked immutable.
     pub(crate) fn is_immutable(&self, addr: VAddr) -> bool {
-        self.objects
-            .lock(addr)
-            .get(&addr)
-            .map(|e| e.immutable)
-            .unwrap_or(false)
+        self.objects.lock().get(&addr).is_some_and(|e| e.immutable)
     }
 
     /// Attaches `child` to `parent`: co-locates them now and makes `child`
@@ -576,15 +541,16 @@ impl Kernel {
             assert_ne!(child, parent, "an object cannot attach to itself");
         }
         {
-            // The topology lock keeps the attachment structure stable for
-            // the cycle walk (which crosses shards one visit at a time) and
-            // serializes this mutation against concurrent group moves.
-            let _topo = self.topology.lock();
-            let parent_known = self.objects.lock(parent).contains_key(&parent);
-            let child_known = self.objects.lock(child).contains_key(&child);
+            // One registry guard covers the known check, the cycle walk and
+            // the link, so the structure cannot change under the walk and
+            // the mutation serializes against concurrent group claims.
+            let mut objects = self.objects.lock();
             #[expect(clippy::disallowed_macros, reason = "Attach after destroy is a bug")]
             {
-                assert!(parent_known && child_known, "attach of unknown object");
+                assert!(
+                    objects.contains_key(&parent) && objects.contains_key(&child),
+                    "attach of unknown object"
+                );
             }
             // Cycle check: walk up from parent.
             let mut cur = Some(parent);
@@ -593,11 +559,10 @@ impl Kernel {
                 {
                     assert_ne!(a, child, "attachment cycle");
                 }
-                cur = self.objects.lock(a).get(&a).and_then(|e| e.attached_to);
+                cur = objects.get(&a).and_then(|e| e.attached_to);
             }
-            let mut shards = self.objects.lock_group(&[child, parent]);
-            #[expect(clippy::expect_used, reason = "lost only to the program's own destroy")]
-            let c = shards.get_mut(child).expect("child vanished");
+            #[expect(clippy::expect_used, reason = "the known check above found it")]
+            let c = objects.get_mut(&child).expect("child vanished");
             #[expect(clippy::disallowed_macros, reason = "attaching twice is a program bug")]
             {
                 assert!(
@@ -606,9 +571,9 @@ impl Kernel {
                 );
             }
             c.attached_to = Some(parent);
-            #[expect(clippy::expect_used, reason = "lost only to the program's own destroy")]
-            shards
-                .get_mut(parent)
+            #[expect(clippy::expect_used, reason = "the known check above found it")]
+            objects
+                .get_mut(&parent)
                 .expect("parent vanished")
                 .attached
                 .push(child);
@@ -626,16 +591,16 @@ impl Kernel {
         loop {
             // Only compare *settled* locations: if either object is
             // mid-move, park on its waiters and re-read afterwards. The
-            // busy check and waiter registration share one group guard.
+            // busy check and waiter registration share one registry guard.
             let settled = {
-                let mut shards = self.objects.lock_group(&[parent, child]);
+                let mut objects = self.objects.lock();
                 let busy = [parent, child]
                     .into_iter()
-                    .find(|a| shards.get(*a).is_some_and(|e| e.moving));
+                    .find(|a| objects.get(a).is_some_and(|e| e.moving));
                 if let Some(busy) = busy {
                     #[expect(clippy::expect_used, reason = "busy was found under this guard")]
-                    shards
-                        .get_mut(busy)
+                    objects
+                        .get_mut(&busy)
                         .expect("checked above")
                         .move_waiters
                         .push(me);
@@ -643,9 +608,9 @@ impl Kernel {
                 } else {
                     Some((
                         #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
-                        shards.get(parent).expect("parent vanished").location,
+                        objects.get(&parent).expect("parent vanished").location,
                         #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
-                        shards.get(child).expect("child vanished").location,
+                        objects.get(&child).expect("child vanished").location,
                     ))
                 }
             };
@@ -671,25 +636,20 @@ impl Kernel {
     ///
     /// Panics if the object is unknown or not attached.
     pub(crate) fn unattach(&self, child: VAddr) {
-        // Structure mutation: serialize against group walks and attaches.
-        // The two shard visits are sequential (never nested), and the
-        // intermediate state is invisible because every walker holds the
-        // topology lock too.
-        let _topo = self.topology.lock();
-        let parent = {
-            let mut shard = self.objects.lock(child);
-            #[expect(clippy::panic, reason = "Unattach after destroy is a program bug")]
-            let c = shard
-                .get_mut(&child)
-                .unwrap_or_else(|| panic!("unattach of unknown object {child}"));
-            #[expect(clippy::expect_used, reason = "Unattach needs a prior Attach")]
-            c.attached_to
-                .take()
-                .expect("unattach of an object that is not attached")
-        };
+        // Structure mutation: both halves of the link go under one registry
+        // guard, so no group walk or attach sees one without the other.
+        let mut objects = self.objects.lock();
+        #[expect(clippy::panic, reason = "Unattach after destroy is a program bug")]
+        let c = objects
+            .get_mut(&child)
+            .unwrap_or_else(|| panic!("unattach of unknown object {child}"));
+        #[expect(clippy::expect_used, reason = "Unattach needs a prior Attach")]
+        let parent = c
+            .attached_to
+            .take()
+            .expect("unattach of an object that is not attached");
         #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
-        self.objects
-            .lock(parent)
+        objects
             .get_mut(&parent)
             .expect("attachment parent vanished")
             .attached
@@ -718,9 +678,9 @@ impl Kernel {
     }
 
     fn set_pinned(&self, addr: VAddr, pinned: bool) {
-        let mut shard = self.objects.lock(addr);
+        let mut objects = self.objects.lock();
         #[expect(clippy::panic, reason = "pin/unpin after destroy is a program bug")]
-        let e = shard
+        let e = objects
             .get_mut(&addr)
             .unwrap_or_else(|| panic!("pin/unpin of destroyed or unknown object {addr}"));
         e.pinned = pinned;

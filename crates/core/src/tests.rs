@@ -821,7 +821,7 @@ fn destroy_racing_remote_invoke_is_typed_never_a_panic() {
     // leaving a window between chase resolution and payload admission. A
     // destroy landing inside that window used to abort the process at
     // `expect("invocation of destroyed object")`; now the admission
-    // re-checks liveness under the shard lock and the invoke surfaces
+    // re-checks liveness under the registry lock and the invoke surfaces
     // `ObjectDestroyed` without running the operation. Sweep the (virtual,
     // deterministic) destroy delay to hit the window.
     let mut invoke_lost = false;
@@ -1543,7 +1543,7 @@ fn join_event_names_the_joiners_node() {
 }
 
 // ---------------------------------------------------------------------------
-// Registry sharding
+// Concurrent group moves
 // ---------------------------------------------------------------------------
 
 use proptest::prelude::*;
@@ -1553,8 +1553,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random attachment forests moved concurrently by one OS-thread mover
-    /// per root never deadlock (group claims always take shards in
-    /// ascending order), and every member ends up co-located with its root.
+    /// per root never deadlock (a group's walk and claim take the registry
+    /// lock once, and no mover holds it while parked), and every member
+    /// ends up co-located with its root.
     #[test]
     fn random_attach_forests_move_without_deadlock(
         parents in proptest::collection::vec(0usize..8, 2..9),
@@ -2363,18 +2364,12 @@ mod fastpath {
     }
 }
 
-/// End-to-end workout for the runtime checkers: with `amber-verify` active
-/// (debug builds or `--features verify`) the lock-order checker and
-/// lifecycle linter observe every run in this file, panicking on the first
-/// violation. This test additionally exercises moves, replication,
-/// eviction-by-move, destroys, and the placement daemon in one program,
-/// then asserts the violation buffer is empty.
-#[cfg(any(feature = "verify", debug_assertions))]
-/// The real engine delivers a zero-delay message on its sender, so a thread
-/// can find its migration done before it ever blocks. These hold the token
-/// discipline to that: a thread computes on a node only while it holds one
-/// of that node's processors, and a wake is consumed by the wait it was
-/// posted for.
+/// On the real engine a thread with no delay and no fault plan takes its
+/// own zero-latency leg: it hands its processor token back, stores the new
+/// node and takes a token there without ever blocking. These hold the
+/// token discipline to that: a thread computes on a node only while it
+/// holds one of that node's processors, and a wake is consumed by the wait
+/// it was posted for.
 mod sender_delivery {
     use super::*;
     use amber_engine::{ClusterSpec, Engine, RealEngine};
@@ -2501,6 +2496,12 @@ mod sender_delivery {
     }
 }
 
+/// End-to-end workout for the runtime checkers: with `amber-verify` active
+/// (debug builds or `--features verify`) the lock-order checker and
+/// lifecycle linter observe every run in this file, panicking on the first
+/// violation. This test additionally exercises moves, replication and
+/// destroys in one program, then asserts the violation buffer is empty.
+#[cfg(any(feature = "verify", debug_assertions))]
 #[test]
 fn verification_workout_is_violation_free() {
     let c = sim(4, 2);

@@ -5,12 +5,13 @@
 //!
 //! * **Lock-order checker** — [`OrderedMutex`] / [`OrderedRwLock`] wrappers
 //!   carry a [`LockLevel`] and validate every acquisition against a
-//!   thread-local held-lock stack (levels must strictly ascend; shard
-//!   indices must ascend within their tier). Ranks are a strict total order,
-//!   so the per-thread rule is complete: an acquisition-order cycle across
-//!   threads needs one down-rank edge, and that edge is reported where it is
-//!   taken. Engines call [`engine_block_checkpoint`] at every
-//!   block/park/send point; holding any tracked lock there is a violation.
+//!   thread-local held-lock stack (levels must strictly ascend, so a lock
+//!   taken again while held is reported before it self-deadlocks). Ranks are
+//!   a strict total order, so the per-thread rule is complete: an
+//!   acquisition-order cycle across threads needs one down-rank edge, and
+//!   that edge is reported where it is taken. Engines call
+//!   [`engine_block_checkpoint`] at every block/park/send point; holding
+//!   any tracked lock there is a violation.
 //! * **Protocol-lifecycle linter** — lives in `amber-engine`, beside the
 //!   event table it reads, and reports illegal event sequences here as
 //!   [`Violation::Lifecycle`].
@@ -31,16 +32,14 @@ use parking_lot::Mutex;
 pub const ACTIVE: bool = cfg!(any(feature = "verify", debug_assertions));
 
 /// The tiers of the kernel's documented lock hierarchy, in acquisition
-/// order. Ranks are totally ordered: `Topology` before every registry
-/// shard, shards in ascending index order, and per-node descriptor tables
-/// last. A thread may only acquire a tracked lock whose rank is strictly
-/// greater than the last tracked lock it acquired.
+/// order. Ranks are totally ordered: the object registry before every
+/// per-node descriptor table. A thread may only acquire a tracked lock
+/// whose rank is strictly greater than the last tracked lock it acquired,
+/// so taking the registry lock while holding it is reported too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LockLevel {
-    /// The attachment-topology mutex (`Kernel::topology`).
-    Topology,
-    /// One object-registry shard, by shard index.
-    RegistryShard(usize),
+    /// The cluster's one object-registry mutex (`Kernel::objects`).
+    Registry,
     /// One node's residency-descriptor table, by node index.
     DescriptorTable(usize),
 }
@@ -49,9 +48,8 @@ impl LockLevel {
     /// Total-order rank: tier in the high bits, index in the low bits.
     pub fn rank(self) -> u64 {
         match self {
-            LockLevel::Topology => 0,
-            LockLevel::RegistryShard(i) => (1 << 32) | i as u64,
-            LockLevel::DescriptorTable(i) => (2 << 32) | i as u64,
+            LockLevel::Registry => 0,
+            LockLevel::DescriptorTable(i) => (1 << 32) | i as u64,
         }
     }
 }
@@ -59,8 +57,7 @@ impl LockLevel {
 impl fmt::Display for LockLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LockLevel::Topology => write!(f, "Topology"),
-            LockLevel::RegistryShard(i) => write!(f, "RegistryShard({i})"),
+            LockLevel::Registry => write!(f, "Registry"),
             LockLevel::DescriptorTable(i) => write!(f, "DescriptorTable({i})"),
         }
     }
@@ -391,9 +388,7 @@ mod tests {
     #[test]
     fn ranks_are_totally_ordered() {
         let order = [
-            LockLevel::Topology,
-            LockLevel::RegistryShard(0),
-            LockLevel::RegistryShard(63),
+            LockLevel::Registry,
             LockLevel::DescriptorTable(0),
             LockLevel::DescriptorTable(7),
         ];
@@ -404,17 +399,16 @@ mod tests {
 
     #[test]
     fn display_names_the_index() {
-        assert_eq!(LockLevel::RegistryShard(5).to_string(), "RegistryShard(5)");
+        assert_eq!(LockLevel::Registry.to_string(), "Registry");
         assert_eq!(
             LockLevel::DescriptorTable(2).to_string(),
             "DescriptorTable(2)"
         );
         let v = Violation::LockOrder {
             held: LockLevel::DescriptorTable(0),
-            acquiring: LockLevel::RegistryShard(5),
+            acquiring: LockLevel::Registry,
         };
         let s = v.to_string();
-        assert!(s.contains("DescriptorTable(0)"), "{s}");
-        assert!(s.contains("RegistryShard(5)"), "{s}");
+        assert!(s.contains("DescriptorTable(0) -> Registry"), "{s}");
     }
 }

@@ -32,58 +32,69 @@ fn drain_and_restore() -> Vec<Violation> {
 }
 
 #[test]
-fn descriptor_then_shard_is_a_lock_order_violation() {
+fn descriptor_then_registry_is_a_lock_order_violation() {
     let _serial = quiet();
     let descriptors = OrderedRwLock::new(LockLevel::DescriptorTable(0), ());
-    let shard = OrderedMutex::new(LockLevel::RegistryShard(3), ());
+    let registry = OrderedMutex::new(LockLevel::Registry, ());
     {
         let _d = descriptors.write();
-        let _s = shard.lock(); // descriptor table held: illegal
+        let _r = registry.lock(); // descriptor table held: illegal
     }
     let violations = drain_and_restore();
     let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
     assert!(
         rendered
             .iter()
-            .any(|m| m.contains("DescriptorTable(0)") && m.contains("RegistryShard(3)")),
-        "expected a DescriptorTable(0) -> RegistryShard(3) order violation, got {rendered:?}"
+            .any(|m| m.contains("DescriptorTable(0) -> Registry")),
+        "expected a DescriptorTable(0) -> Registry order violation, got {rendered:?}"
     );
 }
 
 #[test]
-fn shard_indices_must_ascend() {
-    let _serial = quiet();
-    let hi = OrderedMutex::new(LockLevel::RegistryShard(5), ());
-    let lo = OrderedMutex::new(LockLevel::RegistryShard(3), ());
-    {
-        let _hi = hi.lock();
-        let _lo = lo.lock(); // 5 then 3: shard order must ascend
-    }
-    let violations = drain_and_restore();
-    let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+fn a_lock_taken_twice_is_reported_before_it_deadlocks() {
+    // Panic-on-violation stays on: the report must fire before the inner
+    // lock() reaches the mutex, or this test hangs instead of failing.
+    let _serial = SERIAL.lock();
+    let _ = take_violations();
+    let registry = OrderedMutex::new(LockLevel::Registry, ());
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _outer = registry.lock();
+        let _inner = registry.lock();
+    }));
+    let violations = take_violations();
+    let payload = outcome.expect_err("re-taking a held lock must panic");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
     assert!(
-        rendered
-            .iter()
-            .any(|m| m.contains("RegistryShard(5)") && m.contains("RegistryShard(3)")),
-        "expected a RegistryShard(5) -> RegistryShard(3) order violation, got {rendered:?}"
+        message.contains("Registry -> Registry"),
+        "expected a Registry -> Registry order violation, got {message:?}"
     );
+    assert_eq!(
+        violations,
+        [Violation::LockOrder {
+            held: LockLevel::Registry,
+            acquiring: LockLevel::Registry,
+        }]
+    );
+    // The unwind dropped the outer guard: the lock is free again.
+    drop(registry.lock());
 }
 
 #[test]
 fn ascending_acquisition_is_clean() {
     let _serial = quiet();
-    let topo = OrderedMutex::new(LockLevel::Topology, ());
-    let s0 = OrderedMutex::new(LockLevel::RegistryShard(0), ());
-    let s7 = OrderedMutex::new(LockLevel::RegistryShard(7), ());
-    let desc = OrderedRwLock::new(LockLevel::DescriptorTable(1), ());
+    let registry = OrderedMutex::new(LockLevel::Registry, ());
+    let d1 = OrderedRwLock::new(LockLevel::DescriptorTable(1), ());
+    let d3 = OrderedRwLock::new(LockLevel::DescriptorTable(3), ());
     {
-        let _t = topo.lock();
-        let _a = s0.lock();
-        let _b = s7.lock();
-        let _d = desc.read();
+        let _r = registry.lock();
+        let _a = d1.read();
+        let _b = d3.write();
     }
     // Release order frees the stack; a fresh single acquisition stays legal.
-    drop(s7.lock());
+    drop(registry.lock());
     let violations = drain_and_restore();
     assert!(
         violations.is_empty(),
@@ -94,9 +105,9 @@ fn ascending_acquisition_is_clean() {
 #[test]
 fn lock_held_across_engine_block_is_reported() {
     let _serial = quiet();
-    let topo = OrderedMutex::new(LockLevel::Topology, ());
+    let registry = OrderedMutex::new(LockLevel::Registry, ());
     {
-        let _t = topo.lock();
+        let _r = registry.lock();
         engine_block_checkpoint("unit-test-block");
     }
     let violations = drain_and_restore();
@@ -104,16 +115,16 @@ fn lock_held_across_engine_block_is_reported() {
     assert!(
         rendered
             .iter()
-            .any(|m| m.contains("Topology") && m.contains("unit-test-block")),
-        "expected a held-across-block violation naming Topology, got {rendered:?}"
+            .any(|m| m.contains("Registry") && m.contains("unit-test-block")),
+        "expected a held-across-block violation naming Registry, got {rendered:?}"
     );
 }
 
 #[test]
 fn no_lock_held_at_checkpoint_is_clean() {
     let _serial = quiet();
-    let topo = OrderedMutex::new(LockLevel::Topology, ());
-    drop(topo.lock());
+    let registry = OrderedMutex::new(LockLevel::Registry, ());
+    drop(registry.lock());
     engine_block_checkpoint("unit-test-block");
     let violations = drain_and_restore();
     assert!(violations.is_empty(), "unexpected: {violations:?}");

@@ -156,7 +156,7 @@ fn rival_group_moves_heal_through_partition() {
         // Two attachment groups moved concurrently in opposite directions while
         // the 0<->1 link is down for 20ms of the run: group-move control
         // traffic crossing the partition must retransmit until it heals, and
-        // the rival shard claims must still never deadlock.
+        // the rival group claims must still never deadlock.
         let c = lossy_cluster(4, 2, advisor);
         let sink = c.enable_tracing();
         c.run(|ctx| {

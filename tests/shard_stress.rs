@@ -1,10 +1,10 @@
-//! Registry-sharding stress: genuine OS-thread concurrency hammering the
-//! kernel's sharded object registry from every angle at once — invocation
-//! storms over many objects, a mover shuffling those same objects around
-//! the ring, and an attacher building, dragging and dissolving attachment
-//! groups. Zero network latency keeps the wall-clock down while maximizing
-//! interleavings; the deadline converts any lost wake-up or lock-order
-//! deadlock into a test failure instead of a hang.
+//! Registry stress: genuine OS-thread concurrency hammering the kernel's
+//! object registry from every angle at once — invocation storms over many
+//! objects, a mover shuffling those same objects around the ring, and an
+//! attacher building, dragging and dissolving attachment groups. Zero
+//! network latency keeps the wall-clock down while maximizing
+//! interleavings; the deadline converts any lost wake-up or deadlock into a
+//! test failure instead of a hang.
 
 use std::time::Duration;
 
@@ -35,9 +35,9 @@ fn storm() {
     let c = real_cluster(4, 2);
     let total = c
         .run(|ctx| {
-            // Eight counters spread over four nodes: neighbours in the
-            // address space, so several share a registry shard while others
-            // do not — both contention regimes are exercised.
+            // Eight counters spread over four nodes, invoked by eight workers
+            // at once: every invoke contends for the one registry lock with
+            // the mover and the attacher below.
             let counters: Vec<_> = (0..8u16)
                 .map(|i| ctx.create_on(NodeId(i % 4), 0u64))
                 .collect();
@@ -68,8 +68,7 @@ fn storm() {
                 })
             };
             // Build attachment groups, drag them across nodes, dissolve
-            // them — multi-shard group claims racing the single-object
-            // moves above.
+            // them — group claims racing the single-object moves above.
             let attach_seat = ctx.create_on(NodeId(2), 0u8);
             let attacher = ctx.start(&attach_seat, move |ctx, _| {
                 for round in 0..4u16 {
@@ -102,16 +101,17 @@ fn storm() {
                 .sum::<u64>()
         })
         .unwrap();
-    assert_eq!(total, 400, "lost updates under the shard storm");
+    assert_eq!(total, 400, "lost updates under the registry storm");
 }
 
 #[test]
 fn rival_group_moves_do_not_deadlock() {
     // Two attachment groups whose members are interleaved across all four
-    // nodes (and therefore across registry shards), moved concurrently in
-    // opposite directions. Each mover claims its whole group's shards; if
-    // the claims were not ordered, the rivals would deadlock against each
-    // other — the run deadline turns that into a failure.
+    // nodes, moved concurrently in opposite directions. Each mover claims
+    // its whole group under one registry guard and parks, guard dropped, on
+    // a rival's member; a claim that held the lock while parked, or a
+    // waiter registration that raced the wake, would deadlock the rivals —
+    // the run deadline turns that into a failure.
     let c = real_cluster(4, 2);
     c.run(|ctx| {
         let roots: Vec<_> = (0..2u16)
