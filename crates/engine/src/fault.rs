@@ -7,38 +7,38 @@
 //! plus scripted partitions, all derived *deterministically* from a seed,
 //! so a chaos run under the simulator replays exactly.
 //!
-//! Installing a plan (see [`ClusterSpec::with_faults`]) also inserts a thin
-//! reliability sublayer between [`Engine::send`] and the kernel handlers:
+//! Installing a plan (see [`ClusterSpec::with_faults`]) also gives the
+//! engine a reliable-delivery state machine, [`Links`], which it drives from
+//! its own event queue — the simulator's agenda, the real engine's timer
+//! thread — with two typed events, a [`Wire::Copy`] arriving and a
+//! [`Wire::Retransmit`] timer expiring:
 //!
 //! * every logical message gets a per-link sequence number;
-//! * the receiver keeps a dedup window (watermark + sparse set) and runs
-//!   the handler **at most once** per sequence number, suppressing wire
-//!   duplicates;
-//! * the sender retransmits on a timeout with exponential backoff until the
-//!   message is delivered or `MAX_ATTEMPTS` attempts are spent.
+//! * one window per directed link holds every message not yet settled. The
+//!   sender's outstanding entry and the receiver's dedup record are one
+//!   fact here, because the ack is free: the first copy to arrive settles
+//!   its sequence number and hands the payload over **at most once**, and a
+//!   later copy finds it settled and is suppressed;
+//! * each attempt's fate is a pure hash drawn when it is sent, so the layer
+//!   knows at once whether any copy survived. Only an attempt none of
+//!   whose copies survived arms a retransmission timer, with exponential
+//!   backoff, until `MAX_ATTEMPTS` attempts are spent.
 //!
-//! Delivery acknowledgements ride the in-process control plane: the moment
-//! a copy is delivered the sender's outstanding entry is retired, modelling
-//! a free, loss-less ack channel. Every copy arrives one link latency after
-//! its attempt, and the initial retransmission timeout is a round trip plus
-//! grace, so a retransmission fires only when *no* copy of the
-//! previous attempt survived — so in the simulator every suppressed
-//! duplicate is one the plan injected, and the two counters
-//! (`dups_injected`, `dups_suppressed`) end a drained run equal.
+//! Every copy arrives one link latency after its attempt, and the timeout
+//! is a round trip plus grace, so a surviving copy would always have landed
+//! before the timer: arming none for it changes no delivery. In the
+//! simulator every suppressed duplicate is one the plan injected, and the
+//! two counters (`dups_injected`, `dups_suppressed`) end a drained run
+//! equal.
 //!
 //! All fault decisions are pure hashes of (seed, link, sequence, attempt),
 //! never a stateful RNG: the outcome of one message cannot perturb the
 //! fates of others, regardless of thread interleaving.
 //!
 //! [`ClusterSpec::with_faults`]: crate::ClusterSpec::with_faults
-//! [`Engine::send`]: crate::Engine::send
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Weak};
+use std::collections::VecDeque;
 
-use parking_lot::Mutex;
-
-use crate::engine::KernelFn;
 use crate::ids::NodeId;
 use crate::time::SimTime;
 use crate::trace::{ProtocolEvent, Tracer};
@@ -162,6 +162,31 @@ impl FaultPlan {
         }
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
+
+    /// The fate of attempt `a`: how many copies of it reach its
+    /// destination — none when a partition or the drop draw loses it, two
+    /// when the wire duplicates it. Raises what befell it at `now`.
+    fn copies(&self, a: &Attempt, tracer: &Tracer, now: impl Fn() -> SimTime) -> usize {
+        let Attempt {
+            from,
+            to,
+            seq,
+            bytes,
+            attempt,
+        } = *a;
+        if self.partitioned(from, to, now()) {
+            tracer.emit(&now, ProtocolEvent::LinkPartitioned { from, to });
+            0
+        } else if self.unit(from, to, seq, attempt, SALT_DROP) < self.drop {
+            tracer.emit(&now, ProtocolEvent::MessageDropped { from, to, bytes });
+            0
+        } else if self.unit(from, to, seq, attempt, SALT_DUP) < self.duplicate {
+            tracer.emit(&now, ProtocolEvent::MessageDuplicated { from, to });
+            2
+        } else {
+            1
+        }
+    }
 }
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
@@ -175,251 +200,188 @@ fn splitmix(mut x: u64) -> u64 {
 const SALT_DROP: u64 = 1;
 const SALT_DUP: u64 = 2;
 
-/// What the engines must provide for the fault layer to schedule copies and
-/// timers and to account what happens to them.
-pub(crate) trait Transport: Send + Sync {
-    /// Runs `f` in kernel (handler) context after `delay` of engine time:
-    /// on the timer thread under the real engine, inside the dispatch step
-    /// of whichever Amber thread is giving the baton up under the simulator
-    /// — one handler at a time there, `current_thread() == None` in both.
-    fn after(&self, delay: SimTime, f: KernelFn);
-    /// The engine clock.
-    fn now(&self) -> SimTime;
-    /// The engine's tracer, which counts and records what the layer raises.
-    fn tracer(&self) -> &Tracer;
+/// One transmission attempt of one message: what its fate is drawn from,
+/// and what its retransmission timer carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Attempt {
+    from: NodeId,
+    to: NodeId,
+    seq: u64,
+    bytes: usize,
+    /// 0 for the original transmission, then one per retransmission.
+    attempt: u32,
 }
 
-/// Raises `event` at the engine clock.
-fn emit(t: &dyn Transport, event: ProtocolEvent) {
-    t.tracer().emit(|| t.now(), event);
+/// What [`Links`] asks its engine to queue: the typed events of the
+/// reliable-delivery layer, each handled in the engine's own loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Wire {
+    /// A copy of message `seq` of the `from -> to` link reaches `to`: hand
+    /// it to [`Links::settle`].
+    Copy { from: NodeId, to: NodeId, seq: u64 },
+    /// No copy of this attempt survived, and its timeout expired: hand it
+    /// to [`Links::retransmit`].
+    Retransmit(Attempt),
 }
 
-/// Per-link sender state: the next sequence number and the handlers of
-/// messages not yet known-delivered.
-#[derive(Default)]
-struct LinkSend {
-    next_seq: u64,
-    outstanding: HashMap<u64, KernelFn>,
+/// What one attempt puts on the engine's queue, each with its delay from
+/// now, to be queued in this order: one or two copies, or — when none
+/// survived — its retransmission timer.
+pub(crate) type Scheduled = [Option<(SimTime, Wire)>; 2];
+
+/// One directed link's window: every message from `base` on, in sequence
+/// order. A slot holds the payload until its first copy arrives or the
+/// sender gives it up, and is `None` once settled; settled slots leave the
+/// front as soon as they reach it.
+struct Window<P> {
+    base: u64,
+    slots: VecDeque<Option<P>>,
 }
 
-/// Per-link receiver dedup window. Sequence numbers below `watermark` are
-/// all settled (delivered or given up); `above` holds the sparse settled
-/// set past the watermark, compacted as the watermark advances.
-#[derive(Default)]
-struct LinkRecv {
-    watermark: u64,
-    above: BTreeSet<u64>,
-}
-
-impl LinkRecv {
-    fn is_settled(&self, seq: u64) -> bool {
-        seq < self.watermark || self.above.contains(&seq)
-    }
-
-    fn settle(&mut self, seq: u64) {
-        if seq < self.watermark {
-            return;
-        }
-        self.above.insert(seq);
-        while self.above.remove(&self.watermark) {
-            self.watermark += 1;
-        }
-    }
-}
-
-#[derive(Default)]
-struct Links {
-    send: HashMap<(u16, u16), LinkSend>,
-    recv: HashMap<(u16, u16), LinkRecv>,
-}
-
-/// The reliable-delivery state machine an engine routes `send()` through
-/// when a [`FaultPlan`] is installed.
-pub(crate) struct FaultNet {
+/// The reliable-delivery state of every directed link of a cluster under a
+/// [`FaultPlan`], carrying payloads of type `P` (what the engine does when
+/// a message arrives). The engines drive it from their own queues; it
+/// reads no clock and queues nothing itself.
+pub(crate) struct Links<P> {
     plan: FaultPlan,
     latency: LatencyModel,
-    /// Back-reference to the owning engine. Weak: retransmission timers
-    /// outlive deliveries and must not keep a finished engine alive.
-    transport: Weak<dyn Transport>,
-    links: Mutex<Links>,
+    nodes: usize,
+    /// Indexed by `from · nodes + to`.
+    windows: Vec<Window<P>>,
 }
 
-impl FaultNet {
-    pub(crate) fn new(
-        plan: FaultPlan,
-        latency: LatencyModel,
-        transport: Weak<dyn Transport>,
-    ) -> Arc<FaultNet> {
-        Arc::new(FaultNet {
+impl<P> Links<P> {
+    pub(crate) fn new(plan: FaultPlan, latency: LatencyModel, nodes: usize) -> Links<P> {
+        let windows = (0..nodes * nodes)
+            .map(|_| Window {
+                base: 0,
+                slots: VecDeque::new(),
+            })
+            .collect();
+        Links {
             plan,
             latency,
-            transport,
-            links: Mutex::new(Links::default()),
-        })
+            nodes,
+            windows,
+        }
     }
 
-    /// Entry point from `Engine::send`: assigns the link sequence number,
-    /// fires the first attempt and arms the retransmission timer. The
-    /// caller has already recorded/traced the logical send.
+    fn window(&self, from: NodeId, to: NodeId) -> &Window<P> {
+        &self.windows[from.index() * self.nodes + to.index()]
+    }
+
+    fn window_mut(&mut self, from: NodeId, to: NodeId) -> &mut Window<P> {
+        &mut self.windows[from.index() * self.nodes + to.index()]
+    }
+
+    /// Sends `payload` from `from` to `to`: opens it in the link's window
+    /// under the next sequence number and makes its first attempt. The
+    /// caller has already raised the logical send.
     pub(crate) fn send(
-        self: &Arc<Self>,
+        &mut self,
         from: NodeId,
         to: NodeId,
         bytes: usize,
-        handler: KernelFn,
-    ) {
-        let key = (from.0, to.0);
-        let seq = {
-            let mut links = self.links.lock();
-            let link = links.send.entry(key).or_default();
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            link.outstanding.insert(seq, handler);
-            seq
+        payload: P,
+        tracer: &Tracer,
+        now: impl Fn() -> SimTime,
+    ) -> Scheduled {
+        let window = self.window_mut(from, to);
+        let seq = window.base + window.slots.len() as u64;
+        window.slots.push_back(Some(payload));
+        let first = Attempt {
+            from,
+            to,
+            seq,
+            bytes,
+            attempt: 0,
         };
-        self.attempt(from, to, seq, bytes, 0);
-        self.arm_timer(from, to, seq, bytes, 0);
+        self.attempt(first, tracer, now)
+    }
+
+    /// A copy of message `seq` reached `to`: its payload if it is the first
+    /// copy, settling the sequence number, or `None` for a duplicate, which
+    /// the caller raises as suppressed.
+    pub(crate) fn settle(&mut self, from: NodeId, to: NodeId, seq: u64) -> Option<P> {
+        let window = self.window_mut(from, to);
+        let payload = seq
+            .checked_sub(window.base)
+            .and_then(|i| window.slots.get_mut(i as usize))
+            .and_then(Option::take);
+        while let Some(None) = window.slots.front() {
+            window.slots.pop_front();
+            window.base += 1;
+        }
+        payload
+    }
+
+    /// `true` while message `seq` of `from -> to` is neither delivered nor
+    /// given up.
+    fn is_open(&self, from: NodeId, to: NodeId, seq: u64) -> bool {
+        let window = self.window(from, to);
+        seq.checked_sub(window.base)
+            .and_then(|i| window.slots.get(i as usize))
+            .is_some_and(Option::is_some)
+    }
+
+    /// The timer of attempt `lost` expired: makes the next attempt, or —
+    /// with `MAX_ATTEMPTS` spent — gives the message up, settling its
+    /// sequence number so the window moves past it.
+    pub(crate) fn retransmit(
+        &mut self,
+        lost: Attempt,
+        tracer: &Tracer,
+        now: impl Fn() -> SimTime,
+    ) -> Scheduled {
+        let Attempt { from, to, seq, .. } = lost;
+        #[expect(clippy::disallowed_macros, reason = "a surviving copy arms no timer")]
+        {
+            debug_assert!(self.is_open(from, to, seq), "a timer outlived its message");
+        }
+        if lost.attempt + 1 >= MAX_ATTEMPTS {
+            self.settle(from, to, seq);
+            return [None, None];
+        }
+        let attempt = lost.attempt + 1;
+        tracer.emit(&now, ProtocolEvent::MessageRetransmit { from, to, attempt });
+        self.attempt(Attempt { attempt, ..lost }, tracer, now)
+    }
+
+    /// One transmission attempt: draws its fate, and schedules its copies
+    /// or, when none survived, its retransmission timer.
+    fn attempt(&self, a: Attempt, tracer: &Tracer, now: impl Fn() -> SimTime) -> Scheduled {
+        let copy = Wire::Copy {
+            from: a.from,
+            to: a.to,
+            seq: a.seq,
+        };
+        let delay = self.latency.latency(a.bytes);
+        match self.plan.copies(&a, tracer, now) {
+            0 => [
+                Some((self.rto(a.bytes, a.attempt), Wire::Retransmit(a))),
+                None,
+            ],
+            1 => [Some((delay, copy)), None],
+            _ => [Some((delay, copy)), Some((delay, copy))],
+        }
     }
 
     /// Retransmission timeout after attempt `attempt`: a round trip
     /// (`2 × latency(bytes)`) plus grace, doubling per attempt (capped at
     /// 32x). A copy is delivered after one `latency(bytes)`, so the timeout
-    /// never fires while one is in flight.
+    /// never expires while one is in flight.
     fn rto(&self, bytes: usize, attempt: u32) -> SimTime {
         let one_way = self.latency.latency(bytes);
         let base = one_way + one_way + RTO_GRACE;
         base * (1u64 << attempt.min(5))
-    }
-
-    /// One transmission attempt: decides partition/drop fate, then
-    /// schedules the surviving copy (and its wire duplicate, if drawn).
-    fn attempt(self: &Arc<Self>, from: NodeId, to: NodeId, seq: u64, bytes: usize, attempt: u32) {
-        let Some(t) = self.transport.upgrade() else {
-            return;
-        };
-        let plan = &self.plan;
-        if plan.partitioned(from, to, t.now()) {
-            emit(&*t, ProtocolEvent::LinkPartitioned { from, to });
-            return;
-        }
-        if plan.unit(from, to, seq, attempt, SALT_DROP) < plan.drop {
-            emit(&*t, ProtocolEvent::MessageDropped { from, to, bytes });
-            return;
-        }
-        let delay = self.latency.latency(bytes);
-        self.schedule_copy(from, to, seq, delay, &t);
-        if plan.unit(from, to, seq, attempt, SALT_DUP) < plan.duplicate {
-            // The wire duplicated a surviving attempt: both copies arrive,
-            // so exactly one of them will be suppressed at the receiver.
-            emit(&*t, ProtocolEvent::MessageDuplicated { from, to });
-            self.schedule_copy(from, to, seq, delay, &t);
-        }
-    }
-
-    fn schedule_copy(
-        self: &Arc<Self>,
-        from: NodeId,
-        to: NodeId,
-        seq: u64,
-        delay: SimTime,
-        t: &Arc<dyn Transport>,
-    ) {
-        let net = Arc::clone(self);
-        t.after(delay, Box::new(move || net.deliver_copy(from, to, seq)));
-    }
-
-    /// A copy reached the receiver: run the handler if this sequence number
-    /// has not been settled yet, suppress the copy otherwise.
-    fn deliver_copy(self: &Arc<Self>, from: NodeId, to: NodeId, seq: u64) {
-        let Some(t) = self.transport.upgrade() else {
-            return;
-        };
-        let key = (from.0, to.0);
-        let handler = {
-            let mut links = self.links.lock();
-            let recv = links.recv.entry(key).or_default();
-            if recv.is_settled(seq) {
-                None
-            } else {
-                recv.settle(seq);
-                // Settling doubles as the (free, in-process) delivery ack:
-                // retiring the outstanding entry stops retransmissions.
-                let h = links
-                    .send
-                    .get_mut(&key)
-                    .and_then(|l| l.outstanding.remove(&seq));
-                #[expect(clippy::disallowed_macros, reason = "only the first copy settles it")]
-                {
-                    debug_assert!(h.is_some(), "first copy found no outstanding handler");
-                }
-                h
-            }
-        };
-        match handler {
-            // Run outside the links lock: handlers may send again.
-            Some(h) => h(),
-            None => emit(&*t, ProtocolEvent::MessageDuplicateSuppressed { from, to }),
-        }
-    }
-
-    fn arm_timer(self: &Arc<Self>, from: NodeId, to: NodeId, seq: u64, bytes: usize, attempt: u32) {
-        let Some(t) = self.transport.upgrade() else {
-            return;
-        };
-        let net = Arc::clone(self);
-        t.after(
-            self.rto(bytes, attempt),
-            Box::new(move || net.timer_fired(from, to, seq, bytes, attempt)),
-        );
-    }
-
-    /// The retransmission timer for attempt `attempt` expired. If the
-    /// message is still outstanding every prior copy was lost (the timeout
-    /// exceeds the delivery delay), so retransmit — or give up
-    /// once the attempt budget is spent, settling the sequence number so
-    /// the receiver window can advance past it.
-    fn timer_fired(
-        self: &Arc<Self>,
-        from: NodeId,
-        to: NodeId,
-        seq: u64,
-        bytes: usize,
-        attempt: u32,
-    ) {
-        let Some(t) = self.transport.upgrade() else {
-            return;
-        };
-        let key = (from.0, to.0);
-        let retry = {
-            let mut links = self.links.lock();
-            let outstanding = links
-                .send
-                .get_mut(&key)
-                .is_some_and(|l| l.outstanding.contains_key(&seq));
-            if !outstanding {
-                false
-            } else if attempt + 1 >= MAX_ATTEMPTS {
-                if let Some(l) = links.send.get_mut(&key) {
-                    l.outstanding.remove(&seq);
-                }
-                links.recv.entry(key).or_default().settle(seq);
-                false
-            } else {
-                true
-            }
-        };
-        if retry {
-            let attempt = attempt + 1;
-            emit(&*t, ProtocolEvent::MessageRetransmit { from, to, attempt });
-            self.attempt(from, to, seq, bytes, attempt);
-            self.arm_timer(from, to, seq, bytes, attempt);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::NetStats;
+    use std::sync::Arc;
 
     #[test]
     fn unit_draws_are_deterministic_and_uniformish() {
@@ -465,54 +427,80 @@ mod tests {
         assert!(!plan.partitioned(NodeId(0), NodeId(2), SimTime::from_ms(15)));
     }
 
-    #[test]
-    fn dedup_window_settles_and_compacts() {
-        let mut w = LinkRecv::default();
-        assert!(!w.is_settled(0));
-        w.settle(2);
-        assert!(w.is_settled(2));
-        assert!(!w.is_settled(0));
-        w.settle(0);
-        w.settle(1);
-        // Watermark swept past the contiguous prefix; the set is empty.
-        assert_eq!(w.watermark, 3);
-        assert!(w.above.is_empty());
-        assert!(w.is_settled(1));
-        // Re-settling below the watermark is a no-op.
-        w.settle(1);
-        assert_eq!(w.watermark, 3);
+    fn links(plan: FaultPlan) -> (Links<u64>, Tracer, Arc<NetStats>) {
+        let latency = LatencyModel::fixed(SimTime::from_ms(1));
+        let stats = Arc::new(NetStats::new(2));
+        let tracer = Tracer::new(Arc::clone(&stats));
+        (Links::new(plan, latency, 2), tracer, stats)
     }
 
-    struct NullTransport;
+    #[test]
+    fn the_window_settles_once_and_compacts() {
+        let (mut l, tracer, _) = links(FaultPlan::seeded(1));
+        let (a, b) = (NodeId(0), NodeId(1));
+        for payload in 10..13 {
+            l.send(a, b, 64, payload, &tracer, || SimTime::ZERO);
+        }
+        // Settled out of order: the front waits for sequence number 0.
+        assert_eq!(l.settle(a, b, 2), Some(12));
+        assert_eq!(l.settle(a, b, 2), None, "a duplicate");
+        assert_eq!(l.window(a, b).base, 0);
+        assert_eq!(l.settle(a, b, 0), Some(10));
+        assert_eq!(l.settle(a, b, 1), Some(11));
+        // The base swept past the settled prefix; nothing is held.
+        let w = l.window(a, b);
+        assert_eq!((w.base, w.slots.len()), (3, 0));
+        assert_eq!(l.settle(a, b, 1), None, "below the base");
+        // The reverse link has a window of its own.
+        l.send(b, a, 64, 20, &tracer, || SimTime::ZERO);
+        assert_eq!(l.settle(b, a, 0), Some(20));
+    }
 
-    impl Transport for NullTransport {
-        fn after(&self, _delay: SimTime, _f: KernelFn) {
-            unreachable!("null transport never schedules")
+    #[test]
+    fn only_a_lost_attempt_arms_a_timer() {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let copy = Some((
+            SimTime::from_ms(1),
+            Wire::Copy {
+                from: a,
+                to: b,
+                seq: 0,
+            },
+        ));
+        let (mut l, tracer, _) = links(FaultPlan::seeded(1));
+        assert_eq!(l.send(a, b, 64, 0, &tracer, || SimTime::ZERO), [copy, None]);
+        let (mut l, tracer, _) = links(FaultPlan::seeded(1).duplicate_rate(1.0));
+        assert_eq!(l.send(a, b, 64, 0, &tracer, || SimTime::ZERO), [copy, copy]);
+        let (mut l, tracer, stats) = links(FaultPlan::seeded(1).drop_rate(1.0));
+        let mut next = l.send(a, b, 64, 7, &tracer, || SimTime::ZERO);
+        for attempt in 0..MAX_ATTEMPTS {
+            let lost = Attempt {
+                from: a,
+                to: b,
+                seq: 0,
+                bytes: 64,
+                attempt,
+            };
+            let timer = (l.rto(64, attempt), Wire::Retransmit(lost));
+            assert_eq!(next, [Some(timer), None]);
+            next = l.retransmit(lost, &tracer, || SimTime::ZERO);
         }
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn tracer(&self) -> &Tracer {
-            unreachable!("null transport has no tracer")
-        }
+        // Given up: nothing queued, and the window has moved past it.
+        assert_eq!(next, [None, None]);
+        assert!(!l.is_open(a, b, 0));
+        assert_eq!((stats.total_drops(), stats.total_retransmits()), (16, 15));
     }
 
     #[test]
     fn rto_exceeds_worst_case_delivery_and_backs_off() {
         let latency = LatencyModel::ethernet_10mbit();
-        let transport: Weak<NullTransport> = Weak::new();
-        let net = FaultNet {
-            plan: FaultPlan::seeded(0),
-            latency,
-            transport,
-            links: Mutex::new(Links::default()),
-        };
+        let l: Links<()> = Links::new(FaultPlan::seeded(0), latency, 2);
         // A round trip plus grace: above any copy's one-way delivery.
         let one_way = latency.latency(64);
-        assert_eq!(net.rto(64, 0), one_way + one_way + RTO_GRACE);
-        assert!(net.rto(64, 0) > one_way);
-        assert_eq!(net.rto(64, 1), net.rto(64, 0) * 2);
+        assert_eq!(l.rto(64, 0), one_way + one_way + RTO_GRACE);
+        assert!(l.rto(64, 0) > one_way);
+        assert_eq!(l.rto(64, 1), l.rto(64, 0) * 2);
         // The backoff is capped.
-        assert_eq!(net.rto(64, 5), net.rto(64, 9));
+        assert_eq!(l.rto(64, 5), l.rto(64, 9));
     }
 }

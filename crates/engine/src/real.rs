@@ -26,10 +26,16 @@
 //! has no handler at all. With no delay to serve and no `FaultPlan`, the
 //! travelling thread takes it itself: it counts the send, gives its
 //! processor token back, moves to the destination and takes a token there
-//! — no allocation, no gate. Otherwise the timer thread (through the fault
-//! layer, under a plan) runs the leg's arrival, which moves the thread,
-//! marks the leg arrived and posts the thread's kernel gate; the thread
-//! blocks first and tests for the arrival after.
+//! — no allocation, no gate. Otherwise the timer thread runs the leg's
+//! arrival, which moves the thread, marks the leg arrived and posts the
+//! thread's kernel gate; the thread blocks first and tests for the arrival
+//! after.
+//!
+//! Under a plan the fault layer's windows (`crate::fault::Links`) sit under
+//! one mutex of their own. A sender opens its message there and queues
+//! what the attempt's fate scheduled; the timer thread's queue carries the
+//! same typed copy and retransmit events the simulator's does, beside the
+//! handlers it runs, and settles each copy under that mutex.
 //!
 //! Differences from [`SimEngine`](crate::sim::SimEngine), by design:
 //!
@@ -54,7 +60,7 @@ use crate::engine::{
     current_thread, must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine,
     EngineError, Gate, KernelFn, ThreadBody,
 };
-use crate::fault::{FaultNet, Transport};
+use crate::fault::{Links, Scheduled, Wire};
 use crate::ids::{NodeId, ThreadId};
 use crate::policy::Scheduler;
 use crate::stats::NetStats;
@@ -170,7 +176,26 @@ thread_local! {
 struct NetItem {
     due: Instant,
     seq: u64,
-    handler: KernelFn,
+    job: Job,
+}
+
+/// What the timer thread does with an item when it comes due.
+enum Job {
+    /// Runs a message handler, a timer or a leg's arrival.
+    Run(KernelFn),
+    /// The fault layer's: a copy arrived, or a lost attempt's timer expired.
+    Net(Wire),
+}
+
+/// What a message sent under a `FaultPlan` does on the timer thread when its
+/// first copy arrives.
+enum Payload {
+    Arrive {
+        tcb: Arc<RealTcb>,
+        leg: u64,
+        dest: Option<NodeId>,
+    },
+    Handler(KernelFn),
 }
 
 impl PartialEq for NetItem {
@@ -222,15 +247,14 @@ struct RealInner {
     latency: LatencyModel,
     epoch: Instant,
     tracer: Tracer,
+    /// Every link's window, under a `FaultPlan`.
+    links: Option<Mutex<Links<Payload>>>,
 }
 
 /// Wall-clock engine over real OS threads. See the module docs.
 pub struct RealEngine {
     inner: Arc<RealInner>,
     deadline: Option<Duration>,
-    /// Present when the spec carries a [`crate::FaultPlan`]; every send
-    /// then routes through the fault-injection/reliability layer.
-    fault: Option<Arc<FaultNet>>,
 }
 
 impl Drop for RealEngine {
@@ -276,6 +300,9 @@ impl RealEngine {
             stats,
             latency: spec.latency,
             epoch: Instant::now(),
+            links: spec
+                .fault
+                .map(|plan| Mutex::new(Links::new(plan, spec.latency, spec.nodes))),
         });
         let net_inner = Arc::clone(&inner);
         #[expect(clippy::expect_used, reason = "no timer thread, no engine")]
@@ -283,14 +310,9 @@ impl RealEngine {
             .name("amber-net".to_string())
             .spawn(move || net_loop(&net_inner))
             .expect("failed to spawn network thread");
-        let fault = spec.fault.map(|plan| {
-            let weak = Arc::downgrade(&inner);
-            FaultNet::new(plan, spec.latency, weak as std::sync::Weak<dyn Transport>)
-        });
         RealEngine {
             inner,
             deadline: None,
-            fault,
         }
     }
 
@@ -369,46 +391,87 @@ fn net_loop(inner: &RealInner) {
                 }
             }
         };
-        (item.handler)();
+        match item.job {
+            Job::Run(f) => f(),
+            Job::Net(wire) => inner.on_wire(wire),
+        }
     }
 }
 
 impl RealInner {
-    /// Hands `f` to the timer thread, due `delay` from now.
-    fn enqueue_net(&self, delay: Duration, f: KernelFn) {
+    fn now(&self) -> SimTime {
+        SimTime::from_ns(self.epoch.elapsed().as_nanos() as u64)
+    }
+
+    /// Hands `job` to the timer thread, due `delay` from now.
+    fn enqueue_net(&self, delay: Duration, job: Job) {
         let due = Instant::now() + delay;
         {
             let mut net = self.net.state.lock();
             let seq = net.next_seq;
             net.next_seq += 1;
-            net.heap.push(Reverse(NetItem {
-                due,
-                seq,
-                handler: f,
-            }));
+            net.heap.push(Reverse(NetItem { due, seq, job }));
         }
         // After the unlock, so the woken thread finds the lock free.
         self.net.cv.notify_one();
     }
-}
 
-impl Transport for RealInner {
-    fn after(&self, delay: SimTime, f: KernelFn) {
-        self.enqueue_net(delay.to_duration(), f);
+    /// Queues what the fault layer scheduled, in its order.
+    fn schedule(&self, wire: Scheduled) {
+        for (delay, ev) in wire.into_iter().flatten() {
+            self.enqueue_net(delay.to_duration(), Job::Net(ev));
+        }
     }
 
-    fn now(&self) -> SimTime {
-        SimTime::from_ns(self.epoch.elapsed().as_nanos() as u64)
+    /// Sends `payload` from `from` to `to` through its link's window.
+    fn transmit(
+        &self,
+        links: &Mutex<Links<Payload>>,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        payload: Payload,
+    ) {
+        let wire = links
+            .lock()
+            .send(from, to, bytes, payload, &self.tracer, || self.now());
+        self.schedule(wire);
     }
 
-    fn tracer(&self) -> &Tracer {
-        &self.tracer
+    /// A fault layer event came due on the timer thread.
+    fn on_wire(&self, wire: Wire) {
+        #[expect(
+            clippy::expect_used,
+            reason = "only a FaultPlan queues the fault layer's events"
+        )]
+        let links = self
+            .links
+            .as_ref()
+            .expect("a fault layer event without a plan");
+        match wire {
+            Wire::Copy { from, to, seq } => {
+                // Bound first: the arrival runs with the windows unlocked.
+                let payload = links.lock().settle(from, to, seq);
+                match payload {
+                    Some(Payload::Arrive { tcb, leg, dest }) => tcb.arrive(leg, dest),
+                    Some(Payload::Handler(handler)) => handler(),
+                    None => self.tracer.emit(
+                        || self.now(),
+                        ProtocolEvent::MessageDuplicateSuppressed { from, to },
+                    ),
+                }
+            }
+            Wire::Retransmit(lost) => {
+                let wire = links.lock().retransmit(lost, &self.tracer, || self.now());
+                self.schedule(wire);
+            }
+        }
     }
 }
 
 impl Engine for RealEngine {
     fn now(&self) -> SimTime {
-        Transport::now(&*self.inner)
+        self.inner.now()
     }
 
     fn nodes(&self) -> usize {
@@ -516,8 +579,9 @@ impl Engine for RealEngine {
             || self.now(),
             ProtocolEvent::MessageSend { from, to, bytes },
         );
-        if let Some(fault) = &self.fault {
-            fault.send(from, to, bytes, handler);
+        if let Some(links) = &self.inner.links {
+            let handler = Payload::Handler(handler);
+            self.inner.transmit(links, from, to, bytes, handler);
             return;
         }
         let delay = self.inner.latency.latency(bytes).to_duration();
@@ -528,7 +592,7 @@ impl Engine for RealEngine {
             let _kernel = CurrentGuard::kernel();
             handler();
         } else {
-            self.inner.enqueue_net(delay, handler);
+            self.inner.enqueue_net(delay, Job::Run(handler));
         }
     }
 
@@ -547,20 +611,27 @@ impl Engine for RealEngine {
         let delay = self.inner.latency.latency(bytes).to_duration();
         let here = self.with_tcb(must_current_thread(), |tcb| {
             tcb.release_held(nodes);
-            if self.fault.is_none() && delay.is_zero() {
+            if self.inner.links.is_none() && delay.is_zero() {
                 // Nothing to wait for: the thread takes the leg itself.
                 if let Some(node) = dest {
                     tcb.node.store(node.0, Ordering::Release);
                 }
             } else {
                 let leg = tcb.arrived.load(Ordering::Relaxed) + 1;
-                let arrival: KernelFn = {
-                    let tcb = Arc::clone(tcb);
-                    Box::new(move || tcb.arrive(leg, dest))
-                };
-                match &self.fault {
-                    Some(fault) => fault.send(from, to, bytes, arrival),
-                    None => self.inner.enqueue_net(delay, arrival),
+                let traveller = Arc::clone(tcb);
+                match &self.inner.links {
+                    Some(links) => {
+                        let arrival = Payload::Arrive {
+                            tcb: traveller,
+                            leg,
+                            dest,
+                        };
+                        self.inner.transmit(links, from, to, bytes, arrival);
+                    }
+                    None => {
+                        let arrival = Box::new(move || traveller.arrive(leg, dest));
+                        self.inner.enqueue_net(delay, Job::Run(arrival));
+                    }
                 }
                 // Block first, test after: every arrival posts the gate
                 // once, and this wait is where its post is taken.
@@ -578,7 +649,7 @@ impl Engine for RealEngine {
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
-        Transport::after(&*self.inner, delay, f);
+        self.inner.enqueue_net(delay.to_duration(), Job::Run(f));
     }
 
     fn yield_now(&self) {
@@ -785,6 +856,48 @@ mod tests {
             assert_eq!(d.inside_handler, None);
             assert_eq!(d.after_send, Some(d.sender));
         }
+    }
+
+    #[test]
+    fn lossy_legs_arrive_exactly_once() {
+        // Every surviving attempt is duplicated and three in ten are lost:
+        // each leg ends once, on its own arrival, and every second copy
+        // finds its window settled.
+        const LEGS: u64 = 100;
+        let spec = ClusterSpec::uniform(2, 1)
+            .with_latency(LatencyModel::zero())
+            .with_faults(
+                crate::FaultPlan::seeded(3)
+                    .drop_rate(0.3)
+                    .duplicate_rate(1.0),
+            );
+        let e = Arc::new(RealEngine::new(spec).with_deadline(Duration::from_secs(60)));
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let me = must_current_thread();
+            for i in 0..LEGS {
+                let (from, to) = (NodeId(i as u16 % 2), NodeId(1 - i as u16 % 2));
+                e2.leg(from, to, 64, true, "lossy-leg");
+                assert_eq!(e2.node_of(me), to);
+                let (arrived, permits) = e2.with_tcb(me, |tcb| {
+                    (
+                        tcb.arrived.load(Ordering::Acquire),
+                        tcb.kernel_gate.permits(),
+                    )
+                });
+                assert_eq!((arrived, permits), (i + 1, 0), "leg {i}");
+            }
+            // The trailing copies land on the timer thread.
+            e2.sleep(SimTime::from_ms(50));
+        })
+        .unwrap();
+        let p = e.stats().snapshot();
+        assert_eq!(p.messages, LEGS);
+        assert!(p.retransmits > 0, "no attempt was lost at 30 %");
+        // One surviving attempt per leg, each duplicated, each duplicate
+        // suppressed.
+        assert_eq!((p.dups_injected, p.dups_suppressed), (LEGS, LEGS));
+        assert_eq!(p.retransmits, p.drops);
     }
 
     #[test]

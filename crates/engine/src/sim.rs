@@ -28,8 +28,11 @@
 //! whichever Amber thread is giving the baton up (in kernel context:
 //! `current_thread()` reads `None`). A leg has no handler: its arrival is an
 //! event the step handles under the state lock it holds, moving a
-//! travelling thread and waking the leg's kernel-class wait (under a
-//! `FaultPlan` the fault layer's delivery runs the same arrival). Deadlock
+//! travelling thread and waking the leg's kernel-class wait. Under a
+//! `FaultPlan` the fault layer's windows (`crate::fault::Links`) live in the
+//! state too: a copy's arrival and a lost attempt's timer are typed events
+//! of the same queue, settled under the same lock, and a leg's copy runs
+//! the same arrival in place. Deadlock
 //! detection is part of the step as well: if every live thread is blocked
 //! and no event is pending, the step fails the run with
 //! [`EngineError::Deadlock`] naming the blocked threads and their reasons.
@@ -52,7 +55,7 @@ use crate::engine::{
     must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, KernelFn,
     Parked, ThreadBody,
 };
-use crate::fault::{FaultNet, Transport};
+use crate::fault::{Links, Scheduled, Wire};
 use crate::fiber::{self, Stack};
 use crate::ids::{NodeId, ThreadId};
 use crate::policy::{Fifo, Scheduler};
@@ -245,7 +248,8 @@ enum Event {
     Quantum(ThreadId),
     /// A sleep timer fired.
     Wake(ThreadId),
-    /// A network message reached its destination; run the kernel handler.
+    /// A network message reached its destination, or a timer expired; run
+    /// the kernel handler.
     Deliver { handler: KernelFn },
     /// The message of `tid`'s leg number `leg` reached its destination;
     /// `node` is where a travelling thread arrives.
@@ -254,6 +258,29 @@ enum Event {
         leg: u64,
         node: Option<NodeId>,
     },
+    /// The fault layer's: a copy arrived, or a lost attempt's timer expired.
+    Net(Wire),
+}
+
+/// What a message sent under a `FaultPlan` does when its first copy
+/// arrives: what `Event::Arrive` or `Event::Deliver` does without one.
+enum Payload {
+    Arrive {
+        tid: ThreadId,
+        leg: u64,
+        node: Option<NodeId>,
+    },
+    Handler(KernelFn),
+}
+
+impl Payload {
+    /// The event that delivers it on a perfect network.
+    fn into_event(self) -> Event {
+        match self {
+            Payload::Arrive { tid, leg, node } => Event::Arrive { tid, leg, node },
+            Payload::Handler(handler) => Event::Deliver { handler },
+        }
+    }
 }
 
 struct SimState {
@@ -278,6 +305,8 @@ struct SimState {
     spare: Vec<FiberBox>,
     /// The run in progress's [`Root`].
     root: Option<RootPtr>,
+    /// Every link's window, under a `FaultPlan`.
+    links: Option<Links<Payload>>,
 }
 
 struct SimInner {
@@ -290,9 +319,6 @@ struct SimInner {
 /// Deterministic virtual-time engine. See the module docs.
 pub struct SimEngine {
     inner: Arc<SimInner>,
-    /// Present when the spec carries a [`crate::FaultPlan`]; every send
-    /// then routes through the fault-injection/reliability layer.
-    fault: Option<Arc<FaultNet>>,
 }
 
 impl SimEngine {
@@ -321,16 +347,15 @@ impl SimEngine {
                 exited: Vec::new(),
                 spare: Vec::new(),
                 root: None,
+                links: spec
+                    .fault
+                    .map(|plan| Links::new(plan, spec.latency, spec.nodes)),
             }),
             tracer: Tracer::new(Arc::clone(&stats)),
             stats,
             latency: spec.latency,
         });
-        let fault = spec.fault.map(|plan| {
-            let weak = Arc::downgrade(&inner);
-            FaultNet::new(plan, spec.latency, weak as std::sync::Weak<dyn Transport>)
-        });
-        SimEngine { inner, fault }
+        SimEngine { inner }
     }
 
     /// Convenience: a uniform cluster with the given latency model.
@@ -376,6 +401,24 @@ impl SimState {
         let key = (at, self.seq);
         self.seq += 1;
         self.events.insert(key, ev);
+    }
+
+    /// Queues what the fault layer scheduled, in its order.
+    fn schedule(&mut self, wire: Scheduled) {
+        for (delay, ev) in wire.into_iter().flatten() {
+            let at = self.clock + delay;
+            self.push_event(at, Event::Net(ev));
+        }
+    }
+
+    #[expect(
+        clippy::expect_used,
+        reason = "only a FaultPlan queues the fault layer's events"
+    )]
+    fn links(&mut self) -> &mut Links<Payload> {
+        self.links
+            .as_mut()
+            .expect("a fault layer event without a plan")
     }
 
     /// Starts (or resumes) a charged burst for `tid` on its node, splitting
@@ -477,6 +520,50 @@ impl SimInner {
         st.finished = true;
     }
 
+    /// Runs a message handler or a timer in kernel context, inside the
+    /// step. Handlers call back into the engine, so the state lock is
+    /// released around this one; what it sends is queued and comes round
+    /// the step's loop, never nested.
+    fn run_handler(&self, st: &mut MutexGuard<'_, SimState>, handler: KernelFn) {
+        let outcome = MutexGuard::unlocked(st, || {
+            let _kernel = CurrentGuard::kernel();
+            catch_unwind(AssertUnwindSafe(handler))
+        });
+        // A step taken on the way out of a thread has no body's
+        // `catch_unwind` below it: the step catches, in the name of the
+        // thread that took it.
+        if let Err(payload) = outcome {
+            let error = EngineError::Panic {
+                thread: must_current_thread(),
+                message: panic_message(&payload),
+            };
+            self.finish(st, Some(error));
+        }
+    }
+
+    /// Raises and sends a message from `from` to `to`, under the lock the
+    /// caller holds: through its link's window under a `FaultPlan`, else
+    /// straight onto the queue, one latency from now.
+    fn transmit(
+        &self,
+        st: &mut SimState,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        payload: Payload,
+    ) {
+        let clock = st.clock;
+        self.tracer
+            .emit(|| clock, ProtocolEvent::MessageSend { from, to, bytes });
+        match &mut st.links {
+            Some(links) => {
+                let wire = links.send(from, to, bytes, payload, &self.tracer, || clock);
+                st.schedule(wire);
+            }
+            None => st.push_event(clock + self.latency.latency(bytes), payload.into_event()),
+        }
+    }
+
     /// The one dispatch step, run by whoever gives the baton up, under the
     /// state lock it already holds: a thread at a block point (its tcb
     /// already says what it waits for), a thread leaving for good, or
@@ -485,8 +572,9 @@ impl SimInner {
     /// over.
     ///
     /// The order of the tests is the schedule, and every pinned result
-    /// depends on it: in particular `live == 0` ends a run with retransmit
-    /// timers and trailing duplicate copies still queued.
+    /// depends on it: in particular `live == 0` ends a run with whatever is
+    /// still queued — trailing duplicate copies, the timers of lost
+    /// attempts, `after` timers — unhandled.
     fn pass_baton(&self, mut st: MutexGuard<'_, SimState>, stepper: Stepper) {
         // Threads that exited in earlier steps are off their stacks now.
         while let Some(tid) = st.exited.pop() {
@@ -542,26 +630,24 @@ impl SimInner {
                             st.runnable.push_back(tid);
                         }
                     }
-                    Event::Deliver { handler } => {
-                        // Handlers call back into the engine, so the state
-                        // lock is released around this one; what it sends
-                        // is queued and comes round this loop, never nested.
-                        let outcome = MutexGuard::unlocked(&mut st, || {
-                            let _kernel = CurrentGuard::kernel();
-                            catch_unwind(AssertUnwindSafe(handler))
-                        });
-                        // A step taken on the way out of a thread has no
-                        // body's `catch_unwind` below it: the step catches,
-                        // in the name of the thread that took it.
-                        if let Err(payload) = outcome {
-                            let error = EngineError::Panic {
-                                thread: must_current_thread(),
-                                message: panic_message(&payload),
-                            };
-                            self.finish(&mut st, Some(error));
+                    Event::Deliver { handler } => self.run_handler(&mut st, handler),
+                    Event::Arrive { tid, leg, node } => st.arrive(tid, leg, node),
+                    Event::Net(Wire::Copy { from, to, seq }) => {
+                        match st.links().settle(from, to, seq) {
+                            Some(Payload::Arrive { tid, leg, node }) => st.arrive(tid, leg, node),
+                            Some(Payload::Handler(handler)) => self.run_handler(&mut st, handler),
+                            None => {
+                                let _kernel = CurrentGuard::kernel();
+                                let dup = ProtocolEvent::MessageDuplicateSuppressed { from, to };
+                                self.tracer.emit(|| at, dup);
+                            }
                         }
                     }
-                    Event::Arrive { tid, leg, node } => st.arrive(tid, leg, node),
+                    Event::Net(Wire::Retransmit(lost)) => {
+                        let _kernel = CurrentGuard::kernel();
+                        let wire = st.links().retransmit(lost, &self.tracer, || at);
+                        st.schedule(wire);
+                    }
                 }
                 continue;
             }
@@ -615,28 +701,6 @@ impl SimInner {
         // grants a thread or ends the run switches to it. `save` is the
         // stepper's own slot, live until something switches back to it.
         unsafe { fiber::swap(save, sp) };
-    }
-}
-
-impl Transport for SimInner {
-    /// Schedules `f` as a delivery event `delay` past the current virtual
-    /// instant. Called with the state lock *not* held (the fault layer is
-    /// entered only after `send` releases it); in the simulator the clock
-    /// cannot advance in between, because the caller is either the thread
-    /// holding the baton or a handler inside that thread's dispatch step,
-    /// so fault scheduling stays deterministic.
-    fn after(&self, delay: SimTime, f: KernelFn) {
-        let mut st = self.state.lock();
-        let at = st.clock + delay;
-        st.push_event(at, Event::Deliver { handler: f });
-    }
-
-    fn now(&self) -> SimTime {
-        self.state.lock().clock
-    }
-
-    fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 }
 
@@ -713,7 +777,7 @@ impl SimEngine {
 
 impl Engine for SimEngine {
     fn now(&self) -> SimTime {
-        Transport::now(&*self.inner)
+        self.inner.state.lock().clock
     }
 
     fn nodes(&self) -> usize {
@@ -819,19 +883,8 @@ impl Engine for SimEngine {
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
         amber_verify::engine_block_checkpoint("send");
         let mut st = self.inner.state.lock();
-        self.inner
-            .tracer
-            .emit(|| st.clock, ProtocolEvent::MessageSend { from, to, bytes });
-        if let Some(fault) = &self.fault {
-            // The fault layer re-enters the state lock to schedule copies
-            // and timers; release it first (it is not reentrant).
-            drop(st);
-            fault.send(from, to, bytes, handler);
-            return;
-        }
-        let delay = self.inner.latency.latency(bytes);
-        let at = st.clock + delay;
-        st.push_event(at, Event::Deliver { handler });
+        let handler = Payload::Handler(handler);
+        self.inner.transmit(&mut st, from, to, bytes, handler);
     }
 
     fn leg(&self, from: NodeId, to: NodeId, bytes: usize, travel: bool, reason: &'static str) {
@@ -841,29 +894,10 @@ impl Engine for SimEngine {
         {
             assert!(to.index() < st.nodes.len(), "no such {to}");
         }
-        self.inner
-            .tracer
-            .emit(|| st.clock, ProtocolEvent::MessageSend { from, to, bytes });
         let leg = st.tcb(tid).arrived + 1;
         let node = travel.then_some(to);
-        match &self.fault {
-            None => {
-                let at = st.clock + self.inner.latency.latency(bytes);
-                st.push_event(at, Event::Arrive { tid, leg, node });
-            }
-            Some(fault) => {
-                // As in `send`: the fault layer takes the state lock itself.
-                drop(st);
-                let inner = Arc::downgrade(&self.inner);
-                let arrival = move || {
-                    if let Some(inner) = inner.upgrade() {
-                        inner.state.lock().arrive(tid, leg, node);
-                    }
-                };
-                fault.send(from, to, bytes, Box::new(arrival));
-                st = self.inner.state.lock();
-            }
-        }
+        let arrival = Payload::Arrive { tid, leg, node };
+        self.inner.transmit(&mut st, from, to, bytes, arrival);
         // Block first, test after: a kernel wake that came before the
         // arrival is consumed by a turn of this loop, not taken for it.
         loop {
@@ -876,7 +910,9 @@ impl Engine for SimEngine {
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
-        Transport::after(&*self.inner, delay, f);
+        let mut st = self.inner.state.lock();
+        let at = st.clock + delay;
+        st.push_event(at, Event::Deliver { handler: f });
     }
 
     fn yield_now(&self) {
@@ -1425,10 +1461,78 @@ mod tests {
         assert_eq!(resume_log(faulty), (resumes, 7200, 1));
     }
 
+    #[test]
+    fn the_chaos_schedule_is_pinned() {
+        // 150 handler messages over the six directed links of a 3-node
+        // cluster, through a 1-2 partition that heals, then 30 travelling
+        // legs round the ring. `seeded_chaos_is_deterministic` compares a
+        // run with itself; this compares it with the schedule the fault
+        // layer has always produced.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const MSGS: u64 = 150;
+        let plan = crate::FaultPlan::seeded(1234)
+            .drop_rate(0.2)
+            .duplicate_rate(0.1)
+            .partition(
+                NodeId(1),
+                NodeId(2),
+                SimTime::from_ms(2),
+                SimTime::from_ms(30),
+            );
+        let spec = ClusterSpec::uniform(3, 1)
+            .with_latency(LatencyModel::fixed(SimTime::from_ms(1)))
+            .with_faults(plan);
+        let e = Arc::new(SimEngine::new(spec));
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let me = must_current_thread();
+            let got = Arc::new(AtomicU64::new(0));
+            for i in 0..MSGS {
+                let from = (i % 3) as u16;
+                let to = (from + 1 + (i / 3 % 2) as u16) % 3;
+                let (e3, got2) = (Arc::clone(&e2), Arc::clone(&got));
+                let handler = move || {
+                    got2.fetch_add(1, Ordering::Relaxed);
+                    e3.unblock_kernel(me);
+                };
+                e2.send(
+                    NodeId(from),
+                    NodeId(to),
+                    64 + i as usize % 5,
+                    Box::new(handler),
+                );
+            }
+            while got.load(Ordering::Relaxed) < MSGS {
+                e2.block_kernel("await-chaos-storm");
+            }
+            for i in 0..30u16 {
+                e2.leg(NodeId(i % 3), NodeId((i + 1) % 3), 96, true, "ring-leg");
+            }
+        })
+        .unwrap();
+        let p = e.stats().snapshot();
+        let pinned = (
+            e.now().as_us(),
+            p.messages,
+            p.drops,
+            p.retransmits,
+            p.partition_drops,
+            p.dups_injected,
+            p.dups_suppressed,
+        );
+        // Captured before the fault layer moved onto the engines' queues.
+        assert_eq!(pinned, (241_000, 180, 40, 79, 39, 19, 19));
+    }
+
     /// One-way reliable send: fires `n` messages and blocks until every
     /// handler has run, so lost messages hang (and the deadline/deadlock
     /// machinery reports them) rather than passing silently.
     fn pingstorm(e: &Arc<SimEngine>, n: u64) {
+        pingstorm_probed(e, n, |_| {});
+    }
+
+    /// [`pingstorm`], calling `probe` after each send and in each handler.
+    fn pingstorm_probed(e: &Arc<SimEngine>, n: u64, probe: fn(&SimEngine)) {
         use std::sync::atomic::{AtomicU64, Ordering};
         let me = must_current_thread();
         let got = Arc::new(AtomicU64::new(0));
@@ -1440,10 +1544,12 @@ mod tests {
                 NodeId(1),
                 64 + (i as usize % 7),
                 Box::new(move || {
+                    probe(&e2);
                     got2.fetch_add(1, Ordering::Release);
                     e2.unblock_kernel(me);
                 }),
             );
+            probe(e);
         }
         while got.load(Ordering::Acquire) < n {
             e.block_kernel("await-pingstorm");
@@ -1531,6 +1637,32 @@ mod tests {
         assert_eq!(e.stats().total_msgs(), 1);
         assert_eq!(e.stats().total_drops(), 0);
         assert_eq!(e.stats().total_retransmits(), 0);
+    }
+
+    #[test]
+    fn a_zero_rate_plan_queues_no_timer() {
+        // A zero-rate plan loses nothing, so nothing waits on a timer: no
+        // step finds one queued, and the storm leaves the queue empty.
+        fn no_timer_queued(e: &SimEngine) {
+            let st = e.inner.state.lock();
+            let timers = st
+                .events
+                .values()
+                .filter(|ev| matches!(ev, Event::Net(Wire::Retransmit(_))))
+                .count();
+            assert_eq!(timers, 0, "a timer for an attempt that was not lost");
+        }
+        let spec = ClusterSpec::uniform(2, 1)
+            .with_latency(LatencyModel::fixed(SimTime::from_ms(1)))
+            .with_faults(crate::FaultPlan::seeded(1));
+        let e = Arc::new(SimEngine::new(spec));
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            pingstorm_probed(&e2, 200, no_timer_queued);
+            assert!(e2.inner.state.lock().events.is_empty());
+        })
+        .unwrap();
+        assert_eq!(e.stats().total_msgs(), 200);
     }
 
     #[test]

@@ -314,7 +314,8 @@ protocol_events! {
         /// Receiving node.
         to: NodeId,
     }
-    /// The receiver's dedup window suppressed a wire-duplicated copy.
+    /// A copy arrived for a message its link's window had already
+    /// settled: a wire duplicate, suppressed.
     MessageDuplicateSuppressed "message_duplicate_suppressed" @to, counts dups_suppressed {
         /// Sending node.
         from: NodeId,

@@ -210,7 +210,8 @@ fn timeout_fires_on_a_hung_program() {
 
 #[test]
 fn remote_invokes_complete_over_a_lossy_link_on_real_threads() {
-    // The one fault plan run on OS threads: retransmission timers here are
+    // The runtime under a fault plan on OS threads (the engine's own tests
+    // drive bare legs through one): retransmission timers here are
     // wall-clock, not virtual. A worker on each node invokes the other
     // node's counter 20 times over a link dropping 5% of attempts; every
     // invoke must run exactly once, well inside the deadline.
