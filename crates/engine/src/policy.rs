@@ -20,9 +20,13 @@ use crate::time::SimTime;
 ///
 /// The engine calls [`enqueue`](Scheduler::enqueue) when a thread becomes
 /// runnable on the node but no processor is free, and
-/// [`dequeue`](Scheduler::dequeue) when a processor frees up. A policy that
-/// returns a quantum enables timeslicing: a thread's CPU burst is preempted
-/// after the quantum and the thread is re-enqueued.
+/// [`dequeue`](Scheduler::dequeue) when a processor frees up, except at the
+/// end of an uncontested burst: on `SimEngine` a burst that finds a
+/// processor free, no other thread ready and nothing due before it ends is
+/// a clock advance, and, since the queue holds a thread only while every
+/// processor is busy, ends without a `dequeue`. A policy that returns a
+/// quantum enables timeslicing: a thread's CPU burst is preempted after the
+/// quantum and the thread is re-enqueued.
 pub trait Scheduler: Send {
     /// Adds a runnable thread with its priority (larger is more urgent).
     fn enqueue(&mut self, thread: ThreadId, priority: i32);
