@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use amber_engine::{NodeId, ProtocolEvent, SimTime, ThreadId};
-use amber_vspace::VAddr;
+use amber_vspace::{Residency, VAddr};
 use parking_lot::Mutex;
 
 use crate::kernel::Kernel;
@@ -156,6 +156,9 @@ struct Observation {
     location: NodeId,
     attached_to: Option<VAddr>,
     immutable: bool,
+    /// Nodes holding a replica descriptor, in node order; empty for a
+    /// mutable object.
+    replicas: Vec<NodeId>,
     calls: Vec<u64>,
 }
 
@@ -274,32 +277,42 @@ impl Kernel {
         // Drain this tick's per-object counters under one registry guard
         // (relaxed swaps; an invocation lands before or after the drain,
         // never inside it) and copy out the attachment shape needed to fold
-        // groups onto their roots. The policy and the replica scan below run
-        // with the lock released.
-        let observed: HashMap<VAddr, Observation> = self
-            .objects
-            .lock()
+        // groups onto their roots and every immutable object's replica
+        // holders. The policy runs with the lock released.
+        let objects = self.objects.lock();
+        let observed: HashMap<VAddr, Observation> = objects
+            .map
             .iter()
             .map(|(&addr, e)| {
                 let mut calls = vec![0u64; n];
                 for (slot, c) in e.calls.iter().enumerate() {
                     calls[slot] = c.swap(0, Ordering::Relaxed);
                 }
+                let replicas = if e.immutable {
+                    (0..n)
+                        .filter(|&i| objects.tables[i].lookup(addr) == Some(Residency::Replica))
+                        .map(NodeId::from)
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 let obs = Observation {
                     location: e.location,
                     attached_to: e.attached_to,
                     immutable: e.immutable,
+                    replicas,
                     calls,
                 };
                 (addr, obs)
             })
             .collect();
+        drop(objects);
 
         // Groups move as one, so score whole groups: each object's traffic
         // is credited to its attachment root. The snapshot is one critical
         // section, so every chain in it is whole; the walk stays bounded
         // all the same.
-        let mut tally: HashMap<VAddr, (NodeId, bool, Vec<u64>)> = HashMap::new();
+        let mut tally: HashMap<VAddr, (&Observation, Vec<u64>)> = HashMap::new();
         for (addr, obs) in &observed {
             if obs.calls.iter().all(|&v| v == 0) {
                 continue;
@@ -318,27 +331,21 @@ impl Kernel {
             };
             let entry = tally
                 .entry(root)
-                .or_insert_with(|| (root_obs.location, root_obs.immutable, vec![0u64; n]));
+                .or_insert_with(|| (root_obs, vec![0u64; n]));
             for (slot, v) in obs.calls.iter().enumerate() {
-                entry.2[slot] += v;
+                entry.1[slot] += v;
             }
         }
 
         let mut samples: Vec<PlacementSample> = tally
             .into_iter()
-            .map(
-                |(addr, (location, immutable, calls_by_node))| PlacementSample {
-                    obj: addr.raw(),
-                    location,
-                    calls_by_node,
-                    immutable,
-                    replicas: if immutable {
-                        self.replica_holders(addr)
-                    } else {
-                        Vec::new()
-                    },
-                },
-            )
+            .map(|(addr, (root, calls_by_node))| PlacementSample {
+                obj: addr.raw(),
+                location: root.location,
+                calls_by_node,
+                immutable: root.immutable,
+                replicas: root.replicas.clone(),
+            })
             .collect();
         samples.sort_by_key(|s| s.obj);
         if samples.is_empty() {
@@ -367,22 +374,5 @@ impl Kernel {
                 });
             }
         }
-    }
-
-    /// Nodes currently holding a replica descriptor for `addr`, in node
-    /// order. A per-node read-lock scan; only the daemon calls it, once per
-    /// immutable sample per tick.
-    fn replica_holders(&self, addr: VAddr) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, nk)| {
-                matches!(
-                    nk.descriptors.read().lookup(addr),
-                    Some(amber_vspace::Residency::Replica)
-                )
-            })
-            .map(|(i, _)| NodeId(i as u16))
-            .collect()
     }
 }

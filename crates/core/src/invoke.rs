@@ -19,17 +19,15 @@
 //! intra-node hardware synchronization of a real multiprocessor node.
 //!
 //! An invocation has five steps, and a resident object — the common case,
-//! the paper's 12 us local invoke — takes exactly three registry visits and
-//! no descriptor lookup for them:
+//! the paper's 12 us local invoke — takes exactly three registry visits:
 //!
 //! 1. **entry** ([`Kernel::bind_frame`]): push the frame, bind it to the
-//!    object and, under the same registry lock — the one that is
-//!    authoritative for `location` and `moving` — decide residency. The
-//!    verdict is exact, not a hint: `create_*` writes the descriptor before
-//!    the registry insert, a move keeps `moving` set from its claim until
-//!    both `location` and the destination descriptor are written, and
-//!    `destroy` removes the entry first. Only a non-resident verdict runs the
-//!    chase ([`Kernel::ensure_at_object`]), which is the one slow path;
+//!    object and, under the same registry lock — which guards `location`,
+//!    `moving` and every node's descriptor table, so they commit together —
+//!    decide residency. The verdict is exact, not a hint. A non-resident
+//!    verdict takes the chase's first step in the same visit and only then
+//!    runs the rest of the chase ([`Kernel::ensure_at_object`]), which is
+//!    the one slow path;
 //! 2. **charge** `local_invoke`, a scheduling point under the simulator;
 //! 3. **admission** ([`Kernel::acquire_payload`]), its own visit *after*
 //!    the charge: invokers pay the charge in parallel and only then queue,
@@ -38,6 +36,14 @@
 //!    move every contended virtual-time result;
 //! 4. the operation, outside every kernel lock;
 //! 5. **exit** ([`Kernel::finish_invocation`]): release, unbind, wake.
+//!
+//! Every chase step is one registry visit: the `moving` park, the
+//! descriptor read and, when the step finds the object, the path
+//! compression. The return re-check is one visit too, and takes the first
+//! step home when the enclosing object is elsewhere. So a nested resident
+//! invoke costs four visits and a nested remote round trip with fresh
+//! hints six: entry and first hop, arrival, admission, exit, re-check and
+//! first hop home, arrival home.
 //!
 //! Frame bookkeeping is owned by the thread: the frame stack and the bytes
 //! a migration carries are the engine's per-thread invocation context
@@ -49,10 +55,10 @@
 use std::sync::Arc;
 
 use amber_engine::{must_current_thread, with_invocations, NodeId, ProtocolEvent, ThreadId};
-use amber_vspace::{Residency, VAddr};
+use amber_vspace::{DescriptorTable, Residency, VAddr};
 
 use crate::errors::ProtocolError;
-use crate::kernel::{Access, Kernel, ObjectCell, OpWaiter};
+use crate::kernel::{Access, Kernel, ObjectCell, Objects, OpWaiter};
 use crate::objref::ObjRef;
 
 /// Starts the calling thread's invocation context afresh: the first thing an
@@ -96,20 +102,95 @@ fn set_carry(bytes: usize) {
 /// event instead of aborting the process.
 const MAX_CHASE_HOPS: u32 = 10_000;
 
-/// What one [`Kernel::chase_step`] at a node found.
+/// What one chase step at a node found ([`Objects::chase_step`]).
 pub(crate) enum ChaseStep {
     /// The node's descriptor answers: the object is `Resident` there, or a
     /// `Replica` of it is installed.
     Found(Residency),
-    /// The node's descriptor points at the node itself and the registry
-    /// agrees the object lives there: the descriptor lags the install.
-    Lagging,
-    /// The chase parked on a move or repaired a stale hint; look at the same
-    /// node again.
-    Again,
-    /// The chain continues at this node; the hop is already charged,
-    /// counted and traced.
-    Next(NodeId),
+    /// A move of the object is in flight and the thread is queued on it:
+    /// park, then look at the same node again.
+    Park,
+    /// The chain continues: at a forwarding address, or via the home node
+    /// (`None`) when the descriptor is uninitialized. The hop is paid by
+    /// [`Kernel::chase_hop`] once the guard is dropped.
+    Next(Option<NodeId>),
+}
+
+/// How many distinct nodes a [`Chain`] holds before it allocates. A chain
+/// never holds the node its chase ends at, so on a cluster of five nodes
+/// or fewer it never spills.
+const INLINE_CHAIN: usize = 4;
+
+/// The distinct nodes a chase has left, in the order it left them: the
+/// first [`INLINE_CHAIN`] inline, the rest in a `Vec`.
+#[derive(Default)]
+pub(crate) struct Chain {
+    inline: [NodeId; INLINE_CHAIN],
+    len: usize,
+    spill: Vec<NodeId>,
+}
+
+impl Chain {
+    /// Appends `node` unless the chase has already left it once.
+    pub(crate) fn push(&mut self, node: NodeId) {
+        if self.iter().any(|n| n == node) {
+            return;
+        }
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = node;
+                self.len += 1;
+            }
+            None => self.spill.push(node),
+        }
+    }
+
+    /// The nodes in the order they were pushed.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.inline[..self.len].iter().chain(&self.spill).copied()
+    }
+}
+
+/// What an invocation's entry visit decided.
+enum Verdict {
+    /// Run on the start node: the object is resident there or, for a
+    /// shared invocation, the start node's descriptor is `Resident` or
+    /// `Replica` (replica-first resolution).
+    Here,
+    /// An immutable object a shared caller copies to its own node.
+    Replicate,
+    /// The object is elsewhere: the chase's first step, taken in the visit.
+    Chase(Result<ChaseStep, ProtocolError>),
+}
+
+impl Objects {
+    /// One step of the residency chase, taken at node `at` for thread `me`
+    /// inside a registry visit. If a move of the object is in flight, `me`
+    /// queues on it ([`ChaseStep::Park`]) rather than chasing descriptors
+    /// mid-transfer; the mover wakes it once the group has installed.
+    /// Otherwise `at`'s descriptor answers. The object's location, `moving`
+    /// flag and descriptors commit together, so the step never sees a
+    /// descriptor lag the registry.
+    pub(crate) fn chase_step(
+        &mut self,
+        addr: VAddr,
+        at: NodeId,
+        me: ThreadId,
+    ) -> Result<ChaseStep, ProtocolError> {
+        let Some(e) = self.map.get_mut(&addr) else {
+            return Err(ProtocolError::ObjectDestroyed(addr));
+        };
+        if e.moving {
+            e.move_waiters.push(me);
+            return Ok(ChaseStep::Park);
+        }
+        e.check_resident(addr, &self.tables);
+        Ok(match self.tables[at.index()].lookup(addr) {
+            Some(Residency::Forward(n)) => ChaseStep::Next(Some(n)),
+            Some(held) => ChaseStep::Found(held),
+            None => ChaseStep::Next(None),
+        })
+    }
 }
 
 impl Kernel {
@@ -127,21 +208,28 @@ impl Kernel {
     }
 
     /// The entry visit: pushes the invocation frame and binds it to the
-    /// object — the section-3.5 "frame first" step — and reads, under the
-    /// same registry lock, the object's immutability flag and whether it is
-    /// resident on `from`, the node the invocation starts on. Returns
-    /// `(immutable, resident)`, or [`ProtocolError::ObjectDestroyed`] (with
-    /// the frame unwound) for references to destroyed objects.
+    /// object — the section-3.5 "frame first" step — and decides, under the
+    /// same registry lock, where the invocation runs relative to `from`, the
+    /// node it starts on (see [`Verdict`]). Returns
+    /// [`ProtocolError::ObjectDestroyed`] (with the frame unwound) for
+    /// references to destroyed objects.
     ///
     /// With adaptive placement enabled the invocation also lands in the
     /// object's per-caller-node counter under the lock already held, and the
     /// first one to land there since the placement tick last drained it
     /// tells the daemon there is something to drain.
-    fn bind_frame(&self, addr: VAddr, from: NodeId) -> Result<(bool, bool), ProtocolError> {
+    fn bind_frame(
+        &self,
+        addr: VAddr,
+        me: ThreadId,
+        from: NodeId,
+        access: Access,
+    ) -> Result<Verdict, ProtocolError> {
         with_invocations(|c| c.frames.push(addr.0));
-        let mut objects = self.objects.lock();
-        let Some(e) = objects.get_mut(&addr) else {
-            drop(objects);
+        let mut guard = self.objects.lock();
+        let objects = &mut *guard;
+        let Some(e) = objects.map.get_mut(&addr) else {
+            drop(guard);
             pop_frame(addr);
             return Err(ProtocolError::ObjectDestroyed(addr));
         };
@@ -154,21 +242,41 @@ impl Kernel {
             c.store(n + 1, Relaxed);
             n
         });
-        let (immutable, resident) = (e.immutable, !e.moving && e.location == from);
-        if amber_verify::ACTIVE && resident {
-            // The verdict replaces the chase's first step; hold it to what
-            // that step would have read (registry -> descriptor is in order).
-            let desc = self.nodes[from.index()].descriptors.read().lookup(addr);
-            #[expect(clippy::disallowed_macros, reason = "verify builds check the verdict")]
+        if access == Access::Exclusive && e.immutable {
+            drop(guard);
+            #[expect(clippy::panic, reason = "mutating an immutable is a program bug")]
             {
-                assert_eq!(desc, Some(Residency::Resident), "{addr} on {from}");
+                panic!("exclusive invocation of immutable object {addr}");
             }
         }
-        drop(objects);
+        e.check_resident(addr, &objects.tables);
+        // The resident verdict returns straight from here: folded into the
+        // branches below it measured about 4 % dearer per local invoke.
+        if !e.moving && e.location == from {
+            drop(guard);
+            if earlier == Some(0) {
+                self.note_invocation_activity(from);
+            }
+            return Ok(Verdict::Here);
+        }
+        let shared = access == Access::Shared;
+        // Replica-first: a shared invocation is served by any `Resident` or
+        // `Replica` descriptor on the start node.
+        let verdict = if shared && objects.tables[from.index()].is_local(addr) {
+            Verdict::Here
+        } else if shared && e.immutable && self.demand_replication {
+            // Section 2.3's read-only replication. With demand replication
+            // off, copies install only where the placement advisor puts
+            // them, and a read away from one migrates like any other.
+            Verdict::Replicate
+        } else {
+            Verdict::Chase(objects.chase_step(addr, from, me))
+        };
+        drop(guard);
         if earlier == Some(0) {
             self.note_invocation_activity(from);
         }
-        Ok((immutable, resident))
+        Ok(verdict)
     }
 
     /// Unwinds a frame bound by [`bind_frame`](Kernel::bind_frame) when the
@@ -176,7 +284,7 @@ impl Kernel {
     /// fallible invoke paths surface a typed error with the thread's frame
     /// stack and the object's bound count exactly as they were.
     fn unbind_frame(&self, addr: VAddr) {
-        if let Some(e) = self.objects.lock().get_mut(&addr) {
+        if let Some(e) = self.objects.lock().map.get_mut(&addr) {
             e.bound -= 1;
         }
         pop_frame(addr);
@@ -186,7 +294,7 @@ impl Kernel {
     /// trap/marshal/wire/dispatch path plus any by-value argument payload
     /// the thread is carrying.
     fn migrate_current(&self, from: NodeId, to: NodeId) {
-        #[expect(clippy::disallowed_macros, reason = "chase_step never yields Next(at)")]
+        #[expect(clippy::disallowed_macros, reason = "chase_hop refuses a self-forward")]
         {
             debug_assert_ne!(from, to);
         }
@@ -204,112 +312,82 @@ impl Kernel {
         self.emit(ProtocolEvent::ThreadMigration { from, to });
     }
 
-    /// One step of the residency chase, taken at node `at` on behalf of the
-    /// current thread: parks while a move of the object is in flight, reads
-    /// `at`'s descriptor, and — when the chain continues — charges and
-    /// records the forward hop or home route, repairs a stale self-hint
-    /// against the registry, and counts the hop against `hops`, giving up
-    /// with [`ProtocolError::ChaseDiverged`] at [`MAX_CHASE_HOPS`].
+    /// Pays the hop a [`ChaseStep::Next`] found at `at`, with the registry
+    /// guard dropped: charges and records the forward hop, or resolves and
+    /// records the home route, and counts it against `hops`. Returns the
+    /// node the chain continues at. Both travellers call it: an invoking
+    /// thread that migrates along the chain
+    /// ([`ensure_at_object`](Kernel::ensure_at_object)) and a locate that
+    /// sends probes down it ([`locate`](Kernel::locate)).
     ///
-    /// Both travellers call it: an invoking thread that migrates along the
-    /// chain ([`ensure_at_object`](Kernel::ensure_at_object)) and a locate
-    /// that sends probes down it ([`locate`](Kernel::locate)).
-    pub(crate) fn chase_step(
+    /// A descriptor that leads back to `at` is corrupt — no legitimate state
+    /// has one, since location and descriptors commit together — and the
+    /// chase gives up with [`ProtocolError::ChaseDiverged`], as it does at
+    /// [`MAX_CHASE_HOPS`], rather than migrate from a node to itself.
+    pub(crate) fn chase_hop(
         &self,
+        forward: Option<NodeId>,
         addr: VAddr,
         at: NodeId,
         hops: &mut u32,
-    ) -> Result<ChaseStep, ProtocolError> {
-        // If a move of this object is in flight, wait for it to install
-        // rather than chasing descriptors mid-transfer: probing during the
-        // move could cache a stale hint or observe the registry in a
-        // half-installed state. The mover wakes the waiter once the group
-        // has installed at the destination.
-        {
-            let me = must_current_thread();
-            let mut objects = self.objects.lock();
-            match objects.get_mut(&addr) {
-                Some(e) if e.moving => {
-                    e.move_waiters.push(me);
-                    drop(objects);
-                    self.engine.block_kernel("await-move-install");
-                    return Ok(ChaseStep::Again);
-                }
-                Some(_) => {}
-                None => return Err(ProtocolError::ObjectDestroyed(addr)),
-            }
+    ) -> Result<NodeId, ProtocolError> {
+        let next = match forward {
+            Some(n) => n,
+            None => self.home_of(at, addr),
+        };
+        if next == at {
+            return Err(self.chase_diverged(addr, at, *hops));
         }
-        let desc = self.nodes[at.index()].descriptors.read().lookup(addr);
-        let next = match desc {
-            Some(held @ (Residency::Resident | Residency::Replica)) => {
-                return Ok(ChaseStep::Found(held))
-            }
-            Some(Residency::Forward(n)) => {
+        match forward {
+            Some(_) => {
                 self.emit(ProtocolEvent::ForwardHop {
                     obj: addr.0,
                     at,
-                    to: n,
+                    to: next,
                 });
                 self.engine.work(self.cost.forward_hop);
-                n
             }
-            None => {
-                // Uninitialized descriptor: route via the home node.
-                let home = self.home_of(at, addr);
-                self.emit(ProtocolEvent::HomeRoute {
-                    obj: addr.0,
-                    at,
-                    home,
-                });
-                home
-            }
-        };
-        if next == at {
-            // A stale self-hint; consult ground truth to break the tie (the
-            // descriptor write that makes it fresh is in flight).
-            let Some(loc) = self.objects.lock().get(&addr).map(|e| e.location) else {
-                return Err(ProtocolError::ObjectDestroyed(addr));
-            };
-            if loc == at {
-                return Ok(ChaseStep::Lagging);
-            }
-            self.nodes[at.index()]
-                .descriptors
-                .write()
-                .cache_hint(addr, loc);
-            return Ok(ChaseStep::Again);
+            None => self.emit(ProtocolEvent::HomeRoute {
+                obj: addr.0,
+                at,
+                home: next,
+            }),
         }
         *hops += 1;
         if *hops >= MAX_CHASE_HOPS {
             // Bounded give-up, mirroring the transport's `MAX_ATTEMPTS`
-            // retransmit give-up: record it and surface an error instead of
-            // aborting the process.
-            self.emit(ProtocolEvent::ChaseDiverged {
-                obj: addr.0,
-                at,
-                hops: *hops,
-            });
-            return Err(ProtocolError::ChaseDiverged { addr, hops: *hops });
+            // retransmit give-up.
+            return Err(self.chase_diverged(addr, at, *hops));
         }
-        Ok(ChaseStep::Next(next))
+        Ok(next)
+    }
+
+    /// Records a chase that gave up at `at` after `hops` hops and returns
+    /// the error the chaser surfaces instead of aborting the process.
+    fn chase_diverged(&self, addr: VAddr, at: NodeId, hops: u32) -> ProtocolError {
+        self.emit(ProtocolEvent::ChaseDiverged {
+            obj: addr.0,
+            at,
+            hops,
+        });
+        ProtocolError::ChaseDiverged { addr, hops }
     }
 
     /// Path compression at the end of a chase: "the object's last known
     /// location is cached on all nodes along the chain" (section 3.3).
-    /// Rewrites the descriptor of every node in `chain` (distinct nodes, in
-    /// the order the chase passed them) to a one-hop forward to `to`. Each
-    /// rewrite that actually changes a descriptor is a repair, counted and
-    /// traced so the bookkeeping reconciles exactly.
-    pub(crate) fn compress_chain(&self, addr: VAddr, chain: &[NodeId], to: NodeId) {
-        for &n in chain {
-            if n == to {
-                continue;
-            }
-            let repaired = self.nodes[n.index()]
-                .descriptors
-                .write()
-                .cache_hint(addr, to);
-            if repaired {
+    /// Rewrites, in the held descriptor tables, the descriptor of every
+    /// node in `chain` to a one-hop forward to `to`. Each rewrite that
+    /// actually changes a descriptor is a repair, counted and traced so the
+    /// bookkeeping reconciles exactly.
+    pub(crate) fn compress(
+        &self,
+        tables: &mut [DescriptorTable],
+        addr: VAddr,
+        chain: &Chain,
+        to: NodeId,
+    ) {
+        for n in chain.iter() {
+            if n != to && tables[n.index()].cache_hint(addr, to) {
                 self.emit(ProtocolEvent::HintRepair {
                     obj: addr.0,
                     at: n,
@@ -319,62 +397,46 @@ impl Kernel {
         }
     }
 
-    /// Runs the residency protocol until the object at `addr` is local to
-    /// the current thread (resident, or replicated when `allow_replica`).
-    /// Returns the node the thread ends up on, or a typed error for
-    /// references to destroyed objects and chases that exceed the hop
-    /// bound.
-    pub(crate) fn ensure_at_object(
+    /// Runs the residency protocol from `step`, the chase's first step,
+    /// which the caller took in the registry visit that found the object
+    /// not local, until the object at `addr` is local to the current thread
+    /// (resident, or replicated when `allow_replica`). Each later step is
+    /// one visit, and the one that finds the object resident compresses the
+    /// chain behind the thread in it. Returns the node the thread ends up
+    /// on, or a typed error for references to destroyed objects and chases
+    /// that exceed the hop bound.
+    fn ensure_at_object(
         &self,
         addr: VAddr,
         allow_replica: bool,
+        mut step: ChaseStep,
     ) -> Result<NodeId, ProtocolError> {
         let me = must_current_thread();
-        // Replica-first resolution for shared invocations: a `Resident` or
-        // `Replica` descriptor on the thread's current node answers with one
-        // read-lock lookup — no registry visit, no moving park, no wire
-        // traffic. Exclusive invocations skip this and chase to the origin:
-        // only a `Resident` entry may serve them, and that case falls out of
-        // the first loop iteration anyway.
-        if allow_replica {
-            let here = self.engine.node_of(me);
-            if self.nodes[here.index()].descriptors.read().is_local(addr) {
-                return Ok(here);
-            }
-        }
+        let mut here = self.engine.node_of(me);
         let mut hops: u32 = 0;
-        // Distinct nodes the thread has left behind, in order: a chase that
-        // loops through a node twice must not lock its table twice.
-        let mut chain: Vec<NodeId> = Vec::new();
+        let mut chain = Chain::default();
         loop {
-            let here = self.engine.node_of(me);
-            match self.chase_step(addr, here, &mut hops)? {
-                ChaseStep::Found(Residency::Replica) if allow_replica => return Ok(here),
+            match step {
                 #[expect(clippy::panic, reason = "replicas are of immutables, refused at entry")]
-                ChaseStep::Found(Residency::Replica) => {
+                ChaseStep::Found(Residency::Replica) if !allow_replica => {
                     // A replica exists but exclusive access was requested;
                     // immutable objects cannot be mutated.
                     panic!("exclusive invocation of immutable object {addr}")
                 }
-                ChaseStep::Found(_) => {
-                    self.compress_chain(addr, &chain, here);
-                    return Ok(here);
-                }
-                ChaseStep::Lagging => {
-                    // Truly here but the descriptor lagged; the thread is
-                    // about to run here, so repair it.
-                    self.nodes[here.index()]
-                        .descriptors
-                        .write()
-                        .set_resident(addr);
-                }
-                ChaseStep::Again => {}
-                ChaseStep::Next(next) => {
-                    if !chain.contains(&here) {
-                        chain.push(here);
-                    }
+                ChaseStep::Found(_) => return Ok(here),
+                ChaseStep::Park => self.engine.block_kernel("await-move-install"),
+                ChaseStep::Next(forward) => {
+                    let next = self.chase_hop(forward, addr, here, &mut hops)?;
+                    chain.push(here);
                     self.migrate_current(here, next);
+                    here = next;
                 }
+            }
+            let mut guard = self.objects.lock();
+            let objects = &mut *guard;
+            step = objects.chase_step(addr, here, me)?;
+            if let ChaseStep::Found(Residency::Resident) = step {
+                self.compress(&mut objects.tables, addr, &chain, here);
             }
         }
     }
@@ -382,7 +444,9 @@ impl Kernel {
     /// The residency re-check of section 3.5, made at every context switch
     /// in and after every frame pop: if the current thread's enclosing
     /// object is not on this node (it moved, or the thread just executed
-    /// remotely), the thread chases it before doing anything else.
+    /// remotely), the thread chases it before doing anything else. One
+    /// registry visit reads the descriptor and, when it is not local, takes
+    /// the chase's first step.
     pub(crate) fn recheck_residency(&self) {
         let Some(addr) = enclosing_frame() else {
             return;
@@ -391,11 +455,15 @@ impl Kernel {
             return;
         };
         let here = self.engine.node_of(me);
-        let local = self.nodes[here.index()].descriptors.read().is_local(addr);
-        if !local {
-            if let Err(e) = self.ensure_at_object(addr, true) {
-                self.halt(e);
+        let first = {
+            let mut objects = self.objects.lock();
+            if objects.tables[here.index()].is_local(addr) {
+                return;
             }
+            objects.chase_step(addr, here, me)
+        };
+        if let Err(e) = first.and_then(|step| self.ensure_at_object(addr, true, step)) {
+            self.halt(e);
         }
     }
 
@@ -412,10 +480,12 @@ impl Kernel {
     ) -> Result<Arc<ObjectCell>, ProtocolError> {
         let me = must_current_thread();
         loop {
-            let mut objects = self.objects.lock();
-            let Some(e) = objects.get_mut(&addr) else {
+            let mut guard = self.objects.lock();
+            let objects = &mut *guard;
+            let Some(e) = objects.map.get_mut(&addr) else {
                 return Err(ProtocolError::ObjectDestroyed(addr));
             };
+            e.check_resident(addr, &objects.tables);
             #[expect(clippy::disallowed_macros, reason = "self-invoking is a program bug")]
             {
                 assert_ne!(
@@ -447,7 +517,7 @@ impl Kernel {
             if !e.op_waiters.iter().any(|w| w.thread == me) {
                 e.op_waiters.push_back(OpWaiter { thread: me, access });
             }
-            drop(objects);
+            drop(guard);
             self.engine.block_kernel("object-op-wait");
             // Re-run the admission check (every park in the runtime is
             // predicate-guarded: wake-ups may be spurious).
@@ -464,12 +534,14 @@ impl Kernel {
     /// have to chase stale entries.
     fn finish_invocation(&self, addr: VAddr, access: Access) {
         let to_wake: Vec<ThreadId> = {
-            let mut objects = self.objects.lock();
-            match objects.get_mut(&addr) {
+            let mut guard = self.objects.lock();
+            let objects = &mut *guard;
+            match objects.map.get_mut(&addr) {
                 // Destroy during release cannot happen (destroy asserts
                 // idle), but be tolerant in release paths.
                 None => Vec::new(),
                 Some(e) => {
+                    e.check_resident(addr, &objects.tables);
                     match access {
                         Access::Exclusive => {
                             #[expect(clippy::disallowed_macros, reason = "admission made us owner")]
@@ -521,32 +593,19 @@ impl Kernel {
         access: Access,
         carry: usize,
     ) -> Result<Arc<ObjectCell>, ProtocolError> {
-        let start_node = self.engine.node_of(must_current_thread());
+        let me = must_current_thread();
+        let start_node = self.engine.node_of(me);
         // Frame first, then the residency check (section 3.5 ordering).
-        let (immutable, resident) = self.bind_frame(addr, start_node)?;
-        #[expect(clippy::disallowed_macros, reason = "mutating an immutable is a bug")]
-        {
-            assert!(
-                access == Access::Shared || !immutable,
-                "exclusive invocation of immutable object {addr}"
-            );
-        }
-        let at = if resident {
-            Ok(start_node)
-        } else {
-            set_carry(carry);
-            // Immutable objects replicate to a shared caller instead of
-            // shipping the caller (section 2.3's read-only replication).
-            // With demand replication off, copies install only where the
-            // placement advisor puts them: a read away from a replica
-            // migrates the thread like any other remote invocation.
-            let at = if access == Access::Shared && immutable && self.demand_replication {
-                self.replicate_here(addr).map(|_| start_node)
-            } else {
-                self.ensure_at_object(addr, access == Access::Shared)
-            };
-            set_carry(0);
-            at
+        let at = match self.bind_frame(addr, me, start_node, access)? {
+            Verdict::Here => Ok(start_node),
+            Verdict::Replicate => self.replicate_here(addr).map(|_| start_node),
+            Verdict::Chase(first) => {
+                set_carry(carry);
+                let at = first
+                    .and_then(|step| self.ensure_at_object(addr, access == Access::Shared, step));
+                set_carry(0);
+                at
+            }
         };
         let admitted = at.and_then(|at| {
             if at != start_node {

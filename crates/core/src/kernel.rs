@@ -3,13 +3,12 @@
 //! One `Kernel` underlies a whole cluster. It owns:
 //!
 //! * the global object registry — payloads plus mobility metadata (location,
-//!   immutability, attachment, bound threads, in-progress moves) — one map
-//!   under one lock, so an attachment group's walk, busy check and claim
-//!   are a single critical section;
-//! * per-node state — descriptor tables, heaps, and region-map caches from
-//!   `amber-vspace`. Descriptor tables are read-mostly (`RwLock`): the hot
-//!   paths only *read* residency, and writes happen on the rare mobility
-//!   transitions;
+//!   immutability, attachment, bound threads, in-progress moves) — and every
+//!   node's descriptor table from `amber-vspace`, all under one lock: an
+//!   attachment group's walk, busy check and claim are a single critical
+//!   section, and so is a chase step's `moving` park, descriptor read and
+//!   path compression;
+//! * per-node state — heaps and region-map caches from `amber-vspace`;
 //! * the address-space server (logically on the boot node; consulting it
 //!   from elsewhere is charged as a network round trip).
 //!
@@ -25,9 +24,9 @@
 //! distribution come from the explicit protocol charges and messages issued
 //! by the methods in this crate, never from the data structures themselves.
 //!
-//! Lock order (see DESIGN.md, "Locking discipline"): the object registry →
-//! descriptor tables. The registry lock is never taken while it is held,
-//! and no lock is ever held across an engine block.
+//! Locking (see DESIGN.md, "Locking discipline"): the object registry is
+//! the one tracked lock. It is never taken while it is held, and no lock is
+//! ever held across an engine block.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -37,9 +36,9 @@ use std::sync::Arc;
 use amber_engine::{
     must_current_thread, CostModel, Engine, NodeId, ProtocolEvent, SimTime, ThreadId,
 };
-use amber_verify::{LockLevel, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
+use amber_verify::{LockLevel, OrderedMutex, OrderedMutexGuard};
 use amber_vspace::{
-    AddrMap, AddressSpaceServer, DescriptorTable, HeapError, NodeHeap, RegionMap, VAddr,
+    AddrMap, AddressSpaceServer, DescriptorTable, HeapError, NodeHeap, RegionMap, Residency, VAddr,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -73,7 +72,9 @@ pub(crate) struct ObjectEntry {
     /// The payload; shared so ops run outside the registry lock.
     pub(crate) cell: Arc<ObjectCell>,
     /// Authoritative current location. The *protocol path* to discover it
-    /// still follows per-node descriptors, so costs stay faithful.
+    /// still follows per-node descriptors, so costs stay faithful; while
+    /// the object is settled (`!moving`) this node's descriptor says
+    /// `Resident` ([`check_resident`](ObjectEntry::check_resident)).
     pub(crate) location: NodeId,
     /// Home node (owner of the address's region); creation node.
     pub(crate) home: NodeId,
@@ -142,13 +143,46 @@ impl ObjectEntry {
             pinned: false,
         }
     }
+
+    /// Checked builds hold a settled object to the residency invariant: the
+    /// descriptor at its location says `Resident`. Call it under the guard
+    /// that read the entry; it is a no-op with the checkers off.
+    #[inline]
+    pub(crate) fn check_resident(&self, addr: VAddr, tables: &[DescriptorTable]) {
+        if amber_verify::ACTIVE && !self.moving {
+            let desc = tables[self.location.index()].lookup(addr);
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "checked builds hold the invariant"
+            )]
+            {
+                assert_eq!(
+                    desc,
+                    Some(Residency::Resident),
+                    "{addr} on {}",
+                    self.location
+                );
+            }
+        }
+    }
 }
 
 /// The object registry's entries, keyed by object address.
 pub(crate) type ObjectMap = AddrMap<ObjectEntry>;
 
-/// The object registry: every entry under one lock, order-checked at
-/// `LockLevel::Registry`, the first tier of the lock hierarchy.
+/// What the registry lock guards: every object's entry and every node's
+/// residency descriptors. An object's location, its `moving` flag and each
+/// node's descriptor of it change in one critical section, so a holder of
+/// the guard sees them agree.
+pub(crate) struct Objects {
+    pub(crate) map: ObjectMap,
+    /// Node `n`'s descriptor table at index `n`: resident, forwarding,
+    /// replica or (no entry) uninitialized.
+    pub(crate) tables: Box<[DescriptorTable]>,
+}
+
+/// The object registry: entries and descriptor tables under one lock,
+/// checked at `LockLevel::Registry`, the kernel's one tracked lock.
 ///
 /// Aligned to 128 bytes so the lock word shares no cache line with the
 /// `Kernel` fields every operation reads. Unpadded among them,
@@ -156,26 +190,20 @@ pub(crate) type ObjectMap = AddrMap<ObjectEntry>;
 /// the extra load cost `local_invoke` about 1 % (EXPERIMENTS.md, "one
 /// registry lock").
 #[repr(align(128))]
-pub(crate) struct Registry(OrderedMutex<ObjectMap>);
+pub(crate) struct Registry(OrderedMutex<Objects>);
 
 impl Registry {
     /// Takes the registry lock. Never held across an engine block and never
     /// taken while held: a nested `lock()` self-deadlocks, so a path that
     /// needs several entries takes the guard once and passes the map down.
     #[inline]
-    pub(crate) fn lock(&self) -> OrderedMutexGuard<'_, ObjectMap> {
+    pub(crate) fn lock(&self) -> OrderedMutexGuard<'_, Objects> {
         self.0.lock()
     }
 }
 
 /// Per-node kernel state.
 pub(crate) struct NodeKernel {
-    /// Residency descriptors. Read-mostly: every invoke and residency
-    /// re-check takes the read lock; only mobility transitions (create,
-    /// move, replicate, destroy, hint refresh) take the write lock.
-    /// Order-checked at `LockLevel::DescriptorTable(node)` — the last tier
-    /// of the lock hierarchy, legal to take while holding the registry.
-    pub(crate) descriptors: OrderedRwLock<DescriptorTable>,
     pub(crate) heap: Mutex<NodeHeap>,
     pub(crate) regions: Mutex<RegionMap>,
     /// Replications in flight to this node: address -> threads parked until
@@ -222,10 +250,6 @@ impl Kernel {
                 let mut regions = RegionMap::new();
                 regions.learn(region, node);
                 NodeKernel {
-                    descriptors: OrderedRwLock::new(
-                        LockLevel::DescriptorTable(i),
-                        DescriptorTable::new(),
-                    ),
                     heap: Mutex::new(heap),
                     regions: Mutex::new(regions),
                     replicating: Mutex::new(HashMap::new()),
@@ -235,7 +259,13 @@ impl Kernel {
         Arc::new(Kernel {
             engine,
             cost,
-            objects: Registry(OrderedMutex::new(LockLevel::Registry, ObjectMap::default())),
+            objects: Registry(OrderedMutex::new(
+                LockLevel::Registry,
+                Objects {
+                    map: ObjectMap::default(),
+                    tables: (0..n).map(|_| DescriptorTable::new()).collect(),
+                },
+            )),
             nodes,
             server: Mutex::new(server),
             placement: policy.map(|p| PlacementRuntime::new(p, n)),
@@ -379,23 +409,20 @@ impl Kernel {
     }
 
     /// What `node`'s kernel does for a creation, local or requested: the
-    /// `object_create` charge, a heap block, the descriptor, then the
-    /// registry entry.
+    /// `object_create` charge, a heap block, then the registry entry and
+    /// the descriptor in one visit.
     fn create_at<T: AmberObject>(&self, node: NodeId, value: T, size: usize) -> ObjRef<T> {
         self.engine.work(self.cost.object_create);
         let addr = self.heap_alloc(node, size.max(1));
         let entry = ObjectEntry::new(value, node, size, self.call_slots());
-        self.nodes[node.index()]
-            .descriptors
-            .write()
-            .set_resident(addr);
         // Emission under the registry lock keeps the trace stream
         // linearized with the registry transition: no destroy of a reused
         // address can slot its event between our insert and our
         // ObjectCreate.
         {
             let mut objects = self.objects.lock();
-            let prev = objects.insert(addr, entry);
+            objects.tables[node.index()].set_resident(addr);
+            let prev = objects.map.insert(addr, entry);
             #[expect(clippy::disallowed_macros, reason = "destroy removes the entry first")]
             {
                 debug_assert!(prev.is_none(), "heap handed out a live address");
@@ -413,14 +440,15 @@ impl Kernel {
     /// destroy of an address that never existed) is
     /// [`ProtocolError::ObjectDestroyed`]; a destroy that catches the object
     /// with operations in progress, mid-move, or attached is
-    /// [`ProtocolError::ObjectBusy`]. All checks and the entry removal
-    /// happen under one registry lock, so exactly one of two racing
-    /// destroyers wins and the loser gets a deterministic `Err`.
+    /// [`ProtocolError::ObjectBusy`]. All checks, the entry removal and
+    /// every node's descriptor clear happen under one registry lock, so
+    /// exactly one of two racing destroyers wins and the loser gets a
+    /// deterministic `Err`.
     pub(crate) fn destroy(&self, addr: VAddr) -> Result<(), ProtocolError> {
         let me = self.current_node();
         let entry = {
             let mut objects = self.objects.lock();
-            let Some(e) = objects.remove(&addr) else {
+            let Some(e) = objects.map.remove(&addr) else {
                 return Err(ProtocolError::ObjectDestroyed(addr));
             };
             let busy = e.excl_owner.is_some()
@@ -432,8 +460,15 @@ impl Kernel {
             if busy {
                 // Busy objects stay alive: put the entry back under the same
                 // lock, so the race loser observed nothing but an `Err`.
-                objects.insert(addr, e);
+                objects.map.insert(addr, e);
                 return Err(ProtocolError::ObjectBusy(addr));
+            }
+            // Clear the address on *every* node, not just here/location/home:
+            // replicas (demand- or advisor-installed) and cached forwarding
+            // hints may live anywhere, and a stale `Replica` descriptor would
+            // alias the next object the home heap hands out at this address.
+            for table in objects.tables.iter_mut() {
+                table.clear(addr);
             }
             // Emit under the same registry lock that committed the removal:
             // once the heap block is freed below, the address can be reused
@@ -444,13 +479,6 @@ impl Kernel {
             });
             e
         };
-        // Clear the address on *every* node, not just here/location/home:
-        // replicas (demand- or advisor-installed) and cached forwarding
-        // hints may live anywhere, and a stale `Replica` descriptor would
-        // alias the next object the home heap hands out at this address.
-        for node in &self.nodes {
-            node.descriptors.write().clear(addr);
-        }
         // The registry entry was removed atomically above, so exactly one
         // destroyer reaches this free; a failure would mean heap-metadata
         // corruption, which the free-pool scan already self-heals, so the

@@ -19,14 +19,16 @@
 //!
 //! Multi-object paths here follow the kernel's locking discipline: a
 //! group's walk, busy check and `moving` claim run under one registry
-//! guard, so membership cannot change between them, and descriptor writes
-//! are batched into one write-lock visit per node.
+//! guard, so membership cannot change between them. The descriptor tables
+//! sit under the same guard, so a move's flips are one visit and its
+//! install — every member's location with the destination's descriptor —
+//! another.
 
 use amber_engine::{must_current_thread, NodeId, ProtocolEvent};
 use amber_vspace::VAddr;
 
 use crate::errors::ProtocolError;
-use crate::invoke::ChaseStep;
+use crate::invoke::{Chain, ChaseStep};
 use crate::kernel::{Kernel, ObjectMap};
 
 /// The attachment closure rooted at `addr` in the held registry map: the
@@ -85,6 +87,7 @@ impl Kernel {
             let mut objects = self.objects.lock();
             #[expect(clippy::panic, reason = "MoveTo after destroy is a program bug")]
             let e = objects
+                .map
                 .get_mut(&addr)
                 .unwrap_or_else(|| panic!("MoveTo on destroyed or unknown object {addr}"));
             if e.moving {
@@ -107,13 +110,14 @@ impl Kernel {
             if location == dest {
                 return;
             }
-            let group = group_of(&objects, addr);
+            let group = group_of(&objects.map, addr);
             if let Some(busy) = group
                 .iter()
-                .find(|a| objects.get(a).is_some_and(|m| m.moving))
+                .find(|a| objects.map.get(a).is_some_and(|m| m.moving))
             {
                 #[expect(clippy::expect_used, reason = "busy was found under this guard")]
                 objects
+                    .map
                     .get_mut(busy)
                     .expect("checked above")
                     .move_waiters
@@ -124,7 +128,11 @@ impl Kernel {
             }
             #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
             for a in &group {
-                objects.get_mut(a).expect("attached object vanished").moving = true;
+                objects
+                    .map
+                    .get_mut(a)
+                    .expect("attached object vanished")
+                    .moving = true;
             }
             break (location, false, group);
         };
@@ -157,7 +165,7 @@ impl Kernel {
         }
         let (source, group) = {
             let mut objects = self.objects.lock();
-            let Some(e) = objects.get(&addr) else {
+            let Some(e) = objects.map.get(&addr) else {
                 return Err("destroyed");
             };
             if e.moving {
@@ -176,16 +184,16 @@ impl Kernel {
             if root == dest {
                 return Err("already-there");
             }
-            let group = group_of(&objects, addr);
+            let group = group_of(&objects.map, addr);
             if group
                 .iter()
-                .any(|a| objects.get(a).is_none_or(|e| e.moving || e.pinned))
+                .any(|a| objects.map.get(a).is_none_or(|e| e.moving || e.pinned))
             {
                 return Err("group-busy");
             }
             #[expect(clippy::expect_used, reason = "the check above found all live")]
             for a in &group {
-                objects.get_mut(a).expect("checked above").moving = true;
+                objects.map.get_mut(a).expect("checked above").moving = true;
             }
             // The claim committed: count and trace the advisory while the
             // registry is still locked, so no destroy can slot its event
@@ -221,32 +229,19 @@ impl Kernel {
         let mut bytes = 0usize;
         {
             // Flip descriptors to forwarding *before* the transfer
-            // (section 3.5 ordering) and gather the group size. Each member
-            // is flipped at its *own* current node: a freshly attached child
-            // may not have reached the root's node yet, and flipping only
-            // the root's table would leave the child's node claiming
-            // residency after the group installs at `dest`. Locations are
-            // stable here (every member's `moving` flag is claimed), so the
-            // flips can be batched: one descriptor write-lock visit per
-            // node, not one per member.
-            let mut per_node: Vec<Vec<VAddr>> = vec![Vec::new(); self.nodes.len()];
-            {
-                let objects = self.objects.lock();
-                for a in group {
-                    #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
-                    let e = objects.get(a).expect("attached object vanished");
-                    bytes += e.size;
-                    per_node[e.location.index()].push(*a);
-                }
-            }
-            for (node, members) in per_node.iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                let mut d = self.nodes[node].descriptors.write();
-                for a in members {
-                    d.set_forward(*a, dest);
-                }
+            // (section 3.5 ordering) and gather the group size, in one
+            // visit. Each member is flipped at its *own* current node: a
+            // freshly attached child may not have reached the root's node
+            // yet, and flipping only the root's table would leave the
+            // child's node claiming residency after the group installs at
+            // `dest`.
+            let mut guard = self.objects.lock();
+            let objects = &mut *guard;
+            for a in group {
+                #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
+                let e = objects.map.get(a).expect("attached object vanished");
+                bytes += e.size;
+                objects.tables[e.location.index()].set_forward(*a, dest);
             }
         }
         self.emit(ProtocolEvent::ObjectMove {
@@ -265,19 +260,20 @@ impl Kernel {
 
         // Bulk transfer to the destination; the handler installs the group.
         self.one_way(source, dest, bytes, "moveto-transfer");
-        // We are logically the destination kernel now: install. Observers
-        // park on the `moving` flag before reading descriptors, so the gap
-        // between the location update and the destination's descriptor
-        // batch is invisible to them.
+        // We are logically the destination kernel now: install. Each
+        // member's location and its destination descriptor change in one
+        // visit.
         self.engine.work(self.cost.move_install);
         {
             let mut objects = self.objects.lock();
             #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
             for a in group {
                 objects
+                    .map
                     .get_mut(a)
                     .expect("attached object vanished")
                     .location = dest;
+                objects.tables[dest.index()].set_resident(*a);
                 // Every member (root included) marks its arrival while the
                 // registry is locked: the event precedes any observation of
                 // the new location, so a hint repaired toward `dest` can
@@ -285,23 +281,20 @@ impl Kernel {
                 // `dest` a legitimate host.
                 self.emit(ProtocolEvent::MoveInstalled { obj: a.0, to: dest });
             }
-            drop(objects);
-            let mut d = self.nodes[dest.index()].descriptors.write();
-            for a in group {
-                d.set_resident(*a);
-            }
         }
         // Acknowledge back to the source (completes the synchronous move).
         self.one_way(dest, source, self.cost.control_packet_bytes, "moveto-ack");
         // Clear the moving flag on every group member and release anyone
         // who parked on any of them.
         let waiters = {
-            let mut objects = self.objects.lock();
+            let mut guard = self.objects.lock();
+            let objects = &mut *guard;
             let mut ws = Vec::new();
             for a in group {
                 #[expect(clippy::expect_used, reason = "destroy refuses a moving object")]
-                let e = objects.get_mut(a).expect("moved object vanished");
+                let e = objects.map.get_mut(a).expect("moved object vanished");
                 e.moving = false;
+                e.check_resident(*a, &objects.tables);
                 ws.append(&mut e.move_waiters);
             }
             ws
@@ -331,7 +324,7 @@ impl Kernel {
         // One transfer per (object, node): later readers park until the
         // in-flight replica installs.
         loop {
-            if self.nodes[node.index()].descriptors.read().is_local(addr) {
+            if self.objects.lock().tables[node.index()].is_local(addr) {
                 // Already resident or replicated here; report the node
                 // itself as the (trivial) source.
                 return Ok(node);
@@ -372,7 +365,7 @@ impl Kernel {
     /// wakes parked waiters, on both the success and the destroyed path.
     fn replicate_install(&self, addr: VAddr, node: NodeId) -> Result<NodeId, ProtocolError> {
         let lookup = |check_immutable: bool| {
-            self.objects.lock().get(&addr).map(|e| {
+            self.objects.lock().map.get(&addr).map(|e| {
                 if check_immutable {
                     #[expect(clippy::disallowed_macros, reason = "callers found it immutable")]
                     {
@@ -419,16 +412,13 @@ impl Kernel {
         // could leave a stale `Replica` descriptor aliasing the next object
         // the heap hands out at this address.)
         {
-            let objects = self.objects.lock();
-            if !objects.contains_key(&addr) {
+            let mut objects = self.objects.lock();
+            if !objects.map.contains_key(&addr) {
                 drop(objects);
                 self.release_replication_claim(addr, node);
                 return Err(ProtocolError::ObjectDestroyed(addr));
             }
-            self.nodes[node.index()]
-                .descriptors
-                .write()
-                .set_replica(addr);
+            objects.tables[node.index()].set_replica(addr);
             self.emit(ProtocolEvent::Replication {
                 obj: addr.0,
                 from: location,
@@ -465,15 +455,13 @@ impl Kernel {
             if inflight.contains_key(&addr) {
                 return Err("mid-install");
             }
-            if self.nodes[dest.index()].descriptors.read().is_local(addr) {
-                return Err("already-there");
-            }
             inflight.insert(addr, Vec::new());
         }
         let gate: Result<(), &'static str> = {
             let objects = self.objects.lock();
-            match objects.get(&addr) {
+            match objects.map.get(&addr) {
                 None => Err("destroyed"),
+                Some(_) if objects.tables[dest.index()].is_local(addr) => Err("already-there"),
                 Some(e) if !e.immutable => Err("not-immutable"),
                 Some(e) if e.moving => Err("mid-move"),
                 Some(e) if e.location == dest => Err("already-there"),
@@ -511,6 +499,7 @@ impl Kernel {
         let mut objects = self.objects.lock();
         #[expect(clippy::panic, reason = "set_immutable after destroy is a program bug")]
         let e = objects
+            .map
             .get_mut(&addr)
             .unwrap_or_else(|| panic!("set_immutable on destroyed object {addr}"));
         #[expect(clippy::disallowed_macros, reason = "freezing mid-op is a program bug")]
@@ -525,7 +514,11 @@ impl Kernel {
 
     /// `true` if the object has been marked immutable.
     pub(crate) fn is_immutable(&self, addr: VAddr) -> bool {
-        self.objects.lock().get(&addr).is_some_and(|e| e.immutable)
+        self.objects
+            .lock()
+            .map
+            .get(&addr)
+            .is_some_and(|e| e.immutable)
     }
 
     /// Attaches `child` to `parent`: co-locates them now and makes `child`
@@ -548,7 +541,7 @@ impl Kernel {
             #[expect(clippy::disallowed_macros, reason = "Attach after destroy is a bug")]
             {
                 assert!(
-                    objects.contains_key(&parent) && objects.contains_key(&child),
+                    objects.map.contains_key(&parent) && objects.map.contains_key(&child),
                     "attach of unknown object"
                 );
             }
@@ -559,10 +552,10 @@ impl Kernel {
                 {
                     assert_ne!(a, child, "attachment cycle");
                 }
-                cur = objects.get(&a).and_then(|e| e.attached_to);
+                cur = objects.map.get(&a).and_then(|e| e.attached_to);
             }
             #[expect(clippy::expect_used, reason = "the known check above found it")]
-            let c = objects.get_mut(&child).expect("child vanished");
+            let c = objects.map.get_mut(&child).expect("child vanished");
             #[expect(clippy::disallowed_macros, reason = "attaching twice is a program bug")]
             {
                 assert!(
@@ -573,6 +566,7 @@ impl Kernel {
             c.attached_to = Some(parent);
             #[expect(clippy::expect_used, reason = "the known check above found it")]
             objects
+                .map
                 .get_mut(&parent)
                 .expect("parent vanished")
                 .attached
@@ -596,10 +590,11 @@ impl Kernel {
                 let mut objects = self.objects.lock();
                 let busy = [parent, child]
                     .into_iter()
-                    .find(|a| objects.get(a).is_some_and(|e| e.moving));
+                    .find(|a| objects.map.get(a).is_some_and(|e| e.moving));
                 if let Some(busy) = busy {
                     #[expect(clippy::expect_used, reason = "busy was found under this guard")]
                     objects
+                        .map
                         .get_mut(&busy)
                         .expect("checked above")
                         .move_waiters
@@ -608,9 +603,9 @@ impl Kernel {
                 } else {
                     Some((
                         #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
-                        objects.get(&parent).expect("parent vanished").location,
+                        objects.map.get(&parent).expect("parent vanished").location,
                         #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
-                        objects.get(&child).expect("child vanished").location,
+                        objects.map.get(&child).expect("child vanished").location,
                     ))
                 }
             };
@@ -641,6 +636,7 @@ impl Kernel {
         let mut objects = self.objects.lock();
         #[expect(clippy::panic, reason = "Unattach after destroy is a program bug")]
         let c = objects
+            .map
             .get_mut(&child)
             .unwrap_or_else(|| panic!("unattach of unknown object {child}"));
         #[expect(clippy::expect_used, reason = "Unattach needs a prior Attach")]
@@ -650,6 +646,7 @@ impl Kernel {
             .expect("unattach of an object that is not attached");
         #[expect(clippy::expect_used, reason = "destroy refuses attached objects")]
         objects
+            .map
             .get_mut(&parent)
             .expect("attachment parent vanished")
             .attached
@@ -681,6 +678,7 @@ impl Kernel {
         let mut objects = self.objects.lock();
         #[expect(clippy::panic, reason = "pin/unpin after destroy is a program bug")]
         let e = objects
+            .map
             .get_mut(&addr)
             .unwrap_or_else(|| panic!("pin/unpin of destroyed or unknown object {addr}"));
         e.pinned = pinned;
@@ -692,37 +690,44 @@ impl Kernel {
     /// the hop bound.
     ///
     /// Resolution is replica-first: a `Resident` or `Replica` descriptor on
-    /// the caller's own node answers immediately — no registry visit, no
+    /// the caller's own node answers immediately — one registry visit, no
     /// probe on the wire. When a chase does run, the reply piggybacks the
     /// resolved location and every node the chase passed through rewrites
     /// its descriptor to a one-hop forward (LOCUS-style path compression),
     /// so the chain shortens for everyone behind this chase, not just the
     /// chasing node.
     ///
-    /// Each step down the chain is a [`chase_step`](Kernel::chase_step),
-    /// the same one an invoking thread takes, so a locate that lands
-    /// mid-move parks until the move installs instead of reading
-    /// descriptors mid-transfer.
+    /// Each step down the chain is a
+    /// [`chase_step`](crate::kernel::Objects::chase_step) and a
+    /// [`chase_hop`](Kernel::chase_hop), the same ones an invoking thread
+    /// takes, so a locate that lands mid-move parks until the move installs
+    /// instead of reading descriptors mid-transfer. The origin's own
+    /// descriptor and the first step share one registry visit.
     pub(crate) fn locate(&self, addr: VAddr) -> Result<NodeId, ProtocolError> {
-        let origin = self.current_node();
-        if self.nodes[origin.index()].descriptors.read().is_local(addr) {
-            return Ok(origin);
-        }
+        let me = must_current_thread();
+        let origin = self.engine.node_of(me);
+        let mut step = {
+            let mut objects = self.objects.lock();
+            if objects.tables[origin.index()].is_local(addr) {
+                return Ok(origin);
+            }
+            objects.chase_step(addr, origin, me)?
+        };
         let mut cur = origin;
         let mut hops = 0u32;
-        let mut chain: Vec<NodeId> = Vec::new();
+        let mut chain = Chain::default();
         loop {
-            match self.chase_step(addr, cur, &mut hops)? {
-                ChaseStep::Found(_) | ChaseStep::Lagging => break,
-                ChaseStep::Again => {}
-                ChaseStep::Next(next) => {
+            match step {
+                ChaseStep::Found(_) => break,
+                ChaseStep::Park => self.engine.block_kernel("await-move-install"),
+                ChaseStep::Next(forward) => {
+                    let next = self.chase_hop(forward, addr, cur, &mut hops)?;
                     self.one_way(cur, next, self.cost.control_packet_bytes, "locate-probe");
-                    if !chain.contains(&cur) {
-                        chain.push(cur);
-                    }
+                    chain.push(cur);
                     cur = next;
                 }
             }
+            step = self.objects.lock().chase_step(addr, cur, me)?;
         }
         if cur != origin {
             // One reply message carries the resolved location back, and
@@ -731,7 +736,7 @@ impl Kernel {
             // the answer passes — the rewrites ride the reply, no extra
             // packets.
             self.one_way(cur, origin, self.cost.control_packet_bytes, "locate-reply");
-            self.compress_chain(addr, &chain, cur);
+            self.compress(&mut self.objects.lock().tables, addr, &chain, cur);
         }
         Ok(cur)
     }

@@ -3,15 +3,16 @@
 //! Two analysis layers, both compiled to zero-cost no-ops unless the
 //! `verify` cargo feature or `debug_assertions` is on:
 //!
-//! * **Lock-order checker** — [`OrderedMutex`] / [`OrderedRwLock`] wrappers
-//!   carry a [`LockLevel`] and validate every acquisition against a
-//!   thread-local held-lock stack (levels must strictly ascend, so a lock
-//!   taken again while held is reported before it self-deadlocks). Ranks are
-//!   a strict total order, so the per-thread rule is complete: an
-//!   acquisition-order cycle across threads needs one down-rank edge, and
-//!   that edge is reported where it is taken. Engines call
-//!   [`engine_block_checkpoint`] at every block/park/send point; holding
-//!   any tracked lock there is a violation.
+//! * **Lock checker** — the [`OrderedMutex`] wrapper carries a
+//!   [`LockLevel`] and validates every acquisition against a thread-local
+//!   held-lock stack. The kernel has one tracked lock, the object registry,
+//!   so the rule is that no tracked lock is taken while one is held: the
+//!   registry taken again while held is reported before it self-deadlocks,
+//!   and with no second lock there is no cross-thread cycle to order.
+//!   Engines call [`engine_block_checkpoint`] at every block/park/send
+//!   point; holding any tracked lock there is a violation. The checker also
+//!   counts each OS thread's acquisitions ([`acquisitions`]), so tests can
+//!   pin how many lock visits an operation takes.
 //! * **Protocol-lifecycle linter** — lives in `amber-engine`, beside the
 //!   event table it reads, and reports illegal event sequences here as
 //!   [`Violation::Lifecycle`].
@@ -31,34 +32,20 @@ use parking_lot::Mutex;
 /// or `debug_assertions`); `false` when every wrapper is a plain newtype.
 pub const ACTIVE: bool = cfg!(any(feature = "verify", debug_assertions));
 
-/// The tiers of the kernel's documented lock hierarchy, in acquisition
-/// order. Ranks are totally ordered: the object registry before every
-/// per-node descriptor table. A thread may only acquire a tracked lock
-/// whose rank is strictly greater than the last tracked lock it acquired,
-/// so taking the registry lock while holding it is reported too.
+/// The kernel's tracked locks. There is one: the object registry, which
+/// also guards every node's descriptor table. A thread holds at most one
+/// tracked lock at a time, so taking the registry lock while holding it is
+/// reported.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LockLevel {
     /// The cluster's one object-registry mutex (`Kernel::objects`).
     Registry,
-    /// One node's residency-descriptor table, by node index.
-    DescriptorTable(usize),
-}
-
-impl LockLevel {
-    /// Total-order rank: tier in the high bits, index in the low bits.
-    pub fn rank(self) -> u64 {
-        match self {
-            LockLevel::Registry => 0,
-            LockLevel::DescriptorTable(i) => (1 << 32) | i as u64,
-        }
-    }
 }
 
 impl fmt::Display for LockLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LockLevel::Registry => write!(f, "Registry"),
-            LockLevel::DescriptorTable(i) => write!(f, "DescriptorTable({i})"),
         }
     }
 }
@@ -66,10 +53,10 @@ impl fmt::Display for LockLevel {
 /// One detected discipline violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
-    /// A tracked lock was acquired while holding one of equal or higher
-    /// rank: the held/acquiring pair names the offending levels.
+    /// A tracked lock was acquired while one was already held: the
+    /// held/acquiring pair names the levels.
     LockOrder {
-        /// The highest-ranked lock already held.
+        /// The most recently acquired lock still held.
         held: LockLevel,
         /// The lock whose acquisition broke the order.
         acquiring: LockLevel,
@@ -96,7 +83,7 @@ impl fmt::Display for Violation {
         match self {
             Violation::LockOrder { held, acquiring } => write!(
                 f,
-                "lock order violation: {held} -> {acquiring} (ranks must strictly ascend)"
+                "lock order violation: {held} -> {acquiring} (one tracked lock at a time)"
             ),
             Violation::HeldAcrossBlock { held, reason } => {
                 write!(f, "lock {held} held entering engine block point `{reason}`")
@@ -160,34 +147,46 @@ pub fn holds_no_lock() -> bool {
     true
 }
 
+/// Tracked-lock acquisitions the calling OS thread has made so far; always
+/// 0 with the checkers off. Tests read it before and after an operation to
+/// pin how many registry visits the operation takes. An engine that runs
+/// several Amber threads on one OS thread counts them all here.
+pub fn acquisitions() -> u64 {
+    #[cfg(any(feature = "verify", debug_assertions))]
+    return checker::ACQUISITIONS.with(|n| n.get());
+    #[cfg(not(any(feature = "verify", debug_assertions)))]
+    0
+}
+
 #[cfg(any(feature = "verify", debug_assertions))]
 mod checker {
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     use crate::{report, LockLevel, Violation};
 
     thread_local! {
         /// Tracked locks held by this thread, in acquisition order.
         static HELD: RefCell<Vec<LockLevel>> = const { RefCell::new(Vec::new()) };
+        /// Tracked locks this thread has acquired, ever.
+        pub(crate) static ACQUISITIONS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Order check, run *before* the underlying lock is acquired so a
-    /// misordered acquisition panics instead of deadlocking.
+    /// nested acquisition panics instead of deadlocking.
     pub(crate) fn before_acquire(level: LockLevel) {
         let top = HELD.with(|h| h.borrow().last().copied());
-        if let Some(top) = top {
-            if level.rank() <= top.rank() {
-                report(Violation::LockOrder {
-                    held: top,
-                    acquiring: level,
-                });
-            }
+        if let Some(held) = top {
+            report(Violation::LockOrder {
+                held,
+                acquiring: level,
+            });
         }
     }
 
-    /// Pushes an acquired lock onto the held stack.
+    /// Pushes an acquired lock onto the held stack and counts it.
     pub(crate) fn acquired(level: LockLevel) {
         HELD.with(|h| h.borrow_mut().push(level));
+        ACQUISITIONS.with(|n| n.set(n.get() + 1));
     }
 
     /// Pops a released lock (the most recent matching entry, which is the
@@ -213,10 +212,11 @@ mod checker {
     }
 }
 
-/// A mutex that participates in the lock-order check. With the checkers off
+/// A mutex that participates in the lock check. With the checkers off
 /// this is a transparent newtype: `lock()` is the underlying lock and the
 /// guard is a plain deref, no extra atomics or branches.
 pub struct OrderedMutex<T> {
+    #[cfg(any(feature = "verify", debug_assertions))]
     level: LockLevel,
     inner: Mutex<T>,
 }
@@ -224,15 +224,13 @@ pub struct OrderedMutex<T> {
 impl<T> OrderedMutex<T> {
     /// A new mutex at `level` holding `value`.
     pub const fn new(level: LockLevel, value: T) -> OrderedMutex<T> {
+        #[cfg(not(any(feature = "verify", debug_assertions)))]
+        let _ = level;
         OrderedMutex {
+            #[cfg(any(feature = "verify", debug_assertions))]
             level,
             inner: Mutex::new(value),
         }
-    }
-
-    /// The level this lock was registered at.
-    pub fn level(&self) -> LockLevel {
-        self.level
     }
 
     /// Acquires the mutex, checking the acquisition against the calling
@@ -280,135 +278,18 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock that participates in the lock-order check; see
-/// [`OrderedMutex`].
-pub struct OrderedRwLock<T> {
-    level: LockLevel,
-    inner: parking_lot::RwLock<T>,
-}
-
-impl<T> OrderedRwLock<T> {
-    /// A new rwlock at `level` holding `value`.
-    pub const fn new(level: LockLevel, value: T) -> OrderedRwLock<T> {
-        OrderedRwLock {
-            level,
-            inner: parking_lot::RwLock::new(value),
-        }
-    }
-
-    /// The level this lock was registered at.
-    pub fn level(&self) -> LockLevel {
-        self.level
-    }
-
-    /// Acquires shared access, order-checked like a lock acquisition.
-    pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
-        #[cfg(any(feature = "verify", debug_assertions))]
-        checker::before_acquire(self.level);
-        let inner = self.inner.read();
-        #[cfg(any(feature = "verify", debug_assertions))]
-        checker::acquired(self.level);
-        OrderedRwLockReadGuard {
-            inner,
-            #[cfg(any(feature = "verify", debug_assertions))]
-            level: self.level,
-        }
-    }
-
-    /// Acquires exclusive access, order-checked like a lock acquisition.
-    pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
-        #[cfg(any(feature = "verify", debug_assertions))]
-        checker::before_acquire(self.level);
-        let inner = self.inner.write();
-        #[cfg(any(feature = "verify", debug_assertions))]
-        checker::acquired(self.level);
-        OrderedRwLockWriteGuard {
-            inner,
-            #[cfg(any(feature = "verify", debug_assertions))]
-            level: self.level,
-        }
-    }
-}
-
-/// Shared guard returned by [`OrderedRwLock::read`].
-pub struct OrderedRwLockReadGuard<'a, T> {
-    inner: parking_lot::RwLockReadGuard<'a, T>,
-    #[cfg(any(feature = "verify", debug_assertions))]
-    level: LockLevel,
-}
-
-impl<T> std::ops::Deref for OrderedRwLockReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-#[cfg(any(feature = "verify", debug_assertions))]
-impl<T> Drop for OrderedRwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        checker::released(self.level);
-    }
-}
-
-/// Exclusive guard returned by [`OrderedRwLock::write`].
-pub struct OrderedRwLockWriteGuard<'a, T> {
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
-    #[cfg(any(feature = "verify", debug_assertions))]
-    level: LockLevel,
-}
-
-impl<T> std::ops::Deref for OrderedRwLockWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for OrderedRwLockWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-#[cfg(any(feature = "verify", debug_assertions))]
-impl<T> Drop for OrderedRwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        checker::released(self.level);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn ranks_are_totally_ordered() {
-        let order = [
-            LockLevel::Registry,
-            LockLevel::DescriptorTable(0),
-            LockLevel::DescriptorTable(7),
-        ];
-        for w in order.windows(2) {
-            assert!(w[0].rank() < w[1].rank(), "{} !< {}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn display_names_the_index() {
+    fn display_names_the_pair() {
         assert_eq!(LockLevel::Registry.to_string(), "Registry");
-        assert_eq!(
-            LockLevel::DescriptorTable(2).to_string(),
-            "DescriptorTable(2)"
-        );
         let v = Violation::LockOrder {
-            held: LockLevel::DescriptorTable(0),
+            held: LockLevel::Registry,
             acquiring: LockLevel::Registry,
         };
         let s = v.to_string();
-        assert!(s.contains("DescriptorTable(0) -> Registry"), "{s}");
+        assert!(s.contains("Registry -> Registry"), "{s}");
     }
 }

@@ -8,8 +8,8 @@
 #![cfg(any(feature = "verify", debug_assertions))]
 
 use amber_verify::{
-    engine_block_checkpoint, set_panic_on_violation, take_violations, LockLevel, OrderedMutex,
-    OrderedRwLock, Violation,
+    acquisitions, engine_block_checkpoint, set_panic_on_violation, take_violations, LockLevel,
+    OrderedMutex, Violation,
 };
 use parking_lot::{Mutex, MutexGuard};
 
@@ -32,21 +32,24 @@ fn drain_and_restore() -> Vec<Violation> {
 }
 
 #[test]
-fn descriptor_then_registry_is_a_lock_order_violation() {
+fn two_registries_held_at_once_is_a_lock_order_violation() {
+    // Two clusters' registries are two locks at one level: a thread that
+    // holds one while taking the other could deadlock against a thread
+    // taking them the other way round.
     let _serial = quiet();
-    let descriptors = OrderedRwLock::new(LockLevel::DescriptorTable(0), ());
-    let registry = OrderedMutex::new(LockLevel::Registry, ());
+    let first = OrderedMutex::new(LockLevel::Registry, ());
+    let second = OrderedMutex::new(LockLevel::Registry, ());
     {
-        let _d = descriptors.write();
-        let _r = registry.lock(); // descriptor table held: illegal
+        let _a = first.lock();
+        let _b = second.lock(); // a tracked lock held: illegal
     }
     let violations = drain_and_restore();
-    let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-    assert!(
-        rendered
-            .iter()
-            .any(|m| m.contains("DescriptorTable(0) -> Registry")),
-        "expected a DescriptorTable(0) -> Registry order violation, got {rendered:?}"
+    assert_eq!(
+        violations,
+        [Violation::LockOrder {
+            held: LockLevel::Registry,
+            acquiring: LockLevel::Registry,
+        }]
     );
 }
 
@@ -83,22 +86,19 @@ fn a_lock_taken_twice_is_reported_before_it_deadlocks() {
 }
 
 #[test]
-fn ascending_acquisition_is_clean() {
+fn one_visit_at_a_time_is_clean_and_counted() {
     let _serial = quiet();
-    let registry = OrderedMutex::new(LockLevel::Registry, ());
-    let d1 = OrderedRwLock::new(LockLevel::DescriptorTable(1), ());
-    let d3 = OrderedRwLock::new(LockLevel::DescriptorTable(3), ());
-    {
-        let _r = registry.lock();
-        let _a = d1.read();
-        let _b = d3.write();
-    }
-    // Release order frees the stack; a fresh single acquisition stays legal.
-    drop(registry.lock());
+    let first = OrderedMutex::new(LockLevel::Registry, ());
+    let second = OrderedMutex::new(LockLevel::Registry, ());
+    let before = acquisitions();
+    drop(first.lock());
+    drop(second.lock());
+    drop(first.lock());
+    assert_eq!(acquisitions() - before, 3, "each visit is one acquisition");
     let violations = drain_and_restore();
     assert!(
         violations.is_empty(),
-        "strictly ascending acquisition must not trip the checker: {violations:?}"
+        "visits that never overlap must not trip the checker: {violations:?}"
     );
 }
 
