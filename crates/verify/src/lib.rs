@@ -3,16 +3,16 @@
 //! Two analysis layers, both compiled to zero-cost no-ops unless the
 //! `verify` cargo feature or `debug_assertions` is on:
 //!
-//! * **Lock checker** — the [`OrderedMutex`] wrapper carries a
-//!   [`LockLevel`] and validates every acquisition against a thread-local
-//!   held-lock stack. The kernel has one tracked lock, the object registry,
-//!   so the rule is that no tracked lock is taken while one is held: the
-//!   registry taken again while held is reported before it self-deadlocks,
-//!   and with no second lock there is no cross-thread cycle to order.
-//!   Engines call [`engine_block_checkpoint`] at every block/park/send
-//!   point; holding any tracked lock there is a violation. The checker also
-//!   counts each OS thread's acquisitions ([`acquisitions`]), so tests can
-//!   pin how many lock visits an operation takes.
+//! * **Lock checker** — the [`OrderedMutex`] wrapper counts, per thread,
+//!   the tracked locks held. The kernel has one tracked lock, the object
+//!   registry, so the rule is that no tracked lock is taken while one is
+//!   held: the registry taken again while held is reported
+//!   ([`Violation::NestedAcquisition`]) before it self-deadlocks, and with
+//!   no second lock there is no order to rank. Engines call
+//!   [`engine_block_checkpoint`] at every block/park/send point; holding
+//!   any tracked lock there is a violation. The checker also counts each OS
+//!   thread's acquisitions ([`acquisitions`]), so tests can pin how many
+//!   lock visits an operation takes.
 //! * **Protocol-lifecycle linter** — lives in `amber-engine`, beside the
 //!   event table it reads, and reports illegal event sequences here as
 //!   [`Violation::Lifecycle`].
@@ -32,40 +32,14 @@ use parking_lot::Mutex;
 /// or `debug_assertions`); `false` when every wrapper is a plain newtype.
 pub const ACTIVE: bool = cfg!(any(feature = "verify", debug_assertions));
 
-/// The kernel's tracked locks. There is one: the object registry, which
-/// also guards every node's descriptor table. A thread holds at most one
-/// tracked lock at a time, so taking the registry lock while holding it is
-/// reported.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LockLevel {
-    /// The cluster's one object-registry mutex (`Kernel::objects`).
-    Registry,
-}
-
-impl fmt::Display for LockLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LockLevel::Registry => write!(f, "Registry"),
-        }
-    }
-}
-
 /// One detected discipline violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
-    /// A tracked lock was acquired while one was already held: the
-    /// held/acquiring pair names the levels.
-    LockOrder {
-        /// The most recently acquired lock still held.
-        held: LockLevel,
-        /// The lock whose acquisition broke the order.
-        acquiring: LockLevel,
-    },
+    /// A tracked lock was acquired while the thread already held one.
+    NestedAcquisition,
     /// A tracked lock was held while entering an engine block point
     /// (park, sleep, yield, send, or charged work).
     HeldAcrossBlock {
-        /// The most recently acquired lock still held.
-        held: LockLevel,
         /// The engine block point's reason string.
         reason: &'static str,
     },
@@ -81,12 +55,15 @@ pub enum Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::LockOrder { held, acquiring } => write!(
+            Violation::NestedAcquisition => write!(
                 f,
-                "lock order violation: {held} -> {acquiring} (one tracked lock at a time)"
+                "nested acquisition: a tracked lock taken while one is held"
             ),
-            Violation::HeldAcrossBlock { held, reason } => {
-                write!(f, "lock {held} held entering engine block point `{reason}`")
+            Violation::HeldAcrossBlock { reason } => {
+                write!(
+                    f,
+                    "tracked lock held entering engine block point `{reason}`"
+                )
             }
             Violation::Lifecycle { obj, message } => {
                 write!(f, "lifecycle violation on object {obj:#x}: {message}")
@@ -138,8 +115,8 @@ pub fn engine_block_checkpoint(reason: &'static str) {
 /// `true` when the calling OS thread holds no tracked lock; always `true`
 /// with the checkers off. An engine that runs several Amber threads on one
 /// OS thread asserts it wherever it switches between them: the held-lock
-/// stack belongs to the OS thread, and [`engine_block_checkpoint`] keeps it
-/// empty at every point that switches.
+/// count belongs to the OS thread, and [`engine_block_checkpoint`] keeps it
+/// at zero at every point that switches.
 pub fn holds_no_lock() -> bool {
     #[cfg(any(feature = "verify", debug_assertions))]
     return checker::holds_none();
@@ -160,54 +137,44 @@ pub fn acquisitions() -> u64 {
 
 #[cfg(any(feature = "verify", debug_assertions))]
 mod checker {
-    use std::cell::{Cell, RefCell};
+    use std::cell::Cell;
 
-    use crate::{report, LockLevel, Violation};
+    use crate::{report, Violation};
 
     thread_local! {
-        /// Tracked locks held by this thread, in acquisition order.
-        static HELD: RefCell<Vec<LockLevel>> = const { RefCell::new(Vec::new()) };
+        /// Tracked locks this thread holds: at most one in a program that
+        /// keeps the rule.
+        static DEPTH: Cell<u32> = const { Cell::new(0) };
         /// Tracked locks this thread has acquired, ever.
         pub(crate) static ACQUISITIONS: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Order check, run *before* the underlying lock is acquired so a
-    /// nested acquisition panics instead of deadlocking.
-    pub(crate) fn before_acquire(level: LockLevel) {
-        let top = HELD.with(|h| h.borrow().last().copied());
-        if let Some(held) = top {
-            report(Violation::LockOrder {
-                held,
-                acquiring: level,
-            });
+    /// Runs *before* the underlying lock is acquired, so a nested
+    /// acquisition panics instead of deadlocking.
+    pub(crate) fn before_acquire() {
+        if !holds_none() {
+            report(Violation::NestedAcquisition);
         }
     }
 
-    /// Pushes an acquired lock onto the held stack and counts it.
-    pub(crate) fn acquired(level: LockLevel) {
-        HELD.with(|h| h.borrow_mut().push(level));
+    /// Counts an acquired lock as held, and as acquired.
+    pub(crate) fn acquired() {
+        DEPTH.with(|d| d.set(d.get() + 1));
         ACQUISITIONS.with(|n| n.set(n.get() + 1));
     }
 
-    /// Pops a released lock (the most recent matching entry, which is the
-    /// top in all non-violating programs).
-    pub(crate) fn released(level: LockLevel) {
-        HELD.with(|h| {
-            let mut h = h.borrow_mut();
-            if let Some(ix) = h.iter().rposition(|l| *l == level) {
-                h.remove(ix);
-            }
-        });
+    /// Counts a released lock out.
+    pub(crate) fn released() {
+        DEPTH.with(|d| d.set(d.get() - 1));
     }
 
     pub(crate) fn holds_none() -> bool {
-        HELD.with(|h| h.borrow().is_empty())
+        DEPTH.with(|d| d.get() == 0)
     }
 
     pub(crate) fn block_checkpoint(reason: &'static str) {
-        let top = HELD.with(|h| h.borrow().last().copied());
-        if let Some(held) = top {
-            report(Violation::HeldAcrossBlock { held, reason });
+        if !holds_none() {
+            report(Violation::HeldAcrossBlock { reason });
         }
     }
 }
@@ -216,44 +183,32 @@ mod checker {
 /// this is a transparent newtype: `lock()` is the underlying lock and the
 /// guard is a plain deref, no extra atomics or branches.
 pub struct OrderedMutex<T> {
-    #[cfg(any(feature = "verify", debug_assertions))]
-    level: LockLevel,
     inner: Mutex<T>,
 }
 
 impl<T> OrderedMutex<T> {
-    /// A new mutex at `level` holding `value`.
-    pub const fn new(level: LockLevel, value: T) -> OrderedMutex<T> {
-        #[cfg(not(any(feature = "verify", debug_assertions)))]
-        let _ = level;
+    /// A new mutex holding `value`.
+    pub const fn new(value: T) -> OrderedMutex<T> {
         OrderedMutex {
-            #[cfg(any(feature = "verify", debug_assertions))]
-            level,
             inner: Mutex::new(value),
         }
     }
 
-    /// Acquires the mutex, checking the acquisition against the calling
-    /// thread's held-lock stack first.
+    /// Acquires the mutex, first checking that the calling thread holds no
+    /// tracked lock.
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         #[cfg(any(feature = "verify", debug_assertions))]
-        checker::before_acquire(self.level);
+        checker::before_acquire();
         let inner = self.inner.lock();
         #[cfg(any(feature = "verify", debug_assertions))]
-        checker::acquired(self.level);
-        OrderedMutexGuard {
-            inner,
-            #[cfg(any(feature = "verify", debug_assertions))]
-            level: self.level,
-        }
+        checker::acquired();
+        OrderedMutexGuard { inner }
     }
 }
 
 /// Guard returned by [`OrderedMutex::lock`].
 pub struct OrderedMutexGuard<'a, T> {
     inner: parking_lot::MutexGuard<'a, T>,
-    #[cfg(any(feature = "verify", debug_assertions))]
-    level: LockLevel,
 }
 
 impl<T> std::ops::Deref for OrderedMutexGuard<'_, T> {
@@ -274,7 +229,7 @@ impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
 #[cfg(any(feature = "verify", debug_assertions))]
 impl<T> Drop for OrderedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        checker::released(self.level);
+        checker::released();
     }
 }
 
@@ -283,13 +238,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_names_the_pair() {
-        assert_eq!(LockLevel::Registry.to_string(), "Registry");
-        let v = Violation::LockOrder {
-            held: LockLevel::Registry,
-            acquiring: LockLevel::Registry,
-        };
-        let s = v.to_string();
-        assert!(s.contains("Registry -> Registry"), "{s}");
+    fn display_names_the_violation() {
+        let nested = Violation::NestedAcquisition.to_string();
+        assert!(nested.contains("nested acquisition"), "{nested}");
+        let held = Violation::HeldAcrossBlock { reason: "park" }.to_string();
+        assert!(held.contains("`park`"), "{held}");
     }
 }

@@ -1,6 +1,6 @@
 //! Negative tests: prove the checkers actually *detect* the bugs they
 //! exist for. Each test provokes one illegal pattern with the panic hook
-//! disabled and asserts the recorded violation names the offending pair.
+//! disabled and asserts the violation it recorded.
 //!
 //! The violation buffer and panic flag are process-global, so every test
 //! serializes on one mutex and drains the buffer before and after.
@@ -8,8 +8,8 @@
 #![cfg(any(feature = "verify", debug_assertions))]
 
 use amber_verify::{
-    acquisitions, engine_block_checkpoint, set_panic_on_violation, take_violations, LockLevel,
-    OrderedMutex, Violation,
+    acquisitions, engine_block_checkpoint, set_panic_on_violation, take_violations, OrderedMutex,
+    Violation,
 };
 use parking_lot::{Mutex, MutexGuard};
 
@@ -32,25 +32,19 @@ fn drain_and_restore() -> Vec<Violation> {
 }
 
 #[test]
-fn two_registries_held_at_once_is_a_lock_order_violation() {
-    // Two clusters' registries are two locks at one level: a thread that
-    // holds one while taking the other could deadlock against a thread
-    // taking them the other way round.
+fn two_registries_held_at_once_is_a_nested_acquisition() {
+    // Two clusters' registries are two tracked locks: a thread that holds
+    // one while taking the other could deadlock against a thread taking
+    // them the other way round.
     let _serial = quiet();
-    let first = OrderedMutex::new(LockLevel::Registry, ());
-    let second = OrderedMutex::new(LockLevel::Registry, ());
+    let first = OrderedMutex::new(());
+    let second = OrderedMutex::new(());
     {
         let _a = first.lock();
         let _b = second.lock(); // a tracked lock held: illegal
     }
     let violations = drain_and_restore();
-    assert_eq!(
-        violations,
-        [Violation::LockOrder {
-            held: LockLevel::Registry,
-            acquiring: LockLevel::Registry,
-        }]
-    );
+    assert_eq!(violations, [Violation::NestedAcquisition]);
 }
 
 #[test]
@@ -59,7 +53,7 @@ fn a_lock_taken_twice_is_reported_before_it_deadlocks() {
     // lock() reaches the mutex, or this test hangs instead of failing.
     let _serial = SERIAL.lock();
     let _ = take_violations();
-    let registry = OrderedMutex::new(LockLevel::Registry, ());
+    let registry = OrderedMutex::new(());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _outer = registry.lock();
         let _inner = registry.lock();
@@ -71,16 +65,10 @@ fn a_lock_taken_twice_is_reported_before_it_deadlocks() {
         .cloned()
         .unwrap_or_default();
     assert!(
-        message.contains("Registry -> Registry"),
-        "expected a Registry -> Registry order violation, got {message:?}"
+        message.contains("nested acquisition"),
+        "expected a nested-acquisition violation, got {message:?}"
     );
-    assert_eq!(
-        violations,
-        [Violation::LockOrder {
-            held: LockLevel::Registry,
-            acquiring: LockLevel::Registry,
-        }]
-    );
+    assert_eq!(violations, [Violation::NestedAcquisition]);
     // The unwind dropped the outer guard: the lock is free again.
     drop(registry.lock());
 }
@@ -88,8 +76,8 @@ fn a_lock_taken_twice_is_reported_before_it_deadlocks() {
 #[test]
 fn one_visit_at_a_time_is_clean_and_counted() {
     let _serial = quiet();
-    let first = OrderedMutex::new(LockLevel::Registry, ());
-    let second = OrderedMutex::new(LockLevel::Registry, ());
+    let first = OrderedMutex::new(());
+    let second = OrderedMutex::new(());
     let before = acquisitions();
     drop(first.lock());
     drop(second.lock());
@@ -105,25 +93,24 @@ fn one_visit_at_a_time_is_clean_and_counted() {
 #[test]
 fn lock_held_across_engine_block_is_reported() {
     let _serial = quiet();
-    let registry = OrderedMutex::new(LockLevel::Registry, ());
+    let registry = OrderedMutex::new(());
     {
         let _r = registry.lock();
         engine_block_checkpoint("unit-test-block");
     }
     let violations = drain_and_restore();
-    let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-    assert!(
-        rendered
-            .iter()
-            .any(|m| m.contains("Registry") && m.contains("unit-test-block")),
-        "expected a held-across-block violation naming Registry, got {rendered:?}"
+    assert_eq!(
+        violations,
+        [Violation::HeldAcrossBlock {
+            reason: "unit-test-block"
+        }]
     );
 }
 
 #[test]
 fn no_lock_held_at_checkpoint_is_clean() {
     let _serial = quiet();
-    let registry = OrderedMutex::new(LockLevel::Registry, ());
+    let registry = OrderedMutex::new(());
     drop(registry.lock());
     engine_block_checkpoint("unit-test-block");
     let violations = drain_and_restore();
