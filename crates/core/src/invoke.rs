@@ -17,6 +17,8 @@
 //! Operations on a payload run under an access protocol (exclusive `&mut T`
 //! or shared `&T`) with kernel-managed waiter queues, standing in for the
 //! intra-node hardware synchronization of a real multiprocessor node.
+//! Admission is the payload's only guard: it lends the operation the
+//! payload itself ([`Lent`]), with no lock and no reference count beneath.
 //!
 //! An invocation has five steps, and a resident object — the common case,
 //! the paper's 12 us local invoke — takes exactly three registry visits:
@@ -35,7 +37,7 @@
 //!    before the charge would hold the object 8 us longer per hand-off and
 //!    move every contended virtual-time result;
 //! 4. the operation, outside every kernel lock;
-//! 5. **exit** ([`Kernel::finish_invocation`]): release, unbind, wake.
+//! 5. **exit** ([`Kernel::finish_invocation`]): size, release, unbind, wake.
 //!
 //! Every chase step is one registry visit: the `moving` park, the
 //! descriptor read and, when the step finds the object, the path
@@ -52,13 +54,11 @@
 //! (`SimEngine`). No borrow of it is ever held across an operation (nested
 //! invocations push frames of their own).
 
-use std::sync::Arc;
-
 use amber_engine::{must_current_thread, with_invocations, NodeId, ProtocolEvent, ThreadId};
 use amber_vspace::{DescriptorTable, Residency, VAddr};
 
 use crate::errors::ProtocolError;
-use crate::kernel::{Access, Kernel, ObjectCell, Objects, OpWaiter};
+use crate::kernel::{Access, Kernel, Lent, Objects, OpWaiter};
 use crate::objref::ObjRef;
 
 /// Starts the calling thread's invocation context afresh: the first thing an
@@ -465,16 +465,12 @@ impl Kernel {
     }
 
     /// Acquires the payload in `access` mode, parking behind current
-    /// operations if necessary. Returns the payload cell, or
+    /// operations if necessary. Returns the loan admission grants, or
     /// [`ProtocolError::ObjectDestroyed`] when the object vanished between
     /// chase resolution and this admission check — liveness is re-checked
     /// under the registry lock on every iteration (including after each park),
     /// so a racing destroy surfaces as a typed error, never a panic.
-    fn acquire_payload(
-        &self,
-        addr: VAddr,
-        access: Access,
-    ) -> Result<Arc<ObjectCell>, ProtocolError> {
+    fn acquire_payload(&self, addr: VAddr, access: Access) -> Result<Lent<'_>, ProtocolError> {
         let me = must_current_thread();
         loop {
             let mut guard = self.objects.lock();
@@ -509,7 +505,25 @@ impl Kernel {
                 }
                 // Clear any stale registration left by a spurious wake-up.
                 e.op_waiters.retain(|w| w.thread != me);
-                return Ok(Arc::clone(&e.cell));
+                e.payload.loan(access, true);
+                let data = e.payload.data.get();
+                drop(guard);
+                // SAFETY: the loan is what admission just granted, and it
+                // ends before the exit visit releases admission.
+                // 1. Admission is the exclusion. Grant and release both
+                //    happen under the registry mutex, so its unlock/lock
+                //    orders every access, on `RealEngine`'s OS threads too.
+                // 2. Only `destroy` removes an entry, and it refuses while
+                //    `excl_owner`, `shared_count` or `bound` is set.
+                // 3. The payload's heap block never moves: a rehash moves
+                //    only the entry's `Box`, and a busy `destroy` nothing.
+                // 4. The kernel (`&self`, the loan's lifetime) outlives it.
+                return Ok(unsafe {
+                    match access {
+                        Access::Exclusive => Lent::Exclusive(&mut *data),
+                        Access::Shared => Lent::Shared(&*data),
+                    }
+                });
             }
             if !e.op_waiters.iter().any(|w| w.thread == me) {
                 e.op_waiters.push_back(OpWaiter { thread: me, access });
@@ -521,9 +535,10 @@ impl Kernel {
         }
     }
 
-    /// Releases the payload, unbinds the invocation frame, and wakes every
-    /// queued waiter — one registry visit for the whole epilogue; the
-    /// woken threads re-run the admission check and re-queue if they lose.
+    /// Refreshes the wire size after an exclusive operation, releases the
+    /// payload, unbinds the invocation frame, and wakes every queued waiter
+    /// — one registry visit for the whole epilogue; the woken threads re-run
+    /// the admission check and re-queue if they lose.
     ///
     /// Waking everyone (rather than the exact admissible set) is the
     /// missed-wakeup-proof choice: threads can be woken spuriously for
@@ -545,11 +560,9 @@ impl Kernel {
                             {
                                 debug_assert_eq!(e.excl_owner, Some(must_current_thread()));
                             }
+                            // The loan has ended and admission is still ours.
+                            e.size = (e.size_fn)(e.payload.data.get_mut());
                             e.excl_owner = None;
-                            // Refresh the wire size after mutation.
-                            if let Some(data) = e.cell.data.try_read() {
-                                e.size = (e.size_fn)(&**data);
-                            }
                         }
                         Access::Shared => {
                             #[expect(clippy::disallowed_macros, reason = "admission counted it in")]
@@ -559,6 +572,7 @@ impl Kernel {
                             e.shared_count -= 1;
                         }
                     }
+                    e.payload.loan(access, false);
                     e.bound -= 1;
                     if e.shared_count > 0 {
                         // Shared operations still draining; the last one
@@ -579,7 +593,7 @@ impl Kernel {
     /// Everything an invocation does before its operation runs — entry,
     /// residency (the chase, or an immutable object's replication, only when
     /// the entry verdict says the object is not here), the `local_invoke`
-    /// charge, then admission — returning the payload to run `op` on.
+    /// charge, then admission — returning the payload's loan to run `op` on.
     /// `carry` bytes of by-value arguments ride the outbound migration.
     ///
     /// Errors can only arise *before* the payload is acquired: the frame is
@@ -589,7 +603,7 @@ impl Kernel {
         addr: VAddr,
         access: Access,
         carry: usize,
-    ) -> Result<Arc<ObjectCell>, ProtocolError> {
+    ) -> Result<Lent<'_>, ProtocolError> {
         let me = must_current_thread();
         let start_node = self.engine.node_of(me);
         // Frame first, then the residency check (section 3.5 ordering).
@@ -651,15 +665,10 @@ impl Kernel {
         op: impl FnOnce(&crate::cluster::Ctx, &mut T) -> R,
     ) -> Result<R, ProtocolError> {
         let addr = obj.addr();
-        let cell = self.enter_invocation(addr, Access::Exclusive, carry)?;
-        let result = {
-            let mut data = cell.data.write();
-            #[expect(clippy::expect_used, reason = "ObjRef<T> comes from create::<T>")]
-            let t: &mut T = data
-                .downcast_mut::<T>()
-                .expect("object payload type confusion");
-            op(ctx, t)
-        };
+        let lent = self.enter_invocation(addr, Access::Exclusive, carry)?;
+        #[expect(clippy::expect_used, reason = "ObjRef<T> comes from create::<T>")]
+        let t: &mut T = lent.downcast_mut().expect("object payload type confusion");
+        let result = op(ctx, t);
         self.leave_invocation(addr, Access::Exclusive);
         Ok(result)
     }
@@ -676,15 +685,10 @@ impl Kernel {
         op: impl FnOnce(&crate::cluster::Ctx, &T) -> R,
     ) -> Result<R, ProtocolError> {
         let addr = obj.addr();
-        let cell = self.enter_invocation(addr, Access::Shared, carry)?;
-        let result = {
-            let data = cell.data.read();
-            #[expect(clippy::expect_used, reason = "ObjRef<T> comes from create::<T>")]
-            let t: &T = data
-                .downcast_ref::<T>()
-                .expect("object payload type confusion");
-            op(ctx, t)
-        };
+        let lent = self.enter_invocation(addr, Access::Shared, carry)?;
+        #[expect(clippy::expect_used, reason = "ObjRef<T> comes from create::<T>")]
+        let t: &T = lent.downcast_ref().expect("object payload type confusion");
+        let result = op(ctx, t);
         self.leave_invocation(addr, Access::Shared);
         Ok(result)
     }

@@ -26,9 +26,12 @@
 //!
 //! Locking (see DESIGN.md, "Locking discipline"): the object registry is
 //! the one tracked lock. It is never taken while it is held, and no lock is
-//! ever held across an engine block.
+//! ever held across an engine block. A payload has no lock of its own:
+//! admission, granted and released under the registry lock, is its guard.
 
 use std::any::Any;
+use std::cell::{Cell, UnsafeCell};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -39,7 +42,7 @@ use amber_verify::{OrderedMutex, OrderedMutexGuard};
 use amber_vspace::{
     AddrMap, AddressSpaceServer, DescriptorTable, HeapError, NodeHeap, RegionMap, Residency, VAddr,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::adaptive::{PlacementPolicy, PlacementRuntime};
 use crate::errors::ProtocolError;
@@ -55,9 +58,65 @@ pub(crate) enum Access {
     Shared,
 }
 
-/// Payload storage: type-erased, guarded for the real engine's parallelism.
-pub(crate) struct ObjectCell {
-    pub(crate) data: RwLock<Box<dyn Any + Send + Sync>>,
+/// An object's payload, type-erased, in one heap block its registry entry
+/// owns, so it stays put when the map rehashes. Admission is its only guard
+/// ([`Lent`]).
+pub(crate) struct Payload<T: ?Sized = dyn Any + Send + Sync> {
+    /// Checked builds' borrow word, RefCell-style: -1 while lent
+    /// exclusively, else the number of shared loans out. Moved only under
+    /// the registry lock, and never touched with the checkers off.
+    loans: Cell<i32>,
+    pub(crate) data: UnsafeCell<T>,
+}
+
+impl Payload {
+    /// Moves the borrow word by one loan in `access` mode: admission lends
+    /// as it grants, the exit visit gives back as it releases. Checked
+    /// builds panic on an exclusive loan beside any other — the overlap a
+    /// lock on the payload would have blocked — or on a give-back with no
+    /// such loan out; with the checkers off it is a no-op.
+    pub(crate) fn loan(&self, access: Access, lend: bool) {
+        if amber_verify::ACTIVE {
+            let out = self.loans.get();
+            let (legal, next) = match (access, lend) {
+                (Access::Exclusive, true) => (out == 0, -1),
+                (Access::Exclusive, false) => (out == -1, 0),
+                (Access::Shared, true) => (out >= 0, out + 1),
+                (Access::Shared, false) => (out > 0, out - 1),
+            };
+            #[expect(clippy::disallowed_macros, reason = "admission lends what it grants")]
+            {
+                assert!(legal, "{access:?} loan (lend: {lend}) beside loans {out}");
+            }
+            self.loans.set(next);
+        }
+    }
+}
+
+/// What admission lends one invocation: its payload, `&mut` after
+/// exclusive admission and `&` after shared. The loan borrows the kernel
+/// and ends before the exit visit releases admission.
+pub(crate) enum Lent<'k> {
+    Exclusive(&'k mut (dyn Any + Send + Sync)),
+    Shared(&'k (dyn Any + Send + Sync)),
+}
+
+impl<'k> Lent<'k> {
+    /// The payload as a `T` from an exclusive loan.
+    pub(crate) fn downcast_mut<T: 'static>(self) -> Option<&'k mut T> {
+        match self {
+            Lent::Exclusive(data) => data.downcast_mut(),
+            Lent::Shared(_) => None,
+        }
+    }
+
+    /// The payload as a `T`.
+    pub(crate) fn downcast_ref<T: 'static>(self) -> Option<&'k T> {
+        match self {
+            Lent::Exclusive(data) => data.downcast_ref(),
+            Lent::Shared(data) => data.downcast_ref(),
+        }
+    }
 }
 
 /// A waiting invoker queued behind the object's current operations.
@@ -76,8 +135,8 @@ pub(crate) struct ReplicaInstall {
 
 /// Registry entry for one object.
 pub(crate) struct ObjectEntry {
-    /// The payload; shared so ops run outside the registry lock.
-    pub(crate) cell: Arc<ObjectCell>,
+    /// The payload, lent to operations that run outside the registry lock.
+    pub(crate) payload: Box<Payload>,
     /// Authoritative current location. The *protocol path* to discover it
     /// still follows per-node descriptors, so costs stay faithful; while
     /// the object is settled (`!moving`) this node's descriptor says
@@ -130,8 +189,9 @@ impl ObjectEntry {
     /// the cluster's node count when adaptive placement is on, else 0.
     fn new<T: AmberObject>(value: T, node: NodeId, size: usize, call_slots: usize) -> ObjectEntry {
         ObjectEntry {
-            cell: Arc::new(ObjectCell {
-                data: RwLock::new(Box::new(value)),
+            payload: Box::new(Payload {
+                loans: Cell::new(0),
+                data: UnsafeCell::new(value),
             }),
             location: node,
             home: node,
@@ -468,9 +528,10 @@ impl Kernel {
         let me = self.current_node();
         let entry = {
             let mut objects = self.objects.lock();
-            let Some(e) = objects.map.remove(&addr) else {
+            let Entry::Occupied(slot) = objects.map.entry(addr) else {
                 return Err(ProtocolError::ObjectDestroyed(addr));
             };
+            let e = slot.get();
             let busy = e.excl_owner.is_some()
                 || e.shared_count != 0
                 || e.bound != 0
@@ -478,11 +539,11 @@ impl Kernel {
                 || !e.attached.is_empty()
                 || e.attached_to.is_some();
             if busy {
-                // Busy objects stay alive: put the entry back under the same
-                // lock, so the race loser observed nothing but an `Err`.
-                objects.map.insert(addr, e);
+                // Busy objects stay alive, their entry untouched: the race
+                // loser observed nothing but an `Err`.
                 return Err(ProtocolError::ObjectBusy(addr));
             }
+            let e = slot.remove();
             // Clear the address on *every* node, not just here/location/home:
             // replicas (demand- or advisor-installed) and cached forwarding
             // hints may live anywhere, and a stale `Replica` descriptor would

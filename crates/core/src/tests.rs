@@ -1061,6 +1061,50 @@ fn lock_visits_are_pinned() {
     assert_eq!(visits, [1, 4, 6, 7, 1]);
 }
 
+/// Checked builds keep a net under admission: each payload's borrow word
+/// records the loans admission made, and a loan that overlaps an
+/// exclusive one panics. The test forces loans past admission, through
+/// the accessor admission itself calls, from inside live operations.
+#[cfg(any(feature = "verify", debug_assertions))]
+#[test]
+fn an_overlapping_loan_is_caught() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use crate::kernel::Access;
+    let c = sim(1, 1);
+    c.run(|ctx| {
+        let obj = ctx.create(0u64);
+        let addr = obj.addr();
+        // Lends the payload once more, as admission would; `true` if the
+        // borrow word caught an overlap.
+        let force = |ctx: &crate::Ctx, access| {
+            catch_unwind(AssertUnwindSafe(|| {
+                if let Some(e) = ctx.kernel().objects.lock().map.get(&addr) {
+                    e.payload.loan(access, true);
+                }
+            }))
+            .is_err()
+        };
+        let give_back = |ctx: &crate::Ctx, access| {
+            if let Some(e) = ctx.kernel().objects.lock().map.get(&addr) {
+                e.payload.loan(access, false);
+            }
+        };
+        ctx.invoke(&obj, |ctx, _| {
+            assert!(force(ctx, Access::Shared), "a shared loan beside &mut");
+            assert!(force(ctx, Access::Exclusive), "two &mut loans");
+        });
+        ctx.invoke_shared(&obj, |ctx, _| {
+            assert!(!force(ctx, Access::Shared), "shared loans stack");
+            give_back(ctx, Access::Shared);
+            assert!(force(ctx, Access::Exclusive), "a &mut loan beside &");
+        });
+        // The caught attempts left the word as admission set it.
+        ctx.invoke(&obj, |_, n| *n += 1);
+    })
+    .unwrap();
+}
+
 #[test]
 fn heap_exhaustion_extends_from_server() {
     let c = sim(2, 1);

@@ -1,8 +1,8 @@
 //! Minimal, std-backed stand-in for the subset of the `parking_lot` API
 //! this workspace uses: `Mutex`/`MutexGuard` (including
-//! `MutexGuard::unlocked`), `Condvar` (plain, timed and deadline waits) and
-//! `RwLock`. Lock poisoning is deliberately swallowed — like the real
-//! `parking_lot`, a panic while holding a lock does not poison it.
+//! `MutexGuard::unlocked`) and `Condvar` (plain, timed and deadline waits).
+//! Lock poisoning is deliberately swallowed — like the real `parking_lot`,
+//! a panic while holding a lock does not poison it.
 //!
 //! Two rules make a wake cost one host hand-off or nothing. The permit is
 //! recorded under the lock, the wake is issued after it: that is the
@@ -33,11 +33,6 @@ impl<T> Mutex<T> {
         Mutex {
             inner: std::sync::Mutex::new(value),
         }
-    }
-
-    /// Consumes the mutex, returning the underlying value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -197,99 +192,11 @@ impl Condvar {
     }
 }
 
-/// A reader-writer lock (std-backed, non-poisoning).
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the underlying value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            guard: self.inner.read().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            guard: self.inner.write().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Attempts shared read access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { guard: g }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(RwLockReadGuard {
-                guard: e.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts exclusive write access without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { guard: g }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(RwLockWriteGuard {
-                guard: e.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-}
-
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    guard: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    guard: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
 // Keep the dead-code lint honest about the one field std's guards hide.
 #[allow(dead_code)]
 fn _assert_send_sync() {
     fn check<T: Send + Sync>() {}
     check::<Mutex<u32>>();
-    check::<RwLock<u32>>();
     check::<Condvar>();
 }
 
@@ -442,15 +349,5 @@ mod tests {
         }
         echo.join().unwrap();
         assert!(!there.1.notify_one() && !back.1.notify_one());
-    }
-
-    #[test]
-    fn rwlock_try_read_blocked_by_writer() {
-        let l = RwLock::new(3);
-        assert_eq!(*l.read(), 3);
-        let w = l.write();
-        assert!(l.try_read().is_none());
-        drop(w);
-        assert!(l.try_read().is_some());
     }
 }

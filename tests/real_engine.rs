@@ -392,3 +392,70 @@ fn adaptive_placement_localizes_skewed_traffic_on_real_threads() {
     })
     .unwrap();
 }
+
+#[test]
+fn admission_alone_keeps_payloads_whole_on_real_threads() {
+    // Admission is a payload's only guard. Writers on OS threads of both
+    // nodes bump a pair's two halves with a yield between them; readers
+    // look at each half with a yield between. No reader may see a pair
+    // torn, and every write must land.
+    const PAIRS: usize = 2;
+    const THREADS: u16 = 8;
+    const ROUNDS: usize = 2000;
+    let c = Cluster::builder()
+        .nodes(2)
+        .processors(2)
+        .engine(EngineChoice::Real)
+        .latency(LatencyModel::zero())
+        .deadline(Duration::from_secs(60))
+        .build();
+    let (torn, pairs, writes) = c
+        .run(|ctx| {
+            let pairs: Vec<_> = (0..PAIRS)
+                .map(|i| ctx.create_on(NodeId(i as u16 % 2), (0u64, 0u64)))
+                .collect();
+            let hs: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let pairs = pairs.clone();
+                    let anchor = ctx.create_on(NodeId(t % 2), 0u8);
+                    ctx.start(&anchor, move |ctx, _| {
+                        let (mut torn, mut writes) = (0u64, 0u64);
+                        for r in 0..ROUNDS {
+                            let pair = &pairs[(usize::from(t) + r) % PAIRS];
+                            if t % 3 == 0 {
+                                torn += ctx.invoke_shared(pair, |ctx, p| {
+                                    let first = p.0;
+                                    ctx.yield_now();
+                                    u64::from(first != p.1)
+                                });
+                            } else {
+                                ctx.invoke(pair, |ctx, p| {
+                                    p.0 += 1;
+                                    ctx.yield_now();
+                                    p.1 += 1;
+                                });
+                                writes += 1;
+                            }
+                        }
+                        (torn, writes)
+                    })
+                })
+                .collect();
+            let (mut torn, mut writes) = (0, 0);
+            for h in hs {
+                let (t, w) = h.join(ctx);
+                torn += t;
+                writes += w;
+            }
+            let pairs: Vec<_> = pairs
+                .iter()
+                .map(|p| ctx.invoke_shared(p, |_, p| *p))
+                .collect();
+            (torn, pairs, writes)
+        })
+        .unwrap();
+    assert_eq!(torn, 0, "a reader saw a pair half-written");
+    assert!(pairs.iter().all(|(a, b)| a == b), "{pairs:?}");
+    assert_eq!(pairs.iter().map(|p| p.0).sum::<u64>(), writes);
+    assert_eq!(writes, 5 * ROUNDS as u64);
+}

@@ -311,3 +311,124 @@ fn a_simulated_run_spawns_no_os_thread() {
     let caller = std::thread::current().id();
     assert!(seen.iter().all(|&id| id == caller), "{seen:?}");
 }
+
+/// A payload that counts its drops.
+struct Counted(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl AmberObject for Counted {}
+
+/// The registry entry owns its payload: `destroy` drops it exactly once, a
+/// destroy that finds the object busy drops nothing — while an operation
+/// runs on it, and while a thread's frame is bound to it but not yet
+/// admitted — and dropping the cluster drops every survivor once. With
+/// `exact`, the program also checks that the second busy destroy landed
+/// before the operation began (the simulator's schedule guarantees it; on
+/// OS threads the operation holds the object either way).
+fn payloads_drop_exactly_once(cluster: Cluster, exact: bool) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
+
+    use amber_core::{ObjRef, ProtocolError};
+
+    let drops = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&drops);
+    let survivors = cluster
+        .run(move |ctx| {
+            let dropped = || counted.load(SeqCst);
+            let destroyed = ctx.create(Counted(Arc::clone(&counted)));
+            ctx.try_destroy(destroyed).unwrap();
+            assert_eq!(dropped(), 1, "destroy drops the payload once");
+
+            // A thread on node 1 invokes `target` on node 0 and holds it
+            // until released; `entered` says its operation has begun. The
+            // first start leaves node 0 a hint to `anchor`, so the next
+            // takes a forward hop there, not a home route.
+            let anchor = ctx.create_on(NodeId(1), 0u8);
+            let hold = |target: ObjRef<Counted>| {
+                let entered = Arc::new(AtomicBool::new(false));
+                let release = Arc::new(AtomicBool::new(false));
+                let (e, r) = (Arc::clone(&entered), Arc::clone(&release));
+                let holder = ctx.start(&anchor, move |ctx, _| {
+                    ctx.invoke(&target, |ctx, _| {
+                        e.store(true, SeqCst);
+                        while !r.load(SeqCst) {
+                            ctx.sleep(SimTime::from_us(10));
+                        }
+                    })
+                });
+                (holder, entered, release)
+            };
+            let release_and_destroy =
+                |holder: amber_core::JoinHandle<()>, release: Arc<AtomicBool>, target| {
+                    release.store(true, SeqCst);
+                    holder.join(ctx);
+                    let before = dropped();
+                    ctx.try_destroy(target).unwrap();
+                    assert_eq!(dropped(), before + 1);
+                };
+
+            // An operation running.
+            let running = ctx.create(Counted(Arc::clone(&counted)));
+            let (holder, entered, release) = hold(running);
+            while !entered.load(SeqCst) {
+                ctx.sleep(SimTime::from_us(10));
+            }
+            let busy = ctx.try_destroy(running);
+            assert_eq!(busy, Err(ProtocolError::ObjectBusy(ctx.addr_of(&running))));
+            assert_eq!(dropped(), 1, "a busy destroy drops nothing");
+            release_and_destroy(holder, release, running);
+
+            // A frame bound, its thread still on the way: node 1 has no
+            // descriptor for `bound`, so the invoker routes via the home
+            // node, counted as it sets off, and only then migrates here.
+            let bound = ctx.create(Counted(Arc::clone(&counted)));
+            let routes = ctx.protocol_stats().home_routes;
+            let (holder, entered, release) = hold(bound);
+            while ctx.protocol_stats().home_routes == routes {
+                ctx.sleep(SimTime::from_us(10));
+            }
+            let busy = ctx.try_destroy(bound);
+            if exact {
+                assert!(!entered.load(SeqCst), "the destroy came too late");
+            }
+            assert_eq!(busy, Err(ProtocolError::ObjectBusy(ctx.addr_of(&bound))));
+            assert_eq!(dropped(), 2, "a busy destroy drops nothing");
+            release_and_destroy(holder, release, bound);
+
+            for _ in 0..3 {
+                ctx.create(Counted(Arc::clone(&counted)));
+            }
+            dropped()
+        })
+        .unwrap();
+    assert_eq!(survivors, 3, "the run dropped only what it destroyed");
+    drop(cluster);
+    assert_eq!(
+        drops.load(SeqCst),
+        6,
+        "the cluster drops each survivor once"
+    );
+}
+
+#[test]
+fn payloads_drop_exactly_once_simulated() {
+    payloads_drop_exactly_once(Cluster::sim(2, 2), true);
+}
+
+#[test]
+fn payloads_drop_exactly_once_on_real_threads() {
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .processors(2)
+        .engine(amber_core::EngineChoice::Real)
+        .latency(amber_core::LatencyModel::fixed(SimTime::from_ms(2)))
+        .deadline(std::time::Duration::from_secs(60))
+        .build();
+    payloads_drop_exactly_once(cluster, false);
+}
