@@ -161,8 +161,9 @@ impl Kernel {
     }
 
     /// Arms one tick timer that wakes the daemon after the tick interval.
-    /// Caller owns the `armed` flag. Never called under a kernel lock: the
-    /// simulator's `after` takes the engine state mutex.
+    /// Caller owns the `armed` flag. Never called under a kernel lock: an
+    /// engine's `after` touches its own state (a timer queue lock, or the
+    /// simulator's borrowed state).
     fn schedule_placement_tick(&self) {
         let Some(p) = &self.placement else { return };
         let Some(&daemon) = p.daemon.get() else {

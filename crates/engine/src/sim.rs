@@ -23,19 +23,28 @@
 //!   [`send`](crate::Engine::send) and [`leg`](crate::Engine::leg);
 //! * the whole run is deterministic: same program, same spec, same trace.
 //!
-//! Determinism is what lets this reproduce the paper's figures on a 1-CPU
-//! host: a "32-processor" run is simulated event by event, with speedup read
-//! off the virtual clock.
+//! Determinism is what lets this reproduce the paper's figures: a
+//! "32-processor" run is simulated event by event, with speedup read off
+//! the virtual clock, and the same program reads the same virtual time on
+//! any host, however many CPUs it has or lends the run.
+//!
+//! The state has an owner, not a lock. `run_boxed` claims it for its OS
+//! thread, on which every fiber of the run lives, and gives it back when
+//! the run ends; while it runs, a touch of the state from that thread is a
+//! thread-local address, a load and a compare with no atomic
+//! read-modify-write, and one from any other OS thread panics. Outside a run (`now()` after it, `set_scheduler` before it) each
+//! touch claims the state for itself. A nested touch panics: the state is
+//! borrowed, never aliased.
 //!
 //! Message handlers run inside the step too, one at a time, on the stack of
 //! whichever Amber thread is giving the baton up (in kernel context:
-//! `current_thread()` reads `None`). A leg has no handler: its arrival is an
-//! event the step handles under the state lock it holds, moving a
-//! travelling thread and waking the leg's kernel-class wait. Under a
-//! `FaultPlan` the fault layer's windows (`crate::fault::Links`) live in the
-//! state too: a copy's arrival and a lost attempt's timer are typed events
-//! of the same queue, settled under the same lock, and a leg's copy runs
-//! the same arrival in place. Deadlock
+//! `current_thread()` reads `None`), with the step's borrow of the state
+//! ended around them. A leg has no handler: its arrival is an event the
+//! step handles in place, moving a travelling thread and waking the leg's
+//! kernel-class wait. Under a `FaultPlan` the fault layer's windows
+//! (`crate::fault::Links`) live in the state too: a copy's arrival and a
+//! lost attempt's timer are typed events of the same queue, settled by the
+//! same step, and a leg's copy runs the same arrival in place. Deadlock
 //! detection is part of the step as well: if every live thread is blocked
 //! and no event is pending, the step fails the run with
 //! [`EngineError::Deadlock`] naming the blocked threads and their reasons.
@@ -46,14 +55,15 @@
 //! exchanges the two. A run that fails leaves its parked threads' stacks
 //! unreturned to, which leaks what is on them and nothing else.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::engine::{
     must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, KernelFn,
@@ -120,9 +130,9 @@ struct Fiber {
 struct FiberBox(NonNull<Fiber>);
 
 // SAFETY: a fiber's context runs only inside `run_boxed`, on the OS thread
-// that called it. Another OS thread reaches a fiber only through its owner
+// that called it. Another OS thread reaches a fiber only through the state
 // while no context runs on it and none will be resumed elsewhere: arming a
-// spare fiber under the state lock, or dropping the engine.
+// spare fiber in a `spawn` outside a run, or dropping the engine.
 unsafe impl Send for FiberBox {}
 
 impl FiberBox {
@@ -198,7 +208,7 @@ extern "C" fn fiber_main(fiber: *mut u8) -> ! {
     // SAFETY: see `Start::inner`.
     let inner = unsafe { &*inner };
     let result = catch_unwind(AssertUnwindSafe(body));
-    let mut st = inner.state.lock();
+    let mut st = inner.state.borrow();
     if let Err(payload) = result {
         let message = panic_message(&payload);
         if st.error.is_none() {
@@ -336,6 +346,126 @@ thread_local! {
     /// across engines; it is only ever compared.
     static GRANTED: Cell<Option<(*const SimInner, ThreadId, NodeId)>> =
         const { Cell::new(None) };
+
+    /// Never read: its address names this OS thread in a [`StateCell`]'s
+    /// owner word. It is unique among live OS threads and a multiple of 8,
+    /// which leaves bit 0 for [`RUN`].
+    static HERE: u64 = const { 0 };
+}
+
+/// An owner word's: nobody holds the state.
+const FREE: usize = 0;
+/// An owner word's bit: the OS thread named holds the state for a whole
+/// run, not for one touch.
+const RUN: usize = 1;
+
+const OTHER_THREAD: &str = "a SimEngine touched from another OS thread while it runs";
+const NESTED: &str = "a SimEngine's state touched while already borrowed";
+const RUN_TWICE: &str = "SimEngine::run_boxed may only be called once";
+
+fn here() -> usize {
+    HERE.with(|word| std::ptr::from_ref(word) as usize)
+}
+
+/// `SimState` and the word naming the OS thread that may touch it: `FREE`,
+/// a run's thread with [`RUN`] set, or a thread touching it once from
+/// outside a run.
+struct StateCell {
+    owner: AtomicUsize,
+    state: RefCell<SimState>,
+}
+
+// SAFETY: `state` is touched only through a `StateRef`, which the OS thread
+// named in `owner` alone can make: a claim takes the word with Acquire and
+// its release gives it back with Release, so the word admits one OS thread
+// at a time and all one holder did happens before the next holder's claim.
+// A run's claim lasts the run, and all of a run's fibers live on the one OS
+// thread that claimed it. `owner` is an atomic, and what `SimState` owns is
+// `Send`, so moving the borrow between holders is sound.
+unsafe impl Sync for StateCell {}
+
+/// Holds a [`StateCell`]'s owner word, and gives it back on drop.
+struct Claim<'a>(&'a AtomicUsize);
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.0.store(FREE, Release);
+    }
+}
+
+/// A borrow of the state: a run's thread's alone, or a touch from outside
+/// a run with the claim it made.
+struct StateRef<'a> {
+    st: RefMut<'a, SimState>,
+    /// Declared after `st`, so the word is given back after the borrow.
+    _touch: Option<Claim<'a>>,
+}
+
+impl Deref for StateRef<'_> {
+    type Target = SimState;
+    fn deref(&self) -> &SimState {
+        &self.st
+    }
+}
+
+impl DerefMut for StateRef<'_> {
+    fn deref_mut(&mut self) -> &mut SimState {
+        &mut self.st
+    }
+}
+
+impl StateCell {
+    fn new(state: SimState) -> StateCell {
+        StateCell {
+            owner: AtomicUsize::new(FREE),
+            state: RefCell::new(state),
+        }
+    }
+
+    /// Borrows the state. On the OS thread running this engine that is a
+    /// thread-local read, a load and a compare beside the borrow flag;
+    /// anywhere else it claims the owner word for the borrow's length.
+    ///
+    /// # Panics
+    ///
+    /// On a nested borrow, or on another OS thread while a run holds it.
+    #[inline(always)]
+    fn borrow(&self) -> StateRef<'_> {
+        let me = here();
+        // Relaxed: only this OS thread stores its own name in the word, and
+        // it sees its own stores; any other value takes the Acquire claim.
+        let touch = if self.owner.load(Relaxed) == me | RUN {
+            None
+        } else {
+            Some(self.claim(me, OTHER_THREAD))
+        };
+        #[expect(clippy::panic, reason = "a nested borrow is a bug")]
+        let Ok(st) = self.state.try_borrow_mut() else {
+            panic!("{NESTED}")
+        };
+        StateRef { st, _touch: touch }
+    }
+
+    /// Claims the owner word as `word`, waiting out another OS thread's
+    /// touch; panics with `held_by_run` if a run holds it, and on a claim
+    /// nested in this thread's own.
+    #[cold]
+    fn claim(&self, word: usize, held_by_run: &str) -> Claim<'_> {
+        let mine = word & !RUN;
+        loop {
+            match self
+                .owner
+                .compare_exchange_weak(FREE, word, Acquire, Relaxed)
+            {
+                Ok(_) => return Claim(&self.owner),
+                #[expect(clippy::panic, reason = "touching a running engine is a bug")]
+                Err(held) if held & RUN != 0 => panic!("{held_by_run}"),
+                #[expect(clippy::panic, reason = "a nested borrow is a bug")]
+                Err(held) if held == mine => panic!("{NESTED}"),
+                Err(_) => std::thread::yield_now(),
+            }
+        }
+    }
 }
 
 struct SimState {
@@ -366,7 +496,7 @@ struct SimState {
 }
 
 struct SimInner {
-    state: Mutex<SimState>,
+    state: StateCell,
     stats: Arc<NetStats>,
     latency: LatencyModel,
     tracer: Tracer,
@@ -389,7 +519,7 @@ impl SimEngine {
             .collect::<Vec<_>>();
         let stats = Arc::new(NetStats::new(nodes.len()));
         let inner = Arc::new(SimInner {
-            state: Mutex::new(SimState {
+            state: StateCell::new(SimState {
                 clock: SimTime::ZERO,
                 seq: 0,
                 events: BinaryHeap::new(),
@@ -595,14 +725,17 @@ impl SimInner {
     }
 
     /// Runs a message handler or a timer in kernel context, inside the
-    /// step. Handlers call back into the engine, so the state lock is
-    /// released around this one; what it sends is queued and comes round
-    /// the step's loop, never nested.
-    fn run_handler(&self, st: &mut MutexGuard<'_, SimState>, handler: KernelFn) {
-        let outcome = MutexGuard::unlocked(st, || {
+    /// step. Handlers call back into the engine, so the step's borrow of
+    /// the state ends before this one runs and is taken again after it;
+    /// what it sends is queued and comes round the step's loop, never
+    /// nested.
+    fn run_handler<'a>(&'a self, st: StateRef<'a>, handler: KernelFn) -> StateRef<'a> {
+        drop(st);
+        let outcome = {
             let _kernel = CurrentGuard::kernel();
             catch_unwind(AssertUnwindSafe(handler))
-        });
+        };
+        let mut st = self.state.borrow();
         // A step taken on the way out of a thread has no body's
         // `catch_unwind` below it: the step catches, in the name of the
         // thread that took it.
@@ -611,13 +744,14 @@ impl SimInner {
                 thread: must_current_thread(),
                 message: panic_message(&payload),
             };
-            self.finish(st, Some(error));
+            self.finish(&mut st, Some(error));
         }
+        st
     }
 
-    /// Raises and sends a message from `from` to `to`, under the lock the
-    /// caller holds: through its link's window under a `FaultPlan`, else
-    /// straight onto the queue, one latency from now.
+    /// Raises and sends a message from `from` to `to`: through its link's
+    /// window under a `FaultPlan`, else straight onto the queue, one
+    /// latency from now.
     fn transmit(
         &self,
         st: &mut SimState,
@@ -638,9 +772,9 @@ impl SimInner {
         }
     }
 
-    /// The one dispatch step, run by whoever gives the baton up, under the
-    /// state lock it already holds: a thread at a block point (its tcb
-    /// already says what it waits for), a thread leaving for good, or
+    /// The one dispatch step, run by whoever gives the baton up, with the
+    /// borrow of the state it already holds: a thread at a block point (its
+    /// tcb already says what it waits for), a thread leaving for good, or
     /// `run_boxed` handing the baton out for the first time. Returns once
     /// the stepper holds the baton again; for `run_boxed`, once the run is
     /// over.
@@ -649,7 +783,7 @@ impl SimInner {
     /// depends on it: in particular `live == 0` ends a run with whatever is
     /// still queued — trailing duplicate copies, the timers of lost
     /// attempts, `after` timers — unhandled.
-    fn pass_baton(&self, mut st: MutexGuard<'_, SimState>, stepper: Stepper) {
+    fn pass_baton<'a>(&'a self, mut st: StateRef<'a>, stepper: Stepper) {
         // Threads that exited in earlier steps are off their stacks now.
         while let Some(tid) = st.exited.pop() {
             if let Some(fiber) = st.tcb_mut(tid).fiber.take() {
@@ -704,12 +838,12 @@ impl SimInner {
                             st.runnable.push_back(tid);
                         }
                     }
-                    Event::Deliver { handler } => self.run_handler(&mut st, handler),
+                    Event::Deliver { handler } => st = self.run_handler(st, handler),
                     Event::Arrive { tid, leg, node } => st.arrive(tid, leg, node),
                     Event::Net(Wire::Copy { from, to, seq }) => {
                         match st.links().settle(from, to, seq) {
                             Some(Payload::Arrive { tid, leg, node }) => st.arrive(tid, leg, node),
-                            Some(Payload::Handler(handler)) => self.run_handler(&mut st, handler),
+                            Some(Payload::Handler(handler)) => st = self.run_handler(st, handler),
                             None => {
                                 let _kernel = CurrentGuard::kernel();
                                 let dup = ProtocolEvent::MessageDuplicateSuppressed { from, to };
@@ -780,14 +914,14 @@ impl SimInner {
 }
 
 impl SimEngine {
-    /// Locks the state for the thread at a block point, which must be
+    /// Borrows the state for the thread at a block point, which must be
     /// running on its own stack: the step saves the running context in the
     /// caller's fiber, so any other caller (a thread of another engine, or
     /// another OS thread) would overwrite a context still in use.
-    fn lock_running(&self) -> (ThreadId, MutexGuard<'_, SimState>) {
+    fn borrow_running(&self) -> (ThreadId, StateRef<'_>) {
         let tid = must_current_thread();
         let here = 0u8;
-        let st = self.inner.state.lock();
+        let st = self.inner.state.borrow();
         let fiber = st
             .threads
             .get(tid.0 as usize)
@@ -807,7 +941,7 @@ impl SimEngine {
 
     fn block_class(&self, reason: &'static str, class: WakeClass) {
         amber_verify::engine_block_checkpoint(reason);
-        let (tid, st) = self.lock_running();
+        let (tid, st) = self.borrow_running();
         self.park(tid, st, reason, class);
     }
 
@@ -817,13 +951,7 @@ impl SimEngine {
     // Called rather than inlined into `block_class`, it added ~8 ns to a
     // baton pass (`engine.sim.handoff.p50_us` 0.083 → 0.092 µs on x86_64).
     #[inline(always)]
-    fn park(
-        &self,
-        tid: ThreadId,
-        mut st: MutexGuard<'_, SimState>,
-        reason: &'static str,
-        class: WakeClass,
-    ) {
+    fn park(&self, tid: ThreadId, mut st: StateRef<'_>, reason: &'static str, class: WakeClass) {
         #[expect(clippy::disallowed_macros, reason = "only the baton holder runs code")]
         {
             debug_assert_eq!(st.tcb(tid).state, RunState::Active, "no baton");
@@ -846,13 +974,13 @@ impl SimEngine {
     }
 
     fn unblock_class(&self, thread: ThreadId, class: WakeClass) {
-        self.inner.state.lock().wake(thread, class);
+        self.inner.state.borrow().wake(thread, class);
     }
 }
 
 impl Engine for SimEngine {
     fn now(&self) -> SimTime {
-        self.inner.state.lock().clock
+        self.inner.state.borrow().clock
     }
 
     fn nodes(&self) -> usize {
@@ -860,11 +988,11 @@ impl Engine for SimEngine {
     }
 
     fn processors(&self, node: NodeId) -> usize {
-        self.inner.state.lock().nodes[node.index()].processors
+        self.inner.state.borrow().nodes[node.index()].processors
     }
 
     fn spawn(&self, node: NodeId, name: String, body: ThreadBody) -> ThreadId {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow();
         #[expect(clippy::disallowed_macros, reason = "spawn targets are checked nodes")]
         {
             assert!(node.index() < st.nodes.len(), "spawn on nonexistent {node}");
@@ -907,7 +1035,7 @@ impl Engine for SimEngine {
             return;
         }
         amber_verify::engine_block_checkpoint("work");
-        let (tid, mut st) = self.lock_running();
+        let (tid, mut st) = self.borrow_running();
         #[expect(clippy::disallowed_macros, reason = "only the baton holder runs code")]
         {
             debug_assert_eq!(st.tcb(tid).state, RunState::Active, "no baton");
@@ -956,11 +1084,11 @@ impl Engine for SimEngine {
 
     fn node_of(&self, thread: ThreadId) -> NodeId {
         // The running thread asking about itself reads what its grant
-        // recorded (see `GRANTED`); every other query locks.
+        // recorded (see `GRANTED`); every other query borrows the state.
         if let Some((engine, tid, node)) = GRANTED.get() {
             if tid == thread && std::ptr::eq(engine, &*self.inner) {
                 if amber_verify::ACTIVE {
-                    let tcb_node = self.inner.state.lock().tcb(thread).node;
+                    let tcb_node = self.inner.state.borrow().tcb(thread).node;
                     #[expect(clippy::disallowed_macros, reason = "verify builds check the grant")]
                     {
                         assert_eq!(node, tcb_node, "{thread} moved since its grant");
@@ -969,15 +1097,15 @@ impl Engine for SimEngine {
                 return node;
             }
         }
-        self.inner.state.lock().tcb(thread).node
+        self.inner.state.borrow().tcb(thread).node
     }
 
     fn set_priority(&self, thread: ThreadId, priority: i32) {
-        self.inner.state.lock().tcb_mut(thread).priority = priority;
+        self.inner.state.borrow().tcb_mut(thread).priority = priority;
     }
 
     fn set_scheduler(&self, node: NodeId, mut scheduler: Box<dyn Scheduler>) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow();
         let node_ix = node.index();
         while let Some(t) = st.nodes[node_ix].sched.dequeue() {
             let prio = st.tcb(t).priority;
@@ -988,14 +1116,14 @@ impl Engine for SimEngine {
 
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
         amber_verify::engine_block_checkpoint("send");
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow();
         let handler = Payload::Handler(handler);
         self.inner.transmit(&mut st, from, to, bytes, handler);
     }
 
     fn leg(&self, from: NodeId, to: NodeId, bytes: usize, travel: bool, reason: &'static str) {
         amber_verify::engine_block_checkpoint(reason);
-        let (tid, mut st) = self.lock_running();
+        let (tid, mut st) = self.borrow_running();
         #[expect(clippy::disallowed_macros, reason = "migration targets are checked")]
         {
             assert!(to.index() < st.nodes.len(), "no such {to}");
@@ -1008,7 +1136,7 @@ impl Engine for SimEngine {
         // arrival is consumed by a turn of this loop, not taken for it.
         loop {
             self.park(tid, st, reason, WakeClass::Kernel);
-            st = self.inner.state.lock();
+            st = self.inner.state.borrow();
             if st.tcb(tid).arrived >= leg {
                 return;
             }
@@ -1016,14 +1144,14 @@ impl Engine for SimEngine {
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow();
         let at = st.clock + delay;
         st.push_event(at, Event::Deliver { handler: f });
     }
 
     fn yield_now(&self) {
         amber_verify::engine_block_checkpoint("yield");
-        let (tid, mut st) = self.lock_running();
+        let (tid, mut st) = self.borrow_running();
         st.tcb_mut(tid).state = RunState::Ready;
         st.runnable.push_back(tid);
         self.inner.pass_baton(st, Stepper::Thread(tid));
@@ -1034,7 +1162,7 @@ impl Engine for SimEngine {
             return self.yield_now();
         }
         amber_verify::engine_block_checkpoint("sleep");
-        let (tid, mut st) = self.lock_running();
+        let (tid, mut st) = self.borrow_running();
         st.tcb_mut(tid).state = RunState::Sleeping;
         let at = st.clock + duration;
         st.push_event(at, Event::Wake(tid));
@@ -1054,11 +1182,13 @@ impl Engine for SimEngine {
             sp: Cell::new(std::ptr::null_mut()),
             parked: Parked::default(),
         };
+        // The run owns the state from here until this returns or unwinds.
+        let _run = self.inner.state.claim(here() | RUN, RUN_TWICE);
         {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.borrow();
             #[expect(clippy::disallowed_macros, reason = "one engine runs one program")]
             {
-                assert!(!st.started, "SimEngine::run_boxed may only be called once");
+                assert!(!st.started, "{RUN_TWICE}");
             }
             st.started = true;
             st.root = Some(RootPtr(NonNull::from(&root)));
@@ -1068,8 +1198,8 @@ impl Engine for SimEngine {
         // and the step that ends the run switches back here.
         self.spawn(node, "main".to_string(), body);
         self.inner
-            .pass_baton(self.inner.state.lock(), Stepper::Root);
-        let mut st = self.inner.state.lock();
+            .pass_baton(self.inner.state.borrow(), Stepper::Root);
+        let mut st = self.inner.state.borrow();
         st.root = None;
         match st.error.clone() {
             Some(e) => Err(e),
@@ -1083,6 +1213,7 @@ mod tests {
     use super::*;
     use crate::engine::{current_thread, EngineExt};
     use crate::policy::RoundRobin;
+    use parking_lot::Mutex;
 
     fn sim(nodes: usize, procs: usize) -> Arc<SimEngine> {
         SimEngine::cluster(nodes, procs, LatencyModel::fixed(SimTime::from_ms(1)))
@@ -1399,7 +1530,7 @@ mod tests {
             .unwrap();
         assert_eq!((at, node), (SimTime::from_ms(1), NodeId(1)));
         // The wake was consumed inside the leg, not left pending.
-        assert_eq!(e.inner.state.lock().tcb(me).pending_kernel, 0);
+        assert_eq!(e.inner.state.borrow().tcb(me).pending_kernel, 0);
     }
 
     #[test]
@@ -1592,9 +1723,9 @@ mod tests {
         let charge = {
             let (e, queued) = (Arc::clone(&e), Arc::clone(&queued));
             move |us: u64| {
-                let seq = e.inner.state.lock().seq;
+                let seq = e.inner.state.borrow().seq;
                 e.work(SimTime::from_us(us));
-                let moved = e.inner.state.lock().seq != seq;
+                let moved = e.inner.state.borrow().seq != seq;
                 queued.lock().push((must_current_thread().0, moved));
             }
         };
@@ -1699,7 +1830,7 @@ mod tests {
         e.run(NodeId(0), move || {
             for i in 1..=CHARGES {
                 e2.work(SimTime::from_us(3));
-                let st = e2.inner.state.lock();
+                let st = e2.inner.state.borrow();
                 assert!(st.events.is_empty(), "charge {i} left an event queued");
                 assert_eq!(st.seq, 0, "charge {i} took a sequence number");
                 assert_eq!(st.clock, SimTime::from_us(3 * i));
@@ -1714,12 +1845,11 @@ mod tests {
         // Two engines on two OS threads, whose mains are both thread 0:
         // each travels by legs to its own last node, once with its arrival
         // handled in its own step and once switched out to a peer and
-        // back in, and reads its node from what the grant recorded. Then
-        // each asks the other engine about "thread 0" and must get that
-        // engine's thread, not itself. Debug and `verify` builds also hold
-        // every answer from a grant to the tcb's.
-        type Side = (Arc<SimEngine>, u16);
-        fn travel(e: Arc<SimEngine>, last: u16, other: Side, met: Arc<std::sync::Barrier>) {
+        // back in, and reads its node from what the grant recorded. Once
+        // b's run is over, a's main, still granted, asks b about "thread
+        // 0" and must get b's thread, not itself. Debug and `verify`
+        // builds also hold every answer from a grant to the tcb's.
+        fn travel(e: Arc<SimEngine>, last: u16, met: Arc<std::sync::Barrier>) -> ThreadId {
             let me = must_current_thread();
             assert_eq!(me, ThreadId(0));
             let granted = |node: u16| Some((Arc::as_ptr(&e.inner), me, NodeId(node)));
@@ -1745,31 +1875,125 @@ mod tests {
             assert_eq!(e.node_of(me), NodeId(last));
             // Both mains have arrived for good.
             met.wait();
-            let (other, other_last) = other;
-            assert_eq!(other.node_of(me), NodeId(other_last));
-            assert_eq!(e.node_of(me), NodeId(last));
+            me
         }
         let (a, b) = (sim(3, 1), sim(3, 1));
         let met = Arc::new(std::sync::Barrier::new(2));
-        let run = |(e, last): Side, other: Side| {
-            let met = Arc::clone(&met);
-            move || {
-                let e2 = Arc::clone(&e);
-                e.run(NodeId(0), move || travel(e2, last, other, met))
-                    .unwrap();
-            }
-        };
-        let a_side = || (Arc::clone(&a), 2);
-        let b_side = || (Arc::clone(&b), 0);
+        let (b_over, b_is_over) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
-            s.spawn(run(b_side(), a_side()));
-            run(a_side(), b_side())();
+            let (b2, met2) = (Arc::clone(&b), Arc::clone(&met));
+            s.spawn(move || {
+                let e = Arc::clone(&b2);
+                b2.run(NodeId(0), move || travel(e, 0, met2)).unwrap();
+                b_over.send(()).unwrap();
+            });
+            let (a2, b3) = (Arc::clone(&a), Arc::clone(&b));
+            a.run(NodeId(0), move || {
+                let me = travel(Arc::clone(&a2), 2, met);
+                b_is_over.recv().unwrap();
+                assert_eq!(b3.node_of(me), NodeId(0));
+                assert_eq!(a2.node_of(me), NodeId(2));
+            })
+            .unwrap();
         });
         // With both runs over, the tcbs answer.
         assert_eq!(
             (a.node_of(ThreadId(0)), b.node_of(ThreadId(0))),
             (NodeId(2), NodeId(0))
         );
+    }
+
+    /// The message `f` panicked with; fails if it returned.
+    fn panic_of<R>(f: impl FnOnce() -> R) -> String {
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(_) => panic!("returned instead of panicking"),
+            Err(payload) => panic_message(&payload),
+        }
+    }
+
+    #[test]
+    fn only_the_thread_running_an_engine_touches_it_until_the_run_is_over() {
+        let e = sim(2, 1);
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            e2.work(SimTime::from_ms(1));
+            let me = must_current_thread();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert_eq!(panic_of(|| e2.now()), OTHER_THREAD);
+                    assert_eq!(panic_of(|| e2.node_of(me)), OTHER_THREAD);
+                });
+            });
+            // The run goes on untouched.
+            e2.work(SimTime::from_ms(1));
+            assert_eq!(e2.now(), SimTime::from_ms(2));
+        })
+        .unwrap();
+        // Over, it answers any OS thread, two at once included.
+        let at_once = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    at_once.wait();
+                    for _ in 0..10_000 {
+                        assert_eq!(e.now(), SimTime::from_ms(2));
+                        assert_eq!(e.node_of(ThreadId(0)), NodeId(0));
+                    }
+                });
+            }
+        });
+        assert_eq!(e.now(), SimTime::from_ms(2));
+        assert_eq!(e.inner.state.owner.load(Relaxed), FREE);
+    }
+
+    #[test]
+    fn a_second_run_panics_and_leaves_the_engine_answering() {
+        let e = sim(1, 1);
+        let e2 = Arc::clone(&e);
+        // From inside the run the claim refuses it, and the body's panic
+        // fails the run...
+        let err = e
+            .run(NodeId(0), move || {
+                e2.work(SimTime::from_ms(3));
+                e2.run(NodeId(0), || ()).unwrap();
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Panic { message, .. } if message == RUN_TWICE),
+            "{err}"
+        );
+        // ...after it, the claim is free and the first run's mark refuses
+        // it. Each refusal gives the claim back: another OS thread reads.
+        assert_eq!(panic_of(|| e.run(NodeId(0), || ())), RUN_TWICE);
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(e.now(), SimTime::from_ms(3)));
+        });
+        assert_eq!(e.processors(NodeId(0)), 1);
+    }
+
+    #[test]
+    fn a_nested_touch_panics_rather_than_deadlocking() {
+        let e = sim(1, 1);
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let st = e2.inner.state.borrow();
+            assert_eq!(panic_of(|| e2.now()), NESTED);
+            drop(st);
+            e2.work(SimTime::from_ms(1));
+        })
+        .unwrap();
+        // Outside a run the nested touch finds its own claim. The deadline
+        // is this test's own: the mutex this replaced deadlocked here.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let e2 = Arc::clone(&e);
+        std::thread::spawn(move || {
+            let st = e2.inner.state.borrow();
+            let _ = tx.send(panic_of(|| e2.now()));
+            drop(st);
+        });
+        let nested = rx.recv_timeout(std::time::Duration::from_secs(20));
+        assert_eq!(nested.as_deref(), Ok(NESTED));
+        assert_eq!(e.now(), SimTime::from_ms(1));
     }
 
     #[test]
@@ -1955,7 +2179,7 @@ mod tests {
         // A zero-rate plan loses nothing, so nothing waits on a timer: no
         // step finds one queued, and the storm leaves the queue empty.
         fn no_timer_queued(e: &SimEngine) {
-            let st = e.inner.state.lock();
+            let st = e.inner.state.borrow();
             let timers = st
                 .events
                 .iter()
@@ -1970,7 +2194,7 @@ mod tests {
         let e2 = Arc::clone(&e);
         e.run(NodeId(0), move || {
             pingstorm_probed(&e2, 200, no_timer_queued);
-            assert!(e2.inner.state.lock().events.is_empty());
+            assert!(e2.inner.state.borrow().events.is_empty());
         })
         .unwrap();
         assert_eq!(e.stats().total_msgs(), 200);
@@ -2090,8 +2314,9 @@ mod tests {
     fn a_baton_pass_costs_a_tenth_of_a_host_wake_at_most() {
         // A ratio of two medians taken in alternating batches in one
         // process, so host speed and drift cancel. A pass switches stacks
-        // on one OS thread and reads ~0.05x on one CPU; an OS thread per
-        // simulated thread, woken through a gate, read ~1.1x.
+        // on one OS thread and reads ~0.04x on one CPU (~70 ns; ~100 ns
+        // while the state sat under a mutex); an OS thread per simulated
+        // thread, woken through a gate, read ~1.1x.
         const BATCHES: usize = 21;
         const ROUND_TRIPS: u32 = 5_000;
         let (mut ours, mut floor) = (Vec::new(), Vec::new());
@@ -2143,8 +2368,9 @@ mod tests {
     fn an_uncontested_charge_costs_under_half_a_contended_one() {
         // A ratio of two medians taken in alternating batches in one
         // process, so host speed and drift cancel. A lone thread's charge
-        // is a clock advance under the state lock and reads ~0.3x on
-        // x86_64; when every charge took a dispatch step it read ~0.65x.
+        // is a clock advance through the run's borrow of the state and
+        // reads ~0.17x on x86_64 (~0.3x while the state sat under a
+        // mutex); when every charge took a dispatch step it read ~0.65x.
         const BATCHES: usize = 21;
         const CHARGES: u32 = 20_000;
         let (mut lone, mut shared) = (Vec::new(), Vec::new());

@@ -1,6 +1,6 @@
 //! Minimal, std-backed stand-in for the subset of the `parking_lot` API
-//! this workspace uses: `Mutex`/`MutexGuard` (including
-//! `MutexGuard::unlocked`) and `Condvar` (plain, timed and deadline waits).
+//! this workspace uses: `Mutex`/`MutexGuard` and `Condvar` (plain, timed
+//! and deadline waits).
 //! Lock poisoning is deliberately swallowed — like the real `parking_lot`,
 //! a panic while holding a lock does not poison it.
 //!
@@ -40,7 +40,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            lock: &self.inner,
             guard: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
     }
@@ -48,12 +47,8 @@ impl<T: ?Sized> Mutex<T> {
     /// Attempts to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard {
-                lock: &self.inner,
-                guard: Some(g),
-            }),
+            Ok(g) => Some(MutexGuard { guard: Some(g) }),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                lock: &self.inner,
                 guard: Some(e.into_inner()),
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
@@ -68,21 +63,8 @@ impl<T: ?Sized> Mutex<T> {
 
 /// RAII guard for [`Mutex`]; the lock is released on drop.
 pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a std::sync::Mutex<T>,
-    // `None` only transiently, while `unlocked`/`Condvar::wait` have
-    // temporarily released the lock.
+    // `None` only transiently, while a `Condvar` wait has released the lock.
     guard: Option<std::sync::MutexGuard<'a, T>>,
-}
-
-impl<'a, T: ?Sized> MutexGuard<'a, T> {
-    /// Temporarily unlocks the mutex, runs `f`, and relocks before
-    /// returning — `parking_lot`'s `MutexGuard::unlocked`.
-    pub fn unlocked<U>(s: &mut Self, f: impl FnOnce() -> U) -> U {
-        s.guard = None; // drop -> unlock
-        let r = f();
-        s.guard = Some(s.lock.lock().unwrap_or_else(|e| e.into_inner()));
-        r
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
@@ -210,19 +192,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-    }
-
-    #[test]
-    fn guard_unlocked_releases_and_reacquires() {
-        let m = Arc::new(Mutex::new(0));
-        let mut g = m.lock();
-        let m2 = Arc::clone(&m);
-        MutexGuard::unlocked(&mut g, move || {
-            // The lock must be free here.
-            let mut inner = m2.try_lock().expect("unlocked() released the lock");
-            *inner = 7;
-        });
-        assert_eq!(*g, 7);
     }
 
     #[test]
