@@ -147,11 +147,6 @@ impl SorParams {
             0.0
         }
     }
-
-    /// `true` if the cell is on the fixed boundary of the plate.
-    pub fn is_boundary(&self, r: usize, c: usize) -> bool {
-        r == 0 || r == self.rows - 1 || c == 0 || c == self.cols - 1
-    }
 }
 
 /// Result of one SOR run.

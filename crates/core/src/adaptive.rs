@@ -25,18 +25,19 @@
 //! the simulator and the timer thread under the real engine. A standing
 //! periodic timer would blind the simulator's deadlock detector (the event
 //! queue would never drain), so the timer is *activity-armed*: the first
-//! invocation after an idle period arms exactly one tick (CAS on `armed`);
-//! the daemon re-arms after a tick whose drain found calls. A drain that
-//! finds none stores `armed = false` inside its own registry visit, having
-//! read the call slots and nothing else: an invocation counted after that
-//! visit took the lock after it, so it sees the flag down and arms the
-//! next tick itself. Only an invocation that finds its object's slot for
-//! its node *drained* looks at `armed`: every later one before the next
-//! drain would tell the daemon nothing new, so the steady state of the
-//! invoke path is one add under a lock it already holds. An idle — or
-//! deadlocked — program
-//! therefore has no pending timer and deadlock detection keeps working; the
-//! daemon itself parks under the name `placement-tick`.
+//! invocation after an idle period arms exactly one tick, raising `armed`
+//! (a plain `bool` beside the entries) inside its entry visit and
+//! scheduling the timer once the guard is dropped; the daemon re-arms after
+//! a tick whose drain found calls. A drain that finds none lowers `armed`
+//! inside its own registry visit, having read the call slots and nothing
+//! else: an invocation counted after that visit takes the lock after it,
+//! so it finds the flag down and arms the next tick itself. Only an
+//! invocation that finds its object's slot for its node *drained* looks at
+//! `armed`: every later one before the next drain would tell the daemon
+//! nothing new, so the steady state of the invoke path is one add under a
+//! lock it already holds. An idle — or deadlocked — program therefore has
+//! no pending timer and deadlock detection keeps working; the daemon itself
+//! parks under the name `placement-tick`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,8 +111,6 @@ pub(crate) struct PlacementRuntime {
     pub(crate) policy: Mutex<Box<dyn PlacementPolicy>>,
     /// Tick cadence, captured from the policy at construction.
     pub(crate) tick: SimTime,
-    /// A tick timer is currently pending (see module docs on quiescence).
-    pub(crate) armed: AtomicBool,
     /// Set at the end of `Cluster::run`; the daemon exits at the next wake.
     pub(crate) stop: AtomicBool,
     /// The daemon thread, once spawned.
@@ -124,7 +123,6 @@ impl PlacementRuntime {
         PlacementRuntime {
             policy: Mutex::new(policy),
             tick,
-            armed: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             daemon: OnceLock::new(),
         }
@@ -144,34 +142,20 @@ struct Observation {
 }
 
 impl Kernel {
-    /// Invoke-path hook, called by the first invocation from a node to land
-    /// in an object's drained `calls` slot: arms a placement tick if none is
-    /// pending. Never called under a kernel lock (see
-    /// `schedule_placement_tick`).
-    pub(crate) fn arm_placement_tick(&self) {
+    /// Arms one tick timer that wakes the daemon after the tick interval,
+    /// unless the daemon is stopping, for whoever raised `armed`. Never
+    /// called under the registry lock: an engine's `after` touches its own
+    /// state (a timer queue lock, or the simulator's borrowed state).
+    pub(crate) fn schedule_placement_tick(&self) {
         let Some(p) = &self.placement else { return };
-        if !p.armed.load(Ordering::Relaxed)
-            && !p.stop.load(Ordering::Relaxed)
-            && p.armed
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.schedule_placement_tick();
-        }
-    }
-
-    /// Arms one tick timer that wakes the daemon after the tick interval.
-    /// Caller owns the `armed` flag. Never called under a kernel lock: an
-    /// engine's `after` touches its own state (a timer queue lock, or the
-    /// simulator's borrowed state).
-    fn schedule_placement_tick(&self) {
-        let Some(p) = &self.placement else { return };
-        let Some(&daemon) = p.daemon.get() else {
-            // Cluster not running yet (creation from host code before
-            // `run`): disarm so the run's first invocation re-arms.
-            p.armed.store(false, Ordering::Release);
+        if p.stop.load(Ordering::Relaxed) {
             return;
-        };
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "Cluster::run spawns the daemon before any thread can invoke"
+        )]
+        let &daemon = p.daemon.get().expect("placement tick before the daemon");
         let engine = Arc::clone(&self.engine);
         self.engine
             .after(p.tick, Box::new(move || engine.unblock_kernel(daemon)));
@@ -239,7 +223,7 @@ impl Kernel {
             .placement
             .as_ref()
             .expect("placement tick without placement state");
-        let n = self.nodes.len();
+        let n = self.engine.nodes();
 
         // Drain this tick's per-object counters under one registry guard
         // (an invocation counts before or after the drain, never inside it)
@@ -252,10 +236,10 @@ impl Kernel {
             // the registry is still held: an invocation counted after this
             // visit takes the lock after it, so it finds the flag down and
             // arms the next tick.
-            p.armed.store(false, Ordering::Release);
+            guard.armed = false;
             return false;
         }
-        let Objects { map, tables } = &mut *guard;
+        let Objects { map, tables, .. } = &mut *guard;
         let observed: HashMap<VAddr, Observation> = map
             .iter_mut()
             .map(|(&addr, e)| {

@@ -40,12 +40,13 @@
 //! 5. **exit** ([`Kernel::finish_invocation`]): size, release, unbind, wake.
 //!
 //! Every chase step is one registry visit: the `moving` park, the
-//! descriptor read and, when the step finds the object, the path
-//! compression. The return re-check is one visit too, and takes the first
-//! step home when the enclosing object is elsewhere. So a nested resident
-//! invoke costs four visits and a nested remote round trip with fresh
-//! hints six: entry and first hop, arrival, admission, exit, re-check and
-//! first hop home, arrival home.
+//! descriptor read — or, with no descriptor, the region-map read — and,
+//! when the step finds the object, the path compression; only a region-map
+//! miss takes a visit more, for the server's answer. The return re-check
+//! is one visit too, and takes the first step home when the enclosing
+//! object is elsewhere. So a nested resident invoke costs four visits and
+//! a nested remote round trip with fresh hints six: entry and first hop,
+//! arrival, admission, exit, re-check and first hop home, arrival home.
 //!
 //! Frame bookkeeping is owned by the thread: the frame stack and the bytes
 //! a migration carries are the engine's per-thread invocation context
@@ -110,10 +111,19 @@ pub(crate) enum ChaseStep {
     /// A move of the object is in flight and the thread is queued on it:
     /// park, then look at the same node again.
     Park,
-    /// The chain continues: at a forwarding address, or via the home node
-    /// (`None`) when the descriptor is uninitialized. The hop is paid by
-    /// [`Kernel::chase_hop`] once the guard is dropped.
-    Next(Option<NodeId>),
+    /// The chain continues. The hop is paid by [`Kernel::chase_hop`] once
+    /// the guard is dropped.
+    Next(Hop),
+}
+
+/// Where a chain continues from a node not holding the object.
+#[derive(Clone, Copy)]
+pub(crate) enum Hop {
+    /// At the node its descriptor forwards to.
+    Forward(NodeId),
+    /// Its descriptor is uninitialized: at the home node its region map
+    /// names, or (`None`) the server's answer.
+    Home(Option<NodeId>),
 }
 
 /// How many distinct nodes a [`Chain`] holds before it allocates. A chain
@@ -168,9 +178,11 @@ impl Objects {
     /// inside a registry visit. If a move of the object is in flight, `me`
     /// queues on it ([`ChaseStep::Park`]) rather than chasing descriptors
     /// mid-transfer; the mover wakes it once the group has installed.
-    /// Otherwise `at`'s descriptor answers. The object's location, `moving`
-    /// flag and descriptors commit together, so the step never sees a
-    /// descriptor lag the registry.
+    /// Otherwise `at`'s descriptor answers, and when it holds nothing, so
+    /// does `at`'s region map. The object's location, `moving` flag and
+    /// descriptors commit together, so the step never sees a descriptor lag
+    /// the registry.
+    #[inline]
     pub(crate) fn chase_step(
         &mut self,
         addr: VAddr,
@@ -186,10 +198,18 @@ impl Objects {
         }
         e.check_resident(addr, &self.tables);
         Ok(match self.tables[at.index()].lookup(addr) {
-            Some(Residency::Forward(n)) => ChaseStep::Next(Some(n)),
+            Some(Residency::Forward(n)) => ChaseStep::Next(Hop::Forward(n)),
             Some(held) => ChaseStep::Found(held),
-            None => ChaseStep::Next(None),
+            None => ChaseStep::Next(Hop::Home(self.region_owner(at, addr))),
         })
+    }
+
+    /// The owner of `addr`'s region, if `at`'s region map knows it. Cold,
+    /// so that `chase_step` inlines: with the lookup inline, `remote_invoke`
+    /// read about 4 % slower (EXPERIMENTS.md, "one kernel lock").
+    #[cold]
+    fn region_owner(&self, at: NodeId, addr: VAddr) -> Option<NodeId> {
+        self.regions[at.index()].lookup(addr.region())
     }
 }
 
@@ -217,7 +237,7 @@ impl Kernel {
     /// With adaptive placement enabled the invocation also lands in the
     /// object's per-caller-node counter under the lock already held, and the
     /// first one to land there since the placement tick last drained it
-    /// tells the daemon there is something to drain.
+    /// arms the tick in the same visit, unless it is armed already.
     fn bind_frame(
         &self,
         addr: VAddr,
@@ -246,13 +266,15 @@ impl Kernel {
                 panic!("exclusive invocation of immutable object {addr}");
             }
         }
+        // The first call since the drain arms the tick if nothing has.
+        let tick = first_since_drain && !std::mem::replace(&mut objects.armed, true);
         e.check_resident(addr, &objects.tables);
         // The resident verdict returns straight from here: folded into the
         // branches below it measured about 4 % dearer per local invoke.
         if !e.moving && e.location == from {
             drop(guard);
-            if first_since_drain {
-                self.arm_placement_tick();
+            if tick {
+                self.schedule_placement_tick();
             }
             return Ok(Verdict::Here);
         }
@@ -270,8 +292,8 @@ impl Kernel {
             Verdict::Chase(objects.chase_step(addr, from, me))
         };
         drop(guard);
-        if first_since_drain {
-            self.arm_placement_tick();
+        if tick {
+            self.schedule_placement_tick();
         }
         Ok(verdict)
     }
@@ -310,12 +332,12 @@ impl Kernel {
     }
 
     /// Pays the hop a [`ChaseStep::Next`] found at `at`, with the registry
-    /// guard dropped: charges and records the forward hop, or resolves and
-    /// records the home route, and counts it against `hops`. Returns the
-    /// node the chain continues at. Both travellers call it: an invoking
-    /// thread that migrates along the chain
-    /// ([`ensure_at_object`](Kernel::ensure_at_object)) and a locate that
-    /// sends probes down it ([`locate`](Kernel::locate)).
+    /// guard dropped: charges and records the forward hop, or records the
+    /// home route — asking the server first when `at`'s region map missed
+    /// — and counts it against `hops`. Returns the node the chain continues
+    /// at. Both travellers call it: an invoking thread that migrates along
+    /// the chain ([`ensure_at_object`](Kernel::ensure_at_object)) and a
+    /// locate that sends probes down it ([`locate`](Kernel::locate)).
     ///
     /// A descriptor that leads back to `at` is corrupt — no legitimate state
     /// has one, since location and descriptors commit together — and the
@@ -323,20 +345,20 @@ impl Kernel {
     /// [`MAX_CHASE_HOPS`], rather than migrate from a node to itself.
     pub(crate) fn chase_hop(
         &self,
-        forward: Option<NodeId>,
+        hop: Hop,
         addr: VAddr,
         at: NodeId,
         hops: &mut u32,
     ) -> Result<NodeId, ProtocolError> {
-        let next = match forward {
-            Some(n) => n,
-            None => self.home_of(at, addr),
+        let next = match hop {
+            Hop::Forward(n) | Hop::Home(Some(n)) => n,
+            Hop::Home(None) => self.ask_server(at, addr),
         };
         if next == at {
             return Err(self.chase_diverged(addr, at, *hops));
         }
-        match forward {
-            Some(_) => {
+        match hop {
+            Hop::Forward(_) => {
                 self.emit(ProtocolEvent::ForwardHop {
                     obj: addr.0,
                     at,
@@ -344,7 +366,7 @@ impl Kernel {
                 });
                 self.engine.work(self.cost.forward_hop);
             }
-            None => self.emit(ProtocolEvent::HomeRoute {
+            Hop::Home(_) => self.emit(ProtocolEvent::HomeRoute {
                 obj: addr.0,
                 at,
                 home: next,
@@ -422,8 +444,8 @@ impl Kernel {
                 }
                 ChaseStep::Found(_) => return Ok(here),
                 ChaseStep::Park => self.engine.block_kernel("await-move-install"),
-                ChaseStep::Next(forward) => {
-                    let next = self.chase_hop(forward, addr, here, &mut hops)?;
+                ChaseStep::Next(hop) => {
+                    let next = self.chase_hop(hop, addr, here, &mut hops)?;
                     chain.push(here);
                     self.migrate_current(here, next);
                     here = next;

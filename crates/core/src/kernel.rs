@@ -1,16 +1,19 @@
-//! The Amber kernel: cluster-wide object registry and per-node state.
+//! The Amber kernel: every fact about a cluster's objects and nodes.
 //!
-//! One `Kernel` underlies a whole cluster. It owns:
+//! One `Kernel` underlies a whole cluster. Under its one lock, the object
+//! registry, it keeps:
 //!
-//! * the global object registry — payloads plus mobility metadata (location,
-//!   immutability, attachment, bound threads, in-progress moves) — and every
-//!   node's descriptor table from `amber-vspace`, all under one lock: an
-//!   attachment group's walk, busy check and claim are a single critical
-//!   section, and so is a chase step's `moving` park, descriptor read and
+//! * every object's entry — payload plus mobility metadata (location,
+//!   immutability, attachment, bound threads, in-progress moves) — and
+//!   every node's descriptor table from `amber-vspace`: an attachment
+//!   group's walk, busy check and claim are a single critical section, and
+//!   so is a chase step's `moving` park, descriptor read, home lookup and
 //!   path compression;
-//! * per-node state — heaps and region-map caches from `amber-vspace`;
-//! * the address-space server (logically on the boot node; consulting it
-//!   from elsewhere is charged as a network round trip).
+//! * every node's heap and region-map cache from `amber-vspace`, and the
+//!   address-space server (logically on the boot node; consulting it from
+//!   elsewhere is charged as a network round trip): a creation allocates
+//!   and inserts in one visit, and a destroy frees in its removal's;
+//! * the placement tick's arming flag.
 //!
 //! It keeps no counters: a protocol fact is raised through
 //! [`Kernel::emit`], which hands it to the engine's
@@ -25,8 +28,8 @@
 //! by the methods in this crate, never from the data structures themselves.
 //!
 //! Locking (see DESIGN.md, "Locking discipline"): the object registry is
-//! the one tracked lock. It is never taken while it is held, and no lock is
-//! ever held across an engine block. A payload has no lock of its own:
+//! the kernel's one lock. It is never taken while it is held, and it is
+//! never held across an engine block. A payload has no lock of its own:
 //! admission, granted and released under the registry lock, is its guard.
 
 use std::any::Any;
@@ -42,7 +45,6 @@ use amber_verify::{OrderedMutex, OrderedMutexGuard};
 use amber_vspace::{
     AddrMap, AddressSpaceServer, DescriptorTable, HeapError, NodeHeap, RegionMap, Residency, VAddr,
 };
-use parking_lot::Mutex;
 
 use crate::adaptive::{PlacementPolicy, PlacementRuntime};
 use crate::errors::ProtocolError;
@@ -258,19 +260,28 @@ impl ObjectEntry {
 /// The object registry's entries, keyed by object address.
 pub(crate) type ObjectMap = AddrMap<ObjectEntry>;
 
-/// What the registry lock guards: every object's entry and every node's
-/// residency descriptors. An object's location, its `moving` flag and each
-/// node's descriptor of it change in one critical section, so a holder of
-/// the guard sees them agree.
+/// What the registry lock guards: every kernel fact. An object's location,
+/// its `moving` flag and each node's descriptor of it change in one
+/// critical section, so a holder of the guard sees them agree; so do a
+/// heap block and the entry that lives in it.
 pub(crate) struct Objects {
     pub(crate) map: ObjectMap,
     /// Node `n`'s descriptor table at index `n`: resident, forwarding,
     /// replica or (no entry) uninitialized.
     pub(crate) tables: Box<[DescriptorTable]>,
+    /// Node `n`'s heap at index `n`, carved from the regions the server
+    /// assigned it.
+    pub(crate) heaps: Box<[NodeHeap]>,
+    /// Node `n`'s region-map cache at index `n`: the owner of every region
+    /// it has heard of.
+    pub(crate) regions: Box<[RegionMap]>,
+    pub(crate) server: AddressSpaceServer,
+    /// A placement tick timer is pending (see `adaptive.rs`, "Tick
+    /// scheduling and quiescence").
+    pub(crate) armed: bool,
 }
 
-/// The object registry: entries and descriptor tables under one lock, the
-/// kernel's one tracked lock.
+/// The object registry: every kernel fact under the kernel's one lock.
 ///
 /// Aligned to 128 bytes so the lock word shares no cache line with the
 /// `Kernel` fields every operation reads. Unpadded among them,
@@ -290,20 +301,12 @@ impl Registry {
     }
 }
 
-/// Per-node kernel state.
-pub(crate) struct NodeKernel {
-    pub(crate) heap: Mutex<NodeHeap>,
-    pub(crate) regions: Mutex<RegionMap>,
-}
-
 /// The cluster-wide kernel.
 pub(crate) struct Kernel {
     pub(crate) engine: Arc<dyn Engine>,
     pub(crate) cost: CostModel,
     pub(crate) objects: Registry,
-    pub(crate) nodes: Vec<NodeKernel>,
-    pub(crate) server: Mutex<AddressSpaceServer>,
-    /// Adaptive placement state (policy, tick arming, daemon handle); `None`
+    /// Adaptive placement state (policy, stop flag, daemon handle); `None`
     /// when the cluster was built without a placement policy.
     pub(crate) placement: Option<PlacementRuntime>,
     /// When `true` (the default, the paper's semantics), a shared invocation
@@ -325,7 +328,7 @@ impl Kernel {
     ) -> Arc<Kernel> {
         let n = engine.nodes();
         let mut server = AddressSpaceServer::new();
-        let nodes: Vec<NodeKernel> = (0..n)
+        let (heaps, regions): (Vec<_>, Vec<_>) = (0..n)
             .map(|i| {
                 let node = NodeId::from(i);
                 let region = server.assign(node);
@@ -333,21 +336,20 @@ impl Kernel {
                 heap.add_region(region);
                 let mut regions = RegionMap::new();
                 regions.learn(region, node);
-                NodeKernel {
-                    heap: Mutex::new(heap),
-                    regions: Mutex::new(regions),
-                }
+                (heap, regions)
             })
-            .collect();
+            .unzip();
         Arc::new(Kernel {
             engine,
             cost,
             objects: Registry(OrderedMutex::new(Objects {
                 map: ObjectMap::default(),
                 tables: (0..n).map(|_| DescriptorTable::new()).collect(),
+                heaps: heaps.into(),
+                regions: regions.into(),
+                server,
+                armed: false,
             })),
-            nodes,
-            server: Mutex::new(server),
             placement: policy.map(PlacementRuntime::new),
             demand_replication,
         })
@@ -357,7 +359,7 @@ impl Kernel {
     /// count when adaptive placement is enabled, else 0 (no counting).
     pub(crate) fn call_slots(&self) -> usize {
         if self.placement.is_some() {
-            self.nodes.len()
+            self.engine.nodes()
         } else {
             0
         }
@@ -367,7 +369,7 @@ impl Kernel {
     /// cluster does not have, before any charge or message goes toward it.
     #[expect(clippy::disallowed_macros, reason = "a node past the cluster is a bug")]
     pub(crate) fn check_node(&self, node: NodeId) {
-        assert!(node.index() < self.nodes.len(), "no such {node}");
+        assert!(node.index() < self.engine.nodes(), "no such {node}");
     }
 
     /// The node the current thread is executing on.
@@ -403,55 +405,24 @@ impl Kernel {
         self.one_way(to, from, bytes, reason);
     }
 
-    /// Resolves the home node of `addr` as seen from `asking`, consulting
-    /// the address-space server (a charged round trip) on a region-map miss.
-    pub(crate) fn home_of(&self, asking: NodeId, addr: VAddr) -> NodeId {
-        let region = addr.region();
-        if let Some(owner) = self.nodes[asking.index()].regions.lock().lookup(region) {
-            return owner;
-        }
+    /// The home node of `addr` for `asking`, whose region map missed: the
+    /// address-space server's answer, a charged round trip off the boot
+    /// node, which `asking`'s region map then keeps.
+    pub(crate) fn ask_server(&self, asking: NodeId, addr: VAddr) -> NodeId {
         self.emit(ProtocolEvent::RegionLookup { node: asking });
         self.engine.work(self.cost.region_lookup);
         if asking != NodeId::BOOT {
             self.control_rtt(asking, NodeId::BOOT, "region-lookup");
         }
+        let region = addr.region();
+        let mut objects = self.objects.lock();
         #[expect(clippy::expect_used, reason = "addresses lie in assigned regions")]
-        let owner = self
+        let owner = objects
             .server
-            .lock()
             .owner(region)
             .expect("address outside any assigned region");
-        self.nodes[asking.index()]
-            .regions
-            .lock()
-            .learn(region, owner);
+        objects.regions[asking.index()].learn(region, owner);
         owner
-    }
-
-    /// Allocates a heap block of `size` bytes on `node`, extending the
-    /// node's pool from the address-space server if needed.
-    pub(crate) fn heap_alloc(&self, node: NodeId, size: usize) -> VAddr {
-        loop {
-            let r = self.nodes[node.index()].heap.lock().alloc(size as u64);
-            match r {
-                Ok(addr) => return addr,
-                Err(HeapError::NeedRegion) => {
-                    self.emit(ProtocolEvent::RegionExtension { node });
-                    // Fetch a fresh region from the server (round trip off
-                    // the boot node).
-                    if node != NodeId::BOOT {
-                        self.control_rtt(node, NodeId::BOOT, "region-extend");
-                    }
-                    self.engine.work(self.cost.region_lookup);
-                    let region = self.server.lock().assign(node);
-                    let nk = &self.nodes[node.index()];
-                    nk.regions.lock().learn(region, node);
-                    nk.heap.lock().add_region(region);
-                }
-                #[expect(clippy::panic, reason = "only TooLarge is left: object > region")]
-                Err(e) => panic!("heap allocation failed: {e}"),
-            }
-        }
     }
 
     /// Creates an object of type `T` resident on `node` and returns its
@@ -489,26 +460,46 @@ impl Kernel {
     }
 
     /// What `node`'s kernel does for a creation, local or requested: the
-    /// `object_create` charge, a heap block, then the registry entry and
-    /// the descriptor in one visit.
+    /// `object_create` charge, then a heap block, the registry entry and the
+    /// descriptor in one visit. A heap that needs a region first fetches
+    /// one from the server, with the guard dropped across the round trip,
+    /// and then adds it and allocates in the creation's visit.
     fn create_at<T: AmberObject>(&self, node: NodeId, value: T, size: usize) -> ObjRef<T> {
         self.engine.work(self.cost.object_create);
-        let addr = self.heap_alloc(node, size.max(1));
         let entry = ObjectEntry::new(value, node, size, self.call_slots());
+        let bytes = size.max(1) as u64;
+        let mut objects = self.objects.lock();
+        let mut block = objects.heaps[node.index()].alloc(bytes);
+        if let Err(HeapError::NeedRegion) = block {
+            drop(objects);
+            self.emit(ProtocolEvent::RegionExtension { node });
+            if node != NodeId::BOOT {
+                self.control_rtt(node, NodeId::BOOT, "region-extend");
+            }
+            self.engine.work(self.cost.region_lookup);
+            objects = self.objects.lock();
+            let region = objects.server.assign(node);
+            objects.regions[node.index()].learn(region, node);
+            let heap = &mut objects.heaps[node.index()];
+            heap.add_region(region);
+            block = heap.alloc(bytes);
+        }
+        let addr = match block {
+            Ok(addr) => addr,
+            #[expect(clippy::panic, reason = "only TooLarge is left: object > region")]
+            Err(e) => panic!("heap allocation failed: {e}"),
+        };
+        objects.tables[node.index()].set_resident(addr);
+        let prev = objects.map.insert(addr, entry);
+        #[expect(clippy::disallowed_macros, reason = "destroy removes the entry first")]
+        {
+            debug_assert!(prev.is_none(), "heap handed out a live address");
+        }
         // Emission under the registry lock keeps the trace stream
         // linearized with the registry transition: no destroy of a reused
         // address can slot its event between our insert and our
         // ObjectCreate.
-        {
-            let mut objects = self.objects.lock();
-            objects.tables[node.index()].set_resident(addr);
-            let prev = objects.map.insert(addr, entry);
-            #[expect(clippy::disallowed_macros, reason = "destroy removes the entry first")]
-            {
-                debug_assert!(prev.is_none(), "heap handed out a live address");
-            }
-            self.emit(ProtocolEvent::ObjectCreate { obj: addr.0, node });
-        }
+        self.emit(ProtocolEvent::ObjectCreate { obj: addr.0, node });
         ObjRef::from_addr(addr)
     }
 
@@ -551,13 +542,25 @@ impl Kernel {
             for table in objects.tables.iter_mut() {
                 table.clear(addr);
             }
-            // Emit under the same registry lock that committed the removal:
-            // once the heap block is freed below, the address can be reused
-            // and its ObjectCreate must serialize *after* this event.
+            // The block goes back to the home heap, and the destroy is
+            // emitted, under the lock that committed the removal: a creation
+            // that reuses the address serializes after this event.
+            let freed = objects.heaps[e.home.index()].free(addr);
             self.emit(ProtocolEvent::ObjectDestroy {
                 obj: addr.0,
                 node: me,
             });
+            // Exactly one destroyer removes the entry, so a failed free
+            // means heap-metadata corruption, which the free-pool scan
+            // already self-heals: it is counted and traced rather than a
+            // panic edge (visible in release builds instead of vanishing
+            // with `debug_assert!`).
+            if freed.is_err() {
+                self.emit(ProtocolEvent::HeapFreeAnomaly {
+                    obj: addr.0,
+                    node: e.home,
+                });
+            }
             e
         };
         // A replica install under way ends with the entry: its copier finds
@@ -567,18 +570,6 @@ impl Kernel {
             for &t in &install.waiters {
                 self.engine.unblock_kernel(t);
             }
-        }
-        // The registry entry was removed atomically above, so exactly one
-        // destroyer reaches this free; a failure would mean heap-metadata
-        // corruption, which the free-pool scan already self-heals, so the
-        // result is counted and traced rather than a panic edge (visible in
-        // release builds instead of vanishing with `debug_assert!`).
-        let freed = self.nodes[entry.home.index()].heap.lock().free(addr);
-        if freed.is_err() {
-            self.emit(ProtocolEvent::HeapFreeAnomaly {
-                obj: addr.0,
-                node: entry.home,
-            });
         }
         Ok(())
     }

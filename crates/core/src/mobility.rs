@@ -168,7 +168,7 @@ impl Kernel {
     /// not a wait: the placement daemon must never park on user-driven
     /// moves, and a mid-move object will be re-scored on a later tick.
     pub(crate) fn advisory_move(&self, addr: VAddr, dest: NodeId) -> Result<(), &'static str> {
-        if dest.index() >= self.nodes.len() {
+        if dest.index() >= self.engine.nodes() {
             return Err("no-such-node");
         }
         let (source, group) = {
@@ -334,7 +334,7 @@ impl Kernel {
         // claims the install in the object's entry and reads the holder.
         let location = loop {
             let mut guard = self.objects.lock();
-            let Objects { map, tables } = &mut *guard;
+            let Objects { map, tables, .. } = &mut *guard;
             if tables[node.index()].is_local(addr) {
                 // Already resident or replicated here; report the node
                 // itself as the (trivial) source.
@@ -410,7 +410,7 @@ impl Kernel {
         // to a racing destroy.
         let waiters = {
             let mut guard = self.objects.lock();
-            let Objects { map, tables } = &mut *guard;
+            let Objects { map, tables, .. } = &mut *guard;
             let install = map.get_mut(&addr).and_then(|e| {
                 let ix = e.installs.iter().position(mine)?;
                 Some(e.installs.swap_remove(ix))
@@ -447,13 +447,13 @@ impl Kernel {
     /// daemon skips (`mid-install`): the replica is arriving anyway, and the
     /// daemon must never park on user-driven traffic.
     pub(crate) fn advisory_replicate(&self, addr: VAddr, dest: NodeId) -> Result<(), &'static str> {
-        if dest.index() >= self.nodes.len() {
+        if dest.index() >= self.engine.nodes() {
             return Err("no-such-node");
         }
         let me = must_current_thread();
         let from = {
             let mut guard = self.objects.lock();
-            let Objects { map, tables } = &mut *guard;
+            let Objects { map, tables, .. } = &mut *guard;
             let Some(e) = map.get_mut(&addr) else {
                 return Err("destroyed");
             };
@@ -719,8 +719,8 @@ impl Kernel {
             match step {
                 ChaseStep::Found(_) => break,
                 ChaseStep::Park => self.engine.block_kernel("await-move-install"),
-                ChaseStep::Next(forward) => {
-                    let next = self.chase_hop(forward, addr, cur, &mut hops)?;
+                ChaseStep::Next(hop) => {
+                    let next = self.chase_hop(hop, addr, cur, &mut hops)?;
                     self.one_way(cur, next, self.cost.control_packet_bytes, "locate-probe");
                     chain.push(cur);
                     cur = next;

@@ -432,11 +432,11 @@ pub(crate) struct Gate {
 }
 
 impl Gate {
-    pub(crate) fn new() -> Arc<Gate> {
-        Arc::new(Gate {
+    pub(crate) fn new() -> Gate {
+        Gate {
             state: Mutex::new(0),
             cv: Condvar::new(),
-        })
+        }
     }
 
     /// Blocks until a permit is available, consuming it.
@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn gate_wakes_waiter() {
-        let g = Gate::new();
+        let g = Arc::new(Gate::new());
         let g2 = Arc::clone(&g);
         let h = std::thread::spawn(move || g2.wait());
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -512,7 +512,7 @@ mod tests {
         // can meet.
         const ROUND_TRIPS: u32 = 200_000;
         let turns = within(60, || {
-            let (ping, pong) = (Gate::new(), Gate::new());
+            let (ping, pong) = (Arc::new(Gate::new()), Arc::new(Gate::new()));
             let (ping2, pong2) = (Arc::clone(&ping), Arc::clone(&pong));
             let peer = std::thread::spawn(move || {
                 for _ in 0..ROUND_TRIPS {
@@ -535,7 +535,7 @@ mod tests {
         const POSTERS: u32 = 4;
         const POSTS: u32 = 50_000;
         let left = within(60, || {
-            let g = Gate::new();
+            let g = Arc::new(Gate::new());
             let posters: Vec<_> = (0..POSTERS)
                 .map(|_| {
                     let g = Arc::clone(&g);

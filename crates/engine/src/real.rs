@@ -48,7 +48,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -113,10 +113,10 @@ struct RealTcb {
     /// thread (`Release`), read by the thread (`Acquire`).
     arrived: AtomicU64,
     /// User-class wake gate (`block_current`/`unblock`).
-    gate: Arc<Gate>,
+    gate: Gate,
     /// Kernel-class wake gate (`block_kernel`/`unblock_kernel`, and the
     /// arrival of a leg with a delay to serve).
-    kernel_gate: Arc<Gate>,
+    kernel_gate: Gate,
     /// Index of the node whose processor token the thread holds, or
     /// [`NO_TOKEN`]. Only the thread itself reads and writes it, so its
     /// accesses are plain (`Relaxed`) loads and stores.
@@ -166,7 +166,7 @@ thread_local! {
     /// The tcb of the Amber thread this OS thread is running, with the
     /// engine and id it belongs to, set for the duration of the thread
     /// body. A thread asking about *itself* (`node_of`, every block point)
-    /// resolves here instead of through the engine-wide `threads` map. The
+    /// resolves here instead of through the engine-wide `threads` table. The
     /// engine pointer is only ever compared: thread ids repeat across
     /// engines, and tests run clusters side by side in one process.
     static OWN_TCB: RefCell<Option<(*const RealInner, ThreadId, Arc<RealTcb>)>> =
@@ -238,8 +238,9 @@ struct LiveState {
 
 struct RealInner {
     nodes: Vec<RealNode>,
-    threads: Mutex<HashMap<ThreadId, Arc<RealTcb>>>,
-    next_tid: Mutex<u64>,
+    /// Every thread's tcb, at the index of its id: ids are handed out in
+    /// order, and a tcb is never removed.
+    threads: Mutex<Vec<Arc<RealTcb>>>,
     live: Mutex<LiveState>,
     done_cv: Condvar,
     net: NetQueue,
@@ -280,8 +281,7 @@ impl RealEngine {
         let stats = Arc::new(NetStats::new(nodes.len()));
         let inner = Arc::new(RealInner {
             nodes,
-            threads: Mutex::new(HashMap::new()),
-            next_tid: Mutex::new(0),
+            threads: Mutex::new(Vec::new()),
             live: Mutex::new(LiveState {
                 count: 0,
                 started: false,
@@ -339,7 +339,7 @@ impl RealEngine {
 
     /// Runs `f` on `tid`'s tcb: the calling thread's own from its
     /// thread-local (every block point and leg), anyone else's (a waker)
-    /// from the shared map.
+    /// from the shared table, indexed by id.
     fn with_tcb<R>(&self, tid: ThreadId, f: impl FnOnce(&Arc<RealTcb>) -> R) -> R {
         OWN_TCB.with(|own| match &*own.borrow() {
             Some((engine, t, tcb)) if *t == tid && std::ptr::eq(*engine, &*self.inner) => f(tcb),
@@ -349,7 +349,7 @@ impl RealEngine {
                     self.inner
                         .threads
                         .lock()
-                        .get(&tid)
+                        .get(tid.0 as usize)
                         .expect("unknown thread id"),
                 );
                 f(&tcb)
@@ -487,21 +487,18 @@ impl Engine for RealEngine {
         {
             assert!(node.index() < self.inner.nodes.len(), "no such {node}");
         }
-        let tid = {
-            let mut n = self.inner.next_tid.lock();
-            let t = ThreadId(*n);
-            *n += 1;
-            t
-        };
-        let gate = Gate::new();
         let tcb = Arc::new(RealTcb {
             node: AtomicU16::new(node.0),
             arrived: AtomicU64::new(0),
-            gate: Arc::clone(&gate),
+            gate: Gate::new(),
             kernel_gate: Gate::new(),
             held: AtomicUsize::new(NO_TOKEN),
         });
-        self.inner.threads.lock().insert(tid, Arc::clone(&tcb));
+        let tid = {
+            let mut threads = self.inner.threads.lock();
+            threads.push(Arc::clone(&tcb));
+            ThreadId(threads.len() as u64 - 1)
+        };
         self.inner.live.lock().count += 1;
         let inner = Arc::clone(&self.inner);
         #[expect(clippy::expect_used, reason = "no OS thread, no Amber thread")]

@@ -160,11 +160,6 @@ impl NetStats {
         self.snapshot().retransmits
     }
 
-    /// Total wire duplications injected cluster-wide.
-    pub fn total_dups_injected(&self) -> u64 {
-        self.snapshot().dups_injected
-    }
-
     /// Total duplicate copies suppressed cluster-wide.
     pub fn total_dups_suppressed(&self) -> u64 {
         self.snapshot().dups_suppressed

@@ -4,9 +4,10 @@
 //! `verify` cargo feature or `debug_assertions` is on:
 //!
 //! * **Lock checker** — the [`OrderedMutex`] wrapper counts, per thread,
-//!   the tracked locks held. The kernel has one tracked lock, the object
-//!   registry, so the rule is that no tracked lock is taken while one is
-//!   held: the registry taken again while held is reported
+//!   the tracked locks held. The kernel keeps every fact about its objects
+//!   and nodes under one lock, the object registry, and it is the one
+//!   tracked lock, so the rule is that no tracked lock is taken while one
+//!   is held: the registry taken again while held is reported
 //!   ([`Violation::NestedAcquisition`]) before it self-deadlocks, and with
 //!   no second lock there is no order to rank. Engines call
 //!   [`engine_block_checkpoint`] at every block/park/send point; holding
