@@ -18,8 +18,9 @@
 //! It keeps no counters: a protocol fact is raised through
 //! [`Kernel::emit`], which hands it to the engine's
 //! [`Tracer::emit`](amber_engine::Tracer::emit) — the one door through
-//! which a fact, the runtime's or the engine's, is both counted (a
-//! cache-padded row per node, see [`amber_engine::stats`]) and traced.
+//! which a fact, the runtime's or the engine's, is both counted (a row
+//! per node in the counting thread's own shard, see
+//! [`amber_engine::stats`]) and traced.
 //!
 //! The registry being ordinary process memory is the reproduction of the
 //! paper's identically-arranged virtual address spaces: an address means
@@ -381,8 +382,9 @@ impl Kernel {
     /// its node's row and, if a trace sink is installed, recorded stamped
     /// with the engine clock and the current thread. Call it where the fact
     /// commits (under the registry guard that commits it, where there is
-    /// one). With no sink this is one relaxed add and one relaxed load; the
-    /// clock is not read.
+    /// one). With no sink this is a load and a store into the calling
+    /// thread's own counter shard and one relaxed load; the clock is not
+    /// read.
     #[inline]
     pub(crate) fn emit(&self, event: ProtocolEvent) {
         let engine = &*self.engine;

@@ -308,7 +308,10 @@ impl RealEngine {
         #[expect(clippy::expect_used, reason = "no timer thread, no engine")]
         std::thread::Builder::new()
             .name("amber-net".to_string())
-            .spawn(move || net_loop(&net_inner))
+            .spawn(move || {
+                net_loop(&net_inner);
+                net_inner.stats.hand_back();
+            })
             .expect("failed to spawn network thread");
         RealEngine {
             inner,
@@ -514,6 +517,9 @@ impl Engine for RealEngine {
                 let result = catch_unwind(AssertUnwindSafe(body));
                 tcb.release_held(&inner.nodes);
                 OWN_TCB.with(|own| *own.borrow_mut() = None);
+                // Before the live count drops, so that once the run returns
+                // every thread's shard is back for the next one to adopt.
+                inner.stats.hand_back();
                 let mut live = inner.live.lock();
                 if let Err(payload) = result {
                     if live.error.is_none() {
@@ -768,6 +774,43 @@ mod tests {
             e2.block_current("demo");
         })
         .unwrap();
+    }
+
+    #[test]
+    fn shards_are_handed_on_when_threads_end() {
+        // 2 000 short threads in waves of at most 8 on 4 nodes. Each hands
+        // its shard back as it ends and the next wave adopts them, so the
+        // shards stay bounded by the threads alive at once (the waves,
+        // main, the timer thread and the test's own) and no count is lost.
+        const WAVES: u64 = 250;
+        const WAVE: u16 = 8;
+        let e = real(4, 2);
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            for _ in 0..WAVES {
+                for i in 0..WAVE {
+                    let e3 = Arc::clone(&e2);
+                    let node = NodeId(i % 4);
+                    let body = move || {
+                        let thread = must_current_thread();
+                        let start = ProtocolEvent::ThreadStart { thread, node };
+                        e3.tracer().emit(|| e3.now(), start);
+                    };
+                    e2.spawn(node, "wave".into(), Box::new(body));
+                }
+                // A wave is over once main is the only thread left.
+                while e2.inner.live.lock().count > 1 {
+                    e2.yield_now();
+                }
+            }
+        })
+        .unwrap();
+        let stats = e.stats();
+        let threads = WAVES * u64::from(WAVE);
+        assert_eq!(stats.snapshot().thread_starts, threads);
+        assert_eq!(stats.total_dispatches(), threads + 1);
+        let shards = stats.shards();
+        assert!(shards <= usize::from(WAVE) + 3, "{shards} shards");
     }
 
     #[test]

@@ -1841,6 +1841,33 @@ mod tests {
     }
 
     #[test]
+    fn a_simulated_run_counts_into_one_shard() {
+        // Every simulated thread is a fiber on the run's OS thread, so a
+        // whole run counts into one shard, whichever node counts.
+        const THREADS: u16 = 16;
+        let e = sim(4, 2);
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            for t in 0..THREADS {
+                let e3 = Arc::clone(&e2);
+                let (from, to) = (NodeId(t % 4), NodeId((t + 1) % 4));
+                let body = move || {
+                    e3.work(SimTime::from_us(5));
+                    e3.leg(from, to, 64, true, "test-leg");
+                    e3.work(SimTime::from_us(5));
+                };
+                e2.spawn(from, format!("w{t}"), Box::new(body));
+            }
+        })
+        .unwrap();
+        let stats = e.stats();
+        assert_eq!(stats.total_msgs(), u64::from(THREADS));
+        assert_eq!(stats.total_bytes(), 64 * u64::from(THREADS));
+        assert!(stats.total_dispatches() > u64::from(THREADS));
+        assert_eq!(stats.shards(), 1);
+    }
+
+    #[test]
     fn node_of_answers_the_running_thread_from_its_grant() {
         // Two engines on two OS threads, whose mains are both thread 0:
         // each travels by legs to its own last node, once with its arrival

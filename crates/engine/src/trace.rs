@@ -17,10 +17,11 @@
 //! (`amber-core` through `Kernel::emit`, the engines' `send`, the fault
 //! layer): it counts the event in its node's row of the engine's
 //! [`NetStats`] and, stamped with the engine clock, hands it to an installed
-//! [`TraceSink`]. With no sink installed that is one relaxed add and one
-//! relaxed load, so tracing costs nothing when it is off. In checked builds
-//! [`Tracer::lint`] has the tracer judge each event against the per-object
-//! lifecycle on its way to the sink.
+//! [`TraceSink`]. With no sink installed that is a load and a store into
+//! the calling thread's own counter shard and one relaxed load, with no
+//! atomic read-modify-write, so tracing costs nothing when it is off. In
+//! checked builds [`Tracer::lint`] has the tracer judge each event against
+//! the per-object lifecycle on its way to the sink.
 //!
 //! [`MemorySink`] collects events in memory for tests and post-run analysis;
 //! [`chrome_trace_json`] renders a captured stream as Chrome-trace / Perfetto
@@ -492,9 +493,10 @@ impl TraceSink for MemorySink {
 
 /// The engine's event door: where a protocol fact is counted and traced.
 ///
-/// Tracing is disabled by default, and [`emit`](Tracer::emit) then costs one
-/// relaxed add (the count) and one relaxed load, so instrumented protocol
-/// paths pay nothing measurable for it.
+/// Tracing is disabled by default, and [`emit`](Tracer::emit) then costs a
+/// load and a store into the calling thread's own shard (the count) and one
+/// relaxed load, so instrumented protocol paths pay nothing measurable for
+/// it.
 pub struct Tracer {
     /// The per-node counter rows; written only by [`emit`](Tracer::emit).
     stats: Arc<NetStats>,
