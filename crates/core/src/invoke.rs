@@ -21,7 +21,7 @@
 //! payload itself ([`Lent`]), with no lock and no reference count beneath.
 //!
 //! An invocation has five steps, and a resident object — the common case,
-//! the paper's 12 us local invoke — takes exactly three registry visits:
+//! the paper's 12 us local invoke — takes exactly two registry visits:
 //!
 //! 1. **entry** ([`Kernel::bind_frame`]): push the frame, bind it to the
 //!    object and, under the same registry lock — which guards `location`,
@@ -31,22 +31,32 @@
 //!    runs the rest of the chase ([`Kernel::ensure_at_object`]), which is
 //!    the one slow path;
 //! 2. **charge** `local_invoke`, a scheduling point under the simulator;
-//! 3. **admission** ([`Kernel::acquire_payload`]), its own visit *after*
-//!    the charge: invokers pay the charge in parallel and only then queue,
-//!    so a contended object's hand-off costs the operation alone. Admitting
-//!    before the charge would hold the object 8 us longer per hand-off and
-//!    move every contended virtual-time result;
+//! 3. **admission** ([`Kernel::admit`]), *after* the charge on the virtual
+//!    clock: invokers pay the charge in parallel and only then queue, so a
+//!    contended object's hand-off costs the operation alone. Admitting
+//!    before a charge another thread could run in would hold the object
+//!    8 us longer per hand-off and move every contended virtual-time
+//!    result. When the charge is uncontested
+//!    ([`Engine::uncontested`](amber_engine::Engine::uncontested)) no
+//!    thread can run in it, so admission made in the visit before it is
+//!    admission made after it: the entry visit, or the chase visit that
+//!    finds the object, admits. Otherwise admission is a visit of its own
+//!    after the charge ([`Kernel::acquire_payload`]);
 //! 4. the operation, outside every kernel lock;
-//! 5. **exit** ([`Kernel::finish_invocation`]): size, release, unbind, wake.
+//! 5. **exit** ([`Kernel::finish_invocation`]): size, release, unbind,
+//!    wake; then the `local_return` charge and the return re-check, which
+//!    joins the exit visit when that charge is uncontested and the exit
+//!    wakes nobody (a wake makes a thread runnable and contests it).
 //!
 //! Every chase step is one registry visit: the `moving` park, the
 //! descriptor read — or, with no descriptor, the region-map read — and,
 //! when the step finds the object, the path compression; only a region-map
 //! miss takes a visit more, for the server's answer. The return re-check
-//! is one visit too, and takes the first step home when the enclosing
-//! object is elsewhere. So a nested resident invoke costs four visits and
-//! a nested remote round trip with fresh hints six: entry and first hop,
-//! arrival, admission, exit, re-check and first hop home, arrival home.
+//! takes the first step home when the enclosing object is elsewhere. So,
+//! with uncontested charges, a nested resident invoke costs two visits
+//! and a nested remote round trip with fresh hints four: entry and first
+//! hop, arrival and admission, exit with re-check and first hop home,
+//! arrival home. With every charge contested they cost four and six.
 //!
 //! Frame bookkeeping is owned by the thread: the frame stack and the bytes
 //! a migration carries are the engine's per-thread invocation context
@@ -55,11 +65,13 @@
 //! (`SimEngine`). No borrow of it is ever held across an operation (nested
 //! invocations push frames of their own).
 
-use amber_engine::{must_current_thread, with_invocations, NodeId, ProtocolEvent, ThreadId};
+use amber_engine::{
+    must_current_thread, with_invocations, NodeId, ProtocolEvent, SimTime, ThreadId,
+};
 use amber_vspace::{DescriptorTable, Residency, VAddr};
 
 use crate::errors::ProtocolError;
-use crate::kernel::{Access, Kernel, Lent, Objects, OpWaiter};
+use crate::kernel::{Access, Kernel, Lent, ObjectEntry, Objects, OpWaiter};
 use crate::objref::ObjRef;
 
 /// Starts the calling thread's invocation context afresh: the first thing an
@@ -161,8 +173,21 @@ impl Chain {
     }
 }
 
+/// What a return re-check found ([`Objects::recheck_step`]).
+enum Recheck {
+    /// The thread's enclosing object is local to it.
+    Here,
+    /// The enclosing object at the address is elsewhere: the chase's first
+    /// step, taken in the visit.
+    Chase(VAddr, Result<ChaseStep, ProtocolError>),
+}
+
 /// What an invocation's entry visit decided.
-enum Verdict {
+enum Verdict<'k> {
+    /// [`Here`](Verdict::Here), and admitted in the same visit: the
+    /// `local_invoke` charge after it is uncontested, so admission made
+    /// before the charge is admission made after it.
+    Admitted(Lent<'k>),
     /// Run on the start node: the object is resident there or, for a
     /// shared invocation, the start node's descriptor is `Resident` or
     /// `Replica` (replica-first resolution).
@@ -204,6 +229,16 @@ impl Objects {
         })
     }
 
+    /// The return re-check's visit at `here` for thread `me`, whose
+    /// enclosing object is at `addr`: the chase's first step when the
+    /// object is not local there.
+    fn recheck_step(&mut self, addr: VAddr, here: NodeId, me: ThreadId) -> Recheck {
+        if self.tables[here.index()].is_local(addr) {
+            return Recheck::Here;
+        }
+        Recheck::Chase(addr, self.chase_step(addr, here, me))
+    }
+
     /// The owner of `addr`'s region, if `at`'s region map knows it. Cold,
     /// so that `chase_step` inlines: with the lookup inline, `remote_invoke`
     /// read about 4 % slower (EXPERIMENTS.md, "one kernel lock").
@@ -234,6 +269,10 @@ impl Kernel {
     /// [`ProtocolError::ObjectDestroyed`] (with the frame unwound) for
     /// references to destroyed objects.
     ///
+    /// A verdict to run here is also a chance at admission in the same
+    /// visit ([`Verdict::Admitted`]), taken when the `local_invoke` charge
+    /// that follows is uncontested and the visit arms no tick.
+    ///
     /// With adaptive placement enabled the invocation also lands in the
     /// object's per-caller-node counter under the lock already held, and the
     /// first one to land there since the placement tick last drained it
@@ -244,7 +283,7 @@ impl Kernel {
         me: ThreadId,
         from: NodeId,
         access: Access,
-    ) -> Result<Verdict, ProtocolError> {
+    ) -> Result<Verdict<'_>, ProtocolError> {
         with_invocations(|c| c.frames.push(addr.0));
         let mut guard = self.objects.lock();
         let objects = &mut *guard;
@@ -269,19 +308,22 @@ impl Kernel {
         // The first call since the drain arms the tick if nothing has.
         let tick = first_since_drain && !std::mem::replace(&mut objects.armed, true);
         e.check_resident(addr, &objects.tables);
-        // The resident verdict returns straight from here: folded into the
-        // branches below it measured about 4 % dearer per local invoke.
-        if !e.moving && e.location == from {
-            drop(guard);
-            if tick {
-                self.schedule_placement_tick();
-            }
-            return Ok(Verdict::Here);
-        }
         let shared = access == Access::Shared;
         // Replica-first: a shared invocation is served by any `Resident` or
         // `Replica` descriptor on the start node.
-        let verdict = if shared && objects.tables[from.index()].is_local(addr) {
+        let here = (!e.moving && e.location == from)
+            || (shared && objects.tables[from.index()].is_local(addr));
+        // Arming queues the tick's timer, which would contest the charge.
+        // The admitted verdict returns straight from here: merged with the
+        // others, the loan went through memory in pieces the loads after
+        // the unlock could not forward from.
+        if here && !tick {
+            if let Some(lent) = self.admit(e, addr, me, access, true) {
+                drop(guard);
+                return Ok(Verdict::Admitted(lent));
+            }
+        }
+        let verdict = if here {
             Verdict::Here
         } else if shared && e.immutable && self.demand_replication {
             // Section 2.3's read-only replication. With demand replication
@@ -418,18 +460,20 @@ impl Kernel {
 
     /// Runs the residency protocol from `step`, the chase's first step,
     /// which the caller took in the registry visit that found the object
-    /// not local, until the object at `addr` is local to the current thread
-    /// (resident, or replicated when `allow_replica`). Each later step is
-    /// one visit, and the one that finds the object resident compresses the
-    /// chain behind the thread in it. Returns the node the thread ends up
-    /// on, or a typed error for references to destroyed objects and chases
-    /// that exceed the hop bound.
+    /// not local, until the object at `addr` is local to the current thread:
+    /// resident, or replicated when `admission` is `None` (a re-check) or
+    /// shared. Each later step is one visit, and the one that finds the
+    /// object resident compresses the chain behind the thread in it, and
+    /// for an invocation (`admission` set) may admit it too
+    /// ([`admit`](Kernel::admit)). Returns the node the thread
+    /// ends up on and any such loan, or a typed error for references to
+    /// destroyed objects and chases that exceed the hop bound.
     fn ensure_at_object(
         &self,
         addr: VAddr,
-        allow_replica: bool,
+        admission: Option<Access>,
         mut step: ChaseStep,
-    ) -> Result<NodeId, ProtocolError> {
+    ) -> Result<(NodeId, Option<Lent<'_>>), ProtocolError> {
         let me = must_current_thread();
         let mut here = self.engine.node_of(me);
         let mut hops: u32 = 0;
@@ -437,12 +481,12 @@ impl Kernel {
         loop {
             match step {
                 #[expect(clippy::panic, reason = "replicas are of immutables, refused at entry")]
-                ChaseStep::Found(Residency::Replica) if !allow_replica => {
+                ChaseStep::Found(Residency::Replica) if admission == Some(Access::Exclusive) => {
                     // A replica exists but exclusive access was requested;
                     // immutable objects cannot be mutated.
                     panic!("exclusive invocation of immutable object {addr}")
                 }
-                ChaseStep::Found(_) => return Ok(here),
+                ChaseStep::Found(_) => return Ok((here, None)),
                 ChaseStep::Park => self.engine.block_kernel("await-move-install"),
                 ChaseStep::Next(hop) => {
                     let next = self.chase_hop(hop, addr, here, &mut hops)?;
@@ -454,8 +498,21 @@ impl Kernel {
             let mut guard = self.objects.lock();
             let objects = &mut *guard;
             step = objects.chase_step(addr, here, me)?;
-            if let ChaseStep::Found(Residency::Resident) = step {
-                self.compress(&mut objects.tables, addr, &chain, here);
+            if let ChaseStep::Found(held) = step {
+                if held == Residency::Resident {
+                    self.compress(&mut objects.tables, addr, &chain, here);
+                }
+                // The arrival admits too, unless the loop refuses the find.
+                let lent = match admission {
+                    Some(access) if held == Residency::Resident || access == Access::Shared => {
+                        let e = objects.map.get_mut(&addr);
+                        e.and_then(|e| self.admit(e, addr, me, access, true))
+                    }
+                    _ => None,
+                };
+                if lent.is_some() {
+                    return Ok((here, lent));
+                }
             }
         }
     }
@@ -474,16 +531,109 @@ impl Kernel {
             return;
         };
         let here = self.engine.node_of(me);
-        let first = {
-            let mut objects = self.objects.lock();
-            if objects.tables[here.index()].is_local(addr) {
-                return;
-            }
-            objects.chase_step(addr, here, me)
+        let found = self.objects.lock().recheck_step(addr, here, me);
+        self.chase_home(found);
+    }
+
+    /// Runs the rest of a re-check that found the enclosing object
+    /// elsewhere.
+    fn chase_home(&self, found: Recheck) {
+        let Recheck::Chase(addr, first) = found else {
+            return;
         };
-        if let Err(e) = first.and_then(|step| self.ensure_at_object(addr, true, step)) {
+        if let Err(e) = first.and_then(|step| self.ensure_at_object(addr, None, step)) {
             self.halt(e);
         }
+    }
+
+    /// Admission's one grant: if nothing in flight excludes it, admits
+    /// `me` to `e`'s payload in `access` mode and lends it the payload;
+    /// `None` leaves the entry as it was. Call it under the guard that read
+    /// `e`, the object at `addr`.
+    ///
+    /// With `early` the visit comes *before* the `local_invoke` charge, and
+    /// admission is granted only when that charge is uncontested, so that
+    /// no thread can run between the two and admitting first is admitting
+    /// after the charge. The caller then queues no event and wakes no
+    /// thread before the charge, which
+    /// [`uncontested_charge`](Kernel::uncontested_charge) checks.
+    ///
+    /// Always inline: returned through memory, the loan cost `local_invoke`
+    /// about 3 % in stalled loads.
+    #[inline(always)]
+    fn admit(
+        &self,
+        e: &mut ObjectEntry,
+        addr: VAddr,
+        me: ThreadId,
+        access: Access,
+        early: bool,
+    ) -> Option<Lent<'_>> {
+        #[expect(clippy::disallowed_macros, reason = "self-invoking is a program bug")]
+        {
+            assert_ne!(
+                e.excl_owner,
+                Some(me),
+                "re-entrant invocation of object {addr} (operation invoked itself)"
+            );
+        }
+        let granted = match access {
+            Access::Exclusive => e.excl_owner.is_none() && e.shared_count == 0,
+            // Shared admissions do not barge past a queued exclusive
+            // waiter; otherwise a steady stream of shared operations
+            // (e.g. SOR workers) starves arriving edge installs.
+            Access::Shared => {
+                e.excl_owner.is_none()
+                    && !e
+                        .op_waiters
+                        .iter()
+                        .any(|w| w.access == Access::Exclusive && w.thread != me)
+            }
+        };
+        // The engine is asked last: its answer costs more than the test.
+        if !granted || (early && !self.engine.uncontested(self.cost.local_invoke)) {
+            return None;
+        }
+        match access {
+            Access::Exclusive => e.excl_owner = Some(me),
+            Access::Shared => e.shared_count += 1,
+        }
+        // Clear any stale registration left by a spurious wake-up.
+        e.op_waiters.retain(|w| w.thread != me);
+        e.payload.loan(access, true);
+        let data = e.payload.data.get();
+        // SAFETY: the loan is what admission just granted, and it ends
+        // before the exit visit releases admission.
+        // 1. Admission is the exclusion. Grant and release both happen
+        //    under the registry mutex, so its unlock/lock orders every
+        //    access, on `RealEngine`'s OS threads too.
+        // 2. Only `destroy` removes an entry, and it refuses while
+        //    `excl_owner`, `shared_count` or `bound` is set.
+        // 3. The payload's heap block never moves: a rehash moves only the
+        //    entry's `Box`, and a busy `destroy` nothing.
+        // 4. The kernel (`&self`, the loan's lifetime) outlives it.
+        Some(unsafe {
+            match access {
+                Access::Exclusive => Lent::Exclusive(&mut *data),
+                Access::Shared => Lent::Shared(&*data),
+            }
+        })
+    }
+
+    /// Charges `cost` after a visit that did what it would have done after
+    /// the charge. Checked builds ask again that the charge is uncontested.
+    fn uncontested_charge(&self, cost: SimTime) {
+        if amber_verify::ACTIVE {
+            let still = self.engine.uncontested(cost);
+            #[expect(clippy::disallowed_macros, reason = "a merged visit contests nothing")]
+            {
+                assert!(
+                    still,
+                    "a charge merged into the visit before it is contested"
+                );
+            }
+        }
+        self.engine.work(cost);
     }
 
     /// Acquires the payload in `access` mode, parking behind current
@@ -501,51 +651,8 @@ impl Kernel {
                 return Err(ProtocolError::ObjectDestroyed(addr));
             };
             e.check_resident(addr, &objects.tables);
-            #[expect(clippy::disallowed_macros, reason = "self-invoking is a program bug")]
-            {
-                assert_ne!(
-                    e.excl_owner,
-                    Some(me),
-                    "re-entrant invocation of object {addr} (operation invoked itself)"
-                );
-            }
-            let excl_queued = e
-                .op_waiters
-                .iter()
-                .any(|w| w.access == Access::Exclusive && w.thread != me);
-            let granted = match access {
-                Access::Exclusive => e.excl_owner.is_none() && e.shared_count == 0,
-                // Shared admissions do not barge past a queued exclusive
-                // waiter; otherwise a steady stream of shared operations
-                // (e.g. SOR workers) starves arriving edge installs.
-                Access::Shared => e.excl_owner.is_none() && !excl_queued,
-            };
-            if granted {
-                match access {
-                    Access::Exclusive => e.excl_owner = Some(me),
-                    Access::Shared => e.shared_count += 1,
-                }
-                // Clear any stale registration left by a spurious wake-up.
-                e.op_waiters.retain(|w| w.thread != me);
-                e.payload.loan(access, true);
-                let data = e.payload.data.get();
-                drop(guard);
-                // SAFETY: the loan is what admission just granted, and it
-                // ends before the exit visit releases admission.
-                // 1. Admission is the exclusion. Grant and release both
-                //    happen under the registry mutex, so its unlock/lock
-                //    orders every access, on `RealEngine`'s OS threads too.
-                // 2. Only `destroy` removes an entry, and it refuses while
-                //    `excl_owner`, `shared_count` or `bound` is set.
-                // 3. The payload's heap block never moves: a rehash moves
-                //    only the entry's `Box`, and a busy `destroy` nothing.
-                // 4. The kernel (`&self`, the loan's lifetime) outlives it.
-                return Ok(unsafe {
-                    match access {
-                        Access::Exclusive => Lent::Exclusive(&mut *data),
-                        Access::Shared => Lent::Shared(&*data),
-                    }
-                });
+            if let Some(lent) = self.admit(e, addr, me, access, false) {
+                return Ok(lent);
             }
             if !e.op_waiters.iter().any(|w| w.thread == me) {
                 e.op_waiters.push_back(OpWaiter { thread: me, access });
@@ -562,15 +669,24 @@ impl Kernel {
     /// — one registry visit for the whole epilogue; the woken threads re-run
     /// the admission check and re-queue if they lose.
     ///
+    /// When the invocation is nested, it wakes nobody and the
+    /// `local_return` charge after it is uncontested, the same visit also
+    /// makes the return re-check and returns what it found; the caller then
+    /// skips the re-check's own visit. A wake makes a thread runnable, which
+    /// contests the charge.
+    ///
     /// Waking everyone (rather than the exact admissible set) is the
     /// missed-wakeup-proof choice: threads can be woken spuriously for
     /// other reasons and re-register, so precise hand-off bookkeeping would
     /// have to chase stale entries.
-    fn finish_invocation(&self, addr: VAddr, access: Access) {
-        let to_wake: Vec<ThreadId> = {
+    fn finish_invocation(&self, addr: VAddr, access: Access) -> Option<Recheck> {
+        let me = must_current_thread();
+        // The frame the re-check looks at: the one below this invocation's.
+        let enclosing = with_invocations(|c| c.frames.iter().rev().nth(1).copied().map(VAddr));
+        let (to_wake, recheck): (Vec<ThreadId>, _) = {
             let mut guard = self.objects.lock();
             let objects = &mut *guard;
-            match objects.map.get_mut(&addr) {
+            let to_wake = match objects.map.get_mut(&addr) {
                 // Destroy during release cannot happen (destroy asserts
                 // idle), but be tolerant in release paths.
                 None => Vec::new(),
@@ -580,7 +696,7 @@ impl Kernel {
                         Access::Exclusive => {
                             #[expect(clippy::disallowed_macros, reason = "admission made us owner")]
                             {
-                                debug_assert_eq!(e.excl_owner, Some(must_current_thread()));
+                                debug_assert_eq!(e.excl_owner, Some(me));
                             }
                             // The loan has ended and admission is still ours.
                             e.size = (e.size_fn)(e.payload.data.get_mut());
@@ -604,18 +720,32 @@ impl Kernel {
                         e.op_waiters.drain(..).map(|w| w.thread).collect()
                     }
                 }
-            }
+            };
+            // The wakes below would make a thread runnable in the charge.
+            // With no enclosing frame the re-check makes no visit to merge.
+            let recheck = match enclosing {
+                Some(encl)
+                    if to_wake.is_empty() && self.engine.uncontested(self.cost.local_return) =>
+                {
+                    Some(objects.recheck_step(encl, self.engine.node_of(me), me))
+                }
+                _ => None,
+            };
+            (to_wake, recheck)
         };
         for t in to_wake {
             self.engine.unblock_kernel(t);
         }
         pop_frame(addr);
+        recheck
     }
 
     /// Everything an invocation does before its operation runs — entry,
     /// residency (the chase, or an immutable object's replication, only when
     /// the entry verdict says the object is not here), the `local_invoke`
     /// charge, then admission — returning the payload's loan to run `op` on.
+    /// Admission is granted in the entry or arrival visit when the charge
+    /// is uncontested, and in a visit of its own after the charge otherwise.
     /// `carry` bytes of by-value arguments ride the outbound migration.
     ///
     /// Errors can only arise *before* the payload is acquired: the frame is
@@ -629,18 +759,45 @@ impl Kernel {
         let me = must_current_thread();
         let start_node = self.engine.node_of(me);
         // Frame first, then the residency check (section 3.5 ordering).
-        let at = match self.bind_frame(addr, me, start_node, access)? {
-            Verdict::Here => Ok(start_node),
-            Verdict::Replicate => self.replicate_here(addr).map(|_| start_node),
+        match self.bind_frame(addr, me, start_node, access)? {
+            Verdict::Admitted(lent) => {
+                self.emit(ProtocolEvent::LocalInvoke {
+                    obj: addr.0,
+                    node: start_node,
+                });
+                self.uncontested_charge(self.cost.local_invoke);
+                Ok(lent)
+            }
+            verdict => self.resolve(addr, access, carry, start_node, verdict),
+        }
+    }
+
+    /// The rest of [`enter_invocation`](Kernel::enter_invocation) when the
+    /// entry visit did not admit: residency, the charge and admission. Kept
+    /// out of line, so that the admitted path's loan stays in registers; with
+    /// it inline, copies of the verdict through the stack stalled loads that
+    /// could not forward from the stores before them.
+    #[inline(never)]
+    fn resolve<'k>(
+        &'k self,
+        addr: VAddr,
+        access: Access,
+        carry: usize,
+        start_node: NodeId,
+        verdict: Verdict<'k>,
+    ) -> Result<Lent<'k>, ProtocolError> {
+        let at = match verdict {
+            Verdict::Admitted(lent) => Ok((start_node, Some(lent))),
+            Verdict::Here => Ok((start_node, None)),
+            Verdict::Replicate => self.replicate_here(addr).map(|_| (start_node, None)),
             Verdict::Chase(first) => {
                 set_carry(carry);
-                let at = first
-                    .and_then(|step| self.ensure_at_object(addr, access == Access::Shared, step));
+                let at = first.and_then(|step| self.ensure_at_object(addr, Some(access), step));
                 set_carry(0);
                 at
             }
         };
-        let admitted = at.and_then(|at| {
+        let admitted = at.and_then(|(at, lent)| {
             if at != start_node {
                 self.emit(ProtocolEvent::RemoteInvoke {
                     obj: addr.0,
@@ -653,9 +810,17 @@ impl Kernel {
                     node: at,
                 });
             }
-            self.engine.work(self.cost.local_invoke);
-            // A destroy can land between resolution and admission.
-            self.acquire_payload(addr, access)
+            match lent {
+                Some(lent) => {
+                    self.uncontested_charge(self.cost.local_invoke);
+                    Ok(lent)
+                }
+                None => {
+                    self.engine.work(self.cost.local_invoke);
+                    // A destroy can land between resolution and admission.
+                    self.acquire_payload(addr, access)
+                }
+            }
         });
         if admitted.is_err() {
             self.unbind_frame(addr);
@@ -666,11 +831,19 @@ impl Kernel {
 
     /// Everything after the operation: exit, the `local_return` charge, and
     /// the return-time re-check that ships the thread back to its enclosing
-    /// object's node.
+    /// object's node — made in the exit visit when the charge is
+    /// uncontested, in a visit of its own after the charge otherwise.
     fn leave_invocation(&self, addr: VAddr, access: Access) {
-        self.finish_invocation(addr, access);
-        self.engine.work(self.cost.local_return);
-        self.recheck_residency();
+        match self.finish_invocation(addr, access) {
+            Some(found) => {
+                self.uncontested_charge(self.cost.local_return);
+                self.chase_home(found);
+            }
+            None => {
+                self.engine.work(self.cost.local_return);
+                self.recheck_residency();
+            }
+        }
     }
 
     /// Fallible exclusive invocation: a dangling reference or a diverged

@@ -1015,50 +1015,101 @@ fn a_self_forwarding_descriptor_is_a_typed_error() {
 }
 
 /// Registry visits per operation, counted by the lock checker: every visit
-/// is one acquisition of the kernel's one tracked lock. A simulated run
-/// keeps its Amber threads on the OS thread that called `run`, and this
-/// program runs one, so the count is that thread's.
+/// is one acquisition of the kernel's one tracked lock, on the OS thread
+/// that makes it. A simulated run keeps its Amber threads on the OS thread
+/// that called `run`, and a real one gives each its own, so on both the
+/// count is the one program thread's. With `hogs`, a thread on each node
+/// charges work without end, so the program thread's every charge is
+/// contested.
+#[cfg(any(feature = "verify", debug_assertions))]
+fn visits_per_operation(c: &Cluster, hogs: bool) -> [u64; 5] {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use amber_verify::acquisitions;
+    c.run(move |ctx| {
+        let stop = Arc::new(AtomicBool::new(false));
+        if hogs {
+            for node in [NodeId(0), NodeId(1)] {
+                let (engine, stop) = (Arc::clone(&ctx.kernel().engine), Arc::clone(&stop));
+                let hog = move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        engine.work(SimTime::from_us(100));
+                    }
+                };
+                ctx.kernel().engine.spawn(node, "hog".into(), Box::new(hog));
+            }
+            // Both hogs start a burst, and hold their processor from now on.
+            ctx.yield_now();
+        }
+        let before = acquisitions();
+        let spare = ctx.create(0u32);
+        let create = acquisitions() - before;
+        let anchor = ctx.create(0u8);
+        let near = ctx.create(0u64);
+        let far = ctx.create_on(NodeId(1), 0u64);
+        let frozen = ctx.create_on(NodeId(1), 0u64);
+        ctx.set_immutable(&frozen);
+        let (resident, remote, replicated) = ctx.invoke(&anchor, |ctx, _| {
+            // A first round trip leaves fresh hints on both nodes.
+            ctx.invoke(&far, |_, n| *n += 1);
+            let before = acquisitions();
+            ctx.invoke(&near, |_, n| *n += 1);
+            let resident = acquisitions() - before;
+            let before = acquisitions();
+            ctx.invoke(&far, |_, n| *n += 1);
+            let remote = acquisitions() - before;
+            let before = acquisitions();
+            ctx.invoke_shared(&frozen, |_, n| *n);
+            (resident, remote, acquisitions() - before)
+        });
+        let before = acquisitions();
+        ctx.destroy(spare);
+        let destroy = acquisitions() - before;
+        stop.store(true, Ordering::Relaxed);
+        [create, resident, remote, replicated, destroy]
+    })
+    .unwrap()
+}
+
+// Create; a nested resident invoke (entry and admission, exit and
+// re-check); a nested exclusive remote round trip with fresh hints (entry
+// and first hop, arrival and admission, exit with re-check and first hop
+// home, arrival home); a nested shared invoke that copies a remote
+// immutable object here (entry, the install's claim, the holder's read
+// when the request arrives, install, admission, exit and re-check);
+// destroy. A charge between two visits is uncontested here, so each pair
+// it would separate is one visit.
+#[cfg(any(feature = "verify", debug_assertions))]
+const MERGED_VISITS: [u64; 5] = [1, 2, 4, 6, 1];
+
 #[cfg(any(feature = "verify", debug_assertions))]
 #[test]
 fn lock_visits_are_pinned() {
-    use amber_verify::acquisitions;
-    let c = sim(2, 1);
-    let visits = c
-        .run(|ctx| {
-            let before = acquisitions();
-            let spare = ctx.create(0u32);
-            let create = acquisitions() - before;
-            let anchor = ctx.create(0u8);
-            let near = ctx.create(0u64);
-            let far = ctx.create_on(NodeId(1), 0u64);
-            let frozen = ctx.create_on(NodeId(1), 0u64);
-            ctx.set_immutable(&frozen);
-            let (resident, remote, replicated) = ctx.invoke(&anchor, |ctx, _| {
-                // A first round trip leaves fresh hints on both nodes.
-                ctx.invoke(&far, |_, n| *n += 1);
-                let before = acquisitions();
-                ctx.invoke(&near, |_, n| *n += 1);
-                let resident = acquisitions() - before;
-                let before = acquisitions();
-                ctx.invoke(&far, |_, n| *n += 1);
-                let remote = acquisitions() - before;
-                let before = acquisitions();
-                ctx.invoke_shared(&frozen, |_, n| *n);
-                (resident, remote, acquisitions() - before)
-            });
-            let before = acquisitions();
-            ctx.destroy(spare);
-            let destroy = acquisitions() - before;
-            [create, resident, remote, replicated, destroy]
-        })
-        .unwrap();
-    // create, a nested resident invoke, a nested exclusive remote round
-    // trip with fresh hints (entry and first hop, arrival, admission, exit,
-    // re-check and first hop home, arrival home), a nested shared invoke
-    // that copies a remote immutable object here (entry, the install's
-    // claim, the holder's read when the request arrives, install,
-    // admission, exit, re-check), destroy.
-    assert_eq!(visits, [1, 4, 6, 7, 1]);
+    assert_eq!(visits_per_operation(&sim(2, 1), false), MERGED_VISITS);
+}
+
+/// `RealEngine`'s `work` is no block point, so its visits merge as an
+/// uncontested simulator's do.
+#[cfg(any(feature = "verify", debug_assertions))]
+#[test]
+fn lock_visits_are_pinned_on_real_threads() {
+    let c = Cluster::builder()
+        .nodes(2)
+        .processors(1)
+        .engine(EngineChoice::Real)
+        .deadline(std::time::Duration::from_secs(30))
+        .build();
+    assert_eq!(visits_per_operation(&c, false), MERGED_VISITS);
+}
+
+/// With every charge contested, no visit merges: admission and the return
+/// re-check each take a visit of their own after their charge, and the
+/// counts are those of a kernel that never merged.
+#[cfg(any(feature = "verify", debug_assertions))]
+#[test]
+fn contested_charges_keep_separate_visits() {
+    assert_eq!(visits_per_operation(&sim(2, 1), true), [1, 4, 6, 7, 1]);
 }
 
 /// The registry visits of a nested invoke routed by its object's home
@@ -1095,10 +1146,10 @@ fn home_route_visits_are_pinned() {
         .unwrap();
     let stats = c.protocol_stats();
     assert_eq!((stats.home_routes, stats.region_lookups), (2, 1));
-    // Each: entry and first hop, arrival, admission, exit, re-check and
-    // first hop home, arrival home; the miss adds the visit that reads the
-    // server's answer and teaches it to node 0's region map.
-    assert_eq!(visits, [7, 6]);
+    // Each: entry and first hop, arrival and admission, exit with re-check
+    // and first hop home, arrival home; the miss adds the visit that reads
+    // the server's answer and teaches it to node 0's region map.
+    assert_eq!(visits, [5, 4]);
 }
 
 /// Checked builds keep a net under admission: each payload's borrow word

@@ -171,6 +171,21 @@ pub trait Engine: Send + Sync {
     /// real engine it is a no-op: real code has real cost.
     fn work(&self, cost: SimTime);
 
+    /// Whether a [`work`](Engine::work)`(cost)` by the current thread, made
+    /// now, would let no other thread run before it returns. A caller that
+    /// holds it `true` may do, before the charge, what it would otherwise
+    /// do right after it: nothing can tell the two apart. Anything the
+    /// caller does in between that queues an event or makes a thread
+    /// runnable voids the answer.
+    ///
+    /// `true` under the real engine, whose `work` is no block point. Under
+    /// the simulator it is `true` exactly when the charge would be a clock
+    /// advance, with no dispatch step; an answer it cannot give (the caller
+    /// is not this engine's running thread) is `false`. A schedule seed that
+    /// forces a yield at every block point turns that shortcut off, and so
+    /// must make this answer `false`.
+    fn uncontested(&self, cost: SimTime) -> bool;
+
     /// Parks the current thread until another thread or a kernel handler
     /// calls [`unblock`](Engine::unblock) on it.
     ///

@@ -542,6 +542,11 @@ impl Engine for RealEngine {
         // Real code has real cost; virtual charges are simulator-only.
     }
 
+    fn uncontested(&self, _cost: SimTime) -> bool {
+        // `work` is a no-op: no thread waits on it.
+        true
+    }
+
     fn block_current(&self, reason: &'static str) {
         amber_verify::engine_block_checkpoint(reason);
         let node = self.blocked(|tcb| tcb.gate.wait());

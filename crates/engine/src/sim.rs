@@ -599,12 +599,14 @@ impl SimState {
     fn uncontested(&self, node_ix: usize, cost: SimTime) -> bool {
         let node = &self.nodes[node_ix];
         let end = self.clock + cost;
-        node.busy < node.processors
-            && node.sched.quantum().is_none_or(|q| cost <= q)
-            && self.runnable.is_empty()
+        // The cheap refusals first: the scheduler's quantum is a dynamic
+        // call.
+        self.runnable.is_empty()
+            && node.busy < node.processors
             && !self.finished
             && self.error.is_none()
             && self.events.peek().is_none_or(|Reverse(next)| next.at > end)
+            && node.sched.quantum().is_none_or(|q| cost <= q)
     }
 
     /// Queues what the fault layer scheduled, in its order.
@@ -1064,6 +1066,23 @@ impl Engine for SimEngine {
             st.nodes[node_ix].sched.enqueue(tid, prio);
         }
         self.inner.pass_baton(st, Stepper::Thread(tid));
+    }
+
+    /// Answers from `SimState::uncontested`, the test `work` makes, for the
+    /// node the running thread's grant recorded (see `GRANTED`), with one
+    /// borrow of the state. It takes no `borrow_running`: the kernel asks
+    /// around every invoke, and that stack check would cost each ask more
+    /// than the answer.
+    fn uncontested(&self, cost: SimTime) -> bool {
+        if cost.is_zero() {
+            return true;
+        }
+        match GRANTED.get() {
+            Some((engine, _, node)) if std::ptr::eq(engine, &*self.inner) => {
+                self.inner.state.borrow().uncontested(node.index(), cost)
+            }
+            _ => false,
+        }
     }
 
     fn block_current(&self, reason: &'static str) {
@@ -1708,8 +1727,10 @@ mod tests {
 
     /// Runs one charge of every kind the uncontested-charge shortcut must
     /// refuse, and of the kinds it may take, on a 2N×1P cluster with
-    /// round-robin on node 1.
-    fn charge_log() -> ChargeLog {
+    /// round-robin on node 1. With `answers`, each charge first asks
+    /// `uncontested` and records the answer there, in the order the charges
+    /// returned.
+    fn charge_log(answers: Option<Arc<Mutex<Vec<bool>>>>) -> ChargeLog {
         let e = sim(2, 1);
         let log = Arc::new(Mutex::new(Vec::new()));
         let queued = Arc::new(Mutex::new(Vec::new()));
@@ -1723,10 +1744,16 @@ mod tests {
         let charge = {
             let (e, queued) = (Arc::clone(&e), Arc::clone(&queued));
             move |us: u64| {
+                let asked = answers
+                    .as_ref()
+                    .map(|_| e.uncontested(SimTime::from_us(us)));
                 let seq = e.inner.state.borrow().seq;
                 e.work(SimTime::from_us(us));
                 let moved = e.inner.state.borrow().seq != seq;
                 queued.lock().push((must_current_thread().0, moved));
+                if let (Some(answers), Some(asked)) = (&answers, asked) {
+                    answers.lock().push(asked);
+                }
             }
         };
         let e2 = Arc::clone(&e);
@@ -1819,7 +1846,25 @@ mod tests {
             (2, true),
             (0, true),
         ];
-        assert_eq!(charge_log(), (resumes, queued, 10_710_000, 10, 2));
+        assert_eq!(charge_log(None), (resumes, queued, 10_710_000, 10, 2));
+    }
+
+    #[test]
+    fn uncontested_agrees_with_work() {
+        // Asked just before each charge, `uncontested` says whether that
+        // charge takes the shortcut: it leaves `seq` where it was, so it
+        // queues no event. Asking moves nothing the pinned log reads.
+        let answers = Arc::new(Mutex::new(Vec::new()));
+        let log = charge_log(Some(Arc::clone(&answers)));
+        let answers = answers.lock().clone();
+        let shortcuts: Vec<bool> = log.1.iter().map(|&(_, moved)| !moved).collect();
+        assert_eq!(answers, shortcuts);
+        assert_eq!(answers.iter().filter(|&&a| a).count(), 3);
+        assert_eq!(log, charge_log(None));
+        // Outside a run nobody holds a grant: no answer, so `false`.
+        let e = sim(1, 1);
+        assert!(!e.uncontested(SimTime::from_us(1)));
+        assert!(e.uncontested(SimTime::ZERO));
     }
 
     #[test]
