@@ -32,14 +32,14 @@ pub type ThreadBody = Box<dyn FnOnce() + Send + 'static>;
 /// never block or charge work, and [`current_thread`] reads `None` inside
 /// one wherever it runs.
 ///
-/// Under the simulator that is the stack of whichever Amber thread is
-/// giving the baton up when the message falls due; handlers still run one at
-/// a time, and a handler's panic fails the run as that thread's.
-/// Under the real engine that thread may be the *sender's* — a zero-delay
-/// message is delivered before [`Engine::send`] returns — so handlers run
-/// concurrently with one another and with the thread they are about to
-/// wake, and must synchronise whatever they share. The runtime itself sends
-/// no handler: its messages are [`Engine::leg`]s.
+/// Handlers run one at a time, never on the sender before
+/// [`Engine::send`] returns, and a handler's panic fails the run. Under the
+/// simulator a handler runs on the stack of whichever Amber thread is
+/// giving the baton up when the message falls due, and its panic is that
+/// thread's. Under the real engine every handler runs on the `amber-net`
+/// timer thread, concurrently with the Amber threads, and its panic is
+/// named after the Amber thread whose `send` or `after` queued it. The
+/// runtime itself sends no handler: its messages are [`Engine::leg`]s.
 pub type KernelFn = Box<dyn FnOnce() + Send + 'static>;
 
 /// Configuration of a whole cluster.
@@ -53,11 +53,10 @@ pub struct ClusterSpec {
     pub processors: usize,
     /// Network latency model applied to every message.
     pub latency: LatencyModel,
-    /// Optional fault plan. When set, every message routes through the
-    /// fault-injection and reliable-delivery layer (see [`crate::FaultPlan`]);
-    /// when `None` the network is a perfect channel and the message path is
-    /// exactly the classic direct one.
-    pub fault: Option<crate::fault::FaultPlan>,
+    /// The network's faults. Every message routes through the
+    /// reliable-delivery layer under this plan (see [`crate::FaultPlan`]);
+    /// the default plan has none, a perfect channel.
+    pub fault: crate::fault::FaultPlan,
 }
 
 impl ClusterSpec {
@@ -76,7 +75,7 @@ impl ClusterSpec {
             nodes,
             processors,
             latency: LatencyModel::default(),
-            fault: None,
+            fault: crate::fault::FaultPlan::default(),
         }
     }
 
@@ -90,7 +89,7 @@ impl ClusterSpec {
     /// partitioned per the plan, and delivered at most once through the
     /// reliability sublayer.
     pub fn with_faults(mut self, plan: crate::fault::FaultPlan) -> Self {
-        self.fault = Some(plan);
+        self.fault = plan;
         self
     }
 }
@@ -228,12 +227,11 @@ pub trait Engine: Send + Sync {
     /// Sends a message of `bytes` payload from `from` to `to`; `handler`
     /// runs at the destination after the modelled latency (under the
     /// simulator inside the dispatch step of whichever Amber thread gives the
-    /// baton up then — possibly the sender itself, at its next block point).
+    /// baton up then — possibly the sender itself, at its next block point;
+    /// under the real engine on its timer thread, see [`KernelFn`]).
     ///
-    /// The handler may have run by the time `send` returns: the real engine
-    /// delivers a message with no delay to serve on the sending Amber
-    /// thread itself (see [`KernelFn`]). A thread that only waits for its
-    /// message to arrive takes a [`leg`](Engine::leg) instead.
+    /// A thread that only waits for its message to arrive takes a
+    /// [`leg`](Engine::leg) instead.
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn);
 
     /// One network leg waited out by the current thread: sends one message
@@ -433,8 +431,17 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A binary-semaphore-style gate a parked [`RealEngine`](crate::RealEngine)
-/// thread waits on (a simulated thread parks by switching stacks instead).
+/// Wake class of a wait (see [`Engine::block_kernel`]): a wake of one class
+/// ends no wait of the other, and is kept for the next wait of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WakeClass {
+    User,
+    Kernel,
+}
+
+/// The gate a parked [`RealEngine`](crate::RealEngine) thread waits on, one
+/// per thread, with a permit count per [`WakeClass`] (a simulated thread
+/// parks by switching stacks instead).
 ///
 /// Permits posted before the wait are consumed by it, so wake-ups never
 /// race with blocks. Two rules make a wake cost one host hand-off or
@@ -442,38 +449,40 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 /// after it: the woken thread finds the lock free. A wake nobody waits for
 /// is a load: the `Condvar` counts the threads inside its waits.
 pub(crate) struct Gate {
-    state: Mutex<u32>,
+    /// Permits per class, indexed by `WakeClass as usize`.
+    permits: Mutex<[u32; 2]>,
     cv: Condvar,
 }
 
 impl Gate {
     pub(crate) fn new() -> Gate {
         Gate {
-            state: Mutex::new(0),
+            permits: Mutex::new([0; 2]),
             cv: Condvar::new(),
         }
     }
 
-    /// Blocks until a permit is available, consuming it.
-    pub(crate) fn wait(&self) {
-        let mut permits = self.state.lock();
-        while *permits == 0 {
+    /// Blocks until a permit of `class` is available, consuming it.
+    pub(crate) fn wait(&self, class: WakeClass) {
+        let mut permits = self.permits.lock();
+        while permits[class as usize] == 0 {
             self.cv.wait(&mut permits);
         }
-        *permits -= 1;
+        permits[class as usize] -= 1;
     }
 
-    /// Posts one permit, waking a waiter if present.
-    pub(crate) fn post(&self) {
-        *self.state.lock() += 1;
+    /// Posts one permit of `class`, waking the waiter if present; a waiter
+    /// of the other class finds none of its own and waits on.
+    pub(crate) fn post(&self, class: WakeClass) {
+        self.permits.lock()[class as usize] += 1;
         // The guard is gone: the woken thread finds the lock free.
         self.cv.notify_one();
     }
 
-    /// Permits posted and not yet consumed.
+    /// Permits of `class` posted and not yet consumed.
     #[cfg(test)]
-    pub(crate) fn permits(&self) -> u32 {
-        *self.state.lock()
+    pub(crate) fn permits(&self, class: WakeClass) -> u32 {
+        self.permits.lock()[class as usize]
     }
 }
 
@@ -493,21 +502,23 @@ mod tests {
         let _ = ClusterSpec::uniform(0, 4);
     }
 
+    use WakeClass::{Kernel, User};
+
     #[test]
     fn gate_permit_before_wait_is_not_lost() {
         let g = Gate::new();
-        g.post();
+        g.post(User);
         // Must return immediately rather than deadlocking the test.
-        g.wait();
+        g.wait(User);
     }
 
     #[test]
     fn gate_wakes_waiter() {
         let g = Arc::new(Gate::new());
         let g2 = Arc::clone(&g);
-        let h = std::thread::spawn(move || g2.wait());
+        let h = std::thread::spawn(move || g2.wait(User));
         std::thread::sleep(std::time::Duration::from_millis(10));
-        g.post();
+        g.post(User);
         h.join().unwrap();
     }
 
@@ -531,16 +542,16 @@ mod tests {
             let (ping2, pong2) = (Arc::clone(&ping), Arc::clone(&pong));
             let peer = std::thread::spawn(move || {
                 for _ in 0..ROUND_TRIPS {
-                    ping2.wait();
-                    pong2.post();
+                    ping2.wait(Kernel);
+                    pong2.post(User);
                 }
             });
             for _ in 0..ROUND_TRIPS {
-                ping.post();
-                pong.wait();
+                ping.post(Kernel);
+                pong.wait(User);
             }
             peer.join().unwrap();
-            (ping.permits(), pong.permits())
+            (ping.permits(Kernel), pong.permits(User))
         });
         assert_eq!(turns, (0, 0), "permits left over");
     }
@@ -554,16 +565,63 @@ mod tests {
             let posters: Vec<_> = (0..POSTERS)
                 .map(|_| {
                     let g = Arc::clone(&g);
-                    std::thread::spawn(move || (0..POSTS).for_each(|_| g.post()))
+                    std::thread::spawn(move || (0..POSTS).for_each(|_| g.post(User)))
                 })
                 .collect();
             for _ in 0..POSTERS * POSTS {
-                g.wait();
+                g.wait(User);
             }
             posters.into_iter().for_each(|p| p.join().unwrap());
-            g.permits()
+            g.permits(User)
         });
         assert_eq!(left, 0, "more permits than posts");
+    }
+
+    /// Main waits in the kernel class while a peer on node 1 wakes it in
+    /// the user class and then, with `kernel_sent` set, in the kernel
+    /// class. `parked` tells the peer main has given its processor up. The
+    /// kernel wait must end on the kernel wake alone, and the user wake
+    /// must be kept: main's next user wait returns at once, or the run
+    /// never ends. Between the two wakes the peer leaves a wait that the
+    /// user wake wrongly ended 20 ms to show itself; a right one waits on.
+    fn user_wake_in_kernel_wait(
+        e: Arc<impl Engine + 'static>,
+        parked: impl Fn() -> bool + Send + 'static,
+    ) -> Result<(), EngineError> {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            let main = must_current_thread();
+            let kernel_sent = Arc::new(AtomicBool::new(false));
+            let (e3, sent) = (Arc::clone(&e2), Arc::clone(&kernel_sent));
+            let peer = move || {
+                while !parked() {
+                    std::hint::spin_loop();
+                }
+                e3.unblock(main);
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                sent.store(true, Ordering::SeqCst);
+                e3.unblock_kernel(main);
+            };
+            e2.spawn(NodeId(1), "peer".into(), Box::new(peer));
+            e2.block_kernel("await-kernel-wake");
+            assert!(kernel_sent.load(Ordering::SeqCst), "a user wake ended it");
+            e2.block_current("kept-user-wake");
+        })
+    }
+
+    #[test]
+    fn a_user_wake_does_not_end_a_kernel_wait() {
+        // The simulator runs the peer only once main has parked.
+        let sim = crate::SimEngine::cluster(2, 1, LatencyModel::zero());
+        assert_eq!(user_wake_in_kernel_wait(sim, || true), Ok(()));
+        let spec = ClusterSpec::uniform(2, 1).with_latency(LatencyModel::zero());
+        let real = Arc::new(
+            crate::RealEngine::new(spec).with_deadline(std::time::Duration::from_secs(10)),
+        );
+        let real2 = Arc::clone(&real);
+        let parked = move || real2.idle_processors(NodeId(0)) == 1;
+        assert_eq!(user_wake_in_kernel_wait(real, parked), Ok(()));
     }
 
     #[test]

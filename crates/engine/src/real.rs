@@ -8,34 +8,29 @@
 //! threads while one waits on the network — the paper's overlap of
 //! computation and communication, for real).
 //!
-//! Network messages are delayed by the [`LatencyModel`]: the `amber-net`
-//! timer thread runs each handler when it comes due, so under a non-zero
-//! model remote operations remain orders of magnitude more expensive than
-//! local ones even in-process. A message whose modelled delay is *zero* and
-//! whose sender is an Amber thread has nothing to wait for, so
-//! [`send`](crate::Engine::send) delivers it itself: the handler runs on
-//! the sending OS thread, in kernel context ([`current_thread`] reads
-//! `None`), before `send` returns, and the leg costs no OS hand-off. Every
-//! other case — a delay to serve, a send issued from inside a handler (which
-//! keeps handler chains off the stack), any send under a
-//! [`FaultPlan`](crate::FaultPlan), every [`after`](crate::Engine::after) —
-//! goes to the timer thread. Handlers therefore run concurrently with one
-//! another: on `amber-net` and on any number of sending threads.
+//! Every message goes through the fault layer's windows
+//! (`crate::fault::Links`, under the spec's [`FaultPlan`](crate::FaultPlan),
+//! perfect by default), which sit under one mutex of their own. A sender
+//! opens its message there and queues what the attempt's fate scheduled on
+//! the `amber-net` timer thread, whose queue carries the same typed copy
+//! and retransmit events the simulator's does, beside the
+//! [`after`](crate::Engine::after) timers. Copies come due after the
+//! [`LatencyModel`]'s delay, so under a non-zero model remote operations
+//! remain orders of magnitude more expensive than local ones even
+//! in-process. The timer thread settles each copy under the windows' mutex
+//! and delivers its payload in one place: a
+//! [`send`](crate::Engine::send)'s handler runs there, in kernel context
+//! ([`current_thread`] reads `None`), one handler at a time and
+//! concurrently with the Amber threads.
 //!
 //! A [`leg`](crate::Engine::leg), which is every message the runtime sends,
-//! has no handler at all. With no delay to serve and no `FaultPlan`, the
-//! travelling thread takes it itself: it counts the send, gives its
+//! has no handler at all: its payload is its arrival, which moves the
+//! thread, marks the leg arrived and posts the thread's gate in the kernel
+//! class; the thread blocks first and tests for the arrival after. One leg
+//! skips the windows: on a perfect network with no delay to serve, the
+//! travelling thread takes it itself. It counts the send, gives its
 //! processor token back, moves to the destination and takes a token there
-//! — no allocation, no gate. Otherwise the timer thread runs the leg's
-//! arrival, which moves the thread, marks the leg arrived and posts the
-//! thread's kernel gate; the thread blocks first and tests for the arrival
-//! after.
-//!
-//! Under a plan the fault layer's windows (`crate::fault::Links`) sit under
-//! one mutex of their own. A sender opens its message there and queues
-//! what the attempt's fate scheduled; the timer thread's queue carries the
-//! same typed copy and retransmit events the simulator's does, beside the
-//! handlers it runs, and settles each copy under that mutex.
+//! — no allocation, no gate.
 //!
 //! Differences from [`SimEngine`](crate::sim::SimEngine), by design:
 //!
@@ -46,7 +41,7 @@
 //! * there is no deadlock detector; use
 //!   [`with_deadline`](RealEngine::with_deadline) in tests.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,7 +53,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{
     current_thread, must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine,
-    EngineError, Gate, KernelFn, ThreadBody,
+    EngineError, Gate, KernelFn, ThreadBody, WakeClass,
 };
 use crate::fault::{Links, Scheduled, Wire};
 use crate::ids::{NodeId, ThreadId};
@@ -112,11 +107,10 @@ struct RealTcb {
     /// next leg is one past it. Written only by arrivals on the timer
     /// thread (`Release`), read by the thread (`Acquire`).
     arrived: AtomicU64,
-    /// User-class wake gate (`block_current`/`unblock`).
+    /// The thread's waits, in the user class (`block_current`/`unblock`)
+    /// and the kernel class (`block_kernel`/`unblock_kernel`, and the
+    /// arrival of a leg through the windows).
     gate: Gate,
-    /// Kernel-class wake gate (`block_kernel`/`unblock_kernel`, and the
-    /// arrival of a leg with a delay to serve).
-    kernel_gate: Gate,
     /// Index of the node whose processor token the thread holds, or
     /// [`NO_TOKEN`]. Only the thread itself reads and writes it, so its
     /// accesses are plain (`Relaxed`) loads and stores.
@@ -158,7 +152,7 @@ impl RealTcb {
             self.node.store(node.0, Ordering::Release);
         }
         self.arrived.store(leg, Ordering::Release);
-        self.kernel_gate.post();
+        self.gate.post(WakeClass::Kernel);
     }
 }
 
@@ -171,6 +165,25 @@ thread_local! {
     /// engines, and tests run clusters side by side in one process.
     static OWN_TCB: RefCell<Option<(*const RealInner, ThreadId, Arc<RealTcb>)>> =
         const { RefCell::new(None) };
+
+    /// On the timer thread, while it runs a handler: the Amber thread that
+    /// queued it, which the handler's own sends and timers are queued by.
+    static QUEUED_BY: Cell<Option<ThreadId>> = const { Cell::new(None) };
+}
+
+/// The Amber thread a handler queued now is named after: the running one;
+/// inside a handler, that handler's; from a host thread, thread 0.
+fn queuer() -> ThreadId {
+    current_thread()
+        .or_else(|| QUEUED_BY.get())
+        .unwrap_or(ThreadId(0))
+}
+
+/// A kernel handler, and the Amber thread whose `send` or `after` queued
+/// it: the thread a panic of the handler is named after.
+struct Handler {
+    run: KernelFn,
+    by: ThreadId,
 }
 
 struct NetItem {
@@ -181,21 +194,22 @@ struct NetItem {
 
 /// What the timer thread does with an item when it comes due.
 enum Job {
-    /// Runs a message handler, a timer or a leg's arrival.
-    Run(KernelFn),
+    /// An `after` timer expired: runs its handler.
+    Timer(Handler),
     /// The fault layer's: a copy arrived, or a lost attempt's timer expired.
     Net(Wire),
 }
 
-/// What a message sent under a `FaultPlan` does on the timer thread when its
-/// first copy arrives.
+/// What a message does on the timer thread when its first copy arrives.
 enum Payload {
+    /// A leg's arrival (see `RealTcb::arrive`).
     Arrive {
         tcb: Arc<RealTcb>,
         leg: u64,
         dest: Option<NodeId>,
     },
-    Handler(KernelFn),
+    /// A `send`'s: runs its handler.
+    Handler(Handler),
 }
 
 impl PartialEq for NetItem {
@@ -248,8 +262,10 @@ struct RealInner {
     latency: LatencyModel,
     epoch: Instant,
     tracer: Tracer,
-    /// Every link's window, under a `FaultPlan`.
-    links: Option<Mutex<Links<Payload>>>,
+    /// Every link's window.
+    links: Mutex<Links<Payload>>,
+    /// A perfect plan: a leg with no delay to serve skips the windows.
+    perfect: bool,
 }
 
 /// Wall-clock engine over real OS threads. See the module docs.
@@ -300,9 +316,8 @@ impl RealEngine {
             stats,
             latency: spec.latency,
             epoch: Instant::now(),
-            links: spec
-                .fault
-                .map(|plan| Mutex::new(Links::new(plan, spec.latency, spec.nodes))),
+            perfect: spec.fault.is_perfect(),
+            links: Mutex::new(Links::new(spec.fault, spec.latency, spec.nodes)),
         });
         let net_inner = Arc::clone(&inner);
         #[expect(clippy::expect_used, reason = "no timer thread, no engine")]
@@ -373,7 +388,7 @@ impl RealEngine {
     }
 }
 
-/// Delivers queued messages when they come due.
+/// Delivers queued messages and timers when they come due.
 fn net_loop(inner: &RealInner) {
     loop {
         let item = {
@@ -395,7 +410,7 @@ fn net_loop(inner: &RealInner) {
             }
         };
         match item.job {
-            Job::Run(f) => f(),
+            Job::Timer(handler) => inner.run_handler(handler),
             Job::Net(wire) => inner.on_wire(wire),
         }
     }
@@ -426,16 +441,12 @@ impl RealInner {
         }
     }
 
-    /// Sends `payload` from `from` to `to` through its link's window.
-    fn transmit(
-        &self,
-        links: &Mutex<Links<Payload>>,
-        from: NodeId,
-        to: NodeId,
-        bytes: usize,
-        payload: Payload,
-    ) {
-        let wire = links
+    /// Sends `payload` from `from` to `to` through its link's window, and
+    /// queues what its first attempt scheduled. The caller has raised the
+    /// send.
+    fn transmit(&self, from: NodeId, to: NodeId, bytes: usize, payload: Payload) {
+        let wire = self
+            .links
             .lock()
             .send(from, to, bytes, payload, &self.tracer, || self.now());
         self.schedule(wire);
@@ -443,21 +454,14 @@ impl RealInner {
 
     /// A fault layer event came due on the timer thread.
     fn on_wire(&self, wire: Wire) {
-        #[expect(
-            clippy::expect_used,
-            reason = "only a FaultPlan queues the fault layer's events"
-        )]
-        let links = self
-            .links
-            .as_ref()
-            .expect("a fault layer event without a plan");
         match wire {
             Wire::Copy { from, to, seq } => {
-                // Bound first: the arrival runs with the windows unlocked.
-                let payload = links.lock().settle(from, to, seq);
+                // Bound first: the payload is delivered with the windows
+                // unlocked.
+                let payload = self.links.lock().settle(from, to, seq);
                 match payload {
                     Some(Payload::Arrive { tcb, leg, dest }) => tcb.arrive(leg, dest),
-                    Some(Payload::Handler(handler)) => handler(),
+                    Some(Payload::Handler(handler)) => self.run_handler(handler),
                     None => self.tracer.emit(
                         || self.now(),
                         ProtocolEvent::MessageDuplicateSuppressed { from, to },
@@ -465,9 +469,31 @@ impl RealInner {
                 }
             }
             Wire::Retransmit(lost) => {
-                let wire = links.lock().retransmit(lost, &self.tracer, || self.now());
+                let wire = self
+                    .links
+                    .lock()
+                    .retransmit(lost, &self.tracer, || self.now());
                 self.schedule(wire);
             }
+        }
+    }
+
+    /// Runs a handler on the timer thread, in kernel context. A panic fails
+    /// the run at once in the name of the handler's queuer, and the loop
+    /// serves on, so the shutdown still reaches it.
+    fn run_handler(&self, Handler { run, by }: Handler) {
+        QUEUED_BY.set(Some(by));
+        let outcome = catch_unwind(AssertUnwindSafe(run));
+        QUEUED_BY.set(None);
+        if let Err(payload) = outcome {
+            let mut live = self.live.lock();
+            if live.error.is_none() {
+                live.error = Some(EngineError::Panic {
+                    thread: by,
+                    message: panic_message(&payload),
+                });
+            }
+            self.done_cv.notify_all();
         }
     }
 }
@@ -494,7 +520,6 @@ impl Engine for RealEngine {
             node: AtomicU16::new(node.0),
             arrived: AtomicU64::new(0),
             gate: Gate::new(),
-            kernel_gate: Gate::new(),
             held: AtomicUsize::new(NO_TOKEN),
         });
         let tid = {
@@ -549,22 +574,22 @@ impl Engine for RealEngine {
 
     fn block_current(&self, reason: &'static str) {
         amber_verify::engine_block_checkpoint(reason);
-        let node = self.blocked(|tcb| tcb.gate.wait());
+        let node = self.blocked(|tcb| tcb.gate.wait(WakeClass::User));
         self.inner.stats.record_dispatch(node);
     }
 
     fn unblock(&self, thread: ThreadId) {
-        self.with_tcb(thread, |tcb| tcb.gate.post());
+        self.with_tcb(thread, |tcb| tcb.gate.post(WakeClass::User));
     }
 
     fn block_kernel(&self, reason: &'static str) {
         amber_verify::engine_block_checkpoint(reason);
-        let node = self.blocked(|tcb| tcb.kernel_gate.wait());
+        let node = self.blocked(|tcb| tcb.gate.wait(WakeClass::Kernel));
         self.inner.stats.record_dispatch(node);
     }
 
     fn unblock_kernel(&self, thread: ThreadId) {
-        self.with_tcb(thread, |tcb| tcb.kernel_gate.post());
+        self.with_tcb(thread, |tcb| tcb.gate.post(WakeClass::Kernel));
     }
 
     fn node_of(&self, thread: ThreadId) -> NodeId {
@@ -580,28 +605,16 @@ impl Engine for RealEngine {
     fn set_scheduler(&self, _node: NodeId, _scheduler: Box<dyn Scheduler>) {}
 
     fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
-        // Checked builds assert here that the caller holds no tracked lock,
-        // which is what makes running the handler under it below safe.
+        // As in the simulator: checked builds assert the caller holds no
+        // tracked lock, since the send takes the windows' and the queue's.
         amber_verify::engine_block_checkpoint("send");
         self.inner.tracer.emit(
             || self.now(),
             ProtocolEvent::MessageSend { from, to, bytes },
         );
-        if let Some(links) = &self.inner.links {
-            let handler = Payload::Handler(handler);
-            self.inner.transmit(links, from, to, bytes, handler);
-            return;
-        }
-        let delay = self.inner.latency.latency(bytes).to_duration();
-        if delay.is_zero() && current_thread().is_some() {
-            // Nothing to wait for and an Amber thread to run on: deliver
-            // here. A handler that sends again sees no current thread, so
-            // its message takes the timer thread and chains do not recurse.
-            let _kernel = CurrentGuard::kernel();
-            handler();
-        } else {
-            self.inner.enqueue_net(delay, Job::Run(handler));
-        }
+        let by = queuer();
+        let handler = Payload::Handler(Handler { run: handler, by });
+        self.inner.transmit(from, to, bytes, handler);
     }
 
     fn leg(&self, from: NodeId, to: NodeId, bytes: usize, travel: bool, reason: &'static str) {
@@ -616,35 +629,26 @@ impl Engine for RealEngine {
             ProtocolEvent::MessageSend { from, to, bytes },
         );
         let dest = travel.then_some(to);
-        let delay = self.inner.latency.latency(bytes).to_duration();
+        let delay = self.inner.latency.latency(bytes);
         let here = self.with_tcb(must_current_thread(), |tcb| {
             tcb.release_held(nodes);
-            if self.inner.links.is_none() && delay.is_zero() {
+            if self.inner.perfect && delay.is_zero() {
                 // Nothing to wait for: the thread takes the leg itself.
                 if let Some(node) = dest {
                     tcb.node.store(node.0, Ordering::Release);
                 }
             } else {
                 let leg = tcb.arrived.load(Ordering::Relaxed) + 1;
-                let traveller = Arc::clone(tcb);
-                match &self.inner.links {
-                    Some(links) => {
-                        let arrival = Payload::Arrive {
-                            tcb: traveller,
-                            leg,
-                            dest,
-                        };
-                        self.inner.transmit(links, from, to, bytes, arrival);
-                    }
-                    None => {
-                        let arrival = Box::new(move || traveller.arrive(leg, dest));
-                        self.inner.enqueue_net(delay, Job::Run(arrival));
-                    }
-                }
+                let arrival = Payload::Arrive {
+                    tcb: Arc::clone(tcb),
+                    leg,
+                    dest,
+                };
+                self.inner.transmit(from, to, bytes, arrival);
                 // Block first, test after: every arrival posts the gate
                 // once, and this wait is where its post is taken.
                 loop {
-                    tcb.kernel_gate.wait();
+                    tcb.gate.wait(WakeClass::Kernel);
                     if tcb.arrived.load(Ordering::Acquire) >= leg {
                         break;
                     }
@@ -657,7 +661,12 @@ impl Engine for RealEngine {
     }
 
     fn after(&self, delay: SimTime, f: KernelFn) {
-        self.inner.enqueue_net(delay.to_duration(), Job::Run(f));
+        let handler = Handler {
+            run: f,
+            by: queuer(),
+        };
+        self.inner
+            .enqueue_net(delay.to_duration(), Job::Timer(handler));
     }
 
     fn yield_now(&self) {
@@ -879,26 +888,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_delay_send_runs_its_handler_on_the_sender() {
-        let d = deliver_one(real(2, 1));
-        assert_eq!(d.handler_os.id(), d.sender_os, "handler left the sender");
-        assert_eq!(d.inside_handler, None, "handlers run in kernel context");
-        assert_eq!(d.after_send, Some(d.sender));
-    }
-
-    #[test]
-    fn a_delay_or_a_fault_plan_keeps_the_timer_thread() {
+    fn every_handler_runs_on_the_timer_thread() {
+        let perfect = ClusterSpec::uniform(2, 1).with_latency(LatencyModel::zero());
         let delayed =
             ClusterSpec::uniform(2, 1).with_latency(LatencyModel::fixed(SimTime::from_us(50)));
         let faulty = ClusterSpec::uniform(2, 1)
             .with_latency(LatencyModel::zero())
             .with_faults(crate::FaultPlan::seeded(1));
-        for spec in [delayed, faulty] {
+        for spec in [perfect, delayed, faulty] {
             let e = RealEngine::new(spec).with_deadline(Duration::from_secs(60));
             let d = deliver_one(Arc::new(e));
             assert_ne!(d.handler_os.id(), d.sender_os);
             assert_eq!(d.handler_os.name(), Some("amber-net"));
-            assert_eq!(d.inside_handler, None);
+            assert_eq!(d.inside_handler, None, "handlers run in kernel context");
             assert_eq!(d.after_send, Some(d.sender));
         }
     }
@@ -927,7 +929,7 @@ mod tests {
                 let (arrived, permits) = e2.with_tcb(me, |tcb| {
                     (
                         tcb.arrived.load(Ordering::Acquire),
-                        tcb.kernel_gate.permits(),
+                        tcb.gate.permits(WakeClass::Kernel),
                     )
                 });
                 assert_eq!((arrived, permits), (i + 1, 0), "leg {i}");
@@ -955,9 +957,7 @@ mod tests {
             let marker = 0u8;
             frames.lock().push(std::ptr::addr_of!(marker) as usize);
             assert_eq!(current_thread(), None);
-            if left < HOPS {
-                assert_eq!(std::thread::current().name(), Some("amber-net"));
-            }
+            assert_eq!(std::thread::current().name(), Some("amber-net"));
             if left == 0 {
                 e.unblock(me);
                 return;
@@ -986,12 +986,10 @@ mod tests {
             e2.block_current("await-chain");
         })
         .unwrap();
-        // Hop 0 ran on the sender; every later one on amber-net, each from
-        // the timer loop's own frame.
+        // Every hop ran on amber-net, each from the timer loop's own frame.
         let frames = frames.lock();
         assert_eq!(frames.len(), HOPS + 1);
-        let on_net = &frames[1..];
-        let (lo, hi) = (on_net.iter().min().unwrap(), on_net.iter().max().unwrap());
+        let (lo, hi) = (frames.iter().min().unwrap(), frames.iter().max().unwrap());
         assert!(
             hi - lo < 4096,
             "stack grew {} bytes over the chain",
@@ -1000,34 +998,35 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_inline_handler_is_the_senders_panic() {
-        let e = real(2, 1);
+    fn a_panicking_handler_fails_the_run_promptly() {
+        // Main's handler sends one on, which panics on the timer thread
+        // while main waits for a wake it will never get: the run fails at
+        // once in main's name, not at its deadline.
+        let spec =
+            ClusterSpec::uniform(2, 1).with_latency(LatencyModel::fixed(SimTime::from_ms(1)));
+        let e = Arc::new(RealEngine::new(spec).with_deadline(Duration::from_secs(10)));
         let e2 = Arc::clone(&e);
-        // The sender, and what `current_thread()` read there after the
-        // panic had unwound out of `send`.
-        let seen = Arc::new(Mutex::new(None));
-        let seen2 = Arc::clone(&seen);
+        let sender = Arc::new(Mutex::new(None));
+        let sender2 = Arc::clone(&sender);
+        let t0 = Instant::now();
         let err = e
             .run(NodeId(0), move || {
-                let me = must_current_thread();
-                let unwound = catch_unwind(AssertUnwindSafe(|| {
-                    e2.send(
-                        NodeId(0),
-                        NodeId(1),
-                        0,
-                        Box::new(|| panic!("handler blew up")),
-                    );
-                }));
-                *seen2.lock() = Some((me, current_thread()));
-                std::panic::resume_unwind(unwound.unwrap_err());
+                *sender2.lock() = Some(must_current_thread());
+                let e3 = Arc::clone(&e2);
+                let handler = move || {
+                    let boom = Box::new(|| panic!("handler blew up"));
+                    e3.send(NodeId(1), NodeId(0), 0, boom);
+                };
+                e2.send(NodeId(0), NodeId(1), 0, Box::new(handler));
+                e2.block_current("never-woken");
             })
             .unwrap_err();
-        let (me, after) = seen.lock().expect("main never ran");
-        assert_eq!(after, Some(me));
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        let thread = sender.lock().expect("main never ran");
         assert_eq!(
             err,
             EngineError::Panic {
-                thread: me,
+                thread,
                 message: "handler blew up".to_string(),
             }
         );
@@ -1192,7 +1191,7 @@ mod tests {
                 assert_eq!(e2.node_of(me), to);
                 assert_eq!((e2.idle_processors(from), e2.idle_processors(to)), (1, 0));
             }
-            let permits = e2.with_tcb(me, |tcb| tcb.kernel_gate.permits());
+            let permits = e2.with_tcb(me, |tcb| tcb.gate.permits(WakeClass::Kernel));
             assert_eq!(permits, 0, "a leg left a kernel wake behind");
         })
         .unwrap();
@@ -1231,7 +1230,7 @@ mod tests {
                 assert!(t0.elapsed() >= LATENCY, "the leg ended early");
                 assert_eq!(e2.node_of(me), to);
                 assert_eq!((e2.idle_processors(from), e2.idle_processors(to)), (1, 0));
-                if e2.with_tcb(me, |tcb| tcb.kernel_gate.permits()) == 0 {
+                if e2.with_tcb(me, |tcb| tcb.gate.permits(WakeClass::Kernel)) == 0 {
                     return;
                 }
                 e2.block_kernel("late-stray-wake");

@@ -36,15 +36,17 @@
 //! touch claims the state for itself. A nested touch panics: the state is
 //! borrowed, never aliased.
 //!
-//! Message handlers run inside the step too, one at a time, on the stack of
-//! whichever Amber thread is giving the baton up (in kernel context:
-//! `current_thread()` reads `None`), with the step's borrow of the state
-//! ended around them. A leg has no handler: its arrival is an event the
-//! step handles in place, moving a travelling thread and waking the leg's
-//! kernel-class wait. Under a `FaultPlan` the fault layer's windows
-//! (`crate::fault::Links`) live in the state too: a copy's arrival and a
-//! lost attempt's timer are typed events of the same queue, settled by the
-//! same step, and a leg's copy runs the same arrival in place. Deadlock
+//! Every message goes through the fault layer's windows
+//! (`crate::fault::Links`, under the spec's `FaultPlan`, perfect by
+//! default), which live in the state too: a copy's arrival and a lost
+//! attempt's timer are typed events of the one queue, and the step settles
+//! a copy and delivers its payload in one place. A leg's payload is its
+//! arrival, handled in place: it moves a travelling thread and wakes the
+//! leg's kernel-class wait. A `send`'s payload is a handler, which runs
+//! inside the step too, as an `after` timer's does: one at a time, on the
+//! stack of whichever Amber thread is giving the baton up (in kernel
+//! context: `current_thread()` reads `None`), with the step's borrow of the
+//! state ended around it. Deadlock
 //! detection is part of the step as well: if every live thread is blocked
 //! and no event is pending, the step fails the run with
 //! [`EngineError::Deadlock`] naming the blocked threads and their reasons.
@@ -67,7 +69,7 @@ use std::sync::Arc;
 
 use crate::engine::{
     must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, KernelFn,
-    Parked, ThreadBody,
+    Parked, ThreadBody, WakeClass,
 };
 use crate::fault::{Links, Scheduled, Wire};
 use crate::fiber::{self, Stack};
@@ -77,13 +79,6 @@ use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::{ProtocolEvent, Tracer};
 use crate::LatencyModel;
-
-/// Wake class of a blocked thread (see `Engine::block_kernel`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WakeClass {
-    User,
-    Kernel,
-}
 
 /// What a simulated thread is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,9 +257,14 @@ enum Event {
     Quantum(ThreadId),
     /// A sleep timer fired.
     Wake(ThreadId),
-    /// A network message reached its destination, or a timer expired; run
-    /// the kernel handler.
-    Deliver { handler: KernelFn },
+    /// An `after` timer expired; run its kernel handler.
+    Timer(KernelFn),
+    /// The fault layer's: a copy arrived, or a lost attempt's timer expired.
+    Net(Wire),
+}
+
+/// What a message does when its first copy arrives.
+enum Payload {
     /// The message of `tid`'s leg number `leg` reached its destination;
     /// `node` is where a travelling thread arrives.
     Arrive {
@@ -272,29 +272,8 @@ enum Event {
         leg: u64,
         node: Option<NodeId>,
     },
-    /// The fault layer's: a copy arrived, or a lost attempt's timer expired.
-    Net(Wire),
-}
-
-/// What a message sent under a `FaultPlan` does when its first copy
-/// arrives: what `Event::Arrive` or `Event::Deliver` does without one.
-enum Payload {
-    Arrive {
-        tid: ThreadId,
-        leg: u64,
-        node: Option<NodeId>,
-    },
+    /// A `send`'s: run its kernel handler.
     Handler(KernelFn),
-}
-
-impl Payload {
-    /// The event that delivers it on a perfect network.
-    fn into_event(self) -> Event {
-        match self {
-            Payload::Arrive { tid, leg, node } => Event::Arrive { tid, leg, node },
-            Payload::Handler(handler) => Event::Deliver { handler },
-        }
-    }
 }
 
 /// An event on the queue, due `at`, ordered by `(at, seq)` alone: `seq` is
@@ -491,14 +470,13 @@ struct SimState {
     spare: Vec<FiberBox>,
     /// The run in progress's [`Root`].
     root: Option<RootPtr>,
-    /// Every link's window, under a `FaultPlan`.
-    links: Option<Links<Payload>>,
+    /// Every link's window.
+    links: Links<Payload>,
 }
 
 struct SimInner {
     state: StateCell,
     stats: Arc<NetStats>,
-    latency: LatencyModel,
     tracer: Tracer,
 }
 
@@ -533,13 +511,10 @@ impl SimEngine {
                 exited: Vec::new(),
                 spare: Vec::new(),
                 root: None,
-                links: spec
-                    .fault
-                    .map(|plan| Links::new(plan, spec.latency, spec.nodes)),
+                links: Links::new(spec.fault, spec.latency, spec.nodes),
             }),
             tracer: Tracer::new(Arc::clone(&stats)),
             stats,
-            latency: spec.latency,
         });
         SimEngine { inner }
     }
@@ -615,16 +590,6 @@ impl SimState {
             let at = self.clock + delay;
             self.push_event(at, Event::Net(ev));
         }
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "only a FaultPlan queues the fault layer's events"
-    )]
-    fn links(&mut self) -> &mut Links<Payload> {
-        self.links
-            .as_mut()
-            .expect("a fault layer event without a plan")
     }
 
     /// Starts (or resumes) a charged burst for `tid` on its node, splitting
@@ -726,7 +691,7 @@ impl SimInner {
         st.finished = true;
     }
 
-    /// Runs a message handler or a timer in kernel context, inside the
+    /// Runs a message's handler or a timer's in kernel context, inside the
     /// step. Handlers call back into the engine, so the step's borrow of
     /// the state ends before this one runs and is taken again after it;
     /// what it sends is queued and comes round the step's loop, never
@@ -751,9 +716,8 @@ impl SimInner {
         st
     }
 
-    /// Raises and sends a message from `from` to `to`: through its link's
-    /// window under a `FaultPlan`, else straight onto the queue, one
-    /// latency from now.
+    /// Raises and sends a message from `from` to `to` through its link's
+    /// window, and queues what its first attempt scheduled.
     fn transmit(
         &self,
         st: &mut SimState,
@@ -765,13 +729,10 @@ impl SimInner {
         let clock = st.clock;
         self.tracer
             .emit(|| clock, ProtocolEvent::MessageSend { from, to, bytes });
-        match &mut st.links {
-            Some(links) => {
-                let wire = links.send(from, to, bytes, payload, &self.tracer, || clock);
-                st.schedule(wire);
-            }
-            None => st.push_event(clock + self.latency.latency(bytes), payload.into_event()),
-        }
+        let wire = st
+            .links
+            .send(from, to, bytes, payload, &self.tracer, || clock);
+        st.schedule(wire);
     }
 
     /// The one dispatch step, run by whoever gives the baton up, with the
@@ -783,8 +744,8 @@ impl SimInner {
     ///
     /// The order of the tests is the schedule, and every pinned result
     /// depends on it: in particular `live == 0` ends a run with whatever is
-    /// still queued — trailing duplicate copies, the timers of lost
-    /// attempts, `after` timers — unhandled.
+    /// still queued — undelivered copies, trailing duplicates, the timers
+    /// of lost attempts, `after` timers — unhandled.
     fn pass_baton<'a>(&'a self, mut st: StateRef<'a>, stepper: Stepper) {
         // Threads that exited in earlier steps are off their stacks now.
         while let Some(tid) = st.exited.pop() {
@@ -840,10 +801,9 @@ impl SimInner {
                             st.runnable.push_back(tid);
                         }
                     }
-                    Event::Deliver { handler } => st = self.run_handler(st, handler),
-                    Event::Arrive { tid, leg, node } => st.arrive(tid, leg, node),
+                    Event::Timer(handler) => st = self.run_handler(st, handler),
                     Event::Net(Wire::Copy { from, to, seq }) => {
-                        match st.links().settle(from, to, seq) {
+                        match st.links.settle(from, to, seq) {
                             Some(Payload::Arrive { tid, leg, node }) => st.arrive(tid, leg, node),
                             Some(Payload::Handler(handler)) => st = self.run_handler(st, handler),
                             None => {
@@ -855,7 +815,7 @@ impl SimInner {
                     }
                     Event::Net(Wire::Retransmit(lost)) => {
                         let _kernel = CurrentGuard::kernel();
-                        let wire = st.links().retransmit(lost, &self.tracer, || at);
+                        let wire = st.links.retransmit(lost, &self.tracer, || at);
                         st.schedule(wire);
                     }
                 }
@@ -1165,7 +1125,7 @@ impl Engine for SimEngine {
     fn after(&self, delay: SimTime, f: KernelFn) {
         let mut st = self.inner.state.borrow();
         let at = st.clock + delay;
-        st.push_event(at, Event::Deliver { handler: f });
+        st.push_event(at, Event::Timer(f));
     }
 
     fn yield_now(&self) {
