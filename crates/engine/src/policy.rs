@@ -35,6 +35,10 @@ pub trait Scheduler: Send {
     fn dequeue(&mut self) -> Option<ThreadId>;
 
     /// The timeslice quantum, or `None` to run bursts to completion.
+    ///
+    /// `SimEngine` reads it once, when the policy is installed (at
+    /// `SimEngine::new` or `Engine::set_scheduler`), not per burst, so a
+    /// policy's quantum must not change while it is installed.
     fn quantum(&self) -> Option<SimTime> {
         None
     }

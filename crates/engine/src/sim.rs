@@ -248,6 +248,8 @@ struct NodeSim {
     /// Processors currently occupied by charged bursts.
     busy: usize,
     sched: Box<dyn Scheduler>,
+    /// `sched.quantum()`, read once when the policy is installed.
+    quantum: Option<SimTime>,
 }
 
 enum Event {
@@ -489,10 +491,14 @@ impl SimEngine {
     /// Builds a simulated cluster from `spec`.
     pub fn new(spec: ClusterSpec) -> Self {
         let nodes = (0..spec.nodes)
-            .map(|_| NodeSim {
-                processors: spec.processors,
-                busy: 0,
-                sched: Box::<Fifo>::default(),
+            .map(|_| {
+                let sched = Box::<Fifo>::default();
+                NodeSim {
+                    processors: spec.processors,
+                    busy: 0,
+                    quantum: sched.quantum(),
+                    sched,
+                }
             })
             .collect::<Vec<_>>();
         let stats = Arc::new(NetStats::new(nodes.len()));
@@ -574,14 +580,12 @@ impl SimState {
     fn uncontested(&self, node_ix: usize, cost: SimTime) -> bool {
         let node = &self.nodes[node_ix];
         let end = self.clock + cost;
-        // The cheap refusals first: the scheduler's quantum is a dynamic
-        // call.
         self.runnable.is_empty()
             && node.busy < node.processors
             && !self.finished
             && self.error.is_none()
             && self.events.peek().is_none_or(|Reverse(next)| next.at > end)
-            && node.sched.quantum().is_none_or(|q| cost <= q)
+            && node.quantum.is_none_or(|q| cost <= q)
     }
 
     /// Queues what the fault layer scheduled, in its order.
@@ -604,7 +608,7 @@ impl SimState {
         {
             debug_assert!(!remaining.is_zero(), "zero-length burst");
         }
-        let quantum = self.nodes[node_ix].sched.quantum();
+        let quantum = self.nodes[node_ix].quantum;
         let clock = self.clock;
         stats.record_dispatch(node_ix);
         match quantum {
@@ -1090,6 +1094,7 @@ impl Engine for SimEngine {
             let prio = st.tcb(t).priority;
             scheduler.enqueue(t, prio);
         }
+        st.nodes[node_ix].quantum = scheduler.quantum();
         st.nodes[node_ix].sched = scheduler;
     }
 

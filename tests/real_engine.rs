@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use amber_apps::sor::{run_amber_sor_on, sor_sequential, SorParams};
 use amber_core::{Cluster, EngineChoice, FaultPlan, LatencyModel, NodeId, SimTime};
 use amber_sync::{Barrier, Lock, Monitor, SpinLock};
 
@@ -458,4 +459,28 @@ fn admission_alone_keeps_payloads_whole_on_real_threads() {
     assert!(pairs.iter().all(|(a, b)| a == b), "{pairs:?}");
     assert_eq!(pairs.iter().map(|p| p.0).sum::<u64>(), writes);
     assert_eq!(writes, 5 * ROUNDS as u64);
+}
+
+#[test]
+fn sor_on_real_threads_matches_sequential() {
+    // The paper's application on OS threads: workers, edge threads and
+    // convergence threads race for real, yet the Red/Black schedule leaves
+    // nothing to chance, so the grid must be the sequential solver's bit
+    // for bit.
+    for (nodes, procs) in [(1, 2), (2, 1)] {
+        let p = SorParams::small(nodes, procs);
+        let (seq_iters, seq_sum, _) = sor_sequential(&p);
+        let builder = Cluster::builder()
+            .engine(EngineChoice::Real)
+            .latency(LatencyModel::zero())
+            .deadline(Duration::from_secs(60));
+        let r = run_amber_sor_on(builder, p);
+        assert_eq!(r.iterations, seq_iters, "{nodes}Nx{procs}P");
+        assert_eq!(
+            r.checksum.to_bits(),
+            seq_sum.to_bits(),
+            "{nodes}Nx{procs}P: {} against {seq_sum}",
+            r.checksum
+        );
+    }
 }
