@@ -62,7 +62,7 @@ pub struct ClusterBuilder {
     cost: CostModel,
     engine: EngineChoice,
     deadline: Option<Duration>,
-    faults: Option<amber_engine::FaultPlan>,
+    faults: amber_engine::FaultPlan,
     adaptive: Option<PolicyFactory>,
     demand_replication: bool,
 }
@@ -92,7 +92,7 @@ impl Default for ClusterBuilder {
             cost: CostModel::firefly(),
             engine: EngineChoice::Sim,
             deadline: None,
-            faults: None,
+            faults: amber_engine::FaultPlan::default(),
             adaptive: None,
             demand_replication: true,
         }
@@ -142,7 +142,7 @@ impl ClusterBuilder {
     /// the engines' reliability sublayer delivers each kernel message at
     /// most once, retransmitting on timeout.
     pub fn faults(mut self, plan: amber_engine::FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.faults = plan;
         self
     }
 
@@ -177,11 +177,9 @@ impl ClusterBuilder {
 
     /// Builds the cluster.
     pub fn build(self) -> Cluster {
-        let mut spec = amber_engine::ClusterSpec::uniform(self.nodes, self.processors)
-            .with_latency(self.latency);
-        if let Some(plan) = self.faults {
-            spec = spec.with_faults(plan);
-        }
+        let spec = amber_engine::ClusterSpec::uniform(self.nodes, self.processors)
+            .with_latency(self.latency)
+            .with_faults(self.faults);
         let engine: Arc<dyn Engine> = match self.engine {
             EngineChoice::Sim => Arc::new(SimEngine::new(spec)),
             EngineChoice::Real => {
