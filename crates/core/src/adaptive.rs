@@ -21,8 +21,11 @@
 //!
 //! # Tick scheduling and quiescence
 //!
-//! Ticks ride [`amber_engine::Engine::after`]: a virtual-time timer under
-//! the simulator and the timer thread under the real engine. A standing
+//! A tick is a timed kernel wake of the daemon,
+//! [`amber_engine::Engine::wake_kernel_after`]: an event of the simulator's
+//! queue holding the daemon's thread id, or an item of the real engine's
+//! timer thread that posts the daemon's gate. Neither holds the engine, so
+//! a tick still pending when a run ends keeps nothing alive. A standing
 //! periodic timer would blind the simulator's deadlock detector (the event
 //! queue would never drain), so the timer is *activity-armed*: the first
 //! invocation after an idle period arms exactly one tick, raising `armed`
@@ -142,10 +145,11 @@ struct Observation {
 }
 
 impl Kernel {
-    /// Arms one tick timer that wakes the daemon after the tick interval,
+    /// Arms one tick: a kernel wake of the daemon after the tick interval,
     /// unless the daemon is stopping, for whoever raised `armed`. Never
-    /// called under the registry lock: an engine's `after` touches its own
-    /// state (a timer queue lock, or the simulator's borrowed state).
+    /// called under the registry lock: an engine's `wake_kernel_after`
+    /// touches its own state (a timer queue lock, or the simulator's
+    /// borrowed state).
     pub(crate) fn schedule_placement_tick(&self) {
         let Some(p) = &self.placement else { return };
         if p.stop.load(Ordering::Relaxed) {
@@ -156,9 +160,7 @@ impl Kernel {
             reason = "Cluster::run spawns the daemon before any thread can invoke"
         )]
         let &daemon = p.daemon.get().expect("placement tick before the daemon");
-        let engine = Arc::clone(&self.engine);
-        self.engine
-            .after(p.tick, Box::new(move || engine.unblock_kernel(daemon)));
+        self.engine.wake_kernel_after(p.tick, daemon);
     }
 
     /// Spawns the placement daemon (an ordinary Amber kernel-class thread
@@ -186,7 +188,6 @@ impl Kernel {
     }
 
     fn placement_daemon_loop(&self) {
-        crate::invoke::register_thread();
         #[expect(clippy::expect_used, reason = "the daemon exists only with a policy")]
         let p = self
             .placement

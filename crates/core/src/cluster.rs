@@ -245,7 +245,6 @@ impl Cluster {
         // the program runs so the first invocation can arm its tick timer.
         self.kernel.spawn_placement_daemon();
         self.kernel.engine.run(NodeId::BOOT, move || {
-            crate::invoke::register_thread();
             let ctx = Ctx::new(Arc::clone(&kernel));
             let r = main(&ctx);
             kernel.stop_placement_daemon();

@@ -74,16 +74,9 @@ use crate::errors::ProtocolError;
 use crate::kernel::{Access, Kernel, Lent, ObjectEntry, Objects, OpWaiter};
 use crate::objref::ObjRef;
 
-/// Starts the calling thread's invocation context afresh: the first thing an
-/// Amber thread's body does.
-pub(crate) fn register_thread() {
-    with_invocations(|c| {
-        c.frames.clear();
-        c.carry_bytes = 0;
-    });
-}
-
 /// The last thing a thread's body does: every frame it pushed is popped.
+/// Its first need not clear anything: each engine starts every thread with
+/// an empty invocation context.
 pub(crate) fn unregister_thread() {
     #[expect(clippy::disallowed_macros, reason = "every invoke pops what it pushed")]
     {

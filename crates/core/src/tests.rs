@@ -2449,6 +2449,40 @@ mod adaptive {
     }
 
     #[test]
+    fn a_pending_tick_keeps_no_engine_alive() {
+        // The run's last invocation arms a 10 s tick, still pending when
+        // the run ends. The tick names the daemon by its id and holds
+        // nothing else, so dropping the cluster frees the engine, and this
+        // test holds the last reference to its counters. The real engine's
+        // timer thread lets go once it sees the shutdown, so that count is
+        // polled.
+        use std::time::{Duration, Instant};
+        for engine in [EngineChoice::Sim, EngineChoice::Real] {
+            let c = Cluster::builder()
+                .nodes(2)
+                .engine(engine)
+                .deadline(Duration::from_secs(60))
+                .adaptive_placement(|| TestPolicy {
+                    tick: SimTime::from_secs(10),
+                    min_calls: u64::MAX,
+                })
+                .build();
+            let stats = c.net_stats();
+            c.run(|ctx| {
+                let obj = ctx.create(0u64);
+                ctx.invoke(&obj, |_, v| *v += 1);
+            })
+            .unwrap();
+            drop(c);
+            let t0 = Instant::now();
+            while Arc::strong_count(&stats) > 1 && t0.elapsed() < Duration::from_secs(1) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(Arc::strong_count(&stats), 1, "{engine:?}");
+        }
+    }
+
+    #[test]
     fn idle_adaptive_cluster_still_detects_deadlock() {
         // The activity-armed tick must not blind the simulator's deadlock
         // detector: once the program wedges and a tick's drain finds no new

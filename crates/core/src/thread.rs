@@ -158,7 +158,6 @@ impl Kernel {
             here,
             format!("amber-{}", thread_obj.addr()),
             Box::new(move || {
-                crate::invoke::register_thread();
                 let ctx = Ctx::new(std::sync::Arc::clone(&kernel));
                 let result = ctx.invoke(&target, op);
                 // Publish the result through the thread object and wake

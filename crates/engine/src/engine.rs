@@ -10,6 +10,12 @@
 //! * [`RealEngine`](crate::real::RealEngine) — real OS threads with per-node
 //!   processor tokens and real network delays, used to demonstrate the
 //!   runtime is a genuinely concurrent system.
+//!
+//! What the runtime hands an engine to do later is data, never code: a
+//! message is a thread's [`leg`](Engine::leg), a timer is a
+//! [`wake_kernel_after`](Engine::wake_kernel_after) of a thread id. The only
+//! closures the trait takes are thread bodies. (`RealEngine::send`, outside
+//! the trait, keeps a message handler for one wall-clock probe.)
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -25,22 +31,6 @@ use crate::LatencyModel;
 
 /// The body of an Amber thread.
 pub type ThreadBody = Box<dyn FnOnce() + Send + 'static>;
-
-/// A kernel message handler, executed at the destination node when the
-/// message is delivered. Handlers run in kernel context: they may call
-/// [`Engine::unblock`], [`Engine::send`] and [`Engine::spawn`], but must
-/// never block or charge work, and [`current_thread`] reads `None` inside
-/// one wherever it runs.
-///
-/// Handlers run one at a time, never on the sender before
-/// [`Engine::send`] returns, and a handler's panic fails the run. Under the
-/// simulator a handler runs on the stack of whichever Amber thread is
-/// giving the baton up when the message falls due, and its panic is that
-/// thread's. Under the real engine every handler runs on the `amber-net`
-/// timer thread, concurrently with the Amber threads, and its panic is
-/// named after the Amber thread whose `send` or `after` queued it. The
-/// runtime itself sends no handler: its messages are [`Engine::leg`]s.
-pub type KernelFn = Box<dyn FnOnce() + Send + 'static>;
 
 /// Configuration of a whole cluster.
 #[derive(Clone, Debug)]
@@ -143,8 +133,8 @@ impl std::error::Error for EngineError {}
 ///
 /// Methods that say "current thread" must be called from inside an Amber
 /// thread (a closure passed to [`spawn`](Engine::spawn) or
-/// [`run_boxed`](Engine::run_boxed)); calling them from kernel handlers or
-/// from outside the engine is a programming error and panics.
+/// [`run_boxed`](Engine::run_boxed)); calling them from outside one is a
+/// programming error and panics.
 pub trait Engine: Send + Sync {
     /// Current time: virtual under the simulator, elapsed wall clock under
     /// the real engine.
@@ -185,8 +175,8 @@ pub trait Engine: Send + Sync {
     /// must make this answer `false`.
     fn uncontested(&self, cost: SimTime) -> bool;
 
-    /// Parks the current thread until another thread or a kernel handler
-    /// calls [`unblock`](Engine::unblock) on it.
+    /// Parks the current thread until another thread calls
+    /// [`unblock`](Engine::unblock) on it.
     ///
     /// A wake-up that arrives before the block takes effect is not lost:
     /// the block consumes it and returns immediately.
@@ -209,7 +199,8 @@ pub trait Engine: Send + Sync {
     /// protocol steps (thread migration, message waits, payload admission).
     fn block_kernel(&self, reason: &'static str);
 
-    /// Wakes a kernel-class wait (or records it as pending).
+    /// Wakes a kernel-class wait (or records it as pending); see also
+    /// [`wake_kernel_after`](Engine::wake_kernel_after).
     fn unblock_kernel(&self, thread: ThreadId);
 
     /// The node `thread` is currently assigned to.
@@ -224,22 +215,12 @@ pub trait Engine: Send + Sync {
     /// scheduler in dequeue order.
     fn set_scheduler(&self, node: NodeId, scheduler: Box<dyn Scheduler>);
 
-    /// Sends a message of `bytes` payload from `from` to `to`; `handler`
-    /// runs at the destination after the modelled latency (under the
-    /// simulator inside the dispatch step of whichever Amber thread gives the
-    /// baton up then — possibly the sender itself, at its next block point;
-    /// under the real engine on its timer thread, see [`KernelFn`]).
-    ///
-    /// A thread that only waits for its message to arrive takes a
-    /// [`leg`](Engine::leg) instead.
-    fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn);
-
     /// One network leg waited out by the current thread: sends one message
-    /// of `bytes` from `from` to `to`, counted as [`send`](Engine::send)
-    /// counts it, and parks the thread in the kernel wake class until the
-    /// message is delivered. With `travel` the thread travels with the
-    /// message and is on `to` when this returns: the engine half of thread
-    /// migration.
+    /// of `bytes` from `from` to `to`, counted in [`stats`](Engine::stats)
+    /// and traced as a `MessageSend`, and parks the thread in the kernel
+    /// wake class until the message is delivered. With `travel` the thread
+    /// travels with the message and is on `to` when this returns: the engine
+    /// half of thread migration.
     ///
     /// Like [`block_kernel`](Engine::block_kernel), the leg is a block
     /// point. A kernel wake aimed at the thread meanwhile does not end it,
@@ -247,15 +228,15 @@ pub trait Engine: Send + Sync {
     /// arrival carries the thread's leg number.
     fn leg(&self, from: NodeId, to: NodeId, bytes: usize, travel: bool, reason: &'static str);
 
-    /// Schedules `f` to run in kernel context after `delay`: a timer, not a
-    /// message — nothing travels, no network statistics are recorded and no
-    /// fault plan applies. Under the simulator the handler fires `delay` of
-    /// virtual time from now, where a message handler would (see
-    /// [`KernelFn`]); under the real engine it is handed to the timer
-    /// thread, whatever the delay and whoever calls. Like message handlers,
-    /// `f` must never block or charge work. Used for periodic runtime duties
-    /// (the placement tick).
-    fn after(&self, delay: SimTime, f: KernelFn);
+    /// Wakes `thread` in the kernel class, as
+    /// [`unblock_kernel`](Engine::unblock_kernel) does, `delay` from now: a
+    /// timer, not a message — nothing travels, no network statistics are
+    /// recorded and no fault plan applies. The engine queues the thread's id
+    /// and runs no code of the caller's when it falls due. Under the
+    /// simulator the wake is an event of the one queue, `delay` of virtual
+    /// time on; under the real engine the timer thread posts the thread's
+    /// gate. Used for periodic runtime duties (the placement tick).
+    fn wake_kernel_after(&self, delay: SimTime, thread: ThreadId);
 
     /// Voluntarily yields the processor (a timeslice point).
     fn yield_now(&self);
@@ -343,7 +324,8 @@ thread_local! {
 
 /// The Amber thread executing here, if any.
 ///
-/// Kernel handlers and host code see `None`.
+/// Kernel context and host code see `None`: the real engine's timer thread,
+/// and the simulator's step while it raises a fact of its own.
 pub fn current_thread() -> Option<ThreadId> {
     CURRENT.get()
 }
@@ -358,7 +340,7 @@ pub fn with_invocations<R>(f: impl FnOnce(&mut Invocations) -> R) -> R {
 ///
 /// # Panics
 ///
-/// Panics when called outside an Amber thread (e.g. from a kernel handler).
+/// Panics when called outside an Amber thread (e.g. in kernel context).
 #[expect(clippy::expect_used, reason = "kernel paths run on Amber threads")]
 pub fn must_current_thread() -> ThreadId {
     current_thread().expect("this operation must be called from an Amber thread")
@@ -396,10 +378,10 @@ impl Parked {
     }
 }
 
-/// Sets the current-thread marker for a scope — a thread body, or a
-/// handler run on an Amber thread's stack — and puts the previous one back
-/// when dropped, unwinding included. Engines call this; user code never
-/// should.
+/// Sets the current-thread marker for a scope — a thread body, or a fact
+/// the simulator's step raises on an Amber thread's stack — and puts the
+/// previous one back when dropped, unwinding included. Engines call this;
+/// user code never should.
 pub(crate) struct CurrentGuard(Option<ThreadId>);
 
 impl CurrentGuard {

@@ -70,7 +70,7 @@ pub mod trace;
 pub use cost::{CostModel, LatencyModel};
 pub use engine::{
     current_thread, must_current_thread, with_invocations, ClusterSpec, Engine, EngineError,
-    EngineExt, Invocations, KernelFn, ThreadBody,
+    EngineExt, Invocations, ThreadBody,
 };
 pub use fault::{FaultPlan, Partition};
 pub use ids::{NodeId, ThreadId};

@@ -13,15 +13,13 @@
 //! perfect by default), which sit under one mutex of their own. A sender
 //! opens its message there and queues what the attempt's fate scheduled on
 //! the `amber-net` timer thread, whose queue carries the same typed copy
-//! and retransmit events the simulator's does, beside the
-//! [`after`](crate::Engine::after) timers. Copies come due after the
+//! and retransmit events the simulator's does, beside the timed kernel
+//! wakes ([`wake_kernel_after`](crate::Engine::wake_kernel_after)), each of
+//! which posts its thread's gate. Copies come due after the
 //! [`LatencyModel`]'s delay, so under a non-zero model remote operations
 //! remain orders of magnitude more expensive than local ones even
 //! in-process. The timer thread settles each copy under the windows' mutex
-//! and delivers its payload in one place: a
-//! [`send`](crate::Engine::send)'s handler runs there, in kernel context
-//! ([`current_thread`] reads `None`), one handler at a time and
-//! concurrently with the Amber threads.
+//! and delivers its payload in one place.
 //!
 //! A [`leg`](crate::Engine::leg), which is every message the runtime sends,
 //! has no handler at all: its payload is its arrival, which moves the
@@ -31,6 +29,12 @@
 //! travelling thread takes it itself. It counts the send, gives its
 //! processor token back, moves to the destination and takes a token there
 //! — no allocation, no gate.
+//!
+//! [`RealEngine::send`], outside the [`Engine`] trait, is the one message
+//! that carries code: its handler runs on the timer thread, in kernel
+//! context ([`current_thread`] reads `None`), one handler at a time and
+//! concurrently with the Amber threads. It stays only for the benchmark's
+//! `engine.real.send_rtt` probe.
 //!
 //! Differences from [`SimEngine`](crate::sim::SimEngine), by design:
 //!
@@ -53,7 +57,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{
     current_thread, must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine,
-    EngineError, Gate, KernelFn, ThreadBody, WakeClass,
+    EngineError, Gate, ThreadBody, WakeClass,
 };
 use crate::fault::{Links, Scheduled, Wire};
 use crate::ids::{NodeId, ThreadId};
@@ -167,7 +171,7 @@ thread_local! {
         const { RefCell::new(None) };
 
     /// On the timer thread, while it runs a handler: the Amber thread that
-    /// queued it, which the handler's own sends and timers are queued by.
+    /// queued it, which the handler's own sends are queued by.
     static QUEUED_BY: Cell<Option<ThreadId>> = const { Cell::new(None) };
 }
 
@@ -179,10 +183,10 @@ fn queuer() -> ThreadId {
         .unwrap_or(ThreadId(0))
 }
 
-/// A kernel handler, and the Amber thread whose `send` or `after` queued
-/// it: the thread a panic of the handler is named after.
+/// A [`RealEngine::send`]'s handler, and the Amber thread whose `send`
+/// queued it: the thread a panic of the handler is named after.
 struct Handler {
-    run: KernelFn,
+    run: Box<dyn FnOnce() + Send + 'static>,
     by: ThreadId,
 }
 
@@ -194,8 +198,8 @@ struct NetItem {
 
 /// What the timer thread does with an item when it comes due.
 enum Job {
-    /// An `after` timer expired: runs its handler.
-    Timer(Handler),
+    /// A `wake_kernel_after` fell due: posts the thread's kernel gate.
+    KernelWake(Arc<RealTcb>),
     /// The fault layer's: a copy arrived, or a lost attempt's timer expired.
     Net(Wire),
 }
@@ -355,6 +359,32 @@ impl RealEngine {
         *self.inner.nodes[node.index()].tokens.lock()
     }
 
+    /// Sends a message of `bytes` payload from `from` to `to` whose
+    /// `handler` runs at the destination after the modelled latency, on the
+    /// timer thread in kernel context (see the module docs); a handler's
+    /// panic fails the run at once, in the name of the Amber thread that
+    /// sent it. Not part of [`Engine`]: the runtime's messages are legs,
+    /// and this stays only for the benchmark's `engine.real.send_rtt`
+    /// probe, which times a handler's round trip.
+    pub fn send(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        handler: Box<dyn FnOnce() + Send + 'static>,
+    ) {
+        // Checked builds assert the caller holds no tracked lock, since
+        // the send takes the windows' and the queue's.
+        amber_verify::engine_block_checkpoint("send");
+        self.inner.tracer.emit(
+            || self.now(),
+            ProtocolEvent::MessageSend { from, to, bytes },
+        );
+        let by = queuer();
+        let handler = Payload::Handler(Handler { run: handler, by });
+        self.inner.transmit(from, to, bytes, handler);
+    }
+
     /// Runs `f` on `tid`'s tcb: the calling thread's own from its
     /// thread-local (every block point and leg), anyone else's (a waker)
     /// from the shared table, indexed by id.
@@ -388,7 +418,7 @@ impl RealEngine {
     }
 }
 
-/// Delivers queued messages and timers when they come due.
+/// Delivers queued messages and kernel wakes when they come due.
 fn net_loop(inner: &RealInner) {
     loop {
         let item = {
@@ -410,7 +440,7 @@ fn net_loop(inner: &RealInner) {
             }
         };
         match item.job {
-            Job::Timer(handler) => inner.run_handler(handler),
+            Job::KernelWake(tcb) => tcb.gate.post(WakeClass::Kernel),
             Job::Net(wire) => inner.on_wire(wire),
         }
     }
@@ -604,19 +634,6 @@ impl Engine for RealEngine {
 
     fn set_scheduler(&self, _node: NodeId, _scheduler: Box<dyn Scheduler>) {}
 
-    fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
-        // As in the simulator: checked builds assert the caller holds no
-        // tracked lock, since the send takes the windows' and the queue's.
-        amber_verify::engine_block_checkpoint("send");
-        self.inner.tracer.emit(
-            || self.now(),
-            ProtocolEvent::MessageSend { from, to, bytes },
-        );
-        let by = queuer();
-        let handler = Payload::Handler(Handler { run: handler, by });
-        self.inner.transmit(from, to, bytes, handler);
-    }
-
     fn leg(&self, from: NodeId, to: NodeId, bytes: usize, travel: bool, reason: &'static str) {
         amber_verify::engine_block_checkpoint(reason);
         let nodes = &self.inner.nodes;
@@ -660,13 +677,10 @@ impl Engine for RealEngine {
         self.inner.stats.record_dispatch(here);
     }
 
-    fn after(&self, delay: SimTime, f: KernelFn) {
-        let handler = Handler {
-            run: f,
-            by: queuer(),
-        };
+    fn wake_kernel_after(&self, delay: SimTime, thread: ThreadId) {
+        let tcb = self.with_tcb(thread, Arc::clone);
         self.inner
-            .enqueue_net(delay.to_duration(), Job::Timer(handler));
+            .enqueue_net(delay.to_duration(), Job::KernelWake(tcb));
     }
 
     fn yield_now(&self) {
@@ -733,7 +747,7 @@ impl Engine for RealEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineExt;
+    use crate::engine::{with_invocations, EngineExt};
     use std::sync::atomic::AtomicBool;
 
     /// Zero latency, and a deadline so that a failed assertion inside a
@@ -786,6 +800,41 @@ mod tests {
                 }),
             );
             e2.block_current("demo");
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn every_body_starts_with_an_empty_invocation_context() {
+        // Each Amber thread is an OS thread of its own: a thread that left
+        // frames and carried bytes behind as it ended, or main holding
+        // some, leaves nothing to the next body.
+        fn litter() {
+            with_invocations(|c| {
+                c.frames.extend([7, 8]);
+                c.carry_bytes = 99;
+            });
+        }
+        fn empty() -> bool {
+            with_invocations(|c| c.frames.is_empty() && c.carry_bytes == 0)
+        }
+        let e = real(1, 1);
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            assert!(empty(), "main");
+            litter();
+            let me = must_current_thread();
+            for name in ["litterer", "next"] {
+                let e3 = Arc::clone(&e2);
+                let body = move || {
+                    assert!(empty(), "{name}");
+                    litter();
+                    e3.unblock(me);
+                };
+                e2.spawn(NodeId(0), name.into(), Box::new(body));
+                e2.block_current("await-child");
+            }
+            assert_eq!(with_invocations(|c| c.carry_bytes), 99);
         })
         .unwrap();
     }

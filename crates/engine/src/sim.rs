@@ -20,7 +20,7 @@
 //!   charges (occupying one of the node's P virtual processors, queueing
 //!   under the node's scheduling policy, preempted by its quantum);
 //! * communication costs come from the [`LatencyModel`] applied to every
-//!   [`send`](crate::Engine::send) and [`leg`](crate::Engine::leg);
+//!   [`leg`](crate::Engine::leg);
 //! * the whole run is deterministic: same program, same spec, same trace.
 //!
 //! Determinism is what lets this reproduce the paper's figures: a
@@ -32,21 +32,22 @@
 //! thread, on which every fiber of the run lives, and gives it back when
 //! the run ends; while it runs, a touch of the state from that thread is a
 //! thread-local address, a load and a compare with no atomic
-//! read-modify-write, and one from any other OS thread panics. Outside a run (`now()` after it, `set_scheduler` before it) each
-//! touch claims the state for itself. A nested touch panics: the state is
-//! borrowed, never aliased.
+//! read-modify-write, and one from any other OS thread panics. Outside a
+//! run (`now()` after it, `set_scheduler` before it) each touch claims the
+//! state for itself. A nested touch panics: the state is borrowed, never
+//! aliased.
 //!
-//! Every message goes through the fault layer's windows
-//! (`crate::fault::Links`, under the spec's `FaultPlan`, perfect by
-//! default), which live in the state too: a copy's arrival and a lost
-//! attempt's timer are typed events of the one queue, and the step settles
-//! a copy and delivers its payload in one place. A leg's payload is its
-//! arrival, handled in place: it moves a travelling thread and wakes the
-//! leg's kernel-class wait. A `send`'s payload is a handler, which runs
-//! inside the step too, as an `after` timer's does: one at a time, on the
-//! stack of whichever Amber thread is giving the baton up (in kernel
-//! context: `current_thread()` reads `None`), with the step's borrow of the
-//! state ended around it. Deadlock
+//! The queue holds data only: every event is a thread id or the fault
+//! layer's typed item, and the step runs no code but thread bodies. Every
+//! message goes through the fault layer's windows (`crate::fault::Links`,
+//! under the spec's `FaultPlan`, perfect by default), which live in the
+//! state too: a copy's arrival and a lost attempt's timer are typed events
+//! of the one queue, and the step settles a copy and handles its payload in
+//! one place. Every message is a leg, and its payload is its arrival: it
+//! moves a travelling thread and wakes the leg's kernel-class wait. A timed
+//! kernel wake ([`wake_kernel_after`](crate::Engine::wake_kernel_after)) is
+//! a thread id on the queue too, handled as
+//! [`unblock_kernel`](crate::Engine::unblock_kernel) would be. Deadlock
 //! detection is part of the step as well: if every live thread is blocked
 //! and no event is pending, the step fails the run with
 //! [`EngineError::Deadlock`] naming the blocked threads and their reasons.
@@ -68,8 +69,8 @@ use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::Arc;
 
 use crate::engine::{
-    must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, KernelFn,
-    Parked, ThreadBody, WakeClass,
+    must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, Parked,
+    ThreadBody, WakeClass,
 };
 use crate::fault::{Links, Scheduled, Wire};
 use crate::fiber::{self, Stack};
@@ -259,23 +260,18 @@ enum Event {
     Quantum(ThreadId),
     /// A sleep timer fired.
     Wake(ThreadId),
-    /// An `after` timer expired; run its kernel handler.
-    Timer(KernelFn),
+    /// A `wake_kernel_after` fell due: wake the thread in the kernel class.
+    KernelWake(ThreadId),
     /// The fault layer's: a copy arrived, or a lost attempt's timer expired.
     Net(Wire),
 }
 
-/// What a message does when its first copy arrives.
-enum Payload {
-    /// The message of `tid`'s leg number `leg` reached its destination;
-    /// `node` is where a travelling thread arrives.
-    Arrive {
-        tid: ThreadId,
-        leg: u64,
-        node: Option<NodeId>,
-    },
-    /// A `send`'s: run its kernel handler.
-    Handler(KernelFn),
+/// A message's payload: the message of `tid`'s leg number `leg` reached its
+/// destination; `node` is where a travelling thread arrives.
+struct Arrival {
+    tid: ThreadId,
+    leg: u64,
+    node: Option<NodeId>,
 }
 
 /// An event on the queue, due `at`, ordered by `(at, seq)` alone: `seq` is
@@ -321,10 +317,8 @@ thread_local! {
     /// while the thread is not running, and a thread resumes only through a
     /// grant: so while it runs, what its grant recorded is its node, and
     /// `node_of` answers the running thread's question about itself from
-    /// here. That holds inside its own step too, for a handler asking about
-    /// it: its own arrival makes it the one ready thread, which the step
-    /// grants next. The engine is part of the key because thread ids repeat
-    /// across engines; it is only ever compared.
+    /// here. The engine is part of the key because thread ids repeat across
+    /// engines; it is only ever compared.
     static GRANTED: Cell<Option<(*const SimInner, ThreadId, NodeId)>> =
         const { Cell::new(None) };
 
@@ -473,7 +467,7 @@ struct SimState {
     /// The run in progress's [`Root`].
     root: Option<RootPtr>,
     /// Every link's window.
-    links: Links<Payload>,
+    links: Links<Arrival>,
 }
 
 struct SimInner {
@@ -659,7 +653,7 @@ impl SimState {
     /// travelling thread to `node` and wakes the leg's kernel-class wait. A
     /// late copy of an earlier leg's message finds its number arrived
     /// already and does nothing.
-    fn arrive(&mut self, tid: ThreadId, leg: u64, node: Option<NodeId>) {
+    fn arrive(&mut self, Arrival { tid, leg, node }: Arrival) {
         let tcb = self.tcb_mut(tid);
         if tcb.arrived >= leg {
             return;
@@ -695,31 +689,6 @@ impl SimInner {
         st.finished = true;
     }
 
-    /// Runs a message's handler or a timer's in kernel context, inside the
-    /// step. Handlers call back into the engine, so the step's borrow of
-    /// the state ends before this one runs and is taken again after it;
-    /// what it sends is queued and comes round the step's loop, never
-    /// nested.
-    fn run_handler<'a>(&'a self, st: StateRef<'a>, handler: KernelFn) -> StateRef<'a> {
-        drop(st);
-        let outcome = {
-            let _kernel = CurrentGuard::kernel();
-            catch_unwind(AssertUnwindSafe(handler))
-        };
-        let mut st = self.state.borrow();
-        // A step taken on the way out of a thread has no body's
-        // `catch_unwind` below it: the step catches, in the name of the
-        // thread that took it.
-        if let Err(payload) = outcome {
-            let error = EngineError::Panic {
-                thread: must_current_thread(),
-                message: panic_message(&payload),
-            };
-            self.finish(&mut st, Some(error));
-        }
-        st
-    }
-
     /// Raises and sends a message from `from` to `to` through its link's
     /// window, and queues what its first attempt scheduled.
     fn transmit(
@@ -728,14 +697,14 @@ impl SimInner {
         from: NodeId,
         to: NodeId,
         bytes: usize,
-        payload: Payload,
+        arrival: Arrival,
     ) {
         let clock = st.clock;
         self.tracer
             .emit(|| clock, ProtocolEvent::MessageSend { from, to, bytes });
         let wire = st
             .links
-            .send(from, to, bytes, payload, &self.tracer, || clock);
+            .send(from, to, bytes, arrival, &self.tracer, || clock);
         st.schedule(wire);
     }
 
@@ -749,8 +718,8 @@ impl SimInner {
     /// The order of the tests is the schedule, and every pinned result
     /// depends on it: in particular `live == 0` ends a run with whatever is
     /// still queued — undelivered copies, trailing duplicates, the timers
-    /// of lost attempts, `after` timers — unhandled.
-    fn pass_baton<'a>(&'a self, mut st: StateRef<'a>, stepper: Stepper) {
+    /// of lost attempts, timed kernel wakes — unhandled.
+    fn pass_baton(&self, mut st: StateRef<'_>, stepper: Stepper) {
         // Threads that exited in earlier steps are off their stacks now.
         while let Some(tid) = st.exited.pop() {
             if let Some(fiber) = st.tcb_mut(tid).fiber.take() {
@@ -805,11 +774,10 @@ impl SimInner {
                             st.runnable.push_back(tid);
                         }
                     }
-                    Event::Timer(handler) => st = self.run_handler(st, handler),
+                    Event::KernelWake(tid) => st.wake(tid, WakeClass::Kernel),
                     Event::Net(Wire::Copy { from, to, seq }) => {
                         match st.links.settle(from, to, seq) {
-                            Some(Payload::Arrive { tid, leg, node }) => st.arrive(tid, leg, node),
-                            Some(Payload::Handler(handler)) => st = self.run_handler(st, handler),
+                            Some(arrival) => st.arrive(arrival),
                             None => {
                                 let _kernel = CurrentGuard::kernel();
                                 let dup = ProtocolEvent::MessageDuplicateSuppressed { from, to };
@@ -1098,13 +1066,6 @@ impl Engine for SimEngine {
         st.nodes[node_ix].sched = scheduler;
     }
 
-    fn send(&self, from: NodeId, to: NodeId, bytes: usize, handler: KernelFn) {
-        amber_verify::engine_block_checkpoint("send");
-        let mut st = self.inner.state.borrow();
-        let handler = Payload::Handler(handler);
-        self.inner.transmit(&mut st, from, to, bytes, handler);
-    }
-
     fn leg(&self, from: NodeId, to: NodeId, bytes: usize, travel: bool, reason: &'static str) {
         amber_verify::engine_block_checkpoint(reason);
         let (tid, mut st) = self.borrow_running();
@@ -1114,7 +1075,7 @@ impl Engine for SimEngine {
         }
         let leg = st.tcb(tid).arrived + 1;
         let node = travel.then_some(to);
-        let arrival = Payload::Arrive { tid, leg, node };
+        let arrival = Arrival { tid, leg, node };
         self.inner.transmit(&mut st, from, to, bytes, arrival);
         // Block first, test after: a kernel wake that came before the
         // arrival is consumed by a turn of this loop, not taken for it.
@@ -1127,10 +1088,10 @@ impl Engine for SimEngine {
         }
     }
 
-    fn after(&self, delay: SimTime, f: KernelFn) {
+    fn wake_kernel_after(&self, delay: SimTime, thread: ThreadId) {
         let mut st = self.inner.state.borrow();
         let at = st.clock + delay;
-        st.push_event(at, Event::Timer(f));
+        st.push_event(at, Event::KernelWake(thread));
     }
 
     fn yield_now(&self) {
@@ -1195,7 +1156,7 @@ impl Engine for SimEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{current_thread, EngineExt};
+    use crate::engine::{with_invocations, EngineExt};
     use crate::policy::RoundRobin;
     use parking_lot::Mutex;
 
@@ -1282,10 +1243,7 @@ mod tests {
         let elapsed = e
             .run(NodeId(0), move || {
                 let t0 = e2.now();
-                let me = must_current_thread();
-                let e3 = Arc::clone(&e2);
-                e2.send(NodeId(0), NodeId(1), 128, Box::new(move || e3.unblock(me)));
-                e2.block_current("await-echo");
+                e2.leg(NodeId(0), NodeId(1), 128, false, "await-arrival");
                 e2.now() - t0
             })
             .unwrap();
@@ -1296,13 +1254,10 @@ mod tests {
 
     #[test]
     fn whoever_gives_the_baton_up_finds_the_end_of_the_run() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         // Who takes the last step, main's body, and the one thread the
         // deadlock report names - `None` when the run ends well.
         type Program = Box<dyn FnOnce(Arc<SimEngine>) + Send>;
         type Row = (&'static str, Program, Option<(ThreadId, &'static str)>);
-        let delivered = Arc::new(AtomicBool::new(false));
-        let delivered2 = Arc::clone(&delivered);
         let rows: Vec<Row> = vec![
             (
                 "a parking thread",
@@ -1324,11 +1279,8 @@ mod tests {
                 Some((ThreadId(1), "orphaned (child)")),
             ),
             (
-                "the last exit, a delivery still queued",
-                Box::new(move |e| {
-                    let handler = Box::new(move || delivered2.store(true, Ordering::SeqCst));
-                    e.send(NodeId(0), NodeId(1), 0, handler);
-                }),
+                "the last exit, a kernel wake still queued",
+                Box::new(|e| e.wake_kernel_after(SimTime::from_ms(1), must_current_thread())),
                 None,
             ),
         ];
@@ -1342,58 +1294,50 @@ mod tests {
                 }
                 (other, _) => panic!("{who}: {other:?}"),
             }
+            // `live == 0` ends a run whatever is still queued: the wake
+            // never falls due, and no clock moves.
+            assert_eq!(e.now(), SimTime::ZERO, "{who}");
         }
-        // `live == 0` ends a run whatever is still queued.
-        assert!(!delivered.load(Ordering::SeqCst));
     }
 
     #[test]
-    fn ten_thousand_handler_issued_sends_run_at_constant_depth() {
-        // A handler that sends itself on 10 000 times, on the 256 KiB stack
-        // of whichever Amber thread is giving the baton up: were any hop
-        // delivered by the hop before it, the chain would nest 10 000 frames
-        // there. Each hop records where its frame sits.
-        const HOPS: usize = 10_000;
-        fn hop(e: Arc<SimEngine>, left: usize, me: ThreadId, frames: Arc<Mutex<Vec<usize>>>) {
-            let marker = 0u8;
-            frames.lock().push(std::ptr::addr_of!(marker) as usize);
-            assert_eq!(current_thread(), None);
-            if left == 0 {
-                e.unblock(me);
-                return;
-            }
-            let next = Arc::clone(&e);
-            e.send(
-                NodeId(0),
-                NodeId(1),
-                0,
-                Box::new(move || hop(next, left - 1, me, frames)),
-            );
+    fn every_body_starts_with_an_empty_invocation_context() {
+        // A thread leaves frames and carried bytes behind as it exits; the
+        // next spawn runs on its spare fiber, and starts with none of them.
+        // Neither does a body spawned while main holds some.
+        fn litter() {
+            with_invocations(|c| {
+                c.frames.extend([7, 8]);
+                c.carry_bytes = 99;
+            });
         }
-        let e = sim(2, 1);
+        fn empty() -> bool {
+            with_invocations(|c| c.frames.is_empty() && c.carry_bytes == 0)
+        }
+        let e = sim(1, 1);
         let e2 = Arc::clone(&e);
-        let frames = Arc::new(Mutex::new(Vec::new()));
-        let frames2 = Arc::clone(&frames);
         e.run(NodeId(0), move || {
-            let me = must_current_thread();
-            let first = Arc::clone(&e2);
-            e2.send(
-                NodeId(0),
-                NodeId(1),
-                0,
-                Box::new(move || hop(first, HOPS, me, frames2)),
-            );
-            e2.block_current("await-chain");
+            assert!(empty(), "main");
+            litter();
+            let spare = || e2.inner.state.borrow().spare.len();
+            let first = || {
+                assert!(empty(), "a fresh fiber");
+                litter();
+            };
+            e2.spawn(NodeId(0), "litterer".into(), Box::new(first));
+            // It runs and exits at the first step; the second takes its
+            // fiber to the spares.
+            e2.yield_now();
+            e2.yield_now();
+            assert_eq!(spare(), 1);
+            let second = || assert!(empty(), "a reused fiber");
+            e2.spawn(NodeId(0), "reuser".into(), Box::new(second));
+            assert_eq!(spare(), 0);
+            e2.yield_now();
+            // Main's own context went nowhere.
+            assert_eq!(with_invocations(|c| c.carry_bytes), 99);
         })
         .unwrap();
-        let frames = frames.lock();
-        assert_eq!(frames.len(), HOPS + 1);
-        let (lo, hi) = (frames.iter().min().unwrap(), frames.iter().max().unwrap());
-        assert!(
-            hi - lo < 4096,
-            "stack grew {} bytes over the chain",
-            hi - lo
-        );
     }
 
     #[test]
@@ -1403,51 +1347,6 @@ mod tests {
         match err {
             EngineError::Panic { message, .. } => assert!(message.contains("boom")),
             other => panic!("expected panic error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn a_panicking_handler_fails_the_run_in_the_name_of_whoever_ran_it() {
-        type Program = fn(Arc<SimEngine>);
-        fn send_boom(e: &SimEngine) {
-            e.send(NodeId(0), NodeId(1), 0, Box::new(|| panic!("handler boom")));
-        }
-        // Whose step runs the handler, main's body, that thread.
-        let rows: [(&str, Program, ThreadId); 2] = [
-            (
-                "a parked thread",
-                |e| {
-                    send_boom(&e);
-                    e.block_current("parked");
-                },
-                ThreadId(0),
-            ),
-            (
-                "an exiting thread",
-                |e| {
-                    let e2 = Arc::clone(&e);
-                    e.spawn(NodeId(0), "child".into(), Box::new(move || send_boom(&e2)));
-                    e.block_current("parked");
-                },
-                ThreadId(1),
-            ),
-        ];
-        for (who, program, stepper) in rows {
-            // A run nobody ends would hang the suite: the deadline is this
-            // test's own.
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let e = sim(2, 1);
-                let e2 = Arc::clone(&e);
-                let _ = tx.send(e.run(NodeId(0), move || program(e2)));
-            });
-            match rx.recv_timeout(std::time::Duration::from_secs(20)) {
-                Ok(Err(EngineError::Panic { thread, message })) => {
-                    assert_eq!(thread, stepper, "{who}");
-                    assert!(message.contains("handler boom"), "{who}: {message}");
-                }
-                other => panic!("{who}: {other:?}"),
-            }
         }
     }
 
@@ -1552,16 +1451,9 @@ mod tests {
                             format!("w{i}"),
                             Box::new(move || {
                                 e3.work(SimTime::from_us(100 * (i + 1)));
-                                let e4 = Arc::clone(&e3);
-                                let dst = NodeId(((i + 1) % 4) as u16);
-                                e3.send(
-                                    NodeId((i % 4) as u16),
-                                    dst,
-                                    64,
-                                    Box::new(move || {
-                                        let _ = e4.now();
-                                    }),
-                                );
+                                let (src, dst) =
+                                    (NodeId((i % 4) as u16), NodeId(((i + 1) % 4) as u16));
+                                e3.leg(src, dst, 64, false, "w-leg");
                             }),
                         );
                     }
@@ -1598,7 +1490,7 @@ mod tests {
             let e = e2;
             e.set_scheduler(NodeId(0), Box::new(RoundRobin::new(SimTime::from_ms(1))));
             let waiter = spawn(&e, &mark, 1, "waiter", |e, mark| {
-                e.block_kernel("await-handler");
+                e.block_kernel("await-courier");
                 mark();
                 e.work(SimTime::from_us(700));
                 mark();
@@ -1618,17 +1510,19 @@ mod tests {
             spawn(&e, &mark, 0, "sender", move |e, mark| {
                 e.work(SimTime::from_ms(3));
                 mark();
-                let (e2, mark2) = (Arc::clone(&e), mark.clone());
-                let handler = Box::new(move || {
-                    spawn(&e2, &mark2, 1, "fourth", |e, mark| {
+                // The courier's leg is the one message: where it arrives,
+                // the courier spawns a thread and wakes the kernel waiter.
+                spawn(&e, &mark, 0, "courier", move |e, mark| {
+                    e.leg(NodeId(0), NodeId(1), 64, true, "courier-leg");
+                    mark();
+                    spawn(&e, &mark, 1, "fourth", |e, mark| {
                         e.work(SimTime::from_us(500));
                         mark();
                         e.yield_now();
                         mark();
                     });
-                    e2.unblock_kernel(waiter);
+                    e.unblock_kernel(waiter);
                 });
-                e.send(NodeId(0), NodeId(1), 64, handler);
                 mark();
                 e.yield_now();
                 mark();
@@ -1650,15 +1544,20 @@ mod tests {
     #[test]
     fn the_dispatch_order_is_pinned() {
         // Round-robin on node 0 (three bursts on two processors), FIFO on
-        // node 1, and a handler that spawns a thread and wakes a kernel
-        // waiter. `deterministic_event_ordering` compares a run with itself;
-        // this compares it with the order the engine has always produced.
+        // node 1, and a courier whose leg's arrival spawns a thread and
+        // wakes a kernel waiter. `deterministic_event_ordering` compares a
+        // run with itself; this compares it with the order the engine has
+        // always produced.
         let spec =
             ClusterSpec::uniform(2, 2).with_latency(LatencyModel::fixed(SimTime::from_ms(1)));
         let faulty = spec
             .clone()
             .with_faults(crate::FaultPlan::seeded(7).duplicate_rate(1.0));
-        // Captured at c654b01, where a thread of its own made every grant.
+        // Captured at c654b01, where a thread of its own made every grant,
+        // with the courier's message a handler that spawned the fourth
+        // thread; this courier program was captured on 09572bf (the last
+        // commit with handlers), where it reads the same times and order
+        // with one more thread and its one resume at 5500.
         let resumes = vec![
             (3500, 0),
             (3500, 2),
@@ -1667,10 +1566,11 @@ mod tests {
             (4500, 3),
             (4500, 3),
             (5000, 2),
+            (5500, 4),
             (5500, 1),
             (5500, 3),
-            (6000, 4),
-            (6000, 4),
+            (6000, 5),
+            (6000, 5),
             (6200, 1),
             (6500, 0),
             (6500, 0),
@@ -1683,8 +1583,8 @@ mod tests {
     }
 
     /// What `the_charge_order_is_pinned` reads off its program: `(now in
-    /// ns, who)` for every resume and every handler (`who` is `u64::MAX`
-    /// in kernel context), in the order they happened; per charge, in the
+    /// ns, thread)` for every resume, the timer thread's wakes included, in
+    /// the order they happened; per charge, in the
     /// order they returned, the thread and whether the charge queued an
     /// event; then the clock the run ended on, in ns, and the dispatches
     /// and preemptions it counted.
@@ -1692,7 +1592,8 @@ mod tests {
 
     /// Runs one charge of every kind the uncontested-charge shortcut must
     /// refuse, and of the kinds it may take, on a 2N×1P cluster with
-    /// round-robin on node 1. With `answers`, each charge first asks
+    /// round-robin on node 1, beside a thread that the timers wake. With
+    /// `answers`, each charge first asks
     /// `uncontested` and records the answer there, in the order the charges
     /// returned.
     fn charge_log(answers: Option<Arc<Mutex<Vec<bool>>>>) -> ChargeLog {
@@ -1701,10 +1602,7 @@ mod tests {
         let queued = Arc::new(Mutex::new(Vec::new()));
         let mark = {
             let (e, log) = (Arc::clone(&e), Arc::clone(&log));
-            move || {
-                let who = current_thread().map_or(u64::MAX, |t| t.0);
-                log.lock().push((e.now().as_ns(), who));
-            }
+            move || log.lock().push((e.now().as_ns(), must_current_thread().0))
         };
         let charge = {
             let (e, queued) = (Arc::clone(&e), Arc::clone(&queued));
@@ -1725,15 +1623,25 @@ mod tests {
         e.run(NodeId(0), move || {
             let e = e2;
             e.set_scheduler(NodeId(1), Box::new(RoundRobin::new(SimTime::from_ms(1))));
+            // The timers' thread, parked before the first charge.
+            let (timed_e, timed_mark) = (Arc::clone(&e), mark.clone());
+            let timed = move || {
+                for _ in 0..2 {
+                    timed_e.block_kernel("await-timer");
+                    timed_mark();
+                }
+            };
+            let timed = e.spawn(NodeId(1), "timed".into(), Box::new(timed));
+            e.yield_now();
             // Alone, with nothing queued.
             charge(100);
             mark();
             // A timer at exactly the end of the burst fires first...
-            e.after(SimTime::from_us(200), Box::new(mark.clone()));
+            e.wake_kernel_after(SimTime::from_us(200), timed);
             charge(200);
             mark();
             // ...and one a nanosecond later fires after it.
-            e.after(SimTime::from_ns(300_001), Box::new(mark.clone()));
+            e.wake_kernel_after(SimTime::from_ns(300_001), timed);
             charge(300);
             mark();
             // Round-robin at 1 ms cuts a 2.5 ms burst, not a 1 ms one. The
@@ -1782,19 +1690,23 @@ mod tests {
     fn the_charge_order_is_pinned() {
         // The resumes, the clock and the counts were captured when every
         // charge queued the end of its burst: taking some without a step
-        // moves none of them.
-        const KERNEL: u64 = u64::MAX;
+        // moves none of them. The timers then ran a handler of their own;
+        // this program, whose timers wake a parked thread (thread 1), was
+        // captured on 09572bf (the last commit with timer handlers), with
+        // each `wake_kernel_after(d, timed)` an `after(d, ..)` whose handler
+        // called `unblock_kernel(timed)`: the same times and charges, with
+        // the timers' thread in place of kernel context.
         let resumes = vec![
             (100_000, 0),
-            (300_000, KERNEL),
+            (300_000, 1),
             (300_000, 0),
             (600_000, 0),
-            (600_001, KERNEL),
-            (3_101_000, 1),
-            (4_101_000, 1),
+            (600_001, 1),
+            (3_101_000, 2),
+            (4_101_000, 2),
             (10_600_000, 0),
             (10_650_000, 0),
-            (10_660_000, 2),
+            (10_660_000, 3),
             (10_710_000, 0),
         ];
         // Which charges take the full step: the lone charge, the one a
@@ -1805,10 +1717,10 @@ mod tests {
             (0, false),
             (0, true),
             (0, false),
-            (1, true),
-            (1, false),
-            (0, true),
             (2, true),
+            (2, false),
+            (0, true),
+            (3, true),
             (0, true),
         ];
         assert_eq!(charge_log(None), (resumes, queued, 10_710_000, 10, 2));
@@ -1890,14 +1802,7 @@ mod tests {
             let me = must_current_thread();
             assert_eq!(me, ThreadId(0));
             let granted = |node: u16| Some((Arc::as_ptr(&e.inner), me, NodeId(node)));
-            // A handler in main's own step, just before its arrival, finds
-            // it where its grant left it.
-            let seen = Arc::new(Mutex::new(None));
-            let (e_ask, seen_ask) = (Arc::clone(&e), Arc::clone(&seen));
-            let ask = move || *seen_ask.lock() = Some(e_ask.node_of(me));
-            e.after(SimTime::from_ms(1), Box::new(ask));
             e.leg(NodeId(0), NodeId(1), 64, true, "alone");
-            assert_eq!(*seen.lock(), Some(NodeId(0)));
             assert_eq!(GRANTED.get(), granted(1));
             assert_eq!(e.node_of(me), NodeId(1));
             let e_peer = Arc::clone(&e);
@@ -2035,11 +1940,14 @@ mod tests {
 
     #[test]
     fn the_chaos_schedule_is_pinned() {
-        // 150 handler messages over the six directed links of a 3-node
+        // 150 one-leg threads over the six directed links of a 3-node
         // cluster, through a 1-2 partition that heals, then 30 travelling
         // legs round the ring. `seeded_chaos_is_deterministic` compares a
         // run with itself; this compares it with the schedule the fault
-        // layer has always produced.
+        // layer has always produced. The threads are spawned in the order
+        // the handler messages this replaced were sent, and each sends its
+        // leg at time 0, in that order: a fate hashes (seed, link, seq,
+        // attempt), so the schedule is the handlers' own.
         use std::sync::atomic::{AtomicU64, Ordering};
         const MSGS: u64 = 150;
         let plan = crate::FaultPlan::seeded(1234)
@@ -2060,19 +1968,15 @@ mod tests {
             let me = must_current_thread();
             let got = Arc::new(AtomicU64::new(0));
             for i in 0..MSGS {
-                let from = (i % 3) as u16;
-                let to = (from + 1 + (i / 3 % 2) as u16) % 3;
+                let from = NodeId((i % 3) as u16);
+                let to = NodeId((from.0 + 1 + (i / 3 % 2) as u16) % 3);
                 let (e3, got2) = (Arc::clone(&e2), Arc::clone(&got));
-                let handler = move || {
+                let body = move || {
+                    e3.leg(from, to, 64 + i as usize % 5, false, "chaos-leg");
                     got2.fetch_add(1, Ordering::Relaxed);
                     e3.unblock_kernel(me);
                 };
-                e2.send(
-                    NodeId(from),
-                    NodeId(to),
-                    64 + i as usize % 5,
-                    Box::new(handler),
-                );
+                e2.spawn(from, format!("chaos{i}"), Box::new(body));
             }
             while got.load(Ordering::Relaxed) < MSGS {
                 e2.block_kernel("await-chaos-storm");
@@ -2096,35 +2000,39 @@ mod tests {
         assert_eq!(pinned, (241_000, 180, 40, 79, 39, 19, 19));
     }
 
-    /// One-way reliable send: fires `n` messages and blocks until every
-    /// handler has run, so lost messages hang (and the deadline/deadlock
-    /// machinery reports them) rather than passing silently.
+    /// One-way reliable messages: `n` threads on node 0, spawned at once,
+    /// each take one leg to node 1, and the caller blocks until every leg
+    /// has arrived, so lost messages hang (and the deadlock detector
+    /// reports them) rather than passing silently.
     fn pingstorm(e: &Arc<SimEngine>, n: u64) {
         pingstorm_probed(e, n, |_| {});
     }
 
-    /// [`pingstorm`], calling `probe` after each send and in each handler.
+    /// [`pingstorm`], calling `probe` at each arrival and at each of the
+    /// caller's wakes.
     fn pingstorm_probed(e: &Arc<SimEngine>, n: u64, probe: fn(&SimEngine)) {
         use std::sync::atomic::{AtomicU64, Ordering};
         let me = must_current_thread();
         let got = Arc::new(AtomicU64::new(0));
         for i in 0..n {
-            let e2 = Arc::clone(e);
-            let got2 = Arc::clone(&got);
-            e.send(
-                NodeId(0),
-                NodeId(1),
-                64 + (i as usize % 7),
-                Box::new(move || {
-                    probe(&e2);
-                    got2.fetch_add(1, Ordering::Release);
-                    e2.unblock_kernel(me);
-                }),
-            );
-            probe(e);
+            let (e2, got2) = (Arc::clone(e), Arc::clone(&got));
+            let body = move || {
+                e2.leg(
+                    NodeId(0),
+                    NodeId(1),
+                    64 + (i as usize % 7),
+                    false,
+                    "ping-leg",
+                );
+                probe(&e2);
+                got2.fetch_add(1, Ordering::Release);
+                e2.unblock_kernel(me);
+            };
+            e.spawn(NodeId(0), format!("ping{i}"), Box::new(body));
         }
         while got.load(Ordering::Acquire) < n {
             e.block_kernel("await-pingstorm");
+            probe(e);
         }
     }
 
@@ -2273,8 +2181,9 @@ mod tests {
         let err = e.run(NodeId(0), move || pingstorm(&e2, 1)).unwrap_err();
         match err {
             EngineError::Deadlock { blocked, .. } => {
-                assert_eq!(blocked.len(), 1);
-                assert!(blocked[0].1.contains("await-pingstorm"), "{blocked:?}");
+                // The caller, and the thread whose leg never arrived.
+                let why: Vec<&str> = blocked.iter().map(|(_, why)| why.as_str()).collect();
+                assert_eq!(why, ["await-pingstorm (main)", "ping-leg (ping0)"]);
             }
             other => panic!("expected deadlock, got {other}"),
         }
@@ -2460,64 +2369,22 @@ mod tests {
     #[test]
     fn a_backtrace_stops_at_the_base_of_a_simulated_stack() {
         // Unwinders find no return address in the trampoline, so a
-        // backtrace taken in a body or in a handler (on the stack of the
-        // thread whose step runs it) ends there instead of walking off
-        // the top of the stack.
+        // backtrace taken in a body, before a leg and after the switch
+        // back from it, ends there instead of walking off the top of the
+        // stack.
         use std::backtrace::Backtrace;
         let e = sim(2, 1);
         let e2 = Arc::clone(&e);
-        let (in_body, in_handler) = e
+        let traces = e
             .run(NodeId(0), move || {
-                let in_body = Backtrace::force_capture().to_string();
-                let me = must_current_thread();
-                let got = Arc::new(Mutex::new(String::new()));
-                let (e3, got2) = (Arc::clone(&e2), Arc::clone(&got));
-                let handler = move || {
-                    *got2.lock() = Backtrace::force_capture().to_string();
-                    e3.unblock(me);
-                };
-                e2.send(NodeId(0), NodeId(1), 0, Box::new(handler));
-                e2.block_current("await-handler");
-                let in_handler = got.lock().clone();
-                (in_body, in_handler)
+                let before = Backtrace::force_capture().to_string();
+                e2.leg(NodeId(0), NodeId(1), 0, true, "await-arrival");
+                [before, Backtrace::force_capture().to_string()]
             })
             .unwrap();
-        for trace in [in_body, in_handler] {
+        for trace in traces {
             let last = trace.lines().rev().find(|l| l.contains(": "));
             assert!(last.is_some_and(|l| l.contains("trampoline")), "{trace}");
         }
-    }
-
-    #[test]
-    fn kernel_handler_can_spawn() {
-        let e = sim(2, 1);
-        let e2 = Arc::clone(&e);
-        let hit = Arc::new(Mutex::new(false));
-        let hit2 = Arc::clone(&hit);
-        e.run(NodeId(0), move || {
-            let me = must_current_thread();
-            let e3 = Arc::clone(&e2);
-            let hit3 = Arc::clone(&hit2);
-            e2.send(
-                NodeId(0),
-                NodeId(1),
-                0,
-                Box::new(move || {
-                    let e4 = Arc::clone(&e3);
-                    let hit4 = Arc::clone(&hit3);
-                    e3.spawn(
-                        NodeId(1),
-                        "spawned-by-handler".into(),
-                        Box::new(move || {
-                            *hit4.lock() = true;
-                            e4.unblock(me);
-                        }),
-                    );
-                }),
-            );
-            e2.block_current("await-remote-spawn");
-        })
-        .unwrap();
-        assert!(*hit.lock());
     }
 }

@@ -435,7 +435,7 @@ pub struct TraceRecord {
     /// Engine clock at emission (virtual or wall, per the engine).
     pub at: SimTime,
     /// The Amber thread that caused the event, when emitted from thread
-    /// context (`None` from kernel handlers or host code).
+    /// context (`None` in kernel context or from host code).
     pub thread: Option<ThreadId>,
     /// The event itself.
     pub event: ProtocolEvent,
@@ -599,8 +599,8 @@ impl Tracer {
     }
 }
 
-/// The Chrome-trace `tid` of records raised in kernel context (message
-/// handlers, retransmission timers): a track of their own on each node,
+/// The Chrome-trace `tid` of records raised in kernel context (suppressed
+/// duplicates, retransmission timers): a track of their own on each node,
 /// clear of every Amber thread's.
 const KERNEL_TID: u64 = i32::MAX as u64;
 

@@ -272,6 +272,31 @@ const RULES: &[Rule] = &[
         }],
     },
     Rule {
+        name: "One queue of data",
+        closed_by: 43,
+        why: "engine events are data: the simulator's queue holds thread ids and the fault layer's typed items and its step runs no handler, and the Engine trait takes no closure but a thread body; do not bring back send, after or a timer closure",
+        scans: &[
+            Scan {
+                paths: &["crates/engine/src/sim.rs"],
+                forbid: &["run_handler", "Event::Timer", "Payload::Handler", "fn send("],
+                sample: "Event::Timer(handler) => st = self.run_handler(st, handler),",
+                ..SCAN
+            },
+            Scan {
+                paths: &["crates/engine/src"],
+                forbid: &["KernelFn", "fn after("],
+                sample: "fn after(&self, delay: SimTime, f: KernelFn);",
+                ..SCAN
+            },
+            Scan {
+                paths: &["crates/core/src"],
+                forbid: &[".after("],
+                sample: ".after(p.tick, Box::new(move || engine.unblock_kernel(daemon)));",
+                ..SCAN
+            },
+        ],
+    },
+    Rule {
         name: "One gate per thread",
         closed_by: 40,
         why: "one gate per RealEngine thread, with a permit count per wake class; do not give the kernel a gate of its own",

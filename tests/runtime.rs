@@ -261,8 +261,9 @@ fn deadlock_detector_names_the_guilty() {
 #[test]
 fn a_simulated_run_spawns_no_os_thread() {
     // Every simulated thread runs on a stack of its own on the OS thread
-    // that called `run`: 64 threads and one spawned from a message handler
-    // note which OS thread they are on after every block point.
+    // that called `run`: 64 threads, and one spawned by a courier where its
+    // leg arrived, note which OS thread they are on after every block
+    // point.
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
 
@@ -292,17 +293,18 @@ fn a_simulated_run_spawns_no_os_thread() {
         }
         let (e, main) = (Arc::clone(&e2), must_current_thread());
         let note2 = note.clone();
-        let handler = move || {
+        let courier = move || {
+            e.leg(NodeId(0), NodeId(1), 64, true, "courier-leg");
             let e3 = Arc::clone(&e);
             let body = move || {
                 e3.work(SimTime::from_us(10));
                 note2();
                 e3.unblock(main);
             };
-            e.spawn(NodeId(1), "from-handler".into(), Box::new(body));
+            e.spawn(NodeId(1), "from-courier".into(), Box::new(body));
         };
-        e2.send(NodeId(0), NodeId(1), 64, Box::new(handler));
-        e2.block_current("await-handler-thread");
+        e2.spawn(NodeId(0), "courier".into(), Box::new(courier));
+        e2.block_current("await-courier-thread");
         note();
     })
     .unwrap();
