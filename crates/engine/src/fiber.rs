@@ -7,6 +7,11 @@
 //! callee-saved registers, the floating-point control state and the stack
 //! pointer, nothing else. Every stack's base frame is [`trampoline`], which
 //! tells unwinders the stack ends there.
+//!
+//! A stack is mapped once and kept: the simulator's fibers outlive their
+//! engine in a process-wide cache (`sim.rs`), so a run that follows another
+//! maps, protects and faults in nothing. Tests count the stacks each OS
+//! thread maps (`tests::mapped_here`).
 
 use std::ffi::{c_int, c_long, c_void};
 use std::io;
@@ -53,6 +58,8 @@ pub(crate) struct Stack {
 
 impl Stack {
     pub(crate) fn new() -> io::Result<Stack> {
+        #[cfg(test)]
+        tests::MAPPED.set(tests::MAPPED.get() + 1);
         // SAFETY: sysconf only reads a constant of the running system.
         let page = unsafe { sysconf(SC_PAGESIZE) } as usize;
         let len = STACK_BYTES + page;
@@ -270,4 +277,19 @@ unsafe extern "C" fn trampoline() {
         "brk #1",
         ".cfi_endproc",
     )
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(super) static MAPPED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// How many stacks this OS thread has mapped: per OS thread, because
+    /// the test harness runs other engines' tests beside the one asking.
+    pub(crate) fn mapped_here() -> u64 {
+        MAPPED.get()
+    }
 }

@@ -4,7 +4,10 @@
 //! executes natively (real Rust closures), and exactly one Amber thread runs
 //! at a time, so no Amber thread has an OS thread of its own: each has a
 //! 256 KiB stack of its own, and all of them run on the OS thread that
-//! called [`run_boxed`](crate::Engine::run_boxed). Whoever holds the "baton"
+//! called [`run_boxed`](crate::Engine::run_boxed). Stacks outlive their
+//! engine: a thread's fiber goes back to one capped, process-wide cache when
+//! the thread ends or its engine drops, and the next spawn anywhere takes it
+//! from there instead of mapping one. Whoever holds the "baton"
 //! executes until its next block point (work, block, yield, sleep, the end
 //! of its body) and there runs the one dispatch step itself
 //! (`SimInner::pass_baton`): grant the next runnable thread, else advance
@@ -38,7 +41,10 @@
 //! aliased.
 //!
 //! The queue holds data only: every event is a thread id or the fault
-//! layer's typed item, and the step runs no code but thread bodies. Every
+//! layer's typed item, and the step runs no code but thread bodies. It is a
+//! min-heap of integer keys, one per event, each packing the instant, the
+//! event's sequence number and the slot its payload waits in, so the heap
+//! orders events by `(at, seq)` with one integer compare. Every
 //! message goes through the fault layer's windows (`crate::fault::Links`,
 //! under the spec's `FaultPlan`, perfect by default), which live in the
 //! state too: a copy's arrival and a lost attempt's timer are typed events
@@ -55,18 +61,21 @@
 //! What belongs to an Amber thread rather than to an OS thread — its id and
 //! its invocation frames — lives in the OS thread's thread-locals while it
 //! runs, and in its fiber's `Parked` while it is switched out: every switch
-//! exchanges the two. A run that fails leaves its parked threads' stacks
-//! unreturned to, which leaks what is on them and nothing else.
+//! exchanges the two. Which thread runs is also this OS thread's last grant,
+//! so a block point checks its caller with two thread-local reads. A run
+//! that fails leaves its parked threads' stacks unreturned to, which leaks
+//! what is on them and nothing else; their engine's drop unmaps them rather
+//! than caching them.
 
 use std::cell::{Cell, RefCell, RefMut};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::engine::{
     must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, Parked,
@@ -126,13 +135,42 @@ struct Fiber {
 struct FiberBox(NonNull<Fiber>);
 
 // SAFETY: a fiber's context runs only inside `run_boxed`, on the OS thread
-// that called it. Another OS thread reaches a fiber only through the state
-// while no context runs on it and none will be resumed elsewhere: arming a
-// spare fiber in a `spawn` outside a run, or dropping the engine.
+// that called it. Another OS thread reaches a fiber only while no context
+// runs on it and none will be resumed: arming one in a `spawn` outside a
+// run, dropping an engine, or passing through the cache.
 unsafe impl Send for FiberBox {}
 
+/// The most fibers [`SPARE`] keeps. The largest simulated run in the tree,
+/// SOR at 8 nodes × 4 processors, has 55 threads alive at once, so every
+/// cluster of a sweep finds the stacks the one before it left, and the
+/// cache pins at most 64 × 260 KiB of address space.
+const SPARE_CAP: usize = 64;
+
+/// Fibers no thread runs on, of every engine in the process: a spawn takes
+/// one before it maps a stack, and a dropped [`FiberBox`] comes back here
+/// until there are [`SPARE_CAP`], as glibc keeps the stacks of joined
+/// pthreads. Each was armed before, so each keeps its stack's guard page
+/// and the pages its last thread touched.
+static SPARE: Mutex<Vec<FiberBox>> = Mutex::new(Vec::new());
+
+/// The cache's list. Nothing panics while holding it, but a poisoned list
+/// is still a list.
+fn spare() -> std::sync::MutexGuard<'static, Vec<FiberBox>> {
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl FiberBox {
-    fn new() -> std::io::Result<FiberBox> {
+    /// A fiber from the cache, or a freshly mapped one.
+    fn take() -> std::io::Result<FiberBox> {
+        let cached = {
+            let mut spare = spare();
+            #[cfg(test)]
+            tests::count_take(spare.len());
+            spare.pop()
+        };
+        if let Some(fiber) = cached {
+            return Ok(fiber);
+        }
         let fiber = Box::new(Fiber {
             sp: Cell::new(std::ptr::null_mut()),
             parked: Parked::default(),
@@ -143,7 +181,7 @@ impl FiberBox {
     }
 
     fn get(&self) -> &Fiber {
-        // SAFETY: owned since `new`, and only shared references are made.
+        // SAFETY: owned since `take`, and only shared references are made.
         unsafe { self.0.as_ref() }
     }
 
@@ -158,11 +196,28 @@ impl FiberBox {
         let sp = unsafe { fiber::prepare(&fiber.stack, fiber_main, self.0.as_ptr().cast()) };
         fiber.sp.set(sp);
     }
+
+    /// Unmaps the fiber's stack instead of caching it: a context is parked
+    /// on it, with values no destructor will run for, and the memory keeps
+    /// whatever may still point into it.
+    fn discard(self) {
+        let fiber = std::mem::ManuallyDrop::new(self);
+        // SAFETY: leaked by `take` and owned by this box alone, which is
+        // not dropped.
+        drop(unsafe { Box::from_raw(fiber.0.as_ptr()) });
+    }
 }
 
 impl Drop for FiberBox {
+    /// Returns the fiber to [`SPARE`]; past the cap, unmaps it.
     fn drop(&mut self) {
-        // SAFETY: leaked by `new` and owned by this box alone.
+        let mut spare = spare();
+        if spare.len() < SPARE_CAP {
+            spare.push(FiberBox(self.0));
+            return;
+        }
+        drop(spare);
+        // SAFETY: leaked by `take` and owned by this box alone.
         drop(unsafe { Box::from_raw(self.0.as_ptr()) });
     }
 }
@@ -244,6 +299,18 @@ struct Tcb {
     block_reason: &'static str,
 }
 
+impl Drop for Tcb {
+    /// A thread that never ended when its engine goes leaves a context on
+    /// its fiber that nothing resumes: that stack is unmapped, not cached.
+    fn drop(&mut self) {
+        if let Some(fiber) = self.fiber.take() {
+            if self.state != RunState::Dead {
+                fiber.discard();
+            }
+        }
+    }
+}
+
 struct NodeSim {
     processors: usize,
     /// Processors currently occupied by charged bursts.
@@ -274,44 +341,86 @@ struct Arrival {
     node: Option<NodeId>,
 }
 
-/// An event on the queue, due `at`, ordered by `(at, seq)` alone: `seq` is
-/// unique, so two entries never compare equal and the heap pops them in
-/// exactly one order.
-struct Queued {
-    at: SimTime,
-    seq: u64,
-    ev: Event,
-}
+/// Bits of a queue key that name an event's slot; the `seq` takes the
+/// rest of the low 64, the instant the high 64.
+const SLOT_BITS: u32 = 24;
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
 
-impl Queued {
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+/// An event due `at`, numbered `seq`, whose payload sits in `slot`, as one
+/// integer: `at << 64 | seq << SLOT_BITS | slot`. Keys order as `(at, seq)`
+/// do; `seq` is unique, so the slot never decides.
+///
+/// # Panics
+///
+/// If `seq` or `slot` does not fit its bits: a key never wraps.
+fn event_key(at: SimTime, seq: u64, slot: usize) -> u128 {
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a wrapped key would reorder the run"
+    )]
+    {
+        assert!(
+            seq < 1 << SEQ_BITS,
+            "event seq {seq} overflows {SEQ_BITS} bits"
+        );
+        assert!(
+            slot < 1 << SLOT_BITS,
+            "event slot {slot} overflows {SLOT_BITS} bits"
+        );
     }
+    (u128::from(at.as_ns()) << 64) | (u128::from(seq) << SLOT_BITS) | slot as u128
 }
 
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+/// The events due, in `(at, seq)` order: a min-heap of [`event_key`]s, each
+/// naming the slot that holds its payload, so the heap moves 16-byte
+/// integers and compares them in one step. A popped event's slot goes to
+/// `free` for the next push.
+#[derive(Default)]
+struct Events {
+    keys: BinaryHeap<Reverse<u128>>,
+    slots: Vec<Option<Event>>,
+    free: Vec<usize>,
+}
+
+impl Events {
+    /// Queues `ev`; a key that does not fit panics with the queue as it was.
+    fn push(&mut self, at: SimTime, seq: u64, ev: Event) {
+        let slot = self.free.last().copied().unwrap_or(self.slots.len());
+        let key = event_key(at, seq, slot);
+        match self.free.pop() {
+            Some(slot) => self.slots[slot] = Some(ev),
+            None => self.slots.push(Some(ev)),
+        }
+        self.keys.push(Reverse(key));
     }
-}
 
-impl Eq for Queued {}
-
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// The earliest event and the instant it is due.
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let Reverse(key) = self.keys.pop()?;
+        let slot = (key as usize) & ((1 << SLOT_BITS) - 1);
+        #[expect(
+            clippy::expect_used,
+            reason = "a slot holds its event until its key pops"
+        )]
+        let ev = self.slots[slot]
+            .take()
+            .expect("a queued key with an empty slot");
+        self.free.push(slot);
+        Some((SimTime::from_ns((key >> 64) as u64), ev))
     }
-}
 
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
+    /// When the earliest event is due.
+    fn next_at(&self) -> Option<SimTime> {
+        self.keys
+            .peek()
+            .map(|&Reverse(key)| SimTime::from_ns((key >> 64) as u64))
     }
 }
 
 thread_local! {
     /// The thread the last grant on this OS thread went to, the engine that
-    /// granted it, and its node then; `None` once a run is over.
+    /// granted it, and its node then. Once a run is over it is what it was
+    /// before the run: `None`, or the grant of the thread whose body ran it.
     ///
     /// A thread's node changes only in `SimState::arrive`, inside a step,
     /// while the thread is not running, and a thread resumes only through a
@@ -326,6 +435,15 @@ thread_local! {
     /// owner word. It is unique among live OS threads and a multiple of 8,
     /// which leaves bit 0 for [`RUN`].
     static HERE: u64 = const { 0 };
+}
+
+/// Puts `GRANTED` back as it was when dropped.
+struct RestoreGrant(Option<(*const SimInner, ThreadId, NodeId)>);
+
+impl Drop for RestoreGrant {
+    fn drop(&mut self) {
+        GRANTED.set(self.0);
+    }
 }
 
 /// An owner word's: nobody holds the state.
@@ -445,9 +563,9 @@ impl StateCell {
 
 struct SimState {
     clock: SimTime,
+    /// The next event's number: with its instant, its place in the queue.
     seq: u64,
-    /// A min-heap on `(at, seq)`.
-    events: BinaryHeap<Reverse<Queued>>,
+    events: Events,
     /// Threads ready to execute user code at the current instant (FIFO).
     runnable: VecDeque<ThreadId>,
     /// Indexed by thread id: ids are handed out in order, and a tcb is
@@ -460,10 +578,8 @@ struct SimState {
     finished: bool,
     error: Option<EngineError>,
     /// Threads that left their stacks for good in a step before this one,
-    /// whose fibers can go to `spare`.
+    /// whose fibers can go back to the cache ([`SPARE`]).
     exited: Vec<ThreadId>,
-    /// Fibers no thread runs on, for the next spawns.
-    spare: Vec<FiberBox>,
     /// The run in progress's [`Root`].
     root: Option<RootPtr>,
     /// Every link's window.
@@ -500,7 +616,7 @@ impl SimEngine {
             state: StateCell::new(SimState {
                 clock: SimTime::ZERO,
                 seq: 0,
-                events: BinaryHeap::new(),
+                events: Events::default(),
                 runnable: VecDeque::new(),
                 threads: Vec::new(),
                 nodes,
@@ -509,7 +625,6 @@ impl SimEngine {
                 finished: false,
                 error: None,
                 exited: Vec::new(),
-                spare: Vec::new(),
                 root: None,
                 links: Links::new(spec.fault, spec.latency, spec.nodes),
             }),
@@ -559,9 +674,8 @@ impl SimState {
     }
 
     fn push_event(&mut self, at: SimTime, ev: Event) {
-        let seq = self.seq;
+        self.events.push(at, self.seq, ev);
         self.seq += 1;
-        self.events.push(Reverse(Queued { at, seq, ev }));
     }
 
     /// Whether a burst of `cost` by the running thread on `node_ix` is
@@ -578,7 +692,7 @@ impl SimState {
             && node.busy < node.processors
             && !self.finished
             && self.error.is_none()
-            && self.events.peek().is_none_or(|Reverse(next)| next.at > end)
+            && self.events.next_at().is_none_or(|next| next > end)
             && node.quantum.is_none_or(|q| cost <= q)
     }
 
@@ -722,9 +836,7 @@ impl SimInner {
     fn pass_baton(&self, mut st: StateRef<'_>, stepper: Stepper) {
         // Threads that exited in earlier steps are off their stacks now.
         while let Some(tid) = st.exited.pop() {
-            if let Some(fiber) = st.tcb_mut(tid).fiber.take() {
-                st.spare.push(fiber);
-            }
+            drop(st.tcb_mut(tid).fiber.take());
         }
         let next = loop {
             if st.finished {
@@ -745,7 +857,7 @@ impl SimInner {
                 break Some(tid);
             }
             // 2. Otherwise advance the virtual clock to the next event.
-            if let Some(Reverse(Queued { at, ev, .. })) = st.events.pop() {
+            if let Some((at, ev)) = st.events.pop() {
                 #[expect(clippy::disallowed_macros, reason = "events go at clock + delay")]
                 {
                     debug_assert!(at >= st.clock, "time went backwards");
@@ -852,23 +964,35 @@ impl SimEngine {
     /// running on its own stack: the step saves the running context in the
     /// caller's fiber, so any other caller (a thread of another engine, or
     /// another OS thread) would overwrite a context still in use.
+    ///
+    /// The caller is that thread exactly when this OS thread's last grant
+    /// (`GRANTED`) went to it from this engine: a grant switches to the
+    /// grantee's stack, and a nested run puts back the grant it found. So
+    /// the check is two thread-local reads and a compare; checked builds
+    /// also test that the caller's stack lies in the thread's fiber.
     fn borrow_running(&self) -> (ThreadId, StateRef<'_>) {
         let tid = must_current_thread();
-        let here = 0u8;
         let st = self.inner.state.borrow();
-        let fiber = st
-            .threads
-            .get(tid.0 as usize)
-            .and_then(|t| t.fiber.as_ref());
+        let granted = GRANTED
+            .get()
+            .is_some_and(|(engine, t, _)| t == tid && std::ptr::eq(engine, &*self.inner));
         #[expect(
             clippy::disallowed_macros,
             reason = "a block point is called on its stack"
         )]
         {
-            assert!(
-                fiber.is_some_and(|f| f.get().stack.contains(std::ptr::addr_of!(here))),
-                "{tid} is not a thread of this engine running here"
-            );
+            assert!(granted, "{tid} is not a thread of this engine running here");
+        }
+        if amber_verify::ACTIVE {
+            let here = 0u8;
+            let fiber = st.tcb(tid).fiber.as_ref();
+            #[expect(clippy::disallowed_macros, reason = "verify builds check the grant")]
+            {
+                assert!(
+                    fiber.is_some_and(|f| f.get().stack.contains(std::ptr::addr_of!(here))),
+                    "{tid} is not a thread of this engine running here"
+                );
+            }
         }
         (tid, st)
     }
@@ -933,10 +1057,7 @@ impl Engine for SimEngine {
         }
         let tid = ThreadId(st.threads.len() as u64);
         #[expect(clippy::expect_used, reason = "no stack, no Amber thread")]
-        let fiber = match st.spare.pop() {
-            Some(fiber) => fiber,
-            None => FiberBox::new().expect("failed to map a stack for an Amber thread"),
-        };
+        let fiber = FiberBox::take().expect("failed to map a stack for an Amber thread");
         st.live += 1;
         fiber.arm(Start {
             inner: Arc::as_ptr(&self.inner),
@@ -1123,6 +1244,9 @@ impl Engine for SimEngine {
     }
 
     fn run_boxed(&self, node: NodeId, body: ThreadBody) -> Result<(), EngineError> {
+        // A run nested in another engine's thread hands that thread its
+        // grant back as it returns or unwinds: its block points test it.
+        let _outer = RestoreGrant(GRANTED.get());
         let root = Root {
             sp: Cell::new(std::ptr::null_mut()),
             parked: Parked::default(),
@@ -1159,9 +1283,59 @@ mod tests {
     use crate::engine::{with_invocations, EngineExt};
     use crate::policy::RoundRobin;
     use parking_lot::Mutex;
+    use std::sync::atomic::AtomicU64;
 
     fn sim(nodes: usize, procs: usize) -> Arc<SimEngine> {
         SimEngine::cluster(nodes, procs, LatencyModel::fixed(SimTime::from_ms(1)))
+    }
+
+    impl Events {
+        /// No key queued, and no payload left behind.
+        fn is_empty(&self) -> bool {
+            self.keys.is_empty() && self.iter().next().is_none()
+        }
+
+        /// The payloads queued, in slot order.
+        fn iter(&self) -> impl Iterator<Item = &Event> {
+            self.slots.iter().flatten()
+        }
+    }
+
+    /// Cached fibers taken by every OS thread, and by this one.
+    static TAKEN: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        static TAKEN_HERE: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Called under the cache's lock, so a take that came first is
+    /// counted before the next holder of the lock reads the count.
+    pub(super) fn count_take(cached: usize) {
+        if cached > 0 {
+            TAKEN.fetch_add(1, Relaxed);
+            TAKEN_HERE.set(TAKEN_HERE.get() + 1);
+        }
+    }
+
+    /// `f`'s result, and whether another OS thread took a cached fiber
+    /// while it ran.
+    fn others_took<R>(f: impl FnOnce() -> R) -> (R, bool) {
+        let (all, mine) = (TAKEN.load(Relaxed), TAKEN_HERE.get());
+        let out = f();
+        let others = (TAKEN.load(Relaxed) - all) - (TAKEN_HERE.get() - mine);
+        (out, others > 0)
+    }
+
+    /// Runs `attempt` until it says the cache was left alone while it ran
+    /// (`Some`): the harness runs other engines' tests beside this one, on
+    /// other OS threads, and they share the cache.
+    fn undisturbed<R>(mut attempt: impl FnMut() -> Option<R>) -> R {
+        for _ in 0..100 {
+            if let Some(out) = attempt() {
+                return out;
+            }
+        }
+        panic!("other tests used the fiber cache during each of 100 attempts")
     }
 
     #[test]
@@ -1303,8 +1477,8 @@ mod tests {
     #[test]
     fn every_body_starts_with_an_empty_invocation_context() {
         // A thread leaves frames and carried bytes behind as it exits; the
-        // next spawn runs on its spare fiber, and starts with none of them.
-        // Neither does a body spawned while main holds some.
+        // next spawn runs on its fiber, back from the cache, and starts with
+        // none of them. Neither does a body spawned while main holds some.
         fn litter() {
             with_invocations(|c| {
                 c.frames.extend([7, 8]);
@@ -1314,30 +1488,34 @@ mod tests {
         fn empty() -> bool {
             with_invocations(|c| c.frames.is_empty() && c.carry_bytes == 0)
         }
-        let e = sim(1, 1);
-        let e2 = Arc::clone(&e);
-        e.run(NodeId(0), move || {
-            assert!(empty(), "main");
-            litter();
-            let spare = || e2.inner.state.borrow().spare.len();
-            let first = || {
-                assert!(empty(), "a fresh fiber");
+        undisturbed(|| {
+            let e = sim(1, 1);
+            let e2 = Arc::clone(&e);
+            e.run(NodeId(0), move || {
+                assert!(empty(), "main");
                 litter();
-            };
-            e2.spawn(NodeId(0), "litterer".into(), Box::new(first));
-            // It runs and exits at the first step; the second takes its
-            // fiber to the spares.
-            e2.yield_now();
-            e2.yield_now();
-            assert_eq!(spare(), 1);
-            let second = || assert!(empty(), "a reused fiber");
-            e2.spawn(NodeId(0), "reuser".into(), Box::new(second));
-            assert_eq!(spare(), 0);
-            e2.yield_now();
-            // Main's own context went nowhere.
-            assert_eq!(with_invocations(|c| c.carry_bytes), 99);
-        })
-        .unwrap();
+                let fiber = |tid| std::ptr::from_ref(e2.inner.state.borrow().fiber(tid));
+                let first = || {
+                    assert!(empty(), "a fresh fiber");
+                    litter();
+                };
+                let litterer = e2.spawn(NodeId(0), "litterer".into(), Box::new(first));
+                let littered = fiber(litterer);
+                // It runs and exits at the first step; the second returns
+                // its fiber to the cache.
+                e2.yield_now();
+                e2.yield_now();
+                let second = || assert!(empty(), "a reused fiber");
+                let reuser = e2.spawn(NodeId(0), "reuser".into(), Box::new(second));
+                let reused = fiber(reuser) == littered;
+                e2.yield_now();
+                // Main's own context went nowhere.
+                assert_eq!(with_invocations(|c| c.carry_bytes), 99);
+                // Another test's fiber came back in between: try again.
+                reused.then_some(())
+            })
+            .unwrap()
+        });
     }
 
     #[test]
@@ -1763,6 +1941,87 @@ mod tests {
     }
 
     #[test]
+    fn the_queue_pops_in_at_then_seq_order() {
+        // A seeded mix of pushes, most tied on a few instants near the
+        // clock, and pops, against a reference heap of `(at, seq)`. Each
+        // event carries its `seq` as its payload, so a pop says which key
+        // it came from.
+        let mut rng = 1989u64;
+        let mut next = move || {
+            // splitmix64
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut events = Events::default();
+        let mut reference = BinaryHeap::new();
+        let (mut seq, mut clock, mut deepest) = (0u64, 0u64, 0);
+        let pop = |events: &mut Events, reference: &mut BinaryHeap<_>| {
+            let popped = events.pop().map(|(at, ev)| match ev {
+                Event::Wake(ThreadId(seq)) => (at, seq),
+                _ => unreachable!("only wakes are queued"),
+            });
+            assert_eq!(popped, reference.pop().map(|Reverse(key)| key));
+            popped
+        };
+        for step in 0..10_000 {
+            // Deepen the queue for a while, then drain it.
+            if next() % 5 < if step < 4_000 { 3 } else { 2 } {
+                let ahead = if next() % 8 == 0 {
+                    next() % 1_000
+                } else {
+                    next() % 3
+                };
+                let at = SimTime::from_ns(clock + ahead);
+                events.push(at, seq, Event::Wake(ThreadId(seq)));
+                reference.push(Reverse((at, seq)));
+                seq += 1;
+                deepest = deepest.max(reference.len());
+            } else if let Some((at, _)) = pop(&mut events, &mut reference) {
+                clock = at.as_ns();
+            }
+            assert_eq!(events.iter().count(), reference.len(), "step {step}");
+            let next_at = reference.peek().map(|&Reverse((at, _))| at);
+            assert_eq!(events.next_at(), next_at, "step {step}");
+        }
+        while pop(&mut events, &mut reference).is_some() {}
+        assert!(events.is_empty() && reference.is_empty());
+        // A popped slot is reused: the queue never held more payloads than
+        // its deepest moment.
+        assert!(deepest > 100, "{deepest}");
+        assert_eq!(events.slots.len(), deepest);
+    }
+
+    #[test]
+    fn a_key_field_past_its_bits_panics() {
+        let (seq, slot) = ((1 << SEQ_BITS) - 1, (1 << SLOT_BITS) - 1);
+        // Every field at its limit fills the key exactly...
+        assert_eq!(event_key(SimTime::MAX, seq, slot), u128::MAX);
+        assert_eq!(event_key(SimTime::ZERO, 0, 0), 0);
+        // ...and one past it panics, never wrapping into its neighbour.
+        assert_eq!(
+            panic_of(|| event_key(SimTime::ZERO, seq + 1, 0)),
+            "event seq 1099511627776 overflows 40 bits"
+        );
+        assert_eq!(
+            panic_of(|| event_key(SimTime::ZERO, 0, slot + 1)),
+            "event slot 16777216 overflows 24 bits"
+        );
+        // A push that panics leaves the queue as it was.
+        let mut events = Events::default();
+        events.push(SimTime::from_ns(5), seq, Event::Wake(ThreadId(1)));
+        let wake = Event::Wake(ThreadId(2));
+        panic_of(|| events.push(SimTime::from_ns(3), seq + 1, wake));
+        assert_eq!(events.iter().count(), 1);
+        assert!(matches!(
+            events.pop(),
+            Some((at, Event::Wake(ThreadId(1)))) if at == SimTime::from_ns(5)
+        ));
+        assert!(events.is_empty());
+    }
+
+    #[test]
     fn a_simulated_run_counts_into_one_shard() {
         // Every simulated thread is a fiber on the run's OS thread, so a
         // whole run counts into one shard, whichever node counts.
@@ -1851,6 +2110,62 @@ mod tests {
             Ok(_) => panic!("returned instead of panicking"),
             Err(payload) => panic_message(&payload),
         }
+    }
+
+    #[test]
+    fn a_nested_run_hands_its_caller_back() {
+        // An outer thread runs an inner engine to completion, whose main is
+        // thread 0 too, on another node; then the outer thread's block
+        // points and grant-read answers are its own again at once.
+        let outer = sim(1, 1);
+        let o2 = Arc::clone(&outer);
+        let got = outer
+            .run(NodeId(0), move || {
+                let me = must_current_thread();
+                let inner = sim(2, 1);
+                let i2 = Arc::clone(&inner);
+                let seven = inner
+                    .run(NodeId(1), move || {
+                        i2.work(SimTime::from_us(5));
+                        i2.yield_now();
+                        7
+                    })
+                    .unwrap();
+                assert!(o2.uncontested(SimTime::from_us(1)));
+                o2.work(SimTime::from_us(3));
+                o2.yield_now();
+                assert!(o2.uncontested(SimTime::from_us(1)));
+                (seven, o2.node_of(me), o2.now())
+            })
+            .unwrap();
+        assert_eq!(got, (7, NodeId(0), SimTime::from_us(3)));
+    }
+
+    #[test]
+    fn a_foreign_block_point_panics() {
+        // Thread ids repeat across engines: every engine here has a thread
+        // 0, and none of them may be parked by another engine's step.
+        const FOREIGN: &str = "thread0 is not a thread of this engine running here";
+        let (a, b, idle) = (sim(1, 1), sim(1, 1), sim(1, 1));
+        idle.spawn(NodeId(0), "never-run".into(), Box::new(|| ()));
+        let a2 = Arc::clone(&a);
+        a.run(NodeId(0), move || {
+            // A thread of `a` at a block point of an idle engine...
+            assert_eq!(panic_of(|| idle.yield_now()), FOREIGN);
+            assert_eq!(panic_of(|| idle.work(SimTime::from_us(1))), FOREIGN);
+            // ...and a thread of `b`, run nested, at one of `a`'s.
+            let a3 = Arc::clone(&a2);
+            let err = b.run(NodeId(0), move || a3.yield_now()).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Panic { message, .. } if message == FOREIGN),
+                "{err}"
+            );
+            // `a`'s thread goes on.
+            a2.work(SimTime::from_us(2));
+            a2.yield_now();
+        })
+        .unwrap();
+        assert_eq!(a.now(), SimTime::from_us(2));
     }
 
     #[test]
@@ -2128,7 +2443,7 @@ mod tests {
             let timers = st
                 .events
                 .iter()
-                .filter(|Reverse(q)| matches!(q.ev, Event::Net(Wire::Retransmit(_))))
+                .filter(|ev| matches!(ev, Event::Net(Wire::Retransmit(_))))
                 .count();
             assert_eq!(timers, 0, "a timer for an attempt that was not lost");
         }
@@ -2260,9 +2575,11 @@ mod tests {
     fn a_baton_pass_costs_a_tenth_of_a_host_wake_at_most() {
         // A ratio of two medians taken in alternating batches in one
         // process, so host speed and drift cancel. A pass switches stacks
-        // on one OS thread and reads ~0.04x on one CPU (~70 ns; ~100 ns
-        // while the state sat under a mutex); an OS thread per simulated
-        // thread, woken through a gate, read ~1.1x.
+        // on one OS thread and reads ~0.04x on one CPU (64-76 ns against
+        // 1.7-2.0 us with the grant as the block point's check, 69-75 ns
+        // with the stack-bounds walk; ~100 ns while the state sat under a
+        // mutex); an OS thread per simulated thread, woken through a gate,
+        // read ~1.1x.
         const BATCHES: usize = 21;
         const ROUND_TRIPS: u32 = 5_000;
         let (mut ours, mut floor) = (Vec::new(), Vec::new());
@@ -2315,8 +2632,11 @@ mod tests {
         // A ratio of two medians taken in alternating batches in one
         // process, so host speed and drift cancel. A lone thread's charge
         // is a clock advance through the run's borrow of the state and
-        // reads ~0.17x on x86_64 (~0.3x while the state sat under a
-        // mutex); when every charge took a dispatch step it read ~0.65x.
+        // reads 0.09-0.15x on x86_64 pinned to one CPU (8-17 ns against
+        // 110-121 ns; 0.11-0.16x with a heap of whole events, whose one
+        // queued event cost a few ns less, against 94-107 ns; ~0.3x while
+        // the state sat under a mutex); when every charge took a dispatch
+        // step it read ~0.65x.
         const BATCHES: usize = 21;
         const CHARGES: u32 = 20_000;
         let (mut lone, mut shared) = (Vec::new(), Vec::new());
@@ -2339,10 +2659,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_body_has_the_stack_its_os_thread_had() {
-        // 192 KiB deep, of the 256 KiB an OS thread of its own gave it.
-        const DEPTH: usize = 192 * 1024;
+    /// How deep `deep_run` dives: 192 KiB, of the 256 KiB an OS thread of
+    /// its own gave a body.
+    const DEPTH: usize = 192 * 1024;
+
+    /// Runs a body on a fresh engine that recurses [`DEPTH`] bytes deep
+    /// between two block points; returns its frame count and the
+    /// protection of the mapping right below its stack.
+    fn deep_run() -> (usize, String) {
         fn dive(floor: usize) -> usize {
             let pad = std::hint::black_box([0u8; 1024]);
             if pad.as_ptr() as usize <= floor {
@@ -2353,17 +2677,105 @@ mod tests {
         }
         let e = sim(1, 1);
         let e2 = Arc::clone(&e);
-        let frames = e
-            .run(NodeId(0), move || {
-                // Deep at a block point too: what is below stays put.
-                e2.work(SimTime::from_us(1));
-                let top = 0u8;
-                let frames = dive(std::ptr::addr_of!(top) as usize - DEPTH);
-                e2.work(SimTime::from_us(1));
-                frames
+        e.run(NodeId(0), move || {
+            // Deep at a block point too: what is below stays put.
+            e2.work(SimTime::from_us(1));
+            let top = 0u8;
+            let frames = dive(std::ptr::addr_of!(top) as usize - DEPTH);
+            e2.work(SimTime::from_us(1));
+            (frames, protection_below(std::ptr::addr_of!(top) as usize))
+        })
+        .unwrap()
+    }
+
+    /// The permissions `/proc/self/maps` gives the mapping that ends where
+    /// the one holding `addr` starts.
+    fn protection_below(addr: usize) -> String {
+        let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+        let ranges: Vec<(usize, usize, &str)> = maps
+            .lines()
+            .map(|line| {
+                let mut fields = line.split_whitespace();
+                let (range, perms) = (fields.next().unwrap(), fields.next().unwrap());
+                let (lo, hi) = range.split_once('-').unwrap();
+                let hex = |h| usize::from_str_radix(h, 16).unwrap();
+                (hex(lo), hex(hi), perms)
             })
+            .collect();
+        let start = ranges
+            .iter()
+            .find(|&&(lo, hi, _)| (lo..hi).contains(&addr))
+            .map(|&(lo, _, _)| lo)
             .unwrap();
+        ranges
+            .iter()
+            .find(|&&(_, hi, _)| hi == start)
+            .map_or_else(|| "unmapped".to_string(), |&(_, _, perms)| perms.into())
+    }
+
+    #[test]
+    fn a_body_has_the_stack_its_os_thread_had() {
+        let (frames, guard) = deep_run();
         assert!((1..=DEPTH / 1024).contains(&frames), "{frames}");
+        assert_eq!(guard, "---p");
+    }
+
+    #[test]
+    fn a_reused_stack_keeps_its_depth_and_its_guard_page() {
+        // The second run's main runs on a stack the first one left in the
+        // cache: it maps nothing, dives as deep, and still has the guard
+        // page below it.
+        let ((frames, guard), mapped) = undisturbed(|| {
+            let (run, took) = others_took(|| {
+                deep_run();
+                let before = fiber::tests::mapped_here();
+                (deep_run(), fiber::tests::mapped_here() - before)
+            });
+            (!took).then_some(run)
+        });
+        assert_eq!(mapped, 0, "the second run mapped a stack");
+        assert!((1..=DEPTH / 1024).contains(&frames), "{frames}");
+        assert_eq!(guard, "---p");
+    }
+
+    /// Runs `threads` simulated threads, all alive at once, on a fresh
+    /// engine, and drops it.
+    fn run_threads(threads: usize) {
+        let e = sim(1, 1);
+        let e2 = Arc::clone(&e);
+        e.run(NodeId(0), move || {
+            for i in 1..threads {
+                let e3 = Arc::clone(&e2);
+                let body = move || e3.sleep(SimTime::from_us(1));
+                e2.spawn(NodeId(0), format!("t{i}"), Box::new(body));
+            }
+            e2.sleep(SimTime::from_us(1));
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_second_engine_maps_no_stack() {
+        let mapped = undisturbed(|| {
+            let (mapped, took) = others_took(|| {
+                run_threads(8);
+                let before = fiber::tests::mapped_here();
+                run_threads(8);
+                fiber::tests::mapped_here() - before
+            });
+            (!took).then_some(mapped)
+        });
+        assert_eq!(mapped, 0);
+        // A stack that is mapped is counted.
+        let before = fiber::tests::mapped_here();
+        drop(Stack::new().unwrap());
+        assert_eq!(fiber::tests::mapped_here(), before + 1);
+    }
+
+    #[test]
+    fn the_cache_never_holds_more_than_its_cap() {
+        run_threads(SPARE_CAP + 8);
+        assert!(spare().len() <= SPARE_CAP, "{}", spare().len());
     }
 
     #[test]

@@ -297,6 +297,18 @@ const RULES: &[Rule] = &[
         ],
     },
     Rule {
+        name: "One key per event",
+        closed_by: 44,
+        why: "the simulator's queue is a heap of integer keys, each packing an event's instant, sequence number and payload slot; do not bring back a heap of whole events ordered through trait impls",
+        scans: &[Scan {
+            paths: &["crates/engine/src/sim.rs"],
+            strip_tests: true,
+            forbid: &["struct Queued", "Reverse<Queued>"],
+            sample: "    events: BinaryHeap<Reverse<Queued>>,",
+            ..SCAN
+        }],
+    },
+    Rule {
         name: "One gate per thread",
         closed_by: 40,
         why: "one gate per RealEngine thread, with a permit count per wake class; do not give the kernel a gate of its own",
