@@ -5,14 +5,8 @@
 //!   overlap, plus the sequential baseline (Figures 2 and 3).
 //! * [`sor_dsm`] — the same SOR through the page-DSM baseline: the
 //!   comparison the paper's section 6 says it could not run.
-//! * [`matmul`] — block matrix multiply showing runtime immutability and
-//!   replication (section 2.3).
-//! * [`tsp`] — branch-and-bound TSP with a hot shared bound object, and the
-//!   program-controlled locality knob the paper advocates.
 
 #![warn(missing_docs)]
 
-pub mod matmul;
 pub mod sor;
 pub mod sor_dsm;
-pub mod tsp;

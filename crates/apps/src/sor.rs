@@ -13,8 +13,9 @@
 //!   single carrying invocation — overlapped with the computation of the
 //!   other points when `overlap` is on (the two 8Nx4P points of Figure 2);
 //! * a **convergence thread** that reports the section's residual to a
-//!   single master object each iteration and rendezvouses at a global
-//!   barrier, after which all sections learn whether to continue.
+//!   single master object each iteration, in one visit that also asks
+//!   whether the iteration is decided, and publishes the decision at its
+//!   section; workers read it up to `CONV_LAG` (two) iterations later.
 //!
 //! Cell updates use the classic red/black schedule: all black points (using
 //! red neighbours from the previous iteration), then all red points (using
@@ -420,11 +421,14 @@ where
 {
     let me = ctx.thread_id();
     loop {
+        // The test runs under the list's lock, so no `signal` can take the
+        // list between a false test and the push.
         let ok = ctx.invoke_shared(sec, |_, s| {
+            let mut list = waiters.list(s).lock();
             if pred(s) {
                 true
             } else {
-                waiters.list(s).lock().push(me);
+                list.push(me);
                 false
             }
         });
@@ -473,7 +477,7 @@ fn signal(ctx: &Ctx, sec: &ObjRef<Section>, waiters: WaiterList, action: impl Fn
 /// decides whether the program stops.
 ///
 /// Rendezvous is by iteration number (not a barrier generation), because the
-/// decision lag lets sections sit one iteration apart.
+/// decision lag lets sections sit up to `CONV_LAG` iterations apart.
 pub struct Master {
     sections: usize,
     /// Per-iteration tallies: iteration -> (reports received, max delta).
@@ -493,6 +497,50 @@ pub struct Master {
 }
 
 impl AmberObject for Master {}
+
+impl Master {
+    /// Tallies one section's residual for `iter`. The report that completes
+    /// the tally decides the iteration and returns the threads waiting on it.
+    fn report(&mut self, iter: usize, delta: f64) -> Vec<ThreadId> {
+        let entry = self.reports.entry(iter).or_insert((0, 0.0));
+        entry.0 += 1;
+        entry.1 = entry.1.max(delta);
+        let (count, iter_delta) = *entry;
+        if count < self.sections {
+            return Vec::new();
+        }
+        // Sections report their iterations in order, so tallies complete in
+        // iteration order too.
+        self.reports.remove(&iter);
+        self.last_delta = iter_delta;
+        let converged = iter_delta < self.epsilon;
+        let out_of_iters = iter + 1 >= self.max_iters;
+        if self.stop_at.is_none() && (converged || out_of_iters) {
+            // Fold the decision lag in so no section has already passed the
+            // stop point; cap at the iteration budget.
+            let at = if out_of_iters {
+                iter + 1
+            } else {
+                (iter + 1 + CONV_LAG).min(self.max_iters)
+            };
+            self.stop_at = Some(at);
+        }
+        self.decided = iter as u64 + 1;
+        std::mem::take(&mut self.waiters)
+    }
+
+    /// The stop iteration (`None`: run on) once `iter` is decided, or else
+    /// `None`, with `me` registered to be woken by the deciding report.
+    fn decision(&mut self, iter: usize, me: ThreadId) -> Option<Option<usize>> {
+        if self.decided > iter as u64 {
+            return Some(self.stop_at);
+        }
+        if !self.waiters.contains(&me) {
+            self.waiters.push(me);
+        }
+        None
+    }
+}
 
 // ---------------------------------------------------------------------------
 // The parallel solver
@@ -556,7 +604,7 @@ struct SolveOutcome {
 
 fn sor_main(ctx: &Ctx, p: SorParams) -> SolveOutcome {
     let workers = p.workers_per_section();
-    // The master and the global barrier live on the boot node.
+    // The master lives on the boot node.
     let master = ctx.create(Master {
         sections: p.sections,
         reports: std::collections::HashMap::new(),
@@ -662,7 +710,7 @@ fn sor_main(ctx: &Ctx, p: SorParams) -> SolveOutcome {
 /// How many iterations the convergence decision may trail the workers.
 ///
 /// The paper's per-section convergence thread talks to the master while the
-/// workers proceed; a lag of one iteration keeps that round trip off the
+/// workers proceed; a lag of two iterations keeps that visit off the
 /// critical path. The master folds the lag into the decided stop iteration,
 /// so all sections still stop at exactly the same iteration.
 const CONV_LAG: usize = 2;
@@ -739,30 +787,14 @@ fn worker_loop(
                 Color::Black => Color::Red,
                 Color::Red => Color::Black,
             };
-            // Which ghost rows this worker's updates read.
-            let (need_top, need_bottom) = if p.overlap {
-                (
-                    owns_top && has_up,
-                    (owns_bottom || (owns_top && nrows == 1)) && has_down,
-                )
-            } else {
-                (
-                    has_up && lo == 1 && lo < hi,
-                    has_down && hi == nrows + 1 && lo < hi,
-                )
+            // Whether ghost row `side` holds the exchange this phase reads,
+            // and a wait until it does.
+            let ghost_fresh = move |s: &Section, side: usize| {
+                s.ghost_ver[side][opp.index()].load(Ordering::SeqCst) >= need_opp
             };
-            if !p.overlap {
-                if need_top {
-                    wait_on(ctx, &sec, WaiterList::Ghost, move |s| {
-                        s.ghost_ver[0][opp.index()].load(Ordering::SeqCst) >= need_opp
-                    });
-                }
-                if need_bottom {
-                    wait_on(ctx, &sec, WaiterList::Ghost, move |s| {
-                        s.ghost_ver[1][opp.index()].load(Ordering::SeqCst) >= need_opp
-                    });
-                }
-            }
+            let wait_ghost = |side: usize| {
+                wait_on(ctx, &sec, WaiterList::Ghost, move |s| ghost_fresh(s, side));
+            };
 
             if p.overlap {
                 let mut delta = 0.0f64;
@@ -771,11 +803,8 @@ fn worker_loop(
                 // state), the owner does its boundary row first; otherwise
                 // it computes its interior slice while the ghost is on the
                 // wire and does the boundary row afterwards.
-                let ghost_in = |side: usize| {
-                    ctx.invoke_shared(&sec, move |_, s| {
-                        s.ghost_ver[side][opp.index()].load(Ordering::SeqCst) >= need_opp
-                    })
-                };
+                let ghost_in =
+                    |side: usize| ctx.invoke_shared(&sec, move |_, s| ghost_fresh(s, side));
                 let do_boundary = |ctx: &Ctx, lr: usize, sides: &[usize]| -> f64 {
                     let (pts, d) = ctx.invoke_shared(&sec, |_, s| s.relax_row(lr, color, omega));
                     ctx.work(point_cost * pts as u64);
@@ -789,8 +818,10 @@ fn worker_loop(
                     }
                     d
                 };
-                let my_boundary: Vec<(usize, usize, Vec<usize>)> = {
-                    // (row, ghost side to wait for, sides to dispatch)
+                let my_boundary: Vec<(usize, Vec<usize>)> = {
+                    // (row, sides to dispatch): an edge row reads the ghost
+                    // row of each side it is shipped to, and only those
+                    // (a one-row section's row reads and ships both).
                     let mut v = Vec::new();
                     if owns_top {
                         let mut sides = Vec::new();
@@ -800,25 +831,24 @@ fn worker_loop(
                         if nrows == 1 && has_down {
                             sides.push(1);
                         }
-                        v.push((1usize, 0usize, sides));
+                        v.push((1usize, sides));
                     }
                     if owns_bottom && nrows > 1 {
                         let mut sides = Vec::new();
                         if has_down {
                             sides.push(1);
                         }
-                        v.push((nrows, 1usize, sides));
+                        v.push((nrows, sides));
                     }
                     v
                 };
-                let needs = |side: usize| (side == 0 && need_top) || (side == 1 && need_bottom);
-                // Early boundary rows (ghost already present or not needed).
-                let mut deferred: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-                for (lr, gside, sides) in my_boundary {
-                    if !needs(gside) || ghost_in(gside) {
+                // Early boundary rows (every ghost they read already in).
+                let mut deferred: Vec<(usize, Vec<usize>)> = Vec::new();
+                for (lr, sides) in my_boundary {
+                    if sides.iter().all(|&side| ghost_in(side)) {
                         delta = delta.max(do_boundary(ctx, lr, &sides));
                     } else {
-                        deferred.push((lr, gside, sides));
+                        deferred.push((lr, sides));
                     }
                 }
                 // Interior column slice, overlapped with the exchange (and
@@ -834,12 +864,12 @@ fn worker_loop(
                     ctx.work(point_cost * n as u64);
                     delta = delta.max(dx);
                 }
-                // Deferred boundary rows: wait for the ghost, then compute
-                // and dispatch.
-                for (lr, gside, sides) in deferred {
-                    wait_on(ctx, &sec, WaiterList::Ghost, move |s| {
-                        s.ghost_ver[gside][opp.index()].load(Ordering::SeqCst) >= need_opp
-                    });
+                // Deferred boundary rows: wait for their ghosts, then
+                // compute and dispatch.
+                for (lr, sides) in deferred {
+                    for &side in &sides {
+                        wait_ghost(side);
+                    }
                     delta = delta.max(do_boundary(ctx, lr, &sides));
                 }
                 ctx.invoke_shared(&sec, |_, s| {
@@ -848,9 +878,15 @@ fn worker_loop(
                 });
                 lb.wait(ctx);
             } else {
-                // No overlap: compute the whole phase (row stripes), then
-                // start the exchange; the processors sit idle while it is
-                // in flight (the next phase stalls on the ghost versions).
+                // No overlap: wait for the ghost rows this stripe reads,
+                // compute the whole phase (row stripes), then start the
+                // exchange; the processors sit idle while it is in flight.
+                if has_up && lo == 1 && lo < hi {
+                    wait_ghost(0);
+                }
+                if has_down && hi == nrows + 1 && lo < hi {
+                    wait_ghost(1);
+                }
                 let mut d = 0.0f64;
                 for lr in lo..hi {
                     let (n, dx) = ctx.invoke_shared(&sec, |_, s| s.relax_row(lr, color, omega));
@@ -915,17 +951,15 @@ fn edge_loop(ctx: &Ctx, sec: ObjRef<Section>, neighbour: ObjRef<Section>, side: 
         let color = Color::of_phase(phase);
         // One carrying invocation ships the whole edge to the neighbour:
         // "the values for an entire edge of a section [are] transferred in
-        // a single invocation" (section 6).
+        // a single invocation" (section 6). It installs the ghost row and
+        // takes the neighbour's ghost waiters in the same operation; the
+        // return ships this thread home, where it wakes them.
         let bytes = vals.len() * 8;
         // Shared access: the ghost row and its version are interior-mutable
         // (atomics), so the install overlaps the neighbour's compute
         // operations instead of waiting behind them.
-        ctx.invoke_shared_carrying(&neighbour, bytes, move |_, ns| {
+        let to_wake = ctx.invoke_shared_carrying(&neighbour, bytes, move |_, ns| {
             ns.install_ghost(their_side, color, &vals);
-        });
-        // Wake any worker waiting on the neighbour's ghost versions. The
-        // next wait_on on our own section ships this thread back home.
-        let to_wake = ctx.invoke_shared(&neighbour, |_, ns| {
             std::mem::take(&mut *ns.ghost_waiters.lock())
         });
         for t in to_wake {
@@ -948,59 +982,25 @@ fn convergence_loop(ctx: &Ctx, sec: ObjRef<Section>, master: ObjRef<Master>) {
             *d = 0.0;
             v
         });
-        // Report to the master (ships this thread to the master's node) and
-        // wake every convergence thread parked on this iteration's decision.
-        let to_wake = ctx.invoke(&master, move |_, m| {
-            let entry = m.reports.entry(iter).or_insert((0, 0.0));
-            entry.0 += 1;
-            entry.1 = entry.1.max(delta);
-            if entry.0 == m.sections {
-                // Sections report their iterations in order, so tallies
-                // complete in iteration order too.
-                let (_, iter_delta) = m.reports.remove(&iter).expect("tally vanished");
-                m.last_delta = iter_delta;
-                let converged = iter_delta < m.epsilon;
-                let out_of_iters = iter + 1 >= m.max_iters;
-                if m.stop_at.is_none() && (converged || out_of_iters) {
-                    // Fold the decision lag in so no section has already
-                    // passed the stop point; cap at the iteration budget.
-                    let at = if out_of_iters {
-                        iter + 1
-                    } else {
-                        (iter + 1 + CONV_LAG).min(m.max_iters)
-                    };
-                    m.stop_at = Some(at);
-                }
-                m.decided = iter as u64 + 1;
-                std::mem::take(&mut m.waiters)
-            } else {
-                Vec::new()
-            }
+        // One visit to the master reports the residual and asks for the
+        // decision; the report that completes a tally returns the threads
+        // parked on it. The return ships this thread home.
+        let (to_wake, mut decision) = ctx.invoke(&master, move |_, m| {
+            (m.report(iter, delta), m.decision(iter, me))
         });
         for t in to_wake {
             ctx.unpark(t);
         }
-        // Rendezvous by iteration number: wait until this iteration has
-        // been decided. Each invocation of the master is a round trip: the
-        // thread returns to its anchor's node after it.
-        loop {
-            let decided = ctx.invoke(&master, move |_, m| {
-                if m.decided > iter as u64 {
-                    true
-                } else {
-                    if !m.waiters.contains(&me) {
-                        m.waiters.push(me);
-                    }
-                    false
-                }
-            });
-            if decided {
-                break;
+        // Rendezvous by iteration number: until this iteration is decided,
+        // park and ask again (a stale wake can end a park early).
+        let stop_at = loop {
+            if let Some(stop_at) = decision {
+                break stop_at;
             }
             ctx.park("conv-decision-wait");
-        }
-        let stop_at = ctx.invoke_shared(&master, |_, m| m.stop_at);
-        // Publish the decision back at the section (ships home).
+            decision = ctx.invoke(&master, move |_, m| m.decision(iter, me));
+        };
+        // Publish the decision at the section.
         let stopping = stop_at == Some(iter + 1);
         signal(ctx, &sec, WaiterList::Decision, move |s| {
             if let Some(at) = stop_at {
@@ -1393,5 +1393,84 @@ mod tests {
             ratio <= 0.6,
             "the span kernel costs {s:.2} ns a point against {l:.2} ns for the indexed loop"
         );
+    }
+
+    /// A `wait_on` whose predicate reads the ghost version, then lingers
+    /// until a concurrent `signal` has bumped it and returned (or half a
+    /// second passes). Tested outside the waiter list's lock, the stale
+    /// `false` parks the waiter after the signal took the still-empty list,
+    /// and nothing wakes it: the run times out.
+    #[test]
+    fn a_signal_between_the_test_and_the_push_still_wakes_the_waiter() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let cluster = Cluster::builder()
+            .nodes(1)
+            .processors(2)
+            .engine(amber_core::EngineChoice::Real)
+            .latency(amber_core::LatencyModel::zero())
+            .deadline(Duration::from_secs(3))
+            .build();
+        let outcome = cluster.run(|ctx| {
+            let sec = ctx.create(Section::new(&SorParams::small(1, 2), 0));
+            let read = Arc::new(AtomicBool::new(false));
+            let signalled = Arc::new(AtomicBool::new(false));
+            let (r, d) = (read.clone(), signalled.clone());
+            let lingers = move |flag: &AtomicBool| {
+                let t0 = Instant::now();
+                while !flag.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_millis(500) {
+                    std::thread::yield_now();
+                }
+            };
+            let waiter = ctx.start(&ctx.create(0u8), move |ctx, _| {
+                wait_on(ctx, &sec, WaiterList::Ghost, move |s| {
+                    if s.ghost_ver[0][0].load(Ordering::SeqCst) >= 1 {
+                        return true;
+                    }
+                    r.store(true, Ordering::SeqCst);
+                    lingers(&d);
+                    false
+                });
+            });
+            let signaller = ctx.start(&ctx.create(0u8), move |ctx, _| {
+                lingers(&read);
+                signal(ctx, &sec, WaiterList::Ghost, |s| {
+                    s.ghost_ver[0][0].fetch_add(1, Ordering::SeqCst);
+                });
+                signalled.store(true, Ordering::SeqCst);
+            });
+            waiter.join(ctx);
+            signaller.join(ctx);
+        });
+        assert!(outcome.is_ok(), "{outcome:?}");
+    }
+
+    #[test]
+    #[ignore = "a stress run: cargo test --release -p amber-apps -- --ignored"]
+    fn a_thousand_zero_latency_real_engine_runs_match_the_sequential_solver() {
+        // On OS threads with no network delay every ghost, edge and decision
+        // wake races its waiter for real. A lost wake-up parks a thread for
+        // good, and the short deadline fails the run.
+        use std::time::Duration;
+        for (nodes, procs) in [(1, 2), (2, 2)] {
+            let p = SorParams {
+                sections: 4,
+                max_iters: 20,
+                ..SorParams::small(nodes, procs)
+            };
+            let (iters, sum, _) = sor_sequential(&p);
+            for run in 0..500 {
+                let builder = Cluster::builder()
+                    .engine(amber_core::EngineChoice::Real)
+                    .latency(amber_core::LatencyModel::zero())
+                    .deadline(Duration::from_secs(3));
+                let r = run_amber_sor_on(builder, p);
+                assert_eq!(
+                    (r.iterations, r.checksum.to_bits()),
+                    (iters, sum.to_bits()),
+                    "{nodes}Nx{procs}P, run {run}"
+                );
+            }
+        }
     }
 }

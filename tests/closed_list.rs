@@ -272,6 +272,28 @@ const RULES: &[Rule] = &[
         }],
     },
     Rule {
+        name: "One invocation per edge, one master visit per report",
+        closed_by: 45,
+        why: "each invocation of a remote object is a round trip: an edge thread installs the ghost row and takes the neighbour's waiters in one invocation, and a convergence thread reports and asks for the decision in one visit to the master; the one shared read of the master left is the final residual",
+        scans: &[
+            Scan {
+                paths: &["crates/apps/src/sor.rs"],
+                strip_tests: true,
+                forbid: &["invoke_shared(&neighbour"],
+                sample: "let to_wake = ctx.invoke_shared(&neighbour, |_, ns| {",
+                ..SCAN
+            },
+            Scan {
+                paths: &["crates/apps/src/sor.rs"],
+                strip_tests: true,
+                forbid: &["invoke_shared(&master"],
+                count: Some(1),
+                sample: "let stop_at = ctx.invoke_shared(&master, |_, m| m.stop_at);",
+                ..SCAN
+            },
+        ],
+    },
+    Rule {
         name: "One queue of data",
         closed_by: 43,
         why: "engine events are data: the simulator's queue holds thread ids and the fault layer's typed items and its step runs no handler, and the Engine trait takes no closure but a thread body; do not bring back send, after or a timer closure",

@@ -79,11 +79,24 @@ fn the_case_proptest_once_shrank_to_is_bitwise_equal() {
 
 #[test]
 fn single_row_sections_work() {
-    // Degenerate partition: as many sections as interior rows allow.
-    let p = params(12, 16, 2, 1, 6, true, 4);
-    let (_, seq_sum, _) = sor_sequential(&p);
-    let par = run_amber_sor(p);
-    assert!((par.checksum - seq_sum).abs() < 1e-9);
+    // Degenerate partitions: 12 rows in 6 sections of two, and 10 rows in 8
+    // sections, six of them one row each (Fig. 3's 10x512 point at 4Nx4P).
+    // A one-row section's row reads the ghost rows on both sides, so it
+    // must wait for both exchanges, not only the top one.
+    for p in [
+        params(12, 16, 2, 1, 6, true, 4),
+        params(10, 32, 4, 4, 8, true, 3),
+        params(10, 32, 4, 4, 8, false, 3),
+    ] {
+        let (_, seq_sum, seq_delta) = sor_sequential(&p);
+        let par = run_amber_sor(p);
+        assert_eq!(
+            (par.checksum.to_bits(), par.max_delta.to_bits()),
+            (seq_sum.to_bits(), seq_delta.to_bits()),
+            "{} vs {seq_sum} ({p:?})",
+            par.checksum
+        );
+    }
 }
 
 #[test]
