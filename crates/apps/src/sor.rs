@@ -171,6 +171,9 @@ pub struct SorResult {
     pub msgs: u64,
     /// Network payload bytes sent during the whole run.
     pub bytes: u64,
+    /// The run's schedule digest ([`Cluster::schedule_digest`]): `None`
+    /// on the real engine.
+    pub digest: Option<u64>,
 }
 
 // ---------------------------------------------------------------------------
@@ -555,43 +558,24 @@ pub fn run_amber_sor(p: SorParams) -> SorResult {
 /// Like [`run_amber_sor`] but on a cluster built by `builder` (its engine,
 /// latency, deadline and so on), sized to `p.nodes` x `p.procs`.
 pub fn run_amber_sor_on(builder: ClusterBuilder, p: SorParams) -> SorResult {
-    run_sor_inner(builder, p, false).0
-}
-
-/// Like [`run_amber_sor`] but also captures the protocol event trace of the
-/// whole run (via [`Cluster::enable_tracing`]), for dumping as a
-/// Chrome-trace/Perfetto file or reconciling against the protocol counters.
-pub fn run_amber_sor_capture(p: SorParams) -> (SorResult, Vec<amber_core::TraceRecord>) {
-    run_sor_inner(Cluster::builder(), p, true)
-}
-
-fn run_sor_inner(
-    builder: ClusterBuilder,
-    p: SorParams,
-    capture: bool,
-) -> (SorResult, Vec<amber_core::TraceRecord>) {
     assert!(
         p.sections >= 1 && p.rows >= p.sections,
         "degenerate partition"
     );
     let cluster = builder.nodes(p.nodes).processors(p.procs).build();
-    let sink = capture.then(|| cluster.enable_tracing());
     let outcome = cluster
         .run(move |ctx| sor_main(ctx, p))
         .expect("SOR run failed");
     let net = cluster.net_stats();
-    let events = sink.map(|s| s.take()).unwrap_or_default();
-    (
-        SorResult {
-            elapsed: outcome.elapsed,
-            iterations: outcome.iterations,
-            checksum: outcome.checksum,
-            max_delta: outcome.max_delta,
-            msgs: net.total_msgs(),
-            bytes: net.total_bytes(),
-        },
-        events,
-    )
+    SorResult {
+        elapsed: outcome.elapsed,
+        iterations: outcome.iterations,
+        checksum: outcome.checksum,
+        max_delta: outcome.max_delta,
+        msgs: net.total_msgs(),
+        bytes: net.total_bytes(),
+        digest: cluster.schedule_digest(),
+    }
 }
 
 /// What `sor_main` hands back to the harness.

@@ -44,9 +44,13 @@ pub fn run_dsm_sor_layout(p: SorParams, padded: bool) -> SorResult {
         .nodes(p.nodes)
         .processors(p.procs)
         .build();
-    cluster
+    let r = cluster
         .run(move |ctx| dsm_sor_main(ctx, p, padded))
-        .expect("DSM SOR run failed")
+        .expect("DSM SOR run failed");
+    SorResult {
+        digest: cluster.schedule_digest(),
+        ..r
+    }
 }
 
 /// Row range `[lo, hi)` of worker `w` out of `workers` over the interior
@@ -176,6 +180,7 @@ fn dsm_sor_main(ctx: &Ctx, p: SorParams, padded: bool) -> SorResult {
         max_delta,
         msgs: m1 - m0,
         bytes: b1 - b0,
+        digest: None,
     }
 }
 

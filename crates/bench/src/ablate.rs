@@ -36,6 +36,8 @@ pub struct AblationRow {
     /// Fairness: spread between the first and last worker finishing
     /// (lock experiments only; zero otherwise).
     pub spread: SimTime,
+    /// The run's schedule digest.
+    pub digest: Option<u64>,
 }
 
 impl AblationRow {
@@ -75,6 +77,7 @@ where
         msgs,
         bytes,
         spread,
+        digest: c.schedule_digest(),
     }
 }
 

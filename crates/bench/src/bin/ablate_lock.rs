@@ -7,11 +7,17 @@ fn main() {
     // Two phase lengths: the clustered Amber workers pay a fixed migration
     // cost however long the phase runs, while the DSM lock page keeps
     // moving — the asymmetry section 4.1 predicts.
+    let mut digests = Vec::new();
     for rounds in [10usize, 40] {
         let mut rows = Vec::new();
         for nodes in [2usize, 4, 8] {
-            rows.push(ablate::lock_amber(nodes, rounds).cells());
-            rows.push(ablate::lock_dsm(nodes, rounds).cells());
+            for row in [
+                ablate::lock_amber(nodes, rounds),
+                ablate::lock_dsm(nodes, rounds),
+            ] {
+                rows.push(row.cells());
+                digests.push((format!("{} ({rounds} rounds)", row.label), row.digest));
+            }
         }
         amber_bench::print_table(
             &format!("Ablation 4.1: lock contention ({rounds} critical sections per node)"),
@@ -19,4 +25,5 @@ fn main() {
             &rows,
         );
     }
+    amber_bench::print_digests(digests);
 }

@@ -14,4 +14,5 @@ fn main() {
         &sorbench::header(),
         &sorbench::rows(&points),
     );
+    amber_bench::print_digests(sorbench::digests(&points));
 }

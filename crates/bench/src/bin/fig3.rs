@@ -13,4 +13,5 @@ fn main() {
         &sorbench::header(),
         &sorbench::rows(&points),
     );
+    amber_bench::print_digests(sorbench::digests(&points));
 }

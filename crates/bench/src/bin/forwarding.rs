@@ -6,9 +6,11 @@
 use amber_core::{Cluster, NodeId, SimTime};
 
 /// Virtual times of the first locate through a chain of `len` hops and of
-/// the locate after it, which finds the location the first one cached.
-fn locate_through_chain(len: usize) -> (SimTime, SimTime) {
-    Cluster::sim(len + 1, 1)
+/// the locate after it, which finds the location the first one cached, and
+/// the run's schedule digest.
+fn locate_through_chain(len: usize) -> (SimTime, SimTime, Option<u64>) {
+    let cluster = Cluster::sim(len + 1, 1);
+    let (cold, warm) = cluster
         .run(move |ctx| {
             let obj = ctx.create(0u32);
             for hop in 1..=len {
@@ -22,12 +24,15 @@ fn locate_through_chain(len: usize) -> (SimTime, SimTime) {
             ctx.locate(&obj);
             (t1 - t0, ctx.now() - t1)
         })
-        .expect("forwarding-chain run failed")
+        .expect("forwarding-chain run failed");
+    (cold, warm, cluster.schedule_digest())
 }
 
-/// Virtual time of moving an attachment group of `size` 256-byte objects.
-fn move_group(size: usize) -> SimTime {
-    Cluster::sim(2, 1)
+/// Virtual time of moving an attachment group of `size` 256-byte objects,
+/// and the run's schedule digest.
+fn move_group(size: usize) -> (SimTime, Option<u64>) {
+    let cluster = Cluster::sim(2, 1);
+    let moved = cluster
         .run(move |ctx| {
             let root = ctx.create(vec![0u8; 256]);
             for _ in 1..size {
@@ -38,7 +43,8 @@ fn move_group(size: usize) -> SimTime {
             ctx.move_to(&root, NodeId(1));
             ctx.now() - t0
         })
-        .expect("group-move run failed")
+        .expect("group-move run failed");
+    (moved, cluster.schedule_digest())
 }
 
 fn ms(t: SimTime) -> String {
@@ -46,10 +52,12 @@ fn ms(t: SimTime) -> String {
 }
 
 fn main() {
+    let mut digests = Vec::new();
     let chains: Vec<_> = [0usize, 1, 2, 4, 8]
         .into_iter()
         .map(|len| {
-            let (cold, warm) = locate_through_chain(len);
+            let (cold, warm, digest) = locate_through_chain(len);
+            digests.push((format!("A4 {len} hops"), digest));
             vec![len.to_string(), ms(cold), ms(warm)]
         })
         .collect();
@@ -60,11 +68,16 @@ fn main() {
     );
     let groups: Vec<_> = [1usize, 2, 4, 8, 16]
         .into_iter()
-        .map(|size| vec![size.to_string(), ms(move_group(size))])
+        .map(|size| {
+            let (moved, digest) = move_group(size);
+            digests.push((format!("A5 {size} objects"), digest));
+            vec![size.to_string(), ms(moved)]
+        })
         .collect();
     amber_bench::print_table(
         "A5: MoveTo of an attachment group (ms)",
         &["objects", "move"],
         &groups,
     );
+    amber_bench::print_digests(digests);
 }

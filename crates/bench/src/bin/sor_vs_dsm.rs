@@ -10,7 +10,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(10);
-    let mut rows = Vec::new();
+    let (mut rows, mut digests) = (Vec::new(), Vec::new());
     for (nodes, procs) in [(2usize, 4usize), (4, 4), (8, 4)] {
         let mut p = SorParams::fig2(nodes, procs, true);
         p.max_iters = iters;
@@ -22,8 +22,10 @@ fn main() {
         );
         let seq = sor_sequential_time(&p, iters).as_secs_f64();
         for (name, r) in [("amber", &amber), ("dsm", &dsm)] {
+            let label = format!("{nodes}Nx{procs}P {name}");
+            digests.push((label.clone(), r.digest));
             rows.push(vec![
-                format!("{nodes}Nx{procs}P {name}"),
+                label,
                 format!("{:.2}", seq / r.elapsed.as_secs_f64()),
                 format!("{:.1}s", r.elapsed.as_secs_f64()),
                 r.msgs.to_string(),
@@ -37,4 +39,5 @@ fn main() {
         &rows,
     );
     println!("(checksums agree across all versions)");
+    amber_bench::print_digests(digests);
 }

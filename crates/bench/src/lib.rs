@@ -4,13 +4,14 @@
 //! Each binary in `src/bin/` prints one of them, byte for byte the file of
 //! the same name under `results/`; this library holds the shared experiment
 //! runners so the binaries stay thin and the golden test can assert on the
-//! same numbers the binaries print. Wall-clock numbers are measured by
-//! `benchmark/`, not here.
+//! same numbers the binaries print. After its tables a binary prints the
+//! schedule digest of every simulated cluster it ran ([`print_digests`]),
+//! so the golden test pins the order each number came from as well.
+//! Wall-clock numbers are measured by `benchmark/`, not here.
 
 #![warn(missing_docs)]
 
 pub mod ablate;
-pub mod dump;
 pub mod ops;
 pub mod sorbench;
 
@@ -36,5 +37,19 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("{}", fmt_row(&head));
     for row in rows {
         println!("{}", fmt_row(row));
+    }
+}
+
+/// Prints one `digest <label> <hex>` line per simulated cluster, with the
+/// label's runs of whitespace collapsed to one space.
+pub fn print_digests<S: AsRef<str>>(digests: impl IntoIterator<Item = (S, Option<u64>)>) {
+    for (label, digest) in digests {
+        let label = label
+            .as_ref()
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ");
+        let digest = digest.expect("a simulated cluster has a schedule digest");
+        println!("digest {label} {digest:016x}");
     }
 }

@@ -34,10 +34,11 @@ pub fn paper_table1() -> Table1 {
     }
 }
 
-/// Measures Table 1 on the simulated Firefly cluster.
-pub fn measure_table1() -> Table1 {
+/// Measures Table 1 on the simulated Firefly cluster, and returns the
+/// cluster's schedule digest with it.
+pub fn measure_table1() -> (Table1, Option<u64>) {
     let cluster = Cluster::builder().nodes(2).processors(4).build();
-    cluster
+    let table = cluster
         .run(|ctx| {
             const K: u64 = 64;
 
@@ -99,7 +100,8 @@ pub fn measure_table1() -> Table1 {
                 thread_start_join,
             }
         })
-        .expect("table 1 measurement failed")
+        .expect("table 1 measurement failed");
+    (table, cluster.schedule_digest())
 }
 
 impl Table1 {
@@ -144,7 +146,7 @@ mod tests {
 
     #[test]
     fn calibration_lands_on_the_paper() {
-        let m = measure_table1();
+        let (m, _) = measure_table1();
         let p = paper_table1();
         assert!(
             within(m.object_create, p.object_create, 0.15),
@@ -180,7 +182,7 @@ mod tests {
 
     #[test]
     fn orders_of_magnitude_hold() {
-        let m = measure_table1();
+        let (m, _) = measure_table1();
         // Remote is ~3 orders of magnitude above local (section 1.1).
         let ratio = m.remote_invoke.as_ns() as f64 / m.local_invoke.as_ns() as f64;
         assert!(ratio > 300.0, "remote/local ratio only {ratio:.0}");

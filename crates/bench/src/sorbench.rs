@@ -8,9 +8,7 @@
 //! Speedup is measured exactly as in the paper: parallel time relative to a
 //! sequential implementation with no runtime overhead.
 
-use amber_apps::sor::{
-    run_amber_sor, run_amber_sor_capture, sor_sequential_time, SorParams, SorResult,
-};
+use amber_apps::sor::{run_amber_sor, sor_sequential_time, SorParams, SorResult};
 
 /// One point of a speedup figure.
 #[derive(Clone, Debug)]
@@ -30,18 +28,8 @@ pub struct SorPoint {
 }
 
 /// Runs one configuration and computes its speedup.
-///
-/// With `AMBER_TRACE_DIR` set, the run also captures its protocol event
-/// trace and dumps raw numbers plus a Perfetto-loadable trace file there
-/// (see [`crate::dump`]).
 pub fn run_point(label: &str, p: SorParams) -> SorPoint {
-    let result = if let Some(dir) = crate::dump::trace_dir() {
-        let (result, events) = run_amber_sor_capture(p);
-        crate::dump::write_point(&dir, label, &result, &events);
-        result
-    } else {
-        run_amber_sor(p)
-    };
+    let result = run_amber_sor(p);
     let seq = sor_sequential_time(&p, result.iterations);
     let speedup = seq.as_secs_f64() / result.elapsed.as_secs_f64();
     let processors = p.nodes * p.procs;
@@ -144,4 +132,11 @@ pub fn header() -> Vec<&'static str> {
     vec![
         "config", "procs", "points", "speedup", "eff", "time", "msgs", "bytes",
     ]
+}
+
+/// The points' schedule digests, for [`crate::print_digests`].
+pub fn digests(points: &[SorPoint]) -> impl Iterator<Item = (&str, Option<u64>)> {
+    points
+        .iter()
+        .map(|pt| (pt.label.as_str(), pt.result.digest))
 }

@@ -1,14 +1,14 @@
 //! Pins the reproduced paper results: all seven experiment binaries must
-//! print exactly what is committed under `results/`. The simulator is
-//! deterministic, so any difference is a change to the model or the
-//! protocol, never noise.
+//! print exactly what is committed under `results/`, the schedule digest
+//! of every simulated cluster included. The simulator is deterministic, so
+//! any difference is a change to the model, the protocol or the order the
+//! simulator ran the threads in, never noise.
 
 use std::path::Path;
 use std::process::Command;
 
 fn assert_golden(name: &str, exe: &str) {
     let out = Command::new(exe)
-        .env_remove("AMBER_TRACE_DIR")
         .output()
         .unwrap_or_else(|e| panic!("cannot run {exe}: {e}"));
     assert!(out.status.success(), "{name} exited with {}", out.status);

@@ -275,6 +275,14 @@ impl Cluster {
         self.kernel.engine.stats().snapshot()
     }
 
+    /// The engine's digest of the order its threads ran in
+    /// ([`Engine::schedule_digest`]): `Some` on the simulator, where two
+    /// runs of one program on one spec end with equal digests, `None` on
+    /// the real engine.
+    pub fn schedule_digest(&self) -> Option<u64> {
+        self.kernel.engine.schedule_digest()
+    }
+
     // ----- tracing --------------------------------------------------------
 
     /// Installs an in-memory trace sink and returns it: every protocol

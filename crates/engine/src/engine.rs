@@ -255,6 +255,13 @@ pub trait Engine: Send + Sync {
     /// installed, recorded.
     fn tracer(&self) -> &Tracer;
 
+    /// A 64-bit digest of the order in which the engine has run the
+    /// program's threads so far: `Some` under the simulator, whose order is
+    /// a function of the program and the spec, so equal digests mean equal
+    /// schedules; `None` under the real engine, whose order the host's
+    /// scheduler picks.
+    fn schedule_digest(&self) -> Option<u64>;
+
     /// Runs `body` as the program's main thread on `node` and waits until
     /// *every* Amber thread has terminated.
     ///

@@ -701,6 +701,10 @@ impl Engine for RealEngine {
         &self.inner.tracer
     }
 
+    fn schedule_digest(&self) -> Option<u64> {
+        None
+    }
+
     fn run_boxed(&self, node: NodeId, body: ThreadBody) -> Result<(), EngineError> {
         {
             let mut live = self.inner.live.lock();

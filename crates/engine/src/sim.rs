@@ -25,6 +25,9 @@
 //! * communication costs come from the [`LatencyModel`] applied to every
 //!   [`leg`](crate::Engine::leg);
 //! * the whole run is deterministic: same program, same spec, same trace.
+//!   The step folds every grant, `(clock, thread)`, into one word, the
+//!   [`schedule_digest`](crate::Engine::schedule_digest), so two runs'
+//!   schedules compare as two integers.
 //!
 //! Determinism is what lets this reproduce the paper's figures: a
 //! "32-processor" run is simulated event by event, with speedup read off
@@ -81,7 +84,7 @@ use crate::engine::{
     must_current_thread, panic_message, ClusterSpec, CurrentGuard, Engine, EngineError, Parked,
     ThreadBody, WakeClass,
 };
-use crate::fault::{Links, Scheduled, Wire};
+use crate::fault::{splitmix, Links, Scheduled, Wire};
 use crate::fiber::{self, Stack};
 use crate::ids::{NodeId, ThreadId};
 use crate::policy::{Fifo, Scheduler};
@@ -584,6 +587,9 @@ struct SimState {
     root: Option<RootPtr>,
     /// Every link's window.
     links: Links<Arrival>,
+    /// Every grant of the baton so far, `(clock, thread)` in order, folded
+    /// into one word ([`Engine::schedule_digest`]).
+    digest: u64,
 }
 
 struct SimInner {
@@ -627,6 +633,7 @@ impl SimEngine {
                 exited: Vec::new(),
                 root: None,
                 links: Links::new(spec.fault, spec.latency, spec.nodes),
+                digest: 0,
             }),
             tracer: Tracer::new(Arc::clone(&stats)),
             stats,
@@ -854,6 +861,7 @@ impl SimInner {
                     debug_assert_eq!(tcb.state, RunState::Ready);
                 }
                 tcb.state = RunState::Active;
+                st.digest = splitmix(st.digest ^ st.clock.as_ns()).wrapping_add(tid.0);
                 break Some(tid);
             }
             // 2. Otherwise advance the virtual clock to the next event.
@@ -1243,6 +1251,10 @@ impl Engine for SimEngine {
         &self.inner.tracer
     }
 
+    fn schedule_digest(&self) -> Option<u64> {
+        Some(self.inner.state.borrow().digest)
+    }
+
     fn run_boxed(&self, node: NodeId, body: ThreadBody) -> Result<(), EngineError> {
         // A run nested in another engine's thread hands that thread its
         // grant back as it returns or unwinds: its block points test it.
@@ -1616,8 +1628,8 @@ mod tests {
     #[test]
     fn deterministic_event_ordering() {
         // Run the same mildly concurrent program twice and require identical
-        // message/dispatch traces and identical final clocks.
-        fn run_once() -> (SimTime, u64, u64) {
+        // message/dispatch counts, final clocks and schedules.
+        fn run_once() -> (SimTime, u64, u64, u64) {
             let e = sim(4, 2);
             let e2 = Arc::clone(&e);
             let t = e
@@ -1639,9 +1651,56 @@ mod tests {
                     e2.now()
                 })
                 .unwrap();
-            (t, e.stats().total_msgs(), e.stats().total_dispatches())
+            let digest = e.schedule_digest().unwrap();
+            (
+                t,
+                e.stats().total_msgs(),
+                e.stats().total_dispatches(),
+                digest,
+            )
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn the_digest_tells_apart_schedules_the_counts_do_not() {
+        // Two programs that differ only in the order they spawn two threads
+        // made ready at one instant. The same charges and legs happen at the
+        // same instants, so the clock and every count agree; the thread ids
+        // swap places in the schedule, and only the digest says so.
+        fn run_once(short_first: bool) -> (SimTime, u64, u64, u64) {
+            let e = sim(2, 2);
+            let e2 = Arc::clone(&e);
+            e.run(NodeId(0), move || {
+                let mut costs = [1, 2];
+                if !short_first {
+                    costs.reverse();
+                }
+                for ms in costs {
+                    let e3 = Arc::clone(&e2);
+                    let body = move || {
+                        e3.work(SimTime::from_ms(ms));
+                        e3.leg(NodeId(0), NodeId(1), 64, false, "leg");
+                    };
+                    e2.spawn(NodeId(0), format!("{ms} ms"), Box::new(body));
+                }
+                e2.sleep(SimTime::from_ms(50));
+            })
+            .unwrap();
+            let stats = e.stats();
+            let digest = e.schedule_digest().unwrap();
+            (
+                e.now(),
+                stats.total_dispatches(),
+                stats.total_msgs(),
+                digest,
+            )
+        }
+        let (short, long) = (run_once(true), run_once(false));
+        assert_eq!((short.0, short.1, short.2), (long.0, long.1, long.2));
+        assert_eq!(short.2, 2);
+        assert_ne!(short.3, long.3);
+        assert_eq!(short, run_once(true));
     }
 
     /// Runs the program `the_dispatch_order_is_pinned` pins on a 2N×2P
@@ -1946,13 +2005,10 @@ mod tests {
         // clock, and pops, against a reference heap of `(at, seq)`. Each
         // event carries its `seq` as its payload, so a pop says which key
         // it came from.
-        let mut rng = 1989u64;
+        let mut draws = 0u64;
         let mut next = move || {
-            // splitmix64
-            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            draws += 1;
+            splitmix(1989 ^ draws)
         };
         let mut events = Events::default();
         let mut reference = BinaryHeap::new();
@@ -2462,7 +2518,7 @@ mod tests {
 
     #[test]
     fn seeded_chaos_is_deterministic() {
-        fn run_once() -> (SimTime, crate::ProtocolSnapshot) {
+        fn run_once() -> (SimTime, crate::ProtocolSnapshot, u64) {
             let spec = ClusterSpec::uniform(2, 1)
                 .with_latency(LatencyModel::fixed(SimTime::from_ms(1)))
                 .with_faults(
@@ -2478,7 +2534,7 @@ mod tests {
                     e2.now()
                 })
                 .unwrap();
-            (t, e.stats().snapshot())
+            (t, e.stats().snapshot(), e.schedule_digest().unwrap())
         }
         assert_eq!(run_once(), run_once());
     }

@@ -341,6 +341,17 @@ const RULES: &[Rule] = &[
             ..SCAN
         }],
     },
+    Rule {
+        name: "One digest per pinned run",
+        closed_by: 48,
+        why: "one digest per pinned run; do not bring back a dump switch or hand-run traced pairs as the no-behaviour-change proof",
+        scans: &[Scan {
+            paths: &["crates", "src"],
+            forbid: &["AMBER_TRACE_DIR", "mod dump", "run_amber_sor_capture"],
+            sample: "    std::env::var_os(\"AMBER_TRACE_DIR\").map(std::path::PathBuf::from)",
+            ..SCAN
+        }],
+    },
 ];
 
 /// A file's path and text.

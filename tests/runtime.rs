@@ -200,7 +200,7 @@ fn dsm_and_objects_share_one_cluster() {
 
 #[test]
 fn whole_program_runs_are_reproducible() {
-    fn run_once() -> (u64, u64, SimTime) {
+    fn run_once() -> (u64, u64, SimTime, u64) {
         let c = Cluster::sim(3, 2);
         let v = c
             .run(|ctx| {
@@ -225,7 +225,8 @@ fn whole_program_runs_are_reproducible() {
                 ctx.invoke(&acc, |_, n| *n)
             })
             .unwrap();
-        (v, c.net_stats().total_msgs(), c.now())
+        let digest = c.schedule_digest().expect("a simulated run has a digest");
+        (v, c.net_stats().total_msgs(), c.now(), digest)
     }
     assert_eq!(run_once(), run_once());
 }
