@@ -234,7 +234,7 @@ impl Objects {
 
     /// The owner of `addr`'s region, if `at`'s region map knows it. Cold,
     /// so that `chase_step` inlines: with the lookup inline, `remote_invoke`
-    /// read about 4 % slower (EXPERIMENTS.md, "one kernel lock").
+    /// read about 4 % slower (EXPERIMENTS.md, "The kernel's lock", PR 37).
     #[cold]
     fn region_owner(&self, at: NodeId, addr: VAddr) -> Option<NodeId> {
         self.regions[at.index()].lookup(addr.region())

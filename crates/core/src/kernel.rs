@@ -287,8 +287,8 @@ pub(crate) struct Objects {
 /// Aligned to 128 bytes so the lock word shares no cache line with the
 /// `Kernel` fields every operation reads. Unpadded among them,
 /// `remote_invoke` measured about 3 % fewer ops/s; behind a `Box` instead,
-/// the extra load cost `local_invoke` about 1 % (EXPERIMENTS.md, "one
-/// registry lock").
+/// the extra load cost `local_invoke` about 1 % (EXPERIMENTS.md, "The
+/// kernel's lock", PR 30).
 #[repr(align(128))]
 pub(crate) struct Registry(OrderedMutex<Objects>);
 

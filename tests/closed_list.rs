@@ -29,7 +29,8 @@ struct Scan {
     /// Cut each file from the first line that starts with `#[cfg(test)]`
     /// to its end, as `sed '/^#\[cfg(test)\]/,$d'` does.
     strip_tests: bool,
-    /// File names skipped wherever they appear, as `grep --exclude` does.
+    /// File and directory names skipped wherever they appear below a path,
+    /// as `grep --exclude` and `--exclude-dir` do.
     exclude: &'static [&'static str],
     /// A line holding any of these fragments matches...
     forbid: &'static [&'static str],
@@ -201,10 +202,10 @@ const RULES: &[Rule] = &[
     Rule {
         name: "One grant",
         closed_by: 39,
-        why: "admission is one function, Kernel::admit, with one loan; tests.rs forces a second on purpose to show the borrow word catches it",
+        why: "admission is one function, Kernel::admit, with one loan; a test under crates/core/src/tests/ forces a second on purpose to show the borrow word catches it",
         scans: &[Scan {
             paths: &["crates/core/src"],
-            exclude: &["tests.rs"],
+            exclude: &["tests"],
             forbid: &["payload.loan(access, true)"],
             count: Some(1),
             sample: "let lent = unsafe { entry.payload.loan(access, true) };",
@@ -342,6 +343,18 @@ const RULES: &[Rule] = &[
         }],
     },
     Rule {
+        name: "One protocol suite",
+        closed_by: 49,
+        why: "one protocol suite per module under crates/core/src/tests/, clock-free tests on both engines through one helper; do not write a RealEngine twin of a core test",
+        scans: &[Scan {
+            paths: &["crates/core/src/tests"],
+            forbid: &[".engine("],
+            count: Some(1),
+            sample: "    b.engine(engine).build()",
+            ..SCAN
+        }],
+    },
+    Rule {
         name: "One digest per pinned run",
         closed_by: 48,
         why: "one digest per pinned run; do not bring back a dump switch or hand-run traced pairs as the no-behaviour-change proof",
@@ -386,10 +399,15 @@ fn failures(rule: &Rule, files: &dyn Fn(&str) -> Vec<File>) -> Vec<String> {
                 out.push(format!("{path} matches no file"));
             }
             for (name, text) in &found {
-                let base = Path::new(name).file_name().and_then(|b| b.to_str());
+                let below = Path::new(name)
+                    .strip_prefix(path)
+                    .unwrap_or(Path::new(name));
+                let excluded = below
+                    .iter()
+                    .any(|part| part.to_str().is_some_and(|p| scan.exclude.contains(&p)));
                 // The table holds every forbidden fragment, so this file is
                 // outside every rule.
-                if name == file!() || base.is_some_and(|b| scan.exclude.contains(&b)) {
+                if name == file!() || excluded {
                     continue;
                 }
                 for (n, line) in scan.hits(text) {
@@ -511,14 +529,17 @@ fn an_exact_count_fails_at_zero_and_at_two() {
         failures(grant, &|path: &str| {
             vec![
                 (format!("{path}/kernel.rs"), loan.repeat(loans)),
-                // Excluded by name: its loans never count.
-                (format!("{path}/tests.rs"), loan.repeat(3)),
+                // Under an excluded directory: its loans never count.
+                (format!("{path}/tests/invoke.rs"), loan.repeat(3)),
             ]
         })
     };
     assert!(!failures_at(0).is_empty());
     assert!(failures_at(1).is_empty());
     assert_eq!(failures_at(2).len(), 3, "{:?}", failures_at(2));
+    // A file named like the excluded directory is searched.
+    let beside = |path: &str| vec![(format!("{path}/tests.rs"), loan.to_string())];
+    assert!(failures(grant, &beside).is_empty());
 }
 
 #[test]
