@@ -14,7 +14,6 @@ use amber_engine::{
     must_current_thread, CostModel, Engine, EngineError, EngineExt, LatencyModel, NodeId,
     ProtocolSnapshot, RealEngine, SimEngine, SimTime, ThreadId,
 };
-use amber_vspace::VAddr;
 
 use crate::adaptive::PlacementPolicy;
 use crate::errors::ProtocolError;
@@ -320,14 +319,8 @@ impl Cluster {
         sink
     }
 
-    /// Installs a custom [`amber_engine::TraceSink`] (replacing any
-    /// previous sink).
-    pub fn set_trace_sink(&self, sink: Arc<dyn amber_engine::TraceSink>) {
-        self.kernel.engine.tracer().install(sink);
-    }
-
     /// Stops tracing; returns the previously installed sink, if any.
-    pub fn disable_tracing(&self) -> Option<Arc<dyn amber_engine::TraceSink>> {
+    pub fn disable_tracing(&self) -> Option<Arc<amber_engine::MemorySink>> {
         self.kernel.engine.tracer().uninstall()
     }
 }
@@ -650,10 +643,5 @@ impl Ctx {
         self.kernel.check_node(from);
         self.kernel.check_node(to);
         self.kernel.one_way(from, to, bytes, reason);
-    }
-
-    /// Raw address of an object (for diagnostics and tests).
-    pub fn addr_of<T: AmberObject>(&self, obj: &ObjRef<T>) -> VAddr {
-        obj.addr()
     }
 }

@@ -145,8 +145,6 @@ pub(crate) struct ObjectEntry {
     /// the object is settled (`!moving`) this node's descriptor says
     /// `Resident` ([`check_resident`](ObjectEntry::check_resident)).
     pub(crate) location: NodeId,
-    /// Home node (owner of the address's region); creation node.
-    pub(crate) home: NodeId,
     /// Wire size, refreshed after each exclusive operation.
     pub(crate) size: usize,
     /// Computes the wire size from the type-erased payload.
@@ -197,7 +195,6 @@ impl ObjectEntry {
                 data: UnsafeCell::new(value),
             }),
             location: node,
-            home: node,
             size,
             size_fn: |any| match any.downcast_ref::<T>() {
                 Some(t) => t.transfer_size(),
@@ -546,8 +543,15 @@ impl Kernel {
             }
             // The block goes back to the home heap, and the destroy is
             // emitted, under the lock that committed the removal: a creation
-            // that reuses the address serializes after this event.
-            let freed = objects.heaps[e.home.index()].free(addr);
+            // that reuses the address serializes after this event. A node
+            // allocates only from regions assigned to it, so the home node
+            // is the region's owner.
+            #[expect(clippy::expect_used, reason = "addresses lie in assigned regions")]
+            let home = objects
+                .server
+                .owner(addr.region())
+                .expect("address outside any assigned region");
+            let freed = objects.heaps[home.index()].free(addr);
             self.emit(ProtocolEvent::ObjectDestroy {
                 obj: addr.0,
                 node: me,
@@ -560,7 +564,7 @@ impl Kernel {
             if freed.is_err() {
                 self.emit(ProtocolEvent::HeapFreeAnomaly {
                     obj: addr.0,
-                    node: e.home,
+                    node: home,
                 });
             }
             e

@@ -79,7 +79,7 @@ pub use thread::{JoinHandle, ThreadObj};
 // Commonly useful re-exports so applications depend on one crate.
 pub use amber_engine::{
     trace, CostModel, EngineError, FaultPlan, LatencyModel, MemorySink, NodeId, Partition,
-    ProtocolEvent, ProtocolSnapshot, SimTime, ThreadId, TraceRecord, TraceSink,
+    ProtocolEvent, ProtocolSnapshot, SimTime, ThreadId, TraceRecord,
 };
 pub use amber_vspace::VAddr;
 

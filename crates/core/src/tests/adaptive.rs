@@ -370,7 +370,7 @@ fn a_replica_install_spanning_a_destroy_and_reuse_installs_nothing() {
         let result = c.run(move |ctx| {
             let obj = ctx.create(9u64);
             ctx.set_immutable(&obj);
-            let addr = ctx.addr_of(&obj);
+            let addr = obj.addr();
             let (anchor, anchor2) = (ctx.create_on(NodeId(1), 0u8), ctx.create_on(NodeId(1), 0u8));
             let started = Arc::new(AtomicBool::new(false));
             let mover = ctx.start(&anchor, {
@@ -386,11 +386,7 @@ fn a_replica_install_spanning_a_destroy_and_reuse_installs_nothing() {
             ctx.sleep(SimTime::from_us(delay_us));
             ctx.destroy(obj);
             let fresh = ctx.create(0u64);
-            assert_eq!(
-                ctx.addr_of(&fresh),
-                addr,
-                "the heap did not reuse the block"
-            );
+            assert_eq!(fresh.addr(), addr, "the heap did not reuse the block");
             // Outlast the transfer, then use the newcomer from node 1.
             ctx.sleep(SimTime::from_ms(20));
             let user = ctx.start(&anchor2, move |ctx, _| {

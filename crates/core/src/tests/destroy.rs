@@ -45,12 +45,12 @@ fn destroy_returns_block_for_reuse() {
         let c = on(engine, Cluster::builder());
         c.run(|ctx| {
             let a = ctx.create(vec![0u8; 1000]);
-            let addr_a = ctx.addr_of(&a);
+            let addr_a = a.addr();
             ctx.destroy(a);
             let b = ctx.create(vec![0u8; 500]);
             // The freed 1000-byte block is reused whole for the 500-byte
             // object.
-            assert_eq!(ctx.addr_of(&b), addr_a);
+            assert_eq!(b.addr(), addr_a);
         })
         .unwrap();
     }
@@ -62,12 +62,12 @@ fn destroyed_blocks_are_reused_across_types() {
         let c = on(engine, Cluster::builder());
         c.run(|ctx| {
             let a = ctx.create([0u64; 16]);
-            let addr = ctx.addr_of(&a);
+            let addr = a.addr();
             ctx.destroy(a);
             // A different type reuses the same block; the old typed
             // reference is dead, the new one works.
             let b = ctx.create(String::from("hello"));
-            assert_eq!(ctx.addr_of(&b), addr);
+            assert_eq!(b.addr(), addr);
             let len = ctx.invoke_shared(&b, |_, s| s.len());
             assert_eq!(len, 5);
         })
@@ -100,7 +100,7 @@ fn locating_a_destroyed_object_is_a_typed_error() {
         let c = on(engine, Cluster::builder().nodes(2));
         c.run(|ctx| {
             let a = ctx.create_on(NodeId(1), 7u32);
-            let addr = ctx.addr_of(&a);
+            let addr = a.addr();
             assert_eq!(ctx.try_locate(&a), Ok(NodeId(1)));
             ctx.destroy(a);
             assert_eq!(
@@ -143,7 +143,7 @@ fn double_destroy_is_a_deterministic_typed_error() {
             // Sequentially: the second destroy of the same reference reports
             // exactly which object was already gone.
             let a = ctx.create_on(NodeId(1), 5u64);
-            let addr = ctx.addr_of(&a);
+            let addr = a.addr();
             assert_eq!(ctx.try_destroy(a), Ok(()));
             assert_eq!(
                 ctx.try_destroy(a),
@@ -173,7 +173,7 @@ fn destroy_waits_for_every_bound_reader() {
     let c = Cluster::sim(1, 4);
     c.run(|ctx| {
         let obj = ctx.create(7u64);
-        let addr = ctx.addr_of(&obj);
+        let addr = obj.addr();
         let readers: Vec<_> = [5u64, 10]
             .into_iter()
             .map(|ms| {
@@ -207,7 +207,7 @@ fn destroying_a_busy_object_is_a_typed_error() {
         // object and its invocation are untouched, and destroy succeeds
         // once the operation drains.
         let obj = ctx.create(0u64);
-        let addr = ctx.addr_of(&obj);
+        let addr = obj.addr();
         let anchor = ctx.create(0u8);
         let h = ctx.start(&anchor, move |ctx, _| {
             ctx.invoke(&obj, |ctx, n| {
@@ -229,11 +229,11 @@ fn destroying_a_busy_object_is_a_typed_error() {
         ctx.attach(&child, &root);
         assert_eq!(
             ctx.try_destroy(root),
-            Err(ProtocolError::ObjectBusy(ctx.addr_of(&root)))
+            Err(ProtocolError::ObjectBusy(root.addr()))
         );
         assert_eq!(
             ctx.try_destroy(child),
-            Err(ProtocolError::ObjectBusy(ctx.addr_of(&child)))
+            Err(ProtocolError::ObjectBusy(child.addr()))
         );
         ctx.unattach(&child);
         assert_eq!(ctx.try_destroy(child), Ok(()));

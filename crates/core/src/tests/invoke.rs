@@ -417,7 +417,7 @@ fn entry_verdict_racing_a_move_claim_runs_each_op_once() {
                 ctx.sleep(t0 + SimTime::from_us(claim_us) - ctx.now());
                 ctx.move_to(&obj, NodeId(1));
                 let first = invoker.join(ctx);
-                (ctx.addr_of(&obj), first, ctx.invoke(&obj, |_, n| *n))
+                (obj.addr(), first, ctx.invoke(&obj, |_, n| *n))
             })
             .unwrap();
         assert_eq!(
@@ -493,7 +493,7 @@ fn two_threads_on_one_node_keep_their_own_frames_and_carry() {
     // thread. Two threads on node 0 each sit two invocations deep and
     // interleave at every `work` and at every leg of a two-hop chase
     // (0 -> 1 -> 2) that carries a by-value argument of their own size.
-    use amber_engine::{current_thread, with_invocations, MemorySink, ProtocolEvent};
+    use amber_engine::{current_thread, with_invocations, ProtocolEvent};
 
     use crate::invoke::enclosing_frame;
     const ROUNDS: usize = 3;
@@ -505,8 +505,7 @@ fn two_threads_on_one_node_keep_their_own_frames_and_carry() {
     }
     for engine in ENGINES {
         let c = on(engine, Cluster::builder().nodes(3));
-        let sink = MemorySink::new();
-        c.set_trace_sink(sink.clone());
+        let sink = c.enable_tracing();
         let threads = c
             .run(|ctx| {
                 let setups: Vec<_> = [1_000, 2_000]

@@ -2,7 +2,7 @@
 //! compression, home routing, attachment groups, and immutable objects,
 //! which a move or a shared read copies instead of moving.
 
-use proptest::prelude::*;
+use amber_engine::cases::sweep;
 
 use super::*;
 use crate::FaultPlan;
@@ -203,7 +203,7 @@ fn diverging_chase_gives_up_with_an_error() {
         let sink = c.enable_tracing();
         c.run(|ctx| {
             let obj = ctx.create_on(NodeId(2), 0u64);
-            let addr = ctx.addr_of(&obj);
+            let addr = obj.addr();
             {
                 let mut objects = ctx.kernel().objects.lock();
                 objects.tables[0].cache_hint(addr, NodeId(1));
@@ -238,7 +238,7 @@ fn a_self_forwarding_descriptor_is_a_typed_error() {
         let c = on(engine, Cluster::builder().nodes(3));
         c.run(|ctx| {
             let obj = ctx.create_on(NodeId(2), 0u64);
-            let addr = ctx.addr_of(&obj);
+            let addr = obj.addr();
             ctx.kernel().objects.lock().tables[0].set_forward(addr, NodeId(0));
             let diverged = |e: Option<crate::ProtocolError>| match e {
                 Some(crate::ProtocolError::ChaseDiverged { addr: a, hops: 0 }) => {
@@ -429,19 +429,18 @@ fn attach_never_exposes_the_child_as_detached() {
     }
 }
 
-proptest! {
+/// Random attachment forests moved concurrently by one mover per root
+/// never deadlock (a group's walk and claim take the registry lock
+/// once, and no mover holds it while parked), and every member ends up
+/// co-located with its root.
+#[test]
+fn random_attach_forests_move_without_deadlock() {
     // Two runs per case, one of them on real threads: keep the count small.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Random attachment forests moved concurrently by one mover per root
-    /// never deadlock (a group's walk and claim take the registry lock
-    /// once, and no mover holds it while parked), and every member ends up
-    /// co-located with its root.
-    #[test]
-    fn random_attach_forests_move_without_deadlock(
-        parents in proptest::collection::vec(0usize..8, 2..9),
-        dests in proptest::collection::vec(0u16..4, 2..5),
-    ) {
+    sweep(6, |d| {
+        let n = d.range(2usize..9);
+        let parents: Vec<_> = (0..n).map(|_| d.range(0usize..8)).collect();
+        let n = d.range(2usize..5);
+        let dests: Vec<_> = (0..n).map(|_| d.range(0u16..4)).collect();
         for engine in ENGINES {
             let c = on(engine, Cluster::builder().nodes(4).processors(2));
             let (parents, dests) = (parents.clone(), dests.clone());
@@ -461,8 +460,7 @@ proptest! {
                         parent_of[child] = *p;
                     }
                 }
-                let roots: Vec<usize> =
-                    (0..n).filter(|i| parent_of[*i] == usize::MAX).collect();
+                let roots: Vec<usize> = (0..n).filter(|i| parent_of[*i] == usize::MAX).collect();
                 let movers: Vec<_> = roots
                     .iter()
                     .map(|r| {
@@ -494,7 +492,7 @@ proptest! {
             })
             .unwrap();
         }
-    }
+    });
 }
 
 #[test]
@@ -664,23 +662,21 @@ fn sequential_model(moves: &[usize], reads: usize) -> Vec<u64> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The observable values equal the sequential model's over a lossy
-    /// network: path compression, replica-first resolution and
-    /// retransmission are invisible to the program.
-    #[test]
-    fn observable_values_match_model_under_loss(
-        moves in proptest::collection::vec(0usize..4, 1..10),
-        reads in 0usize..4,
-        seed in 0u64..1 << 48,
-    ) {
+/// The observable values equal the sequential model's over a lossy
+/// network: path compression, replica-first resolution and
+/// retransmission are invisible to the program.
+#[test]
+fn observable_values_match_model_under_loss() {
+    sweep(24, |d| {
+        let n = d.range(1usize..10);
+        let moves: Vec<_> = (0..n).map(|_| d.range(0usize..4)).collect();
+        let reads = d.range(0usize..4);
+        let seed = d.range(0u64..1 << 48);
         for engine in ENGINES {
-            prop_assert_eq!(
+            assert_eq!(
                 observable_run(engine, &moves, reads, seed),
                 sequential_model(&moves, reads)
             );
         }
-    }
+    });
 }

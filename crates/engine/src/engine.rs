@@ -251,7 +251,7 @@ pub trait Engine: Send + Sync {
     /// The engine's protocol-event tracer. [`Tracer::emit`] is where the
     /// runtime layers above, and the engine itself for every message, raise
     /// a [`crate::trace::ProtocolEvent`]: it is counted in
-    /// [`stats`](Engine::stats) and, once a [`crate::trace::TraceSink`] is
+    /// [`stats`](Engine::stats) and, once a [`crate::trace::MemorySink`] is
     /// installed, recorded.
     fn tracer(&self) -> &Tracer;
 

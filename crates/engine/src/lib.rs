@@ -63,6 +63,7 @@ mod real;
 mod sim;
 mod time;
 
+pub mod cases;
 pub mod policy;
 pub mod stats;
 pub mod trace;
@@ -78,6 +79,4 @@ pub use real::RealEngine;
 pub use sim::SimEngine;
 pub use stats::NetStats;
 pub use time::SimTime;
-pub use trace::{
-    EventKind, MemorySink, ProtocolEvent, ProtocolSnapshot, TraceRecord, TraceSink, Tracer,
-};
+pub use trace::{EventKind, MemorySink, ProtocolEvent, ProtocolSnapshot, TraceRecord, Tracer};

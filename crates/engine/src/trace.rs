@@ -16,12 +16,12 @@
 //! [`Tracer::emit`] is where a fact is born, whoever raises it
 //! (`amber-core` through `Kernel::emit`, the engines' `send`, the fault
 //! layer): it counts the event in its node's row of the engine's
-//! [`NetStats`] and, stamped with the engine clock, hands it to an installed
-//! [`TraceSink`]. With no sink installed that is a load and a store into
-//! the calling thread's own counter shard and one relaxed load, with no
-//! atomic read-modify-write, so tracing costs nothing when it is off. In
-//! checked builds [`Tracer::lint`] has the tracer judge each event against
-//! the per-object lifecycle on its way to the sink.
+//! [`NetStats`] and, stamped with the engine clock, appends it to an
+//! installed [`MemorySink`]. With no sink installed that is a load and a
+//! store into the calling thread's own counter shard and one relaxed load,
+//! with no atomic read-modify-write, so tracing costs nothing when it is
+//! off. In checked builds [`Tracer::lint`] has the tracer judge each event
+//! against the per-object lifecycle on its way to the sink.
 //!
 //! [`MemorySink`] collects events in memory for tests and post-run analysis;
 //! [`chrome_trace_json`] renders a captured stream as Chrome-trace / Perfetto
@@ -441,18 +441,10 @@ pub struct TraceRecord {
     pub event: ProtocolEvent,
 }
 
-/// Destination for trace records.
-///
-/// Implementations must be cheap and non-blocking: sinks are invoked from
-/// protocol hot paths (sometimes under engine locks) and must never call
-/// back into the engine.
-pub trait TraceSink: Send + Sync {
-    /// Consumes one record.
-    fn record(&self, rec: TraceRecord);
-}
-
-/// A sink that buffers every record in memory; for tests and post-run
-/// export.
+/// The destination of trace records: it buffers every record in memory,
+/// for tests and post-run export. It is fed from protocol hot paths,
+/// sometimes under engine locks, so recording is one push under its own
+/// lock and never calls back into the engine.
 #[derive(Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceRecord>>,
@@ -483,9 +475,8 @@ impl MemorySink {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl TraceSink for MemorySink {
+    /// Appends one record.
     fn record(&self, rec: TraceRecord) {
         self.events.lock().push(rec);
     }
@@ -501,7 +492,7 @@ pub struct Tracer {
     /// The per-node counter rows; written only by [`emit`](Tracer::emit).
     stats: Arc<NetStats>,
     enabled: AtomicBool,
-    sink: Mutex<Option<Arc<dyn TraceSink>>>,
+    sink: Mutex<Option<Arc<MemorySink>>>,
     /// The protocol-lifecycle linter, once [`lint`](Tracer::lint) switched
     /// it on; it sees every event before the sink does.
     linter: OnceLock<Linter>,
@@ -538,14 +529,14 @@ impl Tracer {
     }
 
     /// Installs `sink`, enabling tracing. Replaces any previous sink.
-    pub fn install(&self, sink: Arc<dyn TraceSink>) {
+    pub fn install(&self, sink: Arc<MemorySink>) {
         *self.sink.lock() = Some(sink);
         self.enabled.store(true, Ordering::Release);
     }
 
     /// Removes the sink and returns it, if any. Disables tracing unless the
     /// linter is on, which still has to see every event.
-    pub fn uninstall(&self) -> Option<Arc<dyn TraceSink>> {
+    pub fn uninstall(&self) -> Option<Arc<MemorySink>> {
         self.enabled
             .store(self.linter.get().is_some(), Ordering::Release);
         self.sink.lock().take()

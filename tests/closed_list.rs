@@ -365,6 +365,17 @@ const RULES: &[Rule] = &[
             ..SCAN
         }],
     },
+    Rule {
+        name: "One case sweep",
+        closed_by: 50,
+        why: "property tests run on amber_engine::cases::sweep, whose cases 0 and 1 draw every range's ends; do not bring back the proptest stand-in, its macro or a dependency on it",
+        scans: &[Scan {
+            paths: &["Cargo.toml", "crates", "src", "tests", "shims"],
+            forbid: &["proptest!", "use proptest", "proptest::", "proptest.workspace"],
+            sample: "proptest.workspace = true",
+            ..SCAN
+        }],
+    },
 ];
 
 /// A file's path and text.

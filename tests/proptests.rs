@@ -1,20 +1,21 @@
-//! Property-based tests on the reproduction's core invariants.
+//! Property-based tests on the reproduction's core invariants, each a
+//! [`sweep`] of seeded cases whose first two take every draw at its ends.
 
 use amber_core::{Cluster, NodeId, SimTime};
 use amber_dsm::Dsm;
+use amber_engine::cases::sweep;
 use amber_sync::Barrier;
 use amber_vspace::{AddressSpaceServer, NodeHeap, RegionId, VAddr, REGION_BYTES};
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The never-split heap: live blocks are disjoint, sized at least as
-    /// requested, and freed blocks are reused whole.
-    #[test]
-    fn heap_blocks_never_overlap(ops in proptest::collection::vec(
-        (0usize..3, 1u64..4096), 1..120)
-    ) {
+/// The never-split heap: live blocks are disjoint, sized at least as
+/// requested, and freed blocks are reused whole.
+#[test]
+fn heap_blocks_never_overlap() {
+    sweep(64, |d| {
+        let n = d.range(1usize..120);
+        let ops: Vec<_> = (0..n)
+            .map(|_| (d.range(0usize..3), d.range(1u64..4096)))
+            .collect();
         let mut server = AddressSpaceServer::new();
         let mut heap = NodeHeap::new(NodeId(0));
         heap.add_region(server.assign(NodeId(0)));
@@ -32,11 +33,10 @@ proptest! {
                         }
                     };
                     let got = heap.size_of(addr).expect("fresh block is live");
-                    prop_assert!(got >= size, "block smaller than requested");
+                    assert!(got >= size, "block smaller than requested");
                     for (a, _, g) in &live {
-                        let disjoint =
-                            addr.raw() + got <= a.raw() || a.raw() + g <= addr.raw();
-                        prop_assert!(disjoint, "overlap: {addr} and {a}");
+                        let disjoint = addr.raw() + got <= a.raw() || a.raw() + g <= addr.raw();
+                        assert!(disjoint, "overlap: {addr} and {a}");
                     }
                     live.push((addr, size, got));
                 }
@@ -49,30 +49,38 @@ proptest! {
         }
         // Accounting agrees.
         let total: u64 = live.iter().map(|(_, _, g)| *g).sum();
-        prop_assert_eq!(heap.live_bytes(), total);
-    }
+        assert_eq!(heap.live_bytes(), total);
+    });
+}
 
-    /// Region assignments are disjoint and home lookups agree with the
-    /// server for any request pattern.
-    #[test]
-    fn region_assignment_is_consistent(nodes in proptest::collection::vec(0u16..8, 1..60)) {
+/// Region assignments are disjoint and home lookups agree with the
+/// server for any request pattern.
+#[test]
+fn region_assignment_is_consistent() {
+    sweep(64, |d| {
+        let n = d.range(1usize..60);
+        let nodes: Vec<_> = (0..n).map(|_| d.range(0u16..8)).collect();
         let mut server = AddressSpaceServer::new();
         let mut seen = std::collections::HashSet::new();
         for n in nodes {
             let r = server.assign(NodeId(n));
-            prop_assert!(seen.insert(r), "region assigned twice");
-            prop_assert_eq!(server.owner(r), Some(NodeId(n)));
+            assert!(seen.insert(r), "region assigned twice");
+            assert_eq!(server.owner(r), Some(NodeId(n)));
             let mid = VAddr(r.base().raw() + REGION_BYTES / 2);
-            prop_assert_eq!(server.home_of(mid), Some(NodeId(n)));
-            prop_assert_eq!(mid.region(), r);
+            assert_eq!(server.home_of(mid), Some(NodeId(n)));
+            assert_eq!(mid.region(), r);
         }
-        prop_assert_eq!(server.owner(RegionId(3)), None); // below HEAP_BASE
-    }
+        assert_eq!(server.owner(RegionId(3)), None); // below HEAP_BASE
+    });
+}
 
-    /// Forwarding chains always converge: after an arbitrary move sequence,
-    /// every probe finds the object where the last move put it.
-    #[test]
-    fn forwarding_chains_converge(moves in proptest::collection::vec(0u16..4, 1..12)) {
+/// Forwarding chains always converge: after an arbitrary move sequence,
+/// every probe finds the object where the last move put it.
+#[test]
+fn forwarding_chains_converge() {
+    sweep(64, |d| {
+        let n = d.range(1usize..12);
+        let moves: Vec<_> = (0..n).map(|_| d.range(0u16..4)).collect();
         let c = Cluster::sim(4, 1);
         let last = *moves.last().unwrap();
         c.run(move |ctx| {
@@ -86,15 +94,16 @@ proptest! {
             assert_eq!(at, NodeId(last));
         })
         .unwrap();
-    }
+    });
+}
 
-    /// The barrier never releases early and always releases everyone, for
-    /// any parties count and any stagger pattern.
-    #[test]
-    fn barrier_releases_exactly_together(
-        parties in 1usize..7,
-        staggers in proptest::collection::vec(0u64..5_000, 6),
-    ) {
+/// The barrier never releases early and always releases everyone, for
+/// any parties count and any stagger pattern.
+#[test]
+fn barrier_releases_exactly_together() {
+    sweep(64, |d| {
+        let parties = d.range(1usize..7);
+        let staggers: Vec<_> = (0..6).map(|_| d.range(0u64..5_000)).collect();
         let c = Cluster::sim(2, 2);
         c.run(move |ctx| {
             let bar = Barrier::new(ctx, parties);
@@ -118,14 +127,18 @@ proptest! {
             }
         })
         .unwrap();
-    }
+    });
+}
 
-    /// DSM equals a reference flat memory under arbitrary single-threaded
-    /// read/write sequences issued from alternating nodes.
-    #[test]
-    fn dsm_matches_reference_memory(
-        ops in proptest::collection::vec((0usize..2, 0usize..31, 0u64..1000), 1..40)
-    ) {
+/// DSM equals a reference flat memory under arbitrary single-threaded
+/// read/write sequences issued from alternating nodes.
+#[test]
+fn dsm_matches_reference_memory() {
+    sweep(64, |d| {
+        let n = d.range(1usize..40);
+        let ops: Vec<_> = (0..n)
+            .map(|_| (d.range(0usize..2), d.range(0usize..31), d.range(0u64..1000)))
+            .collect();
         let c = Cluster::sim(3, 1);
         c.run(move |ctx| {
             let dsm = Dsm::new(ctx, 4, 64); // 256 bytes = 32 u64 slots
@@ -135,14 +148,16 @@ proptest! {
                 let d = dsm.clone();
                 let (op, slot, val) = (*op, *slot, *val);
                 let a = ctx.create_on(node, 0u8);
-                let observed = ctx.start(&a, move |ctx, _| {
-                    if op == 0 {
-                        d.write_u64(ctx, slot * 8, val);
-                        None
-                    } else {
-                        Some(d.read_u64(ctx, slot * 8))
-                    }
-                }).join(ctx);
+                let observed = ctx
+                    .start(&a, move |ctx, _| {
+                        if op == 0 {
+                            d.write_u64(ctx, slot * 8, val);
+                            None
+                        } else {
+                            Some(d.read_u64(ctx, slot * 8))
+                        }
+                    })
+                    .join(ctx);
                 match observed {
                     None => reference[slot] = val,
                     Some(seen) => assert_eq!(
@@ -153,17 +168,21 @@ proptest! {
             }
         })
         .unwrap();
-    }
+    });
+}
 
-    /// The event trace is a faithful ledger: over an arbitrary mixed
-    /// workload, counters recomputed from the captured events alone agree
-    /// with `protocol_stats()` counter for counter, message events included
-    /// (one `emit` feeds both, so this guards the sink path losing or
-    /// doubling an event).
-    #[test]
-    fn trace_summary_reconciles_with_counters(
-        ops in proptest::collection::vec((0usize..7, 0usize..4, 0u16..4), 1..25)
-    ) {
+/// The event trace is a faithful ledger: over an arbitrary mixed
+/// workload, counters recomputed from the captured events alone agree
+/// with `protocol_stats()` counter for counter, message events included
+/// (one `emit` feeds both, so this guards the sink path losing or
+/// doubling an event).
+#[test]
+fn trace_summary_reconciles_with_counters() {
+    sweep(64, |d| {
+        let n = d.range(1usize..25);
+        let ops: Vec<_> = (0..n)
+            .map(|_| (d.range(0usize..7), d.range(0usize..4), d.range(0u16..4)))
+            .collect();
         let c = Cluster::sim(4, 2);
         let sink = c.enable_tracing();
         let run_ops = ops.clone();
@@ -209,19 +228,20 @@ proptest! {
             }
         })
         .unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             amber_core::ProtocolSnapshot::from_events(&sink.take()),
             c.protocol_stats()
         );
-    }
+    });
+}
 
-    /// Attachment groups always co-locate, whatever the build order and
-    /// wherever the root moves.
-    #[test]
-    fn attachment_groups_colocate(
-        children in 1usize..5,
-        dest in 0u16..4,
-    ) {
+/// Attachment groups always co-locate, whatever the build order and
+/// wherever the root moves.
+#[test]
+fn attachment_groups_colocate() {
+    sweep(64, |d| {
+        let children = d.range(1usize..5);
+        let dest = d.range(0u16..4);
         let c = Cluster::sim(4, 1);
         c.run(move |ctx| {
             let root = ctx.create(0u32);
@@ -240,12 +260,11 @@ proptest! {
             }
         })
         .unwrap();
-    }
+    });
 }
 
 /// Virtual-time determinism across identical runs with mixed primitives,
-/// for several cluster shapes (plain test; proptest closures must be Fn
-/// while cluster programs want FnOnce captures).
+/// for several cluster shapes.
 #[test]
 fn deterministic_across_cluster_shapes() {
     for (nodes, procs) in [(1usize, 1usize), (2, 2), (4, 1), (3, 4)] {
@@ -275,33 +294,27 @@ fn deterministic_across_cluster_shapes() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Hint-cache staleness: however movers, invokers, the adaptive
+/// placement advisor and a lossy network interleave, a descriptor
+/// chase never takes more forward hops than the number of moves the
+/// object has completed so far plus one (the chain cannot be longer
+/// than the moves that built it), and the captured trace reconciles
+/// counter-for-counter with the live stats.
+#[test]
+fn stale_hints_never_overchase() {
+    use amber_core::{EngineChoice, FaultPlan, ProtocolEvent, ProtocolSnapshot, ThreadId};
+    use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
+    use std::collections::HashMap;
 
-    /// Hint-cache staleness: however movers, invokers, the adaptive
-    /// placement advisor and a lossy network interleave, a descriptor
-    /// chase never takes more forward hops than the number of moves the
-    /// object has completed so far plus one (the chain cannot be longer
-    /// than the moves that built it), and the captured trace reconciles
-    /// counter-for-counter with the live stats.
-    #[test]
-    fn stale_hints_never_overchase(
-        seed in 0u64..(1u64 << 32),
-        moves in proptest::collection::vec(0u16..3, 1..10),
-    ) {
-        use amber_core::{EngineChoice, FaultPlan, ProtocolEvent, ProtocolSnapshot, ThreadId};
-        use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
-        use std::collections::HashMap;
-
+    sweep(48, |d| {
+        let seed = d.range(0u64..(1u64 << 32));
+        let n = d.range(1usize..10);
+        let moves: Vec<_> = (0..n).map(|_| d.range(0u16..3)).collect();
         let c = Cluster::builder()
             .nodes(3)
             .processors(2)
             .engine(EngineChoice::Sim)
-            .faults(
-                FaultPlan::seeded(seed)
-                    .drop_rate(0.03)
-                    .duplicate_rate(0.01),
-            )
+            .faults(FaultPlan::seeded(seed).drop_rate(0.03).duplicate_rate(0.01))
             .adaptive_placement(|| {
                 TrafficAdvisor::new(AdaptiveConfig {
                     tick: SimTime::from_ms(20),
@@ -355,7 +368,7 @@ proptest! {
                     }
                     chase.1 += 1;
                     let bound = moves_done.get(&obj).copied().unwrap_or(0) + 1;
-                    prop_assert!(
+                    assert!(
                         chase.1 <= bound,
                         "{t} chased {obj:#x} for {} hops after only {} moves",
                         chase.1,
@@ -368,23 +381,24 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(ProtocolSnapshot::from_events(&events), c.protocol_stats());
-    }
+        assert_eq!(ProtocolSnapshot::from_events(&events), c.protocol_stats());
+    });
+}
 
-    /// Replicas are behaviorally invisible: whatever values readers observe
-    /// through advisor-installed replicas over a lossy network are exactly
-    /// the values an origin-served run returns, and the captured trace
-    /// (including `advisory_replications`) reconciles counter-for-counter
-    /// with the live stats.
-    #[test]
-    fn replicas_are_behaviorally_invisible(
-        seed in 0u64..(1u64 << 32),
-        payload in 1u64..1_000_000,
-        reads in 4u32..24,
-    ) {
-        use amber_core::{EngineChoice, FaultPlan, ProtocolSnapshot};
-        use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
+/// Replicas are behaviorally invisible: whatever values readers observe
+/// through advisor-installed replicas over a lossy network are exactly
+/// the values an origin-served run returns, and the captured trace
+/// (including `advisory_replications`) reconciles counter-for-counter
+/// with the live stats.
+#[test]
+fn replicas_are_behaviorally_invisible() {
+    use amber_core::{EngineChoice, FaultPlan, ProtocolSnapshot};
+    use amber_placement::adaptive::{AdaptiveConfig, TrafficAdvisor};
 
+    sweep(48, |d| {
+        let seed = d.range(0u64..(1u64 << 32));
+        let payload = d.range(1u64..1_000_000);
+        let reads = d.range(4u32..24);
         // Readers on every non-origin node each read `reads` times and
         // report the observed values; the driver returns them in node order.
         let observe = |advisor: bool| {
@@ -393,11 +407,7 @@ proptest! {
                 .processors(2)
                 .engine(EngineChoice::Sim)
                 .demand_replication(false)
-                .faults(
-                    FaultPlan::seeded(seed)
-                        .drop_rate(0.03)
-                        .duplicate_rate(0.01),
-                );
+                .faults(FaultPlan::seeded(seed).drop_rate(0.03).duplicate_rate(0.01));
             if advisor {
                 // A remote read costs ~8ms of virtual time, so a 30ms tick
                 // window sees a few reads per node — enough to cross the
@@ -437,18 +447,18 @@ proptest! {
         let (replica_values, events, stats) = observe(true);
 
         // Same observations, replica-served or not.
-        prop_assert_eq!(&replica_values, &origin_values);
+        assert_eq!(&replica_values, &origin_values);
         for per_reader in &origin_values {
-            prop_assert!(per_reader.iter().all(|&v| v == payload));
+            assert!(per_reader.iter().all(|&v| v == payload));
         }
         // The origin-served run never replicates; the advisor run's
         // replications (if its thresholds were crossed) all came from
         // advisories.
-        prop_assert_eq!(origin_stats.replications, 0);
-        prop_assert_eq!(stats.replications, stats.advisory_replications);
+        assert_eq!(origin_stats.replications, 0);
+        assert_eq!(stats.replications, stats.advisory_replications);
         // The sink lost nothing.
-        prop_assert_eq!(ProtocolSnapshot::from_events(&events), stats);
-    }
+        assert_eq!(ProtocolSnapshot::from_events(&events), stats);
+    });
 }
 
 /// Exclusive invocation of an immutable object fails identically whether or

@@ -383,7 +383,7 @@ fn payloads_drop_exactly_once(cluster: Cluster, exact: bool) {
                 ctx.sleep(SimTime::from_us(10));
             }
             let busy = ctx.try_destroy(running);
-            assert_eq!(busy, Err(ProtocolError::ObjectBusy(ctx.addr_of(&running))));
+            assert_eq!(busy, Err(ProtocolError::ObjectBusy(running.addr())));
             assert_eq!(dropped(), 1, "a busy destroy drops nothing");
             release_and_destroy(holder, release, running);
 
@@ -400,7 +400,7 @@ fn payloads_drop_exactly_once(cluster: Cluster, exact: bool) {
             if exact {
                 assert!(!entered.load(SeqCst), "the destroy came too late");
             }
-            assert_eq!(busy, Err(ProtocolError::ObjectBusy(ctx.addr_of(&bound))));
+            assert_eq!(busy, Err(ProtocolError::ObjectBusy(bound.addr())));
             assert_eq!(dropped(), 2, "a busy destroy drops nothing");
             release_and_destroy(holder, release, bound);
 
